@@ -9,10 +9,16 @@ eigenbasis under
 
     H(t)/h = diag(levels) - E_L * delta_phi(t) * [phi-hat matrix]   (GHz),
 
-integrated with norm-preserving midpoint-exponential steps (the waveform is
-band-limit-interpolated onto the step midpoints, each step is the exact
-exponential of the midpoint Hamiltonian). Convergence is second order in the
-step; unitarity holds to machine precision by construction.
+integrated with midpoint-exponential steps: the waveform is
+band-limit-interpolated onto the step midpoints, and each step is the
+exponential of the midpoint Hamiltonian. Convergence is second order in the
+step. The step exponentials of a chunk of samples are a Chebyshev expansion
+in the drive, built from a few exact exponentials at Chebyshev nodes and
+truncated at a 1e-16 tail bound (spectral propagation after Tal-Ezer and
+Kosloff, J. Chem. Phys. 81, 3967 (1984)); the steps of each sample are then
+multiplied pairwise. Unitarity is not exact by construction: the measured
+drift is about 1e-11 at 8e4 steps and about 1e-10 at 1e6 steps, and `evolve`
+raises past 1e-8.
 
 On top of `evolve` sit the experiment layers: Rabi curves with and without
 pre-distortion, pi-amplitude and drive-frequency calibration, average gate
@@ -52,7 +58,8 @@ X90_PHASE_OFFSET = math.pi
 VZ_EMISSION_SIGN = -1.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_EIGH_CHUNK = 65536
+_CHUNK_STEPS = 65536
+_CHEB_TAIL = 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -157,28 +164,97 @@ def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.irfft(spec, n * factor) * factor
 
 
+def _node_count(growth: float) -> int:
+    """Chebyshev nodes needed for exp(-i (A + y B)) on y in [-1, 1].
+
+    ``growth`` is ||B||_2. The smallest K whose Bernstein-ellipse tail bound
+    sum_{k >= K} 2 (e growth / 2k)^k on the dropped coefficients is at most
+    1e-16; a constant drive (growth 0) needs one node.
+    """
+    ks = np.arange(1, int(math.e * growth) + 64)
+    with np.errstate(over="ignore"):
+        tails = np.cumsum((2.0 * (math.e * growth / (2.0 * ks)) ** ks)[::-1])[::-1]
+    return 1 + int(np.count_nonzero(tails > _CHEB_TAIL))
+
+
+def _chebyshev_steps(static, coupling, h, xs):
+    """Step exponentials for the drives ``xs`` as (d, d, N) planes.
+
+    The step is an entire function of the drive, so it is expanded in
+    Chebyshev polynomials over the drive range [lo, hi] of ``xs``: K exact
+    exponentials (batched eigh) at the Chebyshev-Gauss nodes give the
+    coefficient matrices, and all N steps are one (d^2 x K)(K x N) product.
+    """
+    dim = len(static)
+    lo, hi = float(xs.min()), float(xs.max())
+    center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    count = _node_count(h * radius * np.linalg.norm(coupling, 2))
+    theta = np.pi * (np.arange(count) + 0.5) / count
+    nodes = center + radius * np.cos(theta)
+    vals, vecs = np.linalg.eigh(static + nodes[:, None, None] * coupling)
+    exps = np.einsum("nij,nj,nkj->ikn", vecs, np.exp(-1j * vals * h), vecs.conj())
+    basis = np.cos(np.outer(theta, np.arange(count)))  # T_m(node_j), [j, m]
+    coeffs = (2.0 / count) * (exps.reshape(dim * dim, count) @ basis)
+    coeffs[:, 0] *= 0.5
+    cheb = np.empty((count, len(xs)))  # T_m(y_n) by the three-term recurrence
+    cheb[0] = 1.0
+    if count > 1:
+        cheb[1] = (xs - center) / radius
+    for m in range(2, count):
+        cheb[m] = 2.0 * cheb[1] * cheb[m - 1] - cheb[m - 2]
+    steps = np.empty((dim * dim, len(xs)), complex)
+    steps.real = coeffs.real @ cheb  # two real GEMMs beat one complex-by-real
+    steps.imag = coeffs.imag @ cheb
+    return steps.reshape(dim, dim, len(xs))
+
+
+def _tree_product(planes):
+    """Ordered product over axis 2 of (d, d, m, ...) matrix planes.
+
+    Returns planes[:, :, m-1] ... planes[:, :, 0], formed by pairwise batched
+    matmuls (later @ earlier); a level with an odd count carries its last
+    matrix up unchanged.
+    """
+    dim = planes.shape[0]
+    while planes.shape[2] > 1:
+        pairs, odd = divmod(planes.shape[2], 2)
+        later, earlier = planes[:, :, 1:2 * pairs:2], planes[:, :, 0:2 * pairs:2]
+        merged = np.empty((dim, dim, pairs + odd) + planes.shape[3:], complex)
+        out = merged[:, :, :pairs]
+        np.multiply(later[:, 0, None], earlier[None, 0], out=out)
+        for j in range(1, dim):
+            out += later[:, j, None] * earlier[None, j]
+        if odd:
+            merged[:, :, pairs] = planes[:, :, -1]
+        planes = merged
+    return planes[:, :, 0]
+
+
 def _propagate(levels: np.ndarray, phi_mat: np.ndarray, e_l: float,
                dphi_mid: np.ndarray, h: float, record_every: int):
-    """Midpoint-exponential propagation; returns (boundary populations, U)."""
+    """Midpoint-exponential propagation; returns (boundary populations, U).
+
+    Chunks hold whole input samples and at most _CHUNK_STEPS steps (a sample
+    longer than that is a chunk of its own). Each chunk's steps come from
+    `_chebyshev_steps`, and each sample's steps are multiplied together by
+    `_tree_product`; only the walk over the samples is a Python loop.
+    """
     dim = len(levels)
     static = 2.0 * np.pi * np.diag(levels).astype(complex)
     coupling = 2.0 * np.pi * (-e_l) * phi_mat
-    unitary = np.eye(dim, dtype=complex)
-    pops = [np.abs(unitary[:, 0]) ** 2]
-    done = 0
-    while done < len(dphi_mid):
-        xs = dphi_mid[done:done + _EIGH_CHUNK]
-        hams = static[None, :, :] + xs[:, None, None] * coupling[None, :, :]
-        vals, vecs = np.linalg.eigh(hams)
-        steps = np.einsum(
-            "nij,nj,nkj->nik", vecs, np.exp(-1j * vals * h), vecs.conj()
-        )
-        for m in range(len(xs)):
-            unitary = steps[m] @ unitary
-            if (done + m + 1) % record_every == 0:
-                pops.append(np.abs(unitary[:, 0]) ** 2)
-        done += len(xs)
-    return np.array(pops), unitary
+    chunk = max(1, _CHUNK_STEPS // record_every) * record_every
+    samples = []
+    for start in range(0, len(dphi_mid), chunk):
+        xs = dphi_mid[start:start + chunk].reshape(-1, record_every)
+        steps = _chebyshev_steps(static, coupling, h, xs.T.ravel())
+        samples.append(_tree_product(steps.reshape(dim, dim, *xs.T.shape)))
+    samples = np.concatenate(samples, axis=2)
+    column = np.eye(dim, dtype=complex)[:, 0]
+    columns = [column]
+    for sample in np.moveaxis(samples, 2, 0):
+        column = sample.dot(column)
+        columns.append(column)
+    return np.abs(np.array(columns)) ** 2, _tree_product(samples)
 
 
 def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
@@ -186,8 +262,17 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
 
     The waveform passes through the scenario channel (`apply_transfer`), is
     scaled to delta_phi(t), band-limit-resampled onto the time-step midpoints,
-    and propagated with exact midpoint exponentials. Populations are recorded
-    at every input-sample boundary.
+    and propagated with midpoint exponentials. Populations are recorded at
+    every input-sample boundary.
+
+    Each chunk of whole samples (at most 65 536 steps) takes exact
+    exponentials only at K Chebyshev nodes over its drive range, with K the
+    smallest count meeting a 1e-16 Bernstein-ellipse tail bound (K = 1 for a
+    constant drive), and evaluates all its steps as one matrix product; the
+    steps of each sample are multiplied pairwise. The result agrees with a
+    per-step exact-exponential integrator to about 1e-11. Unitarity drift is
+    about 1e-11 at 8e4 steps and 1e-10 at 1e6 steps; a drift above 1e-8, or
+    a NaN propagator, raises `NumericalError`.
     """
     w = at_awg_waveform
     if len(w) < 2:
@@ -223,7 +308,7 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
     pops, unitary = _propagate(levels, phi_mat, scenario.qubit.e_l, mids, h, k)
 
     drift = np.abs(unitary.conj().T @ unitary - np.eye(scenario.levels)).max()
-    if drift > 1e-8:
+    if not drift <= 1e-8:  # NaN fails closed
         raise NumericalError(
             f"propagator unitarity drift {drift:.2e} exceeds 1e-8; "
             "use a smaller time step"

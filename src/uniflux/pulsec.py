@@ -110,6 +110,7 @@ class SetCarrier:
     frequency: float  # GHz
 
     def __post_init__(self):
+        object.__setattr__(self, "frequency", float(self.frequency))
         if self.frequency < 0:
             raise ValueError("carrier frequency must be non-negative")
 
@@ -155,6 +156,7 @@ class PulseProgram:
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "primitives", dict(self.primitives))
+        object.__setattr__(self, "initial_carrier", float(self.initial_carrier))
         for pid, prim in self.primitives.items():
             if pid != prim.id:
                 raise ValueError(f"store key {pid!r} does not match primitive id {prim.id!r}")

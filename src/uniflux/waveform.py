@@ -7,7 +7,8 @@ complex arrays are used for baseband envelopes before carrier modulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +20,10 @@ class Waveform:
     Parameters
     ----------
     samples :
-        1-D array of samples (float for physical signals, complex for
-        envelopes). Stored as a read-only numpy array.
+        1-D array of finite samples (float for physical signals, complex
+        for envelopes). Stored as a read-only numpy array.
     sample_rate :
-        Sample rate in GS/s; strictly positive.
+        Sample rate in GS/s; strictly positive and finite.
     """
 
     samples: np.ndarray
@@ -32,9 +33,13 @@ class Waveform:
         arr = np.asarray(self.samples)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}"
+            )
         arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=True)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

@@ -101,3 +101,33 @@ def dephasing_envelope(t, c, d, t1_de, t_phi_exp, t_phi_g):
         * np.exp(-t * exp_rate - (t / t_phi_g) ** 2)
         + d
     )
+
+
+def midpoint_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
+    """Reference per-step midpoint integrator: one exact exponential per step.
+
+    Every step exp(-i h (D + x C)) comes from its own eigendecomposition and
+    is multiplied onto the propagator one at a time, recording the
+    ground-start populations every ``record_every`` steps. Returns
+    (boundary populations, U).
+    """
+    dim = len(levels)
+    static = 2.0 * np.pi * np.diag(levels).astype(complex)
+    coupling = 2.0 * np.pi * (-e_l) * phi_mat
+    chunk = 65536  # steps per batched eigh
+    unitary = np.eye(dim, dtype=complex)
+    pops = [np.abs(unitary[:, 0]) ** 2]
+    done = 0
+    while done < len(dphi_mid):
+        xs = dphi_mid[done:done + chunk]
+        hams = static[None, :, :] + xs[:, None, None] * coupling[None, :, :]
+        vals, vecs = np.linalg.eigh(hams)
+        steps = np.einsum(
+            "nij,nj,nkj->nik", vecs, np.exp(-1j * vals * h), vecs.conj()
+        )
+        for m in range(len(xs)):
+            unitary = steps[m] @ unitary
+            if (done + m + 1) % record_every == 0:
+                pops.append(np.abs(unitary[:, 0]) ** 2)
+        done += len(xs)
+    return np.array(pops), unitary

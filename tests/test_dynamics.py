@@ -133,6 +133,109 @@ def test_step_halving_converges_below_1e7():
     assert shift < 1e-7
 
 
+def test_nan_propagator_fails_closed(monkeypatch):
+    # a NaN propagator must raise, not return NaN populations
+    def nan_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
+        dim = len(levels)
+        pops = np.full((len(dphi_mid) // record_every + 1, dim), np.nan)
+        return pops, np.full((dim, dim), np.nan, dtype=complex)
+
+    monkeypatch.setattr(dynamics, "_propagate", nan_propagate)
+    with pytest.raises(NumericalError, match="unitarity drift nan"):
+        dynamics.evolve(FLAT2, _zero_waveform(16))
+
+
+# ---------------------------------------------------------------------------
+# propagator engine against the per-step reference integrator
+# ---------------------------------------------------------------------------
+
+
+def _per_step_reference(scenario, w):
+    """evolve's drive preparation followed by the per-step oracle integrator."""
+    levels, phi_mat = dynamics.qubit_frame(scenario)
+    h = scenario.time_step
+    k = int(round(1.0 / (w.sample_rate * h)))
+    filtered = filters.apply_transfer(w, scenario.channel)
+    dphi = np.asarray(filtered.samples) * dynamics.phase_drive_per_volt(LINE)
+    mids = dynamics._upsample(dphi, 2 * k)[1::2]
+    return oracles.midpoint_propagate(levels, phi_mat, QUBIT.e_l, mids, h, k)
+
+
+def _predistorted_pi_4_levels():
+    scenario = GAUSS2.replace(levels=4, time_step=0.005)
+    w = dynamics.predistort_drive(
+        dynamics.cosine_drive(20.0, V_PI_20NS, F01), GAUSS, F01
+    )
+    return scenario, w
+
+
+def _three_levels_odd_steps_per_sample():
+    scenario = FLAT2.replace(levels=3, time_step=0.04)  # 25 steps per sample
+    return scenario, dynamics.cosine_drive(24.0, 0.012, F01, lead_ns=8.0, tail_ns=8.0)
+
+
+def _long_drive_across_chunks():
+    scenario = GAUSS2.replace(time_step=0.05)  # 4000 samples x 20 = 80 000 steps
+    t = np.arange(4000, dtype=float)
+    return scenario, Waveform(0.003 * np.cos(2 * np.pi * F01 * t), 1.0)
+
+
+def _zero_drive():
+    return FLAT2.replace(levels=4, time_step=0.005), _zero_waveform(40)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _predistorted_pi_4_levels,
+        _three_levels_odd_steps_per_sample,
+        _long_drive_across_chunks,
+        _zero_drive,
+    ],
+)
+def test_evolve_matches_per_step_oracle(case):
+    scenario, w = case()
+    outcome = dynamics.evolve(scenario, w)
+    pops, unitary = _per_step_reference(scenario, w)
+    assert outcome.populations.shape == pops.shape
+    np.testing.assert_allclose(outcome.populations, pops, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(outcome.final_unitary, unitary, rtol=0, atol=1e-9)
+
+
+def test_oracle_cases_cover_the_engine_edges():
+    scenario, w = _predistorted_pi_4_levels()
+    assert dynamics.evolve(scenario, w).populations[-1, 1] > 0.9  # a pi pulse
+    scenario, w = _long_drive_across_chunks()
+    assert dynamics.evolve(scenario, w).metadata["steps"] > dynamics._CHUNK_STEPS
+    scenario, w = _three_levels_odd_steps_per_sample()
+    assert round(1.0 / (w.sample_rate * scenario.time_step)) % 2 == 1
+
+
+def test_node_count_is_the_smallest_meeting_the_tail_bound():
+    def tail(growth, count):
+        ks = np.arange(count, count + 200)
+        return np.sum(2.0 * (math.e * growth / (2.0 * ks)) ** ks)
+
+    assert dynamics._node_count(0.0) == 1  # constant drive
+    for growth in (1e-6, 2e-3, 0.1, 1.0, 7.0):
+        count = dynamics._node_count(growth)
+        assert tail(growth, count) <= 1e-16
+        assert count == 1 or tail(growth, count - 1) > 1e-16
+
+
+def test_chebyshev_steps_match_exact_exponentials():
+    # full-scale drive range, 6 levels: many nodes, still exact to ~1e-14
+    scenario = FLAT2.replace(levels=6)
+    levels, phi_mat = dynamics.qubit_frame(scenario)
+    static = 2.0 * np.pi * np.diag(levels).astype(complex)
+    coupling = 2.0 * np.pi * (-QUBIT.e_l) * phi_mat
+    xs = np.linspace(-1.9, 1.9, 57)
+    steps = dynamics._chebyshev_steps(static, coupling, 0.2, xs)
+    vals, vecs = np.linalg.eigh(static + xs[:, None, None] * coupling)
+    exact = np.einsum("nij,nj,nkj->ikn", vecs, np.exp(-0.2j * vals), vecs.conj())
+    assert np.abs(steps - exact).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # drive construction
 # ---------------------------------------------------------------------------
@@ -426,6 +529,16 @@ def test_rb_waveform_mode_with_calibrated_gate():
     assert result.mode == "waveform"
     for record in result.records:
         assert record.survival > 0.99
+
+
+def test_rb_example_program_serialization_round_trip():
+    result = dynamics.run_rb(
+        FLAT2, lengths=[4, 30], sequences_per_length=1, seed=3, mode="ideal"
+    )
+    program = result.example_program
+    assert type(program.initial_carrier) is float
+    text = pulsec.serialize_program(program)
+    assert pulsec.parse_program(text, 1.0) == program
 
 
 def test_rb_example_program_and_memory_footprint():

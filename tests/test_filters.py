@@ -129,6 +129,20 @@ def test_apply_transfer_rejects_short_and_complex():
         filters.apply_transfer(Waveform(np.array([1.0 + 1j, 0.0]), 1.0), GAUSS)
 
 
+def test_waveform_rejects_non_finite_samples():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Waveform([0.0, bad, 0.0], 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Waveform(np.array([0.0, complex(0.0, math.nan)]), 1.0)
+
+
+def test_waveform_rejects_non_finite_sample_rate():
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="sample_rate"):
+            Waveform([0.0, 0.0], bad)
+
+
 def test_predistort_mode_gating():
     w = _carrier_pulse(4.0, 100.0, 1.0)
     with pytest.raises(ValueError):
