@@ -6,6 +6,9 @@ multi-modal in the time constants); results carry the parameter covariance
 of the winning start, a sum-of-squares diagnostic, and string flags for the
 degenerate regimes a caller should know about (unidentifiable decay,
 exchange degeneracy, component collapse).
+
+These fits and those in ``distortion`` share one multi-start kernel,
+``_least_squares_fit``, with one covariance rule.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+import scipy.linalg
+from scipy.optimize import least_squares
 
 from .errors import FitError
 
@@ -60,6 +64,8 @@ def _validate_decay_input(t, values, min_points):
     values = np.asarray(values, dtype=float)
     if t.shape != values.shape or t.ndim != 1:
         raise ValueError("t and values must be 1-D arrays of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
+        raise ValueError("t and values must be finite")
     if len(t) < min_points:
         raise ValueError(f"need at least {min_points} samples, got {len(t)}")
     if np.any(np.diff(t) <= 0) or t[0] < 0:
@@ -67,23 +73,42 @@ def _validate_decay_input(t, values, min_points):
     return t, values
 
 
-def _multi_start_fit(model, t, values, starts, bounds):
+def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
+    """Multi-start least squares: (x, covariance, sse) of the best start.
+
+    ``scipy.optimize.least_squares`` runs once per start, with ``trf`` when
+    any bound is finite and ``lm`` otherwise; ``solver`` passes ``jac``,
+    ``max_nfev`` or ``xtol`` through. Starts that raise or do not converge
+    are skipped and the lowest sum of squares wins. The covariance is SciPy's
+    curve-fit rule: the SVD pseudo-inverse of J^T J (singular values below
+    eps * max(m, n) * s_0 dropped) times sse / (m - n), and inf when m <= n.
+    """
+    method = "trf" if np.isfinite(bounds).any() else "lm"
     best = None
-    for p0 in starts:
+    for x0 in starts:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                popt, pcov = curve_fit(
-                    model, t, values, p0=p0, bounds=bounds, maxfev=20000
-                )
-        except (RuntimeError, ValueError):
+                sol = least_squares(residuals, x0, bounds=bounds, method=method, **solver)
+        except (ValueError, FloatingPointError):
             continue
-        sse = float(np.sum((model(t, *popt) - values) ** 2))
-        if best is None or sse < best[2]:
-            best = (popt, pcov, sse)
+        if not sol.success:
+            continue
+        sse = float(np.sum(sol.fun**2))
+        if best is None or sse < best[1]:
+            best = (sol, sse)
     if best is None:
         raise FitError("least-squares fit did not converge from any start")
-    return best
+    sol, sse = best
+    m, n = sol.jac.shape
+    _, s, vt = scipy.linalg.svd(sol.jac, full_matrices=False)
+    s = s[s > np.finfo(float).eps * max(m, n) * s[0]]
+    cov = np.dot(vt[: s.size].T / s**2, vt[: s.size])
+    if m > n and not np.isnan(cov).any():
+        cov = cov * (2 * sol.cost / (m - n))
+    else:
+        cov.fill(np.inf)
+    return sol.x, cov, sse
 
 
 def _one_over_e_bisection(a, b, t_exp, t_qp, n_qp, t_hi):
@@ -130,7 +155,9 @@ def fit_t1_double_exponential(t_us, p_e) -> RelaxationFit:
         [1e-12, -1.0, 1e-6, 1e-6, 0.0],
         [10.0, 1.0, 1e7, 1e7, 50.0],
     )
-    popt, pcov, sse = _multi_start_fit(relaxation_model, t, values, starts, bounds)
+    popt, pcov, sse = _least_squares_fit(
+        lambda p: relaxation_model(t, *p) - values, starts, bounds, max_nfev=20000
+    )
     a, b, t_exp, t_qp, n_qp = (float(x) for x in popt)
 
     flags = ()
@@ -187,16 +214,16 @@ def fit_dephasing_envelope(t_us, env, t1_de) -> DephasingFit:
     tail = float(np.mean(values[-3:]))
     c0 = max(head - tail, 1e-3)
 
-    def model(tt, c, d, gamma_exp, gamma_g):
-        return dephasing_model(tt, c, d, t1_de, gamma_exp, gamma_g)
-
     starts = [
         (c0, tail, ge, gg)
         for ge in (0.0, 1.0 / span, 5.0 / span)
         for gg in (1.0 / span, 3.0 / span, 10.0 / span)
     ]
     bounds = ([1e-12, -1.0, 0.0, 1e-9], [10.0, 1.0, _RATE_CAP, _RATE_CAP])
-    popt, pcov, sse = _multi_start_fit(model, t, values, starts, bounds)
+    popt, pcov, sse = _least_squares_fit(
+        lambda p: dephasing_model(t, p[0], p[1], t1_de, *p[2:]) - values,
+        starts, bounds, max_nfev=20000,
+    )
     c, d, gamma_exp, gamma_g = (float(x) for x in popt)
 
     flags = ()
@@ -253,6 +280,8 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
     s = np.asarray(survivals, dtype=float)
     if m.shape != s.shape or m.ndim != 1:
         raise ValueError("lengths and survivals must be 1-D arrays of equal length")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+        raise ValueError("lengths and survivals must be finite")
     if len(np.unique(m)) < 3:
         raise ValueError("need at least 3 distinct sequence lengths")
     if np.any(m < 1):
@@ -270,7 +299,9 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
     starts = [(max(float(np.ptp(s)), 0.01), float(s.min()), p0)
               for p0 in (0.9, 0.99, 0.999, 0.9999)]
     bounds = ([0.0, 0.0, 1e-9], [1.0, 1.0, 1.0])
-    popt, pcov, sse = _multi_start_fit(rb_model, m, s, starts, bounds)
+    popt, pcov, sse = _least_squares_fit(
+        lambda p: rb_model(m, *p) - s, starts, bounds, max_nfev=20000
+    )
     a, b, p = (float(x) for x in popt)
     if a < 1e-6:
         raise FitError("decay amplitude vanished in the fit; p unidentifiable")

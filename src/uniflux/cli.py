@@ -9,8 +9,9 @@ Subcommands: ``spectrum`` (circuit transition sweep), ``tradeoff``
 Every subcommand is deterministic given identical inputs and seeds: no
 timestamps, machine identifiers, or unordered containers reach the output.
 Exit codes: 0 success, 2 usage error, 3 domain error (saturation, missing
-solution, parse failure), 4 numerical failure. Output goes to ``-o PATH``
-or stdout with ``-o -`` (the default where omitted).
+solution, parse failure, unreadable input file), 4 numerical failure.
+Output goes to ``-o PATH`` or stdout with ``-o -`` (the default where
+omitted).
 """
 
 from __future__ import annotations
@@ -208,6 +209,8 @@ def _load_scenario(path: str | None) -> dynamics.DriveScenario:
 
 def cmd_spectrum(args) -> int:
     _require(args.points >= 1, "need at least one sweep point")
+    _require(math.isfinite(args.start) and math.isfinite(args.stop),
+             "--from and --to must be finite")
     _require(args.start <= args.stop, "--from must not exceed --to")
     _require(args.levels >= 2, "--levels must be at least 2")
     params = fluxonium.FluxoniumParams(
@@ -240,6 +243,8 @@ def _loglog_slope(alpha_db: np.ndarray, values: np.ndarray) -> float:
 
 def cmd_tradeoff(args) -> int:
     _require(args.points >= 1, "empty attenuation grid: need at least one point")
+    _require(math.isfinite(args.alpha_from) and math.isfinite(args.alpha_to),
+             "--alpha-from and --alpha-to must be finite")
     _require(args.alpha_from <= args.alpha_to, "--alpha-from must not exceed --alpha-to")
     params = fluxonium.FluxoniumParams(args.ej, args.ec, args.el)
     line = linebudget.LineModel(
@@ -403,7 +408,7 @@ def cmd_compile(args) -> int:
         lines.append(f"sha256 {digest}")
         lines.append(f"samples {len(codes)}")
     if args.report_memory:
-        report = pulsec.memory_report(program, config)
+        report = pulsec.memory_report(program, compiled)
         ratio = report["ratio"]
         lines.append(f"stored_ns {_fmt(report['stored_ns'])}")
         lines.append(f"sequence_ns {_fmt(report['sequence_ns'])}")
@@ -767,7 +772,7 @@ def main(argv=None) -> int:
     except UnifluxError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 3
 

@@ -13,6 +13,9 @@ The companion single-exponential fit covers the cross-quadrature microwave
 tail: a short coherent distortion that rings down within a couple of
 nanoseconds. It is assessed (amplitude, timescale, negligibility against the
 gate duration) and deliberately not corrected.
+
+Both fits run on ``analysis._least_squares_fit``, whose SVD covariance gives
+a rank-deficient fit (say, a tau run off to infinity) huge, unclipped sigmas.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from .analysis import _least_squares_fit
 from .errors import FitError
 from .waveform import Waveform
 
@@ -186,11 +189,13 @@ def fit_multi_exponential(
         raise ValueError(f"need at least {4 * n_terms} records to fit {n_terms} terms")
     delays = np.array([r.delay for r in data], dtype=float)
     values = np.array([r.tail_over_ref for r in data], dtype=float)
+    if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(values))):
+        raise ValueError("probe delays and values must be finite")
     lo = max(np.min(delays), probe_window / 10.0, 1e-3)
     hi = max(np.max(delays), lo * 10.0)
     rng = np.random.default_rng(1357)
 
-    best = None
+    starts = []
     for start in range(n_starts):
         if start == 0:
             log_taus = np.linspace(math.log(lo), math.log(hi), n_terms + 2)[1:-1]
@@ -198,41 +203,27 @@ def fit_multi_exponential(
             log_taus = np.sort(rng.uniform(math.log(lo), math.log(hi), size=n_terms))
         g = _probe_design_matrix(delays, np.exp(log_taus), probe_window)
         amps, *_ = np.linalg.lstsq(g, values, rcond=None)
-        theta0 = np.concatenate([amps, log_taus])
+        starts.append(np.concatenate([amps, log_taus]))
 
-        def residuals(theta):
-            y, _ = _probe_model_and_jacobian(theta, delays, probe_window, n_terms)
-            return y - values
+    def residuals(theta):
+        y, _ = _probe_model_and_jacobian(theta, delays, probe_window, n_terms)
+        return y - values
 
-        def jacobian(theta):
-            _, j = _probe_model_and_jacobian(theta, delays, probe_window, n_terms)
-            return j
+    def jacobian(theta):
+        _, j = _probe_model_and_jacobian(theta, delays, probe_window, n_terms)
+        return j
 
-        try:
-            sol = least_squares(residuals, theta0, jac=jacobian, method="lm", xtol=1e-14)
-        except (ValueError, FloatingPointError):
-            continue
-        if not sol.success:
-            continue
-        cost = float(np.linalg.norm(sol.fun))
-        if best is None or cost < best[0]:
-            best = (cost, sol)
-
-    if best is None:
-        raise FitError(f"no start converged after {n_starts} attempts")
-    cost, sol = best
-    amps = sol.x[:n_terms]
-    taus = np.exp(sol.x[n_terms:])
+    theta, cov, sse = _least_squares_fit(residuals, starts, jac=jacobian, xtol=1e-14)
+    cost = math.sqrt(sse)
+    amps = theta[:n_terms]
+    taus = np.exp(theta[n_terms:])
     if sum(abs(a) for a in amps) >= 1.0:
         raise FitError(
             f"best fit is unphysical (total amplitude {sum(abs(a) for a in amps):.3f} >= 1), "
             f"residual norm {cost:.3g}"
         )
 
-    # 1-sigma from the Jacobian at the solution, chain-ruled back to tau
-    dof = max(len(delays) - 2 * n_terms, 1)
-    sigma2 = cost**2 / dof
-    cov = np.linalg.pinv(sol.jac.T @ sol.jac) * sigma2
+    # 1-sigma in (A_k, log tau_k), chain-ruled back to tau
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     amp_sig = sig[:n_terms]
     tau_sig = sig[n_terms:] * taus  # d tau = tau * d log tau
@@ -303,6 +294,8 @@ def fit_single_exponential(
         raise ValueError("need at least 6 points")
     if delays.shape != phase.shape:
         raise ValueError("delays and phase must have matching shapes")
+    if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(phase))):
+        raise ValueError("delays and phase must be finite")
 
     scale = np.max(np.abs(phase))
     if scale == 0.0:
@@ -328,15 +321,10 @@ def fit_single_exponential(
         e = np.exp(-delays / tau)
         return np.stack([e, a * e * delays / tau], axis=1)
 
-    sol = least_squares(
-        residuals, [a0, math.log(tau0)], jac=jacobian, method="lm", xtol=1e-14
+    (a, logtau), cov, _ = _least_squares_fit(
+        residuals, [(a0, math.log(tau0))], jac=jacobian, xtol=1e-14
     )
-    if not sol.success:
-        raise FitError("single-exponential fit did not converge")
-    a, tau = sol.x[0], math.exp(sol.x[1])
-    dof = max(len(delays) - 2, 1)
-    sigma2 = float(np.linalg.norm(sol.fun)) ** 2 / dof
-    cov = np.linalg.pinv(sol.jac.T @ sol.jac) * sigma2
+    tau = math.exp(logtau)
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return CrossQuadratureFit(
         amplitude=float(a),

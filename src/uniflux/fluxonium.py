@@ -49,10 +49,12 @@ class FluxoniumParams:
     basis_size: int = DEFAULT_BASIS_SIZE
 
     def __post_init__(self):
-        if self.e_j < 0:
-            raise ValueError(f"e_j must be non-negative, got {self.e_j}")
-        if self.e_c <= 0 or self.e_l <= 0:
-            raise ValueError("e_c and e_l must be positive")
+        if not 0 <= self.e_j < np.inf:
+            raise ValueError(f"e_j must be non-negative and finite, got {self.e_j}")
+        if not (0 < self.e_c < np.inf and 0 < self.e_l < np.inf):
+            raise ValueError("e_c and e_l must be positive and finite")
+        if not np.isfinite(self.phi_ext):
+            raise ValueError(f"phi_ext must be finite, got {self.phi_ext}")
         if self.basis_size < MIN_BASIS_SIZE:
             raise ValueError(
                 f"basis_size must be at least {MIN_BASIS_SIZE}, got {self.basis_size}"
@@ -79,12 +81,10 @@ class EnergySpectrum:
     """Eigenfrequencies relative to the ground state, in GHz.
 
     ``levels[0]`` is exactly 0. Eigenvectors are retained (in the oscillator
-    basis, phase-fixed) so matrix elements can be evaluated afterwards;
-    ``matrix_elements`` caches |<i|phi|j>| for the pairs requested so far.
+    basis, phase-fixed) so matrix elements can be evaluated afterwards.
     """
 
     levels: np.ndarray
-    matrix_elements: dict = field(default_factory=dict)
     _vectors: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -166,9 +166,7 @@ def phase_matrix_element(
     if min(i, j) < 0 or n_levels > params.basis_size // 3:
         raise ValueError(f"level index out of range for basis_size={params.basis_size}")
     spectrum = eigensystem(build_hamiltonian(params), n_levels)
-    value = _element(params, spectrum, i, j)
-    spectrum.matrix_elements[(i, j)] = value
-    return value
+    return _element(params, spectrum, i, j)
 
 
 def eigenbasis_phase_matrix(

@@ -35,14 +35,16 @@ class LineModel:
     line_impedance: float = 50.0  # ohm
 
     def __post_init__(self):
-        if self.mutual_inductance <= 0:
-            raise ValueError("mutual_inductance must be positive")
-        if self.line_impedance <= 0:
-            raise ValueError("line_impedance must be positive")
-        if self.awg_vmax <= 0:
-            raise ValueError("awg_vmax must be positive")
-        if self.attenuation_db > 0:
-            raise ValueError("attenuation_db must be <= 0 (it is an attenuation)")
+        if not 0 < self.mutual_inductance < math.inf:
+            raise ValueError("mutual_inductance must be positive and finite")
+        if not 0 < self.line_impedance < math.inf:
+            raise ValueError("line_impedance must be positive and finite")
+        if not 0 < self.awg_vmax < math.inf:
+            raise ValueError("awg_vmax must be positive and finite")
+        if not -math.inf < self.attenuation_db <= 0:
+            raise ValueError("attenuation_db must be finite and <= 0 (it is an attenuation)")
+        if not self.awg_noise_dbm_per_hz < math.inf:  # -inf is a silent AWG
+            raise ValueError("awg_noise_dbm_per_hz must be finite or -inf")
 
     @property
     def alpha(self) -> float:

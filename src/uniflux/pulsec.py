@@ -27,7 +27,7 @@ import json
 import math
 import pathlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -231,13 +231,12 @@ class CompiledProgram:
 
 def _sample_count(duration_ns: float, rate: float, what: str) -> int:
     exact = duration_ns * rate
-    n = round(exact)
-    if abs(exact - n) > 1e-6:
+    if not (math.isfinite(exact) and abs(exact - round(exact)) <= 1e-6):
         raise ScheduleError(
             f"{what} of {duration_ns} ns is not an integer number of samples "
             f"at {rate} GS/s"
         )
-    return int(n)
+    return int(round(exact))
 
 
 class _Compiler:
@@ -453,38 +452,15 @@ def dac_dequantize(codes, config: SynthesisConfig, sample_rate: float) -> Wavefo
 # ---------------------------------------------------------------------------
 
 
-def _sequence_duration_ns(instructions, program: PulseProgram, rate: float) -> float:
-    total = 0.0
-    for instr in instructions:
-        if isinstance(instr, PlayXY):
-            total += program.primitives[instr.primitive_id].duration_ns
-        elif isinstance(instr, PlayZ):
-            body = _sequence_duration_ns(instr.body, program, rate)
-            if body > instr.hold_duration + 1e-9:
-                raise ScheduleError(
-                    f"Z-hold body lasts {body} ns, longer than the "
-                    f"{instr.hold_duration} ns hold"
-                )
-            total += (
-                program.primitives[instr.rise_primitive_id].duration_ns
-                + instr.hold_duration
-                + program.primitives[instr.fall_primitive_id].duration_ns
-            )
-        elif isinstance(instr, Delay):
-            total += instr.duration
-        elif isinstance(instr, Repeat):
-            total += instr.count * _sequence_duration_ns(instr.body, program, rate)
-    return total
-
-
-def memory_report(program: PulseProgram, config: SynthesisConfig) -> dict:
+def memory_report(program: PulseProgram, compiled: CompiledProgram) -> dict:
     """Stored-vs-emitted accounting: {stored_ns, sequence_ns, ratio}.
 
-    stored_ns counts every primitive in the store once; ratio is None when
+    stored_ns counts every primitive in the store once; sequence_ns is the
+    length of ``compiled``, the program as compiled; ratio is None when
     nothing is stored (the empty program).
     """
     stored = sum(p.duration_ns for p in program.primitives.values())
-    sequence = _sequence_duration_ns(program.instructions, program, config.sample_rate)
+    sequence = compiled.final_frame.time_ns
     ratio = sequence / stored if stored > 0 else None
     return {"stored_ns": stored, "sequence_ns": sequence, "ratio": ratio}
 
@@ -713,14 +689,10 @@ class _Parser:
             raise ProgramParseError(str(exc), line_no, toks[1][0]) from None
 
     def _check_integer_samples(self, duration, line_no, col, what):
-        exact = duration * self.rate
-        if abs(exact - round(exact)) > 1e-6:
-            raise ProgramParseError(
-                f"{what} of {duration} ns is not an integer number of samples at "
-                f"{self.rate} GS/s",
-                line_no,
-                col,
-            )
+        try:
+            _sample_count(duration, self.rate, what)
+        except ScheduleError as exc:
+            raise ProgramParseError(str(exc), line_no, col) from None
 
 
 def parse_program(text: str, sample_rate: float, base_dir=None) -> PulseProgram:

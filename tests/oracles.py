@@ -8,10 +8,15 @@ closed forms) so that agreement is meaningful.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import curve_fit
 from scipy.signal import lfilter
+
+from uniflux.errors import FitError
 
 
 def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=9001):
@@ -101,6 +106,30 @@ def dephasing_envelope(t, c, d, t1_de, t_phi_exp, t_phi_g):
         * np.exp(-t * exp_rate - (t / t_phi_g) ** 2)
         + d
     )
+
+
+def multi_start_curve_fit(model, t, values, starts, bounds):
+    """Reference multi-start fit: ``curve_fit`` from each start, lowest SSE wins.
+
+    The package's fit kernel calls ``least_squares`` directly and must give
+    the same (popt, pcov, sse) as this path on the same starts and bounds.
+    """
+    best = None
+    for p0 in starts:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                popt, pcov = curve_fit(
+                    model, t, values, p0=p0, bounds=bounds, maxfev=20000
+                )
+        except (RuntimeError, ValueError):
+            continue
+        sse = float(np.sum((model(t, *popt) - values) ** 2))
+        if best is None or sse < best[2]:
+            best = (popt, pcov, sse)
+    if best is None:
+        raise FitError("least-squares fit did not converge from any start")
+    return best
 
 
 def midpoint_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):

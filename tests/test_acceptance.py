@@ -339,7 +339,8 @@ def test_criterion_09_rb_pipeline_oracle():
 def test_criterion_10_memory_claim():
     result = dynamics.run_rb(SEARCH_SCENARIO, [3000], 1, seed=2026, mode="ideal")
     program = result.example_program
-    report = pulsec.memory_report(program, pulsec.SynthesisConfig(sample_rate=1.0))
+    config = pulsec.SynthesisConfig(sample_rate=1.0)
+    report = pulsec.memory_report(program, pulsec.compile(program, config))
     assert report["sequence_ns"] > 50_000.0, (
         f"benchmark program spans {report['sequence_ns']} ns, need > 50 us"
     )

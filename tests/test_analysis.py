@@ -183,6 +183,98 @@ def test_rb_needs_three_distinct_lengths():
 
 
 # ---------------------------------------------------------------------------
+# the fit kernel against the curve_fit reference
+# ---------------------------------------------------------------------------
+
+
+def _record_kernel(monkeypatch):
+    """Spy on the fit kernel: each call's starts, bounds and result."""
+    calls = []
+    kernel = analysis._least_squares_fit
+
+    def spy(residuals, starts, bounds, **solver):
+        result = kernel(residuals, starts, bounds, **solver)
+        calls.append((starts, bounds, result))
+        return result
+
+    monkeypatch.setattr(analysis, "_least_squares_fit", spy)
+    return calls
+
+
+def _assert_matches_curve_fit(calls, fit, model, x, y):
+    """The kernel's (popt, pcov, sse) equal curve_fit's bit for bit."""
+    (starts, bounds, (popt, pcov, sse)), = calls
+    calls.clear()
+    ref_popt, ref_pcov, ref_sse = oracles.multi_start_curve_fit(
+        model, x, y, starts, bounds
+    )
+    assert np.array_equal(popt, ref_popt)
+    assert np.array_equal(pcov, ref_pcov)
+    assert np.array_equal(fit.covariance, ref_pcov)
+    assert sse == ref_sse == fit.sse
+
+
+def test_t1_fit_matches_curve_fit_reference(monkeypatch):
+    calls = _record_kernel(monkeypatch)
+    t = _t_grid(121)
+    clean = oracles.double_exp_population(t, **T1_CANON)
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        noisy = clean + 0.01 * rng.standard_normal(len(t))
+        fit = analysis.fit_t1_double_exponential(t, noisy)
+        _assert_matches_curve_fit(calls, fit, analysis.relaxation_model, t, noisy)
+
+
+def test_dephasing_fit_matches_curve_fit_reference(monkeypatch):
+    calls = _record_kernel(monkeypatch)
+    t = np.linspace(0.0, 300.0, 121)
+    rng = np.random.default_rng(42)
+    for t_phi_exp in (math.inf, 90.0, 400.0):
+        clean = oracles.dephasing_envelope(t, c=1.0, d=0.0, t1_de=200.0,
+                                           t_phi_exp=t_phi_exp, t_phi_g=128.0)
+        noisy = clean + 0.005 * rng.standard_normal(len(t))
+        fit = analysis.fit_dephasing_envelope(t, noisy, t1_de=200.0)
+
+        def model(tt, c, d, gamma_exp, gamma_g):
+            return analysis.dephasing_model(tt, c, d, 200.0, gamma_exp, gamma_g)
+
+        _assert_matches_curve_fit(calls, fit, model, t, noisy)
+
+
+def test_rb_fit_matches_curve_fit_reference(monkeypatch):
+    calls = _record_kernel(monkeypatch)
+    rng = np.random.default_rng(43)
+    # three lengths for three parameters: curve_fit's covariance is all inf
+    for lengths in (np.repeat(RB_LENGTHS[:9], 3), RB_LENGTHS[[0, 4, 8]]):
+        m = lengths.astype(float)
+        survivals = oracles.depolarized_survival(0.995, m)
+        survivals = survivals + 0.002 * rng.standard_normal(len(m))
+        fit = analysis.fit_rb_decay(lengths, survivals)
+        _assert_matches_curve_fit(calls, fit, analysis.rb_model, m, survivals)
+    assert np.all(np.isinf(fit.covariance))
+
+
+def test_fits_reject_non_finite_data():
+    t = _t_grid(40)
+    p = oracles.double_exp_population(t, **T1_CANON)
+    for bad in (math.nan, math.inf):
+        values = p.copy()
+        values[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            analysis.fit_t1_double_exponential(t, values)
+        with pytest.raises(ValueError, match="finite"):
+            analysis.fit_dephasing_envelope(t, values, t1_de=200.0)
+        times = t.copy()
+        times[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            analysis.fit_t1_double_exponential(times, p)
+        survivals = oracles.depolarized_survival(0.99, RB_LENGTHS)
+        survivals[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            analysis.fit_rb_decay(RB_LENGTHS, survivals)
+
+
+# ---------------------------------------------------------------------------
 # interleaved RB algebra
 # ---------------------------------------------------------------------------
 

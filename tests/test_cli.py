@@ -175,6 +175,15 @@ def test_tradeoff_zero_noise_reports_unlimited(capsys):
         assert line.split(",")[2] == "unlimited"
 
 
+def test_non_finite_ranges_are_usage_errors(capsys):
+    code, _, err = run_cli(capsys, "tradeoff", "--alpha-from", "nan")
+    assert code == 2
+    assert "must be finite" in err
+    code, _, err = run_cli(capsys, "spectrum", "--to", "nan")
+    assert code == 2
+    assert "must be finite" in err
+
+
 # ---------------------------------------------------------------------------
 # design
 # ---------------------------------------------------------------------------
@@ -327,6 +336,18 @@ def test_compile_missing_program_is_usage_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_compile_missing_filter_design_exits_3(tmp_path, capsys):
+    absent = str(tmp_path / "absent.json")
+    for flag in ("--fir", "--iir"):
+        code, out, err = run_cli(
+            capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", "2", flag, absent
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "absent.json" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -402,6 +423,23 @@ def test_simulate_unknown_channel_kind_lists_valid_kinds(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", scenario)
     assert code == 2
     assert "flat, gaussian" in err
+
+
+def test_simulate_missing_scenario_exits_3(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "rb", "--scenario", str(tmp_path / "absent.json")
+    )
+    assert code == 3
+    assert err.count("\n") == 1
+    assert "absent.json" in err
+
+
+def test_simulate_non_finite_scenario_exits_3(tmp_path, capsys):
+    scenario = tmp_path / "nan.json"
+    scenario.write_text('{"qubit": {"e_j": NaN, "e_c": 1.1, "e_l": 0.5}}')
+    code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", str(scenario))
+    assert code == 3
+    assert "finite" in err
 
 
 def test_simulate_bad_lengths_usage_error(capsys):
@@ -495,6 +533,24 @@ def test_fit_malformed_csv_reports_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "t1", str(bad))
     assert code == 3
     assert "Line #3" in err
+
+
+def test_fit_missing_csv_exits_3(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "fit", "t1", str(tmp_path / "absent.csv"))
+    assert code == 3
+    assert err.count("\n") == 1
+    assert "absent.csv" in err
+
+
+def test_fit_non_finite_sample_exits_3(tmp_path, capsys):
+    fixture = tmp_path / "t1.csv"
+    _write_relaxation_fixture(fixture)
+    lines = fixture.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    fixture.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "fit", "t1", str(fixture))
+    assert code == 3
+    assert "finite" in err
 
 
 # ---------------------------------------------------------------------------

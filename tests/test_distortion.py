@@ -233,6 +233,21 @@ def test_single_exponential_validation():
         distortion.fit_single_exponential([0.0, 1.0], [1.0, 0.5])
 
 
+def test_fits_reject_non_finite_data():
+    records = _synthetic_records(SETTLING_MODEL, n=24)
+    d = np.arange(0.0, 8.0, 0.5)
+    p = 0.02 * np.exp(-d / 1.37)
+    for bad in (math.nan, math.inf):
+        broken = list(records)
+        broken[5] = TailProbeRecord(broken[5].delay, bad)
+        with pytest.raises(ValueError, match="finite"):
+            distortion.fit_multi_exponential(broken, 2)
+        q = p.copy()
+        q[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            distortion.fit_single_exponential(d, q)
+
+
 # ---------------------------------------------------------------------------
 # dataset IO
 # ---------------------------------------------------------------------------

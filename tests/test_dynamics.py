@@ -546,6 +546,7 @@ def test_rb_example_program_and_memory_footprint():
         FLAT2, lengths=[4, 300], sequences_per_length=1, seed=3, mode="ideal"
     )
     config = pulsec.SynthesisConfig(sample_rate=1.0)
-    report = pulsec.memory_report(result.example_program, config)
+    program = result.example_program
+    report = pulsec.memory_report(program, pulsec.compile(program, config))
     assert report["stored_ns"] == pytest.approx(20.0)
     assert report["ratio"] > 200.0

@@ -135,6 +135,15 @@ def test_basis_size_minimum_enforced():
         fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, basis_size=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["e_j", "e_c", "e_l", "phi_ext"])
+def test_non_finite_parameters_rejected(name, bad):
+    kwargs = dict(e_j=4.5, e_c=1.1, e_l=0.5, phi_ext=0.5)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fluxonium.FluxoniumParams(**kwargs)
+
+
 def test_levels_invariants():
     spec = fluxonium.eigensystem(fluxonium.build_hamiltonian(REFERENCE_PARAMS), 6)
     assert spec.levels[0] == 0.0

@@ -145,3 +145,21 @@ def test_tradeoff_single_point_equals_direct_calls():
 def test_attenuation_sign_enforced():
     with pytest.raises(ValueError):
         LINE.replace(attenuation_db=3.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["mutual_inductance", "attenuation_db", "awg_vmax", "line_impedance"]
+)
+def test_non_finite_line_parameters_rejected(name, bad):
+    with pytest.raises(ValueError, match="finite"):
+        LINE.replace(**{name: bad})
+
+
+def test_noise_floor_may_be_minus_inf_only():
+    silent = LINE.replace(awg_noise_dbm_per_hz=-math.inf)
+    (point,) = linebudget.tradeoff_sweep(FIG_PARAMS, silent, [-30.0])
+    assert point.t1_line_us == math.inf
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite or -inf"):
+            LINE.replace(awg_noise_dbm_per_hz=bad)

@@ -364,22 +364,35 @@ def test_memory_report_replay_example():
     program = PulseProgram(
         (Repeat(100, (PlayXY("p20"), Delay(480.0))),), _store(p20), 0.208
     )
-    report = pulsec.memory_report(program, CONFIG)
+    report = pulsec.memory_report(program, pulsec.compile(program, CONFIG))
     assert report["stored_ns"] == 20.0
     assert report["sequence_ns"] == 50_000.0
     assert report["ratio"] == 2500.0
 
 
 def test_memory_report_empty_program():
-    report = pulsec.memory_report(PulseProgram((), {}, 0.0), CONFIG)
+    program = PulseProgram((), {}, 0.0)
+    report = pulsec.memory_report(program, pulsec.compile(program, CONFIG))
     assert report == {"stored_ns": 0.0, "sequence_ns": 0.0, "ratio": None}
 
 
 def test_memory_report_matches_compiled_duration():
-    program = _fig3_style_program()
-    report = pulsec.memory_report(program, CONFIG)
-    compiled = pulsec.compile(program, CONFIG)
-    assert report["sequence_ns"] == compiled.xy_envelope.duration_ns
+    # 2 + 7 samples at 2.4 GS/s: summing the two float durations gives
+    # 3.7500000000000004 ns, the compiled timeline 9 / 2.4 = 3.75 ns
+    two = PulsePrimitive("two", (0.5,) * 2, 2.4, "envelope")
+    seven = PulsePrimitive("seven", (0.5,) * 7, 2.4, "envelope")
+    cases = [
+        (_fig3_style_program(), CONFIG),
+        (
+            PulseProgram((PlayXY("two"), PlayXY("seven")), _store(two, seven), 0.2),
+            SynthesisConfig(sample_rate=2.4),
+        ),
+    ]
+    for program, config in cases:
+        compiled = pulsec.compile(program, config)
+        report = pulsec.memory_report(program, compiled)
+        assert report["sequence_ns"] == compiled.xy_envelope.duration_ns
+        assert report["sequence_ns"] == len(compiled) / config.sample_rate
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +451,18 @@ def test_parse_errors_carry_location():
         pulsec.parse_program("repeat 2 {\nvz 0.1\n", RATE)
     with pytest.raises(ProgramParseError, match="integer"):
         pulsec.parse_program("delay 0.3\n", RATE)
+
+
+def test_parse_applies_the_compiler_sample_rule():
+    # the parser reports the compiler's own ScheduleError text, with a location
+    with pytest.raises(ScheduleError) as compiled:
+        pulsec.compile(_program((Delay(0.3),)), CONFIG)
+    with pytest.raises(ProgramParseError) as parsed:
+        pulsec.parse_program("delay 0.3\n", RATE)
+    assert str(parsed.value) == f"{compiled.value} (line 1, column 7)"
+    for text in ("delay inf\n", "delay nan\n", "prim e edge 0 1\nz rise=e hold=0.1,inf fall=e\n"):
+        with pytest.raises(ProgramParseError, match="integer"):
+            pulsec.parse_program(text, RATE)
 
 
 def test_parse_primitive_from_file(tmp_path):
