@@ -220,7 +220,7 @@ def cmd_spectrum(args) -> int:
     rows = []
     freq_cols = ",".join(f"f0{k}_ghz" for k in range(1, args.levels))
     for flux, spec in fluxonium.spectrum_sweep(params, grid, n_levels=args.levels):
-        m01 = fluxonium.phase_matrix_element(params.replace(phi_ext=flux), 0, 1)
+        m01 = fluxonium.phase_matrix(params, spec)[0, 1]
         cells = [_fmt(flux)]
         cells.extend(_fmt(spec.levels[k]) for k in range(1, args.levels))
         cells.append(_fmt(abs(m01)))
@@ -382,6 +382,7 @@ def _filter_from_design(path: str, expect: str):
 def cmd_compile(args) -> int:
     import pathlib
 
+    _require(0 < args.rate < math.inf, "--rate must be positive and finite")
     source = pathlib.Path(args.program)
     try:
         text = source.read_text()

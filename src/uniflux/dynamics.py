@@ -84,8 +84,8 @@ class DriveScenario:
     def __post_init__(self):
         if self.levels < 2:
             raise ValueError("levels must be at least 2")
-        if not self.time_step > 0:
-            raise ValueError("time_step must be positive")
+        if not 0 < self.time_step < np.inf:
+            raise ValueError(f"time_step must be positive and finite, got {self.time_step}")
         if not isinstance(self.channel, filters.TransferFunction):
             raise ValueError("channel must be a transfer-function descriptor")
 

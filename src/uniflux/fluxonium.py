@@ -11,6 +11,17 @@ translating the phase coordinate to the inductive minimum, where the LC part
 is diagonal and the Josephson term becomes -E_J cos(phi_op - phi_dc) with
 phi_dc = 2*pi*phi_ext. The translation shifts only diagonal elements of the
 phase operator, so off-diagonal matrix elements |<i|phi|j>| are unaffected.
+
+The flux enters only through the identity
+
+    cos(phi_op - phi_dc) = cos(phi_op) cos(phi_dc) + sin(phi_op) sin(phi_dc),
+
+so cos(phi_op) and sin(phi_op) are computed once per circuit (E_C, E_L,
+basis size) from one eigendecomposition of the tridiagonal phase operator.
+A flux sweep or a reset-flux search makes that decomposition once per call;
+each flux point then costs one matrix sum and one subset eigensolve
+(the oscillator-basis approach of Groszkowski & Koch, scqubits, Quantum 5,
+583 (2021)).
 """
 
 from __future__ import annotations
@@ -105,18 +116,34 @@ def phase_operator(params: FluxoniumParams) -> np.ndarray:
     return (ladder + ladder.T) * (params.phi_zpf)
 
 
+def _flux_free_terms(params: FluxoniumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(LC diagonal, cos(phi_op), sin(phi_op)): every term of H that flux leaves alone."""
+    phi_op = phase_operator(params)
+    w, v = scipy.linalg.eigh_tridiagonal(np.diag(phi_op), np.diag(phi_op, 1))
+    lc = (np.arange(params.basis_size) + 0.5) * params.plasma_frequency
+    return lc, (v * np.cos(w)) @ v.T, (v * np.sin(w)) @ v.T
+
+
+def _assemble(params: FluxoniumParams, terms) -> np.ndarray:
+    """H at ``params.phi_ext`` from the flux-free terms of the same circuit."""
+    lc, cos_phi, sin_phi = terms
+    phi_dc = 2.0 * np.pi * params.phi_ext
+    h = np.diag(lc) - params.e_j * (cos_phi * np.cos(phi_dc) + sin_phi * np.sin(phi_dc))
+    return (h + h.T) / 2.0
+
+
 def build_hamiltonian(params: FluxoniumParams) -> np.ndarray:
     """Hamiltonian matrix in the LC oscillator basis, GHz units.
 
-    Returns a real symmetric ``basis_size x basis_size`` matrix; explicitly
-    symmetrized to absorb floating-point asymmetry from the matrix cosine.
+    Returns a real symmetric ``basis_size x basis_size`` matrix. The
+    Josephson term uses cos(phi_op - phi_dc) = cos(phi_op) cos(phi_dc) +
+    sin(phi_op) sin(phi_dc), with cos(phi_op) and sin(phi_op) from one
+    eigendecomposition of the phase operator; callers that visit many fluxes
+    of one circuit make that decomposition once and reuse it. The result is
+    explicitly symmetrized to absorb floating-point asymmetry of the
+    reconstructed matrix functions.
     """
-    n = params.basis_size
-    phi_op = phase_operator(params)
-    phi_dc = 2.0 * np.pi * params.phi_ext
-    lc = np.diag((np.arange(n) + 0.5) * params.plasma_frequency)
-    h = lc - params.e_j * scipy.linalg.cosm(phi_op - phi_dc * np.eye(n))
-    return (h + h.T) / 2.0
+    return _assemble(params, _flux_free_terms(params))
 
 
 def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectrum:
@@ -145,11 +172,14 @@ def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectr
     return EnergySpectrum(levels=vals - vals[0], _vectors=vecs)
 
 
-def _element(params: FluxoniumParams, spectrum: EnergySpectrum, i: int, j: int) -> float:
-    i, j = min(i, j), max(i, j)  # evaluation order fixed so (i,j) == (j,i) exactly
-    phi_op = phase_operator(params)
+def phase_matrix(params: FluxoniumParams, spectrum: EnergySpectrum) -> np.ndarray:
+    """<i|phi|j> on the retained eigenstates of ``spectrum``, a circuit of ``params``.
+
+    The diagonal is referenced to the inductive minimum; the off-diagonal
+    elements do not depend on that reference.
+    """
     vecs = spectrum._vectors
-    return float(abs(vecs[:, i] @ phi_op @ vecs[:, j]))
+    return vecs.T @ phase_operator(params) @ vecs
 
 
 def phase_matrix_element(
@@ -166,7 +196,8 @@ def phase_matrix_element(
     if min(i, j) < 0 or n_levels > params.basis_size // 3:
         raise ValueError(f"level index out of range for basis_size={params.basis_size}")
     spectrum = eigensystem(build_hamiltonian(params), n_levels)
-    return _element(params, spectrum, i, j)
+    # one triangle is read, so (i, j) and (j, i) agree exactly
+    return float(abs(phase_matrix(params, spectrum)[min(i, j), max(i, j)]))
 
 
 def eigenbasis_phase_matrix(
@@ -179,22 +210,24 @@ def eigenbasis_phase_matrix(
     only shift the energy reference.
     """
     spectrum = eigensystem(build_hamiltonian(params), n_levels)
-    phi_op = phase_operator(params)
-    vecs = spectrum._vectors
-    return spectrum.levels.copy(), vecs.T @ phi_op @ vecs
+    return spectrum.levels.copy(), phase_matrix(params, spectrum)
 
 
 def spectrum_sweep(
     params: FluxoniumParams, flux_grid, n_levels: int = DEFAULT_N_LEVELS
 ) -> list[tuple[float, EnergySpectrum]]:
-    """Eigensystem at each flux in ``flux_grid``; rows are independent."""
+    """Eigensystem at each flux in ``flux_grid``; rows are independent.
+
+    The flux-free terms of H are computed once for the whole grid.
+    """
     flux_grid = list(flux_grid)
     if not flux_grid:
         raise ValueError("flux_grid must be non-empty")
+    terms = _flux_free_terms(params)
     rows = []
     for idx, flux in enumerate(flux_grid):
         try:
-            spec = eigensystem(build_hamiltonian(params.replace(phi_ext=flux)), n_levels)
+            spec = eigensystem(_assemble(params.replace(phi_ext=flux), terms), n_levels)
         except NumericalError as exc:
             raise NumericalError(f"sweep row {idx} (flux={flux}): {exc}") from exc
         rows.append((float(flux), spec))
@@ -210,8 +243,8 @@ class ResetFlux:
     f01_ghz: float
 
 
-def _f01(params: FluxoniumParams, flux: float) -> float:
-    spec = eigensystem(build_hamiltonian(params.replace(phi_ext=flux)), 2)
+def _f01(params: FluxoniumParams, terms, flux: float) -> float:
+    spec = eigensystem(_assemble(params.replace(phi_ext=flux), terms), 2)
     return float(spec.levels[1])
 
 
@@ -221,13 +254,15 @@ def find_reset_flux(
     """Flux phi* in (0, 0.5) nearest 0.5 where f01(phi*) equals ``f_target``.
 
     Scans a dense grid from 0.5 downward to bracket the crossing closest to
-    the sweet spot, then refines with a bracketing root-finder. Raises
+    the sweet spot, then refines with a bracketing root-finder; the scan and
+    every root-finder evaluation share one set of flux-free terms. Raises
     NoSolutionError naming the attainable band when the target is outside it.
     """
     from scipy.optimize import brentq
 
+    terms = _flux_free_terms(params)
     grid = np.linspace(0.5, 1e-3, scan_points)
-    f01s = np.array([_f01(params, g) for g in grid])
+    f01s = np.array([_f01(params, terms, g) for g in grid])
     lo, hi = f01s[0], float(f01s.max())
     if not (lo <= f_target <= hi):
         raise NoSolutionError(
@@ -240,7 +275,7 @@ def find_reset_flux(
     for k in range(len(grid) - 1):
         if (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
             root = brentq(
-                lambda x: _f01(params, x) - f_target, grid[k + 1], grid[k], xtol=1e-10
+                lambda x: _f01(params, terms, x) - f_target, grid[k + 1], grid[k], xtol=1e-10
             )
             return ResetFlux(float(root), 0.5 - float(root), f_target)
     raise NoSolutionError(  # pragma: no cover - guarded by band check

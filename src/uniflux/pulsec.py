@@ -59,12 +59,12 @@ class PulsePrimitive:
         samples = tuple(float(s) for s in self.samples)
         if not samples:
             raise ValueError(f"primitive {self.id!r} has no samples")
-        if any(abs(s) > 1.0 for s in samples):
+        if not all(abs(s) <= 1.0 for s in samples):
             raise ValueError(f"primitive {self.id!r} has samples outside [-1, 1]")
         if self.kind not in (ENVELOPE, EDGE):
             raise ValueError(f"primitive kind must be 'envelope' or 'edge', got {self.kind!r}")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -80,8 +80,12 @@ class PlayXY:
     duration: float | None = None  # ns; validated against the primitive
 
     def __post_init__(self):
-        if abs(self.amplitude) > 1.0:
+        if not abs(self.amplitude) <= 1.0:
             raise ValueError(f"amplitude {self.amplitude} outside [-1, 1]")
+        if not math.isfinite(self.phase_offset):
+            raise ValueError(f"phase offset must be finite, got {self.phase_offset}")
+        if self.duration is not None and not math.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -93,16 +97,20 @@ class PlayZ:
     body: tuple = ()  # instructions executed during the hold
 
     def __post_init__(self):
-        if abs(self.hold_amplitude) > 1.0:
+        if not abs(self.hold_amplitude) <= 1.0:
             raise ValueError(f"hold amplitude {self.hold_amplitude} outside [-1, 1]")
-        if self.hold_duration < 0:
-            raise ValueError("hold duration must be non-negative")
+        if not 0 <= self.hold_duration < math.inf:
+            raise ValueError("hold duration must be non-negative and finite")
         object.__setattr__(self, "body", tuple(self.body))
 
 
 @dataclass(frozen=True)
 class VirtualZ:
     phase: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise ValueError(f"virtual-Z phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +119,10 @@ class SetCarrier:
 
     def __post_init__(self):
         object.__setattr__(self, "frequency", float(self.frequency))
-        if self.frequency < 0:
-            raise ValueError("carrier frequency must be non-negative")
+        if not 0 <= self.frequency < math.inf:
+            raise ValueError(
+                f"carrier frequency must be non-negative and finite, got {self.frequency}"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,8 +130,8 @@ class Delay:
     duration: float  # ns
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("delay must be non-negative")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError("delay must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,8 @@ class Repeat:
     body: tuple
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("repeat count must be >= 1")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise ValueError(f"repeat count must be an integer >= 1, got {self.count!r}")
         object.__setattr__(self, "body", tuple(self.body))
 
 
@@ -157,6 +167,10 @@ class PulseProgram:
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "primitives", dict(self.primitives))
         object.__setattr__(self, "initial_carrier", float(self.initial_carrier))
+        if not 0 <= self.initial_carrier < math.inf:
+            raise ValueError(
+                f"initial carrier must be non-negative and finite, got {self.initial_carrier}"
+            )
         for pid, prim in self.primitives.items():
             if pid != prim.id:
                 raise ValueError(f"store key {pid!r} does not match primitive id {prim.id!r}")
@@ -183,8 +197,8 @@ class SynthesisConfig:
     dac_full_scale: float = 0.5  # volt
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
         if not 8 <= self.dac_bits <= 16:
             raise ValueError("dac_bits must be within [8, 16]")
         if self.xy_fir is not None and self.xy_fir.sample_rate != self.sample_rate:
@@ -605,10 +619,14 @@ class _Parser:
         if len(toks) != 2:
             raise ProgramParseError("carrier needs exactly one frequency", line_no, toks[0][0])
         freq = _parse_float(toks[1][1], line_no, toks[1][0], "frequency")
+        try:
+            carrier = SetCarrier(freq)
+        except ValueError as exc:
+            raise ProgramParseError(str(exc), line_no, toks[1][0]) from None
         if not seen_instructions and self.initial_carrier is None:
-            self.initial_carrier = freq
+            self.initial_carrier = carrier.frequency
             return None
-        return SetCarrier(freq)
+        return carrier
 
     def _line_xy(self, toks, line_no, _seen):
         if len(toks) < 2:
@@ -632,7 +650,10 @@ class _Parser:
     def _line_vz(self, toks, line_no, _seen):
         if len(toks) != 2:
             raise ProgramParseError("vz needs exactly one phase", line_no, toks[0][0])
-        return VirtualZ(_parse_float(toks[1][1], line_no, toks[1][0], "phase"))
+        try:
+            return VirtualZ(_parse_float(toks[1][1], line_no, toks[1][0], "phase"))
+        except ValueError as exc:
+            raise ProgramParseError(str(exc), line_no, toks[1][0]) from None
 
     def _line_delay(self, toks, line_no, _seen):
         if len(toks) != 2:

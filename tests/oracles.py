@@ -11,12 +11,14 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import curve_fit
 from scipy.signal import lfilter
 
 from uniflux.errors import FitError
+from uniflux.fluxonium import phase_operator
 
 
 def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=9001):
@@ -42,6 +44,21 @@ def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=9001):
         return abs(np.sum(vecs[:, i] * phi * vecs[:, j]) * h)
 
     return vals - vals[0], element
+
+
+def cosm_hamiltonian(params):
+    """Reference fluxonium Hamiltonian: the matrix cosine at every flux.
+
+    The package builds the same matrix from cos(phi_op) and sin(phi_op),
+    computed once per circuit; this path takes ``scipy.linalg.cosm`` of the
+    shifted phase operator directly.
+    """
+    n = params.basis_size
+    phi_op = phase_operator(params)
+    phi_dc = 2.0 * np.pi * params.phi_ext
+    lc = np.diag((np.arange(n) + 0.5) * params.plasma_frequency)
+    h = lc - params.e_j * scipy.linalg.cosm(phi_op - phi_dc * np.eye(n))
+    return (h + h.T) / 2.0
 
 
 def lti_distorted(samples, amplitudes, taus_ns, sample_rate_gsps):

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from uniflux import analysis, cli, pulsec
+from uniflux import analysis, cli, fluxonium, pulsec
 
 DATA = pathlib.Path(__file__).parent / "data"
 EXAMPLE_PROGRAM = DATA / "example_program.pulse"
@@ -123,6 +123,21 @@ def test_spectrum_default_parameters_dip_at_half_flux(tmp_path, capsys):
     table = load_csv(out_csv)
     assert np.argmin(table["f01_ghz"]) == 10
     assert 0.2 <= table["f01_ghz"][10] <= 0.4
+
+
+def test_spectrum_m01_matches_phase_matrix_element(tmp_path, capsys):
+    out_csv = tmp_path / "spectrum.csv"
+    code, _, _ = run_cli(
+        capsys, "spectrum", "--ej", "6.2", "--ec", "0.9", "--el", "0.7",
+        "--from", "-0.4", "--to", "1.2", "-n", "9", "--levels", "3",
+        "-o", str(out_csv),
+    )
+    assert code == 0
+    table = load_csv(out_csv)
+    params = fluxonium.FluxoniumParams(6.2, 0.9, 0.7)
+    for flux, m01 in zip(table["flux_phi0"], table["m01_abs"]):
+        expected = fluxonium.phase_matrix_element(params.replace(phi_ext=flux), 0, 1)
+        assert m01 == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_spectrum_reversed_range_is_usage_error(capsys):
@@ -305,6 +320,22 @@ def test_compile_parse_error_names_the_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("line", ["vz nan", "carrier inf", "xy gate amp=nan"])
+def test_compile_non_finite_instruction_names_the_line(tmp_path, capsys, line):
+    program = tmp_path / "nan.pulse"
+    program.write_text(f"prim gate envelope 0.0 0.5 1.0 0.5\nvz 0.1\n{line}\n")
+    code, _, err = run_cli(capsys, "compile", str(program), "--rate", "2")
+    assert code == 3
+    assert "line 3" in err
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+def test_compile_bad_rate_is_usage_error(capsys, rate):
+    code, _, err = run_cli(capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", rate)
+    assert code == 2
+    assert "--rate must be positive and finite" in err
+
+
 def test_compile_with_designed_filters(tmp_path, capsys):
     fir_doc = tmp_path / "fir.json"
     iir_doc = tmp_path / "iir.json"
@@ -437,6 +468,14 @@ def test_simulate_missing_scenario_exits_3(tmp_path, capsys):
 def test_simulate_non_finite_scenario_exits_3(tmp_path, capsys):
     scenario = tmp_path / "nan.json"
     scenario.write_text('{"qubit": {"e_j": NaN, "e_c": 1.1, "e_l": 0.5}}')
+    code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", str(scenario))
+    assert code == 3
+    assert "finite" in err
+
+
+def test_simulate_infinite_time_step_exits_3(tmp_path, capsys):
+    scenario = tmp_path / "inf.json"
+    scenario.write_text('{"time_step_ns": Infinity}')
     code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", str(scenario))
     assert code == 3
     assert "finite" in err

@@ -44,6 +44,12 @@ def test_scenario_validation():
         DriveScenario(QUBIT, LINE, channel="gauss")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scenario_rejects_non_finite_time_step(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DriveScenario(QUBIT, LINE, filters.identity_response(), time_step=bad)
+
+
 def test_phase_drive_per_volt_matches_budget():
     c = dynamics.phase_drive_per_volt(LINE)
     assert c == pytest.approx(3.8434764090566715, rel=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from uniflux import fluxonium
 from uniflux.errors import NoSolutionError
 
-from oracles import phase_grid_spectrum
+from oracles import cosm_hamiltonian, phase_grid_spectrum
 
 REFERENCE_PARAMS = fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, phi_ext=0.5)
 
@@ -102,6 +102,45 @@ def test_spectrum_sweep_consistency_and_minimum():
     sweep = fluxonium.spectrum_sweep(REFERENCE_PARAMS, grid, 2)
     f01s = np.array([s.levels[1] for _, s in sweep])
     assert grid[np.argmin(f01s)] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("basis_size", [90, 200])
+def test_hamiltonian_matches_cosm_reference(basis_size):
+    rng = np.random.default_rng(515 + basis_size)
+    for _ in range(12):
+        params = fluxonium.FluxoniumParams(
+            e_j=rng.uniform(0.5, 10.0),
+            e_c=rng.uniform(0.4, 2.5),
+            e_l=rng.uniform(0.2, 2.0),
+            phi_ext=rng.uniform(-2.5, 3.5),  # also outside [0, 1]
+            basis_size=basis_size,
+        )
+        h = fluxonium.build_hamiltonian(params)
+        np.testing.assert_array_equal(h, h.T)
+        np.testing.assert_allclose(h, cosm_hamiltonian(params), rtol=0, atol=1e-12)
+
+
+def test_spectrum_sweep_rows_equal_single_builds():
+    grid = [-0.7, 0.0, 0.2, 0.5, 0.5 + 1e-9, 1.3]
+    rows = fluxonium.spectrum_sweep(REFERENCE_PARAMS, grid, 4)
+    assert [flux for flux, _ in rows] == grid
+    for flux, spec in rows:
+        single = fluxonium.eigensystem(
+            fluxonium.build_hamiltonian(REFERENCE_PARAMS.replace(phi_ext=flux)), 4
+        )
+        np.testing.assert_array_equal(spec.levels, single.levels)
+        np.testing.assert_array_equal(spec._vectors, single._vectors)
+
+
+def test_phase_matrix_is_shared_by_element_and_eigenbasis_paths():
+    params = REFERENCE_PARAMS.replace(phi_ext=0.31)
+    levels, matrix = fluxonium.eigenbasis_phase_matrix(params, 4)
+    spec = fluxonium.eigensystem(fluxonium.build_hamiltonian(params), 4)
+    np.testing.assert_array_equal(levels, spec.levels)
+    np.testing.assert_array_equal(matrix, fluxonium.phase_matrix(params, spec))
+    np.testing.assert_allclose(matrix, matrix.T, rtol=0, atol=1e-13)
+    for i, j in ((0, 1), (1, 2), (0, 3)):
+        assert fluxonium.phase_matrix_element(params, i, j, n_levels=4) == abs(matrix[i, j])
 
 
 def test_spectrum_sweep_empty_grid():

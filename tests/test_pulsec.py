@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -484,8 +485,8 @@ def test_serialize_round_trip_explicit():
 # property: structural round trip over randomly generated programs
 
 _amps = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-_phases = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-_freqs = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+_phases = st.floats(allow_nan=False, allow_infinity=False)
+_freqs = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 _durations = st.integers(min_value=0, max_value=12).map(float)
 
 
@@ -510,22 +511,27 @@ def _programs(draw):
         st.builds(SetCarrier, frequency=_freqs),
         st.builds(Delay, duration=_durations),
     )
-    compound = st.one_of(
-        st.builds(
-            PlayZ,
-            rise_primitive_id=st.sampled_from(edge_ids),
-            hold_amplitude=_amps,
-            hold_duration=_durations,
-            fall_primitive_id=st.sampled_from(edge_ids),
-            body=st.lists(leaf, max_size=2).map(tuple),
-        ),
-        st.builds(
-            Repeat,
-            count=st.integers(1, 3),
-            body=st.lists(leaf, max_size=2).map(tuple),
-        ),
-    )
-    instructions = tuple(draw(st.lists(st.one_of(leaf, compound), max_size=5)))
+
+    def compound(inner):
+        return st.one_of(
+            st.builds(
+                PlayZ,
+                rise_primitive_id=st.sampled_from(edge_ids),
+                hold_amplitude=_amps,
+                hold_duration=_durations,
+                fall_primitive_id=st.sampled_from(edge_ids),
+                body=st.lists(inner, max_size=2).map(tuple),
+            ),
+            st.builds(
+                Repeat,
+                count=st.integers(1, 3),
+                body=st.lists(inner, max_size=2).map(tuple),
+            ),
+        )
+
+    # bodies nest: a Repeat may hold a PlayZ whose hold holds a Repeat, ...
+    instruction = st.recursive(leaf, compound, max_leaves=6)
+    instructions = tuple(draw(st.lists(instruction, max_size=5)))
     return PulseProgram(instructions, prims, draw(_freqs))
 
 
@@ -533,6 +539,77 @@ def _programs(draw):
 @given(_programs())
 def test_serialize_round_trip_property(program):
     assert pulsec.parse_program(pulsec.serialize_program(program), RATE) == program
+
+
+# property: every numeric field of every instruction rejects NaN and +-inf
+
+_VALID_FIELDS = {
+    PlayXY: dict(primitive_id="flat8", amplitude=0.5, phase_offset=0.1, duration=8.0),
+    PlayZ: dict(
+        rise_primitive_id="edge4",
+        hold_amplitude=0.3,
+        hold_duration=4.0,
+        fall_primitive_id="fall4",
+    ),
+    VirtualZ: dict(phase=0.4),
+    SetCarrier: dict(frequency=0.2),
+    Delay: dict(duration=3.0),
+    Repeat: dict(count=2, body=()),
+}
+_NUMERIC_FIELDS = [
+    (cls, f.name)
+    for cls in _VALID_FIELDS
+    for f in dataclasses.fields(cls)
+    if f.type in ("float", "float | None", "int")
+]
+
+
+def test_numeric_field_list_covers_every_instruction():
+    assert {cls for cls, _ in _NUMERIC_FIELDS} == set(_VALID_FIELDS)
+    assert len(_NUMERIC_FIELDS) == 9
+    for cls, fields in _VALID_FIELDS.items():
+        cls(**fields)  # the baseline values are valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_NUMERIC_FIELDS),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_every_instruction_rejects_non_finite_fields(case, bad):
+    cls, name = case
+    with pytest.raises(ValueError):
+        cls(**{**_VALID_FIELDS[cls], name: bad})
+
+
+def test_program_rejects_non_finite_carrier_and_samples():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="carrier"):
+            _program((), initial_carrier=bad)
+    with pytest.raises(ValueError, match="outside"):
+        PulsePrimitive("p", (0.5, math.nan), RATE)
+    with pytest.raises(ValueError, match="finite"):
+        PulsePrimitive("p", (0.5,), math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        SynthesisConfig(sample_rate=math.inf)
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("vz nan\n", 1, 4),
+        ("carrier inf\n", 1, 9),
+        ("vz 0.1\ncarrier nan\n", 2, 9),
+        ("prim p envelope 0.1 0.2\nxy p amp=nan\n", 2, 1),
+        ("prim p envelope 0.1 0.2\nxy p phase=inf\n", 2, 1),
+        ("prim e edge 0 1\nz rise=e hold=nan,2 fall=e\n", 2, 1),
+        ("prim p envelope 0.1 nan\n", 1, 17),
+    ],
+)
+def test_parse_rejects_non_finite_values_with_location(text, line, column):
+    with pytest.raises(ProgramParseError) as info:
+        pulsec.parse_program(text, RATE)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 # ---------------------------------------------------------------------------
