@@ -20,8 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import least_squares
 
 from .errors import FitError
 
@@ -83,6 +81,9 @@ def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
     curve-fit rule: the SVD pseudo-inverse of J^T J (singular values below
     eps * max(m, n) * s_0 dropped) times sse / (m - n), and inf when m <= n.
     """
+    import scipy.linalg
+    from scipy.optimize import least_squares
+
     method = "trf" if np.isfinite(bounds).any() else "lm"
     best = None
     for x0 in starts:

@@ -302,7 +302,8 @@ def _parse_exponential(text: str) -> tuple[float, float]:
         raise _UsageError(
             f"bad --exp {text!r}: expected AMPLITUDE:TAU_NS, e.g. -0.0174:34"
         ) from None
-    _require(tau > 0, f"bad --exp {text!r}: tau must be positive")
+    _require(math.isfinite(amp), f"bad --exp {text!r}: amplitude must be finite")
+    _require(0 < tau < math.inf, f"bad --exp {text!r}: tau must be positive and finite")
     return amp, tau
 
 
@@ -319,6 +320,9 @@ def _design_provenance(args) -> str:
 
 
 def cmd_design(args) -> int:
+    if args.kind in ("fir", "iir"):
+        _require(args.rate is not None, f"design {args.kind} requires --rate")
+        _require(0 < args.rate < math.inf, "--rate must be positive and finite")
     if args.kind == "gauss":
         obj = filters.gaussian_lowpass(args.fc)
     elif args.kind == "inverse":
@@ -330,7 +334,6 @@ def cmd_design(args) -> int:
             window_cutoff=args.window_cutoff,
         )
     elif args.kind == "fir":
-        _require(args.rate is not None, "design fir requires --rate")
         if args.target == "inverse":
             _require(args.fq is not None, "design fir --target inverse requires --fq")
             target = filters.bounded_inverse(
@@ -344,7 +347,6 @@ def cmd_design(args) -> int:
         fir = filters.synthesize_fir(target, args.taps, args.rate)
         obj = filters.quantize_taps(fir) if args.quantize else fir
     else:  # iir
-        _require(args.rate is not None, "design iir requires --rate")
         _require(bool(args.exp), "design iir requires at least one --exp AMP:TAU_NS")
         exponentials = [_parse_exponential(e) for e in args.exp]
         obj = filters.design_iir_corrector(exponentials, args.rate)

@@ -36,6 +36,7 @@ DEFAULT_PROBE_WINDOW_NS = 20.0
 DEFAULT_REFERENCE_LENGTH_NS = 2000.0
 DEFAULT_GATE_DURATION_NS = 20.0
 DEGENERATE_TAU_RATIO = 1.5
+UNRESOLVED_TAU_SPAN = 100.0  # a fitted tau this many times the longest delay is unresolved
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,10 @@ def fit_multi_exponential(
     with amplitudes solved linearly per seed; the best converged start wins.
     ``probe_window`` must be the window the records were measured with —
     omitting the window model biases fast-tau amplitudes by O(w/tau).
+    ``degenerate_taus`` is set, with a warning, when neighbouring taus are
+    nearly equal or when a term has collapsed to a tau beyond
+    ``UNRESOLVED_TAU_SPAN`` times the longest delay; the fitted numbers are
+    returned either way.
     """
     if not 1 <= n_terms <= 4:
         raise ValueError("n_terms must be between 1 and 4")
@@ -241,12 +246,20 @@ def fit_multi_exponential(
             f"{DEGENERATE_TAU_RATIO}); amplitudes are poorly determined",
             stacklevel=2,
         )
+    longest = float(np.max(delays))
+    unresolved = taus_sorted[-1] > UNRESOLVED_TAU_SPAN * longest
+    if unresolved:
+        warnings.warn(
+            f"fitted settling time {taus_sorted[-1]:.3g} ns exceeds {UNRESOLVED_TAU_SPAN:g}x "
+            f"the longest probe delay ({longest:.3g} ns); the term is unresolved",
+            stacklevel=2,
+        )
     return TailFitResult(
         model=model,
         amplitude_sigmas=tuple(amp_sig[order]),
         tau_sigmas=tuple(tau_sig[order]),
         residual_norm=cost,
-        degenerate_taus=degenerate,
+        degenerate_taus=bool(degenerate or unresolved),
         n_starts=n_starts,
     )
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import NonInvertibleError
 from .waveform import Waveform
@@ -64,8 +63,8 @@ class GaussianLowpass(TransferFunction):
     kind = "gaussian-lowpass"
 
     def __post_init__(self):
-        if not self.f_c > 0:
-            raise ValueError("f_c must be positive")
+        if not 0 < self.f_c < math.inf:
+            raise ValueError("f_c must be positive and finite")
 
     @property
     def sigma(self) -> float:
@@ -106,12 +105,9 @@ class BoundedInverse(TransferFunction):
     def __post_init__(self):
         if not isinstance(self.gauss, GaussianLowpass):
             raise ValueError("bounded_inverse requires a Gaussian channel descriptor")
-        if not self.f_q > 0:
-            raise ValueError("f_q must be positive")
-        if not self.g_max_db > 0:
-            raise ValueError("g_max_db must be positive")
-        if not self.window_cutoff > 0:
-            raise ValueError("window_cutoff must be positive")
+        for name in ("f_q", "g_max_db", "window_cutoff"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def window(self) -> GaussianLowpass:
@@ -291,6 +287,8 @@ def synthesize_fir(
     against the real amplitude response. The returned float taps are exactly
     symmetric by construction.
     """
+    if not 0 < sample_rate < math.inf:
+        raise ValueError("sample_rate must be positive and finite")
     if n_taps % 2 != 0 or n_taps < 2:
         raise ValueError("n_taps must be even: Type-II linear-phase design")
     if grid_points < 512:
@@ -405,10 +403,12 @@ def design_iir_corrector(exponentials: Sequence[tuple], sample_rate: float) -> I
     exact discrete identity; a multi-term cascade inverts the summed model to
     first order in the amplitudes.
     """
-    if not sample_rate > 0:
-        raise ValueError("sample_rate must be positive")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError("sample_rate must be positive and finite")
     sections = []
     for amp, tau in exponentials:
+        if not (math.isfinite(amp) and math.isfinite(tau)):
+            raise ValueError(f"settling term (A={amp}, tau={tau} ns) must be finite")
         if abs(amp) >= 1.0:
             raise NonInvertibleError(
                 f"settling amplitude {amp} has magnitude >= 1; step response "
@@ -444,6 +444,8 @@ def apply_iir(w: Waveform, c: IirCorrector, form: str = "cascade") -> Waveform:
         )
     if c.is_identity:
         return w
+    from scipy.signal import lfilter
+
     if form == "direct":
         b, a, _ = c.direct_form()
         return Waveform(lfilter(b, a, w.samples), w.sample_rate)

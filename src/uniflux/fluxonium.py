@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoSolutionError, NumericalError
 
@@ -118,6 +117,8 @@ def phase_operator(params: FluxoniumParams) -> np.ndarray:
 
 def _flux_free_terms(params: FluxoniumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(LC diagonal, cos(phi_op), sin(phi_op)): every term of H that flux leaves alone."""
+    import scipy.linalg
+
     phi_op = phase_operator(params)
     w, v = scipy.linalg.eigh_tridiagonal(np.diag(phi_op), np.diag(phi_op, 1))
     lc = (np.arange(params.basis_size) + 0.5) * params.plasma_frequency
@@ -152,6 +153,8 @@ def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectr
     ``n_levels`` may be at most a third of the basis size: levels closer to
     the truncation edge are not trustworthy.
     """
+    import scipy.linalg
+
     dim = h.shape[0]
     if n_levels < 2:
         raise ValueError("n_levels must be at least 2")

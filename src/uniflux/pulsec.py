@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ProgramParseError, SaturationError, ScheduleError
 from .filters import FirFilter, IirCorrector, apply_iir
@@ -423,6 +422,8 @@ def synthesize(compiled: CompiledProgram, config: SynthesisConfig) -> Waveform:
     theta = carrier_phase(compiled)
     xy_real = np.real(compiled.xy_envelope.samples * np.exp(-1j * theta))
     if config.xy_fir is not None:
+        from scipy.signal import lfilter
+
         xy_real = lfilter(config.xy_fir.taps_float, [1.0], xy_real)
     z = compiled.z_baseband
     if config.z_iir is not None:

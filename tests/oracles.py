@@ -21,7 +21,7 @@ from uniflux.errors import FitError
 from uniflux.fluxonium import phase_operator
 
 
-def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=9001):
+def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=30001):
     """Diagonalize the fluxonium Hamiltonian on a real-space phase grid.
 
     H = -4 E_C d^2/dphi^2 + 0.5 E_L (phi - phi_ext)^2 - E_J cos(phi),

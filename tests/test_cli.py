@@ -255,6 +255,30 @@ def test_design_usage_errors(capsys):
     assert code == 2 and "--exp" in err
 
 
+@pytest.mark.parametrize("kind", ["fir", "iir"])
+@pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+def test_design_bad_rate_is_usage_error(capsys, kind, rate):
+    code, out, err = run_cli(
+        capsys, "design", kind, "--fq", "0.2", "--exp", "-0.0174:34", "--rate", rate
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["uniflux: error: --rate must be positive and finite"]
+
+
+@pytest.mark.parametrize("exp", ["nan:34", "-0.0174:inf", "-0.0174:nan"])
+def test_design_non_finite_exponential_is_usage_error(capsys, exp):
+    code, _, err = run_cli(capsys, "design", "iir", "--rate", "2", "--exp", exp)
+    assert code == 2
+    assert "must be" in err and "finite" in err
+
+
+def test_design_non_finite_cutoff_exits_3(capsys):
+    code, _, err = run_cli(capsys, "design", "gauss", "--fc", "inf")
+    assert code == 3
+    assert err.splitlines() == ["uniflux: error: f_c must be positive and finite"]
+
+
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------

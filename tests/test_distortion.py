@@ -144,6 +144,18 @@ def test_fit_degenerate_tau_flag():
     assert fit.degenerate_taus
 
 
+def test_fit_flags_a_collapsed_term():
+    # a single settling term plus noise, fitted with two: the second term is
+    # unresolvable and runs off to a tau of ~7e13 ns with a tiny amplitude
+    truth = ExponentialTailModel(terms=((-0.02, 80.0),))
+    records = _synthetic_records(truth, noise=2e-5, rng=np.random.default_rng(2))
+    with pytest.warns(UserWarning, match="unresolved"):
+        fit = distortion.fit_multi_exponential(records, 2)
+    assert fit.degenerate_taus
+    assert fit.model.taus[1] > 100.0 * max(r.delay for r in records)
+    assert fit.model.terms[0] == pytest.approx((-0.02, 80.0), rel=1e-2)
+
+
 def test_fit_round_trip_records():
     records = _synthetic_records(SETTLING_MODEL)
     fit = distortion.fit_multi_exponential(records, 3)

@@ -49,6 +49,16 @@ def test_gaussian_rejects_bad_cutoff():
         filters.gaussian_lowpass(0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_descriptors_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="f_c must be positive and finite"):
+        filters.gaussian_lowpass(bad)
+    for name in ("f_q", "g_max_db", "window_cutoff"):
+        kwargs = {"f_q": 0.208, "g_max_db": 50.0, "window_cutoff": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            filters.bounded_inverse(GAUSS, **kwargs)
+
+
 def test_bounded_inverse_passband_value():
     # numerator and denominator Gaussians cancel at f_q, leaving the window
     assert float(INVERSE.response(0.208)) == pytest.approx(
@@ -211,6 +221,12 @@ def test_synthesize_rejects_odd_taps_and_low_rate():
         filters.synthesize_fir(INVERSE, 15, 2.5)
     with pytest.raises(ValueError):
         filters.synthesize_fir(INVERSE, 16, 0.4)  # cannot represent 0.208 GHz
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_synthesize_rejects_non_finite_rate(rate):
+    with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+        filters.synthesize_fir(GAUSS, 16, rate)
 
 
 def test_quantize_substitution_example():
@@ -381,6 +397,18 @@ def test_non_invertible_amplitude():
     with pytest.raises(NonInvertibleError):
         # deep fast undershoot puts the corrector pole outside the unit circle
         filters.design_iir_corrector([(-0.8, 0.5)], 1.0)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_iir_design_rejects_non_finite_rate(rate):
+    with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+        filters.design_iir_corrector(SETTLING_TERMS, rate)
+
+
+@pytest.mark.parametrize("term", [(math.nan, 34.0), (-0.0174, math.inf), (-0.0174, math.nan)])
+def test_iir_design_rejects_non_finite_terms(term):
+    with pytest.raises(ValueError, match="must be finite"):
+        filters.design_iir_corrector([term], 2.0)
 
 
 def test_direct_form_equivalence_and_count():

@@ -93,6 +93,17 @@ def test_random_parameter_oracle_agreement():
         )
 
 
+def test_phase_grid_oracle_resolves_m01():
+    # A 9001-point grid is 1.4e-4 off here while the model is converged (basis
+    # 120, 200 and 300 agree to 1e-12); the default grid must resolve 1e-4.
+    ej, ec, el, flux = 7.5629, 0.6990, 0.6069, 0.22389
+    params = fluxonium.FluxoniumParams(e_j=ej, e_c=ec, e_l=el, phi_ext=flux)
+    _, elem = phase_grid_spectrum(ej, ec, el, flux, n_levels=3)
+    assert fluxonium.phase_matrix_element(params, 0, 1) == pytest.approx(
+        elem(0, 1), rel=1e-4
+    )
+
+
 def test_spectrum_sweep_consistency_and_minimum():
     rows = fluxonium.spectrum_sweep(REFERENCE_PARAMS, [0.5], 4)
     direct = fluxonium.eigensystem(fluxonium.build_hamiltonian(REFERENCE_PARAMS), 4)
