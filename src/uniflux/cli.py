@@ -385,6 +385,7 @@ def cmd_compile(args) -> int:
     import pathlib
 
     _require(0 < args.rate < math.inf, "--rate must be positive and finite")
+    _require(0 < args.full_scale < math.inf, "--full-scale must be positive and finite")
     source = pathlib.Path(args.program)
     try:
         text = source.read_text()

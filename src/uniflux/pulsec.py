@@ -2,9 +2,11 @@
 
 A program is a short list of instructions referencing a store of reusable
 sample primitives, so sequences of tens of microseconds compile from well
-under 100 ns of stored waveform data. Compilation walks the instruction
-stream once, tracking a frame (carrier frequency, accumulated virtual-Z
-phase, time) and emitting two aligned timelines:
+under 100 ns of stored waveform data. A program compiles to a play schedule:
+records of where each primitive plays, with its scale, and of the frame
+(carrier switches, virtual-Z phases). A ``repeat`` body is expanded once and
+its records tiled; virtual-Z phases add up in program order. The schedule
+then fills two aligned timelines:
 
 * a complex XY envelope — each play instruction contributes
   amplitude * primitive * exp(i(phase_offset + frame_phase));
@@ -25,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import pathlib
 import re
 from dataclasses import dataclass
@@ -133,13 +136,17 @@ class Delay:
             raise ValueError("delay must be non-negative and finite")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Repeat:
     count: int
     body: tuple
 
     def __post_init__(self):
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+        if not _is_integer(self.count) or self.count < 1:
             raise ValueError(f"repeat count must be an integer >= 1, got {self.count!r}")
         object.__setattr__(self, "body", tuple(self.body))
 
@@ -198,8 +205,10 @@ class SynthesisConfig:
     def __post_init__(self):
         if not 0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
-        if not 8 <= self.dac_bits <= 16:
-            raise ValueError("dac_bits must be within [8, 16]")
+        if not (_is_integer(self.dac_bits) and 8 <= self.dac_bits <= 16):
+            raise ValueError(f"dac_bits must be an integer within [8, 16], got {self.dac_bits!r}")
+        if not 0 < self.dac_full_scale < math.inf:
+            raise ValueError(f"dac_full_scale must be positive and finite, got {self.dac_full_scale}")
         if self.xy_fir is not None and self.xy_fir.sample_rate != self.sample_rate:
             raise ValueError("xy_fir sample rate does not match the engine rate")
         if self.z_iir is not None and self.z_iir.sample_rate != self.sample_rate:
@@ -252,30 +261,35 @@ def _sample_count(duration_ns: float, rate: float, what: str) -> int:
     return int(round(exact))
 
 
-class _Compiler:
+_PLAY, _EDGE, _HOLD, _VZ, _CARRIER = range(5)  # record kinds
+
+
+class _Schedule:
+    """A program compiled to play records; ``finish`` writes the timelines.
+
+    A record is (kind, start sample, primitive index or hold samples, value,
+    phase offset); the value is an amplitude, a Z level, a virtual-Z phase or
+    a carrier frequency. Records stay in program order: first as float
+    blocks, each a ``repeat`` tiled, then as the rows added since.
+    """
+
     def __init__(self, program: PulseProgram, rate: float):
         self.program = program
         self.rate = rate
-        self.xy: list = []
-        self.z: list = []
+        self.index = {pid: i for i, pid in enumerate(program.primitives)}
+        self.blocks, self.rows = [], []
         self.n = 0
-        self.frame_phase = 0.0
-        self.z_level = 0.0
         self.in_hold = False
-        self.segments = [FrameSegment(0, program.initial_carrier, 0.0)]
 
-    # -- timeline ----------------------------------------------------------
+    def _flush(self) -> int:
+        if self.rows:
+            self.blocks.append(np.array(self.rows, dtype=float))
+            self.rows = []
+        return len(self.blocks)
 
-    def _advance(self, count: int, xy_chunk=None, z_chunk=None):
-        if count == 0:
-            return
-        self.xy.append(
-            np.zeros(count, dtype=complex) if xy_chunk is None else xy_chunk
-        )
-        self.z.append(
-            np.full(count, self.z_level) if z_chunk is None else z_chunk
-        )
-        self.n += count
+    def _records(self, mark: int = 0) -> np.ndarray:
+        self._flush()
+        return np.concatenate([np.zeros((0, 5)), *self.blocks[mark:]])
 
     def _primitive(self, pid: str, want_kind: str) -> PulsePrimitive:
         prim = self.program.primitives[pid]
@@ -291,7 +305,14 @@ class _Compiler:
             )
         return prim
 
-    # -- instructions --------------------------------------------------------
+    def build(self, instructions):
+        try:
+            self.run(instructions)
+        except Exception:
+            # Played in order, a play before the fault whose phase overflowed
+            # to inf fails first (math.cos raises).
+            self._scales(self._records())
+            raise
 
     def run(self, instructions):
         for instr in instructions:
@@ -300,14 +321,13 @@ class _Compiler:
             elif isinstance(instr, PlayZ):
                 self._play_z(instr)
             elif isinstance(instr, VirtualZ):
-                self.frame_phase += instr.phase
+                self.rows.append((_VZ, self.n, 0, instr.phase, 0.0))
             elif isinstance(instr, SetCarrier):
-                self._set_carrier(instr.frequency)
+                self.rows.append((_CARRIER, self.n, 0, instr.frequency, 0.0))
             elif isinstance(instr, Delay):
-                self._advance(_sample_count(instr.duration, self.rate, "delay"))
+                self.n += _sample_count(instr.duration, self.rate, "delay")
             elif isinstance(instr, Repeat):
-                for _ in range(instr.count):
-                    self.run(instr.body)
+                self._repeat(instr)
             else:
                 raise TypeError(f"unknown instruction {type(instr).__name__}")
 
@@ -320,12 +340,10 @@ class _Compiler:
                 f"PlayXY duration {instr.duration} ns does not equal primitive "
                 f"{instr.primitive_id!r} length {prim.duration_ns} ns"
             )
-        rotor = complex(
-            math.cos(instr.phase_offset + self.frame_phase),
-            math.sin(instr.phase_offset + self.frame_phase),
+        self.rows.append(
+            (_PLAY, self.n, self.index[prim.id], instr.amplitude, instr.phase_offset)
         )
-        chunk = instr.amplitude * rotor * np.asarray(prim.samples)
-        self._advance(len(prim.samples), xy_chunk=chunk.astype(complex))
+        self.n += len(prim.samples)
 
     def _play_z(self, instr: PlayZ):
         if self.in_hold:
@@ -335,56 +353,107 @@ class _Compiler:
         amp = instr.hold_amplitude
         hold_samples = _sample_count(instr.hold_duration, self.rate, "Z hold")
 
-        self._advance(len(rise.samples), z_chunk=amp * np.asarray(rise.samples))
-        self.z_level = amp
+        self.rows.append((_EDGE, self.n, self.index[rise.id], amp, 0.0))
+        start = self.n = self.n + len(rise.samples)
         self.in_hold = True
-        start = self.n
-        try:
-            self.run(instr.body)
-        finally:
-            self.in_hold = False
+        self.run(instr.body)
+        self.in_hold = False
         used = self.n - start
         if used > hold_samples:
             raise ScheduleError(
                 f"Z-hold body lasts {used / self.rate} ns, longer than the "
                 f"{instr.hold_duration} ns hold"
             )
-        self.in_hold = True
-        self._advance(hold_samples - used)
-        self.in_hold = False
-        self.z_level = 0.0
-        self._advance(len(fall.samples), z_chunk=amp * np.asarray(fall.samples))
+        self.n = start + hold_samples
+        self.rows.append((_HOLD, start, hold_samples, amp, 0.0))
+        self.rows.append((_EDGE, self.n, self.index[fall.id], amp, 0.0))
+        self.n += len(fall.samples)
 
-    def _set_carrier(self, frequency: float):
-        seg = self.segments[-1]
-        phase_now = seg.carrier_phase_rad + (
-            2.0 * math.pi * seg.carrier_ghz * (self.n - seg.start_index) / self.rate
-        )
-        if seg.start_index == self.n:
-            self.segments[-1] = FrameSegment(self.n, frequency, phase_now)
-        else:
-            self.segments.append(FrameSegment(self.n, frequency, phase_now))
+    def _repeat(self, instr: Repeat):
+        """Compile the body once and tile its records, shifted by its length."""
+        mark, n0 = self._flush(), self.n
+        self.run(instr.body)
+        body = self._records(mark)
+        tiled = np.tile(body, (instr.count, 1))
+        tiled[:, 1] += np.repeat(np.arange(instr.count), len(body)) * (self.n - n0)
+        self.blocks[mark:] = [tiled]
+        self.n = n0 + int(instr.count) * (self.n - n0)
+
+    def _scales(self, records: np.ndarray) -> tuple:
+        """(amplitude * rotor of each play, as a Python complex; final frame phase).
+
+        The frame phase adds the virtual-Z phases one by one in program
+        order (``np.add.accumulate`` is sequential), as a running sum does.
+        """
+        is_vz, is_play = records[:, 0] == _VZ, records[:, 0] == _PLAY
+        plays = records[is_play]
+        with np.errstate(over="ignore", invalid="ignore"):
+            frame = np.add.accumulate(np.concatenate(([0.0], records[is_vz, 3])))
+            angle = (plays[:, 4] + frame[np.cumsum(is_vz)[is_play]]).tolist()
+        rotors = map(complex, map(math.cos, angle), map(math.sin, angle))
+        scales = map(operator.mul, plays[:, 3].tolist(), rotors)
+        return np.fromiter(scales, complex, len(angle)), float(frame[-1])
+
+    def _scatter(self, out: np.ndarray, records: np.ndarray, scale: np.ndarray):
+        """out[start + k] = scale * samples[k] for each record's primitive.
+
+        The product is one flat array: numpy rounds a signed zero of a
+        one-element 2-D product differently from ``scale * samples``.
+        """
+        starts = records[:, 1].astype(np.int64)
+        for index, prim in enumerate(self.program.primitives.values()):
+            mine = records[:, 2] == index
+            count, length = int(mine.sum()), len(prim.samples)
+            at = starts[mine, None] + np.arange(length)
+            out[at.ravel()] = np.repeat(scale[mine], length) * np.tile(prim.samples, count)
 
     def finish(self) -> CompiledProgram:
-        xy = np.concatenate(self.xy) if self.xy else np.zeros(0, dtype=complex)
-        z = np.concatenate(self.z) if self.z else np.zeros(0)
+        records = self._records()
+        kind = records[:, 0]
+        scales, frame_phase = self._scales(records)
+        xy = np.zeros(self.n, dtype=complex)
+        z = np.zeros(self.n)
+        self._scatter(xy, records[kind == _PLAY], scales)
+        edges, holds = records[kind == _EDGE], records[kind == _HOLD]
+        self._scatter(z, edges, edges[:, 3])
+        counts = holds[:, 2].astype(np.int64)
+        first = np.cumsum(counts) - counts  # each hold's first place in the fill
+        fill = np.arange(counts.sum()) + np.repeat(holds[:, 1].astype(np.int64) - first, counts)
+        z[fill] = np.repeat(holds[:, 3], counts)
+
+        segments = [FrameSegment(0, self.program.initial_carrier, 0.0)]
+        for _, start, _, frequency, _ in records[kind == _CARRIER].tolist():
+            seg, start = segments[-1], int(start)
+            phase_now = seg.carrier_phase_rad + (
+                2.0 * math.pi * seg.carrier_ghz * (start - seg.start_index) / self.rate
+            )
+            if seg.start_index == start:
+                segments.pop()
+            segments.append(FrameSegment(start, frequency, phase_now))
         return CompiledProgram(
-            xy_envelope=Waveform(xy.astype(complex), self.rate),
+            xy_envelope=Waveform(xy, self.rate),
             z_baseband=Waveform(z, self.rate),
-            frame_segments=tuple(self.segments),
+            frame_segments=tuple(segments),
             final_frame=FrameState(
-                carrier_ghz=self.segments[-1].carrier_ghz,
-                frame_phase_rad=self.frame_phase % (2.0 * math.pi),
+                carrier_ghz=segments[-1].carrier_ghz,
+                frame_phase_rad=frame_phase % (2.0 * math.pi),
                 time_ns=self.n / self.rate,
             ),
         )
 
 
 def compile(program: PulseProgram, config: SynthesisConfig) -> CompiledProgram:
-    """Expand a program into aligned XY-envelope and Z-baseband timelines."""
-    compiler = _Compiler(program, config.sample_rate)
-    compiler.run(program.instructions)
-    return compiler.finish()
+    """Compile a program to a play schedule and write its aligned XY-envelope
+    and Z-baseband timelines from it.
+
+    The schedule records each play, Z edge, hold, virtual Z and carrier switch
+    once per instruction; a ``repeat`` body is expanded once and its records
+    tiled. Phases add up in program order; one scatter per primitive fills
+    each timeline.
+    """
+    schedule = _Schedule(program, config.sample_rate)
+    schedule.build(program.instructions)
+    return schedule.finish()
 
 
 # ---------------------------------------------------------------------------

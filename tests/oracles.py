@@ -8,6 +8,7 @@ closed forms) so that agreement is meaningful.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -17,8 +18,25 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import curve_fit
 from scipy.signal import lfilter
 
-from uniflux.errors import FitError
+from uniflux.errors import FitError, ScheduleError
 from uniflux.fluxonium import phase_operator
+from uniflux.pulsec import (
+    EDGE,
+    ENVELOPE,
+    CompiledProgram,
+    Delay,
+    FrameSegment,
+    FrameState,
+    PlayXY,
+    PlayZ,
+    PulsePrimitive,
+    PulseProgram,
+    Repeat,
+    SetCarrier,
+    VirtualZ,
+    _sample_count,
+)
+from uniflux.waveform import Waveform
 
 
 def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=30001):
@@ -177,3 +195,148 @@ def midpoint_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
                 pops.append(np.abs(unitary[:, 0]) ** 2)
         done += len(xs)
     return np.array(pops), unitary
+
+
+# ---------------------------------------------------------------------------
+# pulse compiler: one instruction at a time
+# ---------------------------------------------------------------------------
+
+
+class _Compiler:
+    def __init__(self, program: PulseProgram, rate: float):
+        self.program = program
+        self.rate = rate
+        self.xy: list = []
+        self.z: list = []
+        self.n = 0
+        self.frame_phase = 0.0
+        self.z_level = 0.0
+        self.in_hold = False
+        self.segments = [FrameSegment(0, program.initial_carrier, 0.0)]
+
+    # -- timeline ----------------------------------------------------------
+
+    def _advance(self, count: int, xy_chunk=None, z_chunk=None):
+        if count == 0:
+            return
+        self.xy.append(
+            np.zeros(count, dtype=complex) if xy_chunk is None else xy_chunk
+        )
+        self.z.append(
+            np.full(count, self.z_level) if z_chunk is None else z_chunk
+        )
+        self.n += count
+
+    def _primitive(self, pid: str, want_kind: str) -> PulsePrimitive:
+        prim = self.program.primitives[pid]
+        if prim.kind != want_kind:
+            raise ValueError(
+                f"primitive {pid!r} has kind {prim.kind!r}; this instruction needs "
+                f"{want_kind!r}"
+            )
+        if prim.sample_rate != self.rate:
+            raise ValueError(
+                f"primitive {pid!r} was stored at {prim.sample_rate} GS/s, engine "
+                f"runs at {self.rate} GS/s"
+            )
+        return prim
+
+    # -- instructions --------------------------------------------------------
+
+    def run(self, instructions):
+        for instr in instructions:
+            if isinstance(instr, PlayXY):
+                self._play_xy(instr)
+            elif isinstance(instr, PlayZ):
+                self._play_z(instr)
+            elif isinstance(instr, VirtualZ):
+                self.frame_phase += instr.phase
+            elif isinstance(instr, SetCarrier):
+                self._set_carrier(instr.frequency)
+            elif isinstance(instr, Delay):
+                self._advance(_sample_count(instr.duration, self.rate, "delay"))
+            elif isinstance(instr, Repeat):
+                for _ in range(instr.count):
+                    self.run(instr.body)
+            else:
+                raise TypeError(f"unknown instruction {type(instr).__name__}")
+
+    def _play_xy(self, instr: PlayXY):
+        prim = self._primitive(instr.primitive_id, ENVELOPE)
+        if instr.duration is not None and not math.isclose(
+            instr.duration, prim.duration_ns, rel_tol=0.0, abs_tol=1e-9
+        ):
+            raise ScheduleError(
+                f"PlayXY duration {instr.duration} ns does not equal primitive "
+                f"{instr.primitive_id!r} length {prim.duration_ns} ns"
+            )
+        rotor = complex(
+            math.cos(instr.phase_offset + self.frame_phase),
+            math.sin(instr.phase_offset + self.frame_phase),
+        )
+        chunk = instr.amplitude * rotor * np.asarray(prim.samples)
+        self._advance(len(prim.samples), xy_chunk=chunk.astype(complex))
+
+    def _play_z(self, instr: PlayZ):
+        if self.in_hold:
+            raise ScheduleError("nested Z emission inside a Z hold is not allowed")
+        rise = self._primitive(instr.rise_primitive_id, EDGE)
+        fall = self._primitive(instr.fall_primitive_id, EDGE)
+        amp = instr.hold_amplitude
+        hold_samples = _sample_count(instr.hold_duration, self.rate, "Z hold")
+
+        self._advance(len(rise.samples), z_chunk=amp * np.asarray(rise.samples))
+        self.z_level = amp
+        self.in_hold = True
+        start = self.n
+        try:
+            self.run(instr.body)
+        finally:
+            self.in_hold = False
+        used = self.n - start
+        if used > hold_samples:
+            raise ScheduleError(
+                f"Z-hold body lasts {used / self.rate} ns, longer than the "
+                f"{instr.hold_duration} ns hold"
+            )
+        self.in_hold = True
+        self._advance(hold_samples - used)
+        self.in_hold = False
+        self.z_level = 0.0
+        self._advance(len(fall.samples), z_chunk=amp * np.asarray(fall.samples))
+
+    def _set_carrier(self, frequency: float):
+        seg = self.segments[-1]
+        phase_now = seg.carrier_phase_rad + (
+            2.0 * math.pi * seg.carrier_ghz * (self.n - seg.start_index) / self.rate
+        )
+        if seg.start_index == self.n:
+            self.segments[-1] = FrameSegment(self.n, frequency, phase_now)
+        else:
+            self.segments.append(FrameSegment(self.n, frequency, phase_now))
+
+    def finish(self) -> CompiledProgram:
+        xy = np.concatenate(self.xy) if self.xy else np.zeros(0, dtype=complex)
+        z = np.concatenate(self.z) if self.z else np.zeros(0)
+        return CompiledProgram(
+            xy_envelope=Waveform(xy.astype(complex), self.rate),
+            z_baseband=Waveform(z, self.rate),
+            frame_segments=tuple(self.segments),
+            final_frame=FrameState(
+                carrier_ghz=self.segments[-1].carrier_ghz,
+                frame_phase_rad=self.frame_phase % (2.0 * math.pi),
+                time_ns=self.n / self.rate,
+            ),
+        )
+
+
+def unrolled_compile(program, config):
+    """Reference compiler: walks every unrolled instruction in program order.
+
+    Each play, Z edge, hold and delay appends its own chunk to the timelines
+    and each virtual Z adds to a running frame phase; ``pulsec.compile``
+    must give the same samples, frame segments, final frame and errors.
+    """
+    compiler = _Compiler(program, config.sample_rate)
+    compiler.run(program.instructions)
+    return compiler.finish()

@@ -360,6 +360,27 @@ def test_compile_bad_rate_is_usage_error(capsys, rate):
     assert "--rate must be positive and finite" in err
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_compile_bad_full_scale_is_usage_error(capsys, scale):
+    code, out, err = run_cli(
+        capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--full-scale", scale
+    )
+    assert (code, out) == (2, "")
+    assert "--full-scale must be positive and finite" in err
+
+
+def test_readme_pulse_assembly_example_compiles(tmp_path, capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Pulse assembly"):]
+    start = section.index("```\n") + 4
+    program = tmp_path / "readme.pulse"
+    program.write_text(section[start:section.index("```", start)])
+    code, out, err = run_cli(capsys, "compile", str(program), "--rate", "2")
+    assert (code, err) == (0, "")
+    # xy, delay 8 ns, z (rise, 16 ns hold, fall), then three more plays at 2 GS/s
+    assert out.splitlines()[1] == f"samples {8 + 16 + (5 + 32 + 5) + 3 * 8}"
+
+
 def test_compile_with_designed_filters(tmp_path, capsys):
     fir_doc = tmp_path / "fir.json"
     iir_doc = tmp_path / "iir.json"

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uniflux import filters, pulsec
+from oracles import unrolled_compile
+from uniflux import dynamics, filters, pulsec
 from uniflux.errors import ProgramParseError, SaturationError, ScheduleError
 from uniflux.pulsec import (
     Delay,
@@ -75,6 +76,8 @@ def test_instruction_validation():
         PlayXY("p", amplitude=1.5)
     with pytest.raises(ValueError):
         Repeat(0, ())
+    with pytest.raises(ValueError, match="integer"):
+        Repeat(True, ())
     with pytest.raises(ValueError):
         Delay(-1.0)
     with pytest.raises(ValueError):
@@ -541,6 +544,75 @@ def test_serialize_round_trip_property(program):
     assert pulsec.parse_program(pulsec.serialize_program(program), RATE) == program
 
 
+# compile against the unrolled oracle: same bytes, same frame, same errors
+
+
+def _assert_compiles_like_oracle(program, config=CONFIG):
+    try:
+        want = unrolled_compile(program, config)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            pulsec.compile(program, config)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    got = pulsec.compile(program, config)
+    assert got.xy_envelope.samples.tobytes() == want.xy_envelope.samples.tobytes()
+    assert got.z_baseband.samples.tobytes() == want.z_baseband.samples.tobytes()
+    # repr tells -0.0 from 0.0 and compares NaN carrier phases
+    assert repr(got.frame_segments) == repr(want.frame_segments)
+    assert repr(got.final_frame) == repr(want.final_frame)
+
+
+# one play of a one-sample primitive: the product underflows to a signed zero
+_SIGNED_ZERO = PulseProgram(
+    (PlayXY("tiny", 1.1125369292536007e-308, 167.0),),
+    {"tiny": PulsePrimitive("tiny", (4.500652544745515e-227,), RATE)},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs())
+@example(_SIGNED_ZERO)
+def test_compile_matches_unrolled_oracle_property(program):
+    _assert_compiles_like_oracle(program)
+
+
+def test_compile_matches_oracle_on_long_two_level_repeat():
+    rng = np.random.default_rng(2026)
+    phase = lambda: float(rng.uniform(-math.pi, math.pi))  # noqa: E731
+    body = (
+        VirtualZ(phase()),
+        PlayXY("cos20", 0.5, phase()),
+        Repeat(3, (PlayXY("flat8", -0.3, phase()), VirtualZ(phase()), Delay(2.0))),
+        PlayZ("edge4", 0.2, 12.0, "fall4", body=(VirtualZ(phase()), PlayXY("flat8", 0.25))),
+        SetCarrier(0.2),
+    )
+    program = _program((Repeat(2000, body), PlayXY("cos20", 0.1)), initial_carrier=0.21)
+    _assert_compiles_like_oracle(program)
+    assert len(pulsec.compile(program, CONFIG)) == 2000 * (20 + 3 * 10 + 20) + 20
+
+
+def test_compile_matches_oracle_on_rb_sequence():
+    rng = np.random.default_rng(11)
+    indices = [int(i) for i in rng.integers(0, dynamics.CLIFFORD_COUNT, 320)]
+    indices.append(dynamics.recovery_index(indices))
+    gate = dynamics.RbGate(duration_ns=20.0, amplitude_dac=0.01)
+    program = dynamics.build_rb_program(indices, gate, 2.0, 0.21)
+    _assert_compiles_like_oracle(program, SynthesisConfig(sample_rate=2.0))
+
+
+def test_compile_raises_the_first_fault_in_program_order():
+    # The frame phase overflows to inf before the nested Z: played in order,
+    # the play in between fails first.
+    nested = PlayZ("edge4", 0.3, 40.0, "fall4", body=(PlayZ("edge4", 0.1, 8.0, "fall4"),))
+    overflow = (VirtualZ(1e308), VirtualZ(1e308), PlayXY("flat8"))
+    _assert_compiles_like_oracle(_program(overflow + (nested,)))
+    with pytest.raises(ValueError, match="math domain error"):
+        pulsec.compile(_program(overflow + (nested,)), CONFIG)
+    with pytest.raises(ScheduleError, match="nested"):
+        pulsec.compile(_program((nested,) + overflow), CONFIG)
+
+
 # property: every numeric field of every instruction rejects NaN and +-inf
 
 _VALID_FIELDS = {
@@ -580,6 +652,21 @@ def test_every_instruction_rejects_non_finite_fields(case, bad):
     cls, name = case
     with pytest.raises(ValueError):
         cls(**{**_VALID_FIELDS[cls], name: bad})
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        (dict(dac_full_scale=math.nan), "full_scale"),
+        (dict(dac_full_scale=math.inf), "full_scale"),
+        (dict(dac_full_scale=0.0), "full_scale"),
+        (dict(dac_full_scale=-1.0), "full_scale"),
+        (dict(dac_bits=12.5), "dac_bits"),
+    ],
+)
+def test_synthesis_config_rejects_bad_dac(fields, match):
+    with pytest.raises(ValueError, match=match):
+        SynthesisConfig(sample_rate=2.0, **fields)
 
 
 def test_program_rejects_non_finite_carrier_and_samples():
