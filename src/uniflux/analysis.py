@@ -14,7 +14,6 @@ These fits and those in ``distortion`` share one multi-start kernel,
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -505,18 +504,18 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
 # ---------------------------------------------------------------------------
 
 
-def load_time_series(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `t_us,<value>` CSV into (t, values)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+def load_time_series(source) -> tuple[np.ndarray, np.ndarray]:
+    """Read a `t_us,<value>` CSV (a path or its lines) into (t, values)."""
+    data = np.genfromtxt(source, delimiter=",", names=True)
     names = data.dtype.names
     if names is None or len(names) != 2 or names[0] != "t_us":
         raise ValueError("expected a two-column CSV with header t_us,<value>")
     return np.asarray(data[names[0]], float), np.asarray(data[names[1]], float)
 
 
-def load_signal_samples(path) -> np.ndarray:
-    """Read a single-column `signal` CSV into a sample array."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+def load_signal_samples(source) -> np.ndarray:
+    """Read a single-column `signal` CSV (a path or its lines) into samples."""
+    data = np.genfromtxt(source, delimiter=",", names=True)
     names = data.dtype.names
     if names is None or "signal" not in names:
         raise ValueError("expected a CSV with a `signal` column")
@@ -535,9 +534,3 @@ def fit_report(fit) -> dict:
             out[key] = value
     out["model"] = type(fit).__name__
     return out
-
-
-def dump_report(fit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fit_report(fit), fh, indent=2)
-        fh.write("\n")

@@ -8,10 +8,15 @@ Subcommands: ``spectrum`` (circuit transition sweep), ``tradeoff``
 
 Every subcommand is deterministic given identical inputs and seeds: no
 timestamps, machine identifiers, or unordered containers reach the output.
-Exit codes: 0 success, 2 usage error, 3 domain error (saturation, missing
-solution, parse failure, unreadable input file), 4 numerical failure.
 Output goes to ``-o PATH`` or stdout with ``-o -`` (the default where
 omitted).
+
+This module is the one input boundary: argparse checks each numeric option
+where it reads it, and ``_read_input`` reads every input file. Exit codes:
+0 success; 2 the command line is wrong; 3 an input file is wrong or a
+domain error occurred; 4 a numerical failure. An error is one stderr line,
+``uniflux: error: <message>``; for an input file it starts with the path.
+A negative value works as ``--flag VALUE`` or ``--flag=VALUE``.
 """
 
 from __future__ import annotations
@@ -46,8 +51,15 @@ REFERENCE_LINE = linebudget.LineModel(
 )
 
 
-class _UsageError(Exception):
-    """Post-parse command-line misuse; reported on stderr with exit code 2."""
+class _UsageError(UnifluxError):
+    exit_code = 2  # a cross-option check failed: the command line is wrong
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as one line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{PROG}: error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +142,70 @@ def _require(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _check_keys(obj: dict, valid: tuple[str, ...], where: str) -> None:
+def _read_input(path: str, parse, *args):
+    """``parse(text, *args)`` of the input file at ``path``: every file the CLI
+    reads comes through here. An unreadable file, or content that ``parse``
+    rejects, exits 3 with one line that starts with the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read(), *args)
+    except (OSError, ValueError, TypeError, LookupError, ProgramParseError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        if isinstance(exc, KeyError):
+            reason = f"missing key {exc}"
+        raise UnifluxError(f"{path}: {' '.join(reason.split())}") from None
+
+
+def _check_keys(obj, valid: tuple[str, ...], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
     for key in obj:
         if key not in valid:
-            raise _UsageError(
+            raise ValueError(
                 f"unknown {where} key {key!r}; valid keys: {', '.join(sorted(valid))}"
             )
+
+
+def _checked(convert, accept, rule: str):
+    """An argparse ``type=``: ``convert(text)``, refused unless ``accept`` holds.
+    Each numeric option is checked this way, where argparse reads it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_positive = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
+_noise_floor = _checked(float, lambda x: x < math.inf, "finite or -inf")
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    return _checked(int, lambda n: lo <= n <= hi, f"an integer in [{lo}, {hi}]")
+
+
+def _amp_tau(text: str) -> tuple[float, float, str]:
+    amp, tau = text.split(":")
+    return float(amp), float(tau), text  # the text goes to the design provenance
+
+
+_exponential = _checked(
+    _amp_tau,
+    lambda e: math.isfinite(e[0]) and 0 < e[1] < math.inf,
+    "AMPLITUDE:TAU_NS with a finite amplitude and a positive finite tau, e.g. -0.0174:34",
+)
+_lengths = _checked(
+    lambda text: [int(token) for token in text.split(",") if token],
+    lambda lengths: lengths and min(lengths) >= 1,
+    "comma-separated integers >= 1",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +213,6 @@ def _check_keys(obj: dict, valid: tuple[str, ...], where: str) -> None:
 # ---------------------------------------------------------------------------
 
 _SCENARIO_KEYS = ("qubit", "line", "channel", "levels", "time_step_ns")
-_QUBIT_KEYS = ("e_j", "e_c", "e_l", "phi_ext", "basis_size")
-_LINE_KEYS = (
-    "mutual_inductance",
-    "attenuation_db",
-    "awg_noise_dbm_per_hz",
-    "awg_vmax",
-    "line_impedance",
-)
 _CHANNEL_KEYS = ("kind", "f_c")
 
 
@@ -164,33 +226,33 @@ def _default_scenario() -> dynamics.DriveScenario:
     )
 
 
-def _load_scenario(path: str | None) -> dynamics.DriveScenario:
-    """Build a drive scenario from a JSON file; absent sections use defaults."""
+def _section(raw: dict, key: str, cls):
+    """``cls(**raw[key])``; an unknown key is refused with the valid ones."""
+    valid = tuple(field.name for field in dataclasses.fields(cls))
+    _check_keys(raw[key], valid, f"scenario {key}")
+    return cls(**raw[key])
+
+
+def _scenario_from_json(text: str) -> dynamics.DriveScenario:
+    """A drive scenario from JSON text; absent sections keep the defaults."""
     base = _default_scenario()
-    if path is None:
-        return base
-    raw = json.loads(open(path).read())
-    if not isinstance(raw, dict):
-        raise _UsageError("scenario file must hold a JSON object")
+    raw = json.loads(text)
     _check_keys(raw, _SCENARIO_KEYS, "scenario")
-    qubit, line, channel = base.qubit, base.line, base.channel
-    if "qubit" in raw:
-        _check_keys(raw["qubit"], _QUBIT_KEYS, "scenario qubit")
-        qubit = fluxonium.FluxoniumParams(**raw["qubit"])
-    if "line" in raw:
-        _check_keys(raw["line"], _LINE_KEYS, "scenario line")
-        line = linebudget.LineModel(**raw["line"])
+    qubit = _section(raw, "qubit", fluxonium.FluxoniumParams) if "qubit" in raw else base.qubit
+    line = _section(raw, "line", linebudget.LineModel) if "line" in raw else base.line
+    channel = base.channel
     if "channel" in raw:
+        _check_keys(raw["channel"], _CHANNEL_KEYS, "scenario channel")
         spec_ = dict(raw["channel"])
-        _check_keys(spec_, _CHANNEL_KEYS, "scenario channel")
         kind = spec_.pop("kind", "gaussian")
         if kind == "gaussian":
             channel = filters.gaussian_lowpass(spec_.get("f_c", REFERENCE_FC_GHZ))
         elif kind == "flat":
-            _require("f_c" not in spec_, "flat channel takes no f_c")
+            if "f_c" in spec_:
+                raise ValueError("flat channel takes no f_c")
             channel = filters.identity_response()
         else:
-            raise _UsageError(
+            raise ValueError(
                 f"unknown channel kind {kind!r}; valid kinds: flat, gaussian"
             )
     return dynamics.DriveScenario(
@@ -208,14 +270,8 @@ def _load_scenario(path: str | None) -> dynamics.DriveScenario:
 
 
 def cmd_spectrum(args) -> int:
-    _require(args.points >= 1, "need at least one sweep point")
-    _require(math.isfinite(args.start) and math.isfinite(args.stop),
-             "--from and --to must be finite")
     _require(args.start <= args.stop, "--from must not exceed --to")
-    _require(args.levels >= 2, "--levels must be at least 2")
-    params = fluxonium.FluxoniumParams(
-        args.ej, args.ec, args.el, basis_size=args.basis_size
-    )
+    params = fluxonium.FluxoniumParams(args.ej, args.ec, args.el, basis_size=args.basis_size)
     grid = np.linspace(args.start, args.stop, args.points)
     rows = []
     freq_cols = ",".join(f"f0{k}_ghz" for k in range(1, args.levels))
@@ -242,9 +298,6 @@ def _loglog_slope(alpha_db: np.ndarray, values: np.ndarray) -> float:
 
 
 def cmd_tradeoff(args) -> int:
-    _require(args.points >= 1, "empty attenuation grid: need at least one point")
-    _require(math.isfinite(args.alpha_from) and math.isfinite(args.alpha_to),
-             "--alpha-from and --alpha-to must be finite")
     _require(args.alpha_from <= args.alpha_to, "--alpha-from must not exceed --alpha-to")
     params = fluxonium.FluxoniumParams(args.ej, args.ec, args.el)
     line = linebudget.LineModel(
@@ -257,14 +310,8 @@ def cmd_tradeoff(args) -> int:
     grid = np.linspace(args.alpha_from, args.alpha_to, args.points)
     points = linebudget.tradeoff_sweep(params, line, grid)
     rows = [
-        ",".join(
-            (
-                _fmt(p.attenuation_db),
-                _fmt(p.rabi_mhz),
-                _fmt(p.t1_line_us),
-                _fmt(p.max_dc_excursion_phi0),
-            )
-        )
+        ",".join(map(_fmt, (p.attenuation_db, p.rabi_mhz, p.t1_line_us,
+                            p.max_dc_excursion_phi0)))
         for p in points
     ]
     footer = []
@@ -280,31 +327,14 @@ def cmd_tradeoff(args) -> int:
                 footer.append(
                     f"# slope_{label}_vs_amplitude = {_loglog_slope(alpha, values)!r}"
                 )
-    _write_text(
-        args.output,
-        _csv_table(
-            "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0", rows, footer
-        ),
-    )
+    header = "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0"
+    _write_text(args.output, _csv_table(header, rows, footer))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # design
 # ---------------------------------------------------------------------------
-
-
-def _parse_exponential(text: str) -> tuple[float, float]:
-    try:
-        amp_s, tau_s = text.split(":", 1)
-        amp, tau = float(amp_s), float(tau_s)
-    except ValueError:
-        raise _UsageError(
-            f"bad --exp {text!r}: expected AMPLITUDE:TAU_NS, e.g. -0.0174:34"
-        ) from None
-    _require(math.isfinite(amp), f"bad --exp {text!r}: amplitude must be finite")
-    _require(0 < tau < math.inf, f"bad --exp {text!r}: tau must be positive and finite")
-    return amp, tau
 
 
 def _design_provenance(args) -> str:
@@ -314,42 +344,27 @@ def _design_provenance(args) -> str:
         value = getattr(args, flag, None)
         if value is not None:
             parts.append(f"--{flag.replace('_', '-')} {value}")
-    for exp in args.exp or ():
-        parts.append(f"--exp {exp}")
+    for *_, text in args.exp or ():
+        parts.append(f"--exp {text}")
     return " ".join(parts)
 
 
 def cmd_design(args) -> int:
     if args.kind in ("fir", "iir"):
         _require(args.rate is not None, f"design {args.kind} requires --rate")
-        _require(0 < args.rate < math.inf, "--rate must be positive and finite")
-    if args.kind == "gauss":
-        obj = filters.gaussian_lowpass(args.fc)
-    elif args.kind == "inverse":
-        _require(args.fq is not None, "design inverse requires --fq")
-        obj = filters.bounded_inverse(
-            filters.gaussian_lowpass(args.fc),
-            args.fq,
-            g_max_db=args.gmax,
-            window_cutoff=args.window_cutoff,
-        )
-    elif args.kind == "fir":
-        if args.target == "inverse":
-            _require(args.fq is not None, "design fir --target inverse requires --fq")
-            target = filters.bounded_inverse(
-                filters.gaussian_lowpass(args.fc),
-                args.fq,
-                g_max_db=args.gmax,
-                window_cutoff=args.window_cutoff,
-            )
-        else:
-            target = filters.gaussian_lowpass(args.fc)
-        fir = filters.synthesize_fir(target, args.taps, args.rate)
-        obj = filters.quantize_taps(fir) if args.quantize else fir
-    else:  # iir
+    if args.kind == "iir":
         _require(bool(args.exp), "design iir requires at least one --exp AMP:TAU_NS")
-        exponentials = [_parse_exponential(e) for e in args.exp]
-        obj = filters.design_iir_corrector(exponentials, args.rate)
+        obj = filters.design_iir_corrector([(amp, tau) for amp, tau, _ in args.exp], args.rate)
+    else:
+        obj = filters.gaussian_lowpass(args.fc)
+        if args.kind == "inverse" or (args.kind == "fir" and args.target == "inverse"):
+            _require(args.fq is not None, "an inverse design requires --fq")
+            obj = filters.bounded_inverse(
+                obj, args.fq, g_max_db=args.gmax, window_cutoff=args.window_cutoff
+            )
+        if args.kind == "fir":
+            obj = filters.synthesize_fir(obj, args.taps, args.rate)
+            obj = filters.quantize_taps(obj) if args.quantize else obj
     doc = filters.design_document(obj, provenance=_design_provenance(args))
     _write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -360,11 +375,13 @@ def cmd_design(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _filter_from_design(path: str, expect: str):
-    doc = json.loads(open(path).read())
+def _filter_from_design(text: str, expect: str):
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("design file must hold a JSON object")
     kind = doc.get("kind")
     if kind != expect:
-        raise _UsageError(f"{path}: expected a {expect!r} design file, got {kind!r}")
+        raise ValueError(f"expected a {expect!r} design file, got {kind!r}")
     if kind == "fir":
         taps_int16 = doc["taps_int16"]
         return filters.FirFilter(
@@ -372,30 +389,21 @@ def _filter_from_design(path: str, expect: str):
             doc["sample_rate_gsps"],
             None if taps_int16 is None else np.asarray(taps_int16, dtype=np.int64),
         )
-    sections = tuple(
-        filters.IirSection(*coeffs) for coeffs in doc["parameters"]["sections"]
-    )
-    exponentials = tuple(
-        tuple(pair) for pair in doc["parameters"]["source_exponentials"]
-    )
+    params = doc["parameters"]
+    sections = tuple(filters.IirSection(*coeffs) for coeffs in params["sections"])
+    exponentials = tuple(tuple(pair) for pair in params["source_exponentials"])
     return filters.IirCorrector(sections, doc["sample_rate_gsps"], exponentials)
 
 
 def cmd_compile(args) -> int:
     import pathlib
 
-    _require(0 < args.rate < math.inf, "--rate must be positive and finite")
-    _require(0 < args.full_scale < math.inf, "--full-scale must be positive and finite")
-    source = pathlib.Path(args.program)
-    try:
-        text = source.read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read program {args.program}: {exc}") from None
-    program = pulsec.parse_program(text, args.rate, base_dir=source.parent)
+    base_dir = pathlib.Path(args.program).parent
+    program = _read_input(args.program, pulsec.parse_program, args.rate, base_dir)
     config = pulsec.SynthesisConfig(
         sample_rate=args.rate,
-        xy_fir=_filter_from_design(args.fir, "fir") if args.fir else None,
-        z_iir=_filter_from_design(args.iir, "iir") if args.iir else None,
+        xy_fir=_read_input(args.fir, _filter_from_design, "fir") if args.fir else None,
+        z_iir=_read_input(args.iir, _filter_from_design, "iir") if args.iir else None,
         dac_bits=args.dac_bits,
         dac_full_scale=args.full_scale,
     )
@@ -427,8 +435,6 @@ def cmd_compile(args) -> int:
 
 
 def _simulate_rabi(args, scenario) -> int:
-    _require(args.points >= 2, "rabi sweep needs at least two points")
-    _require(args.amp_max > 0, "--amp-max must be positive")
     grid = np.linspace(0.0, args.amp_max, args.points)
     grid = grid[1:]  # zero drive is not a valid waveform amplitude
     curve = dynamics.rabi_experiment(
@@ -438,9 +444,7 @@ def _simulate_rabi(args, scenario) -> int:
         predistortion=args.predistort,
         drive_frequency_ghz=args.frequency,
     )
-    rows = [
-        f"{_fmt(a)},{_fmt(p)}" for a, p in zip(curve.grid, curve.populations)
-    ]
+    rows = [f"{_fmt(a)},{_fmt(p)}" for a, p in zip(curve.grid, curve.populations)]
     state = "on" if args.predistort else "off"
     text = _csv_table("amplitude_v,p1", rows, (f"# predistortion: {state}",))
     _write_text(args.output, text)
@@ -485,13 +489,6 @@ def _simulate_gate(args, scenario) -> int:
 
 
 def _simulate_rb(args, scenario) -> int:
-    try:
-        lengths = [int(token) for token in args.lengths.split(",") if token]
-    except ValueError:
-        raise _UsageError(
-            f"bad --lengths {args.lengths!r}: expected comma-separated integers"
-        ) from None
-    _require(bool(lengths), "--lengths must name at least one sequence length")
     gate = dynamics.RbGate(
         duration_ns=args.gate_duration,
         amplitude_dac=args.gate_amplitude,
@@ -499,7 +496,7 @@ def _simulate_rb(args, scenario) -> int:
     )
     result = dynamics.run_rb(
         scenario,
-        lengths,
+        args.lengths,
         args.sequences,
         args.seed,
         interleaved=args.interleaved,
@@ -512,7 +509,10 @@ def _simulate_rb(args, scenario) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    if args.scenario is None:
+        scenario = _default_scenario()
+    else:
+        scenario = _read_input(args.scenario, _scenario_from_json)
     if args.experiment == "rabi":
         return _simulate_rabi(args, scenario)
     if args.experiment == "gate":
@@ -525,39 +525,42 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_rb_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    data = np.genfromtxt(path, delimiter=",", names=True)
+def _rb_means(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    data = np.genfromtxt(lines, delimiter=",", names=True)
     names = data.dtype.names or ()
     if "length" not in names or "survival" not in names:
-        raise _UsageError(
-            f"{path}: expected CSV columns length,seq_index,survival"
-        )
-    lengths = np.atleast_1d(data["length"]).astype(int)
+        raise ValueError("expected CSV columns length,seq_index,survival")
+    lengths = np.atleast_1d(data["length"])
+    if not (np.all(np.isfinite(lengths)) and np.all(lengths == np.round(lengths))):
+        raise ValueError("lengths must be integers")
+    lengths = lengths.astype(int)
     survivals = np.atleast_1d(data["survival"]).astype(float)
     unique = np.unique(lengths)
     means = np.array([survivals[lengths == m].mean() for m in unique])
     return unique, means
 
 
+def _fit_csv(text: str, args):
+    """The fit of ``args.model`` to CSV text."""
+    if not text.strip():
+        raise ValueError("empty file")
+    lines = text.splitlines()
+    if args.model == "rb":
+        return analysis.fit_rb_decay(*_rb_means(lines))
+    if args.model == "reset":
+        return analysis.estimate_reset_fidelity(
+            analysis.load_signal_samples(lines), excited_component=args.excited_component
+        )
+    t, values = analysis.load_time_series(lines)
+    if args.model == "t1":
+        return analysis.fit_t1_double_exponential(t, values)
+    return analysis.fit_dephasing_envelope(t, values, t1_de=args.t1_us)
+
+
 def cmd_fit(args) -> int:
-    try:
-        if args.model == "t1":
-            t, values = analysis.load_time_series(args.data)
-            fit = analysis.fit_t1_double_exponential(t, values)
-        elif args.model == "dephasing":
-            _require(args.t1_us is not None, "fit dephasing requires --t1-us")
-            t, values = analysis.load_time_series(args.data)
-            fit = analysis.fit_dephasing_envelope(t, values, t1_de=args.t1_us)
-        elif args.model == "rb":
-            lengths, means = _load_rb_csv(args.data)
-            fit = analysis.fit_rb_decay(lengths, means)
-        else:  # reset
-            samples = analysis.load_signal_samples(args.data)
-            fit = analysis.estimate_reset_fidelity(
-                samples, excited_component=args.excited_component
-            )
-    except ValueError as exc:
-        raise ProgramParseError(f"{args.data}: {exc}") from exc
+    _require(args.model != "dephasing" or args.t1_us is not None,
+             "fit dephasing requires --t1-us")
+    fit = _read_input(args.data, _fit_csv, args)
     _write_text(args.output, json.dumps(analysis.fit_report(fit), indent=2) + "\n")
     return 0
 
@@ -574,22 +577,15 @@ def cmd_devices(args) -> int:
         _write_text(args.output, json.dumps(payload, indent=2) + "\n")
         return 0
     header = "name,f_q_mhz,fidelity_pct,gate_ns,t1_us,t2r_us,t2echo_us"
-    rows = []
-    for r in records:
-        fidelity = "" if r.fidelity_pct is None else _fmt(r.fidelity_pct)
-        rows.append(
-            ",".join(
-                (
-                    r.name,
-                    _fmt(r.f_q_mhz),
-                    fidelity,
-                    _fmt(r.gate_ns),
-                    _fmt(r.t1_us),
-                    _fmt(r.t2r_us),
-                    _fmt(r.t2echo_us),
-                )
-            )
-        )
+    rows = [
+        ",".join([
+            r.name,
+            _fmt(r.f_q_mhz),
+            "" if r.fidelity_pct is None else _fmt(r.fidelity_pct),
+            *map(_fmt, (r.gate_ns, r.t1_us, r.t2r_us, r.t2echo_us)),
+        ])
+        for r in records
+    ]
     _write_text(args.output, _csv_table(header, rows))
     return 0
 
@@ -604,7 +600,7 @@ def _add_output(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Single-line fluxonium flux-control toolkit.",
     )
@@ -619,44 +615,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("spectrum", help="sweep circuit transitions over flux")
-    p.add_argument("--ej", type=float, default=REFERENCE_EJ_GHZ, help="E_J in GHz")
-    p.add_argument("--ec", type=float, default=REFERENCE_EC_GHZ, help="E_C in GHz")
-    p.add_argument("--el", type=float, default=REFERENCE_EL_GHZ, help="E_L in GHz")
-    p.add_argument("--from", dest="start", type=float, default=0.0, metavar="PHI0")
-    p.add_argument("--to", dest="stop", type=float, default=1.0, metavar="PHI0")
-    p.add_argument("-n", "--points", type=int, default=101)
-    p.add_argument("--levels", type=int, default=4, help="levels per flux point")
+    p.add_argument("--ej", type=_finite, default=REFERENCE_EJ_GHZ, help="E_J in GHz")
+    p.add_argument("--ec", type=_positive, default=REFERENCE_EC_GHZ, help="E_C in GHz")
+    p.add_argument("--el", type=_positive, default=REFERENCE_EL_GHZ, help="E_L in GHz")
+    p.add_argument("--from", dest="start", type=_finite, default=0.0, metavar="PHI0")
+    p.add_argument("--to", dest="stop", type=_finite, default=1.0, metavar="PHI0")
+    p.add_argument("-n", "--points", type=_int_in(1), default=101)
+    p.add_argument("--levels", type=_int_in(2), default=4, help="levels per flux point")
     p.add_argument(
-        "--basis-size", type=int, default=fluxonium.DEFAULT_BASIS_SIZE
+        "--basis-size",
+        type=_int_in(fluxonium.MIN_BASIS_SIZE),
+        default=fluxonium.DEFAULT_BASIS_SIZE,
     )
     _add_output(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("tradeoff", help="attenuation vs drive/coherence budget")
-    p.add_argument("--alpha-from", type=float, default=-80.0, metavar="DB")
-    p.add_argument("--alpha-to", type=float, default=-20.0, metavar="DB")
-    p.add_argument("-n", "--points", type=int, default=61)
-    p.add_argument("--mutual", type=float, default=2e-12, help="mutual inductance, H")
-    p.add_argument("--noise", type=float, default=-130.0, help="source noise, dBm/Hz")
-    p.add_argument("--vmax", type=float, default=0.5, help="source full scale, V")
-    p.add_argument("--impedance", type=float, default=50.0, help="line impedance, ohm")
-    p.add_argument("--ej", type=float, default=REFERENCE_EJ_GHZ)
-    p.add_argument("--ec", type=float, default=REFERENCE_EC_GHZ)
-    p.add_argument("--el", type=float, default=REFERENCE_EL_GHZ)
+    p.add_argument("--alpha-from", type=_finite, default=-80.0, metavar="DB")
+    p.add_argument("--alpha-to", type=_finite, default=-20.0, metavar="DB")
+    p.add_argument("-n", "--points", type=_int_in(1), default=61)
+    p.add_argument("--mutual", type=_positive, default=2e-12, help="mutual inductance, H")
+    p.add_argument("--noise", type=_noise_floor, default=-130.0, help="source noise, dBm/Hz")
+    p.add_argument("--vmax", type=_positive, default=0.5, help="source full scale, V")
+    p.add_argument("--impedance", type=_positive, default=50.0, help="line impedance, ohm")
+    p.add_argument("--ej", type=_finite, default=REFERENCE_EJ_GHZ)
+    p.add_argument("--ec", type=_positive, default=REFERENCE_EC_GHZ)
+    p.add_argument("--el", type=_positive, default=REFERENCE_EL_GHZ)
     _add_output(p)
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("design", help="emit a compensation-filter design file")
     p.add_argument("kind", choices=("gauss", "inverse", "fir", "iir"))
-    p.add_argument("--fc", type=float, default=REFERENCE_FC_GHZ, help="cutoff, GHz")
-    p.add_argument("--fq", type=float, help="qubit frequency, GHz")
-    p.add_argument("--gmax", type=float, default=50.0, help="inverse gain cap, dB")
-    p.add_argument("--window-cutoff", type=float, default=1.0, metavar="GHZ")
+    p.add_argument("--fc", type=_positive, default=REFERENCE_FC_GHZ, help="cutoff, GHz")
+    p.add_argument("--fq", type=_positive, help="qubit frequency, GHz")
+    p.add_argument("--gmax", type=_positive, default=50.0, help="inverse gain cap, dB")
+    p.add_argument("--window-cutoff", type=_positive, default=1.0, metavar="GHZ")
     p.add_argument("--target", choices=("gauss", "inverse"), default="inverse")
-    p.add_argument("--taps", type=int, default=16)
-    p.add_argument("--rate", type=float, help="sample rate, GS/s")
+    p.add_argument("--taps", type=_int_in(2), default=16)
+    p.add_argument("--rate", type=_positive, help="sample rate, GS/s")
     p.add_argument(
         "--exp",
+        type=_exponential,
         action="append",
         metavar="AMP:TAU_NS",
         help="settling term, repeatable (e.g. -0.0174:34)",
@@ -672,11 +671,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a pulse-assembly program")
     p.add_argument("program", help="pulse-assembly text file")
-    p.add_argument("--rate", type=float, required=True, help="sample rate, GS/s")
+    p.add_argument("--rate", type=_positive, required=True, help="sample rate, GS/s")
     p.add_argument("--fir", metavar="DESIGN_JSON", help="XY-path FIR design file")
     p.add_argument("--iir", metavar="DESIGN_JSON", help="Z-path corrector design file")
-    p.add_argument("--dac-bits", type=int, default=16)
-    p.add_argument("--full-scale", type=float, default=0.5, help="DAC full scale, V")
+    p.add_argument(
+        "--dac-bits", type=_int_in(pulsec.MIN_DAC_BITS, pulsec.MAX_DAC_BITS), default=16
+    )
+    p.add_argument("--full-scale", type=_positive, default=0.5, help="DAC full scale, V")
     p.add_argument("-o", "--output", help="waveform binary path (sidecar JSON added)")
     p.add_argument("--report-memory", action="store_true")
     p.set_defaults(func=cmd_compile)
@@ -684,16 +685,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a drive-scenario simulation")
     p.add_argument("experiment", choices=("rabi", "gate", "rb"))
     p.add_argument("--scenario", metavar="JSON", help="drive-scenario file")
-    p.add_argument("--duration", type=float, default=20.0, help="pulse length, ns")
+    p.add_argument("--duration", type=_positive, default=20.0, help="pulse length, ns")
     p.add_argument(
         "--predistort",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="compensate the channel before the line",
     )
-    p.add_argument("--frequency", type=float, help="drive frequency, GHz")
-    p.add_argument("--amp-max", type=float, default=0.02, help="rabi sweep top, V")
-    p.add_argument("--points", type=int, default=41, help="rabi sweep points")
+    p.add_argument("--frequency", type=_positive, help="drive frequency, GHz")
+    p.add_argument("--amp-max", type=_positive, default=0.02, help="rabi sweep top, V")
+    p.add_argument("--points", type=_int_in(2), default=41, help="rabi sweep points")
     p.add_argument(
         "--trim-frequency",
         action="store_true",
@@ -701,24 +702,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lengths",
+        type=_lengths,
         default="1,2,4,8,16,32,64,128,256",
         help="rb lengths, comma list",
     )
-    p.add_argument("--sequences", type=int, default=2, help="rb sequences per length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sequences", type=_int_in(1), default=2, help="rb sequences per length")
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--mode", choices=("ideal", "waveform"), default="ideal")
-    p.add_argument("--depolarizing", type=float, default=1.0, metavar="P")
-    p.add_argument("--interleaved", type=int, help="interleave this table index")
-    p.add_argument("--gate-duration", type=float, default=20.0, metavar="NS")
-    p.add_argument("--gate-amplitude", type=float, default=0.02, metavar="DAC")
-    p.add_argument("--gate-frequency", type=float, metavar="GHZ")
+    p.add_argument("--depolarizing", type=_finite, default=1.0, metavar="P")
+    p.add_argument(
+        "--interleaved",
+        type=_int_in(0, dynamics.CLIFFORD_COUNT - 1),
+        help="interleave this table index",
+    )
+    p.add_argument("--gate-duration", type=_positive, default=20.0, metavar="NS")
+    p.add_argument("--gate-amplitude", type=_finite, default=0.02, metavar="DAC")
+    p.add_argument("--gate-frequency", type=_positive, metavar="GHZ")
     _add_output(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a decay or readout model to a CSV")
     p.add_argument("model", choices=("t1", "dephasing", "rb", "reset"))
     p.add_argument("data", help="input CSV")
-    p.add_argument("--t1-us", type=float, help="energy-relaxation time for dephasing")
+    p.add_argument("--t1-us", type=_positive, help="energy-relaxation time for dephasing")
     p.add_argument(
         "--excited-component",
         choices=("upper", "lower"),
@@ -736,43 +742,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose values argparse would misread as option strings when they
-# lead with '-' but are not plain numbers: settling terms like -0.0174:34
-# and noise floors like -inf.
-_JOINED_VALUE_FLAGS = ("--exp", "--noise")
-
-
-def _merge_awkward_values(argv: list[str]) -> list[str]:
-    """Join `--flag VALUE` into `--flag=VALUE` for the flags above."""
-    out, i = [], 0
-    while i < len(argv):
-        if argv[i] in _JOINED_VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
+def _join_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Join ``--flag VALUE`` into ``--flag=VALUE`` for every option with a
+    ``type=``: argparse reads a value such as ``-1e-3``, ``-inf`` or
+    ``-0.0174:34`` as an option string."""
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    typed = [action for p in commands.values() for action in p._actions if action.type]
+    flags = {flag for action in typed for flag in action.option_strings}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags:
+            out[-1] += f"={token}"
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(token)
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = parser.parse_args(_merge_awkward_values(argv))
+    args = parser.parse_args(_join_values(parser, argv))
     if args.version or args.provenance:
         print(f"{PROG} {__version__}")
         if args.provenance:
             print(f"device-table sha256 {device_table_checksum()}")
         return 0
     if args.command is None:
-        parser.print_usage(sys.stderr)
-        print(f"{PROG}: error: a command is required", file=sys.stderr)
-        return 2
+        parser.error("a command is required")
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
     except UnifluxError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return exc.exit_code

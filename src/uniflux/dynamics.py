@@ -849,9 +849,3 @@ def rb_csv_text(result: RbResult) -> str:
     for record in result.records:
         lines.append(f"{record.length},{record.seq_index},{record.survival!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_rb_csv(result: RbResult, path) -> None:
-    """Emit the decay records as CSV `length,seq_index,survival`."""
-    with open(path, "w") as fh:
-        fh.write(rb_csv_text(result))

@@ -1,8 +1,9 @@
 """Error taxonomy shared across the package.
 
-Exit-code mapping used by the CLI: invalid command-line usage exits 2
-(argparse default), domain errors exit 3, numerical failures exit 4.
-Invalid arguments to library functions raise plain ValueError.
+Exit-code rule of the CLI: 2 when the command line is wrong (a negative
+option value works as ``--flag VALUE`` or ``--flag=VALUE``), 3 when an input
+file is wrong or a domain error occurred, 4 for a numerical failure. Invalid
+arguments to library functions raise plain ValueError (exit 3 in the CLI).
 """
 
 from __future__ import annotations

@@ -257,6 +257,8 @@ class FirFilter:
         if self.taps_int16 is not None:
             q = np.asarray(self.taps_int16, dtype=np.int64)
             object.__setattr__(self, "taps_int16", q)
+        if not np.all(np.isfinite(taps)):
+            raise ValueError("FIR taps must be finite")
         if not self.sample_rate > 0:
             raise ValueError("sample_rate must be positive")
 
@@ -360,6 +362,10 @@ class IirSection:
     b1: float
     a1: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.b0, self.b1, self.a1))):
+            raise ValueError("IIR section coefficients must be finite")
+
 
 @dataclass(frozen=True)
 class IirCorrector:
@@ -431,12 +437,8 @@ def design_iir_corrector(exponentials: Sequence[tuple], sample_rate: float) -> I
     )
 
 
-def apply_iir(w: Waveform, c: IirCorrector, form: str = "cascade") -> Waveform:
-    """Run a waveform through the corrector (causal, zero initial conditions).
-
-    ``form="direct"`` applies the collapsed single direct-form filter instead
-    of the section cascade; the two are the same filter.
-    """
+def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
+    """Run a waveform through the section cascade (causal, zero initial state)."""
     if w.sample_rate != c.sample_rate:
         raise ValueError(
             f"waveform rate {w.sample_rate} GS/s does not match corrector rate "
@@ -446,11 +448,6 @@ def apply_iir(w: Waveform, c: IirCorrector, form: str = "cascade") -> Waveform:
         return w
     from scipy.signal import lfilter
 
-    if form == "direct":
-        b, a, _ = c.direct_form()
-        return Waveform(lfilter(b, a, w.samples), w.sample_rate)
-    if form != "cascade":
-        raise ValueError(f"unknown form {form!r}")
     out = np.asarray(w.samples, dtype=float)
     for s in c.sections:
         out = lfilter([s.b0, s.b1], [1.0, s.a1], out)

@@ -41,6 +41,7 @@ from .waveform import Waveform
 
 ENVELOPE = "envelope"
 EDGE = "edge"
+MIN_DAC_BITS, MAX_DAC_BITS = 8, 16
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +206,11 @@ class SynthesisConfig:
     def __post_init__(self):
         if not 0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
-        if not (_is_integer(self.dac_bits) and 8 <= self.dac_bits <= 16):
-            raise ValueError(f"dac_bits must be an integer within [8, 16], got {self.dac_bits!r}")
+        if not (_is_integer(self.dac_bits) and MIN_DAC_BITS <= self.dac_bits <= MAX_DAC_BITS):
+            raise ValueError(
+                f"dac_bits must be an integer within [{MIN_DAC_BITS}, {MAX_DAC_BITS}], "
+                f"got {self.dac_bits!r}"
+            )
         if not 0 < self.dac_full_scale < math.inf:
             raise ValueError(f"dac_full_scale must be positive and finite, got {self.dac_full_scale}")
         if self.xy_fir is not None and self.xy_fir.sample_rate != self.sample_rate:
@@ -310,7 +314,7 @@ class _Schedule:
             self.run(instructions)
         except Exception:
             # Played in order, a play before the fault whose phase overflowed
-            # to inf fails first (math.cos raises).
+            # to inf fails first (``_scales`` raises).
             self._scales(self._records())
             raise
 
@@ -384,12 +388,20 @@ class _Schedule:
 
         The frame phase adds the virtual-Z phases one by one in program
         order (``np.add.accumulate`` is sequential), as a running sum does.
+        A play whose phase overflowed raises ``ScheduleError``.
         """
         is_vz, is_play = records[:, 0] == _VZ, records[:, 0] == _PLAY
         plays = records[is_play]
         with np.errstate(over="ignore", invalid="ignore"):
             frame = np.add.accumulate(np.concatenate(([0.0], records[is_vz, 3])))
-            angle = (plays[:, 4] + frame[np.cumsum(is_vz)[is_play]]).tolist()
+            angle = plays[:, 4] + frame[np.cumsum(is_vz)[is_play]]
+        finite = np.isfinite(angle)
+        if not finite.all():
+            raise ScheduleError(
+                f"xy play {int(np.argmin(finite))} in program order: frame phase "
+                "plus phase offset is not finite"
+            )
+        angle = angle.tolist()
         rotors = map(complex, map(math.cos, angle), map(math.sin, angle))
         scales = map(operator.mul, plays[:, 3].tolist(), rotors)
         return np.fromiter(scales, complex, len(angle)), float(frame[-1])
@@ -664,7 +676,7 @@ class _Parser:
             path = self.base_dir / toks[3][1]
             try:
                 values = [float(v) for v in path.read_text().split()]
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise ProgramParseError(f"cannot read {path}: {exc}", line_no, toks[3][0]) from None
             if len(toks) > 4:
                 raise ProgramParseError("unexpected token after path", line_no, toks[4][0])

@@ -10,6 +10,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,10 @@ FAST_SCENARIO = {
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse reports a bad command line this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -180,7 +184,9 @@ def test_tradeoff_default_grid(tmp_path, capsys):
 def test_tradeoff_empty_grid_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "tradeoff", "-n", "0")
     assert code == 2
-    assert "empty" in err
+    assert err.splitlines() == [
+        "uniflux: error: argument -n/--points: must be an integer in [1, inf], got '0'"
+    ]
 
 
 def test_tradeoff_zero_noise_reports_unlimited(capsys):
@@ -263,7 +269,9 @@ def test_design_bad_rate_is_usage_error(capsys, kind, rate):
     )
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["uniflux: error: --rate must be positive and finite"]
+    assert err.splitlines() == [
+        f"uniflux: error: argument --rate: must be positive and finite, got {rate!r}"
+    ]
 
 
 @pytest.mark.parametrize("exp", ["nan:34", "-0.0174:inf", "-0.0174:nan"])
@@ -272,11 +280,6 @@ def test_design_non_finite_exponential_is_usage_error(capsys, exp):
     assert code == 2
     assert "must be" in err and "finite" in err
 
-
-def test_design_non_finite_cutoff_exits_3(capsys):
-    code, _, err = run_cli(capsys, "design", "gauss", "--fc", "inf")
-    assert code == 3
-    assert err.splitlines() == ["uniflux: error: f_c must be positive and finite"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +360,9 @@ def test_compile_non_finite_instruction_names_the_line(tmp_path, capsys, line):
 def test_compile_bad_rate_is_usage_error(capsys, rate):
     code, _, err = run_cli(capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", rate)
     assert code == 2
-    assert "--rate must be positive and finite" in err
+    assert err.splitlines() == [
+        f"uniflux: error: argument --rate: must be positive and finite, got {rate!r}"
+    ]
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
@@ -366,7 +371,9 @@ def test_compile_bad_full_scale_is_usage_error(capsys, scale):
         capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--full-scale", scale
     )
     assert (code, out) == (2, "")
-    assert "--full-scale must be positive and finite" in err
+    assert err.splitlines() == [
+        f"uniflux: error: argument --full-scale: must be positive and finite, got {scale!r}"
+    ]
 
 
 def test_readme_pulse_assembly_example_compiles(tmp_path, capsys):
@@ -402,14 +409,6 @@ def test_compile_with_designed_filters(tmp_path, capsys):
     assert code == 0
     # Conditioning changes the waveform relative to the bare compile.
     assert EXAMPLE_SHA256 not in out
-
-
-def test_compile_missing_program_is_usage_error(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "compile", str(tmp_path / "absent.pulse"), "--rate", "2"
-    )
-    assert code == 2
-    assert "cannot read" in err
 
 
 def test_compile_missing_filter_design_exits_3(tmp_path, capsys):
@@ -489,7 +488,8 @@ def test_simulate_rb_interleaved_perfect_gate(capsys):
 def test_simulate_unknown_scenario_key_lists_valid_keys(tmp_path, capsys):
     scenario = write_scenario(tmp_path, {"chanel": {"kind": "flat"}})
     code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", scenario)
-    assert code == 2
+    assert code == 3
+    assert len(err.splitlines()) == 1
     assert "chanel" in err
     assert "channel, levels, line, qubit, time_step_ns" in err
 
@@ -497,7 +497,8 @@ def test_simulate_unknown_scenario_key_lists_valid_keys(tmp_path, capsys):
 def test_simulate_unknown_channel_kind_lists_valid_kinds(tmp_path, capsys):
     scenario = write_scenario(tmp_path, {"channel": {"kind": "bessel"}})
     code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", scenario)
-    assert code == 2
+    assert code == 3
+    assert len(err.splitlines()) == 1
     assert "flat, gaussian" in err
 
 
@@ -672,3 +673,163 @@ def test_device_registry_loads_and_validates():
     assert len({r.name for r in records}) == 8
     for record in records:
         assert record.t1_us > 0 and record.gate_ns > 0
+
+
+# ---------------------------------------------------------------------------
+# exit-code matrix: 2 the command line is wrong, 3 an input file is wrong or a
+# domain error occurred; either way exactly one stderr line and no warning
+# ---------------------------------------------------------------------------
+
+# Written under tmp_path before each case; None makes a directory.
+_INPUT_FILES = {
+    "dir": None,
+    "garbled.json": '{"qubit": ',
+    "list.json": "[]",
+    "fir-kind-only.json": '{"kind": "fir"}',
+    "fir-nan-tap.json": (
+        '{"kind": "fir", "taps_float": [NaN, 0.5], "taps_int16": null, '
+        '"sample_rate_gsps": 2.0}'
+    ),
+    "iir-nan-section.json": (
+        '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
+        '{"sections": [[NaN, 0.0, -0.5]], "source_exponentials": []}}'
+    ),
+    "qubit-5.json": '{"qubit": 5}',
+    "inf-step.json": '{"time_step_ns": Infinity}',
+    "garbled.pulse": b"\xff\xfe\x00prim",
+    "samples.txt": "1.0 x 0.5\n",
+    "file-primitive.pulse": "prim p file samples.txt\nxy p\n",
+    "nan.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nxy gate amp=nan\n",
+    "empty.csv": "",
+    "garbled.csv": "t_us,p1\n0,1.0\n1,bad,extra\n",
+    "wrong-shape.csv": "a,b,c\n1,2,3\n",
+    "nan.csv": "t_us,p_e\n0,1.0\n1,nan\n2,0.5\n",
+    "rb-nan.csv": "length,seq_index,survival\n1,0,0.9\nnan,0,0.8\n",
+    "rb-fractional.csv": "length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n4,0,0.96\n",
+    "reset-nan.csv": "signal\n" + "0.0\n" * 1000 + "nan\n",
+}
+
+_PROGRAM = ("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
+
+# (id, argv, exit code, start of the message after "uniflux: error: ");
+# "{tmp}" stands for the directory holding _INPUT_FILES.
+_EXIT_CODE_CASES = [
+    ("no-command", (), 2, "a command is required"),
+    ("unknown-command", ("frobnicate",), 2, "argument COMMAND: invalid choice"),
+    # spectrum
+    ("spectrum-non-finite-option", ("spectrum", "--to", "nan"), 2, "argument --to: must be"),
+    ("spectrum-infinite-ej", ("spectrum", "--ej", "inf"), 2, "argument --ej: must be"),
+    ("spectrum-basis-size-5", ("spectrum", "--basis-size", "5"), 2, "argument --basis-size:"),
+    ("spectrum-one-level", ("spectrum", "--levels", "1"), 2, "argument --levels:"),
+    ("spectrum-negative-exponent",
+     ("spectrum", "--from", "-1e-3", "--to", "0.01", "-n", "2", "--levels", "2"), 0, None),
+    # tradeoff
+    ("tradeoff-non-finite-option", ("tradeoff", "--mutual", "nan"), 2, "argument --mutual:"),
+    ("tradeoff-vmax-0", ("tradeoff", "--vmax", "0"), 2, "argument --vmax:"),
+    ("tradeoff-noise-plus-inf", ("tradeoff", "--noise", "inf"), 2, "argument --noise:"),
+    ("tradeoff-negative-exponent", ("tradeoff", "--alpha-from", "-8e1", "-n", "3"), 0, None),
+    # design
+    ("design-non-finite-option", ("design", "gauss", "--fc", "inf"), 2, "argument --fc:"),
+    ("design-fc-0", ("design", "gauss", "--fc", "0"), 2, "argument --fc:"),
+    ("design-no-taps", ("design", "fir", "--rate", "2", "--taps", "0"), 2, "argument --taps:"),
+    # compile
+    ("compile-non-finite-option", ("compile", str(EXAMPLE_PROGRAM), "--rate", "inf"), 2,
+     "argument --rate:"),
+    ("compile-dac-bits-20", (*_PROGRAM, "--dac-bits", "20"), 2, "argument --dac-bits:"),
+    ("compile-missing-program", ("compile", "{tmp}/absent.pulse", "--rate", "2"), 3,
+     "{tmp}/absent.pulse: No such file"),
+    ("compile-directory-program", ("compile", "{tmp}/dir", "--rate", "2"), 3, "{tmp}/dir: "),
+    ("compile-garbled-program", ("compile", "{tmp}/garbled.pulse", "--rate", "2"), 3,
+     "{tmp}/garbled.pulse: "),
+    ("compile-non-finite-program", ("compile", "{tmp}/nan.pulse", "--rate", "2"), 3,
+     "{tmp}/nan.pulse: "),
+    ("compile-garbled-primitive-file", ("compile", "{tmp}/file-primitive.pulse", "--rate", "2"),
+     3, "{tmp}/file-primitive.pulse: cannot read {tmp}/samples.txt: could not convert"),
+    ("compile-missing-fir", (*_PROGRAM, "--fir", "{tmp}/absent.json"), 3, "{tmp}/absent.json: "),
+    ("compile-directory-fir", (*_PROGRAM, "--fir", "{tmp}/dir"), 3, "{tmp}/dir: "),
+    ("compile-list-fir", (*_PROGRAM, "--fir", "{tmp}/list.json"), 3, "{tmp}/list.json: "),
+    ("compile-kind-only-fir", (*_PROGRAM, "--fir", "{tmp}/fir-kind-only.json"), 3,
+     "{tmp}/fir-kind-only.json: missing key"),
+    ("compile-garbled-fir", (*_PROGRAM, "--fir", "{tmp}/garbled.json"), 3, "{tmp}/garbled.json: "),
+    ("compile-non-finite-fir", (*_PROGRAM, "--fir", "{tmp}/fir-nan-tap.json"), 3,
+     "{tmp}/fir-nan-tap.json: "),
+    ("compile-list-iir", (*_PROGRAM, "--iir", "{tmp}/list.json"), 3, "{tmp}/list.json: "),
+    ("compile-wrong-kind-iir", (*_PROGRAM, "--iir", "{tmp}/fir-kind-only.json"), 3,
+     "{tmp}/fir-kind-only.json: expected"),
+    ("compile-non-finite-iir", (*_PROGRAM, "--iir", "{tmp}/iir-nan-section.json"), 3,
+     "{tmp}/iir-nan-section.json: "),
+    # simulate
+    ("simulate-rabi-infinite-amp-max", ("simulate", "rabi", "--amp-max", "inf"), 2,
+     "argument --amp-max:"),
+    ("simulate-gate-nan-duration", ("simulate", "gate", "--duration", "nan"), 2,
+     "argument --duration:"),
+    ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,
+     "argument --sequences:"),
+    ("simulate-rb-interleaved-24", ("simulate", "rb", "--interleaved", "24"), 2,
+     "argument --interleaved:"),
+    ("simulate-missing-scenario", ("simulate", "rb", "--scenario", "{tmp}/absent.json"), 3,
+     "{tmp}/absent.json: "),
+    ("simulate-directory-scenario", ("simulate", "rb", "--scenario", "{tmp}/dir"), 3,
+     "{tmp}/dir: "),
+    ("simulate-garbled-scenario", ("simulate", "rb", "--scenario", "{tmp}/garbled.json"), 3,
+     "{tmp}/garbled.json: Expecting value"),
+    ("simulate-list-scenario", ("simulate", "rb", "--scenario", "{tmp}/list.json"), 3,
+     "{tmp}/list.json: "),
+    ("simulate-qubit-5-scenario", ("simulate", "rb", "--scenario", "{tmp}/qubit-5.json"), 3,
+     "{tmp}/qubit-5.json: "),
+    ("simulate-non-finite-scenario", ("simulate", "rb", "--scenario", "{tmp}/inf-step.json"),
+     3, "{tmp}/inf-step.json: "),
+    # fit
+    ("fit-non-finite-option", ("fit", "dephasing", "{tmp}/nan.csv", "--t1-us", "nan"), 2,
+     "argument --t1-us:"),
+    ("fit-t1-us-0", ("fit", "dephasing", "{tmp}/nan.csv", "--t1-us", "0"), 2,
+     "argument --t1-us:"),
+    ("fit-missing-csv", ("fit", "t1", "{tmp}/absent.csv"), 3, "{tmp}/absent.csv: "),
+    ("fit-directory-csv", ("fit", "t1", "{tmp}/dir"), 3, "{tmp}/dir: "),
+    ("fit-empty-csv", ("fit", "rb", "{tmp}/empty.csv"), 3, "{tmp}/empty.csv: "),
+    ("fit-garbled-csv", ("fit", "t1", "{tmp}/garbled.csv"), 3, "{tmp}/garbled.csv: "),
+    ("fit-wrong-shape-csv", ("fit", "t1", "{tmp}/wrong-shape.csv"), 3,
+     "{tmp}/wrong-shape.csv: "),
+    ("fit-non-finite-csv", ("fit", "t1", "{tmp}/nan.csv"), 3, "{tmp}/nan.csv: "),
+    ("fit-rb-non-finite-csv", ("fit", "rb", "{tmp}/rb-nan.csv"), 3, "{tmp}/rb-nan.csv: "),
+    ("fit-rb-fractional-length", ("fit", "rb", "{tmp}/rb-fractional.csv"), 3,
+     "{tmp}/rb-fractional.csv: lengths must be integers"),
+    ("fit-reset-non-finite-csv", ("fit", "reset", "{tmp}/reset-nan.csv"), 3,
+     "{tmp}/reset-nan.csv: "),
+    # devices has no numeric option; its one value option takes a choice
+    ("devices-non-finite-option", ("devices", "--format", "nan"), 2, "argument --format:"),
+    ("devices-unknown-option", ("devices", "--points", "3"), 2, "unrecognized arguments"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [case[1:] for case in _EXIT_CODE_CASES],
+    ids=[case[0] for case in _EXIT_CODE_CASES],
+)
+def test_exit_code_matrix(tmp_path, capsys, argv, code, message):
+    for name, content in _INPUT_FILES.items():
+        if content is None:
+            (tmp_path / name).mkdir()
+        elif isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert [str(w.message) for w in caught] == []
+    assert got == code
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        [line] = err.splitlines()
+        assert line.startswith(f"uniflux: error: {message.format(tmp=tmp_path)}"), line
+
+
+def test_exit_code_matrix_covers_every_subcommand():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    covered = {argv[0] for _, argv, _, _ in _EXIT_CODE_CASES if argv}
+    assert set(commands) <= covered

@@ -467,17 +467,15 @@ def test_rb_ideal_interleaved_perfect_gate_survives_exactly():
         assert record.survival == pytest.approx(1.0, abs=1e-9)
 
 
-def test_rb_seeded_runs_are_identical(tmp_path):
+def test_rb_seeded_runs_are_identical():
     kwargs = dict(lengths=[1, 2, 4], sequences_per_length=2, seed=42,
                   mode="ideal", depolarizing=0.95)
     a = dynamics.run_rb(FLAT2, **kwargs)
     b = dynamics.run_rb(FLAT2, **kwargs)
     assert a.records == b.records
-    path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    dynamics.write_rb_csv(a, path_a)
-    dynamics.write_rb_csv(b, path_b)
-    assert path_a.read_bytes() == path_b.read_bytes()
-    lines = path_a.read_text().splitlines()
+    text_a, text_b = dynamics.rb_csv_text(a), dynamics.rb_csv_text(b)
+    assert text_a == text_b
+    lines = text_a.splitlines()
     assert lines[0] == "length,seq_index,survival"
     assert len(lines) == 1 + len(a.records)
 

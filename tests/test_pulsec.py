@@ -551,8 +551,14 @@ def _assert_compiles_like_oracle(program, config=CONFIG):
     try:
         want = unrolled_compile(program, config)
     except Exception as exc:
-        with pytest.raises(type(exc)) as info:
+        with pytest.raises(Exception) as info:
             pulsec.compile(program, config)
+        if (type(exc), str(exc)) == (ValueError, "math domain error"):
+            # The one documented difference: where the oracle's math.cos meets
+            # a frame phase that overflowed to inf, compile names the play.
+            assert type(info.value) is ScheduleError
+            assert "not finite" in str(info.value)
+            return
         assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         return
     got = pulsec.compile(program, config)
@@ -607,8 +613,11 @@ def test_compile_raises_the_first_fault_in_program_order():
     nested = PlayZ("edge4", 0.3, 40.0, "fall4", body=(PlayZ("edge4", 0.1, 8.0, "fall4"),))
     overflow = (VirtualZ(1e308), VirtualZ(1e308), PlayXY("flat8"))
     _assert_compiles_like_oracle(_program(overflow + (nested,)))
-    with pytest.raises(ValueError, match="math domain error"):
+    with pytest.raises(ScheduleError) as info:
         pulsec.compile(_program(overflow + (nested,)), CONFIG)
+    assert str(info.value) == (
+        "xy play 0 in program order: frame phase plus phase offset is not finite"
+    )
     with pytest.raises(ScheduleError, match="nested"):
         pulsec.compile(_program((nested,) + overflow), CONFIG)
 
