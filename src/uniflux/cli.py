@@ -58,6 +58,9 @@ class _UsageError(UnifluxError):
 class _Parser(argparse.ArgumentParser):
     """Reports a command-line error as one line, without the usage block."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # one spelling per option
+
     def error(self, message):
         self.exit(2, f"{PROG}: error: {message}\n")
 
@@ -185,6 +188,8 @@ def _checked(convert, accept, rule: str):
 _finite = _checked(float, math.isfinite, "finite")
 _positive = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
 _noise_floor = _checked(float, lambda x: x < math.inf, "finite or -inf")
+_probability = _checked(float, lambda p: 0.0 <= p <= 1.0, "in [0, 1]")
+_even_taps = _checked(int, lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2")
 
 
 def _int_in(lo: int, hi: float = math.inf):
@@ -271,6 +276,9 @@ def _scenario_from_json(text: str) -> dynamics.DriveScenario:
 
 def cmd_spectrum(args) -> int:
     _require(args.start <= args.stop, "--from must not exceed --to")
+    most = args.basis_size // fluxonium.BASIS_PER_LEVEL
+    _require(args.levels <= most,
+             f"--levels {args.levels} exceeds {most}, a third of --basis-size {args.basis_size}")
     params = fluxonium.FluxoniumParams(args.ej, args.ec, args.el, basis_size=args.basis_size)
     grid = np.linspace(args.start, args.stop, args.points)
     rows = []
@@ -452,25 +460,15 @@ def _simulate_rabi(args, scenario) -> int:
 
 
 def _simulate_gate(args, scenario) -> int:
-    f_d = None
+    drive_f = float(dynamics.qubit_frame(scenario)[0][1])
     if args.trim_frequency:
-        f_d = dynamics.calibrate_drive_frequency(
-            scenario, args.duration, args.predistort
-        )
+        drive_f = dynamics.calibrate_drive_frequency(scenario, args.duration, args.predistort)
     amplitude = dynamics.calibrate_pi(
-        scenario, args.duration, args.predistort, drive_frequency_ghz=f_d
+        scenario, args.duration, args.predistort, drive_frequency_ghz=drive_f
     )
-    levels, _ = dynamics.qubit_frame(scenario)
-    f01 = float(levels[1])
-    drive_f = f_d if f_d is not None else f01
-    wave = dynamics.cosine_drive(args.duration, amplitude, drive_f)
-    if args.predistort:
-        wave = dynamics.predistort_drive(wave, scenario.channel, f01)
-    outcome = dynamics.evolve(scenario, wave)
-    total_ns = len(wave.samples) / wave.sample_rate
-    frame = levels.copy()
-    frame[1] = drive_f  # report the gate in the frame rotating with the drive
-    unitary = dynamics.rotating_frame(outcome.final_unitary, frame, total_ns)
+    outcome, unitary = dynamics.drive_frame_unitary(
+        scenario, amplitude, args.duration, drive_f, args.predistort
+    )
     x_pi = np.array([[0.0, -1.0j], [-1.0j, 0.0]])
     metrics = dynamics.gate_fidelity(unitary, x_pi)
     report = {
@@ -651,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmax", type=_positive, default=50.0, help="inverse gain cap, dB")
     p.add_argument("--window-cutoff", type=_positive, default=1.0, metavar="GHZ")
     p.add_argument("--target", choices=("gauss", "inverse"), default="inverse")
-    p.add_argument("--taps", type=_int_in(2), default=16)
+    p.add_argument("--taps", type=_even_taps, default=16)
     p.add_argument("--rate", type=_positive, help="sample rate, GS/s")
     p.add_argument(
         "--exp",
@@ -698,7 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trim-frequency",
         action="store_true",
-        help="gate: calibrate the drive frequency, not just the amplitude",
+        help="gate: also solve the drive frequency for an untilted rotation axis "
+        "(n_z = 0), not just the amplitude for a pi rotation",
     )
     p.add_argument(
         "--lengths",
@@ -709,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequences", type=_int_in(1), default=2, help="rb sequences per length")
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--mode", choices=("ideal", "waveform"), default="ideal")
-    p.add_argument("--depolarizing", type=_finite, default=1.0, metavar="P")
+    p.add_argument("--depolarizing", type=_probability, default=1.0, metavar="P")
     p.add_argument(
         "--interleaved",
         type=_int_in(0, dynamics.CLIFFORD_COUNT - 1),

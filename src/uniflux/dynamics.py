@@ -57,9 +57,10 @@ CLIFFORD_COUNT = 24
 X90_PHASE_OFFSET = math.pi
 VZ_EMISSION_SIGN = -1.0
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CHUNK_STEPS = 65536
 _CHEB_TAIL = 1e-16
+_SOLVE_TOL = 1e-10  # |theta - pi| and |n_z| at a calibration root
+_SECANT_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +376,6 @@ def predistort_drive(w: Waveform, channel: filters.TransferFunction,
     return out.with_samples(np.asarray(out.samples) / inverse.h_qubit)
 
 
-def _drive_waveform(scenario, amplitude_v, duration_ns, frequency_ghz,
-                    predistortion, sample_rate, carrier_phase_rad, f01):
-    w = cosine_drive(duration_ns, amplitude_v, frequency_ghz,
-                     sample_rate=sample_rate, carrier_phase_rad=carrier_phase_rad)
-    if predistortion:
-        w = predistort_drive(w, scenario.channel, f01)
-    return w
-
-
 def _net_carrier_gain(scenario, predistortion, f01, frequency_ghz) -> float:
     """|channel (and pre-distortion) response| at the drive frequency."""
     f = np.array([frequency_ghz])
@@ -418,15 +410,6 @@ class RabiCurve:
     predistortion: bool
 
 
-def _excited_population(scenario, amplitude_v, duration_ns, frequency_ghz,
-                        predistortion, sample_rate, f01,
-                        carrier_phase_rad=0.0) -> float:
-    w = _drive_waveform(scenario, amplitude_v, duration_ns, frequency_ghz,
-                        predistortion, sample_rate, carrier_phase_rad, f01)
-    outcome = evolve(scenario, w)
-    return float(outcome.populations[-1, 1])
-
-
 def rabi_experiment(scenario: DriveScenario, *, amplitudes=None, durations=None,
                     duration_ns: float = 20.0, amplitude_v: float | None = None,
                     predistortion: bool = True,
@@ -441,127 +424,142 @@ def rabi_experiment(scenario: DriveScenario, *, amplitudes=None, durations=None,
     """
     if (amplitudes is None) == (durations is None):
         raise ValueError("provide exactly one of amplitudes or durations")
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
-    f01 = levels[1]
-    f_d = drive_frequency_ghz if drive_frequency_ghz is not None else f01
-
-    if amplitudes is not None:
-        grid = [float(a) for a in amplitudes]
-        if not grid:
-            raise ValueError("amplitude grid must be non-empty")
-        pops = [
-            _excited_population(scenario, a, duration_ns, f_d, predistortion,
-                                sample_rate, f01)
-            for a in grid
-        ]
-        axis = "amplitude"
-    else:
-        grid = [float(d) for d in durations]
-        if not grid:
-            raise ValueError("duration grid must be non-empty")
-        if amplitude_v is None:
-            raise ValueError("a duration sweep requires amplitude_v")
-        pops = [
-            _excited_population(scenario, amplitude_v, d, f_d, predistortion,
-                                sample_rate, f01)
-            for d in grid
-        ]
-        axis = "duration"
+    axis = "amplitude" if durations is None else "duration"
+    grid = [float(x) for x in (amplitudes if durations is None else durations)]
+    if not grid:
+        raise ValueError(f"{axis} grid must be non-empty")
+    if axis == "duration" and amplitude_v is None:
+        raise ValueError("a duration sweep requires amplitude_v")
+    pulses = [(x, duration_ns) if axis == "amplitude" else (amplitude_v, x) for x in grid]
+    f_d = drive_frequency_ghz
+    if f_d is None:
+        f_d = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
+    pops = [
+        float(drive_frame_unitary(scenario, a, d, f_d, predistortion,
+                                  sample_rate=sample_rate)[0].populations[-1, 1])
+        for a, d in pulses
+    ]
     return RabiCurve(axis=axis, grid=tuple(grid), populations=tuple(pops),
                      predistortion=predistortion)
 
 
-def _golden_section_max(objective, lo: float, hi: float, value_tol: float,
-                        max_iter: int = 120) -> float:
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(max_iter):
-        if abs(fc - fd) < value_tol:
+def drive_frame_unitary(scenario: DriveScenario, amplitude_v: float,
+                        duration_ns: float, frequency_ghz: float,
+                        predistortion: bool = True, *,
+                        sample_rate: float = 1.0) -> tuple[SimOutcome, np.ndarray]:
+    """One cosine pulse's outcome and its propagator in the frame rotating
+    with the drive (level 1 at ``frequency_ghz``)."""
+    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
+    w = cosine_drive(duration_ns, amplitude_v, frequency_ghz, sample_rate=sample_rate)
+    if predistortion:
+        w = predistort_drive(w, scenario.channel, levels[1])
+    outcome = evolve(scenario, w)
+    frame = levels.copy()
+    frame[1] = frequency_ghz
+    return outcome, rotating_frame(outcome.final_unitary, frame, len(w) / w.sample_rate)
+
+
+def _rotation(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion,
+              sample_rate) -> tuple[float, float]:
+    """(theta, n_z) of the pulse's {0,1} block, normalized to SU(2). The lead
+    and tail precession at the detuning is divided out: one z rotation on each
+    side, which keeps the root theta = pi, n_z = 0 and makes n_z close to
+    linear in the drive frequency, so the secant converges on wide brackets."""
+    outcome, unitary = drive_frame_unitary(scenario, amplitude_v, duration_ns, frequency_ghz,
+                                           predistortion, sample_rate=sample_rate)
+    detuning = _qubit_frame(scenario.qubit, scenario.levels)[0][1] - frequency_ghz
+    u = np.exp(1j * np.pi * detuning * (outcome.times_ns[-1] - duration_ns))
+    block = unitary[:2, :2] * np.array([[1.0, u], [u, u * u]])
+    v = block / np.sqrt(np.linalg.det(block))
+    theta = 2.0 * math.acos(min(1.0, max(-1.0, 0.5 * v.trace().real)))
+    return theta, -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
+
+
+def _secant(residual, x0: float, r0: float, x1: float, lo: float, hi: float,
+            what: str) -> float:
+    """Root of ``residual`` to 1e-10 by secant steps from (x0, r0) and x1.
+    An iterate outside [lo, hi] or a step cap reached raises CalibrationError."""
+    for _ in range(_SECANT_STEPS):
+        if not lo <= x1 <= hi:
+            raise CalibrationError(
+                f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x1:.6g}"
+            )
+        r1 = residual(x1)
+        if abs(r1) < _SOLVE_TOL:
+            return x1
+        if r1 == r0:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
+        x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
+    raise CalibrationError(f"{what} solve did not converge in {_SECANT_STEPS} steps")
+
+
+def _solve_pi(scenario, duration_ns, frequency_ghz, predistortion, sample_rate,
+              start, bracket) -> tuple[float, float]:
+    """(amplitude, n_z) at theta = pi. Since theta(0) = 0, the first secant
+    step, from (0, -pi), is the ratio step start * pi / theta(start)."""
+    tilt = [0.0]  # n_z at the last amplitude tried: the root, on return
+
+    def excess(a):
+        theta, tilt[0] = _rotation(scenario, a, duration_ns, frequency_ghz,
+                                   predistortion, sample_rate)
+        return theta - math.pi
+
+    return _secant(excess, 0.0, -math.pi, start, *bracket, "amplitude"), tilt[0]
 
 
 def calibrate_pi(scenario: DriveScenario, duration_ns: float,
                  predistortion: bool = True, *,
                  drive_frequency_ghz: float | None = None,
                  bracket: tuple[float, float] | None = None,
-                 population_tol: float = 1e-5,
                  sample_rate: float = 1.0) -> float:
-    """Pi-pulse amplitude (volts) by golden-section population maximization.
+    """Pi-pulse amplitude (volts): the final unitary's rotation angle solved to pi.
 
-    A coarse scan over the bracket locates an interior maximum (a monotone
-    response over the bracket raises CalibrationError); golden-section then
-    refines to ``population_tol`` in the objective.
+    theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the drive
+    frame, normalized by the root of its determinant. From the RWA
+    amplitude a, a step a * pi / theta and then secant steps reach |theta - pi|
+    < 1e-10, usually in three evolves. An iterate outside ``bracket`` (default
+    0.3 to 2.2 times the RWA amplitude), or no convergence, raises CalibrationError.
     """
     if duration_ns * sample_rate < 4:
         raise ValueError("pulse duration must cover at least 4 samples")
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     f01 = levels[1]
     f_d = drive_frequency_ghz if drive_frequency_ghz is not None else f01
-
-    if bracket is None:
-        gain = _net_carrier_gain(scenario, predistortion, f01, f_d)
-        estimate = _rwa_pi_amplitude(scenario, duration_ns, gain)
-        bracket = (0.3 * estimate, 2.2 * estimate)
-    lo, hi = bracket
-    if not 0 <= lo < hi:
+    estimate = _rwa_pi_amplitude(scenario, duration_ns,
+                                 _net_carrier_gain(scenario, predistortion, f01, f_d))
+    bracket = bracket or (0.3 * estimate, 2.2 * estimate)
+    if not 0 <= bracket[0] < bracket[1]:
         raise ValueError("bracket must satisfy 0 <= lo < hi")
-
-    def objective(a):
-        return _excited_population(scenario, a, duration_ns, f_d, predistortion,
-                                   sample_rate, f01)
-
-    coarse = np.linspace(lo, hi, 17)
-    values = [objective(a) for a in coarse]
-    peak = int(np.argmax(values))
-    if peak == 0 or peak == len(coarse) - 1:
-        raise CalibrationError(
-            "population is monotone over the amplitude bracket "
-            f"[{lo:.4g}, {hi:.4g}] V; no interior maximum to refine"
-        )
-    return _golden_section_max(objective, coarse[peak - 1], coarse[peak + 1],
-                               population_tol)
+    return _solve_pi(scenario, duration_ns, f_d, predistortion, sample_rate,
+                     estimate, bracket)[0]
 
 
 def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
                               predistortion: bool = True, *,
                               bracket_ghz: tuple[float, float] | None = None,
                               sample_rate: float = 1.0) -> float:
-    """Drive frequency maximizing calibrated transfer (Bloch-Siegert trim).
+    """Drive frequency at which the pi pulse's axis has no z tilt (Bloch-Siegert trim).
 
-    The lab-frame drive shifts the effective resonance upward by a
-    Omega^2-scale amount (measured trim ~2.2 MHz for a 20 ns pi pulse at
-    f01 = 224 MHz, falling off as 1/duration^2); this searches the trimmed
-    frequency by golden section, re-optimizing the amplitude at each point.
+    The lab-frame drive shifts the resonance upward by an Omega^2-scale amount
+    (~2.2 MHz for a 20 ns pi pulse at f01 = 224 MHz, falling as 1/duration^2).
+    With the amplitude solved to theta = pi at each frequency, warm-started
+    from the last one, n_z = -Im(V00 - V11) / (2 sin(theta/2)) is solved to
+    |n_z| < 1e-10 by secant steps from the two ends of ``bracket_ghz``. A root
+    outside the bracket raises CalibrationError.
     """
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     f01 = levels[1]
-    if bracket_ghz is None:
-        span = 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4
-        bracket_ghz = (f01, f01 + span)
+    lo, hi = bracket_ghz or (f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4)
+    estimate = _rwa_pi_amplitude(scenario, duration_ns,
+                                 _net_carrier_gain(scenario, predistortion, f01, f01))
+    amplitude = [estimate]  # warm start of the next amplitude solve
 
-    gain = _net_carrier_gain(scenario, predistortion, f01, f01)
-    estimate = _rwa_pi_amplitude(scenario, duration_ns, gain)
+    def tilt(f_d):
+        amplitude[0], n_z = _solve_pi(scenario, duration_ns, f_d, predistortion, sample_rate,
+                                      amplitude[0], (0.3 * estimate, 2.2 * estimate))
+        return n_z
 
-    def best_population(f_d):
-        def objective(a):
-            return _excited_population(scenario, a, duration_ns, f_d,
-                                       predistortion, sample_rate, f01)
-        amp = _golden_section_max(objective, 0.8 * estimate, 1.3 * estimate, 1e-6)
-        return objective(amp)
-
-    return _golden_section_max(best_population, bracket_ghz[0], bracket_ghz[1],
-                               1e-7)
+    return _secant(tilt, lo, tilt(lo), hi, lo, hi, "drive-frequency")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .errors import NoSolutionError, NumericalError
 DEFAULT_BASIS_SIZE = 120
 DEFAULT_N_LEVELS = 6
 MIN_BASIS_SIZE = 12
+BASIS_PER_LEVEL = 3  # n_levels may be at most basis_size // BASIS_PER_LEVEL
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,10 @@ def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectr
     dim = h.shape[0]
     if n_levels < 2:
         raise ValueError("n_levels must be at least 2")
-    if n_levels > dim // 3:
+    if n_levels > dim // BASIS_PER_LEVEL:
         raise ValueError(
             f"n_levels={n_levels} exceeds the truncation safety margin "
-            f"(basis_size={dim} supports at most {dim // 3})"
+            f"(basis_size={dim} supports at most {dim // BASIS_PER_LEVEL})"
         )
     try:
         vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, n_levels - 1))
@@ -196,7 +197,7 @@ def phase_matrix_element(
     if i == j:
         raise ValueError("phase_matrix_element is defined for i != j")
     n_levels = max(n_levels, i + 1, j + 1)
-    if min(i, j) < 0 or n_levels > params.basis_size // 3:
+    if min(i, j) < 0 or n_levels > params.basis_size // BASIS_PER_LEVEL:
         raise ValueError(f"level index out of range for basis_size={params.basis_size}")
     spectrum = eigensystem(build_hamiltonian(params), n_levels)
     # one triangle is read, so (i, j) and (j, i) agree exactly

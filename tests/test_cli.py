@@ -462,6 +462,28 @@ def test_simulate_gate_report(tmp_path, capsys):
     assert report["drive_frequency_ghz"] > 0.2238  # trimmed above resonance
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_simulate_gate_trimmed_report_is_bounded(tmp_path, capsys, seed):
+    # 2-level scenarios near the reference qubit, drawn as the benchmark
+    # draws its gate scenarios; trimmed gates reach 1 - F ~ 2e-12, so the
+    # fidelity bound is checked as strictly as the benchmark checks it.
+    rng = np.random.default_rng(seed)
+    scenario = write_scenario(tmp_path, {
+        "qubit": {name: float(ref * rng.uniform(0.97, 1.03))
+                  for name, ref in (("e_j", 4.5), ("e_c", 1.1), ("e_l", 0.5))},
+        "channel": {"kind": "gaussian", "f_c": float(rng.uniform(0.095, 0.12))},
+        "levels": 2,
+        "time_step_ns": 0.05,
+    })
+    code, out, _ = run_cli(capsys, "simulate", "gate", "--scenario", scenario,
+                           "--trim-frequency")
+    assert code == 0
+    report = json.loads(out)
+    assert 0.0 <= report["fidelity"] <= 1.0
+    assert report["leakage"] >= -1e-9
+    assert report["population_transfer"] > 1.0 - 1e-9
+
+
 def test_simulate_rb_seeded_csv_is_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -721,6 +743,8 @@ _EXIT_CODE_CASES = [
     ("spectrum-infinite-ej", ("spectrum", "--ej", "inf"), 2, "argument --ej: must be"),
     ("spectrum-basis-size-5", ("spectrum", "--basis-size", "5"), 2, "argument --basis-size:"),
     ("spectrum-one-level", ("spectrum", "--levels", "1"), 2, "argument --levels:"),
+    ("spectrum-levels-over-a-third-of-basis", ("spectrum", "--levels", "50"), 2,
+     "--levels 50 exceeds 40"),
     ("spectrum-negative-exponent",
      ("spectrum", "--from", "-1e-3", "--to", "0.01", "-n", "2", "--levels", "2"), 0, None),
     # tradeoff
@@ -728,10 +752,14 @@ _EXIT_CODE_CASES = [
     ("tradeoff-vmax-0", ("tradeoff", "--vmax", "0"), 2, "argument --vmax:"),
     ("tradeoff-noise-plus-inf", ("tradeoff", "--noise", "inf"), 2, "argument --noise:"),
     ("tradeoff-negative-exponent", ("tradeoff", "--alpha-from", "-8e1", "-n", "3"), 0, None),
+    ("tradeoff-abbreviated-option", ("tradeoff", "--alpha-f", "-8e1"), 2,
+     "unrecognized arguments: --alpha-f"),
     # design
     ("design-non-finite-option", ("design", "gauss", "--fc", "inf"), 2, "argument --fc:"),
     ("design-fc-0", ("design", "gauss", "--fc", "0"), 2, "argument --fc:"),
     ("design-no-taps", ("design", "fir", "--rate", "2", "--taps", "0"), 2, "argument --taps:"),
+    ("design-odd-taps", ("design", "fir", "--rate", "2", "--taps", "15"), 2,
+     "argument --taps: must be an even integer"),
     # compile
     ("compile-non-finite-option", ("compile", str(EXAMPLE_PROGRAM), "--rate", "inf"), 2,
      "argument --rate:"),
@@ -767,6 +795,8 @@ _EXIT_CODE_CASES = [
      "argument --sequences:"),
     ("simulate-rb-interleaved-24", ("simulate", "rb", "--interleaved", "24"), 2,
      "argument --interleaved:"),
+    ("simulate-rb-depolarizing-1.5", ("simulate", "rb", "--depolarizing", "1.5"), 2,
+     "argument --depolarizing: must be in [0, 1]"),
     ("simulate-missing-scenario", ("simulate", "rb", "--scenario", "{tmp}/absent.json"), 3,
      "{tmp}/absent.json: "),
     ("simulate-directory-scenario", ("simulate", "rb", "--scenario", "{tmp}/dir"), 3,

@@ -346,6 +346,128 @@ def test_calibrate_drive_frequency_trims_upward():
     assert 5e-4 < f_trim - F01 < 3.5e-3
 
 
+def test_calibrate_drive_frequency_root_outside_bracket_raises():
+    with pytest.raises(CalibrationError, match="bracket"):
+        dynamics.calibrate_drive_frequency(
+            GAUSS2, 20.0, predistortion=True, bracket_ghz=(F01 + 0.01, F01 + 0.02)
+        )
+
+
+@pytest.mark.parametrize("duration", [8.0, 12.0])
+def test_calibrate_drive_frequency_converges_on_short_pulses(duration):
+    # The default bracket widens as 1/duration^2; across it the quiet lead
+    # and tail precess by several radians, which the solve divides out.
+    f_d = dynamics.calibrate_drive_frequency(FLAT2, duration, predistortion=False)
+    amp = dynamics.calibrate_pi(FLAT2, duration, False, drive_frequency_ghz=f_d)
+    p1 = dynamics.rabi_experiment(
+        FLAT2, amplitudes=[amp], duration_ns=duration, predistortion=False,
+        drive_frequency_ghz=f_d,
+    ).populations[0]
+    assert p1 > 1.0 - 1e-9
+
+
+def test_calibration_solves_the_final_unitary():
+    f_d = dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
+    amp = dynamics.calibrate_pi(GAUSS2, 20.0, True, drive_frequency_ghz=f_d)
+    theta, n_z = dynamics._rotation(GAUSS2, amp, 20.0, f_d, True, 1.0)
+    assert abs(theta - math.pi) < 1e-10
+    assert abs(n_z) < 1e-9
+
+
+# The population search these solves replaced is the oracle. Its stop rule,
+# population_tol = 1e-5, is the margin: P1 is flat at its maximum, so the
+# search pins the amplitude only to about 1e-3 relative. On 2 levels
+# test_acceptance.SEARCH_SCENARIO is GAUSS2.
+_EQUIVALENCE_CASES = [
+    (name, scenario.replace(levels=levels), predistortion)
+    for name, scenario, predistortion in (("flat", FLAT2, False), ("gauss", GAUSS2, True))
+    for levels in (2, 3, 4)
+]
+
+
+def _p1(scenario, amplitude, predistortion, frequency=None):
+    return dynamics.rabi_experiment(
+        scenario, amplitudes=[amplitude], duration_ns=20.0,
+        predistortion=predistortion, drive_frequency_ghz=frequency,
+    ).populations[0]
+
+
+@pytest.mark.parametrize(
+    "scenario, predistortion",
+    [case[1:] for case in _EQUIVALENCE_CASES],
+    ids=[f"{name}-{s.levels}" for name, s, _ in _EQUIVALENCE_CASES],
+)
+def test_calibrate_pi_transfers_as_much_as_the_population_oracle(scenario, predistortion):
+    amp = dynamics.calibrate_pi(scenario, 20.0, predistortion)
+    reference = oracles.population_calibrate_pi(scenario, 20.0, predistortion)
+    assert amp == pytest.approx(reference, rel=5e-3)
+    assert _p1(scenario, amp, predistortion) >= _p1(scenario, reference, predistortion) - 1e-5
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4])
+def test_calibrate_pi_on_an_uncompensated_channel_solves_the_angle(levels):
+    # Without pre-distortion the 92 MHz channel tilts the rotation axis far
+    # out of the equator (n_z ~ -0.77 at theta = pi), so the pi rotation
+    # transfers less than the population maximum, which sits at a smaller
+    # angle and a smaller tilt: P1 = sin^2(theta/2) (1 - n_z^2).
+    scenario = GAUSS2.replace(levels=levels)
+    amp = dynamics.calibrate_pi(scenario, 20.0, predistortion=False)
+    theta, n_z = dynamics._rotation(scenario, amp, 20.0, F01, False, 1.0)
+    assert abs(theta - math.pi) < 1e-10
+    assert 0.7 < abs(n_z) < 0.85
+    p1 = _p1(scenario, amp, False)
+    assert p1 == pytest.approx(1.0 - n_z**2, abs=0.01)
+    reference = oracles.population_calibrate_pi(scenario, 20.0, predistortion=False)
+    assert p1 < _p1(scenario, reference, False)
+
+
+@pytest.mark.parametrize(
+    "scenario, predistortion", [(FLAT2, False), (GAUSS2, True)], ids=["flat", "gauss"]
+)
+def test_trimmed_calibration_transfers_no_less_than_the_population_oracle(
+    scenario, predistortion
+):
+    f_d = dynamics.calibrate_drive_frequency(scenario, 20.0, predistortion)
+    amp = dynamics.calibrate_pi(scenario, 20.0, predistortion, drive_frequency_ghz=f_d)
+    f_ref = oracles.population_calibrate_drive_frequency(scenario, 20.0, predistortion)
+    a_ref = oracles.population_calibrate_pi(
+        scenario, 20.0, predistortion, drive_frequency_ghz=f_ref
+    )
+    assert f_d == pytest.approx(f_ref, abs=1e-5)
+    p1 = _p1(scenario, amp, predistortion, f_d)
+    assert p1 >= _p1(scenario, a_ref, predistortion, f_ref)
+    assert p1 > 1.0 - 1e-10
+
+
+def _count_evolves(monkeypatch):
+    calls = []
+    evolve = dynamics.evolve
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scenario, predistortion",
+    [(FLAT2, False), (GAUSS2, True), (GAUSS2, False)],
+    ids=["flat", "gauss", "gauss-uncompensated"],
+)
+def test_calibrate_pi_takes_at_most_five_evolves(monkeypatch, scenario, predistortion):
+    calls = _count_evolves(monkeypatch)
+    dynamics.calibrate_pi(scenario, 20.0, predistortion)
+    assert 1 <= len(calls) <= 5
+
+
+def test_calibrate_drive_frequency_takes_at_most_forty_evolves(monkeypatch):
+    calls = _count_evolves(monkeypatch)
+    dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
+    assert 1 <= len(calls) <= 40
+
+
 # ---------------------------------------------------------------------------
 # gate fidelity
 # ---------------------------------------------------------------------------
