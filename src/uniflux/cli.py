@@ -466,9 +466,8 @@ def _simulate_gate(args, scenario) -> int:
     amplitude = dynamics.calibrate_pi(
         scenario, args.duration, args.predistort, drive_frequency_ghz=drive_f
     )
-    outcome, unitary = dynamics.drive_frame_unitary(
-        scenario, amplitude, args.duration, drive_f, args.predistort
-    )
+    pulse = dynamics.drive_pulse(scenario, amplitude, args.duration, drive_f, args.predistort)
+    unitary = dynamics.drive_frame_unitary(scenario, pulse, drive_f)
     x_pi = np.array([[0.0, -1.0j], [-1.0j, 0.0]])
     metrics = dynamics.gate_fidelity(unitary, x_pi)
     report = {
@@ -477,7 +476,7 @@ def _simulate_gate(args, scenario) -> int:
         "predistortion": bool(args.predistort),
         "drive_frequency_ghz": drive_f,
         "amplitude_v": amplitude,
-        "population_transfer": float(outcome.populations[-1, 1]),
+        "population_transfer": float(abs(unitary[1, 0]) ** 2),
         "fidelity": metrics.fidelity,
         "leakage": metrics.leakage,
         "levels": scenario.levels,
@@ -696,8 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trim-frequency",
         action="store_true",
-        help="gate: also solve the drive frequency for an untilted rotation axis "
-        "(n_z = 0), not just the amplitude for a pi rotation",
+        help="gate: first solve the drive frequency at which the pi rotation's axis "
+        "lies in the equator (n_z = 0), where the amplitude of largest transfer "
+        "is the pi rotation",
     )
     p.add_argument(
         "--lengths",

@@ -60,7 +60,8 @@ VZ_EMISSION_SIGN = -1.0
 _CHUNK_STEPS = 65536
 _CHEB_TAIL = 1e-16
 _SOLVE_TOL = 1e-10  # |theta - pi| and |n_z| at a calibration root
-_SECANT_STEPS = 16
+_SOLVE_STEPS = 16  # iterations per secant or Newton solve
+_AMPLITUDE_TOL = 1e-6  # last amplitude step, relative, at the transfer maximum
 
 
 # ---------------------------------------------------------------------------
@@ -435,76 +436,120 @@ def rabi_experiment(scenario: DriveScenario, *, amplitudes=None, durations=None,
     if f_d is None:
         f_d = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
     pops = [
-        float(drive_frame_unitary(scenario, a, d, f_d, predistortion,
-                                  sample_rate=sample_rate)[0].populations[-1, 1])
+        float(evolve(scenario, drive_pulse(scenario, a, d, f_d, predistortion,
+                                           sample_rate=sample_rate)).populations[-1, 1])
         for a, d in pulses
     ]
     return RabiCurve(axis=axis, grid=tuple(grid), populations=tuple(pops),
                      predistortion=predistortion)
 
 
-def drive_frame_unitary(scenario: DriveScenario, amplitude_v: float,
-                        duration_ns: float, frequency_ghz: float,
-                        predistortion: bool = True, *,
-                        sample_rate: float = 1.0) -> tuple[SimOutcome, np.ndarray]:
-    """One cosine pulse's outcome and its propagator in the frame rotating
-    with the drive (level 1 at ``frequency_ghz``)."""
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
+def drive_pulse(scenario: DriveScenario, amplitude_v: float, duration_ns: float,
+                frequency_ghz: float, predistortion: bool = True, *,
+                sample_rate: float = 1.0) -> Waveform:
+    """One cosine pulse at the AWG, pre-distorted for the scenario channel when asked."""
     w = cosine_drive(duration_ns, amplitude_v, frequency_ghz, sample_rate=sample_rate)
     if predistortion:
-        w = predistort_drive(w, scenario.channel, levels[1])
-    outcome = evolve(scenario, w)
-    frame = levels.copy()
+        w = predistort_drive(w, scenario.channel,
+                             _qubit_frame(scenario.qubit, scenario.levels)[0][1])
+    return w
+
+
+def drive_frame_unitary(scenario: DriveScenario, w: Waveform,
+                        frequency_ghz: float) -> np.ndarray:
+    """Propagator of ``w`` in the frame rotating with the drive (level 1 at
+    ``frequency_ghz``)."""
+    frame = _qubit_frame(scenario.qubit, scenario.levels)[0].copy()
     frame[1] = frequency_ghz
-    return outcome, rotating_frame(outcome.final_unitary, frame, len(w) / w.sample_rate)
+    return rotating_frame(evolve(scenario, w).final_unitary, frame, len(w) / w.sample_rate)
 
 
 def _rotation(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion,
-              sample_rate) -> tuple[float, float]:
-    """(theta, n_z) of the pulse's {0,1} block, normalized to SU(2). The lead
-    and tail precession at the detuning is divided out: one z rotation on each
-    side, which keeps the root theta = pi, n_z = 0 and makes n_z close to
-    linear in the drive frequency, so the secant converges on wide brackets."""
-    outcome, unitary = drive_frame_unitary(scenario, amplitude_v, duration_ns, frequency_ghz,
-                                           predistortion, sample_rate=sample_rate)
+              sample_rate) -> tuple[float, float, np.ndarray]:
+    """(theta, n_z, loss) of one pulse. theta and n_z describe its {0,1} block,
+    normalized to SU(2), with the lead and tail precession at the detuning
+    divided out: one z rotation on each side, which keeps the root theta = pi,
+    n_z = 0 and makes n_z close to linear in the drive frequency, so the
+    secant converges on wide brackets. ``loss`` is the ground-state column
+    without level 1, so |loss|^2 = 1 - P1."""
+    w = drive_pulse(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion,
+                    sample_rate=sample_rate)
+    unitary = drive_frame_unitary(scenario, w, frequency_ghz)
     detuning = _qubit_frame(scenario.qubit, scenario.levels)[0][1] - frequency_ghz
-    u = np.exp(1j * np.pi * detuning * (outcome.times_ns[-1] - duration_ns))
+    u = np.exp(1j * np.pi * detuning * (len(w) / w.sample_rate - duration_ns))
     block = unitary[:2, :2] * np.array([[1.0, u], [u, u * u]])
     v = block / np.sqrt(np.linalg.det(block))
     theta = 2.0 * math.acos(min(1.0, max(-1.0, 0.5 * v.trace().real)))
-    return theta, -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
+    n_z = -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
+    return theta, n_z, np.delete(unitary[:, 0], 1)
 
 
 def _secant(residual, x0: float, r0: float, x1: float, lo: float, hi: float,
             what: str) -> float:
     """Root of ``residual`` to 1e-10 by secant steps from (x0, r0) and x1.
     An iterate outside [lo, hi] or a step cap reached raises CalibrationError."""
-    for _ in range(_SECANT_STEPS):
-        if not lo <= x1 <= hi:
-            raise CalibrationError(
-                f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x1:.6g}"
-            )
+    for _ in range(_SOLVE_STEPS):
+        _check_bracket(x1, lo, hi, what)
         r1 = residual(x1)
         if abs(r1) < _SOLVE_TOL:
             return x1
         if r1 == r0:
             break
         x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
-    raise CalibrationError(f"{what} solve did not converge in {_SECANT_STEPS} steps")
+    raise CalibrationError(f"{what} solve did not converge in {_SOLVE_STEPS} steps")
+
+
+def _check_bracket(x: float, lo: float, hi: float, what: str) -> None:
+    if not lo <= x <= hi:
+        raise CalibrationError(f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x:.6g}")
 
 
 def _solve_pi(scenario, duration_ns, frequency_ghz, predistortion, sample_rate,
-              start, bracket) -> tuple[float, float]:
-    """(amplitude, n_z) at theta = pi. Since theta(0) = 0, the first secant
-    step, from (0, -pi), is the ratio step start * pi / theta(start)."""
-    tilt = [0.0]  # n_z at the last amplitude tried: the root, on return
+              start, bracket) -> list:
+    """Every amplitude tried on the way to theta = pi, as (a, theta, n_z, loss);
+    the last is the root. ``start`` is clamped into ``bracket``. Since
+    theta(0) = 0, the first secant step, from (0, -pi), is the ratio step
+    start * pi / theta(start)."""
+    tried = []
 
     def excess(a):
-        theta, tilt[0] = _rotation(scenario, a, duration_ns, frequency_ghz,
-                                   predistortion, sample_rate)
-        return theta - math.pi
+        tried.append((a, *_rotation(scenario, a, duration_ns, frequency_ghz, predistortion,
+                                    sample_rate)))
+        return tried[-1][1] - math.pi
 
-    return _secant(excess, 0.0, -math.pi, start, *bracket, "amplitude"), tilt[0]
+    lo, hi = bracket
+    _secant(excess, 0.0, -math.pi, min(max(start, lo), hi), lo, hi, "amplitude")
+    return tried
+
+
+def _maximize_transfer(tried, pulse_loss, lo: float, hi: float) -> float:
+    """Amplitude of the largest P1 = 1 - |loss(a)|^2, by Newton steps on
+    d|loss|^2/da from the last amplitude tried. The loss's slope and curvature
+    come from the quadratic through the last three amplitudes (a = 0, where
+    loss is the ground state, counts as one). Where the curvature term would
+    cut the second derivative below a quarter of its Gauss-Newton part it is
+    dropped, and no step exceeds a fifth of the amplitude. It stops once a
+    step falls below 1e-6 of the amplitude, which costs P1 less than 1e-11;
+    a step outside [lo, hi] or no convergence raises CalibrationError."""
+    points = [(0.0, np.eye(len(tried[0][3]))[0])] + [(a, loss) for a, *_, loss in tried]
+    for _ in range(_SOLVE_STEPS):
+        (a1, r1), (a2, r2) = points[-2:]
+        slope, curvature = (r2 - r1) / (a2 - a1), 0.0
+        if len(points) > 2:
+            a0, r0 = points[-3]
+            curvature = 2.0 * (slope - (r1 - r0) / (a1 - a0)) / (a2 - a0)
+            slope = slope + 0.5 * curvature * (a2 - a1)
+        gauss_newton = np.vdot(slope, slope).real
+        hessian = gauss_newton + np.vdot(r2, curvature).real
+        if hessian < 0.25 * gauss_newton:
+            hessian = gauss_newton
+        step = -np.vdot(slope, r2).real / hessian
+        if abs(step) < _AMPLITUDE_TOL * a2:
+            return a2
+        a = a2 + max(-0.2 * a2, min(0.2 * a2, step))
+        _check_bracket(a, lo, hi, "amplitude")
+        points.append((a, pulse_loss(a)))
+    raise CalibrationError(f"amplitude solve did not converge in {_SOLVE_STEPS} steps")
 
 
 def calibrate_pi(scenario: DriveScenario, duration_ns: float,
@@ -512,13 +557,18 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
                  drive_frequency_ghz: float | None = None,
                  bracket: tuple[float, float] | None = None,
                  sample_rate: float = 1.0) -> float:
-    """Pi-pulse amplitude (volts): the final unitary's rotation angle solved to pi.
+    """Pi-pulse amplitude (volts): the largest transfer P1, solved on the final unitary.
 
-    theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the drive
-    frame, normalized by the root of its determinant. From the RWA
-    amplitude a, a step a * pi / theta and then secant steps reach |theta - pi|
-    < 1e-10, usually in three evolves. An iterate outside ``bracket`` (default
-    0.3 to 2.2 times the RWA amplitude), or no convergence, raises CalibrationError.
+    First theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the
+    drive frame normalized by the root of its determinant, is solved to pi:
+    from the RWA amplitude a (clamped into ``bracket``), a step a * pi / theta
+    and then secant steps reach |theta - pi| < 1e-10, usually in three
+    evolves. P1 = sin^2(theta/2) (1 - n_z^2) peaks there only when the axis
+    lies in the equator (n_z = 0, as at the trimmed drive frequency); Newton
+    steps on the propagator's ground-state column then move the amplitude to
+    the P1 maximum, and cost no evolve when n_z is already 0. An amplitude
+    outside ``bracket`` (default 0.3 to 2.2 times the RWA amplitude), or no
+    convergence, raises CalibrationError.
     """
     if duration_ns * sample_rate < 4:
         raise ValueError("pulse duration must cover at least 4 samples")
@@ -530,8 +580,13 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
     bracket = bracket or (0.3 * estimate, 2.2 * estimate)
     if not 0 <= bracket[0] < bracket[1]:
         raise ValueError("bracket must satisfy 0 <= lo < hi")
-    return _solve_pi(scenario, duration_ns, f_d, predistortion, sample_rate,
-                     estimate, bracket)[0]
+    tried = _solve_pi(scenario, duration_ns, f_d, predistortion, sample_rate,
+                      estimate, bracket)
+    return _maximize_transfer(
+        tried,
+        lambda a: _rotation(scenario, a, duration_ns, f_d, predistortion, sample_rate)[2],
+        *bracket,
+    )
 
 
 def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
@@ -555,8 +610,9 @@ def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
     amplitude = [estimate]  # warm start of the next amplitude solve
 
     def tilt(f_d):
-        amplitude[0], n_z = _solve_pi(scenario, duration_ns, f_d, predistortion, sample_rate,
-                                      amplitude[0], (0.3 * estimate, 2.2 * estimate))
+        amplitude[0], _, n_z, _ = _solve_pi(scenario, duration_ns, f_d, predistortion,
+                                            sample_rate, amplitude[0],
+                                            (0.3 * estimate, 2.2 * estimate))[-1]
         return n_z
 
     return _secant(tilt, lo, tilt(lo), hi, lo, hi, "drive-frequency")
@@ -598,7 +654,10 @@ def gate_fidelity(achieved: np.ndarray, target: np.ndarray) -> GateMetrics:
     block = achieved[:2, :2]
     absorbed = float(np.trace(block.conj().T @ block).real)
     leakage = 1.0 - absorbed / 2.0
-    fidelity = (abs(np.trace(block.conj().T @ target)) ** 2 + 2.0) / 6.0
+    # Cauchy-Schwarz: |Tr(B^dag V)|^2 <= Tr(B^dag B) Tr(V^dag V) <= 2 * 2 for a
+    # block of a unitary; bounding the rounded overlap by it keeps F <= 1.
+    overlap = min(abs(np.trace(block.conj().T @ target)) ** 2, 2.0 * min(absorbed, 2.0))
+    fidelity = (overlap + 2.0) / 6.0
     return GateMetrics(fidelity=float(fidelity), leakage=leakage)
 
 

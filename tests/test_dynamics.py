@@ -24,6 +24,7 @@ V_PI_20NS = 0.00984166340486094  # volt, first-order flat-channel 20 ns pi pulse
 FLAT2 = DriveScenario(QUBIT, LINE, filters.identity_response(), levels=2, time_step=0.02)
 GAUSS = filters.gaussian_lowpass(0.092)
 GAUSS2 = DriveScenario(QUBIT, LINE, GAUSS, levels=2, time_step=0.02)
+X_PI = np.array([[0.0, -1.0j], [-1.0j, 0.0]])  # the gate simulate gate targets
 
 
 def _zero_waveform(n=32, rate=1.0):
@@ -369,18 +370,35 @@ def test_calibrate_drive_frequency_converges_on_short_pulses(duration):
 def test_calibration_solves_the_final_unitary():
     f_d = dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
     amp = dynamics.calibrate_pi(GAUSS2, 20.0, True, drive_frequency_ghz=f_d)
-    theta, n_z = dynamics._rotation(GAUSS2, amp, 20.0, f_d, True, 1.0)
+    theta, n_z, _ = dynamics._rotation(GAUSS2, amp, 20.0, f_d, True, 1.0)
     assert abs(theta - math.pi) < 1e-10
     assert abs(n_z) < 1e-9
+
+
+def test_calibrate_pi_starts_inside_a_bracket_that_excludes_the_estimate():
+    # On 4 levels an 8 ns pulse needs about 1 % more than the RWA amplitude
+    # for theta = pi and about 0.2 % more for the largest transfer, so both
+    # lie inside this bracket while the RWA amplitude does not.
+    scenario = FLAT2.replace(levels=4)
+    estimate = V_PI_20NS * 20.0 / 8.0
+    bracket = (1.001 * estimate, 1.1 * estimate)
+    amp = dynamics.calibrate_pi(scenario, 8.0, predistortion=False, bracket=bracket)
+    assert bracket[0] < amp < bracket[1]
+    assert amp == pytest.approx(dynamics.calibrate_pi(scenario, 8.0, predistortion=False),
+                                rel=1e-5)
 
 
 # The population search these solves replaced is the oracle. Its stop rule,
 # population_tol = 1e-5, is the margin: P1 is flat at its maximum, so the
 # search pins the amplitude only to about 1e-3 relative. On 2 levels
-# test_acceptance.SEARCH_SCENARIO is GAUSS2.
+# test_acceptance.SEARCH_SCENARIO is GAUSS2. Without pre-distortion the
+# 92 MHz channel tilts the pi rotation's axis to n_z ~ -0.77, and the
+# largest transfer sits about 27 % below the theta = pi amplitude.
 _EQUIVALENCE_CASES = [
     (name, scenario.replace(levels=levels), predistortion)
-    for name, scenario, predistortion in (("flat", FLAT2, False), ("gauss", GAUSS2, True))
+    for name, scenario, predistortion in (
+        ("flat", FLAT2, False), ("gauss", GAUSS2, True), ("gauss-uncompensated", GAUSS2, False)
+    )
     for levels in (2, 3, 4)
 ]
 
@@ -404,23 +422,6 @@ def test_calibrate_pi_transfers_as_much_as_the_population_oracle(scenario, predi
     assert _p1(scenario, amp, predistortion) >= _p1(scenario, reference, predistortion) - 1e-5
 
 
-@pytest.mark.parametrize("levels", [2, 3, 4])
-def test_calibrate_pi_on_an_uncompensated_channel_solves_the_angle(levels):
-    # Without pre-distortion the 92 MHz channel tilts the rotation axis far
-    # out of the equator (n_z ~ -0.77 at theta = pi), so the pi rotation
-    # transfers less than the population maximum, which sits at a smaller
-    # angle and a smaller tilt: P1 = sin^2(theta/2) (1 - n_z^2).
-    scenario = GAUSS2.replace(levels=levels)
-    amp = dynamics.calibrate_pi(scenario, 20.0, predistortion=False)
-    theta, n_z = dynamics._rotation(scenario, amp, 20.0, F01, False, 1.0)
-    assert abs(theta - math.pi) < 1e-10
-    assert 0.7 < abs(n_z) < 0.85
-    p1 = _p1(scenario, amp, False)
-    assert p1 == pytest.approx(1.0 - n_z**2, abs=0.01)
-    reference = oracles.population_calibrate_pi(scenario, 20.0, predistortion=False)
-    assert p1 < _p1(scenario, reference, False)
-
-
 @pytest.mark.parametrize(
     "scenario, predistortion", [(FLAT2, False), (GAUSS2, True)], ids=["flat", "gauss"]
 )
@@ -437,6 +438,11 @@ def test_trimmed_calibration_transfers_no_less_than_the_population_oracle(
     p1 = _p1(scenario, amp, predistortion, f_d)
     assert p1 >= _p1(scenario, a_ref, predistortion, f_ref)
     assert p1 > 1.0 - 1e-10
+    # The trimmed 2-level GAUSS2 pulse reads P1 = 1 + 1.4e-12; its fidelity
+    # must stay bounded all the same.
+    pulse = dynamics.drive_pulse(scenario, amp, 20.0, f_d, predistortion)
+    metrics = dynamics.gate_fidelity(dynamics.drive_frame_unitary(scenario, pulse, f_d), X_PI)
+    assert 1.0 - 1e-10 < metrics.fidelity <= 1.0
 
 
 def _count_evolves(monkeypatch):
@@ -452,14 +458,20 @@ def _count_evolves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "scenario, predistortion",
-    [(FLAT2, False), (GAUSS2, True), (GAUSS2, False)],
-    ids=["flat", "gauss", "gauss-uncompensated"],
+    "scenario, predistortion", [(FLAT2, False), (GAUSS2, True)], ids=["flat", "gauss"]
 )
 def test_calibrate_pi_takes_at_most_five_evolves(monkeypatch, scenario, predistortion):
     calls = _count_evolves(monkeypatch)
     dynamics.calibrate_pi(scenario, 20.0, predistortion)
     assert 1 <= len(calls) <= 5
+
+
+def test_uncompensated_calibrate_pi_takes_at_most_twelve_evolves(monkeypatch):
+    # Four to reach theta = pi, then Newton steps across the 27 % to the
+    # largest transfer; the population search took 26.
+    calls = _count_evolves(monkeypatch)
+    dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=False)
+    assert 1 <= len(calls) <= 12
 
 
 def test_calibrate_drive_frequency_takes_at_most_forty_evolves(monkeypatch):
@@ -486,6 +498,13 @@ def test_gate_fidelity_orthogonal_gate():
     metrics = dynamics.gate_fidelity(np.eye(4), X_GATE)
     assert metrics.fidelity == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert metrics.leakage == pytest.approx(0.0, abs=1e-12)
+
+
+def test_gate_fidelity_is_at_most_one_when_rounding_overshoots():
+    # Inside the unitarity tolerance a scaled gate overlaps its target by
+    # more than a unitary can; the Cauchy-Schwarz bound holds F at 1.
+    metrics = dynamics.gate_fidelity(X_PI * (1.0 + 1e-9), X_PI)
+    assert metrics.fidelity == 1.0
 
 
 def test_gate_fidelity_rejects_non_unitary():
