@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -504,22 +505,54 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
 # ---------------------------------------------------------------------------
 
 
+def _check_widths(lines: list[str], width: int) -> None:
+    """Raise for the first row that has not ``width`` columns, naming its line."""
+    for number, line in enumerate(lines[1:], start=2):
+        content = line.split("#")[0]
+        count = len(content.split(","))
+        if content.strip() and count != width:
+            raise ValueError(f"Line #{number} (got {count} columns instead of {width})")
+
+
+def load_csv(source) -> tuple[tuple[str, ...], np.ndarray]:
+    """(column names, rows as a 2-D float array) of a CSV with a header line,
+    from a path or its lines. A row whose column count is not the header's
+    is reported by its line number."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    else:
+        lines = list(source)
+    if not lines:
+        raise ValueError("expected a CSV header line")
+    names = tuple(name.strip() for name in lines[0].split(","))
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    except ValueError:
+        _check_widths(lines, len(names))
+        raise
+    if body.shape[1] != len(names):
+        _check_widths(lines, len(names))
+        body = body.reshape(0, len(names))  # the widths hold, so there is no row
+    return names, body
+
+
 def load_time_series(source) -> tuple[np.ndarray, np.ndarray]:
     """Read a `t_us,<value>` CSV (a path or its lines) into (t, values)."""
-    data = np.genfromtxt(source, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or len(names) != 2 or names[0] != "t_us":
+    names, body = load_csv(source)
+    if len(names) != 2 or names[0] != "t_us":
         raise ValueError("expected a two-column CSV with header t_us,<value>")
-    return np.asarray(data[names[0]], float), np.asarray(data[names[1]], float)
+    return body[:, 0], body[:, 1]
 
 
 def load_signal_samples(source) -> np.ndarray:
     """Read a single-column `signal` CSV (a path or its lines) into samples."""
-    data = np.genfromtxt(source, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or "signal" not in names:
+    names, body = load_csv(source)
+    if "signal" not in names:
         raise ValueError("expected a CSV with a `signal` column")
-    return np.asarray(data["signal"], float)
+    return body[:, names.index("signal")]
 
 
 def fit_report(fit) -> dict:

@@ -523,15 +523,14 @@ def cmd_simulate(args) -> int:
 
 
 def _rb_means(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    data = np.genfromtxt(lines, delimiter=",", names=True)
-    names = data.dtype.names or ()
+    names, body = analysis.load_csv(lines)
     if "length" not in names or "survival" not in names:
         raise ValueError("expected CSV columns length,seq_index,survival")
-    lengths = np.atleast_1d(data["length"])
+    lengths = body[:, names.index("length")]
     if not (np.all(np.isfinite(lengths)) and np.all(lengths == np.round(lengths))):
         raise ValueError("lengths must be integers")
     lengths = lengths.astype(int)
-    survivals = np.atleast_1d(data["survival"]).astype(float)
+    survivals = body[:, names.index("survival")]
     unique = np.unique(lengths)
     means = np.array([survivals[lengths == m].mean() for m in unique])
     return unique, means

@@ -176,6 +176,29 @@ def multi_start_curve_fit(model, t, values, starts, bounds):
     return best
 
 
+def upsample(x: np.ndarray, factor: int) -> np.ndarray:
+    """Band-limited interpolation by rfft zero-padding (real input)."""
+    if factor == 1:
+        return np.asarray(x, dtype=float)
+    n = len(x)
+    spec = np.fft.rfft(x)
+    if n % 2 == 0:
+        spec = spec.copy()
+        spec[-1] *= 0.5  # split the Nyquist bin, now an interior frequency
+    return np.fft.irfft(spec, n * factor) * factor
+
+
+def sequential_populations(samples):
+    """Ground-start populations at every sample boundary, by walking the
+    state column through the (d, d, n) per-sample propagators one by one."""
+    column = np.eye(samples.shape[0], dtype=complex)[:, 0]
+    columns = [column]
+    for sample in np.moveaxis(samples, 2, 0):
+        column = sample.dot(column)
+        columns.append(column)
+    return np.abs(np.array(columns)) ** 2
+
+
 def midpoint_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
     """Reference per-step midpoint integrator: one exact exponential per step.
 

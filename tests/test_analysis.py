@@ -392,6 +392,18 @@ def test_time_series_csv_roundtrip(tmp_path):
         analysis.load_time_series(bad)
 
 
+def test_csv_reader_names_a_ragged_line_and_takes_a_bare_header():
+    names, body = analysis.load_csv(["t_us,p1"])
+    assert names == ("t_us", "p1") and body.shape == (0, 2)
+    names, body = analysis.load_csv(["length, survival", "1,0.5", "", "2,0.25  # late"])
+    assert names == ("length", "survival")
+    np.testing.assert_array_equal(body, [[1.0, 0.5], [2.0, 0.25]])
+    with pytest.raises(ValueError, match="Line #3 "):
+        analysis.load_csv(["t_us,p1", "0,1", "1,2,3"])
+    with pytest.raises(ValueError, match="Line #2 "):
+        analysis.load_csv(["t_us,p1", "0,1,2", "1,2,3"])
+
+
 def test_signal_csv_roundtrip(tmp_path):
     path = tmp_path / "shots.csv"
     path.write_text("signal\n" + "\n".join(str(x) for x in range(5)) + "\n")

@@ -446,6 +446,27 @@ def test_simulate_rabi_contrast(tmp_path, capsys):
     assert "# predistortion: off" in off_csv.read_text()
 
 
+def test_simulate_rabi_never_prints_a_population_above_one(tmp_path, capsys):
+    # The sweep ends on the trimmed 2-level pi pulse, whose P1 once printed
+    # as 1 + 1.4e-12.
+    scenario = write_scenario(tmp_path)
+    code, out, _ = run_cli(capsys, "simulate", "gate", "--scenario", scenario,
+                           "--trim-frequency")
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = run_cli(
+        capsys, "simulate", "rabi", "--scenario", scenario,
+        "--frequency", repr(report["drive_frequency_ghz"]),
+        "--amp-max", repr(report["amplitude_v"]), "--points", "5",
+    )
+    assert code == 0
+    p1 = [float(line.split(",")[1]) for line in out.splitlines()[1:]
+          if line and not line.startswith("#")]
+    assert len(p1) == 4
+    assert p1[-1] > 1.0 - 1e-10
+    assert all(0.0 <= p <= 1.0 for p in p1)
+
+
 def test_simulate_gate_report(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     report_path = tmp_path / "gate.json"

@@ -67,6 +67,8 @@ def test_zero_waveform_is_free_evolution():
     np.testing.assert_allclose(outcome.final_unitary, expected, atol=1e-9)
     framed = dynamics.rotating_frame(outcome.final_unitary, levels, 40.0)
     np.testing.assert_allclose(framed, np.eye(4), atol=1e-9)
+    assert outcome.metadata["chebyshev_nodes"] == 1  # a constant drive
+    assert outcome.metadata["top_level_population"] < 1e-20
 
 
 def test_populations_sum_to_one_under_drive():
@@ -145,10 +147,38 @@ def test_nan_propagator_fails_closed(monkeypatch):
     def nan_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
         dim = len(levels)
         pops = np.full((len(dphi_mid) // record_every + 1, dim), np.nan)
-        return pops, np.full((dim, dim), np.nan, dtype=complex)
+        return pops, np.full((dim, dim), np.nan, dtype=complex), 1
 
     monkeypatch.setattr(dynamics, "_propagate", nan_propagate)
     with pytest.raises(NumericalError, match="unitarity drift nan"):
+        dynamics.evolve(FLAT2, _zero_waveform(16))
+
+
+def _overshooting_propagate(excess):
+    """A `_propagate` stand-in whose U is exact but whose third boundary reads
+    the excited population 1 + ``excess``."""
+    def propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
+        dim = len(levels)
+        pops = np.zeros((len(dphi_mid) // record_every + 1, dim))
+        pops[:, 0] = 1.0
+        pops[2] = 0.0
+        pops[2, 1] = 1.0 + excess
+        return pops, np.eye(dim, dtype=complex), 1
+
+    return propagate
+
+
+def test_population_within_the_drift_is_clipped_to_one(monkeypatch):
+    monkeypatch.setattr(dynamics, "_propagate", _overshooting_propagate(2e-12))
+    outcome = dynamics.evolve(FLAT2, _zero_waveform(16))
+    assert outcome.populations[2, 1] == 1.0
+    assert outcome.populations.max() <= 1.0
+    assert outcome.metadata["unitarity_drift"] == pytest.approx(2e-12, rel=1e-3)
+
+
+def test_population_above_one_beyond_the_drift_bound_raises(monkeypatch):
+    monkeypatch.setattr(dynamics, "_propagate", _overshooting_propagate(1e-6))
+    with pytest.raises(NumericalError, match="unitarity drift 1.00e-06"):
         dynamics.evolve(FLAT2, _zero_waveform(16))
 
 
@@ -164,7 +194,7 @@ def _per_step_reference(scenario, w):
     k = int(round(1.0 / (w.sample_rate * h)))
     filtered = filters.apply_transfer(w, scenario.channel)
     dphi = np.asarray(filtered.samples) * dynamics.phase_drive_per_volt(LINE)
-    mids = dynamics._upsample(dphi, 2 * k)[1::2]
+    mids = oracles.upsample(dphi, 2 * k)[1::2]
     return oracles.midpoint_propagate(levels, phi_mat, QUBIT.e_l, mids, h, k)
 
 
@@ -209,6 +239,86 @@ def test_evolve_matches_per_step_oracle(case):
     np.testing.assert_allclose(outcome.final_unitary, unitary, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [101, 128])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 20, 200])
+def test_step_midpoints_match_the_upsampled_oracle(n, k):
+    # k = 1 with n even puts the split Nyquist bin on the output's Nyquist bin
+    x = np.random.default_rng(1000 * n + k).normal(size=n)
+    mids = dynamics._step_midpoints(x, k)
+    reference = oracles.upsample(x, 2 * k)[1::2]
+    assert mids.shape == reference.shape
+    assert np.abs(mids - reference).max() <= 2e-15 * np.abs(x).max()
+
+
+def _rb_waveform(length, seed):
+    """The synthesized at-AWG waveform of one seeded RB sequence (default gate)."""
+    rng = np.random.default_rng(seed)
+    indices = [int(i) for i in rng.integers(0, dynamics.CLIFFORD_COUNT, size=length)]
+    program = dynamics.build_rb_program(
+        indices + [dynamics.recovery_index(indices)], RbGate(), 1.0, F01
+    )
+    config = pulsec.SynthesisConfig(sample_rate=1.0)
+    wave = pulsec.synthesize(pulsec.compile(program, config), config)
+    return wave.with_samples(np.asarray(wave.samples) * config.dac_full_scale)
+
+
+def test_scanned_trajectory_matches_the_sequential_walk(monkeypatch):
+    # the walk runs over the very per-sample propagators evolve scans
+    samples = []
+    scan = dynamics._prefix_scan
+
+    def spy(planes):
+        samples.append(planes.copy())
+        return scan(planes)
+
+    monkeypatch.setattr(dynamics, "_prefix_scan", spy)
+    outcome = dynamics.evolve(GAUSS2.replace(time_step=0.05), _rb_waveform(320, seed=11))
+    assert outcome.metadata["steps"] > dynamics._CHUNK_STEPS
+    walk = oracles.sequential_populations(samples[0])
+    assert outcome.populations.shape == walk.shape
+    np.testing.assert_allclose(outcome.populations, walk, rtol=0, atol=1e-12)
+    # the last row is the final unitary's ground-state column, bit for bit
+    last = np.abs(outcome.final_unitary[:, 0]) ** 2
+    assert np.array_equal(outcome.populations[-1], last)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+@pytest.mark.parametrize("dim", [2, 5])
+def test_prefix_scan_pads_ragged_blocks(n, dim):
+    rng = np.random.default_rng(10 * n + dim)
+    raw = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    samples = np.moveaxis(np.linalg.qr(raw)[0], 0, 2)
+    pops, unitary = dynamics._prefix_scan(samples)
+    np.testing.assert_allclose(pops, oracles.sequential_populations(samples), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(unitary, dynamics._tree_product(samples), rtol=0, atol=1e-13)
+
+
+def test_chebyshev_nodes_report_the_largest_count():
+    scenario, w = _predistorted_pi_4_levels()  # one chunk of 28 000 steps
+    outcome = dynamics.evolve(scenario, w)
+    levels, phi_mat = dynamics.qubit_frame(scenario)
+    filtered = filters.apply_transfer(w, scenario.channel)
+    mids = dynamics._step_midpoints(
+        np.asarray(filtered.samples) * dynamics.phase_drive_per_volt(LINE), 200
+    )
+    growth = (scenario.time_step * 0.5 * (mids.max() - mids.min())
+              * np.linalg.norm(2.0 * np.pi * QUBIT.e_l * phi_mat, 2))
+    assert outcome.metadata["chebyshev_nodes"] == dynamics._node_count(growth) > 1
+
+
+def test_top_level_population_falls_as_levels_grow():
+    # the default 20 ns gate: the CLI's reference scenario, pre-distorted,
+    # calibrated at f01
+    tops = []
+    for levels in (3, 4, 6):
+        scenario = DriveScenario(QUBIT, LINE, GAUSS, levels=levels)
+        f01 = dynamics.qubit_frame(scenario)[0][1]
+        amp = dynamics.calibrate_pi(scenario, 20.0)
+        outcome = dynamics.evolve(scenario, dynamics.drive_pulse(scenario, amp, 20.0, f01))
+        tops.append(outcome.metadata["top_level_population"])
+    assert tops[0] > tops[1] > tops[2] > 0.0
+
+
 def test_oracle_cases_cover_the_engine_edges():
     scenario, w = _predistorted_pi_4_levels()
     assert dynamics.evolve(scenario, w).populations[-1, 1] > 0.9  # a pi pulse
@@ -237,7 +347,7 @@ def test_chebyshev_steps_match_exact_exponentials():
     static = 2.0 * np.pi * np.diag(levels).astype(complex)
     coupling = 2.0 * np.pi * (-QUBIT.e_l) * phi_mat
     xs = np.linspace(-1.9, 1.9, 57)
-    steps = dynamics._chebyshev_steps(static, coupling, 0.2, xs)
+    steps, _ = dynamics._chebyshev_steps(static, coupling, 0.2, xs)
     vals, vecs = np.linalg.eigh(static + xs[:, None, None] * coupling)
     exact = np.einsum("nij,nj,nkj->ikn", vecs, np.exp(-0.2j * vals), vecs.conj())
     assert np.abs(steps - exact).max() < 1e-12
@@ -443,6 +553,8 @@ def test_trimmed_calibration_transfers_no_less_than_the_population_oracle(
     pulse = dynamics.drive_pulse(scenario, amp, 20.0, f_d, predistortion)
     metrics = dynamics.gate_fidelity(dynamics.drive_frame_unitary(scenario, pulse, f_d), X_PI)
     assert 1.0 - 1e-10 < metrics.fidelity <= 1.0
+    populations = dynamics.evolve(scenario, pulse).populations
+    assert 0.0 <= populations.min() and populations.max() <= 1.0
 
 
 def _count_evolves(monkeypatch):
