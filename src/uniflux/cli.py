@@ -190,6 +190,7 @@ _positive = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
 _noise_floor = _checked(float, lambda x: x < math.inf, "finite or -inf")
 _probability = _checked(float, lambda p: 0.0 <= p <= 1.0, "in [0, 1]")
 _even_taps = _checked(int, lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2")
+_dac_amplitude = _checked(float, lambda a: 0 < abs(a) <= 1, "non-zero and within [-1, 1]")
 
 
 def _int_in(lo: int, hi: float = math.inf):
@@ -255,7 +256,7 @@ def _scenario_from_json(text: str) -> dynamics.DriveScenario:
         elif kind == "flat":
             if "f_c" in spec_:
                 raise ValueError("flat channel takes no f_c")
-            channel = filters.identity_response()
+            channel = filters.FlatResponse()
         else:
             raise ValueError(
                 f"unknown channel kind {kind!r}; valid kinds: flat, gaussian"
@@ -264,7 +265,7 @@ def _scenario_from_json(text: str) -> dynamics.DriveScenario:
         qubit=qubit,
         line=line,
         channel=channel,
-        levels=int(raw.get("levels", base.levels)),
+        levels=raw.get("levels", base.levels),
         time_step=float(raw.get("time_step_ns", base.time_step)),
     )
 
@@ -476,7 +477,8 @@ def _simulate_gate(args, scenario) -> int:
         "predistortion": bool(args.predistort),
         "drive_frequency_ghz": drive_f,
         "amplitude_v": amplitude,
-        "population_transfer": float(abs(unitary[1, 0]) ** 2),
+        # |U10|^2 <= (U^dag U)_00 <= 1 + drift: clamp the rounding at 1
+        "population_transfer": min(float(abs(unitary[1, 0]) ** 2), 1.0),
         "fidelity": metrics.fidelity,
         "leakage": metrics.leakage,
         "levels": scenario.levels,
@@ -714,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="interleave this table index",
     )
     p.add_argument("--gate-duration", type=_positive, default=20.0, metavar="NS")
-    p.add_argument("--gate-amplitude", type=_finite, default=0.02, metavar="DAC")
+    p.add_argument("--gate-amplitude", type=_dac_amplitude, default=0.02, metavar="DAC")
     p.add_argument("--gate-frequency", type=_positive, metavar="GHZ")
     _add_output(p)
     p.set_defaults(func=cmd_simulate)

@@ -1,26 +1,21 @@
-"""Flux-line settling models and their fits.
+"""Flux-line settling model and its fit.
 
 A falling flux edge leaves a residual tail r(t) = sum_k A_k exp(-t/tau_k)
 (fractions of the reference amplitude). The measurement that characterizes it
 parks a short probe pulse a delay d after the edge and reads out the
 window-averaged residual ("tail over ref"); for exponentials that average has
-a closed form, so both simulation and fitting work directly in tail-over-ref
-units. Converting a measured probe phase into these units requires one
-flux-to-phase scale factor that the instrument calibration must supply; this
-module takes the data already scaled.
+a closed form, so the fit works directly in tail-over-ref units. Converting a
+measured probe phase into these units requires one flux-to-phase scale factor
+that the instrument calibration must supply; this module takes the data
+already scaled. The fitted terms are what `filters.design_iir_corrector`
+inverts.
 
-The companion single-exponential fit covers the cross-quadrature microwave
-tail: a short coherent distortion that rings down within a couple of
-nanoseconds. It is assessed (amplitude, timescale, negligibility against the
-gate duration) and deliberately not corrected.
-
-Both fits run on ``analysis._least_squares_fit``, whose SVD covariance gives
-a rank-deficient fit (say, a tau run off to infinity) huge, unclipped sigmas.
+The fit runs on ``analysis._least_squares_fit``, whose SVD covariance gives a
+rank-deficient fit (say, a tau run off to infinity) huge, unclipped sigmas.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,11 +25,8 @@ import numpy as np
 
 from .analysis import _least_squares_fit
 from .errors import FitError
-from .waveform import Waveform
 
 DEFAULT_PROBE_WINDOW_NS = 20.0
-DEFAULT_REFERENCE_LENGTH_NS = 2000.0
-DEFAULT_GATE_DURATION_NS = 20.0
 DEGENERATE_TAU_RATIO = 1.5
 UNRESOLVED_TAU_SPAN = 100.0  # a fitted tau this many times the longest delay is unresolved
 
@@ -54,68 +46,11 @@ class ExponentialTailModel:
             raise ValueError("total settling amplitude must stay below 1 (physical settling)")
         object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: t[1])))
 
-    @property
-    def amplitudes(self) -> tuple:
-        return tuple(a for a, _ in self.terms)
-
-    @property
-    def taus(self) -> tuple:
-        return tuple(t for _, t in self.terms)
-
-    def residual(self, t):
-        """r(t) for t >= 0 (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for a, tau in self.terms:
-            out += a * np.exp(-t / tau)
-        return out
-
 
 @dataclass(frozen=True)
 class TailProbeRecord:
     delay: float
     tail_over_ref: float
-
-
-def distorted_step(model: ExponentialTailModel, t_grid, edge_time: float) -> Waveform:
-    """Unit step falling at ``edge_time`` with the model's residual tail after it."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 2:
-        raise ValueError("time grid must be a 1-D array of at least 2 points")
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("time grid must be uniform")
-    after = t >= edge_time
-    out = np.where(after, 0.0, 1.0)
-    out[after] += model.residual(t[after] - edge_time)
-    return Waveform(out, 1.0 / dt[0])
-
-
-def windowed_tail(model: ExponentialTailModel, delay, probe_window: float):
-    """Closed-form window-averaged residual (1/w) * int_d^{d+w} r(t) dt.
-
-    For one exponential the average is A (tau/w) e^{-d/tau} (1 - e^{-w/tau}).
-    """
-    if not probe_window > 0:
-        raise ValueError("probe_window must be positive")
-    d = np.asarray(delay, dtype=float)
-    out = np.zeros_like(d)
-    for a, tau in model.terms:
-        out += a * (tau / probe_window) * np.exp(-d / tau) * -np.expm1(-probe_window / tau)
-    return out
-
-
-def simulate_tail_probe(
-    model: ExponentialTailModel,
-    delays: Sequence[float],
-    probe_window: float = DEFAULT_PROBE_WINDOW_NS,
-) -> list:
-    """Tail-over-ref records the probe measurement would produce (noiseless)."""
-    delays = np.asarray(delays, dtype=float)
-    if np.any(np.diff(delays) <= 0):
-        raise ValueError("delays must be strictly increasing")
-    values = windowed_tail(model, delays, probe_window)
-    return [TailProbeRecord(float(d), float(v)) for d, v in zip(delays, values)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +66,6 @@ class TailFitResult:
     residual_norm: float
     degenerate_taus: bool
     n_starts: int
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {"amplitude": a, "tau_ns": t, "amplitude_sigma": sa, "tau_sigma_ns": st}
-                for (a, t), sa, st in zip(
-                    self.model.terms, self.amplitude_sigmas, self.tau_sigmas
-                )
-            ],
-            "residual_norm": self.residual_norm,
-            "degenerate_taus": self.degenerate_taus,
-            "n_starts": self.n_starts,
-        }
 
 
 def _probe_design_matrix(delays, taus, window):
@@ -262,116 +184,3 @@ def fit_multi_exponential(
         degenerate_taus=bool(degenerate or unresolved),
         n_starts=n_starts,
     )
-
-
-# ---------------------------------------------------------------------------
-# cross-quadrature microwave tail
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossQuadratureFit:
-    amplitude: float
-    tau_ns: float
-    amplitude_sigma: float
-    tau_sigma_ns: float
-    identifiable: bool
-    negligible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "tau_ns": self.tau_ns,
-            "amplitude_sigma": self.amplitude_sigma,
-            "tau_sigma_ns": self.tau_sigma_ns,
-            "identifiable": self.identifiable,
-            "negligible": self.negligible,
-        }
-
-
-def fit_single_exponential(
-    delays: Sequence[float],
-    phase: Sequence[float],
-    negligible_below: float = DEFAULT_GATE_DURATION_NS,
-) -> CrossQuadratureFit:
-    """Fit p(d) = a exp(-d/tau) and judge whether the tail needs correcting.
-
-    ``negligible`` is true when the fitted tau is shorter than
-    ``negligible_below`` (default: one gate duration) — the situation where
-    the distortion rings down inside a single gate and no correction is
-    applied.
-    """
-    delays = np.asarray(delays, dtype=float)
-    phase = np.asarray(phase, dtype=float)
-    if len(delays) < 6:
-        raise ValueError("need at least 6 points")
-    if delays.shape != phase.shape:
-        raise ValueError("delays and phase must have matching shapes")
-    if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(phase))):
-        raise ValueError("delays and phase must be finite")
-
-    scale = np.max(np.abs(phase))
-    if scale == 0.0:
-        return CrossQuadratureFit(0.0, math.nan, 0.0, math.nan, False, True)
-
-    # crude log-linear seed on the usable (same-sign, nonzero) points
-    a0 = phase[0] if phase[0] != 0 else float(np.sign(phase[np.argmax(np.abs(phase))]) * scale)
-    usable = np.abs(phase) > 1e-3 * scale
-    if np.count_nonzero(usable) >= 2:
-        slope = np.polyfit(delays[usable], np.log(np.abs(phase[usable])), 1)[0]
-        tau0 = -1.0 / slope if slope < 0 else float(delays[-1] - delays[0])
-    else:
-        tau0 = float(delays[-1] - delays[0])
-    tau0 = max(tau0, 1e-3)
-
-    def residuals(theta):
-        a, logtau = theta
-        return a * np.exp(-delays / math.exp(logtau)) - phase
-
-    def jacobian(theta):
-        a, logtau = theta
-        tau = math.exp(logtau)
-        e = np.exp(-delays / tau)
-        return np.stack([e, a * e * delays / tau], axis=1)
-
-    (a, logtau), cov, _ = _least_squares_fit(
-        residuals, [(a0, math.log(tau0))], jac=jacobian, xtol=1e-14
-    )
-    tau = math.exp(logtau)
-    sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return CrossQuadratureFit(
-        amplitude=float(a),
-        tau_ns=float(tau),
-        amplitude_sigma=float(sig[0]),
-        tau_sigma_ns=float(sig[1] * tau),
-        identifiable=True,
-        negligible=tau < negligible_below,
-    )
-
-
-# ---------------------------------------------------------------------------
-# dataset IO
-# ---------------------------------------------------------------------------
-
-_CSV_HEADER = ["delay_ns", "tail_over_ref"]
-
-
-def dump_probe_records(records: Sequence[TailProbeRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for r in records:
-            writer.writerow([repr(r.delay), repr(r.tail_over_ref)])
-
-
-def load_probe_records(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER:
-            raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
-        records = [TailProbeRecord(float(d), float(v)) for d, v in reader]
-    delays = [r.delay for r in records]
-    if any(b <= a for a, b in zip(delays, delays[1:])):
-        raise ValueError("delays must be strictly increasing")
-    return records

@@ -3,10 +3,18 @@
 Exit-code rule of the CLI: 2 when the command line is wrong (a negative
 option value works as ``--flag VALUE`` or ``--flag=VALUE``), 3 when an input
 file is wrong or a domain error occurred, 4 for a numerical failure. Invalid
-arguments to library functions raise plain ValueError (exit 3 in the CLI).
+arguments to library functions raise plain ValueError (exit 3 in the CLI);
+``_is_integer`` is the one integer test those checks share.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; bool and float are refused."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class UnifluxError(Exception):

@@ -4,8 +4,9 @@ Three families live here:
 
 * analytic transfer-function descriptors — the Gaussian low-pass model of the
   cryogenic filter, the bounded inverse used for pre-distortion
-  (H_inv(f) = H_qubit / max[H_gauss(f), 10^(-G_max/20)] * W(f)), products,
-  and sampled responses — plus frequency-domain application to waveforms;
+  (H_inv(f) = H_qubit / max[H_gauss(f), 10^(-G_max/20)] * W(f)), and the
+  flat response of an ideal line — plus frequency-domain application to
+  waveforms;
 * linear-phase FIR synthesis (frequency sampling + least squares on the
   symmetric half) with 16-bit quantization for fixed-point hardware;
 * first-order IIR correction sections that invert measured multi-exponential
@@ -34,22 +35,14 @@ from .waveform import Waveform
 class TransferFunction:
     """Base class for frequency-response descriptors.
 
-    ``response(f)`` evaluates the descriptor on frequencies in GHz. Analytic
-    kinds are zero-phase and return real values; sampled kinds return complex
-    values. Negative frequencies follow H(-f) = conj(H(f)) so that filtered
-    real signals stay real.
+    ``response(f)`` evaluates the descriptor on frequencies in GHz. Every kind
+    is zero-phase and even in f, so filtered real signals stay real.
     """
 
     kind = "abstract"
 
     def response(self, f):
         raise NotImplementedError
-
-    def magnitude(self, f):
-        return np.abs(self.response(f))
-
-    def __call__(self, f):
-        return self.response(f)
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ class GaussianLowpass(TransferFunction):
 
 @dataclass(frozen=True)
 class FlatResponse(TransferFunction):
-    """All-ones response; the multiplicative identity for compose()."""
+    """All-ones response: an ideal, distortion-free line."""
 
     kind = "flat"
 
@@ -121,59 +114,10 @@ class BoundedInverse(TransferFunction):
     def floor(self) -> float:
         return 10.0 ** (-self.g_max_db / 20.0)
 
-    @property
-    def floor_frequency(self) -> float:
-        """Frequency where the gain cap engages: H_gauss(f) = floor."""
-        return math.sqrt(2.0 * math.log(1.0 / self.floor)) / self.gauss.sigma
-
     def response(self, f):
         f = np.asarray(f, dtype=float)
         denom = np.maximum(self.gauss.response(f), self.floor)
         return self.h_qubit / denom * self.window.response(f)
-
-
-@dataclass(frozen=True)
-class ProductResponse(TransferFunction):
-    """Pointwise product of descriptors."""
-
-    factors: tuple
-    kind = "product"
-
-    def response(self, f):
-        out = self.factors[0].response(f)
-        for factor in self.factors[1:]:
-            out = out * factor.response(f)
-        return out
-
-
-@dataclass(frozen=True)
-class SampledResponse(TransferFunction):
-    """Complex response tabulated on a non-negative frequency grid.
-
-    Evaluation interpolates linearly on the grid, clamps beyond its edges,
-    and uses conjugate symmetry for negative frequencies.
-    """
-
-    freqs_ghz: np.ndarray
-    values: np.ndarray
-    kind = "sampled"
-
-    def __post_init__(self):
-        freqs = np.asarray(self.freqs_ghz, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
-        if freqs.ndim != 1 or freqs.shape != vals.shape:
-            raise ValueError("frequency grid and values must be matching 1-D arrays")
-        if np.any(np.diff(freqs) <= 0) or freqs[0] < 0:
-            raise ValueError("frequency grid must be non-negative and increasing")
-        object.__setattr__(self, "freqs_ghz", freqs)
-        object.__setattr__(self, "values", vals)
-
-    def response(self, f):
-        f = np.asarray(f, dtype=float)
-        mag = np.interp(np.abs(f), self.freqs_ghz, self.values.real) + 1j * np.interp(
-            np.abs(f), self.freqs_ghz, self.values.imag
-        )
-        return np.where(f >= 0, mag, np.conj(mag))
 
 
 def gaussian_lowpass(f_c: float) -> GaussianLowpass:
@@ -191,25 +135,7 @@ def bounded_inverse(
     return BoundedInverse(gauss=gauss, f_q=f_q, g_max_db=g_max_db, window_cutoff=window_cutoff)
 
 
-def identity_response() -> FlatResponse:
-    return FlatResponse()
-
-
-def compose(a: TransferFunction, b: TransferFunction) -> TransferFunction:
-    """Pointwise product of two descriptors."""
-    if isinstance(a, SampledResponse) and isinstance(b, SampledResponse):
-        if a.freqs_ghz.shape != b.freqs_ghz.shape or not np.array_equal(
-            a.freqs_ghz, b.freqs_ghz
-        ):
-            raise ValueError("sampled descriptors must share an identical frequency grid")
-        return SampledResponse(a.freqs_ghz, a.values * b.values)
-    return ProductResponse(factors=(a, b))
-
-
-_PREDISTORT_KINDS = ("bounded-inverse", "product")
-
-
-def apply_transfer(w: Waveform, h: TransferFunction, mode: str = "filter") -> Waveform:
+def apply_transfer(w: Waveform, h: TransferFunction) -> Waveform:
     """Apply a transfer function to a real waveform in the frequency domain.
 
     The waveform is zero-padded to at least 4x its length (next power of two)
@@ -222,12 +148,6 @@ def apply_transfer(w: Waveform, h: TransferFunction, mode: str = "filter") -> Wa
         raise ValueError("waveform must have at least 2 samples")
     if np.iscomplexobj(w.samples):
         raise ValueError("apply_transfer operates on real waveforms")
-    if mode not in ("filter", "predistort"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "predistort" and h.kind not in _PREDISTORT_KINDS:
-        raise ValueError(
-            f"predistort mode requires a bounded-inverse or product descriptor, got {h.kind!r}"
-        )
     n = len(w)
     nfft = 1 << max(3, int(np.ceil(np.log2(4 * n))))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / w.sample_rate)  # GHz
@@ -267,23 +187,10 @@ class FirFilter:
         return len(self.taps_float)
 
 
-def _contains_bounded_inverse(h: TransferFunction) -> BoundedInverse | None:
-    if isinstance(h, BoundedInverse):
-        return h
-    if isinstance(h, ProductResponse):
-        for factor in h.factors:
-            found = _contains_bounded_inverse(factor)
-            if found is not None:
-                return found
-    return None
-
-
-def synthesize_fir(
-    target: TransferFunction, n_taps: int, sample_rate: float, grid_points: int = 512
-) -> FirFilter:
+def synthesize_fir(target: TransferFunction, n_taps: int, sample_rate: float) -> FirFilter:
     """Design an even-length (Type-II) linear-phase FIR matching |target|.
 
-    The target magnitude is sampled on a dense grid from dc to Nyquist with
+    The target magnitude is sampled on 512 points from dc to Nyquist with
     the Nyquist point forced to zero (a Type-II response vanishes there
     structurally), and the symmetric half-taps are solved by least squares
     against the real amplitude response. The returned float taps are exactly
@@ -293,16 +200,12 @@ def synthesize_fir(
         raise ValueError("sample_rate must be positive and finite")
     if n_taps % 2 != 0 or n_taps < 2:
         raise ValueError("n_taps must be even: Type-II linear-phase design")
-    if grid_points < 512:
-        raise ValueError("grid_points must be at least 512")
-    inv = _contains_bounded_inverse(target)
-    if inv is not None and not sample_rate > 2.0 * inv.f_q:
+    if isinstance(target, BoundedInverse) and not sample_rate > 2.0 * target.f_q:
         raise ValueError(
-            f"sample_rate {sample_rate} GS/s cannot represent the {inv.f_q} GHz band"
+            f"sample_rate {sample_rate} GS/s cannot represent the {target.f_q} GHz band"
         )
-    nyquist = sample_rate / 2.0
-    grid = np.linspace(0.0, nyquist, grid_points)
-    gain = np.abs(np.asarray(target.response(grid), dtype=complex))
+    grid = np.linspace(0.0, sample_rate / 2.0, 512)
+    gain = np.abs(target.response(grid))
     gain[-1] = 0.0  # Type-II constraint made explicit in the design target
     half = n_taps // 2
     delay = (n_taps - 1) / 2.0
@@ -334,19 +237,6 @@ def quantize_taps(f: FirFilter) -> FirFilter:
     scaled = taps / peak * INT16_FULL_SCALE
     q = _round_half_away(scaled).astype(np.int64)
     return FirFilter(taps_float=taps, sample_rate=f.sample_rate, taps_int16=q)
-
-
-def fir_response(f: FirFilter, grid) -> SampledResponse:
-    """Complex response sum_k h[k] exp(-2 pi i f k / fs) on ``grid`` (GHz).
-
-    Uses the quantized taps when present, otherwise the float taps.
-    """
-    taps = f.taps_int16 if f.taps_int16 is not None else f.taps_float
-    grid = np.asarray(grid, dtype=float)
-    phases = np.exp(
-        -2j * np.pi * np.outer(grid, np.arange(len(taps))) / f.sample_rate
-    )
-    return SampledResponse(grid, phases @ np.asarray(taps, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSolutionError, NumericalError
+from .errors import NoSolutionError, NumericalError, _is_integer
 
 DEFAULT_BASIS_SIZE = 120
 DEFAULT_N_LEVELS = 6
@@ -66,9 +66,9 @@ class FluxoniumParams:
             raise ValueError("e_c and e_l must be positive and finite")
         if not np.isfinite(self.phi_ext):
             raise ValueError(f"phi_ext must be finite, got {self.phi_ext}")
-        if self.basis_size < MIN_BASIS_SIZE:
+        if not _is_integer(self.basis_size) or self.basis_size < MIN_BASIS_SIZE:
             raise ValueError(
-                f"basis_size must be at least {MIN_BASIS_SIZE}, got {self.basis_size}"
+                f"basis_size must be an integer >= {MIN_BASIS_SIZE}, got {self.basis_size!r}"
             )
 
     def replace(self, **kwargs) -> "FluxoniumParams":
@@ -103,10 +103,6 @@ class EnergySpectrum:
         if lv[0] != 0.0 or np.any(np.diff(lv) < 0):
             raise ValueError("levels must be non-decreasing with levels[0] == 0")
         object.__setattr__(self, "levels", lv)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
 
 
 def phase_operator(params: FluxoniumParams) -> np.ndarray:

@@ -31,11 +31,10 @@ import operator
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ProgramParseError, SaturationError, ScheduleError
+from .errors import ProgramParseError, SaturationError, ScheduleError, _is_integer
 from .filters import FirFilter, IirCorrector, apply_iir
 from .waveform import Waveform
 
@@ -135,10 +134,6 @@ class Delay:
     def __post_init__(self):
         if not 0 <= self.duration < math.inf:
             raise ValueError("delay must be non-negative and finite")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -538,11 +533,6 @@ def dac_quantize(w: Waveform, config: SynthesisConfig) -> np.ndarray:
     return (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int32)
 
 
-def dac_dequantize(codes, config: SynthesisConfig, sample_rate: float) -> Waveform:
-    full = float(2 ** (config.dac_bits - 1) - 1)
-    return Waveform(np.asarray(codes, dtype=float) / full, sample_rate)
-
-
 # ---------------------------------------------------------------------------
 # memory accounting
 # ---------------------------------------------------------------------------
@@ -572,15 +562,6 @@ def cosine_envelope(duration_ns: float, sample_rate: float) -> np.ndarray:
     if n < 2:
         raise ValueError("envelope needs at least 2 samples")
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
-
-
-def raised_cosine_edge(duration_ns: float, sample_rate: float, falling: bool = False) -> np.ndarray:
-    """Smooth 0->1 flux edge (time-reversed when falling)."""
-    n = _sample_count(duration_ns, sample_rate, "edge duration")
-    if n < 2:
-        raise ValueError("edge needs at least 2 samples")
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
-    return ramp[::-1].copy() if falling else ramp
 
 
 # ---------------------------------------------------------------------------
@@ -803,53 +784,6 @@ def parse_program(text: str, sample_rate: float, base_dir=None) -> PulseProgram:
     return _Parser(text, sample_rate, base_dir).parse()
 
 
-def _serialize_instruction(instr, lines, indent):
-    pad = "  " * indent
-    if isinstance(instr, PlayXY):
-        lines.append(
-            f"{pad}xy {instr.primitive_id} amp={instr.amplitude!r} "
-            f"phase={instr.phase_offset!r}"
-        )
-    elif isinstance(instr, VirtualZ):
-        lines.append(f"{pad}vz {instr.phase!r}")
-    elif isinstance(instr, SetCarrier):
-        lines.append(f"{pad}carrier {instr.frequency!r}")
-    elif isinstance(instr, Delay):
-        lines.append(f"{pad}delay {instr.duration!r}")
-    elif isinstance(instr, PlayZ):
-        head = (
-            f"{pad}z rise={instr.rise_primitive_id} "
-            f"hold={instr.hold_amplitude!r},{instr.hold_duration!r} "
-            f"fall={instr.fall_primitive_id}"
-        )
-        if instr.body:
-            lines.append(head + " {")
-            for sub in instr.body:
-                _serialize_instruction(sub, lines, indent + 1)
-            lines.append(f"{pad}}}")
-        else:
-            lines.append(head)
-    elif isinstance(instr, Repeat):
-        lines.append(f"{pad}repeat {instr.count} {{")
-        for sub in instr.body:
-            _serialize_instruction(sub, lines, indent + 1)
-        lines.append(f"{pad}}}")
-    else:
-        raise TypeError(f"cannot serialize {type(instr).__name__}")
-
-
-def serialize_program(program: PulseProgram) -> str:
-    """Inverse of parse_program (primitives are always emitted inline)."""
-    lines = []
-    for prim in program.primitives.values():
-        values = " ".join(repr(s) for s in prim.samples)
-        lines.append(f"prim {prim.id} {prim.kind} {values}")
-    lines.append(f"carrier {program.initial_carrier!r}")
-    for instr in program.instructions:
-        _serialize_instruction(instr, lines, 0)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # binary waveform IO
 # ---------------------------------------------------------------------------
@@ -872,16 +806,3 @@ def dump_waveform_binary(path, codes, sample_rate: float, dac_bits: int = 16) ->
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=2) + "\n")
     return meta
-
-
-def load_waveform_binary(path) -> tuple:
-    """Read samples + sidecar, verifying length and checksum."""
-    path = pathlib.Path(path)
-    payload = path.read_bytes()
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
-        raise ValueError(f"checksum mismatch for {path}")
-    codes = np.frombuffer(payload, dtype="<i2").astype(np.int32)
-    if len(codes) != meta["length"]:
-        raise ValueError(f"length mismatch for {path}")
-    return codes, meta

@@ -50,11 +50,6 @@ class Waveform:
     def duration_ns(self) -> float:
         return len(self.samples) / self.sample_rate
 
-    @property
-    def times_ns(self) -> np.ndarray:
-        """Sample times in ns, starting at 0."""
-        return np.arange(len(self.samples)) / self.sample_rate
-
     def with_samples(self, samples: np.ndarray) -> "Waveform":
         """Same rate, new samples."""
         return Waveform(samples, self.sample_rate)

@@ -4,11 +4,18 @@ Everything in this file is deliberately implemented with *different* numerics
 than the package (finite-difference grid instead of oscillator basis, direct
 LTI simulation instead of analytic inversion, adaptive quadrature instead of
 closed forms) so that agreement is meaningful.
+
+The last section holds checkers and readers of the package's outputs (FIR
+responses, the Clifford closure table, a program serializer, the waveform
+binary reader); the package itself never calls them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -18,11 +25,15 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import curve_fit
 from scipy.signal import lfilter
 
+from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord, _probe_design_matrix
 from uniflux.dynamics import (
+    CLIFFORD_COUNT,
     DriveScenario,
+    _clifford_table,
     _net_carrier_gain,
     _qubit_frame,
     _rwa_pi_amplitude,
+    clifford_index_of,
     cosine_drive,
     evolve,
     predistort_drive,
@@ -480,3 +491,121 @@ def unrolled_compile(program, config):
     compiler = _Compiler(program, config.sample_rate)
     compiler.run(program.instructions)
     return compiler.finish()
+
+
+# ---------------------------------------------------------------------------
+# checkers and readers of package outputs
+# ---------------------------------------------------------------------------
+
+
+def floor_frequency(inverse) -> float:
+    """Frequency (GHz) where a bounded inverse's gain cap engages: H_gauss(f) = floor."""
+    return math.sqrt(2.0 * math.log(1.0 / inverse.floor)) / inverse.gauss.sigma
+
+
+def fir_response(f, grid) -> np.ndarray:
+    """Complex response sum_k h[k] exp(-2 pi i f k / fs) on ``grid`` (GHz).
+
+    Uses the quantized taps when present, otherwise the float taps.
+    """
+    taps = f.taps_int16 if f.taps_int16 is not None else f.taps_float
+    grid = np.asarray(grid, dtype=float)
+    phases = np.exp(-2j * np.pi * np.outer(grid, np.arange(len(taps))) / f.sample_rate)
+    return phases @ np.asarray(taps, dtype=float)
+
+
+def simulate_tail_probe(model, delays, probe_window: float = DEFAULT_PROBE_WINDOW_NS) -> list:
+    """Noiseless tail-over-ref records: the closed form the settling fit inverts."""
+    delays = np.asarray(delays, dtype=float)
+    amps, taus = np.array(model.terms).T
+    values = _probe_design_matrix(delays, taus, probe_window) @ amps
+    return [TailProbeRecord(float(d), float(v)) for d, v in zip(delays, values)]
+
+
+def clifford_matrix(index: int) -> np.ndarray:
+    return _clifford_table()[index][1].copy()
+
+
+def clifford_closure_table() -> np.ndarray:
+    """24x24 composition table c[i, j] = index of C_i C_j (exhaustive)."""
+    table = _clifford_table()
+    out = np.empty((CLIFFORD_COUNT, CLIFFORD_COUNT), dtype=int)
+    for i, (_, a) in enumerate(table):
+        for j, (_, b) in enumerate(table):
+            out[i, j] = clifford_index_of(a @ b)
+    return out
+
+
+def raised_cosine_edge(duration_ns: float, sample_rate: float, falling: bool = False) -> np.ndarray:
+    """Smooth 0->1 flux edge (time-reversed when falling)."""
+    n = _sample_count(duration_ns, sample_rate, "edge duration")
+    if n < 2:
+        raise ValueError("edge needs at least 2 samples")
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
+    return ramp[::-1].copy() if falling else ramp
+
+
+def dac_dequantize(codes, config, sample_rate: float) -> Waveform:
+    full = float(2 ** (config.dac_bits - 1) - 1)
+    return Waveform(np.asarray(codes, dtype=float) / full, sample_rate)
+
+
+def load_waveform_binary(path) -> tuple:
+    """Read samples + sidecar written by ``pulsec.dump_waveform_binary``,
+    verifying length and checksum."""
+    path = pathlib.Path(path)
+    payload = path.read_bytes()
+    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
+        raise ValueError(f"checksum mismatch for {path}")
+    codes = np.frombuffer(payload, dtype="<i2").astype(np.int32)
+    if len(codes) != meta["length"]:
+        raise ValueError(f"length mismatch for {path}")
+    return codes, meta
+
+
+def _serialize_instruction(instr, lines, indent):
+    pad = "  " * indent
+    if isinstance(instr, PlayXY):
+        lines.append(
+            f"{pad}xy {instr.primitive_id} amp={instr.amplitude!r} "
+            f"phase={instr.phase_offset!r}"
+        )
+    elif isinstance(instr, VirtualZ):
+        lines.append(f"{pad}vz {instr.phase!r}")
+    elif isinstance(instr, SetCarrier):
+        lines.append(f"{pad}carrier {instr.frequency!r}")
+    elif isinstance(instr, Delay):
+        lines.append(f"{pad}delay {instr.duration!r}")
+    elif isinstance(instr, PlayZ):
+        head = (
+            f"{pad}z rise={instr.rise_primitive_id} "
+            f"hold={instr.hold_amplitude!r},{instr.hold_duration!r} "
+            f"fall={instr.fall_primitive_id}"
+        )
+        if instr.body:
+            lines.append(head + " {")
+            for sub in instr.body:
+                _serialize_instruction(sub, lines, indent + 1)
+            lines.append(f"{pad}}}")
+        else:
+            lines.append(head)
+    elif isinstance(instr, Repeat):
+        lines.append(f"{pad}repeat {instr.count} {{")
+        for sub in instr.body:
+            _serialize_instruction(sub, lines, indent + 1)
+        lines.append(f"{pad}}}")
+    else:
+        raise TypeError(f"cannot serialize {type(instr).__name__}")
+
+
+def serialize_program(program) -> str:
+    """Inverse of ``pulsec.parse_program`` (primitives are always emitted inline)."""
+    lines = []
+    for prim in program.primitives.values():
+        values = " ".join(repr(s) for s in prim.samples)
+        lines.append(f"prim {prim.id} {prim.kind} {values}")
+    lines.append(f"carrier {program.initial_carrier!r}")
+    for instr in program.instructions:
+        _serialize_instruction(instr, lines, 0)
+    return "\n".join(lines) + "\n"

@@ -159,8 +159,9 @@ def test_criterion_04_flat_band_identity_and_floor():
     assert cap_inactive.sum() > 1000  # the identity is checked on a real band
     residual = np.abs(product[cap_inactive] - target[cap_inactive])
     assert residual.max() < 1e-12, f"flat-band residual {residual.max():.3e}"
-    assert abs(inverse.floor_frequency - 0.375) < 1e-3, (
-        f"floor engages at {inverse.floor_frequency:.6f} GHz, expected 0.375 +- 0.001"
+    floor_frequency = oracles.floor_frequency(inverse)
+    assert abs(floor_frequency - 0.375) < 1e-3, (
+        f"floor engages at {floor_frequency:.6f} GHz, expected 0.375 +- 0.001"
     )
 
 
@@ -171,7 +172,7 @@ def _fir_invariants(taps_int, sample_rate):
     assert all(abs(int(taps[i]) - int(taps[n - 1 - i])) <= 1 for i in range(n))
     f = filters.FirFilter(taps.astype(float), sample_rate, taps_int16=taps)
     grid = np.linspace(0.0, sample_rate / 2.0, 2048)
-    mags = np.abs(filters.fir_response(f, grid).values)
+    mags = np.abs(oracles.fir_response(f, grid))
     assert mags[-1] < 1e-3 * np.max(mags)
 
 
@@ -316,8 +317,8 @@ def test_criterion_09_rb_pipeline_oracle():
 
     # Exhaustive closure: recompute every product independently of the
     # table's own canonical-key machinery.
-    table = dynamics.clifford_closure_table()
-    mats = [dynamics.clifford_matrix(i) for i in range(dynamics.CLIFFORD_COUNT)]
+    table = oracles.clifford_closure_table()
+    mats = [oracles.clifford_matrix(i) for i in range(dynamics.CLIFFORD_COUNT)]
 
     def match(product):
         for k, mat in enumerate(mats):

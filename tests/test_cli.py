@@ -15,7 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
-from uniflux import analysis, cli, fluxonium, pulsec
+import oracles
+from uniflux import analysis, cli, fluxonium
 
 DATA = pathlib.Path(__file__).parent / "data"
 EXAMPLE_PROGRAM = DATA / "example_program.pulse"
@@ -294,7 +295,7 @@ def test_compile_example_program_golden(tmp_path, capsys):
     )
     assert code == 0
     assert f"sha256 {EXAMPLE_SHA256}" in out
-    codes, meta = pulsec.load_waveform_binary(wave)
+    codes, meta = oracles.load_waveform_binary(wave)
     assert meta["sha256"] == EXAMPLE_SHA256
     assert len(codes) == 98
 
@@ -503,6 +504,35 @@ def test_simulate_gate_trimmed_report_is_bounded(tmp_path, capsys, seed):
     assert 0.0 <= report["fidelity"] <= 1.0
     assert report["leakage"] >= -1e-9
     assert report["population_transfer"] > 1.0 - 1e-9
+
+
+def test_simulate_gate_leakage_is_not_negative(tmp_path, capsys):
+    # this scenario's U is unitary to ~1e-12, and 1 - tr(B^dag B)/2 rounds
+    # to -2.4e-12; leakage is bounded below by 0
+    scenario = write_scenario(tmp_path, {"levels": 2, "time_step_ns": 0.02})
+    code, out, _ = run_cli(capsys, "simulate", "gate", "--scenario", scenario)
+    assert code == 0
+    report = json.loads(out)
+    assert 0.0 <= report["leakage"] < 1e-9
+    assert 0.99 < report["population_transfer"] <= 1.0
+
+
+def test_simulate_gate_transfer_is_at_most_one(tmp_path, capsys, monkeypatch):
+    # an X_pi whose columns have norm 1 + 1e-10, within the unitarity drift
+    # gate_fidelity accepts: |U10|^2 rounds above 1 and is bounded by it
+    scale = 1.0 + 1e-10
+    monkeypatch.setattr(cli.dynamics, "calibrate_pi", lambda *args, **kwargs: 0.01)
+    monkeypatch.setattr(
+        cli.dynamics, "drive_frame_unitary",
+        lambda *args: scale * np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
+    )
+    scenario = write_scenario(tmp_path)
+    code, out, _ = run_cli(capsys, "simulate", "gate", "--scenario", scenario)
+    assert code == 0
+    report = json.loads(out)
+    assert report["population_transfer"] == 1.0
+    assert report["leakage"] == 0.0
+    assert report["fidelity"] <= 1.0
 
 
 def test_simulate_rb_seeded_csv_is_byte_identical(tmp_path, capsys):
@@ -739,6 +769,9 @@ _INPUT_FILES = {
     ),
     "qubit-5.json": '{"qubit": 5}',
     "inf-step.json": '{"time_step_ns": Infinity}',
+    "levels-2.7.json": '{"levels": 2.7}',
+    "levels-true.json": '{"levels": true}',
+    "basis-60.7.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "basis_size": 60.7}}',
     "garbled.pulse": b"\xff\xfe\x00prim",
     "samples.txt": "1.0 x 0.5\n",
     "file-primitive.pulse": "prim p file samples.txt\nxy p\n",
@@ -818,6 +851,10 @@ _EXIT_CODE_CASES = [
      "argument --interleaved:"),
     ("simulate-rb-depolarizing-1.5", ("simulate", "rb", "--depolarizing", "1.5"), 2,
      "argument --depolarizing: must be in [0, 1]"),
+    ("simulate-rb-gate-amplitude-2", ("simulate", "rb", "--gate-amplitude", "2"), 2,
+     "argument --gate-amplitude: must be non-zero and within [-1, 1]"),
+    ("simulate-rb-gate-amplitude-0", ("simulate", "rb", "--gate-amplitude", "0"), 2,
+     "argument --gate-amplitude: must be non-zero and within [-1, 1]"),
     ("simulate-missing-scenario", ("simulate", "rb", "--scenario", "{tmp}/absent.json"), 3,
      "{tmp}/absent.json: "),
     ("simulate-directory-scenario", ("simulate", "rb", "--scenario", "{tmp}/dir"), 3,
@@ -830,6 +867,13 @@ _EXIT_CODE_CASES = [
      "{tmp}/qubit-5.json: "),
     ("simulate-non-finite-scenario", ("simulate", "rb", "--scenario", "{tmp}/inf-step.json"),
      3, "{tmp}/inf-step.json: "),
+    ("simulate-fractional-levels", ("simulate", "rb", "--scenario", "{tmp}/levels-2.7.json"),
+     3, "{tmp}/levels-2.7.json: levels must be an integer >= 2, got 2.7"),
+    ("simulate-boolean-levels", ("simulate", "rb", "--scenario", "{tmp}/levels-true.json"),
+     3, "{tmp}/levels-true.json: levels must be an integer >= 2, got True"),
+    ("simulate-fractional-basis-size",
+     ("simulate", "rb", "--scenario", "{tmp}/basis-60.7.json"), 3,
+     "{tmp}/basis-60.7.json: basis_size must be an integer >= 12, got 60.7"),
     # fit
     ("fit-non-finite-option", ("fit", "dephasing", "{tmp}/nan.csv", "--t1-us", "nan"), 2,
      "argument --t1-us:"),

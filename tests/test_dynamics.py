@@ -21,7 +21,7 @@ LINE = linebudget.LineModel(
 F01 = 0.22376881665330772  # GHz, canonical parameters at half flux
 V_PI_20NS = 0.00984166340486094  # volt, first-order flat-channel 20 ns pi pulse
 
-FLAT2 = DriveScenario(QUBIT, LINE, filters.identity_response(), levels=2, time_step=0.02)
+FLAT2 = DriveScenario(QUBIT, LINE, filters.FlatResponse(), levels=2, time_step=0.02)
 GAUSS = filters.gaussian_lowpass(0.092)
 GAUSS2 = DriveScenario(QUBIT, LINE, GAUSS, levels=2, time_step=0.02)
 X_PI = np.array([[0.0, -1.0j], [-1.0j, 0.0]])  # the gate simulate gate targets
@@ -38,17 +38,24 @@ def _zero_waveform(n=32, rate=1.0):
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        DriveScenario(QUBIT, LINE, filters.identity_response(), levels=1)
+        DriveScenario(QUBIT, LINE, filters.FlatResponse(), levels=1)
     with pytest.raises(ValueError):
-        DriveScenario(QUBIT, LINE, filters.identity_response(), time_step=0.0)
+        DriveScenario(QUBIT, LINE, filters.FlatResponse(), time_step=0.0)
     with pytest.raises(ValueError):
         DriveScenario(QUBIT, LINE, channel="gauss")
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "4"])
+def test_scenario_levels_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        DriveScenario(QUBIT, LINE, filters.FlatResponse(), levels=bad)
+    assert DriveScenario(QUBIT, LINE, filters.FlatResponse(), levels=np.int64(3)).levels == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_scenario_rejects_non_finite_time_step(bad):
     with pytest.raises(ValueError, match="finite"):
-        DriveScenario(QUBIT, LINE, filters.identity_response(), time_step=bad)
+        DriveScenario(QUBIT, LINE, filters.FlatResponse(), time_step=bad)
 
 
 def test_phase_drive_per_volt_matches_budget():
@@ -371,7 +378,7 @@ def test_cosine_drive_layout():
 def test_predistort_drive_requires_gaussian_channel():
     w = dynamics.cosine_drive(20.0, 0.01, F01)
     with pytest.raises(ValueError):
-        dynamics.predistort_drive(w, filters.identity_response(), F01)
+        dynamics.predistort_drive(w, filters.FlatResponse(), F01)
 
 
 def test_predistort_drive_unit_carrier_gain():
@@ -614,9 +621,11 @@ def test_gate_fidelity_orthogonal_gate():
 
 def test_gate_fidelity_is_at_most_one_when_rounding_overshoots():
     # Inside the unitarity tolerance a scaled gate overlaps its target by
-    # more than a unitary can; the Cauchy-Schwarz bound holds F at 1.
+    # more than a unitary can; the Cauchy-Schwarz bound holds F at 1. Its
+    # qubit block keeps 1 + 2e-9: leakage -2e-9, within the drift, reads 0.
     metrics = dynamics.gate_fidelity(X_PI * (1.0 + 1e-9), X_PI)
     assert metrics.fidelity == 1.0
+    assert metrics.leakage == 0.0
 
 
 def test_gate_fidelity_rejects_non_unitary():
@@ -643,7 +652,7 @@ def test_gate_fidelity_reports_leakage():
 
 def test_clifford_table_shape_and_identity():
     assert dynamics.clifford_ops(0) == ()
-    np.testing.assert_allclose(dynamics.clifford_matrix(0), np.eye(2), atol=0)
+    np.testing.assert_allclose(oracles.clifford_matrix(0), np.eye(2), atol=0)
     pulses = [
         sum(1 for op in dynamics.clifford_ops(i) if op[0] == "x90")
         for i in range(dynamics.CLIFFORD_COUNT)
@@ -657,12 +666,12 @@ def test_clifford_table_shape_and_identity():
 
 def test_clifford_matrices_are_unitary():
     for i in range(dynamics.CLIFFORD_COUNT):
-        m = dynamics.clifford_matrix(i)
+        m = oracles.clifford_matrix(i)
         np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_clifford_closure_is_a_latin_square():
-    table = dynamics.clifford_closure_table()
+    table = oracles.clifford_closure_table()
     assert table.shape == (24, 24)
     full = set(range(24))
     for i in range(24):
@@ -673,7 +682,7 @@ def test_clifford_closure_is_a_latin_square():
 
 
 def test_every_clifford_has_an_inverse_in_the_table():
-    table = dynamics.clifford_closure_table()
+    table = oracles.clifford_closure_table()
     for i in range(24):
         j = int(np.where(table[i] == 0)[0][0])
         assert table[j, i] == 0
@@ -685,8 +694,8 @@ def test_recovery_index_inverts_any_sequence(seq):
     r = dynamics.recovery_index(seq)
     total = np.eye(2, dtype=complex)
     for i in seq:
-        total = dynamics.clifford_matrix(i) @ total
-    total = dynamics.clifford_matrix(r) @ total
+        total = oracles.clifford_matrix(i) @ total
+    total = oracles.clifford_matrix(r) @ total
     assert abs(np.trace(total)) == pytest.approx(2.0, abs=1e-7)
 
 
@@ -794,7 +803,7 @@ def test_rb_example_program_serialization_round_trip():
     )
     program = result.example_program
     assert type(program.initial_carrier) is float
-    text = pulsec.serialize_program(program)
+    text = oracles.serialize_program(program)
     assert pulsec.parse_program(text, 1.0) == program
 
 

@@ -185,6 +185,14 @@ def test_basis_size_minimum_enforced():
         fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, basis_size=4)
 
 
+@pytest.mark.parametrize("bad", [60.7, 60.0, True])
+def test_basis_size_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="basis_size must be an integer"):
+        fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, basis_size=bad)
+    params = fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, basis_size=np.int64(60))
+    assert params.basis_size == 60
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["e_j", "e_c", "e_l", "phi_ext"])
 def test_non_finite_parameters_rejected(name, bad):

