@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -368,6 +369,11 @@ def cmd_design(args) -> int:
         obj = filters.gaussian_lowpass(args.fc)
         if args.kind == "inverse" or (args.kind == "fir" and args.target == "inverse"):
             _require(args.fq is not None, "an inverse design requires --fq")
+            _require(
+                args.kind != "fir" or args.rate > 2.0 * args.fq,
+                f"--rate {args.rate} GS/s cannot represent the {args.fq} GHz band: "
+                "it must exceed twice --fq",
+            )
             obj = filters.bounded_inverse(
                 obj, args.fq, g_max_db=args.gmax, window_cutoff=args.window_cutoff
             )
@@ -597,7 +603,10 @@ def _add_output(p) -> None:
     p.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state on it, and argparse copies the list default of an ``append``."""
     parser = _Parser(
         prog=PROG,
         description="Single-line fluxonium flux-control toolkit.",

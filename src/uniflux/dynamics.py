@@ -103,18 +103,18 @@ class DriveScenario:
 class SimOutcome:
     """Trajectory and final propagator of one closed-system simulation.
 
-    ``populations[j]`` are the level populations of a ground-state start at
-    ``times_ns[j]`` (every input-sample boundary); ``final_unitary`` is the
-    lab-frame propagator on the retained subspace.
+    ``populations[j]`` are the level populations of a ground-state start
+    after the first ``j`` input samples, so row 0 is the initial state and
+    the last row is read off ``final_unitary``, the lab-frame propagator on
+    the retained subspace.
     """
 
-    times_ns: np.ndarray
     populations: np.ndarray
     final_unitary: np.ndarray
     metadata: dict
 
     def __post_init__(self):
-        for name in ("times_ns", "populations", "final_unitary"):
+        for name in ("populations", "final_unitary"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -371,7 +371,6 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
             "use a smaller time step"
         )
     np.minimum(pops, 1.0, out=pops)
-    times = np.arange(len(pops)) * period
     meta = {
         "scenario_sha256": _scenario_fingerprint(scenario, w.sample_rate),
         "time_step_ns": h,
@@ -382,8 +381,7 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
         "top_level_population": float(pops[:, -1].max()),
         "seed": None,
     }
-    return SimOutcome(times_ns=times, populations=pops, final_unitary=unitary,
-                      metadata=meta)
+    return SimOutcome(populations=pops, final_unitary=unitary, metadata=meta)
 
 
 def rotating_frame(unitary: np.ndarray, levels_ghz: np.ndarray,

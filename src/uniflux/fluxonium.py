@@ -253,31 +253,30 @@ def find_reset_flux(
 ) -> ResetFlux:
     """Flux phi* in (0, 0.5) nearest 0.5 where f01(phi*) equals ``f_target``.
 
-    Scans a dense grid from 0.5 downward to bracket the crossing closest to
-    the sweet spot, then refines with a bracketing root-finder; the scan and
-    every root-finder evaluation share one set of flux-free terms. Raises
-    NoSolutionError naming the attainable band when the target is outside it.
+    Walks a dense grid from 0.5 downward and stops at the first grid step
+    that brackets the target, the crossing closest to the sweet spot, then
+    refines it with a bracketing root-finder; the scan and every root-finder
+    evaluation share one set of flux-free terms. The whole grid is evaluated
+    only when no step brackets the target: then NoSolutionError names the
+    attainable band, f01(0.5) up to the grid's largest f01.
     """
     from scipy.optimize import brentq
 
     terms = _flux_free_terms(params)
     grid = np.linspace(0.5, 1e-3, scan_points)
-    f01s = np.array([_f01(params, terms, g) for g in grid])
-    lo, hi = f01s[0], float(f01s.max())
-    if not (lo <= f_target <= hi):
-        raise NoSolutionError(
-            f"f_target={f_target} GHz outside attainable band "
-            f"[{lo:.4f}, {hi:.4f}] GHz on flux in (0, 0.5]"
-        )
+    lo = _f01(params, terms, grid[0])
     if f_target == lo:
         return ResetFlux(0.5, 0.0, lo)
-    # first bracket scanning away from 0.5
+    f01s = [lo]
     for k in range(len(grid) - 1):
-        if (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
+        f01s.append(_f01(params, terms, grid[k + 1]))
+        # below the sweet-spot minimum no bracket counts
+        if lo <= f_target and (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
             root = brentq(
                 lambda x: _f01(params, terms, x) - f_target, grid[k + 1], grid[k], xtol=1e-10
             )
-            return ResetFlux(float(root), 0.5 - float(root), f_target)
-    raise NoSolutionError(  # pragma: no cover - guarded by band check
-        f"no crossing found for f_target={f_target} GHz"
+            return ResetFlux(float(root), 0.5 - float(root), float(f_target))
+    raise NoSolutionError(
+        f"f_target={f_target} GHz outside attainable band "
+        f"[{lo:.4f}, {max(f01s):.4f}] GHz on flux in (0, 0.5]"
     )

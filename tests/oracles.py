@@ -38,8 +38,8 @@ from uniflux.dynamics import (
     evolve,
     predistort_drive,
 )
-from uniflux.errors import CalibrationError, FitError, ScheduleError
-from uniflux.fluxonium import phase_operator
+from uniflux.errors import CalibrationError, FitError, NoSolutionError, ScheduleError
+from uniflux.fluxonium import ResetFlux, _f01, _flux_free_terms, phase_operator
 from uniflux.pulsec import (
     EDGE,
     ENVELOPE,
@@ -97,6 +97,38 @@ def cosm_hamiltonian(params):
     lc = np.diag((np.arange(n) + 0.5) * params.plasma_frequency)
     h = lc - params.e_j * scipy.linalg.cosm(phi_op - phi_dc * np.eye(n))
     return (h + h.T) / 2.0
+
+
+def scanned_reset_flux(params, f_target: float, scan_points: int = 160):
+    """Reference reset-flux search: f01 on the whole grid, then the first bracket.
+
+    The package stops its scan at the first bracket; this path evaluates
+    every grid point before checking the band and bracketing the crossing
+    closest to 0.5.
+    """
+    from scipy.optimize import brentq
+
+    terms = _flux_free_terms(params)
+    grid = np.linspace(0.5, 1e-3, scan_points)
+    f01s = np.array([_f01(params, terms, g) for g in grid])
+    lo, hi = f01s[0], float(f01s.max())
+    if not (lo <= f_target <= hi):
+        raise NoSolutionError(
+            f"f_target={f_target} GHz outside attainable band "
+            f"[{lo:.4f}, {hi:.4f}] GHz on flux in (0, 0.5]"
+        )
+    if f_target == lo:
+        return ResetFlux(0.5, 0.0, lo)
+    # first bracket scanning away from 0.5
+    for k in range(len(grid) - 1):
+        if (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
+            root = brentq(
+                lambda x: _f01(params, terms, x) - f_target, grid[k + 1], grid[k], xtol=1e-10
+            )
+            return ResetFlux(float(root), 0.5 - float(root), f_target)
+    raise NoSolutionError(  # pragma: no cover - guarded by band check
+        f"no crossing found for f_target={f_target} GHz"
+    )
 
 
 def lti_distorted(samples, amplitudes, taus_ns, sample_rate_gsps):

@@ -53,6 +53,26 @@ def load_csv(path):
 # ---------------------------------------------------------------------------
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ("design", "iir", "--rate", "2", "--exp", "-0.0174:34", "--exp", "-0.0189:170"),
+        ("design", "iir", "--exp", "-0.0158:996", "--rate", "1"),
+        ("spectrum", "--from", "0.4", "--to", "0.5", "-n", "2", "--levels", "2"),
+        ("tradeoff", "--alpha-from", "-8e1", "-n", "3"),
+        ("design", "fir", "--rate", "2", "--fq", "0.208", "--no-quantize"),
+        ("design", "fir", "--rate", "2", "--fq", "0.208"),
+    ]
+    warm = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert warm == fresh
+    assert all(code == 0 for code, _, _ in warm)
+    assert len(json.loads(warm[1][1])["parameters"]["source_exponentials"]) == 1
+
+
 def test_version_provenance(capsys):
     code, out, _ = run_cli(capsys, "--version", "--provenance")
     assert code == 0
@@ -814,6 +834,8 @@ _EXIT_CODE_CASES = [
     ("design-no-taps", ("design", "fir", "--rate", "2", "--taps", "0"), 2, "argument --taps:"),
     ("design-odd-taps", ("design", "fir", "--rate", "2", "--taps", "15"), 2,
      "argument --taps: must be an even integer"),
+    ("design-fir-rate-below-twice-fq", ("design", "fir", "--rate", "0.3", "--fq", "0.208"), 2,
+     "--rate 0.3 GS/s cannot represent the 0.208 GHz band"),
     # compile
     ("compile-non-finite-option", ("compile", str(EXAMPLE_PROGRAM), "--rate", "inf"), 2,
      "argument --rate:"),

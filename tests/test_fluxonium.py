@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from uniflux import fluxonium
 from uniflux.errors import NoSolutionError
 
-from oracles import cosm_hamiltonian, phase_grid_spectrum
+from oracles import cosm_hamiltonian, phase_grid_spectrum, scanned_reset_flux
 
 REFERENCE_PARAMS = fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, phi_ext=0.5)
 
@@ -178,6 +178,69 @@ def test_find_reset_flux_unattainable():
         fluxonium.find_reset_flux(REFERENCE_PARAMS, 50.0)
     with pytest.raises(NoSolutionError):
         fluxonium.find_reset_flux(REFERENCE_PARAMS, 0.01)
+
+
+def _reset_outcome(search, params, f_target, scan_points):
+    """The fields of a reset search, bit for bit, or its error text."""
+    try:
+        sol = search(params, f_target, scan_points=scan_points)
+    except NoSolutionError as exc:
+        return "error", str(exc)
+    return "ok", tuple(float(v).hex() for v in (sol.flux_phi0, sol.excursion_phi0, sol.f01_ghz))
+
+
+def _f01_at(params, flux):
+    h = fluxonium.build_hamiltonian(params.replace(phi_ext=flux))
+    return fluxonium.eigensystem(h, 2).levels[1]
+
+
+def test_find_reset_flux_matches_full_scan_oracle():
+    rng = np.random.default_rng(1507)
+    cases = [(REFERENCE_PARAMS, 160)]
+    for _ in range(12):
+        circuit = fluxonium.FluxoniumParams(
+            e_j=rng.uniform(2.0, 9.0), e_c=rng.uniform(0.6, 2.0), e_l=rng.uniform(0.3, 1.8)
+        )
+        cases.append((circuit, 48))
+    for params, scan_points in cases:
+        sweet = _f01_at(params, 0.5)
+        in_band = _f01_at(params, rng.uniform(0.25, 0.45))
+        for f_target in (in_band, sweet, 1e3, sweet - 0.01):
+            got = _reset_outcome(fluxonium.find_reset_flux, params, f_target, scan_points)
+            want = _reset_outcome(scanned_reset_flux, params, f_target, scan_points)
+            assert got == want, (params, f_target)
+        assert got[0] == "error" and "outside attainable band" in got[1]
+
+
+def test_find_reset_flux_stops_scanning_at_the_first_bracket(monkeypatch):
+    from scipy.optimize import brentq
+
+    params, f_target, scan_points = REFERENCE_PARAMS, 4.98, 160
+    terms = fluxonium._flux_free_terms(params)
+    grid = np.linspace(0.5, 1e-3, scan_points)
+    f01s = np.array([fluxonium._f01(params, terms, g) for g in grid])
+    bracket = int(np.flatnonzero((f01s[:-1] - f_target) * (f01s[1:] - f_target) <= 0)[0])
+    _, info = brentq(
+        lambda x: fluxonium._f01(params, terms, x) - f_target,
+        grid[bracket + 1], grid[bracket], xtol=1e-10, full_output=True,
+    )
+    assert bracket + 2 < scan_points  # a full scan would exceed the budget below
+
+    calls = []
+    solve = fluxonium.eigensystem
+    monkeypatch.setattr(
+        fluxonium, "eigensystem", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
+    )
+    fluxonium.find_reset_flux(params, f_target, scan_points=scan_points)
+    assert len(calls) <= bracket + 2 + info.function_calls
+
+
+def test_find_reset_flux_fields_are_floats():
+    sweet = _f01_at(REFERENCE_PARAMS, 0.5)
+    assert type(sweet) is np.float64
+    for f_target in (sweet, 4.98, np.float64(4.98), 5):
+        sol = fluxonium.find_reset_flux(REFERENCE_PARAMS, f_target, scan_points=48)
+        assert [type(v) for v in (sol.flux_phi0, sol.excursion_phi0, sol.f01_ghz)] == [float] * 3
 
 
 def test_basis_size_minimum_enforced():
