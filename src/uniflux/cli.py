@@ -33,7 +33,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__, analysis, dynamics, filters, fluxonium, linebudget, pulsec
-from .errors import ProgramParseError, UnifluxError
+from .errors import ProgramParseError, ScheduleError, UnifluxError
 
 PROG = "uniflux"
 
@@ -179,7 +179,7 @@ def _checked(convert, accept, rule: str):
             value = convert(text)
             if accept(value):
                 return value
-        except ValueError:
+        except (ValueError, ScheduleError):
             pass
         raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
 
@@ -196,6 +196,17 @@ _dac_amplitude = _checked(float, lambda a: 0 < abs(a) <= 1, "non-zero and within
 
 def _int_in(lo: int, hi: float = math.inf):
     return _checked(int, lambda n: lo <= n <= hi, f"an integer in [{lo}, {hi}]")
+
+
+def _pulse_ns(least: int):
+    """A pulse length in ns: a whole number of at least ``least`` drive
+    samples, by the compiler's sample-count rule."""
+    rate = dynamics.DRIVE_SAMPLE_RATE
+    return _checked(
+        float,
+        lambda ns: pulsec._sample_count(ns, rate, "pulse") >= least,
+        f"a whole number of at least {least} samples at {rate:g} GS/s",
+    )
 
 
 def _amp_tau(text: str) -> tuple[float, float, str]:
@@ -690,45 +701,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("simulate", help="run a drive-scenario simulation")
-    p.add_argument("experiment", choices=("rabi", "gate", "rb"))
-    p.add_argument("--scenario", metavar="JSON", help="drive-scenario file")
-    p.add_argument("--duration", type=_positive, default=20.0, help="pulse length, ns")
-    p.add_argument(
-        "--predistort",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="compensate the channel before the line",
-    )
-    p.add_argument("--frequency", type=_positive, help="drive frequency, GHz")
-    p.add_argument("--amp-max", type=_positive, default=0.02, help="rabi sweep top, V")
-    p.add_argument("--points", type=_int_in(2), default=41, help="rabi sweep points")
-    p.add_argument(
+    experiments = p.add_subparsers(dest="experiment", metavar="EXPERIMENT", required=True)
+    rabi = experiments.add_parser("rabi", help="excited population over a drive-amplitude sweep")
+    gate = experiments.add_parser("gate", help="calibrate an X_pi pulse and report its fidelity")
+    rb = experiments.add_parser("rb", help="randomized benchmarking over the Clifford group")
+    for q in (rabi, gate, rb):
+        q.add_argument("--scenario", metavar="JSON", help="drive-scenario file")
+        _add_output(q)
+        q.set_defaults(func=cmd_simulate)
+    for q, least in ((rabi, 2), (gate, 4)):
+        q.add_argument("--duration", type=_pulse_ns(least), default=20.0, help="pulse length, ns")
+        q.add_argument(
+            "--predistort",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="compensate the channel before the line",
+        )
+    rabi.add_argument("--frequency", type=_positive, help="drive frequency, GHz")
+    rabi.add_argument("--amp-max", type=_positive, default=0.02, help="sweep top, V")
+    rabi.add_argument("--points", type=_int_in(2), default=41, help="sweep points")
+    gate.add_argument(
         "--trim-frequency",
         action="store_true",
-        help="gate: first solve the drive frequency at which the pi rotation's axis "
+        help="first solve the drive frequency at which the pi rotation's axis "
         "lies in the equator (n_z = 0), where the amplitude of largest transfer "
         "is the pi rotation",
     )
-    p.add_argument(
+    rb.add_argument(
         "--lengths",
         type=_lengths,
         default="1,2,4,8,16,32,64,128,256",
-        help="rb lengths, comma list",
+        help="sequence lengths, comma list",
     )
-    p.add_argument("--sequences", type=_int_in(1), default=2, help="rb sequences per length")
-    p.add_argument("--seed", type=_int_in(0), default=0)
-    p.add_argument("--mode", choices=("ideal", "waveform"), default="ideal")
-    p.add_argument("--depolarizing", type=_probability, default=1.0, metavar="P")
-    p.add_argument(
+    rb.add_argument("--sequences", type=_int_in(1), default=2, help="sequences per length")
+    rb.add_argument("--seed", type=_int_in(0), default=0)
+    rb.add_argument("--mode", choices=("ideal", "waveform"), default="ideal")
+    rb.add_argument("--depolarizing", type=_probability, default=1.0, metavar="P")
+    rb.add_argument(
         "--interleaved",
         type=_int_in(0, dynamics.CLIFFORD_COUNT - 1),
         help="interleave this table index",
     )
-    p.add_argument("--gate-duration", type=_positive, default=20.0, metavar="NS")
-    p.add_argument("--gate-amplitude", type=_dac_amplitude, default=0.02, metavar="DAC")
-    p.add_argument("--gate-frequency", type=_positive, metavar="GHZ")
-    _add_output(p)
-    p.set_defaults(func=cmd_simulate)
+    rb.add_argument("--gate-duration", type=_pulse_ns(2), default=20.0, metavar="NS")
+    rb.add_argument("--gate-amplitude", type=_dac_amplitude, default=0.02, metavar="DAC")
+    rb.add_argument("--gate-frequency", type=_positive, metavar="GHZ")
 
     p = sub.add_parser("fit", help="fit a decay or readout model to a CSV")
     p.add_argument("model", choices=("t1", "dephasing", "rb", "reset"))
@@ -751,13 +767,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _typed_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Option strings of every option with a ``type=`` in ``parser`` and,
+    recursively, in its sub-parsers."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _typed_flags(sub)
+        elif action.type:
+            flags.update(action.option_strings)
+    return flags
+
+
 def _join_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Join ``--flag VALUE`` into ``--flag=VALUE`` for every option with a
     ``type=``: argparse reads a value such as ``-1e-3``, ``-inf`` or
     ``-0.0174:34`` as an option string."""
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    typed = [action for p in commands.values() for action in p._actions if action.type]
-    flags = {flag for action in typed for flag in action.option_strings}
+    flags = _typed_flags(parser)
     out = []
     for token in argv:
         if out and out[-1] in flags:

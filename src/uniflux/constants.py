@@ -4,5 +4,4 @@ import math
 
 PLANCK = 6.62607015e-34  # J s
 HBAR = PLANCK / (2.0 * math.pi)  # J s
-BOLTZMANN = 1.380649e-23  # J / K
 PHI0 = 2.067833848e-15  # magnetic flux quantum, Wb

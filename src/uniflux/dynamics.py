@@ -51,6 +51,7 @@ from .waveform import Waveform
 
 DEFAULT_LEVELS = 4
 DEFAULT_TIME_STEP = 0.005  # ns; halving it moves final populations < 1e-7
+DRIVE_SAMPLE_RATE = 1.0  # GS/s of every drive pulse and RB program
 CLIFFORD_COUNT = 24
 
 # Program-emission conventions, fixed against the shipped Clifford matrices
@@ -379,7 +380,6 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
         "unitarity_drift": float(drift),
         "chebyshev_nodes": nodes,
         "top_level_population": float(pops[:, -1].max()),
-        "seed": None,
     }
     return SimOutcome(populations=pops, final_unitary=unitary, metadata=meta)
 
@@ -397,22 +397,21 @@ def rotating_frame(unitary: np.ndarray, levels_ghz: np.ndarray,
 
 
 def cosine_drive(duration_ns: float, amplitude_v: float, frequency_ghz: float,
-                 *, sample_rate: float = 1.0, lead_ns: float = 40.0,
-                 tail_ns: float = 40.0, carrier_phase_rad: float = 0.0) -> Waveform:
-    """Cosine-envelope pulse with quiet margins, carrier referenced to t=0.
+                 *, lead_ns: float = 40.0, tail_ns: float = 40.0) -> Waveform:
+    """Cosine-envelope pulse with quiet margins, sampled at DRIVE_SAMPLE_RATE.
 
-    The carrier is cos(2 pi f t + phase) on the global time axis, so the
-    rotation axis seen in the f01 frame does not depend on where the pulse
-    sits; ``carrier_phase_rad`` pins the axis when driving off f01.
+    The carrier is cos(2 pi f t) on the global time axis, with t = 0 at the
+    first lead sample, so the rotation axis seen in the f01 frame does not
+    depend on where the pulse sits. ``duration_ns`` must be a whole number of
+    samples.
     """
-    env = pulsec.cosine_envelope(duration_ns, sample_rate)
-    n_lead = int(round(lead_ns * sample_rate))
-    n_tail = int(round(tail_ns * sample_rate))
+    env = pulsec.cosine_envelope(duration_ns, DRIVE_SAMPLE_RATE)
+    n_lead = int(round(lead_ns * DRIVE_SAMPLE_RATE))
+    n_tail = int(round(tail_ns * DRIVE_SAMPLE_RATE))
     total = np.zeros(n_lead + len(env) + n_tail)
     total[n_lead:n_lead + len(env)] = amplitude_v * env
-    t = np.arange(len(total)) / sample_rate
-    return Waveform(total * np.cos(2.0 * np.pi * frequency_ghz * t + carrier_phase_rad),
-                    sample_rate)
+    t = np.arange(len(total)) / DRIVE_SAMPLE_RATE
+    return Waveform(total * np.cos(2.0 * np.pi * frequency_ghz * t), DRIVE_SAMPLE_RATE)
 
 
 def predistort_drive(w: Waveform, channel: filters.TransferFunction,
@@ -459,52 +458,40 @@ def _rwa_pi_amplitude(scenario, duration_ns, gain) -> float:
 
 @dataclass(frozen=True)
 class RabiCurve:
-    """Excited-state population versus the swept drive parameter."""
+    """Excited-state population versus the drive amplitude."""
 
-    axis: str  # "amplitude" | "duration"
     grid: tuple
     populations: tuple
-    predistortion: bool
 
 
-def rabi_experiment(scenario: DriveScenario, *, amplitudes=None, durations=None,
-                    duration_ns: float = 20.0, amplitude_v: float | None = None,
+def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float = 20.0,
                     predistortion: bool = True,
-                    drive_frequency_ghz: float | None = None,
-                    sample_rate: float = 1.0) -> RabiCurve:
-    """Excited-state population over an amplitude grid or a duration grid.
+                    drive_frequency_ghz: float | None = None) -> RabiCurve:
+    """Excited-state population over a grid of drive amplitudes (volts).
 
-    Each grid point builds one cosine pulse, optionally pre-distorts it,
-    passes it through the scenario channel, and reads the final excited
-    population. Exactly one of ``amplitudes``/``durations`` must be given;
-    the duration sweep requires a fixed ``amplitude_v``.
+    Each grid point builds one ``duration_ns`` cosine pulse at
+    ``drive_frequency_ghz`` (default f01), optionally pre-distorts it, passes
+    it through the scenario channel, and reads the final excited population.
+    The grid must be non-empty.
     """
-    if (amplitudes is None) == (durations is None):
-        raise ValueError("provide exactly one of amplitudes or durations")
-    axis = "amplitude" if durations is None else "duration"
-    grid = [float(x) for x in (amplitudes if durations is None else durations)]
+    grid = [float(a) for a in amplitudes]
     if not grid:
-        raise ValueError(f"{axis} grid must be non-empty")
-    if axis == "duration" and amplitude_v is None:
-        raise ValueError("a duration sweep requires amplitude_v")
-    pulses = [(x, duration_ns) if axis == "amplitude" else (amplitude_v, x) for x in grid]
+        raise ValueError("amplitude grid must be non-empty")
     f_d = drive_frequency_ghz
     if f_d is None:
         f_d = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
     pops = [
-        float(evolve(scenario, drive_pulse(scenario, a, d, f_d, predistortion,
-                                           sample_rate=sample_rate)).populations[-1, 1])
-        for a, d in pulses
+        float(evolve(scenario, drive_pulse(scenario, a, duration_ns, f_d,
+                                           predistortion)).populations[-1, 1])
+        for a in grid
     ]
-    return RabiCurve(axis=axis, grid=tuple(grid), populations=tuple(pops),
-                     predistortion=predistortion)
+    return RabiCurve(grid=tuple(grid), populations=tuple(pops))
 
 
 def drive_pulse(scenario: DriveScenario, amplitude_v: float, duration_ns: float,
-                frequency_ghz: float, predistortion: bool = True, *,
-                sample_rate: float = 1.0) -> Waveform:
+                frequency_ghz: float, predistortion: bool = True) -> Waveform:
     """One cosine pulse at the AWG, pre-distorted for the scenario channel when asked."""
-    w = cosine_drive(duration_ns, amplitude_v, frequency_ghz, sample_rate=sample_rate)
+    w = cosine_drive(duration_ns, amplitude_v, frequency_ghz)
     if predistortion:
         w = predistort_drive(w, scenario.channel,
                              _qubit_frame(scenario.qubit, scenario.levels)[0][1])
@@ -520,16 +507,15 @@ def drive_frame_unitary(scenario: DriveScenario, w: Waveform,
     return rotating_frame(evolve(scenario, w).final_unitary, frame, len(w) / w.sample_rate)
 
 
-def _rotation(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion,
-              sample_rate) -> tuple[float, float, np.ndarray]:
+def _rotation(scenario, amplitude_v, duration_ns, frequency_ghz,
+              predistortion) -> tuple[float, float, np.ndarray]:
     """(theta, n_z, loss) of one pulse. theta and n_z describe its {0,1} block,
     normalized to SU(2), with the lead and tail precession at the detuning
     divided out: one z rotation on each side, which keeps the root theta = pi,
     n_z = 0 and makes n_z close to linear in the drive frequency, so the
     secant converges on wide brackets. ``loss`` is the ground-state column
     without level 1, so |loss|^2 = 1 - P1."""
-    w = drive_pulse(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion,
-                    sample_rate=sample_rate)
+    w = drive_pulse(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion)
     unitary = drive_frame_unitary(scenario, w, frequency_ghz)
     detuning = _qubit_frame(scenario.qubit, scenario.levels)[0][1] - frequency_ghz
     u = np.exp(1j * np.pi * detuning * (len(w) / w.sample_rate - duration_ns))
@@ -560,8 +546,8 @@ def _check_bracket(x: float, lo: float, hi: float, what: str) -> None:
         raise CalibrationError(f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x:.6g}")
 
 
-def _solve_pi(scenario, duration_ns, frequency_ghz, predistortion, sample_rate,
-              start, bracket) -> list:
+def _solve_pi(scenario, duration_ns, frequency_ghz, predistortion, start,
+              bracket) -> list:
     """Every amplitude tried on the way to theta = pi, as (a, theta, n_z, loss);
     the last is the root. ``start`` is clamped into ``bracket``. Since
     theta(0) = 0, the first secant step, from (0, -pi), is the ratio step
@@ -569,8 +555,7 @@ def _solve_pi(scenario, duration_ns, frequency_ghz, predistortion, sample_rate,
     tried = []
 
     def excess(a):
-        tried.append((a, *_rotation(scenario, a, duration_ns, frequency_ghz, predistortion,
-                                    sample_rate)))
+        tried.append((a, *_rotation(scenario, a, duration_ns, frequency_ghz, predistortion)))
         return tried[-1][1] - math.pi
 
     lo, hi = bracket
@@ -611,8 +596,7 @@ def _maximize_transfer(tried, pulse_loss, lo: float, hi: float) -> float:
 def calibrate_pi(scenario: DriveScenario, duration_ns: float,
                  predistortion: bool = True, *,
                  drive_frequency_ghz: float | None = None,
-                 bracket: tuple[float, float] | None = None,
-                 sample_rate: float = 1.0) -> float:
+                 bracket: tuple[float, float] | None = None) -> float:
     """Pi-pulse amplitude (volts): the largest transfer P1, solved on the final unitary.
 
     First theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the
@@ -626,7 +610,7 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
     outside ``bracket`` (default 0.3 to 2.2 times the RWA amplitude), or no
     convergence, raises CalibrationError.
     """
-    if duration_ns * sample_rate < 4:
+    if duration_ns * DRIVE_SAMPLE_RATE < 4:
         raise ValueError("pulse duration must cover at least 4 samples")
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     f01 = levels[1]
@@ -636,19 +620,15 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
     bracket = bracket or (0.3 * estimate, 2.2 * estimate)
     if not 0 <= bracket[0] < bracket[1]:
         raise ValueError("bracket must satisfy 0 <= lo < hi")
-    tried = _solve_pi(scenario, duration_ns, f_d, predistortion, sample_rate,
-                      estimate, bracket)
+    tried = _solve_pi(scenario, duration_ns, f_d, predistortion, estimate, bracket)
     return _maximize_transfer(
-        tried,
-        lambda a: _rotation(scenario, a, duration_ns, f_d, predistortion, sample_rate)[2],
-        *bracket,
+        tried, lambda a: _rotation(scenario, a, duration_ns, f_d, predistortion)[2], *bracket
     )
 
 
 def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
                               predistortion: bool = True, *,
-                              bracket_ghz: tuple[float, float] | None = None,
-                              sample_rate: float = 1.0) -> float:
+                              bracket_ghz: tuple[float, float] | None = None) -> float:
     """Drive frequency at which the pi pulse's axis has no z tilt (Bloch-Siegert trim).
 
     The lab-frame drive shifts the resonance upward by an Omega^2-scale amount
@@ -667,8 +647,7 @@ def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
 
     def tilt(f_d):
         amplitude[0], _, n_z, _ = _solve_pi(scenario, duration_ns, f_d, predistortion,
-                                            sample_rate, amplitude[0],
-                                            (0.3 * estimate, 2.2 * estimate))[-1]
+                                            amplitude[0], (0.3 * estimate, 2.2 * estimate))[-1]
         return n_z
 
     return _secant(tilt, lo, tilt(lo), hi, lo, hi, "drive-frequency")
@@ -788,7 +767,6 @@ class RbGate:
     duration_ns: float = 20.0
     amplitude_dac: float = 0.02
     drive_frequency_ghz: float | None = None  # None: the scenario's f01
-    phase_offset_rad: float = X90_PHASE_OFFSET
 
     def __post_init__(self):
         if not self.duration_ns > 0:
@@ -810,10 +788,6 @@ class RbResult:
 
     records: tuple
     example_program: pulsec.PulseProgram
-    seed: int
-    mode: str
-    interleaved: int | None
-    depolarizing: float
 
 
 def build_rb_program(indices, gate: RbGate, sample_rate: float,
@@ -835,7 +809,7 @@ def build_rb_program(indices, gate: RbGate, sample_rate: float,
             else:
                 instructions.append(
                     pulsec.PlayXY("x90", amplitude=gate.amplitude_dac,
-                                  phase_offset=gate.phase_offset_rad)
+                                  phase_offset=X90_PHASE_OFFSET)
                 )
     return pulsec.PulseProgram(
         instructions=tuple(instructions),
@@ -844,8 +818,9 @@ def build_rb_program(indices, gate: RbGate, sample_rate: float,
     )
 
 
-def _ideal_survival(indices, interleaved, p, p_interleaved) -> float:
-    """Density-matrix survival with depolarizing after each applied Clifford."""
+def _ideal_survival(indices, interleaved, p) -> float:
+    """Density-matrix survival with depolarizing after each random Clifford;
+    the interleaved Clifford is applied exactly."""
     table = _clifford_table()
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     eye = np.eye(2) / 2.0
@@ -856,7 +831,7 @@ def _ideal_survival(indices, interleaved, p, p_interleaved) -> float:
         applied.append(index)
         if interleaved is not None:
             mat = table[interleaved][1]
-            rho = p_interleaved * (mat @ rho @ mat.conj().T) + (1.0 - p_interleaved) * eye
+            rho = mat @ rho @ mat.conj().T
             applied.append(interleaved)
     recovery = table[recovery_index(applied)][1]
     rho = recovery @ rho @ recovery.conj().T
@@ -877,18 +852,16 @@ def _waveform_survival(scenario, program, config) -> float:
 
 def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
            seed: int, interleaved: int | None = None, *, mode: str = "ideal",
-           depolarizing: float = 1.0, interleaved_depolarizing: float = 1.0,
-           gate: RbGate | None = None,
-           config: pulsec.SynthesisConfig | None = None) -> RbResult:
+           depolarizing: float = 1.0, gate: RbGate | None = None) -> RbResult:
     """Randomized benchmarking over the 24-element Clifford group.
 
     Sequences are sampled uniformly per (length, index) from the seed, the
     recovery Clifford is appended, and every sequence is compiled to a
     PulseProgram. Survival comes from exact table unitaries with a
     depolarizing channel after each applied Clifford (``mode="ideal"``) or
-    from synthesizing the program and evolving it through the scenario
-    (``mode="waveform"``). ``interleaved`` inserts that Clifford after each
-    random one, with its own depolarizing strength.
+    from synthesizing the program at DRIVE_SAMPLE_RATE and evolving it
+    through the scenario (``mode="waveform"``). ``interleaved`` inserts that
+    Clifford after each random one; in ideal mode it is applied exactly.
     """
     lengths = [int(m) for m in lengths]
     if not lengths or any(m < 1 for m in lengths):
@@ -899,12 +872,11 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
         raise ValueError("interleaved must be a Clifford index in [0, 24)")
     if mode not in ("ideal", "waveform"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0.0 <= depolarizing <= 1.0 or not 0.0 <= interleaved_depolarizing <= 1.0:
-        raise ValueError("depolarizing strengths must lie in [0, 1]")
+    if not 0.0 <= depolarizing <= 1.0:
+        raise ValueError("depolarizing strength must lie in [0, 1]")
     if gate is None:
         gate = RbGate()
-    if config is None:
-        config = pulsec.SynthesisConfig(sample_rate=1.0)
+    config = pulsec.SynthesisConfig(sample_rate=DRIVE_SAMPLE_RATE)
 
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     carrier = gate.drive_frequency_ghz if gate.drive_frequency_ghz is not None else levels[1]
@@ -925,8 +897,7 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
             try:
                 program = build_rb_program(full, gate, config.sample_rate, carrier)
                 if mode == "ideal":
-                    survival = _ideal_survival(indices, interleaved,
-                                               depolarizing, interleaved_depolarizing)
+                    survival = _ideal_survival(indices, interleaved, depolarizing)
                 else:
                     survival = _waveform_survival(scenario, program, config)
             except UnifluxError as exc:
@@ -937,9 +908,7 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
                 example_program = program
             records.append(RbRecord(length=length, seq_index=seq_index,
                                     survival=survival))
-    return RbResult(records=tuple(records), example_program=example_program,
-                    seed=seed, mode=mode, interleaved=interleaved,
-                    depolarizing=depolarizing)
+    return RbResult(records=tuple(records), example_program=example_program)
 
 
 def rb_csv_text(result: RbResult) -> str:

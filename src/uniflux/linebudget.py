@@ -3,8 +3,9 @@
 All power spectral densities here are double-sided. This matters: the
 line-noise relaxation rate is linear in S_VV, so a single/double-sided mixup
 is a silent factor of two. The AWG noise floor P (W/Hz) converts as
-S_VV = (1/2) P Z0 and room-temperature Johnson noise as S_VV = 2 k_B T Z0,
-both double-sided.
+S_VV = (1/2) P Z0, double-sided. Room-temperature Johnson noise,
+S_VV = 2 k_B T Z0, is about 4e-19 V^2/Hz at 300 K and 50 ohm, nearly four
+orders of magnitude under a -130 dBm/Hz floor, so the budget excludes it.
 
 SI conversions happen only inside this module; inputs are GHz / Phi0 / dB
 like everywhere else.
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import fluxonium
-from .constants import BOLTZMANN, HBAR, PHI0, PLANCK
+from .constants import HBAR, PHI0, PLANCK
 from .errors import SaturationError
 
 
@@ -103,15 +104,6 @@ def awg_noise_psd(noise_dbm_per_hz: float, z0: float) -> float:
     return 0.5 * p_watt_per_hz * z0
 
 
-def johnson_psd(temperature: float, z0: float) -> float:
-    """Double-sided Johnson-Nyquist voltage PSD 2 k_B T Z0 (V^2/Hz)."""
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
-    if z0 < 0:
-        raise ValueError("z0 must be non-negative")
-    return 2.0 * BOLTZMANN * temperature * z0
-
-
 def t1_line_limit(e_l: float, m01: float, line: LineModel, s_vv: float) -> float:
     """Line-noise-limited T1 in microseconds.
 
@@ -170,23 +162,19 @@ def tradeoff_sweep(
     params: fluxonium.FluxoniumParams,
     line_template: LineModel,
     attenuation_db_grid,
-    include_johnson: bool = False,
-    temperature: float = 300.0,
 ) -> list[TradeoffPoint]:
     """Rabi rate, T1 limit, and dc excursion across an attenuation grid.
 
     f01 and |<0|phi|1>| come from the fluxonium module at ``params``; the
-    drive amplitude assumes the full AWG scale at every attenuation. The AWG
-    noise floor dominates room-temperature Johnson noise by nearly four
-    orders of magnitude, so Johnson noise is excluded unless requested.
+    drive amplitude assumes the full AWG scale at every attenuation. The
+    line noise is the AWG floor alone: it dominates room-temperature Johnson
+    noise by nearly four orders of magnitude, so Johnson noise is excluded.
     """
     grid = [float(a) for a in attenuation_db_grid]
     if not grid:
         raise ValueError("attenuation grid must be non-empty")
     m01 = fluxonium.phase_matrix_element(params, 0, 1)
     s_vv = awg_noise_psd(line_template.awg_noise_dbm_per_hz, line_template.line_impedance)
-    if include_johnson:
-        s_vv += johnson_psd(temperature, line_template.line_impedance)
     points = []
     for db in grid:
         line = line_template.replace(attenuation_db=db)

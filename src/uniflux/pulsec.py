@@ -79,15 +79,12 @@ class PlayXY:
     primitive_id: str
     amplitude: float = 1.0
     phase_offset: float = 0.0
-    duration: float | None = None  # ns; validated against the primitive
 
     def __post_init__(self):
         if not abs(self.amplitude) <= 1.0:
             raise ValueError(f"amplitude {self.amplitude} outside [-1, 1]")
         if not math.isfinite(self.phase_offset):
             raise ValueError(f"phase offset must be finite, got {self.phase_offset}")
-        if self.duration is not None and not math.isfinite(self.duration):
-            raise ValueError(f"duration must be finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -332,13 +329,6 @@ class _Schedule:
 
     def _play_xy(self, instr: PlayXY):
         prim = self._primitive(instr.primitive_id, ENVELOPE)
-        if instr.duration is not None and not math.isclose(
-            instr.duration, prim.duration_ns, rel_tol=0.0, abs_tol=1e-9
-        ):
-            raise ScheduleError(
-                f"PlayXY duration {instr.duration} ns does not equal primitive "
-                f"{instr.primitive_id!r} length {prim.duration_ns} ns"
-            )
         self.rows.append(
             (_PLAY, self.n, self.index[prim.id], instr.amplitude, instr.phase_offset)
         )

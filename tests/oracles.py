@@ -28,6 +28,7 @@ from scipy.signal import lfilter
 from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord, _probe_design_matrix
 from uniflux.dynamics import (
     CLIFFORD_COUNT,
+    DRIVE_SAMPLE_RATE,
     DriveScenario,
     _clifford_table,
     _net_carrier_gain,
@@ -129,6 +130,19 @@ def scanned_reset_flux(params, f_target: float, scan_points: int = 160):
     raise NoSolutionError(  # pragma: no cover - guarded by band check
         f"no crossing found for f_target={f_target} GHz"
     )
+
+
+BOLTZMANN = 1.380649e-23  # J / K, exact since the 2019 SI
+
+
+def johnson_psd(temperature: float, z0: float) -> float:
+    """Double-sided Johnson-Nyquist voltage PSD 2 k_B T Z0 (V^2/Hz), the
+    noise `linebudget.tradeoff_sweep` leaves out of its budget."""
+    if temperature < 0:
+        raise ValueError("temperature must be non-negative")
+    if z0 < 0:
+        raise ValueError("z0 must be non-negative")
+    return 2.0 * BOLTZMANN * temperature * z0
 
 
 def lti_distorted(samples, amplitudes, taus_ns, sample_rate_gsps):
@@ -280,8 +294,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _excited_population(scenario, amplitude_v, duration_ns, frequency_ghz,
-                        predistortion, sample_rate, f01) -> float:
-    w = cosine_drive(duration_ns, amplitude_v, frequency_ghz, sample_rate=sample_rate)
+                        predistortion, f01) -> float:
+    w = cosine_drive(duration_ns, amplitude_v, frequency_ghz)
     if predistortion:
         w = predistort_drive(w, scenario.channel, f01)
     return float(evolve(scenario, w).populations[-1, 1])
@@ -311,15 +325,14 @@ def population_calibrate_pi(scenario: DriveScenario, duration_ns: float,
                             predistortion: bool = True, *,
                             drive_frequency_ghz: float | None = None,
                             bracket: tuple[float, float] | None = None,
-                            population_tol: float = 1e-5,
-                            sample_rate: float = 1.0) -> float:
+                            population_tol: float = 1e-5) -> float:
     """Pi-pulse amplitude (volts) by golden-section population maximization.
 
     A coarse scan over the bracket locates an interior maximum (a monotone
     response over the bracket raises CalibrationError); golden-section then
     refines to ``population_tol`` in the objective.
     """
-    if duration_ns * sample_rate < 4:
+    if duration_ns * DRIVE_SAMPLE_RATE < 4:
         raise ValueError("pulse duration must cover at least 4 samples")
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     f01 = levels[1]
@@ -334,8 +347,7 @@ def population_calibrate_pi(scenario: DriveScenario, duration_ns: float,
         raise ValueError("bracket must satisfy 0 <= lo < hi")
 
     def objective(a):
-        return _excited_population(scenario, a, duration_ns, f_d, predistortion,
-                                   sample_rate, f01)
+        return _excited_population(scenario, a, duration_ns, f_d, predistortion, f01)
 
     coarse = np.linspace(lo, hi, 17)
     values = [objective(a) for a in coarse]
@@ -351,8 +363,7 @@ def population_calibrate_pi(scenario: DriveScenario, duration_ns: float,
 
 def population_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
                                          predistortion: bool = True, *,
-                                         bracket_ghz: tuple[float, float] | None = None,
-                                         sample_rate: float = 1.0) -> float:
+                                         bracket_ghz: tuple[float, float] | None = None) -> float:
     """Drive frequency maximizing calibrated transfer (Bloch-Siegert trim).
 
     The lab-frame drive shifts the effective resonance upward by a
@@ -371,8 +382,7 @@ def population_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: f
 
     def best_population(f_d):
         def objective(a):
-            return _excited_population(scenario, a, duration_ns, f_d,
-                                       predistortion, sample_rate, f01)
+            return _excited_population(scenario, a, duration_ns, f_d, predistortion, f01)
         amp = golden_section_max(objective, 0.8 * estimate, 1.3 * estimate, 1e-6)
         return objective(amp)
 
@@ -446,13 +456,6 @@ class _Compiler:
 
     def _play_xy(self, instr: PlayXY):
         prim = self._primitive(instr.primitive_id, ENVELOPE)
-        if instr.duration is not None and not math.isclose(
-            instr.duration, prim.duration_ns, rel_tol=0.0, abs_tol=1e-9
-        ):
-            raise ScheduleError(
-                f"PlayXY duration {instr.duration} ns does not equal primitive "
-                f"{instr.primitive_id!r} length {prim.duration_ns} ns"
-            )
         rotor = complex(
             math.cos(instr.phase_offset + self.frame_phase),
             math.sin(instr.phase_offset + self.frame_phase),

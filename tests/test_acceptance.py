@@ -303,7 +303,6 @@ def test_criterion_09_rb_pipeline_oracle():
         interleaved=5,
         mode="ideal",
         depolarizing=injected,
-        interleaved_depolarizing=1.0,
     )
     int_survivals = {}
     for record in interleaved.records:

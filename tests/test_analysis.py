@@ -47,6 +47,7 @@ def test_t1_eff_matches_independent_crossing_of_fitted_curve():
     assert fit.t1_eff == pytest.approx(independent, rel=1e-6)
 
 
+@pytest.mark.slow
 def test_relaxation_single_exponential_limit():
     t = _t_grid()
     p = oracles.double_exp_population(t, a=1.0, b=0.0, t_exp=150.0,
@@ -56,6 +57,7 @@ def test_relaxation_single_exponential_limit():
     assert fit.t1_eff == pytest.approx(150.0, rel=1e-3)
 
 
+@pytest.mark.slow
 def test_relaxation_monte_carlo_bias():
     t = _t_grid(121)
     clean = oracles.double_exp_population(t, **T1_CANON)
@@ -332,6 +334,7 @@ def test_reset_estimator_recovers_two_percent():
     assert est.sigma_g == pytest.approx(1.0, abs=0.1)
 
 
+@pytest.mark.slow
 def test_reset_estimator_monte_carlo_within_three_permille():
     rng = np.random.default_rng(2)
     errors = []

@@ -867,6 +867,22 @@ _EXIT_CODE_CASES = [
      "argument --amp-max:"),
     ("simulate-gate-nan-duration", ("simulate", "gate", "--duration", "nan"), 2,
      "argument --duration:"),
+    ("simulate-gate-half-sample-duration", ("simulate", "gate", "--duration", "0.5"), 2,
+     "argument --duration: must be a whole number of at least 4 samples"),
+    ("simulate-rabi-fractional-duration", ("simulate", "rabi", "--duration", "2.5"), 2,
+     "argument --duration: must be a whole number of at least 2 samples"),
+    ("simulate-rb-half-sample-gate-duration", ("simulate", "rb", "--gate-duration", "0.5"), 2,
+     "argument --gate-duration: must be a whole number of at least 2 samples"),
+    ("simulate-rb-waveform-one-sample-gate",
+     ("simulate", "rb", "--mode", "waveform", "--gate-duration", "1"), 2,
+     "argument --gate-duration: must be a whole number of at least 2 samples"),
+    # each experiment takes only the options it reads
+    ("simulate-gate-frequency", ("simulate", "gate", "--frequency", "0.3"), 2,
+     "unrecognized arguments: --frequency"),
+    ("simulate-rabi-trim-frequency", ("simulate", "rabi", "--trim-frequency"), 2,
+     "unrecognized arguments: --trim-frequency"),
+    ("simulate-rb-duration", ("simulate", "rb", "--duration", "24"), 2,
+     "unrecognized arguments: --duration"),
     ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,
      "argument --sequences:"),
     ("simulate-rb-interleaved-24", ("simulate", "rb", "--interleaved", "24"), 2,

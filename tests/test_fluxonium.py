@@ -194,6 +194,7 @@ def _f01_at(params, flux):
     return fluxonium.eigensystem(h, 2).levels[1]
 
 
+@pytest.mark.slow
 def test_find_reset_flux_matches_full_scan_oracle():
     rng = np.random.default_rng(1507)
     cases = [(REFERENCE_PARAMS, 160)]
