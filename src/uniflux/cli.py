@@ -478,22 +478,19 @@ def _simulate_rabi(args, scenario) -> int:
 
 
 def _simulate_gate(args, scenario) -> int:
-    drive_f = float(dynamics.qubit_frame(scenario)[0][1])
     if args.trim_frequency:
-        drive_f = dynamics.calibrate_drive_frequency(scenario, args.duration, args.predistort)
-    amplitude = dynamics.calibrate_pi(
-        scenario, args.duration, args.predistort, drive_frequency_ghz=drive_f
-    )
-    pulse = dynamics.drive_pulse(scenario, amplitude, args.duration, drive_f, args.predistort)
-    unitary = dynamics.drive_frame_unitary(scenario, pulse, drive_f)
+        pulse = dynamics.calibrate_drive_frequency(scenario, args.duration, args.predistort)
+    else:
+        pulse = dynamics.calibrate_pi(scenario, args.duration, args.predistort)
+    unitary = pulse.unitary  # the drive-frame propagator the calibration ended on
     x_pi = np.array([[0.0, -1.0j], [-1.0j, 0.0]])
     metrics = dynamics.gate_fidelity(unitary, x_pi)
     report = {
         "gate": "x_pi",
         "duration_ns": args.duration,
         "predistortion": bool(args.predistort),
-        "drive_frequency_ghz": drive_f,
-        "amplitude_v": amplitude,
+        "drive_frequency_ghz": pulse.frequency_ghz,
+        "amplitude_v": pulse.amplitude_v,
         # |U10|^2 <= (U^dag U)_00 <= 1 + drift: clamp the rounding at 1
         "population_transfer": min(float(abs(unitary[1, 0]) ** 2), 1.0),
         "fidelity": metrics.fidelity,

@@ -303,6 +303,98 @@ def _propagate(levels: np.ndarray, phi_mat: np.ndarray, e_l: float,
     return (*_prefix_scan(np.concatenate(samples, axis=2)), nodes)
 
 
+@dataclass(frozen=True)
+class _Shape:
+    """A drive waveform made ready to propagate at any amplitude.
+
+    ``peak`` (the at-AWG peak) and ``mids`` (the phase drive at the step
+    midpoints) are per unit amplitude: the channel, the scaling and the
+    midpoint resampling are all linear, so ``a * mids`` is the drive of
+    ``a`` times the waveform, exact up to rounding.
+    """
+
+    scenario: DriveScenario
+    sample_rate: float
+    steps_per_sample: int
+    peak: float
+    mids: np.ndarray
+
+    @property
+    def duration_ns(self) -> float:
+        return len(self.mids) // self.steps_per_sample / self.sample_rate
+
+
+def _prepare(scenario: DriveScenario, w: Waveform) -> _Shape:
+    """The amplitude-free half of `evolve`: the waveform checks, the channel
+    (`apply_transfer`), the scaling to delta_phi and `_step_midpoints`."""
+    if len(w) < 2:
+        raise ValueError("waveform must have at least 2 samples")
+    if np.iscomplexobj(w.samples):
+        raise ValueError("drive waveform must be real")
+    # `_drive` checks that the step divides the sample period; until then an
+    # undivided period only rounds to the nearest whole step count.
+    k = max(1, int(round(1.0 / w.sample_rate / scenario.time_step)))
+    filtered = filters.apply_transfer(w, scenario.channel)
+    dphi = np.asarray(filtered.samples, dtype=float) * phase_drive_per_volt(scenario.line)
+    return _Shape(scenario, w.sample_rate, k, float(np.max(np.abs(w.samples))),
+                  _step_midpoints(dphi, k))
+
+
+def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
+    """The per-amplitude half of `evolve`: ``amplitude`` times the prepared
+    shape is checked against full scale and the step rules, propagated, and
+    checked for unitarity drift."""
+    scenario = shape.scenario
+    peak = abs(amplitude) * shape.peak
+    if peak > scenario.line.awg_vmax * (1.0 + 1e-12):
+        raise SaturationError(
+            f"waveform peak {peak:.6g} V exceeds AWG full scale "
+            f"{scenario.line.awg_vmax} V",
+            peak=peak,
+        )
+    levels, phi_mat = _qubit_frame(scenario.qubit, scenario.levels)
+    f01 = levels[1]
+    h = scenario.time_step
+    if h > 1.0 / (20.0 * f01):
+        raise NumericalError(
+            f"time_step {h} ns violates the stability bound 1/(20 f01) = "
+            f"{1.0 / (20.0 * f01):.4f} ns; use a smaller step"
+        )
+    period = 1.0 / shape.sample_rate
+    k = shape.steps_per_sample
+    if abs(k * h - period) > 1e-9 * period:
+        raise ValueError(
+            f"time_step {h} ns does not divide the sample period {period} ns; "
+            "resampling onto the step grid must be exact"
+        )
+
+    # The drive enters H only as E_L * delta_phi, so the amplitude scales
+    # E_L rather than a copy of the midpoints.
+    pops, unitary, nodes = _propagate(levels, phi_mat, amplitude * scenario.qubit.e_l,
+                                      shape.mids, h, k)
+
+    # The drift of U, or of the ground-start state's norm at a boundary where
+    # that is larger: no population can exceed 1 by more than this.
+    drift = np.max([np.abs(unitary.conj().T @ unitary - np.eye(scenario.levels)).max(),
+                    np.abs(pops.sum(axis=1) - 1.0).max()])
+    if not drift <= 1e-8:  # NaN fails closed
+        raise NumericalError(
+            f"propagator unitarity drift {drift:.2e} exceeds 1e-8; "
+            "use a smaller time step"
+        )
+    np.minimum(pops, 1.0, out=pops)
+    meta = {
+        "scenario_sha256": _scenario_fingerprint(scenario, shape.sample_rate),
+        "time_step_ns": h,
+        "levels": scenario.levels,
+        "steps": len(shape.mids),
+        "unitarity_drift": float(drift),
+        "chebyshev_nodes": nodes,
+        "top_level_population": float(pops[:, -1].max()),
+    }
+    return SimOutcome(populations=pops, final_unitary=unitary, metadata=meta)
+
+
 def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
     """Integrate the drive Hamiltonian for one at-AWG voltage waveform.
 
@@ -311,6 +403,10 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
     (`_step_midpoints`: one rfft, delayed half a step by a phase ramp and
     inverted on the n*k step grid), and propagated with midpoint
     exponentials. Populations are recorded at every input-sample boundary.
+    That is two halves: `_prepare` does everything that does not depend on
+    the amplitude, and `_drive` propagates one amplitude of it, here 1. The
+    calibrations and Rabi scans prepare each pulse shape once and drive it
+    at every amplitude they try.
 
     Each chunk of whole samples (at most 65 536 steps) takes exact
     exponentials only at K Chebyshev nodes over its drive range, with K the
@@ -329,59 +425,7 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
     chunk, and ``top_level_population``, the largest population of the top
     retained level over the trajectory, a measure of truncation error.
     """
-    w = at_awg_waveform
-    if len(w) < 2:
-        raise ValueError("waveform must have at least 2 samples")
-    if np.iscomplexobj(w.samples):
-        raise ValueError("drive waveform must be real")
-    peak = float(np.max(np.abs(w.samples))) if len(w) else 0.0
-    if peak > scenario.line.awg_vmax * (1.0 + 1e-12):
-        raise SaturationError(
-            f"waveform peak {peak:.6g} V exceeds AWG full scale "
-            f"{scenario.line.awg_vmax} V",
-            peak=peak,
-        )
-    levels, phi_mat = _qubit_frame(scenario.qubit, scenario.levels)
-    f01 = levels[1]
-    h = scenario.time_step
-    if h > 1.0 / (20.0 * f01):
-        raise NumericalError(
-            f"time_step {h} ns violates the stability bound 1/(20 f01) = "
-            f"{1.0 / (20.0 * f01):.4f} ns; use a smaller step"
-        )
-    period = 1.0 / w.sample_rate
-    k = int(round(period / h))
-    if k < 1 or abs(k * h - period) > 1e-9 * period:
-        raise ValueError(
-            f"time_step {h} ns does not divide the sample period {period} ns; "
-            "resampling onto the step grid must be exact"
-        )
-
-    filtered = filters.apply_transfer(w, scenario.channel)
-    dphi = np.asarray(filtered.samples, dtype=float) * phase_drive_per_volt(scenario.line)
-    mids = _step_midpoints(dphi, k)
-    pops, unitary, nodes = _propagate(levels, phi_mat, scenario.qubit.e_l, mids, h, k)
-
-    # The drift of U, or of the ground-start state's norm at a boundary where
-    # that is larger: no population can exceed 1 by more than this.
-    drift = np.max([np.abs(unitary.conj().T @ unitary - np.eye(scenario.levels)).max(),
-                    np.abs(pops.sum(axis=1) - 1.0).max()])
-    if not drift <= 1e-8:  # NaN fails closed
-        raise NumericalError(
-            f"propagator unitarity drift {drift:.2e} exceeds 1e-8; "
-            "use a smaller time step"
-        )
-    np.minimum(pops, 1.0, out=pops)
-    meta = {
-        "scenario_sha256": _scenario_fingerprint(scenario, w.sample_rate),
-        "time_step_ns": h,
-        "levels": scenario.levels,
-        "steps": len(mids),
-        "unitarity_drift": float(drift),
-        "chebyshev_nodes": nodes,
-        "top_level_population": float(pops[:, -1].max()),
-    }
-    return SimOutcome(populations=pops, final_unitary=unitary, metadata=meta)
+    return _drive(_prepare(scenario, at_awg_waveform), 1.0)
 
 
 def rotating_frame(unitary: np.ndarray, levels_ghz: np.ndarray,
@@ -469,10 +513,10 @@ def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float =
                     drive_frequency_ghz: float | None = None) -> RabiCurve:
     """Excited-state population over a grid of drive amplitudes (volts).
 
-    Each grid point builds one ``duration_ns`` cosine pulse at
-    ``drive_frequency_ghz`` (default f01), optionally pre-distorts it, passes
-    it through the scenario channel, and reads the final excited population.
-    The grid must be non-empty.
+    One ``duration_ns`` cosine pulse at ``drive_frequency_ghz`` (default
+    f01), optionally pre-distorted, passes through the scenario channel once
+    (`_prepare`); each grid point drives that shape at its amplitude and
+    reads the final excited population. The grid must be non-empty.
     """
     grid = [float(a) for a in amplitudes]
     if not grid:
@@ -480,11 +524,8 @@ def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float =
     f_d = drive_frequency_ghz
     if f_d is None:
         f_d = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
-    pops = [
-        float(evolve(scenario, drive_pulse(scenario, a, duration_ns, f_d,
-                                           predistortion)).populations[-1, 1])
-        for a in grid
-    ]
+    shape = _prepare(scenario, drive_pulse(scenario, 1.0, duration_ns, f_d, predistortion))
+    pops = [float(_drive(shape, a).populations[-1, 1]) for a in grid]
     return RabiCurve(grid=tuple(grid), populations=tuple(pops))
 
 
@@ -498,32 +539,89 @@ def drive_pulse(scenario: DriveScenario, amplitude_v: float, duration_ns: float,
     return w
 
 
-def drive_frame_unitary(scenario: DriveScenario, w: Waveform,
-                        frequency_ghz: float) -> np.ndarray:
-    """Propagator of ``w`` in the frame rotating with the drive (level 1 at
-    ``frequency_ghz``)."""
-    frame = _qubit_frame(scenario.qubit, scenario.levels)[0].copy()
-    frame[1] = frequency_ghz
-    return rotating_frame(evolve(scenario, w).final_unitary, frame, len(w) / w.sample_rate)
+@dataclass(frozen=True)
+class Calibration:
+    """A calibrated pi pulse, with the propagator and residuals it was judged by.
+
+    ``unitary`` is the drive-frame propagator (level 1 rotating at
+    ``frequency_ghz``) of the pulse at ``amplitude_v``, an amplitude the
+    solve propagated. ``theta_error`` = |theta - pi| and ``tilt`` = |n_z|
+    describe that propagator's {0,1} rotation, and ``propagations`` counts
+    the pulses the calibration propagated.
+    """
+
+    amplitude_v: float
+    frequency_ghz: float
+    unitary: np.ndarray
+    theta_error: float
+    tilt: float
+    propagations: int
+
+    def __post_init__(self):
+        self.unitary.setflags(write=False)
 
 
-def _rotation(scenario, amplitude_v, duration_ns, frequency_ghz,
-              predistortion) -> tuple[float, float, np.ndarray]:
-    """(theta, n_z, loss) of one pulse. theta and n_z describe its {0,1} block,
-    normalized to SU(2), with the lead and tail precession at the detuning
-    divided out: one z rotation on each side, which keeps the root theta = pi,
-    n_z = 0 and makes n_z close to linear in the drive frequency, so the
-    secant converges on wide brackets. ``loss`` is the ground-state column
-    without level 1, so |loss|^2 = 1 - P1."""
-    w = drive_pulse(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion)
-    unitary = drive_frame_unitary(scenario, w, frequency_ghz)
-    detuning = _qubit_frame(scenario.qubit, scenario.levels)[0][1] - frequency_ghz
-    u = np.exp(1j * np.pi * detuning * (len(w) / w.sample_rate - duration_ns))
-    block = unitary[:2, :2] * np.array([[1.0, u], [u, u * u]])
-    v = block / np.sqrt(np.linalg.det(block))
-    theta = 2.0 * math.acos(min(1.0, max(-1.0, 0.5 * v.trace().real)))
-    n_z = -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
-    return theta, n_z, np.delete(unitary[:, 0], 1)
+@dataclass(frozen=True)
+class _Point:
+    """One propagated pulse: its {0,1} rotation angle and axis tilt, and its
+    drive-frame propagator."""
+
+    amplitude: float
+    frequency: float
+    theta: float
+    n_z: float
+    unitary: np.ndarray
+
+    @property
+    def loss(self) -> np.ndarray:
+        """The ground-state column without level 1, so |loss|^2 = 1 - P1."""
+        return np.delete(self.unitary[:, 0], 1)
+
+
+class _Rotations:
+    """The rotation of one cosine pulse at any (amplitude, frequency).
+
+    The unit-amplitude shape is prepared once per drive frequency and driven
+    at each amplitude asked for; ``propagations`` counts the drives.
+    """
+
+    def __init__(self, scenario: DriveScenario, duration_ns: float, predistortion: bool):
+        self.scenario, self.duration_ns, self.predistortion = scenario, duration_ns, predistortion
+        self.propagations = 0
+        self._frequency = self._shape = None
+
+    def __call__(self, amplitude: float, frequency: float) -> _Point:
+        """theta and n_z describe the {0,1} block, normalized to SU(2), with
+        the lead and tail precession at the detuning divided out: one z
+        rotation on each side, which keeps the root theta = pi, n_z = 0 and
+        makes n_z close to linear in the drive frequency."""
+        scenario = self.scenario
+        if frequency != self._frequency:
+            self._frequency = frequency
+            self._shape = _prepare(scenario, drive_pulse(
+                scenario, 1.0, self.duration_ns, frequency, self.predistortion))
+        self.propagations += 1
+        frame = _qubit_frame(scenario.qubit, scenario.levels)[0].copy()
+        detuning = frame[1] - frequency
+        frame[1] = frequency
+        total_ns = self._shape.duration_ns
+        unitary = rotating_frame(_drive(self._shape, amplitude).final_unitary, frame, total_ns)
+        u = np.exp(1j * np.pi * detuning * (total_ns - self.duration_ns))
+        block = unitary[:2, :2] * np.array([[1.0, u], [u, u * u]])
+        v = block / np.sqrt(np.linalg.det(block))
+        theta = 2.0 * math.acos(min(1.0, max(-1.0, 0.5 * v.trace().real)))
+        n_z = -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
+        return _Point(amplitude, frequency, theta, n_z, unitary)
+
+    def calibration(self, point: _Point) -> Calibration:
+        return Calibration(
+            amplitude_v=float(point.amplitude),
+            frequency_ghz=float(point.frequency),
+            unitary=point.unitary,
+            theta_error=float(abs(point.theta - math.pi)),
+            tilt=float(abs(point.n_z)),
+            propagations=self.propagations,
+        )
 
 
 def _secant(residual, x0: float, r0: float, x1: float, lo: float, hi: float,
@@ -546,33 +644,34 @@ def _check_bracket(x: float, lo: float, hi: float, what: str) -> None:
         raise CalibrationError(f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x:.6g}")
 
 
-def _solve_pi(scenario, duration_ns, frequency_ghz, predistortion, start,
-              bracket) -> list:
-    """Every amplitude tried on the way to theta = pi, as (a, theta, n_z, loss);
-    the last is the root. ``start`` is clamped into ``bracket``. Since
-    theta(0) = 0, the first secant step, from (0, -pi), is the ratio step
-    start * pi / theta(start)."""
+def _solve_pi(rotation, start: float, bracket) -> list:
+    """Every pulse tried on the way to theta = pi, as `_Point`s; the last is
+    the root. ``rotation`` maps an amplitude to its `_Point`, and ``start`` is
+    clamped into ``bracket``. Since theta(0) = 0, the first secant step, from
+    (0, -pi), is the ratio step start * pi / theta(start)."""
     tried = []
 
     def excess(a):
-        tried.append((a, *_rotation(scenario, a, duration_ns, frequency_ghz, predistortion)))
-        return tried[-1][1] - math.pi
+        tried.append(rotation(a))
+        return tried[-1].theta - math.pi
 
     lo, hi = bracket
     _secant(excess, 0.0, -math.pi, min(max(start, lo), hi), lo, hi, "amplitude")
     return tried
 
 
-def _maximize_transfer(tried, pulse_loss, lo: float, hi: float) -> float:
-    """Amplitude of the largest P1 = 1 - |loss(a)|^2, by Newton steps on
-    d|loss|^2/da from the last amplitude tried. The loss's slope and curvature
+def _maximize_transfer(tried, rotation, lo: float, hi: float) -> _Point:
+    """The pulse of largest P1 = 1 - |loss(a)|^2, by Newton steps on
+    d|loss|^2/da from the last pulse tried. The loss's slope and curvature
     come from the quadratic through the last three amplitudes (a = 0, where
     loss is the ground state, counts as one). Where the curvature term would
     cut the second derivative below a quarter of its Gauss-Newton part it is
     dropped, and no step exceeds a fifth of the amplitude. It stops once a
-    step falls below 1e-6 of the amplitude, which costs P1 less than 1e-11;
-    a step outside [lo, hi] or no convergence raises CalibrationError."""
-    points = [(0.0, np.eye(len(tried[0][3]))[0])] + [(a, loss) for a, *_, loss in tried]
+    step falls below 1e-6 of the amplitude, which costs P1 less than 1e-11,
+    and returns the last pulse propagated; a step outside [lo, hi] or no
+    convergence raises CalibrationError."""
+    best = tried[-1]
+    points = [(0.0, np.eye(len(best.loss))[0])] + [(p.amplitude, p.loss) for p in tried]
     for _ in range(_SOLVE_STEPS):
         (a1, r1), (a2, r2) = points[-2:]
         slope, curvature = (r2 - r1) / (a2 - a1), 0.0
@@ -586,71 +685,122 @@ def _maximize_transfer(tried, pulse_loss, lo: float, hi: float) -> float:
             hessian = gauss_newton
         step = -np.vdot(slope, r2).real / hessian
         if abs(step) < _AMPLITUDE_TOL * a2:
-            return a2
+            return best
         a = a2 + max(-0.2 * a2, min(0.2 * a2, step))
         _check_bracket(a, lo, hi, "amplitude")
-        points.append((a, pulse_loss(a)))
+        best = rotation(a)
+        points.append((a, best.loss))
     raise CalibrationError(f"amplitude solve did not converge in {_SOLVE_STEPS} steps")
 
 
 def calibrate_pi(scenario: DriveScenario, duration_ns: float,
                  predistortion: bool = True, *,
-                 drive_frequency_ghz: float | None = None,
-                 bracket: tuple[float, float] | None = None) -> float:
-    """Pi-pulse amplitude (volts): the largest transfer P1, solved on the final unitary.
+                 bracket: tuple[float, float] | None = None) -> Calibration:
+    """Pi pulse at f01: the amplitude (volts) of largest transfer P1, solved on
+    the final unitary.
 
     First theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the
     drive frame normalized by the root of its determinant, is solved to pi:
     from the RWA amplitude a (clamped into ``bracket``), a step a * pi / theta
     and then secant steps reach |theta - pi| < 1e-10, usually in three
-    evolves. P1 = sin^2(theta/2) (1 - n_z^2) peaks there only when the axis
-    lies in the equator (n_z = 0, as at the trimmed drive frequency); Newton
-    steps on the propagator's ground-state column then move the amplitude to
-    the P1 maximum, and cost no evolve when n_z is already 0. An amplitude
-    outside ``bracket`` (default 0.3 to 2.2 times the RWA amplitude), or no
-    convergence, raises CalibrationError.
+    propagations. P1 = sin^2(theta/2) (1 - n_z^2) peaks there only when the
+    axis lies in the equator (n_z = 0); Newton steps on the propagator's
+    ground-state column then move the amplitude to the P1 maximum, and cost
+    no propagation when n_z is already 0. The pulse shape is filtered once;
+    each amplitude tried only propagates it. An amplitude outside ``bracket``
+    (default 0.3 to 2.2 times the RWA amplitude), or no convergence, raises
+    CalibrationError.
+
+    Returns the `Calibration` of the last amplitude propagated, with its
+    drive-frame propagator, so the caller need not evolve the pulse again.
     """
     if duration_ns * DRIVE_SAMPLE_RATE < 4:
         raise ValueError("pulse duration must cover at least 4 samples")
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     f01 = levels[1]
-    f_d = drive_frequency_ghz if drive_frequency_ghz is not None else f01
     estimate = _rwa_pi_amplitude(scenario, duration_ns,
-                                 _net_carrier_gain(scenario, predistortion, f01, f_d))
+                                 _net_carrier_gain(scenario, predistortion, f01, f01))
     bracket = bracket or (0.3 * estimate, 2.2 * estimate)
     if not 0 <= bracket[0] < bracket[1]:
         raise ValueError("bracket must satisfy 0 <= lo < hi")
-    tried = _solve_pi(scenario, duration_ns, f_d, predistortion, estimate, bracket)
-    return _maximize_transfer(
-        tried, lambda a: _rotation(scenario, a, duration_ns, f_d, predistortion)[2], *bracket
-    )
+    rotations = _Rotations(scenario, duration_ns, predistortion)
+
+    def rotation(a):
+        return rotations(a, f01)
+
+    tried = _solve_pi(rotation, estimate, bracket)
+    return rotations.calibration(_maximize_transfer(tried, rotation, *bracket))
 
 
 def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
                               predistortion: bool = True, *,
-                              bracket_ghz: tuple[float, float] | None = None) -> float:
-    """Drive frequency at which the pi pulse's axis has no z tilt (Bloch-Siegert trim).
+                              bracket_ghz: tuple[float, float] | None = None) -> Calibration:
+    """Pi pulse whose axis has no z tilt: amplitude and drive frequency
+    solved together (Bloch-Siegert trim).
 
     The lab-frame drive shifts the resonance upward by an Omega^2-scale amount
     (~2.2 MHz for a 20 ns pi pulse at f01 = 224 MHz, falling as 1/duration^2).
-    With the amplitude solved to theta = pi at each frequency, warm-started
-    from the last one, n_z = -Im(V00 - V11) / (2 sin(theta/2)) is solved to
-    |n_z| < 1e-10 by secant steps from the two ends of ``bracket_ghz``. A root
-    outside the bracket raises CalibrationError.
+    Broyden steps (Broyden, Math. Comp. 19, 577 (1965)) in the amplitude a
+    and the frequency f, each scaled by its bracket, zero the rotation vector
+    residual (theta sqrt(1 - n_z^2) - pi, theta n_z), which vanishes exactly
+    at theta = pi, n_z = 0 and is close to linear in a and f. They stop at
+    |theta - pi|, |n_z| < 1e-10, usually after seven propagations. With the
+    axis in the equator, theta = pi is also the amplitude of largest P1.
+
+    The start is the RWA amplitude at f01 (clamped into ``bracket_ghz``).
+    The Jacobian's amplitude column comes from that pulse, the rotation
+    growing as a and the Bloch-Siegert tilt as a^2; its frequency column
+    from a second pulse at a pi / theta and 0.7 of the way across the
+    bracket, where the default bracket expects the trim. A frequency step
+    out of the bracket raises CalibrationError saying that no frequency in
+    it levels the axis, with the n_z at the last frequency propagated; an
+    amplitude outside 0.3 to 2.2 times the RWA amplitude, or no
+    convergence, raises CalibrationError too.
     """
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     f01 = levels[1]
     lo, hi = bracket_ghz or (f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4)
+    if not lo < hi:
+        raise ValueError("bracket_ghz must satisfy lo < hi")
     estimate = _rwa_pi_amplitude(scenario, duration_ns,
                                  _net_carrier_gain(scenario, predistortion, f01, f01))
-    amplitude = [estimate]  # warm start of the next amplitude solve
+    rotations = _Rotations(scenario, duration_ns, predistortion)
+    scale = np.array([estimate, hi - lo])
 
-    def tilt(f_d):
-        amplitude[0], _, n_z, _ = _solve_pi(scenario, duration_ns, f_d, predistortion,
-                                            amplitude[0], (0.3 * estimate, 2.2 * estimate))[-1]
-        return n_z
+    def residual(point):
+        in_plane = point.theta * math.sqrt(max(0.0, 1.0 - point.n_z ** 2))
+        return np.array([in_plane - math.pi, point.theta * point.n_z])
 
-    return _secant(tilt, lo, tilt(lo), hi, lo, hi, "drive-frequency")
+    def propagate(x, last):
+        a, f = x
+        if not lo <= f <= hi:
+            raise CalibrationError(
+                f"no drive frequency in the bracket [{lo:.6g}, {hi:.6g}] GHz levels the "
+                f"pi rotation's axis: n_z = {last.n_z:.3g} at {last.frequency:.6g} GHz"
+            )
+        _check_bracket(a, 0.3 * estimate, 2.2 * estimate, "amplitude")
+        return rotations(a, f)
+
+    f0 = min(max(f01, lo), hi)
+    first = rotations(estimate, f0)
+    r0 = residual(first)
+    far = hi if f0 < hi else lo
+    step = np.array([math.pi / first.theta - 1.0, 0.7 * (far - f0) / (hi - lo)])
+    x = np.array([estimate, f0]) + step * scale
+    point = propagate(x, first)
+    r = residual(point)
+    amplitude_column = np.array([r0[0] + math.pi, 2.0 * r0[1]])
+    jacobian = np.column_stack([amplitude_column, (r - r0 - amplitude_column * step[0]) / step[1]])
+    for _ in range(_SOLVE_STEPS):
+        if max(abs(point.theta - math.pi), abs(point.n_z)) < _SOLVE_TOL:
+            return rotations.calibration(point)
+        step = -np.linalg.solve(jacobian, r)
+        x = x + step * scale
+        point = propagate(x, point)
+        r_next = residual(point)
+        jacobian += np.outer(r_next - r - jacobian @ step, step) / (step @ step)
+        r = r_next
+    raise CalibrationError(f"drive-frequency solve did not converge in {_SOLVE_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,13 @@ from uniflux.dynamics import (
     _net_carrier_gain,
     _qubit_frame,
     _rwa_pi_amplitude,
+    _secant,
     clifford_index_of,
     cosine_drive,
+    drive_pulse,
     evolve,
     predistort_drive,
+    rotating_frame,
 )
 from uniflux.errors import CalibrationError, FitError, NoSolutionError, ScheduleError
 from uniflux.fluxonium import ResetFlux, _f01, _flux_free_terms, phase_operator
@@ -388,6 +391,69 @@ def population_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: f
 
     return golden_section_max(best_population, bracket_ghz[0], bracket_ghz[1],
                               1e-7)
+
+
+# ---------------------------------------------------------------------------
+# calibration: one waveform per amplitude, frequency trim around a pi solve
+# ---------------------------------------------------------------------------
+
+
+def drive_frame_unitary(scenario: DriveScenario, w: Waveform,
+                        frequency_ghz: float) -> np.ndarray:
+    """Propagator of ``w`` in the frame rotating with the drive (level 1 at
+    ``frequency_ghz``)."""
+    frame = _qubit_frame(scenario.qubit, scenario.levels)[0].copy()
+    frame[1] = frequency_ghz
+    return rotating_frame(evolve(scenario, w).final_unitary, frame, len(w) / w.sample_rate)
+
+
+def waveform_rotation(scenario, amplitude_v, duration_ns, frequency_ghz,
+                      predistortion) -> tuple[float, float, np.ndarray]:
+    """(theta, n_z, loss) of one pulse, synthesized, filtered and evolved at
+    its own amplitude. theta and n_z describe its {0,1} block, normalized to
+    SU(2), with the lead and tail precession at the detuning divided out;
+    |loss|^2 = 1 - P1."""
+    w = drive_pulse(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion)
+    unitary = drive_frame_unitary(scenario, w, frequency_ghz)
+    detuning = _qubit_frame(scenario.qubit, scenario.levels)[0][1] - frequency_ghz
+    u = np.exp(1j * np.pi * detuning * (len(w) / w.sample_rate - duration_ns))
+    block = unitary[:2, :2] * np.array([[1.0, u], [u, u * u]])
+    v = block / np.sqrt(np.linalg.det(block))
+    theta = 2.0 * math.acos(min(1.0, max(-1.0, 0.5 * v.trace().real)))
+    n_z = -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
+    return theta, n_z, np.delete(unitary[:, 0], 1)
+
+
+def nested_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
+                                     predistortion: bool = True, *,
+                                     bracket_ghz: tuple[float, float] | None = None
+                                     ) -> tuple[float, float]:
+    """(amplitude, drive frequency) of the untilted pi pulse, by secant steps
+    on n_z from the two ends of the bracket, each step around a full secant
+    solve of theta = pi warm-started from the last one. The amplitude is that
+    inner solve's root at the returned frequency."""
+    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
+    f01 = levels[1]
+    lo, hi = bracket_ghz or (f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4)
+    estimate = _rwa_pi_amplitude(scenario, duration_ns,
+                                 _net_carrier_gain(scenario, predistortion, f01, f01))
+    a_lo, a_hi = 0.3 * estimate, 2.2 * estimate
+    amplitude = [estimate]  # warm start of the next amplitude solve
+
+    def tilt(f_d):
+        tried = []
+
+        def excess(a):
+            tried.append((a, *waveform_rotation(scenario, a, duration_ns, f_d, predistortion)))
+            return tried[-1][1] - math.pi
+
+        _secant(excess, 0.0, -math.pi, min(max(amplitude[0], a_lo), a_hi), a_lo, a_hi,
+                "amplitude")
+        amplitude[0], _, n_z, _ = tried[-1]
+        return n_z
+
+    frequency = _secant(tilt, lo, tilt(lo), hi, lo, hi, "drive-frequency")
+    return amplitude[0], frequency
 
 
 # ---------------------------------------------------------------------------

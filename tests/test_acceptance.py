@@ -234,10 +234,8 @@ def test_criterion_07_predistortion_rabi_contrast():
     # Calibration trims both knobs the compensated channel exposes: the
     # drive frequency (the filter tilts the passband slightly) and the
     # pi-pulse amplitude at that frequency.
-    f_d = dynamics.calibrate_drive_frequency(SEARCH_SCENARIO, 20.0, predistortion=True)
-    amplitude = dynamics.calibrate_pi(
-        SEARCH_SCENARIO, 20.0, True, drive_frequency_ghz=f_d
-    )
+    trimmed = dynamics.calibrate_drive_frequency(SEARCH_SCENARIO, 20.0, predistortion=True)
+    f_d, amplitude = trimmed.frequency_ghz, trimmed.amplitude_v
 
     with_pre = dynamics.predistort_drive(
         dynamics.cosine_drive(20.0, amplitude, f_d), GAUSS_CHANNEL, f01
@@ -257,10 +255,8 @@ def test_criterion_08_coherent_gate_bound():
     assert FINE_SCENARIO.levels == 4
     levels, _ = dynamics.qubit_frame(FINE_SCENARIO)
     f01 = float(levels[1])
-    f_d = dynamics.calibrate_drive_frequency(SEARCH_SCENARIO, 20.0, predistortion=True)
-    amplitude = dynamics.calibrate_pi(
-        SEARCH_SCENARIO, 20.0, True, drive_frequency_ghz=f_d
-    )
+    trimmed = dynamics.calibrate_drive_frequency(SEARCH_SCENARIO, 20.0, predistortion=True)
+    f_d, amplitude = trimmed.frequency_ghz, trimmed.amplitude_v
 
     wave = dynamics.predistort_drive(
         dynamics.cosine_drive(20.0, amplitude, f_d), GAUSS_CHANNEL, f01

@@ -7,6 +7,7 @@ for real to cover the module entry point.
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from uniflux import analysis, cli, fluxonium
+from uniflux import analysis, cli, dynamics, fluxonium
 
 DATA = pathlib.Path(__file__).parent / "data"
 EXAMPLE_PROGRAM = DATA / "example_program.pulse"
@@ -103,10 +104,14 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_module_entry_point():
+    # the package need not be installed: the child finds it through src/
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.run(
         [sys.executable, "-m", "uniflux.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("uniflux ")
@@ -526,6 +531,38 @@ def test_simulate_gate_trimmed_report_is_bounded(tmp_path, capsys, seed):
     assert report["population_transfer"] > 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("trim", [False, True], ids=["untrimmed", "trimmed"])
+def test_simulate_gate_propagates_nothing_after_its_calibration(tmp_path, capsys, monkeypatch,
+                                                               trim):
+    propagations, at_return = [], []
+    propagate = dynamics._propagate
+
+    def spy(*args, **kwargs):
+        propagations.append(None)
+        return propagate(*args, **kwargs)
+
+    def counted(calibrate):
+        def wrapper(*args, **kwargs):
+            record = calibrate(*args, **kwargs)
+            at_return.append(len(propagations))
+            return record
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "_propagate", spy)
+    for name in ("calibrate_pi", "calibrate_drive_frequency"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    scenario = write_scenario(tmp_path)
+    code, out, _ = run_cli(capsys, "simulate", "gate", "--scenario", scenario,
+                           *(["--trim-frequency"] if trim else []))
+    assert code == 0
+    assert at_return == [len(propagations)]  # one calibration, and nothing after it
+    # the calibration record's residuals and counts stay off stdout
+    assert set(json.loads(out)) == {
+        "gate", "duration_ns", "predistortion", "drive_frequency_ghz", "amplitude_v",
+        "population_transfer", "fidelity", "leakage", "levels",
+    }
+
+
 def test_simulate_gate_leakage_is_not_negative(tmp_path, capsys):
     # this scenario's U is unitary to ~1e-12, and 1 - tr(B^dag B)/2 rounds
     # to -2.4e-12; leakage is bounded below by 0
@@ -541,11 +578,11 @@ def test_simulate_gate_transfer_is_at_most_one(tmp_path, capsys, monkeypatch):
     # an X_pi whose columns have norm 1 + 1e-10, within the unitarity drift
     # gate_fidelity accepts: |U10|^2 rounds above 1 and is bounded by it
     scale = 1.0 + 1e-10
-    monkeypatch.setattr(cli.dynamics, "calibrate_pi", lambda *args, **kwargs: 0.01)
-    monkeypatch.setattr(
-        cli.dynamics, "drive_frame_unitary",
-        lambda *args: scale * np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
+    record = dynamics.Calibration(
+        amplitude_v=0.01, frequency_ghz=0.2237, propagations=1, theta_error=0.0, tilt=0.0,
+        unitary=scale * np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
     )
+    monkeypatch.setattr(cli.dynamics, "calibrate_pi", lambda *args, **kwargs: record)
     scenario = write_scenario(tmp_path)
     code, out, _ = run_cli(capsys, "simulate", "gate", "--scenario", scenario)
     assert code == 0
@@ -881,6 +918,11 @@ _EXIT_CODE_CASES = [
      "unrecognized arguments: --frequency"),
     ("simulate-rabi-trim-frequency", ("simulate", "rabi", "--trim-frequency"), 2,
      "unrecognized arguments: --trim-frequency"),
+    # the uncompensated 92 MHz channel tilts the axis to n_z ~ -0.75 across the bracket
+    ("simulate-gate-trim-uncompensated", ("simulate", "gate", "--trim-frequency",
+                                          "--no-predistort"), 3,
+     "no drive frequency in the bracket [0.223769, 0.226769] GHz levels the pi rotation's "
+     "axis: n_z = -0.741 at 0.225869 GHz"),
     ("simulate-rb-duration", ("simulate", "rb", "--duration", "24"), 2,
      "unrecognized arguments: --duration"),
     ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,

@@ -320,7 +320,7 @@ def test_top_level_population_falls_as_levels_grow():
     for levels in (3, 4, 6):
         scenario = DriveScenario(QUBIT, LINE, GAUSS, levels=levels)
         f01 = dynamics.qubit_frame(scenario)[0][1]
-        amp = dynamics.calibrate_pi(scenario, 20.0)
+        amp = dynamics.calibrate_pi(scenario, 20.0).amplitude_v
         outcome = dynamics.evolve(scenario, dynamics.drive_pulse(scenario, amp, 20.0, f01))
         tops.append(outcome.metadata["top_level_population"])
     assert tops[0] > tops[1] > tops[2] > 0.0
@@ -414,19 +414,19 @@ def test_rabi_amplitude_sweep_peaks_near_pi_amplitude():
 
 
 def test_calibrate_pi_matches_rwa_oracle():
-    amp = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False)
+    amp = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False).amplitude_v
     assert amp == pytest.approx(V_PI_20NS, rel=0.01)
 
 
 def test_calibrate_pi_duration_doubling_halves_amplitude():
-    amp20 = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False)
-    amp40 = dynamics.calibrate_pi(FLAT2, 40.0, predistortion=False)
+    amp20 = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False).amplitude_v
+    amp40 = dynamics.calibrate_pi(FLAT2, 40.0, predistortion=False).amplitude_v
     assert amp40 == pytest.approx(amp20 / 2.0, rel=0.02)
 
 
 def test_calibrate_pi_with_and_without_predistortion_differ():
-    amp_on = dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=True)
-    amp_off = dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=False)
+    amp_on = dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=True).amplitude_v
+    amp_off = dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=False).amplitude_v
     # the raw channel attenuates the carrier ~8x; pre-distortion restores it
     assert amp_off > 5.0 * amp_on
     assert amp_on == pytest.approx(V_PI_20NS, rel=0.05)
@@ -446,7 +446,7 @@ def test_calibrate_pi_minimum_duration():
 
 
 def test_calibrated_pulse_inverts_population():
-    amp = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False)
+    amp = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False).amplitude_v
     p1 = dynamics.rabi_experiment(
         FLAT2, amplitudes=[amp], duration_ns=20.0, predistortion=False
     ).populations[0]
@@ -454,7 +454,7 @@ def test_calibrated_pulse_inverts_population():
 
 
 def test_calibrate_drive_frequency_trims_upward():
-    f_trim = dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
+    f_trim = dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True).frequency_ghz
     # counter-rotating terms shift the resonance up by ~2 MHz at 20 ns
     assert 5e-4 < f_trim - F01 < 3.5e-3
 
@@ -466,12 +466,17 @@ def test_calibrate_drive_frequency_root_outside_bracket_raises():
         )
 
 
+def test_calibrate_drive_frequency_rejects_an_empty_bracket():
+    with pytest.raises(ValueError, match="bracket_ghz"):
+        dynamics.calibrate_drive_frequency(GAUSS2, 20.0, bracket_ghz=(F01 + 0.001, F01 + 0.001))
+
+
 @pytest.mark.parametrize("duration", [8.0, 12.0])
 def test_calibrate_drive_frequency_converges_on_short_pulses(duration):
     # The default bracket widens as 1/duration^2; across it the quiet lead
     # and tail precess by several radians, which the solve divides out.
-    f_d = dynamics.calibrate_drive_frequency(FLAT2, duration, predistortion=False)
-    amp = dynamics.calibrate_pi(FLAT2, duration, False, drive_frequency_ghz=f_d)
+    trimmed = dynamics.calibrate_drive_frequency(FLAT2, duration, predistortion=False)
+    f_d, amp = trimmed.frequency_ghz, trimmed.amplitude_v
     p1 = dynamics.rabi_experiment(
         FLAT2, amplitudes=[amp], duration_ns=duration, predistortion=False,
         drive_frequency_ghz=f_d,
@@ -480,11 +485,16 @@ def test_calibrate_drive_frequency_converges_on_short_pulses(duration):
 
 
 def test_calibration_solves_the_final_unitary():
-    f_d = dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
-    amp = dynamics.calibrate_pi(GAUSS2, 20.0, True, drive_frequency_ghz=f_d)
-    theta, n_z, _ = dynamics._rotation(GAUSS2, amp, 20.0, f_d, True)
+    trimmed = dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
+    theta, n_z, _ = oracles.waveform_rotation(
+        GAUSS2, trimmed.amplitude_v, 20.0, trimmed.frequency_ghz, True
+    )
     assert abs(theta - math.pi) < 1e-10
     assert abs(n_z) < 1e-9
+    # the record's residuals are those of the pulse it returns
+    assert trimmed.theta_error == pytest.approx(abs(theta - math.pi), abs=1e-12)
+    assert trimmed.tilt == pytest.approx(abs(n_z), abs=1e-12)
+    assert max(trimmed.theta_error, trimmed.tilt) < 1e-10
 
 
 def test_calibrate_pi_starts_inside_a_bracket_that_excludes_the_estimate():
@@ -494,10 +504,11 @@ def test_calibrate_pi_starts_inside_a_bracket_that_excludes_the_estimate():
     scenario = FLAT2.replace(levels=4)
     estimate = V_PI_20NS * 20.0 / 8.0
     bracket = (1.001 * estimate, 1.1 * estimate)
-    amp = dynamics.calibrate_pi(scenario, 8.0, predistortion=False, bracket=bracket)
+    amp = dynamics.calibrate_pi(scenario, 8.0, predistortion=False, bracket=bracket).amplitude_v
     assert bracket[0] < amp < bracket[1]
-    assert amp == pytest.approx(dynamics.calibrate_pi(scenario, 8.0, predistortion=False),
-                                rel=1e-5)
+    assert amp == pytest.approx(
+        dynamics.calibrate_pi(scenario, 8.0, predistortion=False).amplitude_v, rel=1e-5
+    )
 
 
 # The population search these solves replaced is the oracle. Its stop rule,
@@ -528,7 +539,7 @@ def _p1(scenario, amplitude, predistortion, frequency=None):
     ids=[f"{name}-{s.levels}" for name, s, _ in _EQUIVALENCE_CASES],
 )
 def test_calibrate_pi_transfers_as_much_as_the_population_oracle(scenario, predistortion):
-    amp = dynamics.calibrate_pi(scenario, 20.0, predistortion)
+    amp = dynamics.calibrate_pi(scenario, 20.0, predistortion).amplitude_v
     reference = oracles.population_calibrate_pi(scenario, 20.0, predistortion)
     assert amp == pytest.approx(reference, rel=5e-3)
     assert _p1(scenario, amp, predistortion) >= _p1(scenario, reference, predistortion) - 1e-5
@@ -540,8 +551,8 @@ def test_calibrate_pi_transfers_as_much_as_the_population_oracle(scenario, predi
 def test_trimmed_calibration_transfers_no_less_than_the_population_oracle(
     scenario, predistortion
 ):
-    f_d = dynamics.calibrate_drive_frequency(scenario, 20.0, predistortion)
-    amp = dynamics.calibrate_pi(scenario, 20.0, predistortion, drive_frequency_ghz=f_d)
+    trimmed = dynamics.calibrate_drive_frequency(scenario, 20.0, predistortion)
+    f_d, amp = trimmed.frequency_ghz, trimmed.amplitude_v
     f_ref = oracles.population_calibrate_drive_frequency(scenario, 20.0, predistortion)
     a_ref = oracles.population_calibrate_pi(
         scenario, 20.0, predistortion, drive_frequency_ghz=f_ref
@@ -553,21 +564,22 @@ def test_trimmed_calibration_transfers_no_less_than_the_population_oracle(
     # The trimmed 2-level GAUSS2 pulse reads P1 = 1 + 1.4e-12; its fidelity
     # must stay bounded all the same.
     pulse = dynamics.drive_pulse(scenario, amp, 20.0, f_d, predistortion)
-    metrics = dynamics.gate_fidelity(dynamics.drive_frame_unitary(scenario, pulse, f_d), X_PI)
+    metrics = dynamics.gate_fidelity(oracles.drive_frame_unitary(scenario, pulse, f_d), X_PI)
     assert 1.0 - 1e-10 < metrics.fidelity <= 1.0
     populations = dynamics.evolve(scenario, pulse).populations
     assert 0.0 <= populations.min() and populations.max() <= 1.0
 
 
-def _count_evolves(monkeypatch):
+def _count_propagations(monkeypatch):
+    # every propagation, through evolve or a prepared shape, passes here once
     calls = []
-    evolve = dynamics.evolve
+    propagate = dynamics._propagate
 
     def spy(*args, **kwargs):
         calls.append(None)
-        return evolve(*args, **kwargs)
+        return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "evolve", spy)
+    monkeypatch.setattr(dynamics, "_propagate", spy)
     return calls
 
 
@@ -575,23 +587,110 @@ def _count_evolves(monkeypatch):
     "scenario, predistortion", [(FLAT2, False), (GAUSS2, True)], ids=["flat", "gauss"]
 )
 def test_calibrate_pi_takes_at_most_five_evolves(monkeypatch, scenario, predistortion):
-    calls = _count_evolves(monkeypatch)
-    dynamics.calibrate_pi(scenario, 20.0, predistortion)
+    calls = _count_propagations(monkeypatch)
+    calibration = dynamics.calibrate_pi(scenario, 20.0, predistortion)
     assert 1 <= len(calls) <= 5
+    assert calibration.propagations == len(calls)
 
 
 def test_uncompensated_calibrate_pi_takes_at_most_twelve_evolves(monkeypatch):
     # Four to reach theta = pi, then Newton steps across the 27 % to the
     # largest transfer; the population search took 26.
-    calls = _count_evolves(monkeypatch)
-    dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=False)
+    calls = _count_propagations(monkeypatch)
+    calibration = dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=False)
     assert 1 <= len(calls) <= 12
+    assert calibration.propagations == len(calls)
 
 
-def test_calibrate_drive_frequency_takes_at_most_forty_evolves(monkeypatch):
-    calls = _count_evolves(monkeypatch)
-    dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
-    assert 1 <= len(calls) <= 40
+def test_calibrate_drive_frequency_takes_at_most_ten_propagations(monkeypatch):
+    # The nested solve, a theta = pi solve inside each secant step on n_z,
+    # took 17 here; the joint Broyden solve takes 7.
+    calls = _count_propagations(monkeypatch)
+    calibration = dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=True)
+    assert 1 <= len(calls) <= 10
+    assert calibration.propagations == len(calls)
+
+
+def test_rabi_scan_filters_its_pulse_once(monkeypatch):
+    calls = []
+    apply_transfer = filters.apply_transfer
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return apply_transfer(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "apply_transfer", spy)
+    for points in (1, 3, 12):
+        calls.clear()
+        grid = np.linspace(0.2, 1.6, points) * V_PI_20NS
+        dynamics.rabi_experiment(GAUSS2, amplitudes=grid, predistortion=True)
+        assert len(calls) <= 2  # the pre-distortion and the channel
+
+
+@pytest.mark.parametrize("predistortion", [True, False], ids=["predistorted", "uncompensated"])
+def test_rabi_scan_matches_one_evolve_per_amplitude(predistortion):
+    # a * (unit shape) and the pulse built at a differ by rounding, which the
+    # propagation's unitarity drift (~1e-12 here) turns into ~1e-12 in P1
+    grid = np.linspace(0.2, 1.6, 5) * V_PI_20NS
+    curve = dynamics.rabi_experiment(GAUSS2, amplitudes=grid, predistortion=predistortion)
+    for a, p1 in zip(grid, curve.populations):
+        pulse = dynamics.drive_pulse(GAUSS2, a, 20.0, F01, predistortion)
+        assert p1 == pytest.approx(dynamics.evolve(GAUSS2, pulse).populations[-1, 1],
+                                   rel=0, abs=1e-11)
+
+
+def test_calibration_record_holds_the_propagator_of_its_amplitude():
+    calibration = dynamics.calibrate_pi(GAUSS2, 20.0)
+    f01 = float(dynamics.qubit_frame(GAUSS2)[0][1])
+    pulse = dynamics.drive_pulse(GAUSS2, calibration.amplitude_v, 20.0, f01)
+    # the two propagations differ by rounding and the unitarity drift, ~2e-11
+    np.testing.assert_allclose(
+        calibration.unitary, oracles.drive_frame_unitary(GAUSS2, pulse, f01), rtol=0, atol=1e-10
+    )
+    assert calibration.frequency_ghz == f01
+    assert not calibration.unitary.flags.writeable
+
+
+_TRIM_CASES = [
+    (f"{name}-{duration:g}ns-{'pre' if predistortion else 'raw'}", scenario, duration,
+     predistortion)
+    for name, scenario in (
+        ("gauss2", GAUSS2),
+        ("fine", DriveScenario(QUBIT, LINE, GAUSS, levels=4, time_step=0.005)),
+    )
+    for duration in (20.0, 32.0)
+    for predistortion in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, duration, predistortion",
+    [case[1:] for case in _TRIM_CASES],
+    ids=[case[0] for case in _TRIM_CASES],
+)
+def test_joint_trim_matches_the_nested_solve(scenario, duration, predistortion):
+    # Without pre-distortion no frequency in the bracket levels the axis, and
+    # both solves must say so. The amplitude is compared at 1e-11 relative:
+    # the nested solve's own theta = pi root stops at |theta - pi| < 1e-10 and
+    # lies 6.4e-12 relative from the Newton-polished root on gauss2 at 20 ns.
+    try:
+        reference = oracles.nested_calibrate_drive_frequency(scenario, duration, predistortion)
+    except CalibrationError:
+        with pytest.raises(CalibrationError, match="bracket"):
+            dynamics.calibrate_drive_frequency(scenario, duration, predistortion)
+        return
+    trimmed = dynamics.calibrate_drive_frequency(scenario, duration, predistortion)
+    assert trimmed.amplitude_v == pytest.approx(reference[0], rel=1e-11)
+    assert trimmed.frequency_ghz == pytest.approx(reference[1], rel=0, abs=1e-12)
+
+
+def test_untrimmable_axis_names_its_bracket_and_tilt():
+    with pytest.raises(CalibrationError) as info:
+        dynamics.calibrate_drive_frequency(GAUSS2, 20.0, predistortion=False)
+    message = str(info.value)
+    assert message.startswith("no drive frequency in the bracket [0.223769, 0.226769] GHz "
+                              "levels the pi rotation's axis: n_z = -0.7")
+    assert "\n" not in message
 
 
 # ---------------------------------------------------------------------------
