@@ -431,7 +431,6 @@ def cmd_compile(args) -> int:
         xy_fir=_read_input(args.fir, _filter_from_design, "fir") if args.fir else None,
         z_iir=_read_input(args.iir, _filter_from_design, "iir") if args.iir else None,
         dac_bits=args.dac_bits,
-        dac_full_scale=args.full_scale,
     )
     compiled = pulsec.compile(program, config)
     wave = pulsec.synthesize(compiled, config)
@@ -692,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dac-bits", type=_int_in(pulsec.MIN_DAC_BITS, pulsec.MAX_DAC_BITS), default=16
     )
-    p.add_argument("--full-scale", type=_positive, default=0.5, help="DAC full scale, V")
     p.add_argument("-o", "--output", help="waveform binary path (sidecar JSON added)")
     p.add_argument("--report-memory", action="store_true")
     p.set_defaults(func=cmd_compile)

@@ -994,7 +994,7 @@ def _waveform_survival(scenario, program, config) -> float:
     if len(synthesized) < 2:
         return 1.0  # virtual-Z-only sequence: no drive, ground state survives
     volts = synthesized.with_samples(
-        np.asarray(synthesized.samples) * config.dac_full_scale
+        np.asarray(synthesized.samples) * scenario.line.awg_vmax
     )
     outcome = evolve(scenario, volts)
     return float(outcome.populations[-1, 0])

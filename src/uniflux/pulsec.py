@@ -5,18 +5,17 @@ sample primitives, so sequences of tens of microseconds compile from well
 under 100 ns of stored waveform data. A program compiles to a play schedule:
 records of where each primitive plays, with its scale, and of the frame
 (carrier switches, virtual-Z phases). A ``repeat`` body is expanded once and
-its records tiled; virtual-Z phases add up in program order. The schedule
-then fills two aligned timelines:
+its records tiled; virtual-Z phases add up in program order. The compiled
+program keeps the XY plays (start sample, primitive, complex scale
+amplitude * exp(i(phase_offset + frame_phase))) and one timeline, the real
+Z baseband: flux edges, holds, and idle zeros.
 
-* a complex XY envelope — each play instruction contributes
-  amplitude * primitive * exp(i(phase_offset + frame_phase));
-* a real Z baseband — flux edges, holds, and idle zeros.
-
-Synthesis modulates the envelope with a phase-continuous carrier
-(x(t) = Re{env * e^{-i theta(t)}}), applies the configured FIR to the
-modulated XY path and the IIR corrector to the Z path, and sums both into the
-single-DAC composite. Amplitudes are normalized to DAC full scale; anything
-past |1| raises instead of clipping.
+Synthesis plays the XY path as a stored-envelope generator does: each
+primitive is modulated with the phase-continuous carrier
+(x(t) = Re{env * e^{-i theta(t)}}) and FIR-filtered once per carrier, and
+each play adds it times a complex gain. The IIR corrector runs over the Z
+timeline; both paths sum into the single-DAC composite. Amplitudes are
+normalized to DAC full scale; anything past it raises instead of clipping.
 
 Z holds may host nested instructions (an XY burst riding on a flux step);
 everything else is strictly sequential.
@@ -41,6 +40,7 @@ from .waveform import Waveform
 ENVELOPE = "envelope"
 EDGE = "edge"
 MIN_DAC_BITS, MAX_DAC_BITS = 8, 16
+FULL_SCALE = 1.0 + 1e-12  # with the rounding of a full-scale play: the top code
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +177,6 @@ class PulseProgram:
             if ref not in self.primitives:
                 raise ValueError(f"instruction references unknown primitive {ref!r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, PulseProgram):
-            return NotImplemented
-        return (
-            self.instructions == other.instructions
-            and self.primitives == other.primitives
-            and self.initial_carrier == other.initial_carrier
-        )
-
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -193,7 +184,6 @@ class SynthesisConfig:
     xy_fir: FirFilter | None = None
     z_iir: IirCorrector | None = None
     dac_bits: int = 16
-    dac_full_scale: float = 0.5  # volt
 
     def __post_init__(self):
         if not 0 < self.sample_rate < math.inf:
@@ -203,8 +193,6 @@ class SynthesisConfig:
                 f"dac_bits must be an integer within [{MIN_DAC_BITS}, {MAX_DAC_BITS}], "
                 f"got {self.dac_bits!r}"
             )
-        if not 0 < self.dac_full_scale < math.inf:
-            raise ValueError(f"dac_full_scale must be positive and finite, got {self.dac_full_scale}")
         if self.xy_fir is not None and self.xy_fir.sample_rate != self.sample_rate:
             raise ValueError("xy_fir sample rate does not match the engine rate")
         if self.z_iir is not None and self.z_iir.sample_rate != self.sample_rate:
@@ -229,17 +217,23 @@ class FrameSegment:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    xy_envelope: Waveform  # complex
+    """XY play i puts ``xy_scales[i] * primitives[xy_primitives[i]]`` at
+    sample ``xy_starts[i]``; plays are in program order and never overlap."""
+
+    xy_starts: np.ndarray  # int64
+    xy_primitives: np.ndarray  # index into ``primitives``
+    xy_scales: np.ndarray  # complex: amplitude * rotor
+    primitives: tuple  # sample arrays, in store order
     z_baseband: Waveform
     frame_segments: tuple
     final_frame: FrameState
 
     @property
     def sample_rate(self) -> float:
-        return self.xy_envelope.sample_rate
+        return self.z_baseband.sample_rate
 
     def __len__(self) -> int:
-        return len(self.xy_envelope)
+        return len(self.z_baseband)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +255,7 @@ _PLAY, _EDGE, _HOLD, _VZ, _CARRIER = range(5)  # record kinds
 
 
 class _Schedule:
-    """A program compiled to play records; ``finish`` writes the timelines.
+    """A program compiled to play records; ``finish`` writes the Z timeline.
 
     A record is (kind, start sample, primitive index or hold samples, value,
     phase offset); the value is an amplitude, a Z level, a virtual-Z phase or
@@ -392,11 +386,7 @@ class _Schedule:
         return np.fromiter(scales, complex, len(angle)), float(frame[-1])
 
     def _scatter(self, out: np.ndarray, records: np.ndarray, scale: np.ndarray):
-        """out[start + k] = scale * samples[k] for each record's primitive.
-
-        The product is one flat array: numpy rounds a signed zero of a
-        one-element 2-D product differently from ``scale * samples``.
-        """
+        """out[start + k] = scale * samples[k] for each record's primitive."""
         starts = records[:, 1].astype(np.int64)
         for index, prim in enumerate(self.program.primitives.values()):
             mine = records[:, 2] == index
@@ -408,9 +398,8 @@ class _Schedule:
         records = self._records()
         kind = records[:, 0]
         scales, frame_phase = self._scales(records)
-        xy = np.zeros(self.n, dtype=complex)
+        plays = records[kind == _PLAY]
         z = np.zeros(self.n)
-        self._scatter(xy, records[kind == _PLAY], scales)
         edges, holds = records[kind == _EDGE], records[kind == _HOLD]
         self._scatter(z, edges, edges[:, 3])
         counts = holds[:, 2].astype(np.int64)
@@ -428,7 +417,10 @@ class _Schedule:
                 segments.pop()
             segments.append(FrameSegment(start, frequency, phase_now))
         return CompiledProgram(
-            xy_envelope=Waveform(xy, self.rate),
+            xy_starts=plays[:, 1].astype(np.int64),
+            xy_primitives=plays[:, 2].astype(np.int64),
+            xy_scales=scales,
+            primitives=tuple(np.array(p.samples) for p in self.program.primitives.values()),
             z_baseband=Waveform(z, self.rate),
             frame_segments=tuple(segments),
             final_frame=FrameState(
@@ -440,13 +432,12 @@ class _Schedule:
 
 
 def compile(program: PulseProgram, config: SynthesisConfig) -> CompiledProgram:
-    """Compile a program to a play schedule and write its aligned XY-envelope
-    and Z-baseband timelines from it.
+    """Compile a program to its XY play schedule and its Z-baseband timeline.
 
     The schedule records each play, Z edge, hold, virtual Z and carrier switch
     once per instruction; a ``repeat`` body is expanded once and its records
-    tiled. Phases add up in program order; one scatter per primitive fills
-    each timeline.
+    tiled. Phases add up in program order into each play's complex scale; one
+    scatter per primitive and one fill of the holds write the Z timeline.
     """
     schedule = _Schedule(program, config.sample_rate)
     schedule.build(program.instructions)
@@ -458,51 +449,67 @@ def compile(program: PulseProgram, config: SynthesisConfig) -> CompiledProgram:
 # ---------------------------------------------------------------------------
 
 
-def carrier_phase(compiled: CompiledProgram) -> np.ndarray:
-    """Accumulated carrier phase theta[n] (radians) for every sample."""
-    n_total = len(compiled)
-    theta = np.empty(n_total)
-    segments = compiled.frame_segments
-    for i, seg in enumerate(segments):
-        end = segments[i + 1].start_index if i + 1 < len(segments) else n_total
-        idx = np.arange(seg.start_index, end)
-        theta[idx] = seg.carrier_phase_rad + (
-            2.0 * math.pi * seg.carrier_ghz * (idx - seg.start_index)
-            / compiled.sample_rate
+def _render_xy(compiled: CompiledProgram, fir: FirFilter | None) -> np.ndarray:
+    """The real XY path: the sum over plays of Re(c * FIR(m)), cut at the end.
+
+    Within a frame segment the carrier phase is affine in the sample index,
+    so a play at sample s contributes c = scale * e^{-i theta(s)} times
+    m[k] = samples[k] * e^{-i omega k}; m and its FIR are computed once per
+    (primitive, carrier). FIR tails of neighbouring plays add up.
+    """
+    n, rate, starts = len(compiled), compiled.sample_rate, compiled.xy_starts
+    segments = np.array([(s.start_index, s.carrier_ghz, s.carrier_phase_rad)
+                         for s in compiled.frame_segments])
+    seg_start, freq, phase0 = segments[np.searchsorted(segments[:, 0], starts, side="right") - 1].T
+    last = starts - 1 + np.array([len(p) for p in compiled.primitives])[compiled.xy_primitives]
+    with np.errstate(over="ignore", invalid="ignore"):  # at each play's first and last sample
+        theta = phase0 + 2.0 * math.pi * freq * (np.stack([starts, last]) - seg_start) / rate
+    finite = np.isfinite(theta).all(axis=0)
+    if not finite.all():
+        raise ScheduleError(
+            f"xy play {int(np.argmin(finite))} in program order: carrier phase is not finite"
         )
-    return theta
+    gain = compiled.xy_scales * np.exp(-1j * theta[0])
+    taps = np.ones(1) if fir is None else fir.taps_float
+    out = np.zeros(n + max(map(len, compiled.primitives), default=0) + len(taps) - 1)
+    carriers, carrier = np.unique(freq, return_inverse=True)
+    keys, group = np.unique(compiled.xy_primitives * len(carriers) + carrier, return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        samples, f = compiled.primitives[key // len(carriers)], carriers[key % len(carriers)]
+        omega_k = 2.0 * math.pi * f * np.arange(len(samples)) / rate
+        m = np.convolve(samples * np.exp(-1j * omega_k), taps)
+        at, c = starts[group == g], gain[group == g]
+        # one k at a time the plays' samples are distinct, so += adds each once
+        for k, (re, im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
+            out[at + k] += c.real * re - c.imag * im
+    return out[:n]
+
+
+def _check_full_scale(samples: np.ndarray) -> None:
+    """Raise ``SaturationError`` at the first sample past ``FULL_SCALE``."""
+    if len(samples) and max(samples.max(), -samples.min()) > FULL_SCALE:
+        index = int(np.argmax(np.abs(samples)))
+        peak = float(abs(samples[index]))
+        raise SaturationError(f"peak {peak!r} at sample {index} exceeds full scale",
+                              peak=peak, index=index)
 
 
 def synthesize(compiled: CompiledProgram, config: SynthesisConfig) -> Waveform:
-    """Modulate, condition, and sum the two paths into the composite output.
+    """Play, condition, and sum the two paths into the composite output.
 
-    xy_real[n] = Re{env[n] e^{-i theta[n]}} with theta the phase-continuous
-    accumulated carrier phase; the FIR acts on the modulated XY signal and the
-    IIR corrector on the Z baseband; their sum must stay within DAC full
-    scale.
+    The XY path is played from the schedule (``_render_xy``); a sample no play
+    reaches is zero, and a play whose carrier phase is not finite raises
+    ``ScheduleError``. The IIR corrector runs over the Z baseband. The sum
+    must stay within DAC full scale.
     """
     if config.sample_rate != compiled.sample_rate:
         raise ValueError("config sample rate does not match the compiled program")
-    if len(compiled) == 0:
-        return Waveform(np.zeros(0), config.sample_rate)
-    theta = carrier_phase(compiled)
-    xy_real = np.real(compiled.xy_envelope.samples * np.exp(-1j * theta))
-    if config.xy_fir is not None:
-        from scipy.signal import lfilter
-
-        xy_real = lfilter(config.xy_fir.taps_float, [1.0], xy_real)
     z = compiled.z_baseband
     if config.z_iir is not None:
         z = apply_iir(z, config.z_iir)
-    composite = xy_real + z.samples
-    peak_index = int(np.argmax(np.abs(composite)))
-    peak = float(abs(composite[peak_index]))
-    if peak > 1.0 + 1e-12:
-        raise SaturationError(
-            f"composite peak {peak:.6f} at sample {peak_index} exceeds full scale",
-            peak=peak,
-            index=peak_index,
-        )
+    composite = _render_xy(compiled, config.xy_fir)
+    composite += z.samples
+    _check_full_scale(composite)
     return Waveform(composite, config.sample_rate)
 
 
@@ -511,16 +518,9 @@ def dac_quantize(w: Waveform, config: SynthesisConfig) -> np.ndarray:
     samples = np.asarray(w.samples)
     if np.iscomplexobj(samples):
         raise ValueError("quantization applies to real composites")
-    peak_index = int(np.argmax(np.abs(samples))) if len(samples) else 0
-    if len(samples) and abs(samples[peak_index]) > 1.0:
-        raise SaturationError(
-            f"sample {peak_index} at {samples[peak_index]:+.6f} exceeds full scale",
-            peak=float(abs(samples[peak_index])),
-            index=peak_index,
-        )
-    full = float(2 ** (config.dac_bits - 1) - 1)
-    scaled = samples * full
-    return (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int32)
+    _check_full_scale(samples)
+    scaled = samples * float(2 ** (config.dac_bits - 1) - 1)
+    return (scaled + np.copysign(0.5, scaled)).astype(np.int32)  # truncates toward 0
 
 
 # ---------------------------------------------------------------------------

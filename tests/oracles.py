@@ -17,6 +17,7 @@ import json
 import math
 import pathlib
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +43,14 @@ from uniflux.dynamics import (
     predistort_drive,
     rotating_frame,
 )
-from uniflux.errors import CalibrationError, FitError, NoSolutionError, ScheduleError
+from uniflux.errors import (
+    CalibrationError,
+    FitError,
+    NoSolutionError,
+    SaturationError,
+    ScheduleError,
+)
+from uniflux.filters import apply_iir
 from uniflux.fluxonium import ResetFlux, _f01, _flux_free_terms, phase_operator
 from uniflux.pulsec import (
     EDGE,
@@ -461,6 +469,98 @@ def nested_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TimelineProgram:
+    """A compiled program as two aligned sample timelines: a complex XY
+    envelope and the Z baseband (the form ``pulsec.compile`` returned before
+    it kept the XY play schedule)."""
+
+    xy_envelope: Waveform  # complex
+    z_baseband: Waveform
+    frame_segments: tuple
+    final_frame: FrameState
+
+    @property
+    def sample_rate(self) -> float:
+        return self.xy_envelope.sample_rate
+
+    def __len__(self) -> int:
+        return len(self.xy_envelope)
+
+
+def xy_timeline(compiled: CompiledProgram) -> np.ndarray:
+    """The complex XY envelope of a play schedule, one scatter per primitive:
+    out[start + k] = scale * samples[k].
+
+    The product is one flat array: numpy rounds a signed zero of a
+    one-element 2-D product differently from ``scale * samples``.
+    """
+    out = np.zeros(len(compiled), dtype=complex)
+    for index, samples in enumerate(compiled.primitives):
+        mine = compiled.xy_primitives == index
+        count, length = int(mine.sum()), len(samples)
+        at = compiled.xy_starts[mine, None] + np.arange(length)
+        out[at.ravel()] = np.repeat(compiled.xy_scales[mine], length) * np.tile(samples, count)
+    return out
+
+
+def timelines(compiled: CompiledProgram) -> TimelineProgram:
+    return TimelineProgram(
+        xy_envelope=Waveform(xy_timeline(compiled), compiled.sample_rate),
+        z_baseband=compiled.z_baseband,
+        frame_segments=compiled.frame_segments,
+        final_frame=compiled.final_frame,
+    )
+
+
+def carrier_phase(compiled) -> np.ndarray:
+    """Accumulated carrier phase theta[n] (radians) for every sample."""
+    n_total = len(compiled)
+    theta = np.empty(n_total)
+    segments = compiled.frame_segments
+    for i, seg in enumerate(segments):
+        end = segments[i + 1].start_index if i + 1 < len(segments) else n_total
+        idx = np.arange(seg.start_index, end)
+        theta[idx] = seg.carrier_phase_rad + (
+            2.0 * math.pi * seg.carrier_ghz * (idx - seg.start_index)
+            / compiled.sample_rate
+        )
+    return theta
+
+
+def timeline_synthesize(compiled, config) -> Waveform:
+    """Reference synthesizer: modulate, condition, and sum the two timelines.
+
+    xy_real[n] = Re{env[n] e^{-i theta[n]}} with theta the phase-continuous
+    accumulated carrier phase; the FIR acts on the modulated XY signal and the
+    IIR corrector on the Z baseband; their sum must stay within DAC full
+    scale. A ``pulsec`` schedule is first written out as timelines.
+    """
+    if isinstance(compiled, CompiledProgram):
+        compiled = timelines(compiled)
+    if config.sample_rate != compiled.sample_rate:
+        raise ValueError("config sample rate does not match the compiled program")
+    if len(compiled) == 0:
+        return Waveform(np.zeros(0), config.sample_rate)
+    theta = carrier_phase(compiled)
+    xy_real = np.real(compiled.xy_envelope.samples * np.exp(-1j * theta))
+    if config.xy_fir is not None:
+        xy_real = lfilter(config.xy_fir.taps_float, [1.0], xy_real)
+    z = compiled.z_baseband
+    if config.z_iir is not None:
+        z = apply_iir(z, config.z_iir)
+    composite = xy_real + z.samples
+    peak_index = int(np.argmax(np.abs(composite)))
+    peak = float(abs(composite[peak_index]))
+    if peak > 1.0 + 1e-12:
+        raise SaturationError(
+            f"composite peak {peak:.6f} at sample {peak_index} exceeds full scale",
+            peak=peak,
+            index=peak_index,
+        )
+    return Waveform(composite, config.sample_rate)
+
+
 class _Compiler:
     def __init__(self, program: PulseProgram, rate: float):
         self.program = program
@@ -567,10 +667,10 @@ class _Compiler:
         else:
             self.segments.append(FrameSegment(self.n, frequency, phase_now))
 
-    def finish(self) -> CompiledProgram:
+    def finish(self) -> TimelineProgram:
         xy = np.concatenate(self.xy) if self.xy else np.zeros(0, dtype=complex)
         z = np.concatenate(self.z) if self.z else np.zeros(0)
-        return CompiledProgram(
+        return TimelineProgram(
             xy_envelope=Waveform(xy.astype(complex), self.rate),
             z_baseband=Waveform(z, self.rate),
             frame_segments=tuple(self.segments),
@@ -587,7 +687,8 @@ def unrolled_compile(program, config):
 
     Each play, Z edge, hold and delay appends its own chunk to the timelines
     and each virtual Z adds to a running frame phase; ``pulsec.compile``
-    must give the same samples, frame segments, final frame and errors.
+    must give the same samples (its XY plays written out by ``xy_timeline``),
+    frame segments, final frame and errors.
     """
     compiler = _Compiler(program, config.sample_rate)
     compiler.run(program.instructions)

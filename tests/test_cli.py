@@ -393,12 +393,13 @@ def test_compile_bad_rate_is_usage_error(capsys, rate):
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
 def test_compile_bad_full_scale_is_usage_error(capsys, scale):
+    # the DAC full scale in volts belongs to the scenario's line, not to compile
     code, out, err = run_cli(
         capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--full-scale", scale
     )
     assert (code, out) == (2, "")
     assert err.splitlines() == [
-        f"uniflux: error: argument --full-scale: must be positive and finite, got {scale!r}"
+        f"uniflux: error: unrecognized arguments: --full-scale {scale}"
     ]
 
 
@@ -833,6 +834,14 @@ _INPUT_FILES = {
     "samples.txt": "1.0 x 0.5\n",
     "file-primitive.pulse": "prim p file samples.txt\nxy p\n",
     "nan.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nxy gate amp=nan\n",
+    # the carrier phase overflows: 2 pi * 1e308 is inf
+    "huge-carrier-silent.pulse": "carrier 1e308\ndelay 2\n",
+    "huge-carrier-play.pulse": "prim p envelope 0.5 0.5\ncarrier 1e308\nxy p\n",
+    # the composite rounds to 1.0000000000000002
+    "full-scale-play.pulse": (
+        "prim p envelope 0.0 1.0 0.0\ncarrier 2.9884235703558835\n"
+        "xy p amp=1.0 phase=3.1052242272650368\n"
+    ),
     "empty.csv": "",
     "garbled.csv": "t_us,p1\n0,1.0\n1,bad,extra\n",
     "wrong-shape.csv": "a,b,c\n1,2,3\n",
@@ -884,6 +893,13 @@ _EXIT_CODE_CASES = [
      "{tmp}/garbled.pulse: "),
     ("compile-non-finite-program", ("compile", "{tmp}/nan.pulse", "--rate", "2"), 3,
      "{tmp}/nan.pulse: "),
+    ("compile-silent-non-finite-carrier-phase",
+     ("compile", "{tmp}/huge-carrier-silent.pulse", "--rate", "2"), 0, None),
+    ("compile-play-on-non-finite-carrier-phase",
+     ("compile", "{tmp}/huge-carrier-play.pulse", "--rate", "2"), 3,
+     "xy play 0 in program order: carrier phase is not finite"),
+    ("compile-full-scale-play", ("compile", "{tmp}/full-scale-play.pulse", "--rate", "2"), 0,
+     None),
     ("compile-garbled-primitive-file", ("compile", "{tmp}/file-primitive.pulse", "--rate", "2"),
      3, "{tmp}/file-primitive.pulse: cannot read {tmp}/samples.txt: could not convert"),
     ("compile-missing-fir", (*_PROGRAM, "--fir", "{tmp}/absent.json"), 3, "{tmp}/absent.json: "),

@@ -1,5 +1,7 @@
 """Cold start: the command-line front end loads no scipy until a command needs it.
 
+A compile loads none unless it runs the Z-path IIR (``--iir``).
+
 Every scipy subpackage is imported inside the function that calls it, so a
 fresh `import uniflux.cli` costs numpy and the package alone. The AST check
 below is where that rule is written down; the subprocess checks show what a
@@ -14,6 +16,7 @@ import subprocess
 import sys
 
 import uniflux
+from uniflux import cli
 
 PACKAGE = pathlib.Path(uniflux.__file__).parent
 DATA = pathlib.Path(__file__).parent / "data"
@@ -68,6 +71,19 @@ def test_example_compile_loads_no_scipy_and_keeps_its_golden_digest():
     report, stdout = _run_fresh_command("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
     assert report == {"code": 0, "scipy": []}
     assert stdout.splitlines()[0] == f"sha256 {EXAMPLE_SHA256}"
+
+
+def test_fir_compile_loads_no_scipy(tmp_path):
+    fir = tmp_path / "fir.json"
+    design = ("design", "fir", "--rate", "2", "--fc", "0.1", "--fq", "0.22", "--taps", "16")
+    assert cli.main([*design, "-o", str(fir)]) == 0
+    report, stdout = _run_fresh_command(
+        "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--fir", str(fir)
+    )
+    assert report == {"code": 0, "scipy": []}
+    assert stdout.splitlines()[0] == (
+        "sha256 0393591644efe18ef4aeaa1c3cc26d3f77eb4da0c449fc09f077424bcb76cd57"
+    )
 
 
 def _module_level_imports(node):

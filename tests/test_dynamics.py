@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,7 +267,7 @@ def _rb_waveform(length, seed):
     )
     config = pulsec.SynthesisConfig(sample_rate=1.0)
     wave = pulsec.synthesize(pulsec.compile(program, config), config)
-    return wave.with_samples(np.asarray(wave.samples) * config.dac_full_scale)
+    return wave.with_samples(np.asarray(wave.samples) * LINE.awg_vmax)
 
 
 def test_scanned_trajectory_matches_the_sequential_walk(monkeypatch):
@@ -821,6 +822,17 @@ def test_rb_ideal_interleaved_perfect_gate_survives_exactly():
     )
     for record in result.records:
         assert record.survival == pytest.approx(1.0, abs=1e-9)
+
+
+def test_rb_waveform_drives_the_line_full_scale():
+    # DAC amplitude a on a 1 V line is 2a on a 0.5 V line, bit for bit
+    wide = GAUSS2.replace(line=dataclasses.replace(LINE, awg_vmax=1.0))
+    kwargs = dict(lengths=[1, 3], sequences_per_length=1, seed=5, mode="waveform")
+    one = dynamics.run_rb(wide, gate=RbGate(amplitude_dac=0.015), **kwargs)
+    half = dynamics.run_rb(GAUSS2, gate=RbGate(amplitude_dac=0.03), **kwargs)
+    assert [r.survival for r in one.records] == [r.survival for r in half.records]
+    same_code = dynamics.run_rb(GAUSS2, gate=RbGate(amplitude_dac=0.015), **kwargs)
+    assert [r.survival for r in same_code.records] != [r.survival for r in half.records]
 
 
 def test_rb_seeded_runs_are_identical():

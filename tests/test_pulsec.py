@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    carrier_phase,
     dac_dequantize,
     load_waveform_binary,
     raised_cosine_edge,
     serialize_program,
+    timeline_synthesize,
     unrolled_compile,
+    xy_timeline,
 )
 from uniflux import dynamics, filters, pulsec
 from uniflux.errors import ProgramParseError, SaturationError, ScheduleError
@@ -107,8 +111,8 @@ def test_virtual_z_rotates_envelope():
         _program((VirtualZ(math.pi / 2), PlayXY("flat8"))), CONFIG
     )
     np.testing.assert_allclose(
-        rotated.xy_envelope.samples,
-        np.exp(1j * math.pi / 2) * base.xy_envelope.samples,
+        xy_timeline(rotated),
+        np.exp(1j * math.pi / 2) * xy_timeline(base),
         atol=1e-15,
     )
 
@@ -118,7 +122,7 @@ def test_virtual_z_equivalent_to_phase_offset():
         _program((VirtualZ(0.7), PlayXY("cos20", 0.5, 0.3))), CONFIG
     )
     b = pulsec.compile(_program((PlayXY("cos20", 0.5, 0.3 + 0.7),)), CONFIG)
-    assert np.array_equal(a.xy_envelope.samples, b.xy_envelope.samples)
+    assert xy_timeline(a).tobytes() == xy_timeline(b).tobytes()
 
 
 def test_carrier_phase_continuous_across_switch():
@@ -126,7 +130,7 @@ def test_carrier_phase_continuous_across_switch():
         (PlayXY("flat8"), SetCarrier(0.31), PlayXY("flat8")), initial_carrier=0.208
     )
     compiled = pulsec.compile(program, CONFIG)
-    theta = pulsec.carrier_phase(compiled)
+    theta = carrier_phase(compiled)
     boundary = 8
     expected = 2.0 * math.pi * 0.208 * boundary / RATE
     assert theta[boundary] == pytest.approx(expected, abs=1e-12)
@@ -155,7 +159,7 @@ def test_z_hold_hosts_xy_body():
     np.testing.assert_allclose(z[4:44], 0.3)
     np.testing.assert_allclose(z[:4], 0.3 * np.asarray(EDGE4.samples))
     np.testing.assert_allclose(z[44:], 0.3 * np.asarray(FALL4.samples))
-    env = compiled.xy_envelope.samples
+    env = xy_timeline(compiled)
     assert np.all(env[: 4 + 8] == 0)
     np.testing.assert_allclose(
         env[12:32], 0.5 * np.asarray(COS20.samples), atol=1e-15
@@ -182,7 +186,7 @@ def test_repeat_matches_manual_expansion():
     body = (VirtualZ(0.4), PlayXY("flat8", 0.6, 0.1), Delay(3.0))
     rep = pulsec.compile(_program((Repeat(3, body),)), CONFIG)
     manual = pulsec.compile(_program(body * 3), CONFIG)
-    assert np.array_equal(rep.xy_envelope.samples, manual.xy_envelope.samples)
+    assert xy_timeline(rep).tobytes() == xy_timeline(manual).tobytes()
     assert np.array_equal(rep.z_baseband.samples, manual.z_baseband.samples)
     assert rep.final_frame == manual.final_frame
 
@@ -285,8 +289,8 @@ def test_fir_applied_after_modulation():
     compiled = pulsec.compile(program, CONFIG)
     out = pulsec.synthesize(compiled, config)
     # the contract: FIR filters the real modulated signal
-    theta = pulsec.carrier_phase(compiled)
-    modulated = np.real(compiled.xy_envelope.samples * np.exp(-1j * theta))
+    theta = carrier_phase(compiled)
+    modulated = np.real(xy_timeline(compiled) * np.exp(-1j * theta))
     from scipy.signal import lfilter
 
     np.testing.assert_allclose(
@@ -294,7 +298,7 @@ def test_fir_applied_after_modulation():
     )
     # filtering the envelope before modulation is a different (wrong) pipeline
     pre_mod = np.real(
-        lfilter(fir.taps_float, [1.0], compiled.xy_envelope.samples)
+        lfilter(fir.taps_float, [1.0], xy_timeline(compiled))
         * np.exp(-1j * theta)
     )
     assert np.max(np.abs(pre_mod - out.samples)) > 1e-3
@@ -305,8 +309,8 @@ def test_iir_applied_to_z_path():
     config = SynthesisConfig(sample_rate=RATE, z_iir=corrector)
     compiled = pulsec.compile(_fig3_style_program(), CONFIG)
     out = pulsec.synthesize(compiled, config)
-    theta = pulsec.carrier_phase(compiled)
-    xy = np.real(compiled.xy_envelope.samples * np.exp(-1j * theta))
+    theta = carrier_phase(compiled)
+    xy = np.real(xy_timeline(compiled) * np.exp(-1j * theta))
     z = filters.apply_iir(compiled.z_baseband, corrector)
     np.testing.assert_allclose(out.samples, xy + z.samples, atol=1e-12)
 
@@ -350,6 +354,34 @@ def test_dac_quantize_eight_bits():
 def test_dac_quantize_out_of_range():
     with pytest.raises(SaturationError):
         pulsec.dac_quantize(pulsec.Waveform([1.0001], RATE), CONFIG)
+
+
+def test_dac_quantize_takes_the_rounding_of_full_scale_to_the_top_code():
+    just_over = 1.0 + 2.0**-52
+    for bits in (8, 16):
+        config = SynthesisConfig(sample_rate=RATE, dac_bits=bits)
+        codes = pulsec.dac_quantize(pulsec.Waveform([just_over, -just_over], RATE), config)
+        assert codes.tolist() == [2 ** (bits - 1) - 1, 1 - 2 ** (bits - 1)]
+    with pytest.raises(SaturationError, match=re.escape(f"peak {1 + 1e-9!r} at sample 1 exceeds")):
+        pulsec.dac_quantize(pulsec.Waveform([0.5, 1 + 1e-9], RATE), CONFIG)
+
+
+@pytest.mark.parametrize(
+    "carrier, phase, synthesize",
+    [
+        ("1.8150000000000002", "5.701990666265475", timeline_synthesize),
+        ("2.9884235703558835", "3.1052242272650368", pulsec.synthesize),
+    ],
+)
+def test_full_scale_play_synthesizes_and_quantizes(carrier, phase, synthesize):
+    # the rotor and the carrier round this play's peak to 1.0000000000000002
+    program = pulsec.parse_program(
+        f"prim p envelope 0.0 1.0 0.0\ncarrier {carrier}\nxy p amp=1.0 phase={phase}\n", 2.0
+    )
+    config = SynthesisConfig(sample_rate=2.0)
+    wave = synthesize(pulsec.compile(program, config), config)
+    assert np.max(np.abs(wave.samples)) == 1.0 + 2.0**-52
+    assert np.max(np.abs(pulsec.dac_quantize(wave, config))) == 32767
 
 
 def test_dac_round_trip_fixed_point():
@@ -397,7 +429,7 @@ def test_memory_report_matches_compiled_duration():
     for program, config in cases:
         compiled = pulsec.compile(program, config)
         report = pulsec.memory_report(program, compiled)
-        assert report["sequence_ns"] == compiled.xy_envelope.duration_ns
+        assert report["sequence_ns"] == compiled.z_baseband.duration_ns
         assert report["sequence_ns"] == len(compiled) / config.sample_rate
 
 
@@ -564,7 +596,7 @@ def _assert_compiles_like_oracle(program, config=CONFIG):
         assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         return
     got = pulsec.compile(program, config)
-    assert got.xy_envelope.samples.tobytes() == want.xy_envelope.samples.tobytes()
+    assert xy_timeline(got).tobytes() == want.xy_envelope.samples.tobytes()
     assert got.z_baseband.samples.tobytes() == want.z_baseband.samples.tobytes()
     # repr tells -0.0 from 0.0 and compares NaN carrier phases
     assert repr(got.frame_segments) == repr(want.frame_segments)
@@ -624,6 +656,193 @@ def test_compile_raises_the_first_fault_in_program_order():
         pulsec.compile(_program((nested,) + overflow), CONFIG)
 
 
+# synthesize against the sample-by-sample oracle: within the oracle's own
+# rounding of the carrier phase, and the same errors
+
+EPS = np.finfo(float).eps
+_FIR = filters.synthesize_fir(
+    filters.bounded_inverse(filters.gaussian_lowpass(0.092), 0.208), 16, RATE
+)
+_IIR = filters.design_iir_corrector([(-0.0174, 34.0)], RATE)
+_CONFIGS = [CONFIG, SynthesisConfig(RATE, xy_fir=_FIR), SynthesisConfig(RATE, xy_fir=_FIR, z_iir=_IIR)]
+
+
+def _tolerance(compiled, config):
+    """8 eps (1 + max|theta|) A G: theta the carrier phase over the program,
+    A the largest |scale * sample| of a play, G the FIR's sum of |taps| (1
+    without a FIR). The oracle rounds theta[n] itself, to eps |theta| each."""
+    theta = np.max(np.abs(carrier_phase(compiled)), initial=0.0)
+    a = np.max(np.abs(xy_timeline(compiled)), initial=0.0)
+    g = 1.0 if config.xy_fir is None else np.sum(np.abs(config.xy_fir.taps_float))
+    return 8.0 * EPS * (1.0 + theta) * a * g
+
+
+def _played(compiled):
+    mask = np.zeros(len(compiled), dtype=bool)
+    for start, index in zip(compiled.xy_starts, compiled.xy_primitives):
+        mask[start : start + len(compiled.primitives[index])] = True
+    return mask
+
+
+def _assert_synthesizes_like_oracle(compiled, config):
+    """Returns (new, oracle) composites, or None where one of them raises.
+
+    Two documented differences: where the carrier phase is not finite, a play
+    raises ``ScheduleError`` (the oracle's samples are not finite) and a span
+    with no play is zeros; and a saturation verdict may differ only for a
+    peak within the tolerance of full scale.
+    """
+    try:
+        with np.errstate(all="ignore"):  # the oracle's carrier phase may overflow
+            want = timeline_synthesize(compiled, config)
+    except Exception as exc:
+        try:
+            pulsec.synthesize(compiled, config)
+        except Exception as mine:
+            if str(exc) == "samples must be finite":
+                with np.errstate(all="ignore"):
+                    finite = np.isfinite(carrier_phase(compiled))
+                if (_played(compiled) & ~finite).any():
+                    assert type(mine) is ScheduleError
+                    assert "carrier phase is not finite" in str(mine)
+                    return None
+                assert not finite.all()
+                assert type(mine) is SaturationError
+                return None
+            assert type(mine) is type(exc)
+            return None
+        if type(exc) is SaturationError:
+            assert exc.peak <= pulsec.FULL_SCALE + _tolerance(compiled, config)
+        else:
+            assert str(exc) == "samples must be finite"
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(carrier_phase(compiled))
+            assert not (_played(compiled) | finite).all()
+        return None
+    try:
+        got = pulsec.synthesize(compiled, config)
+    except SaturationError as mine:
+        assert mine.peak <= np.max(np.abs(want.samples)) + _tolerance(compiled, config)
+        return None
+    assert len(got) == len(want)
+    assert np.max(np.abs(got.samples - want.samples), initial=0.0) <= _tolerance(compiled, config)
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs(), st.sampled_from(_CONFIGS))
+@example(_SIGNED_ZERO, CONFIG)
+def test_synthesize_matches_the_sample_oracle_property(program, config):
+    try:
+        compiled = pulsec.compile(program, config)
+    except (ValueError, ScheduleError):
+        return
+    _assert_synthesizes_like_oracle(compiled, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs(), st.sampled_from(_CONFIGS))
+def test_dac_quantize_accepts_every_synthesized_composite(program, config):
+    try:
+        wave = pulsec.synthesize(pulsec.compile(program, config), config)
+    except (ValueError, ScheduleError, SaturationError):
+        return
+    pulsec.dac_quantize(wave, config)
+
+
+def test_silent_span_on_a_non_finite_carrier_phase_is_zeros():
+    program = _program(
+        (PlayXY("flat8", 0.8, math.pi / 3), SetCarrier(1e308), Delay(4.0)),
+        initial_carrier=0.25,
+    )
+    compiled = pulsec.compile(program, CONFIG)
+    with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
+        timeline_synthesize(compiled, CONFIG)
+    out = pulsec.synthesize(compiled, CONFIG).samples
+    theta = 2.0 * math.pi * 0.25 * np.arange(8) / RATE
+    np.testing.assert_allclose(out[:8], 0.8 * 0.5 * np.cos(theta - math.pi / 3), atol=1e-12)
+    assert out[8:].tolist() == [0.0] * 4
+
+
+def test_play_on_a_non_finite_carrier_phase_is_named():
+    program = _program(
+        (PlayXY("flat8"), Delay(2.0), SetCarrier(1e307), Delay(2.0), PlayXY("flat8")),
+        initial_carrier=0.25,
+    )
+    with pytest.raises(ScheduleError) as info:
+        pulsec.synthesize(pulsec.compile(program, CONFIG), CONFIG)
+    assert str(info.value) == "xy play 1 in program order: carrier phase is not finite"
+
+
+# programs of the benchmark's shape: 2 GS/s, about 400 k samples, 4-8 k plays
+
+CONFIG_2 = SynthesisConfig(sample_rate=2.0)
+
+
+def _long_program(seed):
+    """A repeated body with virtual Z, Z holds and, for odd seeds, a nested play."""
+    rng = np.random.default_rng(seed)
+    amp = lambda: float(rng.uniform(0.02, 0.06))  # noqa: E731
+    phase = lambda: float(rng.uniform(-math.pi, math.pi))  # noqa: E731
+    prims = _store(
+        PulsePrimitive("g", tuple(pulsec.cosine_envelope(int(rng.choice([8, 12, 16, 20])), 2.0)),
+                       2.0),
+        PulsePrimitive("e", tuple(raised_cosine_edge(4.0, 2.0)), 2.0, "edge"),
+    )
+    hold, level = float(rng.integers(30, 60)), float(rng.uniform(0.1, 0.3))
+    delay = float(rng.integers(2, 20))
+    if seed % 2:
+        nested = (Delay(float(rng.integers(1, 8))), PlayXY("g", amp()))
+        body = (PlayXY("g", amp(), phase()), VirtualZ(phase()), Delay(delay),
+                PlayZ("e", level, hold, "e", body=nested), PlayXY("g", amp()))
+    else:
+        inner = Repeat(int(rng.integers(2, 6)), (PlayXY("g", amp()), VirtualZ(phase())))
+        body = (inner, PlayZ("e", level, hold, "e"), Delay(delay))
+    carrier = float(rng.uniform(0.2, 0.25))
+    per_body = len(pulsec.compile(PulseProgram(body, prims, carrier), CONFIG_2))
+    return PulseProgram((Repeat(400_000 // per_body, body),), prims, carrier)
+
+
+def _long_config(seed, filters_used):
+    rng = np.random.default_rng(1000 + seed)
+    fir = filters.synthesize_fir(
+        filters.bounded_inverse(filters.gaussian_lowpass(rng.uniform(0.09, 0.11)),
+                                rng.uniform(0.2, 0.25)),
+        16, 2.0,
+    )
+    terms = [(rng.uniform(-0.025, -0.01), rng.uniform(lo, hi))
+             for lo, hi in ((20.0, 50.0), (100.0, 300.0), (500.0, 1500.0))]
+    return SynthesisConfig(
+        sample_rate=2.0,
+        xy_fir=fir if filters_used != "none" else None,
+        z_iir=filters.design_iir_corrector(terms, 2.0) if filters_used == "fir+iir" else None,
+    )
+
+
+def _check_long_program(seed, filters_used):
+    """(plays, samples, worst |difference| / tolerance, differing DAC codes)."""
+    config = _long_config(seed, filters_used)
+    compiled = pulsec.compile(_long_program(seed), config)
+    got, want = _assert_synthesizes_like_oracle(compiled, config)
+    tol = _tolerance(compiled, config)
+    codes, oracle_codes = pulsec.dac_quantize(got, config), pulsec.dac_quantize(want, config)
+    differ = np.flatnonzero(codes != oracle_codes)
+    # a code may differ only where the oracle sits within the tolerance of a half code
+    full = 2 ** (config.dac_bits - 1) - 1
+    half = np.abs(want.samples[differ]) * full % 1.0
+    assert np.all(np.abs(half - 0.5) <= tol * full), differ
+    ratio = np.max(np.abs(got.samples - want.samples)) / tol
+    return len(compiled.xy_starts), len(compiled), ratio, differ.tolist()
+
+
+@pytest.mark.parametrize("filters_used", ["none", "fir", "fir+iir"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_long_programs_synthesize_like_the_sample_oracle(seed, filters_used):
+    plays, samples, ratio, differ = _check_long_program(seed, filters_used)
+    assert 390_000 <= samples <= 400_000 and 3_000 <= plays <= 9_000
+    assert ratio <= 1.0 and differ == []
+
+
 # property: every numeric field of every instruction rejects NaN and +-inf
 
 _VALID_FIELDS = {
@@ -668,10 +887,10 @@ def test_every_instruction_rejects_non_finite_fields(case, bad):
 @pytest.mark.parametrize(
     "fields, match",
     [
-        (dict(dac_full_scale=math.nan), "full_scale"),
-        (dict(dac_full_scale=math.inf), "full_scale"),
-        (dict(dac_full_scale=0.0), "full_scale"),
-        (dict(dac_full_scale=-1.0), "full_scale"),
+        (dict(dac_bits=7), "dac_bits"),
+        (dict(dac_bits=17), "dac_bits"),
+        (dict(dac_bits=True), "dac_bits"),
+        (dict(dac_bits=16.0), "dac_bits"),
         (dict(dac_bits=12.5), "dac_bits"),
     ],
 )
