@@ -129,6 +129,13 @@ def _qubit_frame(qubit: fluxonium.FluxoniumParams, levels: int):
     return lv, pm
 
 
+@lru_cache(maxsize=64)
+def _phase_norm(qubit: fluxonium.FluxoniumParams, levels: int) -> float:
+    """||phi||_2 of the `_qubit_frame` phase matrix: a drive at amplitude a
+    grows the Chebyshev steps by 2 pi |a E_L| h times this times half its range."""
+    return float(np.linalg.norm(_qubit_frame(qubit, levels)[1], 2))
+
+
 def qubit_frame(scenario: DriveScenario) -> tuple[np.ndarray, np.ndarray]:
     """(eigenfrequencies relative to ground, phi-hat matrix) for the scenario."""
     lv, pm = _qubit_frame(scenario.qubit, scenario.levels)
@@ -184,19 +191,19 @@ def _node_count(growth: float) -> int:
     return 1 + int(np.count_nonzero(tails > _CHEB_TAIL))
 
 
-def _chebyshev_steps(static, coupling, h, xs):
+def _chebyshev_steps(static, coupling, coupling_norm, h, xs):
     """Step exponentials for the drives ``xs`` as (d, d, N) planes.
 
     The step is an entire function of the drive, so it is expanded in
     Chebyshev polynomials over the drive range [lo, hi] of ``xs``: K exact
     exponentials (batched eigh) at the Chebyshev-Gauss nodes give the
     coefficient matrices, and all N steps are one (d^2 x K)(K x N) product.
-    Returns the planes and K.
+    ``coupling_norm`` is ||coupling||_2. Returns the planes and K.
     """
     dim = len(static)
     lo, hi = float(xs.min()), float(xs.max())
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    count = _node_count(h * radius * np.linalg.norm(coupling, 2))
+    count = _node_count(h * radius * coupling_norm)
     theta = np.pi * (np.arange(count) + 0.5) / count
     nodes = center + radius * np.cos(theta)
     vals, vecs = np.linalg.eigh(static + nodes[:, None, None] * coupling)
@@ -279,10 +286,10 @@ def _prefix_scan(samples):
     return pops, unitary
 
 
-def _propagate(levels: np.ndarray, phi_mat: np.ndarray, e_l: float,
+def _propagate(levels: np.ndarray, phi_mat: np.ndarray, phi_norm: float, e_l: float,
                dphi_mid: np.ndarray, h: float, record_every: int):
     """Midpoint-exponential propagation; returns (boundary populations, U,
-    the largest Chebyshev node count of any chunk).
+    the largest Chebyshev node count of any chunk); ``phi_norm`` is ||phi_mat||_2.
 
     Chunks hold whole input samples and at most _CHUNK_STEPS steps (a sample
     longer than that is a chunk of its own). Each chunk's steps come from
@@ -293,11 +300,12 @@ def _propagate(levels: np.ndarray, phi_mat: np.ndarray, e_l: float,
     dim = len(levels)
     static = 2.0 * np.pi * np.diag(levels).astype(complex)
     coupling = 2.0 * np.pi * (-e_l) * phi_mat
+    coupling_norm = 2.0 * np.pi * abs(e_l) * phi_norm
     chunk = max(1, _CHUNK_STEPS // record_every) * record_every
     samples, nodes = [], 1
     for start in range(0, len(dphi_mid), chunk):
         xs = dphi_mid[start:start + chunk].reshape(-1, record_every)
-        steps, count = _chebyshev_steps(static, coupling, h, xs.T.ravel())
+        steps, count = _chebyshev_steps(static, coupling, coupling_norm, h, xs.T.ravel())
         samples.append(_tree_product(steps.reshape(dim, dim, *xs.T.shape)))
         nodes = max(nodes, count)
     return (*_prefix_scan(np.concatenate(samples, axis=2)), nodes)
@@ -310,7 +318,8 @@ class _Shape:
     ``peak`` (the at-AWG peak) and ``mids`` (the phase drive at the step
     midpoints) are per unit amplitude: the channel, the scaling and the
     midpoint resampling are all linear, so ``a * mids`` is the drive of
-    ``a`` times the waveform, exact up to rounding.
+    ``a`` times the waveform, exact up to rounding. ``fingerprint`` is the
+    scenario sha256 every outcome's metadata carries.
     """
 
     scenario: DriveScenario
@@ -318,6 +327,7 @@ class _Shape:
     steps_per_sample: int
     peak: float
     mids: np.ndarray
+    fingerprint: str
 
     @property
     def duration_ns(self) -> float:
@@ -326,7 +336,8 @@ class _Shape:
 
 def _prepare(scenario: DriveScenario, w: Waveform) -> _Shape:
     """The amplitude-free half of `evolve`: the waveform checks, the channel
-    (`apply_transfer`), the scaling to delta_phi and `_step_midpoints`."""
+    (`apply_transfer`), the scaling to delta_phi, `_step_midpoints` and the
+    scenario fingerprint."""
     if len(w) < 2:
         raise ValueError("waveform must have at least 2 samples")
     if np.iscomplexobj(w.samples):
@@ -337,7 +348,7 @@ def _prepare(scenario: DriveScenario, w: Waveform) -> _Shape:
     filtered = filters.apply_transfer(w, scenario.channel)
     dphi = np.asarray(filtered.samples, dtype=float) * phase_drive_per_volt(scenario.line)
     return _Shape(scenario, w.sample_rate, k, float(np.max(np.abs(w.samples))),
-                  _step_midpoints(dphi, k))
+                  _step_midpoints(dphi, k), _scenario_fingerprint(scenario, w.sample_rate))
 
 
 def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
@@ -370,8 +381,10 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
 
     # The drive enters H only as E_L * delta_phi, so the amplitude scales
     # E_L rather than a copy of the midpoints.
-    pops, unitary, nodes = _propagate(levels, phi_mat, amplitude * scenario.qubit.e_l,
-                                      shape.mids, h, k)
+    pops, unitary, nodes = _propagate(
+        levels, phi_mat, _phase_norm(scenario.qubit, scenario.levels),
+        amplitude * scenario.qubit.e_l, shape.mids, h, k,
+    )
 
     # The drift of U, or of the ground-start state's norm at a boundary where
     # that is larger: no population can exceed 1 by more than this.
@@ -384,7 +397,7 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
         )
     np.minimum(pops, 1.0, out=pops)
     meta = {
-        "scenario_sha256": _scenario_fingerprint(scenario, shape.sample_rate),
+        "scenario_sha256": shape.fingerprint,
         "time_step_ns": h,
         "levels": scenario.levels,
         "steps": len(shape.mids),

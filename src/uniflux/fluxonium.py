@@ -16,17 +16,21 @@ The flux enters only through the identity
 
     cos(phi_op - phi_dc) = cos(phi_op) cos(phi_dc) + sin(phi_op) sin(phi_dc),
 
-so cos(phi_op) and sin(phi_op) are computed once per circuit (E_C, E_L,
-basis size) from one eigendecomposition of the tridiagonal phase operator.
-A flux sweep or a reset-flux search makes that decomposition once per call;
-each flux point then costs one matrix sum and one subset eigensolve
-(the oscillator-basis approach of Groszkowski & Koch, scqubits, Quantum 5,
-583 (2021)).
+so H needs cos(phi_op) and sin(phi_op). phi_op = phi_zpf (a + a^dagger), and
+the truncated a + a^dagger is the Jacobi matrix of the Hermite polynomials:
+its eigenvectors are the same for every circuit and its eigenvalues are
+sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch, Math. Comp. 23, 221
+(1969)). That decomposition is made once per basis size, and each circuit
+scales the nodes by its phi_zpf. A flux sweep or a reset-flux search forms
+cos(phi_op) and sin(phi_op) once per call; each flux point then costs one
+matrix sum and one subset eigensolve (the oscillator-basis approach of
+Groszkowski & Koch, scqubits, Quantum 5, 583 (2021)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,12 +116,24 @@ def phase_operator(params: FluxoniumParams) -> np.ndarray:
     return (ladder + ladder.T) * (params.phi_zpf)
 
 
-def _flux_free_terms(params: FluxoniumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(LC diagonal, cos(phi_op), sin(phi_op)): every term of H that flux leaves alone."""
+@lru_cache(maxsize=4)
+def _phase_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, V) with a + a^dagger = V diag(nodes) V^T on ``n`` levels.
+
+    Each entry holds an n x n array, so the cache keeps only a few sizes.
+    """
     import scipy.linalg
 
-    phi_op = phase_operator(params)
-    w, v = scipy.linalg.eigh_tridiagonal(np.diag(phi_op), np.diag(phi_op, 1))
+    nodes, v = scipy.linalg.eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n)))
+    nodes.setflags(write=False)
+    v.setflags(write=False)
+    return nodes, v
+
+
+def _flux_free_terms(params: FluxoniumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(LC diagonal, cos(phi_op), sin(phi_op)): every term of H that flux leaves alone."""
+    nodes, v = _phase_basis(params.basis_size)
+    w = params.phi_zpf * nodes
     lc = (np.arange(params.basis_size) + 0.5) * params.plasma_frequency
     return lc, (v * np.cos(w)) @ v.T, (v * np.sin(w)) @ v.T
 
@@ -135,11 +151,11 @@ def build_hamiltonian(params: FluxoniumParams) -> np.ndarray:
 
     Returns a real symmetric ``basis_size x basis_size`` matrix. The
     Josephson term uses cos(phi_op - phi_dc) = cos(phi_op) cos(phi_dc) +
-    sin(phi_op) sin(phi_dc), with cos(phi_op) and sin(phi_op) from one
-    eigendecomposition of the phase operator; callers that visit many fluxes
-    of one circuit make that decomposition once and reuse it. The result is
-    explicitly symmetrized to absorb floating-point asymmetry of the
-    reconstructed matrix functions.
+    sin(phi_op) sin(phi_dc), with cos(phi_op) and sin(phi_op) formed without
+    an eigensolve from the eigenbasis of a + a^dagger that every circuit of
+    this basis size shares; callers that visit many fluxes of one circuit
+    form them once and reuse them. The result is explicitly symmetrized to
+    absorb floating-point asymmetry of the reconstructed matrix functions.
     """
     return _assemble(params, _flux_free_terms(params))
 
@@ -258,8 +274,14 @@ def find_reset_flux(
     refines it with a bracketing root-finder; the scan and every root-finder
     evaluation share one set of flux-free terms. The whole grid is evaluated
     only when no step brackets the target: then NoSolutionError names the
-    attainable band, f01(0.5) up to the grid's largest f01.
+    attainable band, f01(0.5) up to the grid's largest f01. A non-finite
+    ``f_target``, or a ``scan_points`` that is not an integer >= 2, raises
+    ValueError before any eigensolve.
     """
+    if not np.isfinite(f_target):
+        raise ValueError(f"f_target must be finite, got {f_target}")
+    if not _is_integer(scan_points) or scan_points < 2:
+        raise ValueError(f"scan_points must be an integer >= 2, got {scan_points!r}")
     from scipy.optimize import brentq
 
     terms = _flux_free_terms(params)

@@ -96,6 +96,21 @@ def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=30001):
     return vals - vals[0], element
 
 
+def tridiagonal_flux_free_terms(params):
+    """Reference flux-free terms: one eigendecomposition per circuit.
+
+    The package scales the eigenbasis of a + a^dagger it shares across every
+    circuit of one basis size; this path decomposes each circuit's own
+    phase operator.
+    """
+    import scipy.linalg
+
+    phi_op = phase_operator(params)
+    w, v = scipy.linalg.eigh_tridiagonal(np.diag(phi_op), np.diag(phi_op, 1))
+    lc = (np.arange(params.basis_size) + 0.5) * params.plasma_frequency
+    return lc, (v * np.cos(w)) @ v.T, (v * np.sin(w)) @ v.T
+
+
 def cosm_hamiltonian(params):
     """Reference fluxonium Hamiltonian: the matrix cosine at every flux.
 

@@ -593,6 +593,110 @@ def test_simulate_gate_transfer_is_at_most_one(tmp_path, capsys, monkeypatch):
     assert report["fidelity"] <= 1.0
 
 
+@pytest.fixture
+def per_circuit_terms(monkeypatch):
+    """Call to switch the package to the per-circuit eigendecomposition of the
+    phase operator; the qubit-frame caches are emptied at the switch and
+    after the test, so no frame crosses it."""
+    def clear():
+        dynamics._qubit_frame.cache_clear()
+        dynamics._phase_norm.cache_clear()
+
+    def switch():
+        clear()
+        monkeypatch.setattr(fluxonium, "_flux_free_terms", oracles.tridiagonal_flux_free_terms)
+
+    clear()
+    yield switch
+    clear()
+
+
+def test_spectrum_csv_matches_the_per_circuit_decomposition(tmp_path, capsys, per_circuit_terms):
+    argv = ("spectrum", "--ej", "6.2", "--ec", "0.9", "--el", "0.7",
+            "--from", "-0.4", "--to", "1.2", "-n", "33", "--levels", "4")
+    assert run_cli(capsys, *argv, "-o", str(tmp_path / "got.csv"))[0] == 0
+    per_circuit_terms()
+    assert run_cli(capsys, *argv, "-o", str(tmp_path / "want.csv"))[0] == 0
+    got, want = (load_csv(tmp_path / name) for name in ("got.csv", "want.csv"))
+    assert got.dtype.names == want.dtype.names
+    for name in got.dtype.names:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+
+
+def _gate_scenario(seed):
+    """A gate scenario near the reference qubit, drawn as the benchmark draws
+    them: 2 levels at 0.05 ns for even seeds, 3 levels at 0.04 ns for odd."""
+    rng = np.random.default_rng(seed)
+    return {
+        "qubit": {name: float(ref * rng.uniform(0.97, 1.03))
+                  for name, ref in (("e_j", 4.5), ("e_c", 1.1), ("e_l", 0.5))},
+        "channel": {"kind": "gaussian", "f_c": float(rng.uniform(0.095, 0.12))},
+        "levels": 2 + seed % 2,
+        "time_step_ns": (0.05, 0.04)[seed % 2],
+    }
+
+
+@pytest.mark.parametrize("seed, trim", [(0, False), (1, False), (2, True), (3, True)])
+def test_simulate_gate_matches_the_per_circuit_decomposition(tmp_path, capsys, per_circuit_terms,
+                                                             seed, trim):
+    # bounds: drive frequency 1e-12 GHz; amplitude 1e-7 relative, inside the
+    # Newton stop at 1e-6 of the amplitude; transfer, fidelity and leakage
+    # 2e-11, where those values are rounding noise below about 1e-11
+    scenario = write_scenario(tmp_path, _gate_scenario(seed))
+    argv = ("simulate", "gate", "--scenario", scenario, *(["--trim-frequency"] if trim else []))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    per_circuit_terms()
+    code, reference, _ = run_cli(capsys, *argv)
+    assert code == 0
+    got, want = json.loads(out), json.loads(reference)
+    assert got.keys() == want.keys()
+    assert abs(got["drive_frequency_ghz"] - want["drive_frequency_ghz"]) <= 1e-12
+    assert got["amplitude_v"] == pytest.approx(want["amplitude_v"], rel=1e-7, abs=0)
+    for name in ("population_transfer", "fidelity", "leakage"):
+        assert abs(got[name] - want[name]) <= 2e-11, name
+    for name in ("gate", "duration_ns", "predistortion", "levels"):
+        assert got[name] == want[name]
+
+
+def test_waveform_rb_matches_the_per_circuit_decomposition(capsys, per_circuit_terms):
+    argv = ("simulate", "rb", "--mode", "waveform", "--lengths", "1,4,8", "--sequences", "2",
+            "--seed", "3")
+    outputs = []
+    for switch in (lambda: None, per_circuit_terms):
+        switch()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs.append(np.genfromtxt(out.splitlines(), delimiter=",", names=True))
+    got, want = outputs
+    assert np.array_equal(got["length"], want["length"])
+    np.testing.assert_allclose(got["survival"], want["survival"], rtol=0, atol=1e-10)
+
+
+def test_simulate_gate_bytes_do_not_depend_on_cached_bases(tmp_path, capsys):
+    # cold: no phase basis and no frame cached; warm basis, cold frame; all
+    # warm; and two fresh interpreters
+    scenario = write_scenario(tmp_path, _gate_scenario(1))
+    argv = ("simulate", "gate", "--scenario", scenario)
+    outputs = []
+    for clear in (fluxonium._phase_basis.cache_clear, dynamics._qubit_frame.cache_clear, None):
+        if clear is not None:
+            clear()
+            dynamics._phase_norm.cache_clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs.append(out)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-m", "uniflux.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(set(outputs)) == 1
+
+
 def test_simulate_rb_seeded_csv_is_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -88,6 +88,22 @@ def test_populations_sum_to_one_under_drive():
     assert len(outcome.metadata["scenario_sha256"]) == 64
 
 
+def test_scenario_fingerprint_keeps_its_bytes():
+    # the prepared shape carries the fingerprint; every drive of it reports
+    # the sha256 that evolve reported when each drive hashed the scenario
+    cases = [
+        (GAUSS2, _zero_waveform(16),
+         "6e128cbd4b8441c3d6a1460ae729c1592d0b5f7ff51d5146cb3b61dc13e6a690"),
+        (GAUSS2.replace(levels=3), dynamics.cosine_drive(20.0, 0.01, F01),
+         "7065a2748ceb90533876da5b90a083bfe0af3c5c3b5e18428a32657017ac9a98"),
+    ]
+    for scenario, w, sha in cases:
+        assert dynamics.evolve(scenario, w).metadata["scenario_sha256"] == sha
+        shape = dynamics._prepare(scenario, w)
+        for amplitude in (0.5, 1.5):
+            assert dynamics._drive(shape, amplitude).metadata["scenario_sha256"] == sha
+
+
 def test_evolve_input_validation():
     with pytest.raises(ValueError):
         dynamics.evolve(FLAT2, Waveform(np.zeros(1), 1.0))
@@ -152,7 +168,7 @@ def test_step_halving_converges_below_1e7():
 
 def test_nan_propagator_fails_closed(monkeypatch):
     # a NaN propagator must raise, not return NaN populations
-    def nan_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
+    def nan_propagate(levels, phi_mat, phi_norm, e_l, dphi_mid, h, record_every):
         dim = len(levels)
         pops = np.full((len(dphi_mid) // record_every + 1, dim), np.nan)
         return pops, np.full((dim, dim), np.nan, dtype=complex), 1
@@ -165,7 +181,7 @@ def test_nan_propagator_fails_closed(monkeypatch):
 def _overshooting_propagate(excess):
     """A `_propagate` stand-in whose U is exact but whose third boundary reads
     the excited population 1 + ``excess``."""
-    def propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
+    def propagate(levels, phi_mat, phi_norm, e_l, dphi_mid, h, record_every):
         dim = len(levels)
         pops = np.zeros((len(dphi_mid) // record_every + 1, dim))
         pops[:, 0] = 1.0
@@ -348,6 +364,30 @@ def test_node_count_is_the_smallest_meeting_the_tail_bound():
         assert count == 1 or tail(growth, count - 1) > 1e-16
 
 
+def test_node_count_from_the_frame_norm_matches_the_coupling_norm():
+    # K comes from ||phi||_2 of the frame times 2 pi |a E_L| rather than from
+    # ||coupling||_2 of every chunk; a seeded set of (circuit, levels,
+    # amplitude, step, radius) cases pins that the count, and with it every
+    # step plane, is unchanged
+    rng = np.random.default_rng(54)
+    counts = set()
+    for _ in range(15):
+        qubit = fluxonium.FluxoniumParams(
+            e_j=rng.uniform(2.0, 9.0), e_c=rng.uniform(0.6, 2.0), e_l=rng.uniform(0.3, 1.8)
+        )
+        for levels in (2, 3, 4, 6):
+            phi_mat = dynamics._qubit_frame(qubit, levels)[1]
+            phi_norm = dynamics._phase_norm(qubit, levels)
+            for _ in range(60):
+                e_l = rng.uniform(0.0, 2.0) * qubit.e_l
+                h, radius = rng.uniform(0.005, 0.05), 10.0 ** rng.uniform(-4.0, 1.0)
+                coupling = 2.0 * np.pi * (-e_l) * phi_mat
+                count = dynamics._node_count(h * radius * (2.0 * np.pi * abs(e_l) * phi_norm))
+                assert count == dynamics._node_count(h * radius * np.linalg.norm(coupling, 2))
+                counts.add(count)
+    assert min(counts) <= 3 and max(counts) >= 20
+
+
 def test_chebyshev_steps_match_exact_exponentials():
     # full-scale drive range, 6 levels: many nodes, still exact to ~1e-14
     scenario = FLAT2.replace(levels=6)
@@ -355,7 +395,7 @@ def test_chebyshev_steps_match_exact_exponentials():
     static = 2.0 * np.pi * np.diag(levels).astype(complex)
     coupling = 2.0 * np.pi * (-QUBIT.e_l) * phi_mat
     xs = np.linspace(-1.9, 1.9, 57)
-    steps, _ = dynamics._chebyshev_steps(static, coupling, 0.2, xs)
+    steps, _ = dynamics._chebyshev_steps(static, coupling, np.linalg.norm(coupling, 2), 0.2, xs)
     vals, vecs = np.linalg.eigh(static + xs[:, None, None] * coupling)
     exact = np.einsum("nij,nj,nkj->ikn", vecs, np.exp(-0.2j * vals), vecs.conj())
     assert np.abs(steps - exact).max() < 1e-12

@@ -6,9 +6,26 @@ from hypothesis import strategies as st
 from uniflux import fluxonium
 from uniflux.errors import NoSolutionError
 
-from oracles import cosm_hamiltonian, phase_grid_spectrum, scanned_reset_flux
+from oracles import (
+    cosm_hamiltonian,
+    phase_grid_spectrum,
+    scanned_reset_flux,
+    tridiagonal_flux_free_terms,
+)
 
 REFERENCE_PARAMS = fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, phi_ext=0.5)
+
+
+def _circuits(count, seed, **kwargs):
+    """``count`` circuits drawn from the criterion-01 energy ranges."""
+    rng = np.random.default_rng(seed)
+    return [
+        fluxonium.FluxoniumParams(
+            e_j=rng.uniform(2.0, 9.0), e_c=rng.uniform(0.6, 2.0), e_l=rng.uniform(0.3, 1.8),
+            **kwargs,
+        )
+        for _ in range(count)
+    ]
 
 
 def test_harmonic_limit_spacing():
@@ -154,6 +171,85 @@ def test_phase_matrix_is_shared_by_element_and_eigenbasis_paths():
         assert fluxonium.phase_matrix_element(params, i, j, n_levels=4) == abs(matrix[i, j])
 
 
+def test_flux_free_terms_match_the_per_circuit_decomposition():
+    # the shared Gauss-Hermite basis against an eigendecomposition of each
+    # circuit's own phase operator: 7e-15 worst over these circuits
+    circuits = [REFERENCE_PARAMS, *_circuits(300, 19)]
+    circuits += [REFERENCE_PARAMS.replace(basis_size=n) for n in (12, 61, 200)]
+    for params in circuits:
+        got = fluxonium._flux_free_terms(params)
+        want = tridiagonal_flux_free_terms(params)
+        assert np.array_equal(got[0], want[0])
+        for term, expected in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(term, expected, rtol=0, atol=1e-13)
+
+
+def test_eigenbasis_phase_matrix_matches_the_per_circuit_decomposition(monkeypatch):
+    circuits = [REFERENCE_PARAMS, *_circuits(40, 23)]
+    got = [fluxonium.eigenbasis_phase_matrix(params, 6) for params in circuits]
+    monkeypatch.setattr(fluxonium, "_flux_free_terms", tridiagonal_flux_free_terms)
+    for params, (levels, phi_mat) in zip(circuits, got):
+        want_levels, want_phi_mat = fluxonium.eigenbasis_phase_matrix(params, 6)
+        np.testing.assert_allclose(levels, want_levels, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(phi_mat), np.abs(want_phi_mat), rtol=0, atol=1e-12)
+
+
+def test_find_reset_flux_matches_the_per_circuit_decomposition(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = [(REFERENCE_PARAMS, 4.98)]
+    cases += [(params, _f01_at(params, rng.uniform(0.25, 0.45))) for params in _circuits(6, 37)]
+    got = [fluxonium.find_reset_flux(params, f_target, scan_points=48)
+           for params, f_target in cases]
+    monkeypatch.setattr(fluxonium, "_flux_free_terms", tridiagonal_flux_free_terms)
+    for (params, f_target), sol in zip(cases, got):
+        want = fluxonium.find_reset_flux(params, f_target, scan_points=48)
+        assert abs(sol.flux_phi0 - want.flux_phi0) <= 1e-10  # the brentq xtol
+        assert sol.f01_ghz == want.f01_ghz
+
+
+@pytest.mark.parametrize("n", [12, 40, 120])
+def test_phase_basis_is_the_gauss_hermite_rule(n):
+    # Golub-Welsch: the eigenvalues of the Jacobi matrix a + a^dagger are
+    # sqrt(2) times the Gauss-Hermite nodes, and the squared first components
+    # of its eigenvectors are the weights over sqrt(pi)
+    nodes, v = fluxonium._phase_basis(n)
+    x, w = np.polynomial.hermite.hermgauss(n)
+    np.testing.assert_allclose(nodes, np.sqrt(2.0) * x, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(v[0] ** 2, w / np.sqrt(np.pi), rtol=0, atol=1e-14)
+    assert not nodes.flags.writeable
+    assert not v.flags.writeable
+
+
+def test_phase_basis_cache_is_bounded():
+    # --basis-size has no upper limit and each entry holds an n x n array
+    maxsize = fluxonium._phase_basis.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for n in range(12, 12 + maxsize + 3):
+        fluxonium._phase_basis(n)
+    assert fluxonium._phase_basis.cache_info().currsize <= maxsize
+
+
+def test_one_phase_decomposition_per_basis_size(monkeypatch):
+    import scipy.linalg
+
+    from uniflux import dynamics
+
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(
+        scipy.linalg, "eigh_tridiagonal", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
+    )
+    fluxonium._phase_basis.cache_clear()
+    dynamics._qubit_frame.cache_clear()
+    circuits = _circuits(10, 41)
+    for params in circuits[:5]:
+        fluxonium.spectrum_sweep(params, np.linspace(0.0, 0.5, 3), 3)
+    for params in circuits[5:]:
+        dynamics._qubit_frame(params, 3)
+    assert all(params.basis_size == 120 for params in circuits)
+    assert len(calls) == 1
+
+
 def test_spectrum_sweep_empty_grid():
     with pytest.raises(ValueError):
         fluxonium.spectrum_sweep(REFERENCE_PARAMS, [], 3)
@@ -234,6 +330,19 @@ def test_find_reset_flux_stops_scanning_at_the_first_bracket(monkeypatch):
     )
     fluxonium.find_reset_flux(params, f_target, scan_points=scan_points)
     assert len(calls) <= bracket + 2 + info.function_calls
+
+
+@pytest.mark.parametrize("f_target, scan_points", [
+    (np.nan, 160), (np.inf, 160), (-np.inf, 160),
+    (4.98, 0), (4.98, 1), (4.98, True), (4.98, 48.0), (4.98, -3),
+])
+def test_find_reset_flux_rejects_bad_inputs_before_any_eigensolve(monkeypatch, f_target,
+                                                                  scan_points):
+    calls = []
+    monkeypatch.setattr(fluxonium, "eigensystem", lambda *args, **kw: calls.append(1))
+    with pytest.raises(ValueError, match="f_target must be finite|scan_points must be an integer"):
+        fluxonium.find_reset_flux(REFERENCE_PARAMS, f_target, scan_points=scan_points)
+    assert calls == []
 
 
 def test_find_reset_flux_fields_are_floats():
