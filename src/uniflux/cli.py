@@ -401,26 +401,6 @@ def cmd_design(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _filter_from_design(text: str, expect: str):
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("design file must hold a JSON object")
-    kind = doc.get("kind")
-    if kind != expect:
-        raise ValueError(f"expected a {expect!r} design file, got {kind!r}")
-    if kind == "fir":
-        taps_int16 = doc["taps_int16"]
-        return filters.FirFilter(
-            np.asarray(doc["taps_float"], dtype=float),
-            doc["sample_rate_gsps"],
-            None if taps_int16 is None else np.asarray(taps_int16, dtype=np.int64),
-        )
-    params = doc["parameters"]
-    sections = tuple(filters.IirSection(*coeffs) for coeffs in params["sections"])
-    exponentials = tuple(tuple(pair) for pair in params["source_exponentials"])
-    return filters.IirCorrector(sections, doc["sample_rate_gsps"], exponentials)
-
-
 def cmd_compile(args) -> int:
     import pathlib
 
@@ -428,22 +408,19 @@ def cmd_compile(args) -> int:
     program = _read_input(args.program, pulsec.parse_program, args.rate, base_dir)
     config = pulsec.SynthesisConfig(
         sample_rate=args.rate,
-        xy_fir=_read_input(args.fir, _filter_from_design, "fir") if args.fir else None,
-        z_iir=_read_input(args.iir, _filter_from_design, "iir") if args.iir else None,
+        xy_fir=_read_input(args.fir, filters.read_design, "fir") if args.fir else None,
+        z_iir=_read_input(args.iir, filters.read_design, "iir") if args.iir else None,
         dac_bits=args.dac_bits,
     )
     compiled = pulsec.compile(program, config)
     wave = pulsec.synthesize(compiled, config)
     codes = pulsec.dac_quantize(wave, config)
-    lines = []
     if args.output:
         meta = pulsec.dump_waveform_binary(args.output, codes, args.rate, args.dac_bits)
-        lines.append(f"sha256 {meta['sha256']}")
-        lines.append(f"samples {meta['length']}")
+        digest, length = meta["sha256"], meta["length"]
     else:
-        digest = hashlib.sha256(codes.astype("<i2").tobytes()).hexdigest()
-        lines.append(f"sha256 {digest}")
-        lines.append(f"samples {len(codes)}")
+        _, digest, length = pulsec.dac_payload(codes)
+    lines = [f"sha256 {digest}", f"samples {length}"]
     if args.report_memory:
         report = pulsec.memory_report(program, compiled)
         ratio = report["ratio"]

@@ -65,7 +65,6 @@ class TailFitResult:
     tau_sigmas: tuple
     residual_norm: float
     degenerate_taus: bool
-    n_starts: int
 
 
 def _probe_design_matrix(delays, taus, window):
@@ -74,22 +73,6 @@ def _probe_design_matrix(delays, taus, window):
         (tau / window) * np.exp(-delays / tau) * -np.expm1(-window / tau) for tau in taus
     ]
     return np.stack(cols, axis=1)
-
-
-def _probe_model_and_jacobian(theta, delays, window, n_terms):
-    amps = theta[:n_terms]
-    taus = np.exp(theta[n_terms:])
-    g = _probe_design_matrix(delays, taus, window)
-    y = g @ amps
-    # d g / d log tau = (1/w) [ (1 + d/tau) e^{-d/tau} - (1 + (d+w)/tau) e^{-(d+w)/tau} ] * tau
-    jac = np.empty((len(delays), 2 * n_terms))
-    jac[:, :n_terms] = g
-    for k, tau in enumerate(taus):
-        e0 = np.exp(-delays / tau)
-        e1 = np.exp(-(delays + window) / tau)
-        dg_dtau = ((1.0 + delays / tau) * e0 - (1.0 + (delays + window) / tau) * e1) / window
-        jac[:, n_terms + k] = amps[k] * dg_dtau * tau
-    return y, jac
 
 
 def fit_multi_exponential(
@@ -133,12 +116,21 @@ def fit_multi_exponential(
         starts.append(np.concatenate([amps, log_taus]))
 
     def residuals(theta):
-        y, _ = _probe_model_and_jacobian(theta, delays, probe_window, n_terms)
-        return y - values
+        g = _probe_design_matrix(delays, np.exp(theta[n_terms:]), probe_window)
+        return g @ theta[:n_terms] - values
 
     def jacobian(theta):
-        _, j = _probe_model_and_jacobian(theta, delays, probe_window, n_terms)
-        return j
+        taus = np.exp(theta[n_terms:])
+        jac = np.empty((len(delays), 2 * n_terms))
+        jac[:, :n_terms] = _probe_design_matrix(delays, taus, probe_window)
+        # d g / d log tau = (1/w) [ (1 + d/tau) e^{-d/tau} - (1 + (d+w)/tau) e^{-(d+w)/tau} ] * tau
+        for k, tau in enumerate(taus):
+            e0 = np.exp(-delays / tau)
+            e1 = np.exp(-(delays + probe_window) / tau)
+            dg_dtau = ((1.0 + delays / tau) * e0
+                       - (1.0 + (delays + probe_window) / tau) * e1) / probe_window
+            jac[:, n_terms + k] = theta[k] * dg_dtau * tau
+        return jac
 
     theta, cov, sse = _least_squares_fit(residuals, starts, jac=jacobian, xtol=1e-14)
     cost = math.sqrt(sse)
@@ -182,5 +174,4 @@ def fit_multi_exponential(
         tau_sigmas=tuple(tau_sig[order]),
         residual_norm=cost,
         degenerate_taus=bool(degenerate or unresolved),
-        n_starts=n_starts,
     )

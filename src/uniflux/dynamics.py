@@ -335,18 +335,14 @@ class _Shape:
 
 
 def _prepare(scenario: DriveScenario, w: Waveform) -> _Shape:
-    """The amplitude-free half of `evolve`: the waveform checks, the channel
-    (`apply_transfer`), the scaling to delta_phi, `_step_midpoints` and the
-    scenario fingerprint."""
-    if len(w) < 2:
-        raise ValueError("waveform must have at least 2 samples")
-    if np.iscomplexobj(w.samples):
-        raise ValueError("drive waveform must be real")
+    """The amplitude-free half of `evolve`: the channel (`apply_transfer`,
+    which checks the waveform), the scaling to delta_phi, `_step_midpoints`
+    and the scenario fingerprint."""
     # `_drive` checks that the step divides the sample period; until then an
     # undivided period only rounds to the nearest whole step count.
     k = max(1, int(round(1.0 / w.sample_rate / scenario.time_step)))
     filtered = filters.apply_transfer(w, scenario.channel)
-    dphi = np.asarray(filtered.samples, dtype=float) * phase_drive_per_volt(scenario.line)
+    dphi = filtered.samples * phase_drive_per_volt(scenario.line)
     return _Shape(scenario, w.sample_rate, k, float(np.max(np.abs(w.samples))),
                   _step_midpoints(dphi, k), _scenario_fingerprint(scenario, w.sample_rate))
 
@@ -486,7 +482,7 @@ def predistort_drive(w: Waveform, channel: filters.TransferFunction,
         )
     inverse = filters.bounded_inverse(channel, f_q=f_q)
     out = filters.apply_transfer(w, inverse)
-    return out.with_samples(np.asarray(out.samples) / inverse.h_qubit)
+    return out.with_samples(out.samples / inverse.h_qubit)
 
 
 def _net_carrier_gain(scenario, predistortion, f01, frequency_ghz) -> float:
@@ -981,23 +977,20 @@ def build_rb_program(indices, gate: RbGate, sample_rate: float,
     )
 
 
-def _ideal_survival(indices, interleaved, p) -> float:
+def _ideal_survival(indices, interleaved, p, recovery) -> float:
     """Density-matrix survival with depolarizing after each random Clifford;
-    the interleaved Clifford is applied exactly."""
+    the interleaved Clifford and the ``recovery`` Clifford are applied exactly."""
     table = _clifford_table()
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     eye = np.eye(2) / 2.0
-    applied = []
     for index in indices:
         mat = table[index][1]
         rho = p * (mat @ rho @ mat.conj().T) + (1.0 - p) * eye
-        applied.append(index)
         if interleaved is not None:
             mat = table[interleaved][1]
             rho = mat @ rho @ mat.conj().T
-            applied.append(interleaved)
-    recovery = table[recovery_index(applied)][1]
-    rho = recovery @ rho @ recovery.conj().T
+    mat = table[recovery][1]
+    rho = mat @ rho @ mat.conj().T
     return float(rho[0, 0].real)
 
 
@@ -1006,9 +999,7 @@ def _waveform_survival(scenario, program, config) -> float:
     synthesized = pulsec.synthesize(compiled, config)
     if len(synthesized) < 2:
         return 1.0  # virtual-Z-only sequence: no drive, ground state survives
-    volts = synthesized.with_samples(
-        np.asarray(synthesized.samples) * scenario.line.awg_vmax
-    )
+    volts = synthesized.with_samples(synthesized.samples * scenario.line.awg_vmax)
     outcome = evolve(scenario, volts)
     return float(outcome.populations[-1, 0])
 
@@ -1060,7 +1051,7 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
             try:
                 program = build_rb_program(full, gate, config.sample_rate, carrier)
                 if mode == "ideal":
-                    survival = _ideal_survival(indices, interleaved, depolarizing)
+                    survival = _ideal_survival(indices, interleaved, depolarizing, full[-1])
                 else:
                     survival = _waveform_survival(scenario, program, config)
             except UnifluxError as exc:

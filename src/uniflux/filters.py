@@ -10,13 +10,15 @@ Three families live here:
 * linear-phase FIR synthesis (frequency sampling + least squares on the
   symmetric half) with 16-bit quantization for fixed-point hardware;
 * first-order IIR correction sections that invert measured multi-exponential
-  settling tails on the baseband flux path.
+  settling tails on the baseband flux path;
+* design files: ``design_document`` writes them, ``read_design`` reads them.
 
 Frequencies are GHz, times ns, sample rates GS/s throughout.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -146,8 +148,6 @@ def apply_transfer(w: Waveform, h: TransferFunction) -> Waveform:
     """
     if len(w) < 2:
         raise ValueError("waveform must have at least 2 samples")
-    if np.iscomplexobj(w.samples):
-        raise ValueError("apply_transfer operates on real waveforms")
     n = len(w)
     nfft = 1 << max(3, int(np.ceil(np.log2(4 * n))))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / w.sample_rate)  # GHz
@@ -170,6 +170,7 @@ class FirFilter:
     taps_float: np.ndarray
     sample_rate: float
     taps_int16: np.ndarray = None
+    kind = "fir"
 
     def __post_init__(self):
         taps = np.asarray(self.taps_float, dtype=float)
@@ -179,8 +180,8 @@ class FirFilter:
             object.__setattr__(self, "taps_int16", q)
         if not np.all(np.isfinite(taps)):
             raise ValueError("FIR taps must be finite")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
 
     @property
     def n_taps(self) -> int:
@@ -219,8 +220,11 @@ def synthesize_fir(target: TransferFunction, n_taps: int, sample_rate: float) ->
     return FirFilter(taps_float=taps, sample_rate=sample_rate)
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def round_half_away(x: np.ndarray, dtype) -> np.ndarray:
+    """Round half away from zero: the ``dtype`` cast truncates x + copysign(0.5, x)."""
+    shifted = np.copysign(0.5, x)
+    shifted += x
+    return shifted.astype(dtype)
 
 
 def quantize_taps(f: FirFilter) -> FirFilter:
@@ -235,7 +239,7 @@ def quantize_taps(f: FirFilter) -> FirFilter:
     if peak == 0:
         raise ValueError("cannot quantize all-zero taps")
     scaled = taps / peak * INT16_FULL_SCALE
-    q = _round_half_away(scaled).astype(np.int64)
+    q = round_half_away(scaled, np.int64)
     return FirFilter(taps_float=taps, sample_rate=f.sample_rate, taps_int16=q)
 
 
@@ -255,6 +259,8 @@ class IirSection:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.b0, self.b1, self.a1))):
             raise ValueError("IIR section coefficients must be finite")
+        if not abs(self.a1) < 1.0:
+            raise ValueError(f"IIR section pole {-self.a1} must lie inside the unit circle")
 
 
 @dataclass(frozen=True)
@@ -264,6 +270,11 @@ class IirCorrector:
     sections: tuple
     sample_rate: float
     source_exponentials: tuple
+    kind = "iir"
+
+    def __post_init__(self):
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
 
     @property
     def is_identity(self) -> bool:
@@ -338,7 +349,7 @@ def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
         return w
     from scipy.signal import lfilter
 
-    out = np.asarray(w.samples, dtype=float)
+    out = w.samples
     for s in c.sections:
         out = lfilter([s.b0, s.b1], [1.0, s.a1], out)
     return Waveform(out, w.sample_rate)
@@ -351,54 +362,51 @@ def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
 
 def design_document(obj, provenance: str = "") -> dict:
     """Serializable record of a designed filter."""
-    if isinstance(obj, FirFilter):
-        return {
-            "kind": "fir",
-            "parameters": {"n_taps": obj.n_taps},
-            "taps_float": [float(t) for t in obj.taps_float],
-            "taps_int16": None
-            if obj.taps_int16 is None
-            else [int(t) for t in obj.taps_int16],
-            "sample_rate_gsps": obj.sample_rate,
-            "provenance": provenance,
-        }
-    if isinstance(obj, IirCorrector):
+    fir = isinstance(obj, FirFilter)
+    if fir:
+        params = {"n_taps": obj.n_taps}
+    elif isinstance(obj, IirCorrector):
         b, a, count = obj.direct_form()
-        return {
-            "kind": "iir",
-            "parameters": {
-                "source_exponentials": [list(t) for t in obj.source_exponentials],
-                "sections": [[s.b0, s.b1, s.a1] for s in obj.sections],
-                "direct_form_b": [float(x) for x in b],
-                "direct_form_a": [float(x) for x in a],
-                "direct_form_coefficient_count": count,
-            },
-            "taps_float": None,
-            "taps_int16": None,
-            "sample_rate_gsps": obj.sample_rate,
-            "provenance": provenance,
+        params = {
+            "source_exponentials": [list(t) for t in obj.source_exponentials],
+            "sections": [[s.b0, s.b1, s.a1] for s in obj.sections],
+            "direct_form_b": [float(x) for x in b],
+            "direct_form_a": [float(x) for x in a],
+            "direct_form_coefficient_count": count,
         }
-    if isinstance(obj, GaussianLowpass):
-        return {
-            "kind": obj.kind,
-            "parameters": {"f_c_ghz": obj.f_c},
-            "taps_float": None,
-            "taps_int16": None,
-            "sample_rate_gsps": None,
-            "provenance": provenance,
+    elif isinstance(obj, GaussianLowpass):
+        params = {"f_c_ghz": obj.f_c}
+    elif isinstance(obj, BoundedInverse):
+        params = {
+            "f_c_ghz": obj.gauss.f_c,
+            "f_q_ghz": obj.f_q,
+            "g_max_db": obj.g_max_db,
+            "window_cutoff_ghz": obj.window_cutoff,
         }
-    if isinstance(obj, BoundedInverse):
-        return {
-            "kind": obj.kind,
-            "parameters": {
-                "f_c_ghz": obj.gauss.f_c,
-                "f_q_ghz": obj.f_q,
-                "g_max_db": obj.g_max_db,
-                "window_cutoff_ghz": obj.window_cutoff,
-            },
-            "taps_float": None,
-            "taps_int16": None,
-            "sample_rate_gsps": None,
-            "provenance": provenance,
-        }
-    raise ValueError(f"no design-document form for {type(obj).__name__}")
+    else:
+        raise ValueError(f"no design-document form for {type(obj).__name__}")
+    int16 = obj.taps_int16 if fir else None
+    return {
+        "kind": obj.kind,
+        "parameters": params,
+        "taps_float": [float(t) for t in obj.taps_float] if fir else None,
+        "taps_int16": None if int16 is None else [int(t) for t in int16],
+        "sample_rate_gsps": getattr(obj, "sample_rate", None),
+        "provenance": provenance,
+    }
+
+
+def read_design(text: str, kind: str):
+    """The filter of a design file's JSON ``text``, which must be of ``kind``."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("design file must hold a JSON object")
+    if doc.get("kind") != kind:
+        raise ValueError(f"expected a {kind!r} design file, got {doc.get('kind')!r}")
+    if kind == FirFilter.kind:
+        return FirFilter(taps_int16=doc["taps_int16"], taps_float=doc["taps_float"],
+                         sample_rate=doc["sample_rate_gsps"])
+    params = doc["parameters"]
+    sections = tuple(IirSection(*coeffs) for coeffs in params["sections"])
+    exponentials = tuple(tuple(pair) for pair in params["source_exponentials"])
+    return IirCorrector(sections, doc["sample_rate_gsps"], exponentials)

@@ -23,6 +23,7 @@ everything else is strictly sequential.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProgramParseError, SaturationError, ScheduleError, _is_integer
-from .filters import FirFilter, IirCorrector, apply_iir
+from .filters import FirFilter, IirCorrector, apply_iir, round_half_away
 from .waveform import Waveform
 
 ENVELOPE = "envelope"
@@ -515,12 +516,8 @@ def synthesize(compiled: CompiledProgram, config: SynthesisConfig) -> Waveform:
 
 def dac_quantize(w: Waveform, config: SynthesisConfig) -> np.ndarray:
     """Integer DAC codes: round-half-away-from-zero of w * (2^(bits-1) - 1)."""
-    samples = np.asarray(w.samples)
-    if np.iscomplexobj(samples):
-        raise ValueError("quantization applies to real composites")
-    _check_full_scale(samples)
-    scaled = samples * float(2 ** (config.dac_bits - 1) - 1)
-    return (scaled + np.copysign(0.5, scaled)).astype(np.int32)  # truncates toward 0
+    _check_full_scale(w.samples)
+    return round_half_away(w.samples * float(2 ** (config.dac_bits - 1) - 1), np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +570,16 @@ def _parse_float(token, line_no, col, what):
         return float(token)
     except ValueError:
         raise ProgramParseError(f"bad {what} {token!r}", line_no, col) from None
+
+
+@contextlib.contextmanager
+def _located(line_no, col):
+    """Report a ValueError or ScheduleError raised inside as a
+    ``ProgramParseError`` at (line_no, col)."""
+    try:
+        yield
+    except (ValueError, ScheduleError) as exc:
+        raise ProgramParseError(str(exc), line_no, col) from None
 
 
 def _parse_kv(token, key, line_no, col):
@@ -662,20 +669,16 @@ class _Parser:
                 line_no,
                 kcol,
             )
-        try:
+        with _located(line_no, toks[3][0]):
             self.primitives[pid] = PulsePrimitive(pid, tuple(values), self.rate, kind)
-        except ValueError as exc:
-            raise ProgramParseError(str(exc), line_no, toks[3][0]) from None
         return None
 
     def _line_carrier(self, toks, line_no, seen_instructions):
         if len(toks) != 2:
             raise ProgramParseError("carrier needs exactly one frequency", line_no, toks[0][0])
         freq = _parse_float(toks[1][1], line_no, toks[1][0], "frequency")
-        try:
+        with _located(line_no, toks[1][0]):
             carrier = SetCarrier(freq)
-        except ValueError as exc:
-            raise ProgramParseError(str(exc), line_no, toks[1][0]) from None
         if not seen_instructions and self.initial_carrier is None:
             self.initial_carrier = carrier.frequency
             return None
@@ -695,28 +698,22 @@ class _Parser:
                 phase = _parse_float(tok[6:], line_no, col, "phase")
             else:
                 raise ProgramParseError(f"unexpected token {tok!r}", line_no, col)
-        try:
+        with _located(line_no, toks[0][0]):
             return PlayXY(primitive_id=pid, amplitude=amp, phase_offset=phase)
-        except ValueError as exc:
-            raise ProgramParseError(str(exc), line_no, toks[0][0]) from None
 
     def _line_vz(self, toks, line_no, _seen):
         if len(toks) != 2:
             raise ProgramParseError("vz needs exactly one phase", line_no, toks[0][0])
-        try:
+        with _located(line_no, toks[1][0]):
             return VirtualZ(_parse_float(toks[1][1], line_no, toks[1][0], "phase"))
-        except ValueError as exc:
-            raise ProgramParseError(str(exc), line_no, toks[1][0]) from None
 
     def _line_delay(self, toks, line_no, _seen):
         if len(toks) != 2:
             raise ProgramParseError("delay needs exactly one duration", line_no, toks[0][0])
         dur = _parse_float(toks[1][1], line_no, toks[1][0], "duration")
-        self._check_integer_samples(dur, line_no, toks[1][0], "delay")
-        try:
+        with _located(line_no, toks[1][0]):
+            _sample_count(dur, self.rate, "delay")
             return Delay(dur)
-        except ValueError as exc:
-            raise ProgramParseError(str(exc), line_no, toks[1][0]) from None
 
     def _line_z(self, toks, line_no, _seen):
         if len(toks) < 4:
@@ -734,9 +731,10 @@ class _Parser:
         amp_s, dur_s = hold.split(",", 1)
         amp = _parse_float(amp_s, line_no, toks[2][0], "hold amplitude")
         dur = _parse_float(dur_s, line_no, toks[2][0], "hold duration")
-        self._check_integer_samples(dur, line_no, toks[2][0], "hold")
+        with _located(line_no, toks[2][0]):
+            _sample_count(dur, self.rate, "hold")
         body = self._maybe_open_block(toks, line_no, 4)
-        try:
+        with _located(line_no, toks[0][0]):
             return PlayZ(
                 rise_primitive_id=rise,
                 hold_amplitude=amp,
@@ -744,8 +742,6 @@ class _Parser:
                 fall_primitive_id=fall,
                 body=body or (),
             )
-        except ValueError as exc:
-            raise ProgramParseError(str(exc), line_no, toks[0][0]) from None
 
     def _line_repeat(self, toks, line_no, _seen):
         if len(toks) < 2:
@@ -757,16 +753,8 @@ class _Parser:
         body = self._maybe_open_block(toks, line_no, 2)
         if body is None:
             raise ProgramParseError("repeat needs a '{' block", line_no, toks[-1][0])
-        try:
+        with _located(line_no, toks[1][0]):
             return Repeat(count=count, body=body)
-        except ValueError as exc:
-            raise ProgramParseError(str(exc), line_no, toks[1][0]) from None
-
-    def _check_integer_samples(self, duration, line_no, col, what):
-        try:
-            _sample_count(duration, self.rate, what)
-        except ScheduleError as exc:
-            raise ProgramParseError(str(exc), line_no, col) from None
 
 
 def parse_program(text: str, sample_rate: float, base_dir=None) -> PulseProgram:
@@ -779,6 +767,12 @@ def parse_program(text: str, sample_rate: float, base_dir=None) -> PulseProgram:
 # ---------------------------------------------------------------------------
 
 
+def dac_payload(codes) -> tuple[bytes, str, int]:
+    """The little-endian int16 bytes of ``codes``, their sha256 and the code count."""
+    payload = np.asarray(codes).astype("<i2").tobytes()
+    return payload, hashlib.sha256(payload).hexdigest(), len(codes)
+
+
 def dump_waveform_binary(path, codes, sample_rate: float, dac_bits: int = 16) -> dict:
     """Write little-endian int16 samples plus a JSON sidecar with a sha256."""
     path = pathlib.Path(path)
@@ -786,13 +780,9 @@ def dump_waveform_binary(path, codes, sample_rate: float, dac_bits: int = 16) ->
     limit = 2 ** (dac_bits - 1) - 1
     if len(codes) and (codes.max() > limit or codes.min() < -limit - 1):
         raise ValueError(f"codes exceed {dac_bits}-bit range")
-    payload = codes.astype("<i2").tobytes()
+    payload, digest, length = dac_payload(codes)
     path.write_bytes(payload)
-    meta = {
-        "sample_rate_gsps": sample_rate,
-        "length": int(len(codes)),
-        "dac_bits": dac_bits,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
+    meta = {"sample_rate_gsps": sample_rate, "length": length, "dac_bits": dac_bits,
+            "sha256": digest}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=2) + "\n")
     return meta

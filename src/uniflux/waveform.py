@@ -1,8 +1,9 @@
 """Uniformly sampled waveforms.
 
-The container used throughout the package: a 1-D sample array plus a sample
-rate in gigasamples per second. Real arrays represent physical signals;
-complex arrays are used for baseband envelopes before carrier modulation.
+The container used throughout the package: a 1-D array of real samples plus
+a sample rate in gigasamples per second. Every waveform the package builds is
+a physical signal (a drive, a flux baseband, a DAC composite); complex
+envelopes stay plain arrays inside the synthesizer.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Waveform:
-    """A uniformly sampled signal.
+    """A uniformly sampled real signal.
 
     Parameters
     ----------
     samples :
-        1-D array of finite samples (float for physical signals, complex
-        for envelopes). Stored as a read-only numpy array.
+        1-D array of finite real samples, stored as a read-only float
+        array. Complex samples are refused.
     sample_rate :
         Sample rate in GS/s; strictly positive and finite.
     """
@@ -40,6 +41,8 @@ class Waveform:
         arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=True)
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
+        if np.iscomplexobj(arr):
+            raise ValueError("samples must be real")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

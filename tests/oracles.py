@@ -490,14 +490,14 @@ class TimelineProgram:
     envelope and the Z baseband (the form ``pulsec.compile`` returned before
     it kept the XY play schedule)."""
 
-    xy_envelope: Waveform  # complex
+    xy_envelope: np.ndarray  # complex, one entry per sample of z_baseband
     z_baseband: Waveform
     frame_segments: tuple
     final_frame: FrameState
 
     @property
     def sample_rate(self) -> float:
-        return self.xy_envelope.sample_rate
+        return self.z_baseband.sample_rate
 
     def __len__(self) -> int:
         return len(self.xy_envelope)
@@ -521,7 +521,7 @@ def xy_timeline(compiled: CompiledProgram) -> np.ndarray:
 
 def timelines(compiled: CompiledProgram) -> TimelineProgram:
     return TimelineProgram(
-        xy_envelope=Waveform(xy_timeline(compiled), compiled.sample_rate),
+        xy_envelope=xy_timeline(compiled),
         z_baseband=compiled.z_baseband,
         frame_segments=compiled.frame_segments,
         final_frame=compiled.final_frame,
@@ -558,7 +558,7 @@ def timeline_synthesize(compiled, config) -> Waveform:
     if len(compiled) == 0:
         return Waveform(np.zeros(0), config.sample_rate)
     theta = carrier_phase(compiled)
-    xy_real = np.real(compiled.xy_envelope.samples * np.exp(-1j * theta))
+    xy_real = np.real(compiled.xy_envelope * np.exp(-1j * theta))
     if config.xy_fir is not None:
         xy_real = lfilter(config.xy_fir.taps_float, [1.0], xy_real)
     z = compiled.z_baseband
@@ -686,7 +686,7 @@ class _Compiler:
         xy = np.concatenate(self.xy) if self.xy else np.zeros(0, dtype=complex)
         z = np.concatenate(self.z) if self.z else np.zeros(0)
         return TimelineProgram(
-            xy_envelope=Waveform(xy.astype(complex), self.rate),
+            xy_envelope=xy.astype(complex),
             z_baseband=Waveform(z, self.rate),
             frame_segments=tuple(self.segments),
             final_frame=FrameState(

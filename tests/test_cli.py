@@ -929,6 +929,20 @@ _INPUT_FILES = {
         '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
         '{"sections": [[NaN, 0.0, -0.5]], "source_exponentials": []}}'
     ),
+    "fir-infinite-rate.json": (
+        '{"kind": "fir", "taps_float": [0.5, 0.5], "taps_int16": null, '
+        '"sample_rate_gsps": Infinity}'
+    ),
+    "iir-nan-rate.json": (
+        '{"kind": "iir", "sample_rate_gsps": NaN, "parameters": '
+        '{"sections": [[1.0, -0.5, -0.5]], "source_exponentials": []}}'
+    ),
+    # a first-order inverse section is stable only with its pole inside the
+    # unit circle (Rol et al., Appl. Phys. Lett. 116, 054001 (2020))
+    "iir-unstable-pole.json": (
+        '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
+        '{"sections": [[1.0, -0.5, -1.5]], "source_exponentials": []}}'
+    ),
     "qubit-5.json": '{"qubit": 5}',
     "inf-step.json": '{"time_step_ns": Infinity}',
     "levels-2.7.json": '{"levels": 2.7}',
@@ -1019,6 +1033,12 @@ _EXIT_CODE_CASES = [
      "{tmp}/fir-kind-only.json: expected"),
     ("compile-non-finite-iir", (*_PROGRAM, "--iir", "{tmp}/iir-nan-section.json"), 3,
      "{tmp}/iir-nan-section.json: "),
+    ("compile-infinite-rate-fir", (*_PROGRAM, "--fir", "{tmp}/fir-infinite-rate.json"), 3,
+     "{tmp}/fir-infinite-rate.json: sample_rate must be positive and finite"),
+    ("compile-nan-rate-iir", (*_PROGRAM, "--iir", "{tmp}/iir-nan-rate.json"), 3,
+     "{tmp}/iir-nan-rate.json: sample_rate must be positive and finite"),
+    ("compile-unstable-pole-iir", (*_PROGRAM, "--iir", "{tmp}/iir-unstable-pole.json"), 3,
+     "{tmp}/iir-unstable-pole.json: IIR section pole 1.5 must lie inside the unit circle"),
     # simulate
     ("simulate-rabi-infinite-amp-max", ("simulate", "rabi", "--amp-max", "inf"), 2,
      "argument --amp-max:"),

@@ -234,3 +234,31 @@ def test_every_option_has_a_setter():
     missing = [name for name in unset if name not in OPTIONS_ALLOWED]
     assert missing == [], f"options no call in src/ or perfbench/ sets: {missing}"
     assert set(OPTIONS_ALLOWED) <= set(unset), "an allowed option now has a setter"
+
+
+# ---------------------------------------------------------------------------
+# each file format has one owner
+# ---------------------------------------------------------------------------
+
+# String constants that only the module owning the format may spell: the
+# design-file keys belong to `filters`, the int16 DAC payload to `pulsec`.
+# "sample_rate_gsps" is left out: the waveform sidecar uses it too.
+FORMAT_OWNERS = {
+    "taps_float": "filters",
+    "taps_int16": "filters",
+    "source_exponentials": "filters",
+    "<i2": "pulsec",
+}
+
+
+def test_each_format_constant_lives_in_its_owner():
+    strays = sorted(
+        (constant, path.stem)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for constant in (node.value,)
+        if constant in FORMAT_OWNERS and FORMAT_OWNERS[constant] != path.stem
+    )
+    assert strays == [], f"format constants outside their owning module: {strays}"
+
