@@ -483,7 +483,7 @@ def _simulate_rb(args, scenario) -> int:
         amplitude_dac=args.gate_amplitude,
         drive_frequency_ghz=args.gate_frequency,
     )
-    result = dynamics.run_rb(
+    records = dynamics.run_rb(
         scenario,
         args.lengths,
         args.sequences,
@@ -493,7 +493,7 @@ def _simulate_rb(args, scenario) -> int:
         depolarizing=args.depolarizing,
         gate=gate,
     )
-    _write_text(args.output, dynamics.rb_csv_text(result))
+    _write_text(args.output, dynamics.rb_csv_text(records))
     return 0
 
 
@@ -625,10 +625,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-from", type=_finite, default=-80.0, metavar="DB")
     p.add_argument("--alpha-to", type=_finite, default=-20.0, metavar="DB")
     p.add_argument("-n", "--points", type=_int_in(1), default=61)
-    p.add_argument("--mutual", type=_positive, default=2e-12, help="mutual inductance, H")
-    p.add_argument("--noise", type=_noise_floor, default=-130.0, help="source noise, dBm/Hz")
-    p.add_argument("--vmax", type=_positive, default=0.5, help="source full scale, V")
-    p.add_argument("--impedance", type=_positive, default=50.0, help="line impedance, ohm")
+    p.add_argument("--mutual", type=_positive, default=REFERENCE_LINE.mutual_inductance,
+                   help="mutual inductance, H")
+    p.add_argument("--noise", type=_noise_floor, default=REFERENCE_LINE.awg_noise_dbm_per_hz,
+                   help="source noise, dBm/Hz")
+    p.add_argument("--vmax", type=_positive, default=REFERENCE_LINE.awg_vmax,
+                   help="source full scale, V")
+    p.add_argument("--impedance", type=_positive, default=REFERENCE_LINE.line_impedance,
+                   help="line impedance, ohm")
     p.add_argument("--ej", type=_finite, default=REFERENCE_EJ_GHZ)
     p.add_argument("--ec", type=_positive, default=REFERENCE_EC_GHZ)
     p.add_argument("--el", type=_positive, default=REFERENCE_EL_GHZ)
@@ -714,8 +718,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_in(0, dynamics.CLIFFORD_COUNT - 1),
         help="interleave this table index",
     )
-    rb.add_argument("--gate-duration", type=_pulse_ns(2), default=20.0, metavar="NS")
-    rb.add_argument("--gate-amplitude", type=_dac_amplitude, default=0.02, metavar="DAC")
+    rb.add_argument("--gate-duration", type=_pulse_ns(2), default=dynamics.RbGate.duration_ns,
+                    metavar="NS")
+    rb.add_argument("--gate-amplitude", type=_dac_amplitude,
+                    default=dynamics.RbGate.amplitude_dac, metavar="DAC")
     rb.add_argument("--gate-frequency", type=_positive, metavar="GHZ")
 
     p = sub.add_parser("fit", help="fit a decay or readout model to a CSV")

@@ -25,8 +25,10 @@ and about 1e-10 at 1e6 steps, and `evolve` raises past 1e-8.
 
 On top of `evolve` sit the experiment layers: Rabi curves with and without
 pre-distortion, pi-amplitude and drive-frequency calibration, average gate
-fidelity with separate leakage accounting, and a randomized-benchmarking
-harness that compiles every sampled Clifford sequence to a PulseProgram.
+fidelity with separate leakage accounting, and randomized benchmarking. Its
+ideal mode is the closed-form depolarizing decay 0.5 + 0.5 p^m (Magesan,
+Gambetta and Emerson, PRL 106, 180504 (2011)); its waveform mode compiles
+every sampled Clifford sequence to a PulseProgram and evolves it.
 
 Single-qubit Cliffords use the canonical {+/-X_pi/2, virtual-Z} decomposition
 shipped as package data (ops plus matrices, 4 virtual-Z-only entries, 16 with
@@ -482,16 +484,24 @@ def predistort_drive(w: Waveform, channel: filters.TransferFunction,
         )
     inverse = filters.bounded_inverse(channel, f_q=f_q)
     out = filters.apply_transfer(w, inverse)
-    return out.with_samples(out.samples / inverse.h_qubit)
+    return out.with_samples(out.samples / _checked_gain(inverse.h_qubit, f_q))
+
+
+def _checked_gain(gain, f01: float):
+    """``gain``, the channel's |H| at f01, unless it is 0: nothing may divide by that."""
+    if not gain > 0:
+        raise UnifluxError(f"the channel passes nothing at f01 = {f01:.6g} GHz "
+                           f"(|H| = {gain:.3g}): no drive reaches the qubit")
+    return gain
 
 
 def _net_carrier_gain(scenario, predistortion, f01, frequency_ghz) -> float:
     """|channel (and pre-distortion) response| at the drive frequency."""
     f = np.array([frequency_ghz])
-    gain = np.abs(scenario.channel.response(f))[0]
+    gain = _checked_gain(np.abs(scenario.channel.response(f))[0], frequency_ghz)
     if predistortion:
         inverse = filters.bounded_inverse(scenario.channel, f_q=f01)
-        gain *= np.abs(inverse.response(f))[0] / inverse.h_qubit
+        gain *= np.abs(inverse.response(f))[0] / _checked_gain(inverse.h_qubit, f01)
     return float(gain)
 
 
@@ -653,19 +663,18 @@ def _check_bracket(x: float, lo: float, hi: float, what: str) -> None:
         raise CalibrationError(f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x:.6g}")
 
 
-def _solve_pi(rotation, start: float, bracket) -> list:
+def _solve_pi(rotation, estimate: float, lo: float, hi: float) -> list:
     """Every pulse tried on the way to theta = pi, as `_Point`s; the last is
-    the root. ``rotation`` maps an amplitude to its `_Point`, and ``start`` is
-    clamped into ``bracket``. Since theta(0) = 0, the first secant step, from
-    (0, -pi), is the ratio step start * pi / theta(start)."""
+    the root. ``rotation`` maps an amplitude to its `_Point`. Since theta(0) =
+    0, the first secant step, from (0, -pi), is the ratio step from the RWA
+    amplitude ``estimate``, estimate * pi / theta(estimate)."""
     tried = []
 
     def excess(a):
         tried.append(rotation(a))
         return tried[-1].theta - math.pi
 
-    lo, hi = bracket
-    _secant(excess, 0.0, -math.pi, min(max(start, lo), hi), lo, hi, "amplitude")
+    _secant(excess, 0.0, -math.pi, estimate, lo, hi, "amplitude")
     return tried
 
 
@@ -703,22 +712,20 @@ def _maximize_transfer(tried, rotation, lo: float, hi: float) -> _Point:
 
 
 def calibrate_pi(scenario: DriveScenario, duration_ns: float,
-                 predistortion: bool = True, *,
-                 bracket: tuple[float, float] | None = None) -> Calibration:
+                 predistortion: bool = True) -> Calibration:
     """Pi pulse at f01: the amplitude (volts) of largest transfer P1, solved on
     the final unitary.
 
     First theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the
     drive frame normalized by the root of its determinant, is solved to pi:
-    from the RWA amplitude a (clamped into ``bracket``), a step a * pi / theta
+    from the RWA amplitude a, a step a * pi / theta
     and then secant steps reach |theta - pi| < 1e-10, usually in three
     propagations. P1 = sin^2(theta/2) (1 - n_z^2) peaks there only when the
     axis lies in the equator (n_z = 0); Newton steps on the propagator's
     ground-state column then move the amplitude to the P1 maximum, and cost
     no propagation when n_z is already 0. The pulse shape is filtered once;
-    each amplitude tried only propagates it. An amplitude outside ``bracket``
-    (default 0.3 to 2.2 times the RWA amplitude), or no convergence, raises
-    CalibrationError.
+    each amplitude tried only propagates it. An amplitude outside 0.3 to 2.2
+    times the RWA amplitude, or no convergence, raises CalibrationError.
 
     Returns the `Calibration` of the last amplitude propagated, with its
     drive-frame propagator, so the caller need not evolve the pulse again.
@@ -729,48 +736,43 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
     f01 = levels[1]
     estimate = _rwa_pi_amplitude(scenario, duration_ns,
                                  _net_carrier_gain(scenario, predistortion, f01, f01))
-    bracket = bracket or (0.3 * estimate, 2.2 * estimate)
-    if not 0 <= bracket[0] < bracket[1]:
-        raise ValueError("bracket must satisfy 0 <= lo < hi")
+    lo, hi = 0.3 * estimate, 2.2 * estimate
     rotations = _Rotations(scenario, duration_ns, predistortion)
 
     def rotation(a):
         return rotations(a, f01)
 
-    tried = _solve_pi(rotation, estimate, bracket)
-    return rotations.calibration(_maximize_transfer(tried, rotation, *bracket))
+    tried = _solve_pi(rotation, estimate, lo, hi)
+    return rotations.calibration(_maximize_transfer(tried, rotation, lo, hi))
 
 
 def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
-                              predistortion: bool = True, *,
-                              bracket_ghz: tuple[float, float] | None = None) -> Calibration:
+                              predistortion: bool = True) -> Calibration:
     """Pi pulse whose axis has no z tilt: amplitude and drive frequency
     solved together (Bloch-Siegert trim).
 
     The lab-frame drive shifts the resonance upward by an Omega^2-scale amount
     (~2.2 MHz for a 20 ns pi pulse at f01 = 224 MHz, falling as 1/duration^2).
     Broyden steps (Broyden, Math. Comp. 19, 577 (1965)) in the amplitude a
-    and the frequency f, each scaled by its bracket, zero the rotation vector
+    and the frequency f, each scaled by its range, zero the rotation vector
     residual (theta sqrt(1 - n_z^2) - pi, theta n_z), which vanishes exactly
     at theta = pi, n_z = 0 and is close to linear in a and f. They stop at
     |theta - pi|, |n_z| < 1e-10, usually after seven propagations. With the
     axis in the equator, theta = pi is also the amplitude of largest P1.
 
-    The start is the RWA amplitude at f01 (clamped into ``bracket_ghz``).
-    The Jacobian's amplitude column comes from that pulse, the rotation
-    growing as a and the Bloch-Siegert tilt as a^2; its frequency column
-    from a second pulse at a pi / theta and 0.7 of the way across the
-    bracket, where the default bracket expects the trim. A frequency step
-    out of the bracket raises CalibrationError saying that no frequency in
-    it levels the axis, with the n_z at the last frequency propagated; an
-    amplitude outside 0.3 to 2.2 times the RWA amplitude, or no
-    convergence, raises CalibrationError too.
+    The start is the RWA amplitude at f01, the low end of the frequency
+    bracket [f01, f01 + 2.6 MHz (20 ns / duration)^2 + 0.4 MHz]. The
+    Jacobian's amplitude column comes from that pulse, the rotation growing
+    as a and the Bloch-Siegert tilt as a^2; its frequency column from a
+    second pulse at a pi / theta and 0.7 of the way across the bracket,
+    where the trim is expected. A frequency step out of the bracket raises
+    CalibrationError saying that no frequency in it levels the axis, with
+    the n_z at the last frequency propagated; an amplitude outside 0.3 to
+    2.2 times the RWA amplitude, or no convergence, raises it too.
     """
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     f01 = levels[1]
-    lo, hi = bracket_ghz or (f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4)
-    if not lo < hi:
-        raise ValueError("bracket_ghz must satisfy lo < hi")
+    lo, hi = f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4
     estimate = _rwa_pi_amplitude(scenario, duration_ns,
                                  _net_carrier_gain(scenario, predistortion, f01, f01))
     rotations = _Rotations(scenario, duration_ns, predistortion)
@@ -790,12 +792,11 @@ def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
         _check_bracket(a, 0.3 * estimate, 2.2 * estimate, "amplitude")
         return rotations(a, f)
 
-    f0 = min(max(f01, lo), hi)
-    first = rotations(estimate, f0)
+    first = rotations(estimate, lo)
     r0 = residual(first)
-    far = hi if f0 < hi else lo
-    step = np.array([math.pi / first.theta - 1.0, 0.7 * (far - f0) / (hi - lo)])
-    x = np.array([estimate, f0]) + step * scale
+    # 0.7 of the bracket, rounded as 0.7 (hi - lo) / (hi - lo): the trim depends on its last bit
+    step = np.array([math.pi / first.theta - 1.0, 0.7 * (hi - lo) / (hi - lo)])
+    x = np.array([estimate, lo]) + step * scale
     point = propagate(x, first)
     r = residual(point)
     amplitude_column = np.array([r0[0] + math.pi, 2.0 * r0[1]])
@@ -888,35 +889,15 @@ def clifford_ops(index: int) -> tuple:
     return _clifford_table()[index][0]
 
 
-def _canonical_key(mat: np.ndarray) -> tuple:
-    flat = mat.flatten()
-    lead = flat[np.argmax(np.abs(flat) > 1e-9)]
-    normed = mat * np.exp(-1j * np.angle(lead))
-    return tuple(np.round(normed.flatten(), 6).view(float))
-
-
-@lru_cache(maxsize=1)
-def _clifford_index() -> dict:
-    return {
-        _canonical_key(mat): i for i, (ops, mat) in enumerate(_clifford_table())
-    }
-
-
-def clifford_index_of(mat: np.ndarray) -> int:
-    """Table index of a 2x2 unitary, up to global phase."""
-    key = _canonical_key(np.asarray(mat, complex))
-    index = _clifford_index().get(key)
-    if index is None:
-        raise UnifluxError("matrix is not a Clifford-group element of the table")
-    return index
-
-
 def recovery_index(indices) -> int:
-    """Index of the Clifford inverting the composition of ``indices`` in order."""
+    """Index of the Clifford inverting the composition T of ``indices`` in order:
+    the table entry C with |tr(C T)| = 2, where any other has |tr(C T)| <= sqrt(2)."""
+    table = _clifford_table()
     total = np.eye(2, dtype=complex)
     for i in indices:
-        total = _clifford_table()[i][1] @ total
-    return clifford_index_of(total.conj().T)
+        total = table[i][1] @ total
+    mats = np.array([mat for _, mat in table])
+    return int(np.argmax(np.abs(np.einsum("kij,ji->k", mats, total))))
 
 
 @dataclass(frozen=True)
@@ -939,14 +920,6 @@ class RbRecord:
     length: int
     seq_index: int
     survival: float
-
-
-@dataclass(frozen=True)
-class RbResult:
-    """Per-sequence survivals plus one representative compiled program."""
-
-    records: tuple
-    example_program: pulsec.PulseProgram
 
 
 def build_rb_program(indices, gate: RbGate, sample_rate: float,
@@ -977,23 +950,6 @@ def build_rb_program(indices, gate: RbGate, sample_rate: float,
     )
 
 
-def _ideal_survival(indices, interleaved, p, recovery) -> float:
-    """Density-matrix survival with depolarizing after each random Clifford;
-    the interleaved Clifford and the ``recovery`` Clifford are applied exactly."""
-    table = _clifford_table()
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    eye = np.eye(2) / 2.0
-    for index in indices:
-        mat = table[index][1]
-        rho = p * (mat @ rho @ mat.conj().T) + (1.0 - p) * eye
-        if interleaved is not None:
-            mat = table[interleaved][1]
-            rho = mat @ rho @ mat.conj().T
-    mat = table[recovery][1]
-    rho = mat @ rho @ mat.conj().T
-    return float(rho[0, 0].real)
-
-
 def _waveform_survival(scenario, program, config) -> float:
     compiled = pulsec.compile(program, config)
     synthesized = pulsec.synthesize(compiled, config)
@@ -1006,16 +962,17 @@ def _waveform_survival(scenario, program, config) -> float:
 
 def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
            seed: int, interleaved: int | None = None, *, mode: str = "ideal",
-           depolarizing: float = 1.0, gate: RbGate | None = None) -> RbResult:
-    """Randomized benchmarking over the 24-element Clifford group.
+           depolarizing: float = 1.0, gate: RbGate | None = None) -> tuple:
+    """Randomized benchmarking over the 24-element Clifford group: one
+    `RbRecord` per (length, sequence index).
 
-    Sequences are sampled uniformly per (length, index) from the seed, the
-    recovery Clifford is appended, and every sequence is compiled to a
-    PulseProgram. Survival comes from exact table unitaries with a
-    depolarizing channel after each applied Clifford (``mode="ideal"``) or
-    from synthesizing the program at DRIVE_SAMPLE_RATE and evolving it
-    through the scenario (``mode="waveform"``). ``interleaved`` inserts that
-    Clifford after each random one; in ideal mode it is applied exactly.
+    ``mode="ideal"`` has perfect Cliffords, depolarizing of strength p after
+    each random one, and exact interleaved and recovery Cliffords, so every
+    sequence of length m survives with 0.5 + 0.5 p^m; ``seed``,
+    ``interleaved`` and ``gate`` change nothing there. ``mode="waveform"``
+    samples each sequence from the seed, inserts ``interleaved`` after each
+    random Clifford, appends the recovery, and compiles, synthesizes (at
+    DRIVE_SAMPLE_RATE) and evolves its program through the scenario.
     """
     lengths = [int(m) for m in lengths]
     if not lengths or any(m < 1 for m in lengths):
@@ -1028,49 +985,41 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
         raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 <= depolarizing <= 1.0:
         raise ValueError("depolarizing strength must lie in [0, 1]")
-    if gate is None:
-        gate = RbGate()
-    config = pulsec.SynthesisConfig(sample_rate=DRIVE_SAMPLE_RATE)
+    if mode == "ideal":
+        return tuple(RbRecord(length, seq_index, 0.5 + 0.5 * depolarizing ** length)
+                     for length in lengths for seq_index in range(sequences_per_length))
 
+    gate = gate or RbGate()
+    config = pulsec.SynthesisConfig(sample_rate=DRIVE_SAMPLE_RATE)
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     carrier = gate.drive_frequency_ghz if gate.drive_frequency_ghz is not None else levels[1]
-
     rng = np.random.default_rng(seed)
-    longest = max(lengths)
     records = []
-    example_program = None
     for length in lengths:
         for seq_index in range(sequences_per_length):
-            indices = [int(i) for i in rng.integers(0, CLIFFORD_COUNT, size=length)]
             applied = []
-            for i in indices:
-                applied.append(i)
+            for i in rng.integers(0, CLIFFORD_COUNT, size=length):
+                applied.append(int(i))
                 if interleaved is not None:
                     applied.append(interleaved)
-            full = applied + [recovery_index(applied)]
             try:
-                program = build_rb_program(full, gate, config.sample_rate, carrier)
-                if mode == "ideal":
-                    survival = _ideal_survival(indices, interleaved, depolarizing, full[-1])
-                else:
-                    survival = _waveform_survival(scenario, program, config)
+                program = build_rb_program(applied + [recovery_index(applied)], gate,
+                                           config.sample_rate, carrier)
+                survival = _waveform_survival(scenario, program, config)
             except UnifluxError as exc:
                 raise type(exc)(
                     f"sequence (length={length}, index={seq_index}): {exc}"
                 ) from exc
-            if length == longest and seq_index == 0:
-                example_program = program
-            records.append(RbRecord(length=length, seq_index=seq_index,
-                                    survival=survival))
-    return RbResult(records=tuple(records), example_program=example_program)
+            records.append(RbRecord(length=length, seq_index=seq_index, survival=survival))
+    return tuple(records)
 
 
-def rb_csv_text(result: RbResult) -> str:
-    """The decay records as CSV text, `length,seq_index,survival` per row.
+def rb_csv_text(records) -> str:
+    """The `RbRecord`s as CSV text, `length,seq_index,survival` per row.
 
     Floats are rendered with repr so equal results are byte-equal.
     """
     lines = ["length,seq_index,survival"]
-    for record in result.records:
+    for record in records:
         lines.append(f"{record.length},{record.seq_index},{record.survival!r}")
     return "\n".join(lines) + "\n"

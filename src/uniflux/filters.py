@@ -397,15 +397,22 @@ def design_document(obj, provenance: str = "") -> dict:
 
 
 def read_design(text: str, kind: str):
-    """The filter of a design file's JSON ``text``, which must be of ``kind``."""
+    """The filter of a design file's JSON ``text``, which must be of ``kind``.
+    Of a FIR file's taps only the structure is checked, not their values."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("design file must hold a JSON object")
     if doc.get("kind") != kind:
         raise ValueError(f"expected a {kind!r} design file, got {doc.get('kind')!r}")
     if kind == FirFilter.kind:
-        return FirFilter(taps_int16=doc["taps_int16"], taps_float=doc["taps_float"],
-                         sample_rate=doc["sample_rate_gsps"])
+        taps, int16 = doc["taps_float"], doc["taps_int16"]
+        if not (isinstance(taps, list) and taps and all(type(t) in (int, float) for t in taps)):
+            raise ValueError("taps_float must be a non-empty list of numbers")
+        if int16 is not None and not (isinstance(int16, list) and len(int16) == len(taps) and all(
+                type(q) is int and -32768 <= q <= INT16_FULL_SCALE for q in int16)):
+            raise ValueError("taps_int16 must be null or one integer in [-32768, 32767] "
+                             "per float tap")
+        return FirFilter(taps_int16=int16, taps_float=taps, sample_rate=doc["sample_rate_gsps"])
     params = doc["parameters"]
     sections = tuple(IirSection(*coeffs) for coeffs in params["sections"])
     exponentials = tuple(tuple(pair) for pair in params["source_exponentials"])

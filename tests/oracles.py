@@ -18,6 +18,7 @@ import math
 import pathlib
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +37,6 @@ from uniflux.dynamics import (
     _qubit_frame,
     _rwa_pi_amplitude,
     _secant,
-    clifford_index_of,
     cosine_drive,
     drive_pulse,
     evolve,
@@ -199,6 +199,25 @@ def windowed_tail_quad(amplitudes, taus_ns, delay_ns, window_ns):
 def depolarized_survival(p, m):
     """Closed-form RB survival for perfect Cliffords + depolarizing channel."""
     return 0.5 + 0.5 * p**m
+
+
+def density_matrix_survival(indices, interleaved, p, recovery) -> float:
+    """RB survival by walking the 2x2 density matrix: depolarizing of
+    strength ``p`` after each random Clifford of ``indices``, the
+    ``interleaved`` Clifford (or None) after each of those, then the
+    ``recovery`` Clifford, all as exact table unitaries."""
+    table = _clifford_table()
+    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    eye = np.eye(2) / 2.0
+    for index in indices:
+        mat = table[index][1]
+        rho = p * (mat @ rho @ mat.conj().T) + (1.0 - p) * eye
+        if interleaved is not None:
+            mat = table[interleaved][1]
+            rho = mat @ rho @ mat.conj().T
+    mat = table[recovery][1]
+    rho = mat @ rho @ mat.conj().T
+    return float(rho[0, 0].real)
 
 
 def double_exp_population(t, a, b, t_exp, t_qp, n_qp):
@@ -741,6 +760,28 @@ def simulate_tail_probe(model, delays, probe_window: float = DEFAULT_PROBE_WINDO
 
 def clifford_matrix(index: int) -> np.ndarray:
     return _clifford_table()[index][1].copy()
+
+
+def _canonical_key(mat: np.ndarray) -> tuple:
+    """The matrix with the phase of its first non-zero entry divided out,
+    rounded to 1e-6: equal for two unitaries that differ by a global phase."""
+    flat = mat.flatten()
+    lead = flat[np.argmax(np.abs(flat) > 1e-9)]
+    normed = mat * np.exp(-1j * np.angle(lead))
+    return tuple(np.round(normed.flatten(), 6).view(float))
+
+
+@lru_cache(maxsize=1)
+def _clifford_keys() -> dict:
+    return {_canonical_key(mat): i for i, (_, mat) in enumerate(_clifford_table())}
+
+
+def clifford_index_of(mat: np.ndarray) -> int:
+    """Table index of a 2x2 unitary, up to global phase, by rounded-key lookup."""
+    index = _clifford_keys().get(_canonical_key(np.asarray(mat, complex)))
+    if index is None:
+        raise ValueError("matrix is not a Clifford-group element of the table")
+    return index
 
 
 def clifford_closure_table() -> np.ndarray:

@@ -282,7 +282,7 @@ def test_criterion_09_rb_pipeline_oracle():
         SEARCH_SCENARIO, lengths, 3, seed=11, mode="ideal", depolarizing=injected
     )
     survivals = {}
-    for record in result.records:
+    for record in result:
         survivals.setdefault(record.length, []).append(record.survival)
     means = np.array([np.mean(survivals[m]) for m in lengths])
     fit = analysis.fit_rb_decay(np.array(lengths), means)
@@ -301,7 +301,7 @@ def test_criterion_09_rb_pipeline_oracle():
         depolarizing=injected,
     )
     int_survivals = {}
-    for record in interleaved.records:
+    for record in interleaved:
         int_survivals.setdefault(record.length, []).append(record.survival)
     int_means = np.array([np.mean(int_survivals[m]) for m in lengths])
     int_fit = analysis.fit_rb_decay(np.array(lengths), int_means)
@@ -333,8 +333,13 @@ def test_criterion_09_rb_pipeline_oracle():
 
 
 def test_criterion_10_memory_claim():
-    result = dynamics.run_rb(SEARCH_SCENARIO, [3000], 1, seed=2026, mode="ideal")
-    program = result.example_program
+    # one 3000-Clifford sequence, drawn as waveform-mode run_rb draws it
+    rng = np.random.default_rng(2026)
+    indices = [int(i) for i in rng.integers(0, dynamics.CLIFFORD_COUNT, size=3000)]
+    program = dynamics.build_rb_program(
+        indices + [dynamics.recovery_index(indices)], dynamics.RbGate(), 1.0,
+        dynamics.qubit_frame(SEARCH_SCENARIO)[0][1],
+    )
     config = pulsec.SynthesisConfig(sample_rate=1.0)
     report = pulsec.memory_report(program, pulsec.compile(program, config))
     assert report["sequence_ns"] > 50_000.0, (

@@ -929,6 +929,21 @@ _INPUT_FILES = {
         '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
         '{"sections": [[NaN, 0.0, -0.5]], "source_exponentials": []}}'
     ),
+    "fir-int16-beside-float.json": (
+        '{"kind": "fir", "taps_float": [0.5, 0.5], "taps_int16": [99999, 1, 2], '
+        '"sample_rate_gsps": 2.0}'
+    ),
+    "fir-empty-taps.json": (
+        '{"kind": "fir", "taps_float": [], "taps_int16": null, "sample_rate_gsps": 2.0}'
+    ),
+    "fir-nested-taps.json": (
+        '{"kind": "fir", "taps_float": [[0.5], [0.5]], "taps_int16": null, '
+        '"sample_rate_gsps": 2.0}'
+    ),
+    "fir-boolean-taps.json": (
+        '{"kind": "fir", "taps_float": [true, false], "taps_int16": null, '
+        '"sample_rate_gsps": 2.0}'
+    ),
     "fir-infinite-rate.json": (
         '{"kind": "fir", "taps_float": [0.5, 0.5], "taps_int16": null, '
         '"sample_rate_gsps": Infinity}'
@@ -947,6 +962,8 @@ _INPUT_FILES = {
     "inf-step.json": '{"time_step_ns": Infinity}',
     "levels-2.7.json": '{"levels": 2.7}',
     "levels-true.json": '{"levels": true}',
+    # f01 = 5.40 GHz, where the 92 MHz Gaussian's |H| underflows to 0
+    "zero-flux.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.0}}',
     "basis-60.7.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "basis_size": 60.7}}',
     "garbled.pulse": b"\xff\xfe\x00prim",
     "samples.txt": "1.0 x 0.5\n",
@@ -1033,6 +1050,16 @@ _EXIT_CODE_CASES = [
      "{tmp}/fir-kind-only.json: expected"),
     ("compile-non-finite-iir", (*_PROGRAM, "--iir", "{tmp}/iir-nan-section.json"), 3,
      "{tmp}/iir-nan-section.json: "),
+    ("compile-int16-taps-beside-float-taps",
+     (*_PROGRAM, "--fir", "{tmp}/fir-int16-beside-float.json"), 3,
+     "{tmp}/fir-int16-beside-float.json: taps_int16 must be null or one integer in "
+     "[-32768, 32767] per float tap"),
+    ("compile-empty-fir-taps", (*_PROGRAM, "--fir", "{tmp}/fir-empty-taps.json"), 3,
+     "{tmp}/fir-empty-taps.json: taps_float must be a non-empty list of numbers"),
+    ("compile-nested-fir-taps", (*_PROGRAM, "--fir", "{tmp}/fir-nested-taps.json"), 3,
+     "{tmp}/fir-nested-taps.json: taps_float must be a non-empty list of numbers"),
+    ("compile-boolean-fir-taps", (*_PROGRAM, "--fir", "{tmp}/fir-boolean-taps.json"), 3,
+     "{tmp}/fir-boolean-taps.json: taps_float must be a non-empty list of numbers"),
     ("compile-infinite-rate-fir", (*_PROGRAM, "--fir", "{tmp}/fir-infinite-rate.json"), 3,
      "{tmp}/fir-infinite-rate.json: sample_rate must be positive and finite"),
     ("compile-nan-rate-iir", (*_PROGRAM, "--iir", "{tmp}/iir-nan-rate.json"), 3,
@@ -1063,6 +1090,18 @@ _EXIT_CODE_CASES = [
                                           "--no-predistort"), 3,
      "no drive frequency in the bracket [0.223769, 0.226769] GHz levels the pi rotation's "
      "axis: n_z = -0.741 at 0.225869 GHz"),
+    ("simulate-gate-channel-passes-nothing-at-f01",
+     ("simulate", "gate", "--scenario", "{tmp}/zero-flux.json"), 3,
+     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
+    ("simulate-gate-uncompensated-channel-passes-nothing-at-f01",
+     ("simulate", "gate", "--no-predistort", "--scenario", "{tmp}/zero-flux.json"), 3,
+     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
+    ("simulate-rabi-channel-passes-nothing-at-f01",
+     ("simulate", "rabi", "--scenario", "{tmp}/zero-flux.json"), 3,
+     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
+    ("simulate-rabi-uncompensated-at-f01-5.4-ghz",
+     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
+      "{tmp}/zero-flux.json"), 0, None),
     ("simulate-rb-duration", ("simulate", "rb", "--duration", "24"), 2,
      "unrecognized arguments: --duration"),
     ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,

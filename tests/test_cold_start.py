@@ -1,6 +1,7 @@
 """Cold start: the command-line front end loads no scipy until a command needs it.
 
-A compile loads none unless it runs the Z-path IIR (``--iir``).
+A compile loads none unless it runs the Z-path IIR (``--iir``), and an
+ideal-mode `simulate rb`, the closed-form decay, loads none either.
 
 Every scipy subpackage is imported inside the function that calls it, so a
 fresh `import uniflux.cli` costs numpy and the package alone. The AST check
@@ -84,6 +85,15 @@ def test_fir_compile_loads_no_scipy(tmp_path):
     assert stdout.splitlines()[0] == (
         "sha256 0393591644efe18ef4aeaa1c3cc26d3f77eb4da0c449fc09f077424bcb76cd57"
     )
+
+
+def test_default_rb_loads_no_scipy():
+    report, stdout = _run_fresh_command("simulate", "rb")
+    assert report == {"code": 0, "scipy": []}
+    # depolarizing strength 1: every sequence survives with 0.5 + 0.5 * 1^m
+    assert stdout.splitlines() == ["length,seq_index,survival"] + [
+        f"{2 ** j},{k},1.0" for j in range(9) for k in range(2)
+    ]
 
 
 def _module_level_imports(node):

@@ -87,10 +87,6 @@ def test_every_public_name_has_a_caller():
 
 # Options kept although nothing in src/ or perfbench/ sets them, one reason each.
 OPTIONS_ALLOWED = {
-    "dynamics.calibrate_pi.bracket":
-        "the only way tests reach the bracket-exit CalibrationError",
-    "dynamics.calibrate_drive_frequency.bracket_ghz":
-        "the only way tests reach the bracket-exit CalibrationError",
     "distortion.fit_multi_exponential.probe_window":
         "must equal the measured window; a test shows a wrong one biases the fit",
     "distortion.fit_multi_exponential.n_starts":
