@@ -244,15 +244,25 @@ def _default_scenario() -> dynamics.DriveScenario:
     )
 
 
+def _number(value, where: str):
+    """``value`` if it is a JSON number: an int or a float, not a bool."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{where} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def _section(raw: dict, key: str, cls):
-    """``cls(**raw[key])``; an unknown key is refused with the valid ones."""
+    """``cls(**raw[key])``; an unknown key is refused with the valid ones, and
+    a value that is not a number."""
     valid = tuple(field.name for field in dataclasses.fields(cls))
     _check_keys(raw[key], valid, f"scenario {key}")
-    return cls(**raw[key])
+    return cls(**{name: _number(value, f"scenario {key} {name}")
+                  for name, value in raw[key].items()})
 
 
 def _scenario_from_json(text: str) -> dynamics.DriveScenario:
-    """A drive scenario from JSON text; absent sections keep the defaults."""
+    """A drive scenario from JSON text; absent sections keep the defaults.
+    Every field but the channel's kind and ``levels`` must be a number."""
     base = _default_scenario()
     raw = json.loads(text)
     _check_keys(raw, _SCENARIO_KEYS, "scenario")
@@ -263,6 +273,8 @@ def _scenario_from_json(text: str) -> dynamics.DriveScenario:
         _check_keys(raw["channel"], _CHANNEL_KEYS, "scenario channel")
         spec_ = dict(raw["channel"])
         kind = spec_.pop("kind", "gaussian")
+        for name, value in spec_.items():
+            _number(value, f"scenario channel {name}")
         if kind == "gaussian":
             channel = filters.gaussian_lowpass(spec_.get("f_c", REFERENCE_FC_GHZ))
         elif kind == "flat":
@@ -278,7 +290,8 @@ def _scenario_from_json(text: str) -> dynamics.DriveScenario:
         line=line,
         channel=channel,
         levels=raw.get("levels", base.levels),
-        time_step=float(raw.get("time_step_ns", base.time_step)),
+        time_step=float(_number(raw.get("time_step_ns", base.time_step),
+                                "scenario time_step_ns")),
     )
 
 

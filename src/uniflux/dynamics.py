@@ -477,11 +477,8 @@ def predistort_drive(w: Waveform, channel: filters.TransferFunction,
     channel's own f_q gain; the drive path divides that constant back out so
     a pre-distorted pulse reaches the qubit at its nominal amplitude (the
     residual in-band ripple is the taper window, absorbed by calibration).
+    `filters.BoundedInverse` refuses a channel that is not Gaussian.
     """
-    if not isinstance(channel, filters.GaussianLowpass):
-        raise ValueError(
-            "pre-distortion requires a Gaussian low-pass channel descriptor"
-        )
     inverse = filters.bounded_inverse(channel, f_q=f_q)
     out = filters.apply_transfer(w, inverse)
     return out.with_samples(out.samples / _checked_gain(inverse.h_qubit, f_q))
@@ -560,60 +557,73 @@ def drive_pulse(scenario: DriveScenario, amplitude_v: float, duration_ns: float,
 
 @dataclass(frozen=True)
 class Calibration:
-    """A calibrated pi pulse, with the propagator and residuals it was judged by.
+    """One propagated pulse: a calibration returns the last one it propagated.
 
     ``unitary`` is the drive-frame propagator (level 1 rotating at
-    ``frequency_ghz``) of the pulse at ``amplitude_v``, an amplitude the
-    solve propagated. ``theta_error`` = |theta - pi| and ``tilt`` = |n_z|
-    describe that propagator's {0,1} rotation, and ``propagations`` counts
-    the pulses the calibration propagated.
+    ``frequency_ghz``) of the pulse at ``amplitude_v``; ``theta`` and the
+    signed ``n_z`` describe its {0,1} rotation, so the residuals are
+    |theta - pi| and |n_z|. ``propagations`` counts the pulses propagated up
+    to and including this one. The search starts at the RWA pi amplitude at
+    f01, within 0.3 to 2.2 times it and [f01, f01 + 2.6 MHz (20 ns / T)^2 +
+    0.4 MHz] for a T ns pulse (`_Rotations`).
     """
 
     amplitude_v: float
     frequency_ghz: float
     unitary: np.ndarray
-    theta_error: float
-    tilt: float
+    theta: float
+    n_z: float
     propagations: int
 
     def __post_init__(self):
         self.unitary.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One propagated pulse: its {0,1} rotation angle and axis tilt, and its
-    drive-frame propagator."""
-
-    amplitude: float
-    frequency: float
-    theta: float
-    n_z: float
-    unitary: np.ndarray
-
-    @property
-    def loss(self) -> np.ndarray:
-        """The ground-state column without level 1, so |loss|^2 = 1 - P1."""
-        return np.delete(self.unitary[:, 0], 1)
-
-
 class _Rotations:
-    """The rotation of one cosine pulse at any (amplitude, frequency).
+    """What a calibration starts from, and the rotation of one cosine pulse
+    at any (amplitude, frequency) in its brackets.
 
-    The unit-amplitude shape is prepared once per drive frequency and driven
-    at each amplitude asked for; ``propagations`` counts the drives.
+    A pulse of at least 4 samples starts at the RWA pi amplitude at f01,
+    whose peak must fit the AWG full scale. The brackets are 0.3 to 2.2
+    times that start and [f01, f01 + 2.6 MHz (20 ns / duration)^2 + 0.4 MHz];
+    a pulse outside either raises CalibrationError before it is propagated.
+    Each unit-amplitude shape, f01's first, is prepared once and driven at
+    each amplitude asked for; ``propagations`` counts the drives.
     """
 
     def __init__(self, scenario: DriveScenario, duration_ns: float, predistortion: bool):
+        if duration_ns * DRIVE_SAMPLE_RATE < 4:
+            raise ValueError("pulse duration must cover at least 4 samples")
         self.scenario, self.duration_ns, self.predistortion = scenario, duration_ns, predistortion
-        self.propagations = 0
-        self._frequency = self._shape = None
+        f01 = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
+        gain = _net_carrier_gain(scenario, predistortion, f01, f01)
+        self.start = _rwa_pi_amplitude(scenario, duration_ns, gain)
+        self.amplitudes = (0.3 * self.start, 2.2 * self.start)
+        self.frequencies = (f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4)
+        self.propagations, self.last, self._frequency = 0, None, f01
+        self._shape = _prepare(scenario, drive_pulse(scenario, 1.0, duration_ns, f01,
+                                                     predistortion))
+        peak, vmax = self.start * self._shape.peak, scenario.line.awg_vmax
+        if peak > vmax * (1.0 + 1e-12):
+            raise SaturationError(
+                f"a pi pulse at f01 = {f01:.6g} GHz starts at a {peak:.3g} V peak, beyond the "
+                f"AWG full scale {vmax} V: the line passes |H| = {gain:.2g} of it",
+                peak=peak,
+            )
 
-    def __call__(self, amplitude: float, frequency: float) -> _Point:
+    def __call__(self, amplitude: float, frequency: float) -> Calibration:
         """theta and n_z describe the {0,1} block, normalized to SU(2), with
         the lead and tail precession at the detuning divided out: one z
         rotation on each side, which keeps the root theta = pi, n_z = 0 and
         makes n_z close to linear in the drive frequency."""
+        lo, hi = self.frequencies
+        if not lo <= frequency <= hi:
+            raise CalibrationError(
+                f"no drive frequency in the bracket [{lo:.6g}, {hi:.6g}] GHz levels the "
+                f"pi rotation's axis: n_z = {self.last.n_z:.3g} at "
+                f"{self.last.frequency_ghz:.6g} GHz"
+            )
+        _check_bracket(amplitude, *self.amplitudes, "amplitude")
         scenario = self.scenario
         if frequency != self._frequency:
             self._frequency = frequency
@@ -630,17 +640,9 @@ class _Rotations:
         v = block / np.sqrt(np.linalg.det(block))
         theta = 2.0 * math.acos(min(1.0, max(-1.0, 0.5 * v.trace().real)))
         n_z = -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
-        return _Point(amplitude, frequency, theta, n_z, unitary)
-
-    def calibration(self, point: _Point) -> Calibration:
-        return Calibration(
-            amplitude_v=float(point.amplitude),
-            frequency_ghz=float(point.frequency),
-            unitary=point.unitary,
-            theta_error=float(abs(point.theta - math.pi)),
-            tilt=float(abs(point.n_z)),
-            propagations=self.propagations,
-        )
+        self.last = Calibration(float(amplitude), float(frequency), unitary, theta,
+                                float(n_z), self.propagations)
+        return self.last
 
 
 def _secant(residual, x0: float, r0: float, x1: float, lo: float, hi: float,
@@ -663,22 +665,7 @@ def _check_bracket(x: float, lo: float, hi: float, what: str) -> None:
         raise CalibrationError(f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x:.6g}")
 
 
-def _solve_pi(rotation, estimate: float, lo: float, hi: float) -> list:
-    """Every pulse tried on the way to theta = pi, as `_Point`s; the last is
-    the root. ``rotation`` maps an amplitude to its `_Point`. Since theta(0) =
-    0, the first secant step, from (0, -pi), is the ratio step from the RWA
-    amplitude ``estimate``, estimate * pi / theta(estimate)."""
-    tried = []
-
-    def excess(a):
-        tried.append(rotation(a))
-        return tried[-1].theta - math.pi
-
-    _secant(excess, 0.0, -math.pi, estimate, lo, hi, "amplitude")
-    return tried
-
-
-def _maximize_transfer(tried, rotation, lo: float, hi: float) -> _Point:
+def _maximize_transfer(tried, rotation) -> Calibration:
     """The pulse of largest P1 = 1 - |loss(a)|^2, by Newton steps on
     d|loss|^2/da from the last pulse tried. The loss's slope and curvature
     come from the quadratic through the last three amplitudes (a = 0, where
@@ -686,10 +673,14 @@ def _maximize_transfer(tried, rotation, lo: float, hi: float) -> _Point:
     cut the second derivative below a quarter of its Gauss-Newton part it is
     dropped, and no step exceeds a fifth of the amplitude. It stops once a
     step falls below 1e-6 of the amplitude, which costs P1 less than 1e-11,
-    and returns the last pulse propagated; a step outside [lo, hi] or no
-    convergence raises CalibrationError."""
+    and returns the last pulse propagated; no convergence raises
+    CalibrationError."""
+
+    def loss(pulse):  # the ground-state column without level 1: |loss|^2 = 1 - P1
+        return np.delete(pulse.unitary[:, 0], 1)
+
     best = tried[-1]
-    points = [(0.0, np.eye(len(best.loss))[0])] + [(p.amplitude, p.loss) for p in tried]
+    points = [(0.0, np.eye(len(loss(best)))[0])] + [(p.amplitude_v, loss(p)) for p in tried]
     for _ in range(_SOLVE_STEPS):
         (a1, r1), (a2, r2) = points[-2:]
         slope, curvature = (r2 - r1) / (a2 - a1), 0.0
@@ -704,10 +695,8 @@ def _maximize_transfer(tried, rotation, lo: float, hi: float) -> _Point:
         step = -np.vdot(slope, r2).real / hessian
         if abs(step) < _AMPLITUDE_TOL * a2:
             return best
-        a = a2 + max(-0.2 * a2, min(0.2 * a2, step))
-        _check_bracket(a, lo, hi, "amplitude")
-        best = rotation(a)
-        points.append((a, best.loss))
+        best = rotation(a2 + max(-0.2 * a2, min(0.2 * a2, step)))
+        points.append((best.amplitude_v, loss(best)))
     raise CalibrationError(f"amplitude solve did not converge in {_SOLVE_STEPS} steps")
 
 
@@ -718,32 +707,29 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
 
     First theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the
     drive frame normalized by the root of its determinant, is solved to pi:
-    from the RWA amplitude a, a step a * pi / theta
-    and then secant steps reach |theta - pi| < 1e-10, usually in three
-    propagations. P1 = sin^2(theta/2) (1 - n_z^2) peaks there only when the
-    axis lies in the equator (n_z = 0); Newton steps on the propagator's
-    ground-state column then move the amplitude to the P1 maximum, and cost
-    no propagation when n_z is already 0. The pulse shape is filtered once;
-    each amplitude tried only propagates it. An amplitude outside 0.3 to 2.2
-    times the RWA amplitude, or no convergence, raises CalibrationError.
+    from the start a (`_Rotations`), a step a * pi / theta and then secant
+    steps reach |theta - pi| < 1e-10, usually in three propagations; since
+    theta(0) = 0, that first step is the secant step from (0, -pi). P1 =
+    sin^2(theta/2) (1 - n_z^2) peaks there only when the axis lies in the
+    equator (n_z = 0); Newton steps on the propagator's ground-state column
+    then move the amplitude to the P1 maximum, and cost no propagation when
+    n_z is already 0. The pulse shape is filtered once; each amplitude tried
+    only propagates it. An amplitude outside its bracket, or no convergence,
+    raises CalibrationError.
 
     Returns the `Calibration` of the last amplitude propagated, with its
     drive-frame propagator, so the caller need not evolve the pulse again.
     """
-    if duration_ns * DRIVE_SAMPLE_RATE < 4:
-        raise ValueError("pulse duration must cover at least 4 samples")
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
-    f01 = levels[1]
-    estimate = _rwa_pi_amplitude(scenario, duration_ns,
-                                 _net_carrier_gain(scenario, predistortion, f01, f01))
-    lo, hi = 0.3 * estimate, 2.2 * estimate
     rotations = _Rotations(scenario, duration_ns, predistortion)
+    f01 = rotations.frequencies[0]
+    tried = []
 
-    def rotation(a):
-        return rotations(a, f01)
+    def excess(a):
+        tried.append(rotations(a, f01))
+        return tried[-1].theta - math.pi
 
-    tried = _solve_pi(rotation, estimate, lo, hi)
-    return rotations.calibration(_maximize_transfer(tried, rotation, lo, hi))
+    _secant(excess, 0.0, -math.pi, rotations.start, *rotations.amplitudes, "amplitude")
+    return _maximize_transfer(tried, lambda a: rotations(a, f01))
 
 
 def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
@@ -760,53 +746,38 @@ def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,
     |theta - pi|, |n_z| < 1e-10, usually after seven propagations. With the
     axis in the equator, theta = pi is also the amplitude of largest P1.
 
-    The start is the RWA amplitude at f01, the low end of the frequency
-    bracket [f01, f01 + 2.6 MHz (20 ns / duration)^2 + 0.4 MHz]. The
-    Jacobian's amplitude column comes from that pulse, the rotation growing
-    as a and the Bloch-Siegert tilt as a^2; its frequency column from a
-    second pulse at a pi / theta and 0.7 of the way across the bracket,
-    where the trim is expected. A frequency step out of the bracket raises
-    CalibrationError saying that no frequency in it levels the axis, with
-    the n_z at the last frequency propagated; an amplitude outside 0.3 to
-    2.2 times the RWA amplitude, or no convergence, raises it too.
+    The first pulse is the start at f01, the low end of the frequency
+    bracket (`_Rotations`). The Jacobian's amplitude column comes from that
+    pulse, the rotation growing as a and the Bloch-Siegert tilt as a^2; its
+    frequency column from a second pulse at a pi / theta and 0.7 of the way
+    across the bracket, where the trim is expected. A frequency step out of
+    the bracket raises CalibrationError saying that no frequency in it
+    levels the axis, with the n_z at the last frequency propagated; an
+    amplitude out of its bracket, or no convergence, raises it too.
     """
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
-    f01 = levels[1]
-    lo, hi = f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4
-    estimate = _rwa_pi_amplitude(scenario, duration_ns,
-                                 _net_carrier_gain(scenario, predistortion, f01, f01))
     rotations = _Rotations(scenario, duration_ns, predistortion)
-    scale = np.array([estimate, hi - lo])
+    lo, hi = rotations.frequencies
+    scale = np.array([rotations.start, hi - lo])
 
     def residual(point):
         in_plane = point.theta * math.sqrt(max(0.0, 1.0 - point.n_z ** 2))
         return np.array([in_plane - math.pi, point.theta * point.n_z])
 
-    def propagate(x, last):
-        a, f = x
-        if not lo <= f <= hi:
-            raise CalibrationError(
-                f"no drive frequency in the bracket [{lo:.6g}, {hi:.6g}] GHz levels the "
-                f"pi rotation's axis: n_z = {last.n_z:.3g} at {last.frequency:.6g} GHz"
-            )
-        _check_bracket(a, 0.3 * estimate, 2.2 * estimate, "amplitude")
-        return rotations(a, f)
-
-    first = rotations(estimate, lo)
+    first = rotations(rotations.start, lo)
     r0 = residual(first)
     # 0.7 of the bracket, rounded as 0.7 (hi - lo) / (hi - lo): the trim depends on its last bit
     step = np.array([math.pi / first.theta - 1.0, 0.7 * (hi - lo) / (hi - lo)])
-    x = np.array([estimate, lo]) + step * scale
-    point = propagate(x, first)
+    x = np.array([rotations.start, lo]) + step * scale
+    point = rotations(*x)
     r = residual(point)
     amplitude_column = np.array([r0[0] + math.pi, 2.0 * r0[1]])
     jacobian = np.column_stack([amplitude_column, (r - r0 - amplitude_column * step[0]) / step[1]])
     for _ in range(_SOLVE_STEPS):
         if max(abs(point.theta - math.pi), abs(point.n_z)) < _SOLVE_TOL:
-            return rotations.calibration(point)
+            return point
         step = -np.linalg.solve(jacobian, r)
         x = x + step * scale
-        point = propagate(x, point)
+        point = rotations(*x)
         r_next = residual(point)
         jacobian += np.outer(r_next - r - jacobian @ step, step) / (step @ step)
         r = r_next

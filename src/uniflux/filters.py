@@ -99,7 +99,8 @@ class BoundedInverse(TransferFunction):
 
     def __post_init__(self):
         if not isinstance(self.gauss, GaussianLowpass):
-            raise ValueError("bounded_inverse requires a Gaussian channel descriptor")
+            raise ValueError("pre-distortion requires a Gaussian low-pass channel, "
+                             f"got {self.gauss!r}")
         for name in ("f_q", "g_max_db", "window_cutoff"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -580,7 +580,7 @@ def test_simulate_gate_transfer_is_at_most_one(tmp_path, capsys, monkeypatch):
     # gate_fidelity accepts: |U10|^2 rounds above 1 and is bounded by it
     scale = 1.0 + 1e-10
     record = dynamics.Calibration(
-        amplitude_v=0.01, frequency_ghz=0.2237, propagations=1, theta_error=0.0, tilt=0.0,
+        amplitude_v=0.01, frequency_ghz=0.2237, propagations=1, theta=np.pi, n_z=0.0,
         unitary=scale * np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
     )
     monkeypatch.setattr(cli.dynamics, "calibrate_pi", lambda *args, **kwargs: record)
@@ -965,6 +965,27 @@ _INPUT_FILES = {
     # f01 = 5.40 GHz, where the 92 MHz Gaussian's |H| underflows to 0
     "zero-flux.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.0}}',
     "basis-60.7.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "basis_size": 60.7}}',
+    # f01 = 4.08 and 2.49 GHz, where the 92 MHz Gaussian passes ~3e-297 and ~4e-109
+    "quarter-flux.json": (
+        '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.25}, "levels": 2, '
+        '"time_step_ns": 0.01}'
+    ),
+    "flux-0.35.json": (
+        '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.35}, "levels": 2, '
+        '"time_step_ns": 0.01}'
+    ),
+    "flat-channel.json": '{"channel": {"kind": "flat"}, "levels": 2, "time_step_ns": 0.05}',
+    # every scenario field but the channel's kind and levels is a JSON number
+    "step-true.json": '{"time_step_ns": true}',
+    "step-string.json": '{"time_step_ns": "0.02"}',
+    "step-null.json": '{"time_step_ns": null}',
+    "ej-true.json": '{"qubit": {"e_j": true, "e_c": 1.1, "e_l": 0.5}}',
+    "ej-null.json": '{"qubit": {"e_j": null, "e_c": 1.1, "e_l": 0.5}}',
+    "fc-true.json": '{"channel": {"f_c": true}}',
+    "vmax-string.json": (
+        '{"line": {"mutual_inductance": 2e-12, "attenuation_db": -30, '
+        '"awg_noise_dbm_per_hz": -130, "awg_vmax": "0.5"}}'
+    ),
     "garbled.pulse": b"\xff\xfe\x00prim",
     "samples.txt": "1.0 x 0.5\n",
     "file-primitive.pulse": "prim p file samples.txt\nxy p\n",
@@ -1102,6 +1123,31 @@ _EXIT_CODE_CASES = [
     ("simulate-rabi-uncompensated-at-f01-5.4-ghz",
      ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
       "{tmp}/zero-flux.json"), 0, None),
+    ("simulate-gate-start-beyond-full-scale",
+     ("simulate", "gate", "--scenario", "{tmp}/quarter-flux.json"), 3,
+     "a pi pulse at f01 = 4.08328 GHz starts at a 3.05e+295 V peak, beyond the AWG full "
+     "scale 0.5 V: the line passes |H| = 3.1e-297 of it"),
+    ("simulate-gate-uncompensated-start-beyond-full-scale",
+     ("simulate", "gate", "--no-predistort", "--scenario", "{tmp}/quarter-flux.json"), 3,
+     "a pi pulse at f01 = 4.08328 GHz starts at a 2.12e+295 V peak, beyond the AWG full "
+     "scale 0.5 V: the line passes |H| = 3.2e-297 of it"),
+    ("simulate-gate-start-beyond-full-scale-at-flux-0.35",
+     ("simulate", "gate", "--scenario", "{tmp}/flux-0.35.json"), 3,
+     "a pi pulse at f01 = 2.48707 GHz starts at a 4.38e+109 V peak, beyond the AWG full "
+     "scale 0.5 V: the line passes |H| = 3.7e-109 of it"),
+    # pre-distortion needs a Gaussian channel: both experiments say so alike
+    ("simulate-rabi-predistorted-flat-channel",
+     ("simulate", "rabi", "--scenario", "{tmp}/flat-channel.json"), 3,
+     "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
+    ("simulate-gate-predistorted-flat-channel",
+     ("simulate", "gate", "--scenario", "{tmp}/flat-channel.json"), 3,
+     "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
+    ("simulate-rabi-uncompensated-flat-channel",
+     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
+      "{tmp}/flat-channel.json"), 0, None),
+    ("simulate-gate-uncompensated-flat-channel",
+     ("simulate", "gate", "--no-predistort", "--scenario", "{tmp}/flat-channel.json"), 0,
+     None),
     ("simulate-rb-duration", ("simulate", "rb", "--duration", "24"), 2,
      "unrecognized arguments: --duration"),
     ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,
@@ -1133,6 +1179,20 @@ _EXIT_CODE_CASES = [
     ("simulate-fractional-basis-size",
      ("simulate", "rb", "--scenario", "{tmp}/basis-60.7.json"), 3,
      "{tmp}/basis-60.7.json: basis_size must be an integer >= 12, got 60.7"),
+    ("simulate-boolean-time-step", ("simulate", "gate", "--scenario", "{tmp}/step-true.json"),
+     3, "{tmp}/step-true.json: scenario time_step_ns must be a number, got true"),
+    ("simulate-string-time-step", ("simulate", "gate", "--scenario", "{tmp}/step-string.json"),
+     3, '{tmp}/step-string.json: scenario time_step_ns must be a number, got "0.02"'),
+    ("simulate-null-time-step", ("simulate", "gate", "--scenario", "{tmp}/step-null.json"),
+     3, "{tmp}/step-null.json: scenario time_step_ns must be a number, got null"),
+    ("simulate-boolean-qubit-field", ("simulate", "gate", "--scenario", "{tmp}/ej-true.json"),
+     3, "{tmp}/ej-true.json: scenario qubit e_j must be a number, got true"),
+    ("simulate-null-qubit-field", ("simulate", "gate", "--scenario", "{tmp}/ej-null.json"),
+     3, "{tmp}/ej-null.json: scenario qubit e_j must be a number, got null"),
+    ("simulate-boolean-channel-field", ("simulate", "gate", "--scenario", "{tmp}/fc-true.json"),
+     3, "{tmp}/fc-true.json: scenario channel f_c must be a number, got true"),
+    ("simulate-string-line-field", ("simulate", "gate", "--scenario", "{tmp}/vmax-string.json"),
+     3, '{tmp}/vmax-string.json: scenario line awg_vmax must be a number, got "0.5"'),
     # fit
     ("fit-non-finite-option", ("fit", "dephasing", "{tmp}/nan.csv", "--t1-us", "nan"), 2,
      "argument --t1-us:"),

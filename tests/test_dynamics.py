@@ -495,6 +495,31 @@ def test_calibrate_pi_minimum_duration():
         dynamics.calibrate_pi(FLAT2, 3.0, predistortion=False)
 
 
+@pytest.mark.parametrize("calibrate", [dynamics.calibrate_pi, dynamics.calibrate_drive_frequency],
+                         ids=["pi", "drive-frequency"])
+def test_calibrations_refuse_a_short_pulse_before_propagating(monkeypatch, calibrate):
+    calls = _count_propagations(monkeypatch)
+    with pytest.raises(ValueError, match="pulse duration must cover at least 4 samples"):
+        calibrate(FLAT2, 3.0, predistortion=False)
+    assert calls == []
+
+
+@pytest.mark.parametrize("predistortion", [True, False], ids=["compensated", "uncompensated"])
+@pytest.mark.parametrize("calibrate", [dynamics.calibrate_pi, dynamics.calibrate_drive_frequency],
+                         ids=["pi", "drive-frequency"])
+def test_calibrations_refuse_a_start_beyond_full_scale_before_propagating(
+    monkeypatch, calibrate, predistortion
+):
+    # at phi_ext 0.25, f01 = 4.08 GHz, where the 92 MHz channel passes ~3e-297
+    scenario = GAUSS2.replace(qubit=QUBIT.replace(phi_ext=0.25), time_step=0.01)
+    calls = _count_propagations(monkeypatch)
+    with pytest.raises(SaturationError, match=r"a pi pulse at f01 = 4.08328 GHz starts at a "
+                       r"\S+ V peak, beyond the AWG full scale 0.5 V: the line passes "
+                       r"\|H\| = \S+ of it$"):
+        calibrate(scenario, 20.0, predistortion)
+    assert calls == []
+
+
 def test_calibrated_pulse_inverts_population():
     amp = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False).amplitude_v
     p1 = dynamics.rabi_experiment(
@@ -538,10 +563,10 @@ def test_calibration_solves_the_final_unitary():
     )
     assert abs(theta - math.pi) < 1e-10
     assert abs(n_z) < 1e-9
-    # the record's residuals are those of the pulse it returns
-    assert trimmed.theta_error == pytest.approx(abs(theta - math.pi), abs=1e-12)
-    assert trimmed.tilt == pytest.approx(abs(n_z), abs=1e-12)
-    assert max(trimmed.theta_error, trimmed.tilt) < 1e-10
+    # the record's signed rotation is that of the pulse it returns
+    assert trimmed.theta == pytest.approx(theta, abs=1e-12)
+    assert trimmed.n_z == pytest.approx(n_z, abs=1e-12)
+    assert max(abs(trimmed.theta - math.pi), abs(trimmed.n_z)) < 1e-10
 
 
 # The population search these solves replaced is the oracle. Its stop rule,

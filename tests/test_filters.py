@@ -59,6 +59,12 @@ def test_descriptors_reject_non_finite_parameters(bad):
             filters.bounded_inverse(GAUSS, **kwargs)
 
 
+def test_bounded_inverse_names_the_channel_it_cannot_invert():
+    with pytest.raises(ValueError, match=r"^pre-distortion requires a Gaussian low-pass "
+                       r"channel, got FlatResponse\(\)$"):
+        filters.bounded_inverse(filters.FlatResponse(), f_q=0.208)
+
+
 def test_bounded_inverse_passband_value():
     # numerator and denominator Gaussians cancel at f_q, leaving the window
     assert float(INVERSE.response(0.208)) == pytest.approx(
