@@ -194,6 +194,18 @@ _even_taps = _checked(int, lambda n: n >= 2 and n % 2 == 0, "an even integer >= 
 _dac_amplitude = _checked(float, lambda a: 0 < abs(a) <= 1, "non-zero and within [-1, 1]")
 
 
+def _drive_frequency(text: str) -> float:
+    """A drive frequency in GHz: positive, and below the Nyquist frequency of
+    the drive sampling, above which a drive pulse aliases."""
+    frequency, nyquist = _positive(text), 0.5 * dynamics.DRIVE_SAMPLE_RATE
+    if not frequency < nyquist:
+        raise argparse.ArgumentTypeError(
+            f"must lie below {nyquist:g} GHz, the Nyquist frequency of the "
+            f"{dynamics.DRIVE_SAMPLE_RATE:g} GS/s drive sampling, got {text!r}"
+        )
+    return frequency
+
+
 def _int_in(lo: int, hi: float = math.inf):
     return _checked(int, lambda n: lo <= n <= hi, f"an integer in [{lo}, {hi}]")
 
@@ -706,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=True,
             help="compensate the channel before the line",
         )
-    rabi.add_argument("--frequency", type=_positive, help="drive frequency, GHz")
+    rabi.add_argument("--frequency", type=_drive_frequency, help="drive frequency, GHz")
     rabi.add_argument("--amp-max", type=_positive, default=0.02, help="sweep top, V")
     rabi.add_argument("--points", type=_int_in(2), default=41, help="sweep points")
     gate.add_argument(
@@ -735,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="NS")
     rb.add_argument("--gate-amplitude", type=_dac_amplitude,
                     default=dynamics.RbGate.amplitude_dac, metavar="DAC")
-    rb.add_argument("--gate-frequency", type=_positive, metavar="GHZ")
+    rb.add_argument("--gate-frequency", type=_drive_frequency, metavar="GHZ")
 
     p = sub.add_parser("fit", help="fit a decay or readout model to a CSV")
     p.add_argument("model", choices=("t1", "dephasing", "rb", "reset"))

@@ -16,12 +16,11 @@ the midpoint Hamiltonian. Convergence is second order in the step. The step
 exponentials of a chunk of samples are a Chebyshev expansion in the drive,
 built from a few exact exponentials at Chebyshev nodes and truncated at a
 1e-16 tail bound (spectral propagation after Tal-Ezer and Kosloff, J. Chem.
-Phys. 81, 3967 (1984)); the steps of each sample are then multiplied
-pairwise, and the ground-start state at every sample boundary comes from a
-blocked prefix scan over the samples (reduce, then scan; see Blelloch,
-"Prefix sums and their applications", CMU-CS-90-190 (1990)). Unitarity is
-not exact by construction: the measured drift is about 1e-11 at 8e4 steps
-and about 1e-10 at 1e6 steps, and `evolve` raises past 1e-8.
+Phys. 81, 3967 (1984)); the steps of a chunk are then multiplied
+pairwise, in one tree, into the final propagator U, which is all an
+outcome keeps of the trajectory. Unitarity is not exact by construction:
+the measured drift is about 1e-11 at 8e4 steps and about 1e-10 at 1e6
+steps, and `evolve` raises past 1e-8.
 
 On top of `evolve` sit the experiment layers: Rabi curves with and without
 pre-distortion, pi-amplitude and drive-frequency calibration, average gate
@@ -104,12 +103,12 @@ class DriveScenario:
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Trajectory and final propagator of one closed-system simulation.
+    """Final propagator and final populations of one closed-system simulation.
 
-    ``populations[j]`` are the level populations of a ground-state start
-    after the first ``j`` input samples, so row 0 is the initial state and
-    the last row is read off ``final_unitary``, the lab-frame propagator on
-    the retained subspace.
+    ``final_unitary`` is the lab-frame propagator U on the retained
+    subspace. ``populations`` is one row, the level populations of a
+    ground-state start at the end, |U[:, 0]|^2 clipped at 1, so
+    ``populations[-1, k]`` reads level k.
     """
 
     populations: np.ndarray
@@ -253,64 +252,25 @@ def _tree_product(planes):
     return planes[:, :, 0]
 
 
-def _prefix_scan(samples):
-    """Ground-start populations at every boundary of the (d, d, n) per-sample
-    propagators, and their ordered product U.
-
-    A reduce-then-scan over blocks of about sqrt(n) samples, the last one
-    padded with identities: `_tree_product` gives each block's product, a
-    walk over those gives the state entering each block, and then all blocks
-    advance their states together, one sample position at a time. That is
-    about 2 sqrt(n) batched steps and, besides the tree products, O(n d^2)
-    work; a full-matrix parallel prefix (Hillis-Steele) would take
-    O(n log n d^3). The last row is read off U, so populations[-1] is
-    |U[:, 0]|^2 exactly.
-    """
-    dim, _, n = samples.shape
-    length = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) samples per block
-    blocks = -(-n // length)
-    padded = np.empty((dim, dim, blocks * length), complex)
-    padded[:, :, :n] = samples
-    padded[:, :, n:] = np.eye(dim)[:, :, None]
-    planes = padded.reshape(dim, dim, blocks, length).transpose(0, 1, 3, 2)
-    totals = _tree_product(planes)
-    states = np.empty((length + 1, dim, 1, blocks), complex)  # [position, :, :, block]
-    states[0, :, :, 0] = np.eye(dim)[:, :1]
-    for b in range(1, blocks):
-        states[0, :, :, b] = totals[:, :, b - 1] @ states[0, :, :, b - 1]
-    for pos in range(length):
-        _multiply_planes(planes[:, :, pos], states[pos], states[pos + 1])
-    unitary = _tree_product(totals)
-    pops = np.empty((n + 1, dim))
-    pops[0] = np.eye(dim)[0]
-    pops[1:] = np.abs(states[1:, :, 0].transpose(2, 0, 1).reshape(-1, dim)[:n]) ** 2
-    pops[-1] = np.abs(unitary[:, 0]) ** 2
-    return pops, unitary
-
-
 def _propagate(levels: np.ndarray, phi_mat: np.ndarray, phi_norm: float, e_l: float,
-               dphi_mid: np.ndarray, h: float, record_every: int):
-    """Midpoint-exponential propagation; returns (boundary populations, U,
-    the largest Chebyshev node count of any chunk); ``phi_norm`` is ||phi_mat||_2.
+               dphi_mid: np.ndarray, h: float):
+    """Midpoint-exponential propagation; returns (U, the largest Chebyshev
+    node count of any chunk); ``phi_norm`` is ||phi_mat||_2.
 
-    Chunks hold whole input samples and at most _CHUNK_STEPS steps (a sample
-    longer than that is a chunk of its own). Each chunk's steps come from
-    `_chebyshev_steps`, and each sample's steps are multiplied together by
-    `_tree_product`; `_prefix_scan` then gives the populations at every
-    sample boundary and U.
+    Each chunk of at most _CHUNK_STEPS steps, in step order, gets its steps
+    from `_chebyshev_steps` and their product from one `_tree_product`; U is
+    the product of the chunk products, the last chunk's leftmost.
     """
-    dim = len(levels)
     static = 2.0 * np.pi * np.diag(levels).astype(complex)
     coupling = 2.0 * np.pi * (-e_l) * phi_mat
     coupling_norm = 2.0 * np.pi * abs(e_l) * phi_norm
-    chunk = max(1, _CHUNK_STEPS // record_every) * record_every
-    samples, nodes = [], 1
-    for start in range(0, len(dphi_mid), chunk):
-        xs = dphi_mid[start:start + chunk].reshape(-1, record_every)
-        steps, count = _chebyshev_steps(static, coupling, coupling_norm, h, xs.T.ravel())
-        samples.append(_tree_product(steps.reshape(dim, dim, *xs.T.shape)))
+    unitary, nodes = np.eye(len(levels), dtype=complex), 1
+    for start in range(0, len(dphi_mid), _CHUNK_STEPS):
+        steps, count = _chebyshev_steps(static, coupling, coupling_norm, h,
+                                        dphi_mid[start:start + _CHUNK_STEPS])
+        unitary = _tree_product(steps) @ unitary
         nodes = max(nodes, count)
-    return (*_prefix_scan(np.concatenate(samples, axis=2)), nodes)
+    return unitary, nodes
 
 
 @dataclass(frozen=True)
@@ -379,21 +339,20 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
 
     # The drive enters H only as E_L * delta_phi, so the amplitude scales
     # E_L rather than a copy of the midpoints.
-    pops, unitary, nodes = _propagate(
+    unitary, nodes = _propagate(
         levels, phi_mat, _phase_norm(scenario.qubit, scenario.levels),
-        amplitude * scenario.qubit.e_l, shape.mids, h, k,
+        amplitude * scenario.qubit.e_l, shape.mids, h,
     )
 
-    # The drift of U, or of the ground-start state's norm at a boundary where
-    # that is larger: no population can exceed 1 by more than this.
-    drift = np.max([np.abs(unitary.conj().T @ unitary - np.eye(scenario.levels)).max(),
-                    np.abs(pops.sum(axis=1) - 1.0).max()])
+    drift = np.abs(unitary.conj().T @ unitary - np.eye(scenario.levels)).max()
     if not drift <= 1e-8:  # NaN fails closed
         raise NumericalError(
             f"propagator unitarity drift {drift:.2e} exceeds 1e-8; "
             "use a smaller time step"
         )
-    np.minimum(pops, 1.0, out=pops)
+    # The populations sum to (U^dag U)_00 <= 1 + drift, so none exceeds 1 by
+    # more than the drift just checked; that rounding is clipped.
+    pops = np.minimum(np.abs(unitary[None, :, 0]) ** 2, 1.0)
     meta = {
         "scenario_sha256": shape.fingerprint,
         "time_step_ns": h,
@@ -401,7 +360,6 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
         "steps": len(shape.mids),
         "unitarity_drift": float(drift),
         "chebyshev_nodes": nodes,
-        "top_level_population": float(pops[:, -1].max()),
     }
     return SimOutcome(populations=pops, final_unitary=unitary, metadata=meta)
 
@@ -413,28 +371,24 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
     scaled to delta_phi(t), band-limit-resampled onto the time-step midpoints
     (`_step_midpoints`: one rfft, delayed half a step by a phase ramp and
     inverted on the n*k step grid), and propagated with midpoint
-    exponentials. Populations are recorded at every input-sample boundary.
-    That is two halves: `_prepare` does everything that does not depend on
-    the amplitude, and `_drive` propagates one amplitude of it, here 1. The
-    calibrations and Rabi scans prepare each pulse shape once and drive it
-    at every amplitude they try.
+    exponentials. The outcome holds the final propagator U and the final
+    ground-start populations, no trajectory. That is two halves: `_prepare`
+    does everything that does not depend on the amplitude, and `_drive`
+    propagates one amplitude of it, here 1. The calibrations and Rabi scans
+    prepare each pulse shape once and drive it at every amplitude they try.
 
-    Each chunk of whole samples (at most 65 536 steps) takes exact
-    exponentials only at K Chebyshev nodes over its drive range, with K the
-    smallest count meeting a 1e-16 Bernstein-ellipse tail bound (K = 1 for a
-    constant drive), and evaluates all its steps as one matrix product; the
-    steps of each sample are multiplied pairwise, and a blocked prefix scan
-    over the samples gives the state at every boundary in about 2 sqrt(n)
-    batched steps. The result agrees with a per-step exact-exponential integrator to
-    about 1e-11. Unitarity drift, taken on U and on the norm of the
-    ground-start state at every boundary, is about 1e-11 at 8e4 steps and
-    1e-10 at 1e6 steps; a drift above 1e-8, or a NaN propagator, raises
-    `NumericalError`. A population can exceed 1 only by the drift, and is
-    clipped to 1.
+    Each chunk of at most 65 536 steps takes exact exponentials only at K
+    Chebyshev nodes over its drive range, with K the smallest count meeting
+    a 1e-16 Bernstein-ellipse tail bound (K = 1 for a constant drive),
+    evaluates all its steps as one matrix product, and multiplies them
+    pairwise in one tree. The result agrees with a per-step
+    exact-exponential integrator to about 1e-11. Unitarity drift,
+    max |U^dag U - I|, is about 1e-11 at 8e4 steps and 1e-10 at 1e6 steps;
+    a drift above 1e-8, or a NaN propagator, raises `NumericalError`. A
+    population can exceed 1 only by the drift, and is clipped to 1.
 
     The metadata also carries ``chebyshev_nodes``, the largest K of any
-    chunk, and ``top_level_population``, the largest population of the top
-    retained level over the trajectory, a measure of truncation error.
+    chunk.
     """
     return _drive(_prepare(scenario, at_awg_waveform), 1.0)
 
@@ -492,6 +446,16 @@ def _checked_gain(gain, f01: float):
     return gain
 
 
+def _check_sampled(frequency_ghz: float) -> None:
+    """Refuse a drive frequency that DRIVE_SAMPLE_RATE cannot represent
+    (a cosine carrier at -f is the one at f)."""
+    nyquist = 0.5 * DRIVE_SAMPLE_RATE
+    if not abs(frequency_ghz) < nyquist:
+        raise UnifluxError(f"a drive at {frequency_ghz:.6g} GHz aliases at the "
+                           f"{DRIVE_SAMPLE_RATE:g} GS/s drive sampling: drive frequencies "
+                           f"must lie below {nyquist:g} GHz")
+
+
 def _net_carrier_gain(scenario, predistortion, f01, frequency_ghz) -> float:
     """|channel (and pre-distortion) response| at the drive frequency."""
     f = np.array([frequency_ghz])
@@ -532,7 +496,8 @@ def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float =
     One ``duration_ns`` cosine pulse at ``drive_frequency_ghz`` (default
     f01), optionally pre-distorted, passes through the scenario channel once
     (`_prepare`); each grid point drives that shape at its amplitude and
-    reads the final excited population. The grid must be non-empty.
+    reads the final excited population. The grid must be non-empty, and
+    the drive frequency below the Nyquist frequency of DRIVE_SAMPLE_RATE.
     """
     grid = [float(a) for a in amplitudes]
     if not grid:
@@ -541,6 +506,7 @@ def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float =
     if f_d is None:
         f_d = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
     shape = _prepare(scenario, drive_pulse(scenario, 1.0, duration_ns, f_d, predistortion))
+    _check_sampled(f_d)
     pops = [float(_drive(shape, a).populations[-1, 1]) for a in grid]
     return RabiCurve(grid=tuple(grid), populations=tuple(pops))
 
@@ -587,6 +553,8 @@ class _Rotations:
     whose peak must fit the AWG full scale. The brackets are 0.3 to 2.2
     times that start and [f01, f01 + 2.6 MHz (20 ns / duration)^2 + 0.4 MHz];
     a pulse outside either raises CalibrationError before it is propagated.
+    A frequency bracket reaching the Nyquist frequency of DRIVE_SAMPLE_RATE
+    is refused.
     Each unit-amplitude shape, f01's first, is prepared once and driven at
     each amplitude asked for; ``propagations`` counts the drives.
     """
@@ -610,6 +578,7 @@ class _Rotations:
                 f"AWG full scale {vmax} V: the line passes |H| = {gain:.2g} of it",
                 peak=peak,
             )
+        _check_sampled(self.frequencies[1])
 
     def __call__(self, amplitude: float, frequency: float) -> Calibration:
         """theta and n_z describe the {0,1} block, normalized to SU(2), with
@@ -943,7 +912,8 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
     ``interleaved`` and ``gate`` change nothing there. ``mode="waveform"``
     samples each sequence from the seed, inserts ``interleaved`` after each
     random Clifford, appends the recovery, and compiles, synthesizes (at
-    DRIVE_SAMPLE_RATE) and evolves its program through the scenario.
+    DRIVE_SAMPLE_RATE, so the carrier must lie below its Nyquist frequency)
+    and evolves its program through the scenario.
     """
     lengths = [int(m) for m in lengths]
     if not lengths or any(m < 1 for m in lengths):
@@ -964,6 +934,7 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
     config = pulsec.SynthesisConfig(sample_rate=DRIVE_SAMPLE_RATE)
     levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
     carrier = gate.drive_frequency_ghz if gate.drive_frequency_ghz is not None else levels[1]
+    _check_sampled(carrier)
     rng = np.random.default_rng(seed)
     records = []
     for length in lengths:

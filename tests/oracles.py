@@ -32,11 +32,17 @@ from uniflux.dynamics import (
     CLIFFORD_COUNT,
     DRIVE_SAMPLE_RATE,
     DriveScenario,
+    _CHUNK_STEPS,
+    _chebyshev_steps,
     _clifford_table,
+    _multiply_planes,
     _net_carrier_gain,
+    _phase_norm,
+    _prepare,
     _qubit_frame,
     _rwa_pi_amplitude,
     _secant,
+    _tree_product,
     cosine_drive,
     drive_pulse,
     evolve,
@@ -299,6 +305,71 @@ def sequential_populations(samples):
         column = sample.dot(column)
         columns.append(column)
     return np.abs(np.array(columns)) ** 2
+
+
+def prefix_scan(samples):
+    """Ground-start populations at every boundary of the (d, d, n) per-sample
+    propagators, and their ordered product U.
+
+    A reduce-then-scan over blocks of about sqrt(n) samples, the last one
+    padded with identities: `_tree_product` gives each block's product, a
+    walk over those gives the state entering each block, and then all blocks
+    advance their states together, one sample position at a time. That is
+    about 2 sqrt(n) batched steps and, besides the tree products, O(n d^2)
+    work; a full-matrix parallel prefix (Hillis-Steele) would take
+    O(n log n d^3). The last row is read off U, so populations[-1] is
+    |U[:, 0]|^2 exactly.
+    """
+    dim, _, n = samples.shape
+    length = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) samples per block
+    blocks = -(-n // length)
+    padded = np.empty((dim, dim, blocks * length), complex)
+    padded[:, :, :n] = samples
+    padded[:, :, n:] = np.eye(dim)[:, :, None]
+    planes = padded.reshape(dim, dim, blocks, length).transpose(0, 1, 3, 2)
+    totals = _tree_product(planes)
+    states = np.empty((length + 1, dim, 1, blocks), complex)  # [position, :, :, block]
+    states[0, :, :, 0] = np.eye(dim)[:, :1]
+    for b in range(1, blocks):
+        states[0, :, :, b] = totals[:, :, b - 1] @ states[0, :, :, b - 1]
+    for pos in range(length):
+        _multiply_planes(planes[:, :, pos], states[pos], states[pos + 1])
+    unitary = _tree_product(totals)
+    pops = np.empty((n + 1, dim))
+    pops[0] = np.eye(dim)[0]
+    pops[1:] = np.abs(states[1:, :, 0].transpose(2, 0, 1).reshape(-1, dim)[:n]) ** 2
+    pops[-1] = np.abs(unitary[:, 0]) ** 2
+    return pops, unitary
+
+
+def scanned_trajectory(scenario: DriveScenario, w: Waveform):
+    """The trajectory `evolve` no longer keeps: (populations of a ground-state
+    start at every input-sample boundary, U, the largest population of the
+    top retained level over them).
+
+    The package's own steps (`_prepare`, `_chebyshev_steps`) are grouped by
+    input sample: chunks hold whole samples and at most _CHUNK_STEPS steps,
+    each sample's steps are multiplied by `_tree_product`, and `prefix_scan`
+    walks the samples (reduce, then scan; Blelloch, "Prefix sums and their
+    applications", CMU-CS-90-190 (1990)). Populations are clipped at 1, as
+    the package clips them.
+    """
+    shape = _prepare(scenario, w)
+    levels, phi_mat = _qubit_frame(scenario.qubit, scenario.levels)
+    e_l, h, k = scenario.qubit.e_l, scenario.time_step, shape.steps_per_sample
+    dim = len(levels)
+    static = 2.0 * np.pi * np.diag(levels).astype(complex)
+    coupling = 2.0 * np.pi * (-e_l) * phi_mat
+    coupling_norm = 2.0 * np.pi * abs(e_l) * _phase_norm(scenario.qubit, scenario.levels)
+    chunk = max(1, _CHUNK_STEPS // k) * k
+    samples = []
+    for start in range(0, len(shape.mids), chunk):
+        xs = shape.mids[start:start + chunk].reshape(-1, k)
+        steps, _ = _chebyshev_steps(static, coupling, coupling_norm, h, xs.T.ravel())
+        samples.append(_tree_product(steps.reshape(dim, dim, *xs.T.shape)))
+    pops, unitary = prefix_scan(np.concatenate(samples, axis=2))
+    np.minimum(pops, 1.0, out=pops)
+    return pops, unitary, float(pops[:, -1].max())
 
 
 def midpoint_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):

@@ -975,6 +975,11 @@ _INPUT_FILES = {
         '"time_step_ns": 0.01}'
     ),
     "flat-channel.json": '{"channel": {"kind": "flat"}, "levels": 2, "time_step_ns": 0.05}',
+    # f01 = 0.858 GHz, above the 0.5 GHz Nyquist frequency of the 1 GS/s drive sampling
+    "flux-0.45-wide-channel.json": (
+        '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.45}, '
+        '"channel": {"kind": "gaussian", "f_c": 5.0}}'
+    ),
     # every scenario field but the channel's kind and levels is a JSON number
     "step-true.json": '{"time_step_ns": true}',
     "step-string.json": '{"time_step_ns": "0.02"}',
@@ -1122,7 +1127,44 @@ _EXIT_CODE_CASES = [
      "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
     ("simulate-rabi-uncompensated-at-f01-5.4-ghz",
      ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
-      "{tmp}/zero-flux.json"), 0, None),
+      "{tmp}/zero-flux.json"), 3,
+     "a drive at 5.4039 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
+    # a drive pulse sampled at 1 GS/s cannot carry 0.5 GHz or more
+    ("simulate-rabi-frequency-above-nyquist",
+     ("simulate", "rabi", "--frequency", "1.22376881665", "--points", "3", "--amp-max", "0.02"),
+     2, "argument --frequency: must lie below 0.5 GHz, the Nyquist frequency of the 1 GS/s "
+     "drive sampling, got '1.22376881665'"),
+    ("simulate-rabi-frequency-at-nyquist", ("simulate", "rabi", "--frequency", "0.5"), 2,
+     "argument --frequency: must lie below 0.5 GHz"),
+    ("simulate-rabi-negative-frequency", ("simulate", "rabi", "--frequency", "-1"), 2,
+     "argument --frequency: must be positive and finite, got '-1'"),
+    ("simulate-rb-gate-frequency-above-nyquist",
+     ("simulate", "rb", "--mode", "waveform", "--lengths", "2", "--seed", "3",
+      "--gate-frequency", "1.22376881665"), 2,
+     "argument --gate-frequency: must lie below 0.5 GHz, the Nyquist frequency of the 1 GS/s "
+     "drive sampling, got '1.22376881665'"),
+    ("simulate-rabi-uncompensated-f01-above-nyquist",
+     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
+      "{tmp}/flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
+    ("simulate-rabi-f01-above-nyquist",
+     ("simulate", "rabi", "--points", "3", "--scenario", "{tmp}/flux-0.45-wide-channel.json"),
+     3, "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling"),
+    ("simulate-rb-waveform-f01-above-nyquist",
+     ("simulate", "rb", "--mode", "waveform", "--lengths", "2", "--scenario",
+      "{tmp}/flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling"),
+    # the calibrations check the top of their frequency bracket, f01 + 3 MHz at 20 ns
+    ("simulate-gate-f01-above-nyquist",
+     ("simulate", "gate", "--scenario", "{tmp}/flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.861252 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
+    ("simulate-gate-uncompensated-f01-above-nyquist",
+     ("simulate", "gate", "--no-predistort", "--trim-frequency", "--scenario",
+      "{tmp}/flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.861252 GHz aliases at the 1 GS/s drive sampling"),
     ("simulate-gate-start-beyond-full-scale",
      ("simulate", "gate", "--scenario", "{tmp}/quarter-flux.json"), 3,
      "a pi pulse at f01 = 4.08328 GHz starts at a 3.05e+295 V peak, beyond the AWG full "

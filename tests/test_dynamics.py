@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from uniflux import dynamics, filters, fluxonium, linebudget, pulsec
 from uniflux.dynamics import DriveScenario, RbGate
-from uniflux.errors import CalibrationError, NumericalError, SaturationError
+from uniflux.errors import CalibrationError, NumericalError, SaturationError, UnifluxError
 from uniflux.waveform import Waveform
 
 QUBIT = fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5)
@@ -68,15 +68,17 @@ def test_phase_drive_per_volt_matches_budget():
 def test_zero_waveform_is_free_evolution():
     scenario = FLAT2.replace(levels=4)
     outcome = dynamics.evolve(scenario, _zero_waveform(40))
-    assert outcome.populations.shape == (41, 4)
-    np.testing.assert_allclose(outcome.populations[:, 0], 1.0, atol=1e-12)
+    assert outcome.populations.shape == (1, 4)  # the final populations only
+    pops, _, top = oracles.scanned_trajectory(scenario, _zero_waveform(40))
+    assert pops.shape == (41, 4)
+    np.testing.assert_allclose(pops[:, 0], 1.0, atol=1e-12)
     levels, _ = dynamics.qubit_frame(scenario)
     expected = np.diag(np.exp(-1j * 2 * np.pi * levels * 40.0))
     np.testing.assert_allclose(outcome.final_unitary, expected, atol=1e-9)
     framed = dynamics.rotating_frame(outcome.final_unitary, levels, 40.0)
     np.testing.assert_allclose(framed, np.eye(4), atol=1e-9)
     assert outcome.metadata["chebyshev_nodes"] == 1  # a constant drive
-    assert outcome.metadata["top_level_population"] < 1e-20
+    assert top < 1e-20
 
 
 def test_populations_sum_to_one_under_drive():
@@ -132,8 +134,7 @@ def test_rabi_oscillation_matches_line_budget_rate():
     duration = 2000
     t = np.arange(duration + 1)
     w = Waveform(amp * np.cos(2 * np.pi * F01 * t), 1.0)
-    outcome = dynamics.evolve(FLAT2, w)
-    p1 = outcome.populations[:, 1]
+    p1 = oracles.scanned_trajectory(FLAT2, w)[0][:, 1]
     # zero-padded FFT peak of the population oscillation
     signal = p1 - p1.mean()
     spec = np.abs(np.fft.rfft(signal * np.hanning(len(signal)), n=1 << 18))
@@ -168,10 +169,9 @@ def test_step_halving_converges_below_1e7():
 
 def test_nan_propagator_fails_closed(monkeypatch):
     # a NaN propagator must raise, not return NaN populations
-    def nan_propagate(levels, phi_mat, phi_norm, e_l, dphi_mid, h, record_every):
+    def nan_propagate(levels, phi_mat, phi_norm, e_l, dphi_mid, h):
         dim = len(levels)
-        pops = np.full((len(dphi_mid) // record_every + 1, dim), np.nan)
-        return pops, np.full((dim, dim), np.nan, dtype=complex), 1
+        return np.full((dim, dim), np.nan, dtype=complex), 1
 
     monkeypatch.setattr(dynamics, "_propagate", nan_propagate)
     with pytest.raises(NumericalError, match="unitarity drift nan"):
@@ -179,15 +179,13 @@ def test_nan_propagator_fails_closed(monkeypatch):
 
 
 def _overshooting_propagate(excess):
-    """A `_propagate` stand-in whose U is exact but whose third boundary reads
-    the excited population 1 + ``excess``."""
-    def propagate(levels, phi_mat, phi_norm, e_l, dphi_mid, h, record_every):
+    """A `_propagate` stand-in whose U swaps levels 0 and 1 exactly, except
+    that its column 0 puts the population 1 + ``excess`` in level 1."""
+    def propagate(levels, phi_mat, phi_norm, e_l, dphi_mid, h):
         dim = len(levels)
-        pops = np.zeros((len(dphi_mid) // record_every + 1, dim))
-        pops[:, 0] = 1.0
-        pops[2] = 0.0
-        pops[2, 1] = 1.0 + excess
-        return pops, np.eye(dim, dtype=complex), 1
+        unitary = np.eye(dim, dtype=complex)[:, [1, 0, *range(2, dim)]]
+        unitary[1, 0] = math.sqrt(1.0 + excess)
+        return unitary, 1
 
     return propagate
 
@@ -195,7 +193,7 @@ def _overshooting_propagate(excess):
 def test_population_within_the_drift_is_clipped_to_one(monkeypatch):
     monkeypatch.setattr(dynamics, "_propagate", _overshooting_propagate(2e-12))
     outcome = dynamics.evolve(FLAT2, _zero_waveform(16))
-    assert outcome.populations[2, 1] == 1.0
+    assert outcome.populations[-1, 1] == 1.0
     assert outcome.populations.max() <= 1.0
     assert outcome.metadata["unitarity_drift"] == pytest.approx(2e-12, rel=1e-3)
 
@@ -245,21 +243,36 @@ def _zero_drive():
     return FLAT2.replace(levels=4, time_step=0.005), _zero_waveform(40)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        _predistorted_pi_4_levels,
-        _three_levels_odd_steps_per_sample,
-        _long_drive_across_chunks,
-        _zero_drive,
-    ],
-)
+_ENGINE_CASES = [
+    _predistorted_pi_4_levels,
+    _three_levels_odd_steps_per_sample,
+    _long_drive_across_chunks,
+    _zero_drive,
+]
+
+
+@pytest.mark.parametrize("case", _ENGINE_CASES)
 def test_evolve_matches_per_step_oracle(case):
     scenario, w = case()
     outcome = dynamics.evolve(scenario, w)
     pops, unitary = _per_step_reference(scenario, w)
-    assert outcome.populations.shape == pops.shape
-    np.testing.assert_allclose(outcome.populations, pops, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(outcome.final_unitary, unitary, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(outcome.populations, pops[-1:], rtol=0, atol=1e-9)
+    # the trajectory, which only the oracle keeps
+    trajectory = oracles.scanned_trajectory(scenario, w)[0]
+    assert trajectory.shape == pops.shape
+    np.testing.assert_allclose(trajectory, pops, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "case", [_predistorted_pi_4_levels, _three_levels_odd_steps_per_sample, _zero_drive]
+)
+def test_chunks_that_split_samples_keep_the_propagator(monkeypatch, case):
+    # 7 steps per chunk cut the 200- and 25-step samples apart
+    scenario, w = case()
+    monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
+    outcome = dynamics.evolve(scenario, w)
+    _, unitary = _per_step_reference(scenario, w)
     np.testing.assert_allclose(outcome.final_unitary, unitary, rtol=0, atol=1e-9)
 
 
@@ -294,24 +307,43 @@ def _rb_waveform(length, seed):
     return wave.with_samples(np.asarray(wave.samples) * LINE.awg_vmax)
 
 
+def _rb_sequence_across_chunks():
+    return GAUSS2.replace(time_step=0.05), _rb_waveform(320, seed=11)
+
+
+@pytest.mark.parametrize("case", [*_ENGINE_CASES, _rb_sequence_across_chunks])
+def test_evolve_matches_the_scanned_trajectory_propagator(case):
+    # one tree per chunk against the per-sample trees and the scan: the same
+    # steps, multiplied in another grouping
+    scenario, w = case()
+    outcome = dynamics.evolve(scenario, w)
+    unitary = oracles.scanned_trajectory(scenario, w)[1]
+    assert np.abs(outcome.final_unitary - unitary).max() <= 1e-13
+    # the one row is the final unitary's ground-state column, clipped at 1, bit for bit
+    last = np.minimum(np.abs(outcome.final_unitary[:, 0]) ** 2, 1.0)
+    assert outcome.populations.shape == (1, scenario.levels)
+    assert np.array_equal(outcome.populations[-1], last)
+
+
 def test_scanned_trajectory_matches_the_sequential_walk(monkeypatch):
-    # the walk runs over the very per-sample propagators evolve scans
+    # the walk runs over the very per-sample propagators the oracle scans
     samples = []
-    scan = dynamics._prefix_scan
+    scan = oracles.prefix_scan
 
     def spy(planes):
         samples.append(planes.copy())
         return scan(planes)
 
-    monkeypatch.setattr(dynamics, "_prefix_scan", spy)
-    outcome = dynamics.evolve(GAUSS2.replace(time_step=0.05), _rb_waveform(320, seed=11))
-    assert outcome.metadata["steps"] > dynamics._CHUNK_STEPS
+    monkeypatch.setattr(oracles, "prefix_scan", spy)
+    scenario, w = _rb_sequence_across_chunks()
+    pops, unitary, _ = oracles.scanned_trajectory(scenario, w)
+    assert len(dynamics._prepare(scenario, w).mids) > dynamics._CHUNK_STEPS
     walk = oracles.sequential_populations(samples[0])
-    assert outcome.populations.shape == walk.shape
-    np.testing.assert_allclose(outcome.populations, walk, rtol=0, atol=1e-12)
+    assert pops.shape == walk.shape
+    np.testing.assert_allclose(pops, walk, rtol=0, atol=1e-12)
     # the last row is the final unitary's ground-state column, bit for bit
-    last = np.abs(outcome.final_unitary[:, 0]) ** 2
-    assert np.array_equal(outcome.populations[-1], last)
+    last = np.abs(unitary[:, 0]) ** 2
+    assert np.array_equal(pops[-1], last)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64])
@@ -320,7 +352,7 @@ def test_prefix_scan_pads_ragged_blocks(n, dim):
     rng = np.random.default_rng(10 * n + dim)
     raw = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
     samples = np.moveaxis(np.linalg.qr(raw)[0], 0, 2)
-    pops, unitary = dynamics._prefix_scan(samples)
+    pops, unitary = oracles.prefix_scan(samples)
     np.testing.assert_allclose(pops, oracles.sequential_populations(samples), rtol=0, atol=1e-13)
     np.testing.assert_allclose(unitary, dynamics._tree_product(samples), rtol=0, atol=1e-13)
 
@@ -346,8 +378,8 @@ def test_top_level_population_falls_as_levels_grow():
         scenario = DriveScenario(QUBIT, LINE, GAUSS, levels=levels)
         f01 = dynamics.qubit_frame(scenario)[0][1]
         amp = dynamics.calibrate_pi(scenario, 20.0).amplitude_v
-        outcome = dynamics.evolve(scenario, dynamics.drive_pulse(scenario, amp, 20.0, f01))
-        tops.append(outcome.metadata["top_level_population"])
+        pulse = dynamics.drive_pulse(scenario, amp, 20.0, f01)
+        tops.append(oracles.scanned_trajectory(scenario, pulse)[2])
     assert tops[0] > tops[1] > tops[2] > 0.0
 
 
@@ -1012,3 +1044,17 @@ def test_rb_example_program_and_memory_footprint():
     report = pulsec.memory_report(program, pulsec.compile(program, config))
     assert report["stored_ns"] == pytest.approx(20.0)
     assert report["ratio"] > 200.0
+
+
+def test_drives_at_or_above_the_nyquist_frequency_are_refused():
+    # a 1 GS/s drive pulse at f01 + 1 GHz is sampled exactly as one at f01
+    aliased = "aliases at the 1 GS/s drive sampling: drive frequencies must lie below 0.5 GHz"
+    with pytest.raises(UnifluxError, match="a drive at 0.5 GHz " + aliased):
+        dynamics.rabi_experiment(FLAT2, [0.01], predistortion=False, drive_frequency_ghz=0.5)
+    with pytest.raises(UnifluxError, match="a drive at -0.7 GHz " + aliased):
+        dynamics.rabi_experiment(FLAT2, [0.01], predistortion=False, drive_frequency_ghz=-0.7)
+    with pytest.raises(UnifluxError, match="a drive at 1.22377 GHz " + aliased):
+        dynamics.run_rb(FLAT2, [2], 1, seed=3, mode="waveform",
+                        gate=RbGate(drive_frequency_ghz=F01 + 1.0))
+    assert dynamics.rabi_experiment(FLAT2, [0.01], predistortion=False,
+                                    drive_frequency_ghz=0.49).populations[0] < 1e-3

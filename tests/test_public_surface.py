@@ -2,9 +2,10 @@
 
 A public function, class, method or property of ``src/uniflux`` must be
 referenced somewhere in ``src/`` outside its own definition, or by the
-benchmark in ``perfbench/``. Names only the tests call belong in
-``tests/oracles.py`` or in the test that uses them. Matching is by name, so a
-method counts as referenced when any attribute of that name is read.
+benchmark in ``perfbench/``; so must every private top-level function. Names
+only the tests call belong in ``tests/oracles.py`` or in the test that uses
+them. Matching is by name, so a method counts as referenced when any
+attribute of that name is read.
 
 Likewise every defaulted parameter of a public function or method, and every
 defaulted dataclass field, must be set by some call in ``src/`` (outside its
@@ -40,6 +41,13 @@ def _public_definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{member.name}", member, True
 
 
+def _private_functions(module: str, tree: ast.Module):
+    """(qualified name, node, False) for each private top-level function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield f"{module}.{node.name}", node, False
+
+
 def _references(tree: ast.AST, skip=frozenset()):
     """(name, is_attribute) for every name a tree reads or imports."""
     for node in ast.walk(tree):
@@ -55,12 +63,12 @@ def _references(tree: ast.AST, skip=frozenset()):
             yield node.value, False  # perfbench names traced functions as strings
 
 
-def _unreferenced():
+def _unreferenced(definitions=_public_definitions):
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     bench = {ref for path in BENCHMARK for ref in _references(ast.parse(path.read_text()))}
     missing = []
     for module, tree in trees.items():
-        for qualified, node, is_member in _public_definitions(module, tree):
+        for qualified, node, is_member in definitions(module, tree):
             name = node.name
             inside = set(ast.walk(node))
             # a method or property is reached only as an attribute
@@ -78,6 +86,13 @@ def _unreferenced():
 def test_every_public_name_has_a_caller():
     missing = [name for name in _unreferenced() if name not in ALLOWED]
     assert missing == [], f"public names with no caller in src/ or perfbench/: {missing}"
+
+
+def test_every_private_function_has_a_caller():
+    # a private helper that only tests call is a test helper: it moves to
+    # tests/oracles.py or into the test
+    missing = _unreferenced(_private_functions)
+    assert missing == [], f"private functions with no caller in src/ or perfbench/: {missing}"
 
 
 
