@@ -33,7 +33,11 @@ from uniflux.dynamics import (
     DRIVE_SAMPLE_RATE,
     DriveScenario,
     _CHUNK_STEPS,
+    _SOLVE_STEPS,
+    _SOLVE_TOL,
+    _chebyshev_fit,
     _chebyshev_steps,
+    _check_bracket,
     _clifford_table,
     _multiply_planes,
     _net_carrier_gain,
@@ -41,7 +45,6 @@ from uniflux.dynamics import (
     _prepare,
     _qubit_frame,
     _rwa_pi_amplitude,
-    _secant,
     _tree_product,
     cosine_drive,
     drive_pulse,
@@ -365,11 +368,35 @@ def scanned_trajectory(scenario: DriveScenario, w: Waveform):
     samples = []
     for start in range(0, len(shape.mids), chunk):
         xs = shape.mids[start:start + chunk].reshape(-1, k)
-        steps, _ = _chebyshev_steps(static, coupling, coupling_norm, h, xs.T.ravel())
+        fit = _chebyshev_fit(static, coupling, coupling_norm, h, float(xs.min()), float(xs.max()))
+        steps = _chebyshev_steps(fit, xs.T.ravel())
         samples.append(_tree_product(steps.reshape(dim, dim, *xs.T.shape)))
     pops, unitary = prefix_scan(np.concatenate(samples, axis=2))
     np.minimum(pops, 1.0, out=pops)
     return pops, unitary, float(pops[:, -1].max())
+
+
+def chunk_tree_propagate(levels: np.ndarray, phi_mat: np.ndarray, phi_norm: float, e_l: float,
+                         dphi_mid: np.ndarray, h: float):
+    """Midpoint-exponential propagation; returns (U, the largest Chebyshev
+    node count of any chunk); ``phi_norm`` is ||phi_mat||_2.
+
+    Each chunk of at most _CHUNK_STEPS steps, in step order, gets its steps
+    from `_chebyshev_steps` and their product from one `_tree_product`; U is
+    the product of the chunk products, the last chunk's leftmost. This is
+    the package's own `_propagate` grouped as before it reduced each chunk
+    in blocks: the same fit per chunk, one tree over the whole chunk.
+    """
+    static = 2.0 * np.pi * np.diag(levels).astype(complex)
+    coupling = 2.0 * np.pi * (-e_l) * phi_mat
+    coupling_norm = 2.0 * np.pi * abs(e_l) * phi_norm
+    unitary, nodes = np.eye(len(levels), dtype=complex), 1
+    for start in range(0, len(dphi_mid), _CHUNK_STEPS):
+        xs = dphi_mid[start:start + _CHUNK_STEPS]
+        fit = _chebyshev_fit(static, coupling, coupling_norm, h, float(xs.min()), float(xs.max()))
+        unitary = _tree_product(_chebyshev_steps(fit, xs)) @ unitary
+        nodes = max(nodes, fit[3])
+    return unitary, nodes
 
 
 def midpoint_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
@@ -535,6 +562,21 @@ def waveform_rotation(scenario, amplitude_v, duration_ns, frequency_ghz,
     theta = 2.0 * math.acos(min(1.0, max(-1.0, 0.5 * v.trace().real)))
     n_z = -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(0.5 * theta))
     return theta, n_z, np.delete(unitary[:, 0], 1)
+
+
+def _secant(residual, x0: float, r0: float, x1: float, lo: float, hi: float,
+            what: str) -> float:
+    """Root of ``residual`` to 1e-10 by secant steps from (x0, r0) and x1.
+    An iterate outside [lo, hi] or a step cap reached raises CalibrationError."""
+    for _ in range(_SOLVE_STEPS):
+        _check_bracket(x1, lo, hi, what)
+        r1 = residual(x1)
+        if abs(r1) < _SOLVE_TOL:
+            return x1
+        if r1 == r0:
+            break
+        x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
+    raise CalibrationError(f"{what} solve did not converge in {_SOLVE_STEPS} steps")
 
 
 def nested_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,19 @@ def test_chunks_that_split_samples_keep_the_propagator(monkeypatch, case):
     np.testing.assert_allclose(outcome.final_unitary, unitary, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "case", [_predistorted_pi_4_levels, _three_levels_odd_steps_per_sample, _zero_drive]
+)
+def test_blocks_that_split_samples_and_chunks_keep_the_propagator(monkeypatch, case):
+    # 3 steps per block and 7 per chunk: blocks of 3, 3 and 1 under each fit
+    scenario, w = case()
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 3)
+    monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 7)
+    outcome = dynamics.evolve(scenario, w)
+    _, unitary = _per_step_reference(scenario, w)
+    np.testing.assert_allclose(outcome.final_unitary, unitary, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("n", [101, 128])
 @pytest.mark.parametrize("k", [1, 2, 3, 10, 20, 200])
 def test_step_midpoints_match_the_upsampled_oracle(n, k):
@@ -323,6 +337,55 @@ def test_evolve_matches_the_scanned_trajectory_propagator(case):
     last = np.minimum(np.abs(outcome.final_unitary[:, 0]) ** 2, 1.0)
     assert outcome.populations.shape == (1, scenario.levels)
     assert np.array_equal(outcome.populations[-1], last)
+
+
+def _two_levels_across_blocks():
+    scenario = GAUSS2  # 250 samples x 50 = 12 500 steps in one chunk
+    t = np.arange(250, dtype=float)
+    return scenario, Waveform(0.004 * np.sin(2 * np.pi * F01 * t), 1.0)
+
+
+def _four_levels_across_blocks():
+    scenario = FLAT2.replace(levels=4, time_step=0.01)  # 104 samples x 100 steps
+    return scenario, dynamics.cosine_drive(24.0, 0.012, F01)
+
+
+def _chunk_tree_reference(scenario, w):
+    """evolve's drive preparation followed by one tree product per chunk."""
+    shape = dynamics._prepare(scenario, w)
+    levels, phi_mat = dynamics.qubit_frame(scenario)
+    phi_norm = dynamics._phase_norm(scenario.qubit, scenario.levels)
+    return oracles.chunk_tree_propagate(levels, phi_mat, phi_norm, scenario.qubit.e_l,
+                                        shape.mids, scenario.time_step)
+
+
+@pytest.mark.parametrize("case", [*_ENGINE_CASES, _rb_sequence_across_chunks,
+                                  _two_levels_across_blocks, _four_levels_across_blocks])
+def test_evolve_matches_one_tree_per_chunk(case):
+    # the same steps and fits, multiplied block by block instead of in one
+    # tree per chunk
+    scenario, w = case()
+    outcome = dynamics.evolve(scenario, w)
+    unitary, nodes = _chunk_tree_reference(scenario, w)
+    assert np.abs(outcome.final_unitary - unitary).max() <= 1e-13
+    assert outcome.metadata["chebyshev_nodes"] == nodes
+
+
+def test_propagate_works_in_block_sized_memory():
+    # a 2-level drive of two full chunks: the steps of one block, not of a
+    # whole chunk, are held at a time (one chunk's planes alone are 4 MiB)
+    levels, phi_mat = dynamics._qubit_frame(QUBIT, 2)
+    h = 0.05
+    t = (np.arange(2 * dynamics._CHUNK_STEPS) + 0.5) * h
+    mids = 0.01 * dynamics.phase_drive_per_volt(LINE) * np.cos(2 * np.pi * F01 * t)
+    phi_norm = dynamics._phase_norm(QUBIT, 2)
+    tracemalloc.start()
+    try:
+        dynamics._propagate(levels, phi_mat, phi_norm, QUBIT.e_l, mids, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_scanned_trajectory_matches_the_sequential_walk(monkeypatch):
@@ -390,6 +453,11 @@ def test_oracle_cases_cover_the_engine_edges():
     assert dynamics.evolve(scenario, w).metadata["steps"] > dynamics._CHUNK_STEPS
     scenario, w = _three_levels_odd_steps_per_sample()
     assert round(1.0 / (w.sample_rate * scenario.time_step)) % 2 == 1
+    for case, levels in ((_two_levels_across_blocks, 2), (_four_levels_across_blocks, 4)):
+        scenario, w = case()  # more than one block under one fit
+        assert scenario.levels == levels
+        steps = len(dynamics._prepare(scenario, w).mids)
+        assert dynamics._BLOCK_STEPS < steps <= dynamics._CHUNK_STEPS
 
 
 def test_node_count_is_the_smallest_meeting_the_tail_bound():
@@ -435,7 +503,9 @@ def test_chebyshev_steps_match_exact_exponentials():
     static = 2.0 * np.pi * np.diag(levels).astype(complex)
     coupling = 2.0 * np.pi * (-QUBIT.e_l) * phi_mat
     xs = np.linspace(-1.9, 1.9, 57)
-    steps, _ = dynamics._chebyshev_steps(static, coupling, np.linalg.norm(coupling, 2), 0.2, xs)
+    fit = dynamics._chebyshev_fit(static, coupling, np.linalg.norm(coupling, 2), 0.2,
+                                  xs.min(), xs.max())
+    steps = dynamics._chebyshev_steps(fit, xs)
     vals, vecs = np.linalg.eigh(static + xs[:, None, None] * coupling)
     exact = np.einsum("nij,nj,nkj->ikn", vecs, np.exp(-0.2j * vals), vecs.conj())
     assert np.abs(steps - exact).max() < 1e-12
