@@ -397,8 +397,8 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
     a 1e-16 Bernstein-ellipse tail bound (K = 1 for a constant drive). Its
     steps are then evaluated, one matrix product per block of at most 8 192
     steps, and each block's steps are multiplied pairwise in a tree; U is
-    the ordered product of the block products. The result agrees with a per-step
-    exact-exponential integrator to about 1e-11. Unitarity drift,
+    the ordered product of the block products. The result agrees with a
+    per-step exact-exponential integrator to about 1e-11. Unitarity drift,
     max |U^dag U - I|, is about 1e-11 at 8e4 steps and 1e-10 at 1e6 steps;
     a drift above 1e-8, or a NaN propagator, raises `NumericalError`. A
     population can exceed 1 only by the drift, and is clipped to 1.
