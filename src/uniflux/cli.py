@@ -642,6 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--basis-size",
         type=_int_in(fluxonium.MIN_BASIS_SIZE),
         default=fluxonium.DEFAULT_BASIS_SIZE,
+        help="largest oscillator basis, the top rung each flux point may climb to; "
+             "a spectrum it cannot converge exits 4",
     )
     _add_output(p)
     p.set_defaults(func=cmd_spectrum)

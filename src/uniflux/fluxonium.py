@@ -21,10 +21,18 @@ the truncated a + a^dagger is the Jacobi matrix of the Hermite polynomials:
 its eigenvectors are the same for every circuit and its eigenvalues are
 sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch, Math. Comp. 23, 221
 (1969)). That decomposition is made once per basis size, and each circuit
-scales the nodes by its phi_zpf. A flux sweep or a reset-flux search forms
-cos(phi_op) and sin(phi_op) once per call; each flux point then costs one
-matrix sum and one subset eigensolve (the oscillator-basis approach of
+scales the nodes by its phi_zpf (the oscillator-basis approach of
 Groszkowski & Koch, scqubits, Quantum 5, 583 (2021)).
+
+Truncation is measured, not assumed: ``eigensystem`` reports the largest
+weight a returned eigenvector has in the top sixth of the oscillator states
+and refuses a spectrum whose weight there exceeds TAIL_LIMIT. Sweeps,
+reset-flux searches and eigenbasis phase matrices solve each flux point on a
+short ladder of basis sizes, RUNGS and then ``basis_size``, and keep the
+first rung whose tail weight is at most TAIL_CONVERGED. Each point climbs
+from the bottom, so a sweep row equals the single-point solve at its flux.
+A call forms cos(phi_op) and sin(phi_op) once per rung it climbs; each rung
+a point visits costs one matrix sum and one subset eigensolve.
 """
 
 from __future__ import annotations
@@ -40,6 +48,12 @@ DEFAULT_BASIS_SIZE = 120
 DEFAULT_N_LEVELS = 6
 MIN_BASIS_SIZE = 12
 BASIS_PER_LEVEL = 3  # n_levels may be at most basis_size // BASIS_PER_LEVEL
+RUNGS = (60, 80, 100)  # basis sizes a point tries below basis_size, smallest first
+TAIL_DIVISOR = 6  # the tail is the top dim // TAIL_DIVISOR oscillator states
+TAIL_CONVERGED = 1e-12  # largest tail weight that stops the climb below the top rung
+# eigensystem's refusal threshold: at E_J 9, E_L 0.3 GHz even basis 120
+# leaves 4.9e-12 in the tail, and its 6 levels agree with basis 200 to 5.5e-11 GHz
+TAIL_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,8 +67,11 @@ class FluxoniumParams:
     phi_ext :
         External flux bias in units of Phi0 (0.5 is the half-flux sweet spot).
     basis_size :
-        Oscillator-basis truncation; 120 converges the low levels with a wide
-        margin at typical fluxonium parameters.
+        Largest oscillator basis, the top rung of the ladder that sweeps,
+        reset searches and eigenbasis phase matrices climb; a flux point
+        stops at the first of RUNGS (below this size) whose tail weight is
+        at most TAIL_CONVERGED. ``build_hamiltonian`` uses exactly this size.
+        120 converges the low levels of criterion-01 circuits at every flux.
     """
 
     e_j: float
@@ -97,9 +114,13 @@ class EnergySpectrum:
 
     ``levels[0]`` is exactly 0. Eigenvectors are retained (in the oscillator
     basis, phase-fixed) so matrix elements can be evaluated afterwards.
+    ``tail_weight`` is the largest weight any retained eigenvector has in the
+    top ``dim // TAIL_DIVISOR`` oscillator states: how close the spectrum
+    comes to the truncation edge.
     """
 
     levels: np.ndarray
+    tail_weight: float
     _vectors: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -109,18 +130,12 @@ class EnergySpectrum:
         object.__setattr__(self, "levels", lv)
 
 
-def phase_operator(params: FluxoniumParams) -> np.ndarray:
-    """Phase operator (relative to the inductive minimum) in the oscillator basis."""
-    n = params.basis_size
-    ladder = np.diag(np.sqrt(np.arange(1, n)), 1)
-    return (ladder + ladder.T) * (params.phi_zpf)
-
-
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=len(RUNGS) + 2)
 def _phase_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (nodes, V) with a + a^dagger = V diag(nodes) V^T on ``n`` levels.
 
-    Each entry holds an n x n array, so the cache keeps only a few sizes.
+    Each entry holds an n x n array, so the cache keeps only the rungs, the
+    default top rung and one other size.
     """
     import scipy.linalg
 
@@ -138,11 +153,11 @@ def _flux_free_terms(params: FluxoniumParams) -> tuple[np.ndarray, np.ndarray, n
     return lc, (v * np.cos(w)) @ v.T, (v * np.sin(w)) @ v.T
 
 
-def _assemble(params: FluxoniumParams, terms) -> np.ndarray:
-    """H at ``params.phi_ext`` from the flux-free terms of the same circuit."""
+def _assemble(terms, e_j: float, phi_ext: float) -> np.ndarray:
+    """H at ``phi_ext`` from the flux-free terms of a circuit with ``e_j``."""
     lc, cos_phi, sin_phi = terms
-    phi_dc = 2.0 * np.pi * params.phi_ext
-    h = np.diag(lc) - params.e_j * (cos_phi * np.cos(phi_dc) + sin_phi * np.sin(phi_dc))
+    phi_dc = 2.0 * np.pi * phi_ext
+    h = np.diag(lc) - e_j * (cos_phi * np.cos(phi_dc) + sin_phi * np.sin(phi_dc))
     return (h + h.T) / 2.0
 
 
@@ -157,14 +172,16 @@ def build_hamiltonian(params: FluxoniumParams) -> np.ndarray:
     form them once and reuse them. The result is explicitly symmetrized to
     absorb floating-point asymmetry of the reconstructed matrix functions.
     """
-    return _assemble(params, _flux_free_terms(params))
+    return _assemble(_flux_free_terms(params), params.e_j, params.phi_ext)
 
 
 def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectrum:
     """Lowest ``n_levels`` eigenfrequencies of ``h``, relative to the ground state.
 
     ``n_levels`` may be at most a third of the basis size: levels closer to
-    the truncation edge are not trustworthy.
+    the truncation edge are not trustworthy. A retained eigenvector with more
+    than TAIL_LIMIT of its weight in the top ``dim // TAIL_DIVISOR``
+    oscillator states raises NumericalError: the basis is too small.
     """
     import scipy.linalg
 
@@ -181,21 +198,57 @@ def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectr
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     # Fix each eigenvector's sign: largest-magnitude component real-positive.
-    for k in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, k]))
-        if vecs[lead, k] < 0:
-            vecs[:, k] = -vecs[:, k]
-    return EnergySpectrum(levels=vals - vals[0], _vectors=vecs)
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n_levels)]
+    vecs *= np.where(lead < 0, -1.0, 1.0)
+    tail = np.sum(vecs[dim - dim // TAIL_DIVISOR:] ** 2, axis=0)
+    level = int(np.argmax(tail))
+    if tail[level] > TAIL_LIMIT:
+        raise NumericalError(
+            f"basis {dim} too small: level {level} has weight {tail[level]:.2e} in the top "
+            f"{dim // TAIL_DIVISOR} oscillator states (limit {TAIL_LIMIT:g})"
+        )
+    return EnergySpectrum(levels=vals - vals[0], tail_weight=float(tail[level]), _vectors=vecs)
 
 
 def phase_matrix(params: FluxoniumParams, spectrum: EnergySpectrum) -> np.ndarray:
     """<i|phi|j> on the retained eigenstates of ``spectrum``, a circuit of ``params``.
 
-    The diagonal is referenced to the inductive minimum; the off-diagonal
-    elements do not depend on that reference.
+    The basis size is that of the spectrum's vectors. The diagonal is
+    referenced to the inductive minimum; the off-diagonal elements do not
+    depend on that reference.
     """
     vecs = spectrum._vectors
-    return vecs.T @ phase_operator(params) @ vecs
+    # phi_op = phi_zpf (a + a^dagger) with a|k> = sqrt(k)|k-1>: V^T a V needs
+    # no n x n operator, and adding its transpose makes the result symmetric
+    lowered = vecs[:-1].T @ (np.sqrt(np.arange(1.0, len(vecs)))[:, None] * vecs[1:])
+    return params.phi_zpf * (lowered + lowered.T)
+
+
+def _solve_point(params: FluxoniumParams, phi_ext: float, n_levels: int, terms: dict
+                 ) -> EnergySpectrum:
+    """Eigensystem of ``params`` at ``phi_ext`` on the smallest converged rung.
+
+    Climbs the RUNGS below ``params.basis_size`` that hold ``n_levels`` at a
+    third of their size, then ``basis_size`` itself, and returns the first
+    rung whose tail weight is at most TAIL_CONVERGED; the top rung answers
+    only to eigensystem's TAIL_LIMIT. ``terms`` maps each rung to its
+    flux-free terms; it is filled as rungs are first climbed, so a caller
+    visiting many fluxes of one circuit builds each rung's terms once.
+    """
+    top = params.basis_size
+    rungs = [n for n in RUNGS if n < top and n_levels <= n // BASIS_PER_LEVEL]
+    for n in rungs + [top]:
+        if n not in terms:
+            terms[n] = _flux_free_terms(params.replace(basis_size=n))
+        h = _assemble(terms[n], params.e_j, phi_ext)
+        if n == top:
+            return eigensystem(h, n_levels)
+        try:
+            spec = eigensystem(h, n_levels)
+        except NumericalError:
+            continue  # the tail is over TAIL_LIMIT: climb
+        if spec.tail_weight <= TAIL_CONVERGED:
+            return spec
 
 
 def phase_matrix_element(
@@ -211,7 +264,7 @@ def phase_matrix_element(
     n_levels = max(n_levels, i + 1, j + 1)
     if min(i, j) < 0 or n_levels > params.basis_size // BASIS_PER_LEVEL:
         raise ValueError(f"level index out of range for basis_size={params.basis_size}")
-    spectrum = eigensystem(build_hamiltonian(params), n_levels)
+    spectrum = _solve_point(params, params.phi_ext, n_levels, {})
     # one triangle is read, so (i, j) and (j, i) agree exactly
     return float(abs(phase_matrix(params, spectrum)[min(i, j), max(i, j)]))
 
@@ -225,7 +278,7 @@ def eigenbasis_phase_matrix(
     drive physics uses it as the coupling operator, where diagonal offsets
     only shift the energy reference.
     """
-    spectrum = eigensystem(build_hamiltonian(params), n_levels)
+    spectrum = _solve_point(params, params.phi_ext, n_levels, {})
     return spectrum.levels.copy(), phase_matrix(params, spectrum)
 
 
@@ -234,16 +287,19 @@ def spectrum_sweep(
 ) -> list[tuple[float, EnergySpectrum]]:
     """Eigensystem at each flux in ``flux_grid``; rows are independent.
 
-    The flux-free terms of H are computed once for the whole grid.
+    Each row is the single-point solve at its flux; the flux-free terms of
+    each rung are computed once for the whole grid.
     """
     flux_grid = list(flux_grid)
     if not flux_grid:
         raise ValueError("flux_grid must be non-empty")
-    terms = _flux_free_terms(params)
+    terms = {}
     rows = []
     for idx, flux in enumerate(flux_grid):
+        if not np.isfinite(flux):
+            raise ValueError(f"sweep row {idx}: flux must be finite, got {flux}")
         try:
-            spec = eigensystem(_assemble(params.replace(phi_ext=flux), terms), n_levels)
+            spec = _solve_point(params, flux, n_levels, terms)
         except NumericalError as exc:
             raise NumericalError(f"sweep row {idx} (flux={flux}): {exc}") from exc
         rows.append((float(flux), spec))
@@ -259,9 +315,8 @@ class ResetFlux:
     f01_ghz: float
 
 
-def _f01(params: FluxoniumParams, terms, flux: float) -> float:
-    spec = eigensystem(_assemble(params.replace(phi_ext=flux), terms), 2)
-    return float(spec.levels[1])
+def _f01(params: FluxoniumParams, terms: dict, flux: float) -> float:
+    return float(_solve_point(params, flux, 2, terms).levels[1])
 
 
 def find_reset_flux(
@@ -272,11 +327,11 @@ def find_reset_flux(
     Walks a dense grid from 0.5 downward and stops at the first grid step
     that brackets the target, the crossing closest to the sweet spot, then
     refines it with a bracketing root-finder; the scan and every root-finder
-    evaluation share one set of flux-free terms. The whole grid is evaluated
-    only when no step brackets the target: then NoSolutionError names the
-    attainable band, f01(0.5) up to the grid's largest f01. A non-finite
-    ``f_target``, or a ``scan_points`` that is not an integer >= 2, raises
-    ValueError before any eigensolve.
+    evaluation are single-point solves that share each rung's flux-free
+    terms. The whole grid is evaluated only when no step brackets the
+    target: then NoSolutionError names the attainable band, f01(0.5) up to
+    the grid's largest f01. A non-finite ``f_target``, or a ``scan_points``
+    that is not an integer >= 2, raises ValueError before any eigensolve.
     """
     if not np.isfinite(f_target):
         raise ValueError(f"f_target must be finite, got {f_target}")
@@ -284,7 +339,7 @@ def find_reset_flux(
         raise ValueError(f"scan_points must be an integer >= 2, got {scan_points!r}")
     from scipy.optimize import brentq
 
-    terms = _flux_free_terms(params)
+    terms = {}
     grid = np.linspace(0.5, 1e-3, scan_points)
     lo = _f01(params, terms, grid[0])
     if f_target == lo:

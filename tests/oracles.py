@@ -56,11 +56,13 @@ from uniflux.errors import (
     CalibrationError,
     FitError,
     NoSolutionError,
+    NumericalError,
     SaturationError,
     ScheduleError,
+    _is_integer,
 )
 from uniflux.filters import apply_iir
-from uniflux.fluxonium import ResetFlux, _f01, _flux_free_terms, phase_operator
+from uniflux.fluxonium import ResetFlux, _f01, _flux_free_terms, eigensystem
 from uniflux.pulsec import (
     EDGE,
     ENVELOPE,
@@ -105,6 +107,30 @@ def phase_grid_spectrum(ej, ec, el, phi_ext_phi0, n_levels=6, npts=30001):
     return vals - vals[0], element
 
 
+def phase_operator(params):
+    """Phase operator (relative to the inductive minimum) in the oscillator basis."""
+    n = params.basis_size
+    ladder = np.diag(np.sqrt(np.arange(1, n)), 1)
+    return (ladder + ladder.T) * (params.phi_zpf)
+
+
+def operator_phase_matrix(params, spectrum):
+    """<i|phi|j> on the retained eigenstates as V^T phi_op V with the n x n
+    phase operator; the package forms V^T a V from the ladder alone."""
+    vecs = spectrum._vectors
+    return vecs.T @ phase_operator(params.replace(basis_size=len(vecs))) @ vecs
+
+
+def loop_sign_fix(vecs):
+    """Reference eigenvector sign fix, one column at a time: each column's
+    largest-magnitude component made positive. Changes ``vecs`` in place."""
+    for k in range(vecs.shape[1]):
+        lead = np.argmax(np.abs(vecs[:, k]))
+        if vecs[lead, k] < 0:
+            vecs[:, k] = -vecs[:, k]
+    return vecs
+
+
 def tridiagonal_flux_free_terms(params):
     """Reference flux-free terms: one eigendecomposition per circuit.
 
@@ -144,7 +170,7 @@ def scanned_reset_flux(params, f_target: float, scan_points: int = 160):
     """
     from scipy.optimize import brentq
 
-    terms = _flux_free_terms(params)
+    terms = {}
     grid = np.linspace(0.5, 1e-3, scan_points)
     f01s = np.array([_f01(params, terms, g) for g in grid])
     lo, hi = f01s[0], float(f01s.max())
@@ -164,6 +190,82 @@ def scanned_reset_flux(params, f_target: float, scan_points: int = 160):
             return ResetFlux(float(root), 0.5 - float(root), f_target)
     raise NoSolutionError(  # pragma: no cover - guarded by band check
         f"no crossing found for f_target={f_target} GHz"
+    )
+
+
+# The fixed-basis flux paths: every flux point solved at params.basis_size.
+# The package climbs a ladder of basis sizes per point instead; these keep
+# the single-basis sweep and reset search it replaced, as references.
+
+
+def _fixed_basis_assemble(params, terms) -> np.ndarray:
+    """H at ``params.phi_ext`` from the flux-free terms of the same circuit."""
+    lc, cos_phi, sin_phi = terms
+    phi_dc = 2.0 * np.pi * params.phi_ext
+    h = np.diag(lc) - params.e_j * (cos_phi * np.cos(phi_dc) + sin_phi * np.sin(phi_dc))
+    return (h + h.T) / 2.0
+
+
+def fixed_basis_spectrum_sweep(params, flux_grid, n_levels: int = 6):
+    """Eigensystem at each flux in ``flux_grid``; rows are independent.
+
+    The flux-free terms of H are computed once for the whole grid.
+    """
+    flux_grid = list(flux_grid)
+    if not flux_grid:
+        raise ValueError("flux_grid must be non-empty")
+    terms = _flux_free_terms(params)
+    rows = []
+    for idx, flux in enumerate(flux_grid):
+        try:
+            spec = eigensystem(_fixed_basis_assemble(params.replace(phi_ext=flux), terms), n_levels)
+        except NumericalError as exc:
+            raise NumericalError(f"sweep row {idx} (flux={flux}): {exc}") from exc
+        rows.append((float(flux), spec))
+    return rows
+
+
+def _fixed_basis_f01(params, terms, flux: float) -> float:
+    spec = eigensystem(_fixed_basis_assemble(params.replace(phi_ext=flux), terms), 2)
+    return float(spec.levels[1])
+
+
+def fixed_basis_reset_flux(params, f_target: float, scan_points: int = 160):
+    """Flux phi* in (0, 0.5) nearest 0.5 where f01(phi*) equals ``f_target``.
+
+    Walks a dense grid from 0.5 downward and stops at the first grid step
+    that brackets the target, the crossing closest to the sweet spot, then
+    refines it with a bracketing root-finder; the scan and every root-finder
+    evaluation share one set of flux-free terms. The whole grid is evaluated
+    only when no step brackets the target: then NoSolutionError names the
+    attainable band, f01(0.5) up to the grid's largest f01. A non-finite
+    ``f_target``, or a ``scan_points`` that is not an integer >= 2, raises
+    ValueError before any eigensolve.
+    """
+    if not np.isfinite(f_target):
+        raise ValueError(f"f_target must be finite, got {f_target}")
+    if not _is_integer(scan_points) or scan_points < 2:
+        raise ValueError(f"scan_points must be an integer >= 2, got {scan_points!r}")
+    from scipy.optimize import brentq
+
+    terms = _flux_free_terms(params)
+    grid = np.linspace(0.5, 1e-3, scan_points)
+    lo = _fixed_basis_f01(params, terms, grid[0])
+    if f_target == lo:
+        return ResetFlux(0.5, 0.0, lo)
+    f01s = [lo]
+    for k in range(len(grid) - 1):
+        f01s.append(_fixed_basis_f01(params, terms, grid[k + 1]))
+        # below the sweet-spot minimum no bracket counts
+        if lo <= f_target and (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
+            root = brentq(
+                lambda x: _fixed_basis_f01(params, terms, x) - f_target,
+                grid[k + 1], grid[k], xtol=1e-10,
+            )
+            return ResetFlux(float(root), 0.5 - float(root), float(f_target))
+    raise NoSolutionError(
+        f"f_target={f_target} GHz outside attainable band "
+        f"[{lo:.4f}, {max(f01s):.4f}] GHz on flux in (0, 0.5]"
     )
 
 

@@ -912,7 +912,8 @@ def test_device_registry_loads_and_validates():
 
 # ---------------------------------------------------------------------------
 # exit-code matrix: 2 the command line is wrong, 3 an input file is wrong or a
-# domain error occurred; either way exactly one stderr line and no warning
+# domain error occurred, 4 a numerical result failed its convergence check;
+# in every case exactly one stderr line and no warning
 # ---------------------------------------------------------------------------
 
 # Written under tmp_path before each case; None makes a directory.
@@ -1026,6 +1027,9 @@ _EXIT_CODE_CASES = [
     ("spectrum-one-level", ("spectrum", "--levels", "1"), 2, "argument --levels:"),
     ("spectrum-levels-over-a-third-of-basis", ("spectrum", "--levels", "50"), 2,
      "--levels 50 exceeds 40"),
+    # at flux 0 the reference circuit keeps 1.0e-5 of level 1 in the top 4 of 24 states
+    ("spectrum-basis-too-small", ("spectrum", "--basis-size", "24", "--levels", "4"), 4,
+     "sweep row 0 (flux=0.0): basis 24 too small: level"),
     ("spectrum-negative-exponent",
      ("spectrum", "--from", "-1e-3", "--to", "0.01", "-n", "2", "--levels", "2"), 0, None),
     # tradeoff

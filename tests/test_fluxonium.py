@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniflux import fluxonium
-from uniflux.errors import NoSolutionError
+from uniflux.errors import NoSolutionError, NumericalError
 
 from oracles import (
     cosm_hamiltonian,
+    fixed_basis_reset_flux,
+    fixed_basis_spectrum_sweep,
+    loop_sign_fix,
+    operator_phase_matrix,
     phase_grid_spectrum,
     scanned_reset_flux,
     tridiagonal_flux_free_terms,
@@ -26,6 +30,14 @@ def _circuits(count, seed, **kwargs):
         )
         for _ in range(count)
     ]
+
+
+# The (E_J, E_L) corners of the criterion-01 ranges at both E_C extremes;
+# E_J 9, E_L 0.3 needs the top rung, basis 120, at every flux.
+CORNERS = [
+    fluxonium.FluxoniumParams(e_j=e_j, e_c=e_c, e_l=e_l)
+    for e_j in (2.0, 9.0) for e_l in (0.3, 1.8) for e_c in (0.6, 2.0)
+]
 
 
 def test_harmonic_limit_spacing():
@@ -149,21 +161,94 @@ def test_hamiltonian_matches_cosm_reference(basis_size):
 
 
 def test_spectrum_sweep_rows_equal_single_builds():
+    # each row is the single-point solve at its flux, and that solve is the
+    # fixed-basis build and eigensolve at the rung it stopped on
     grid = [-0.7, 0.0, 0.2, 0.5, 0.5 + 1e-9, 1.3]
-    rows = fluxonium.spectrum_sweep(REFERENCE_PARAMS, grid, 4)
-    assert [flux for flux, _ in rows] == grid
-    for flux, spec in rows:
-        single = fluxonium.eigensystem(
-            fluxonium.build_hamiltonian(REFERENCE_PARAMS.replace(phi_ext=flux)), 4
-        )
-        np.testing.assert_array_equal(spec.levels, single.levels)
-        np.testing.assert_array_equal(spec._vectors, single._vectors)
+    corner = fluxonium.FluxoniumParams(e_j=9.0, e_c=0.6, e_l=0.3)
+    for params in (REFERENCE_PARAMS, corner, *_circuits(4, 43)):
+        rows = fluxonium.spectrum_sweep(params, grid, 4)
+        assert [flux for flux, _ in rows] == grid
+        for flux, spec in rows:
+            for single in (
+                fluxonium._solve_point(params, flux, 4, {}),
+                fluxonium.eigensystem(fluxonium.build_hamiltonian(
+                    params.replace(phi_ext=flux, basis_size=len(spec._vectors))), 4),
+            ):
+                np.testing.assert_array_equal(spec.levels, single.levels)
+                np.testing.assert_array_equal(spec._vectors, single._vectors)
+                assert spec.tail_weight == single.tail_weight
+
+
+def test_ladder_sweeps_agree_with_the_fixed_basis_oracle():
+    # rows solved on the smallest converged rung against every row at the
+    # top rung, basis 120: 7.7e-11 GHz and 8.0e-11 relative worst over 308
+    # circuits; at the E_J 9, E_L 0.3 corners basis 120 itself differs from
+    # basis 200 by up to 5.5e-11 GHz
+    rng = np.random.default_rng(53)
+    rungs = set()
+    for k, params in enumerate([*_circuits(100, 47), *CORNERS]):
+        n_levels = 2 + k % 5
+        grid = rng.uniform(-0.5, 1.5, 6)
+        got = fluxonium.spectrum_sweep(params, grid, n_levels)
+        want = fixed_basis_spectrum_sweep(params, grid, n_levels)
+        for (flux, spec), (want_flux, want_spec) in zip(got, want):
+            assert flux == want_flux
+            rungs.add(len(spec._vectors))
+            np.testing.assert_allclose(spec.levels, want_spec.levels, rtol=0, atol=1e-10)
+            m01 = abs(fluxonium.phase_matrix(params, spec)[0, 1])
+            want_m01 = abs(operator_phase_matrix(params, want_spec)[0, 1])
+            assert m01 == pytest.approx(want_m01, rel=1e-10, abs=0)
+    assert rungs == {60, 80, 100, 120}
+
+
+@pytest.mark.slow
+def test_ladder_reset_search_agrees_with_the_fixed_basis_oracle():
+    rng = np.random.default_rng(59)
+    for params in [*_circuits(100, 61), *CORNERS]:
+        want_f01 = fixed_basis_spectrum_sweep(params, [rng.uniform(0.25, 0.45)], 2)[0][1].levels[1]
+        got = fluxonium.find_reset_flux(params, want_f01, scan_points=48)
+        want = fixed_basis_reset_flux(params, want_f01, scan_points=48)
+        assert abs(got.flux_phi0 - want.flux_phi0) <= 1e-10
+        assert got.f01_ghz == want.f01_ghz
+
+
+def test_no_rung_below_three_times_the_levels_is_climbed(monkeypatch):
+    solves = []
+    solve = fluxonium.eigensystem
+    monkeypatch.setattr(
+        fluxonium, "eigensystem",
+        lambda h, n_levels: solves.append((len(h), n_levels)) or solve(h, n_levels),
+    )
+    # E_J 9, E_L 0.3, E_C 0.6 fails every rung below 120, so each point
+    # climbs every rung that holds its levels
+    corner = CORNERS[4].replace(basis_size=240)
+    for n_levels, ladder in [
+        (2, [60, 80, 100, 240]), (20, [60, 80, 100, 240]), (21, [80, 100, 240]),
+        (26, [80, 100, 240]), (27, [100, 240]), (33, [100, 240]), (34, [240]), (40, [240]),
+    ]:
+        for flux in (0.0, 0.5):
+            solves.clear()
+            fluxonium.spectrum_sweep(corner, [flux], n_levels)
+            assert solves == [(size, n_levels) for size in ladder]
+    # a point stops at its first converged rung; the reference circuit needs 80
+    solves.clear()
+    fluxonium.spectrum_sweep(REFERENCE_PARAMS.replace(basis_size=90), [0.5], 2)
+    assert solves == [(60, 2), (80, 2)]
+
+
+def test_phase_matrix_matches_the_operator_product():
+    # the ladder form against V^T phi_op V with the n x n phase operator
+    for params in [REFERENCE_PARAMS, *_circuits(20, 67), *CORNERS]:
+        spec = fluxonium._solve_point(params, params.phi_ext, 6, {})
+        got = fluxonium.phase_matrix(params, spec)
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_allclose(got, operator_phase_matrix(params, spec), rtol=0, atol=1e-13)
 
 
 def test_phase_matrix_is_shared_by_element_and_eigenbasis_paths():
     params = REFERENCE_PARAMS.replace(phi_ext=0.31)
     levels, matrix = fluxonium.eigenbasis_phase_matrix(params, 4)
-    spec = fluxonium.eigensystem(fluxonium.build_hamiltonian(params), 4)
+    spec = fluxonium._solve_point(params, params.phi_ext, 4, {})
     np.testing.assert_array_equal(levels, spec.levels)
     np.testing.assert_array_equal(matrix, fluxonium.phase_matrix(params, spec))
     np.testing.assert_allclose(matrix, matrix.T, rtol=0, atol=1e-13)
@@ -237,17 +322,25 @@ def test_one_phase_decomposition_per_basis_size(monkeypatch):
     calls = []
     solve = scipy.linalg.eigh_tridiagonal
     monkeypatch.setattr(
-        scipy.linalg, "eigh_tridiagonal", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
+        scipy.linalg, "eigh_tridiagonal",
+        lambda *args, **kw: calls.append(len(args[0])) or solve(*args, **kw),
     )
     fluxonium._phase_basis.cache_clear()
     dynamics._qubit_frame.cache_clear()
+    climbed = []
+    terms = fluxonium._flux_free_terms
+    monkeypatch.setattr(
+        fluxonium, "_flux_free_terms", lambda params: climbed.append(params.basis_size) or terms(params)
+    )
     circuits = _circuits(10, 41)
     for params in circuits[:5]:
         fluxonium.spectrum_sweep(params, np.linspace(0.0, 0.5, 3), 3)
     for params in circuits[5:]:
         dynamics._qubit_frame(params, 3)
     assert all(params.basis_size == 120 for params in circuits)
-    assert len(calls) == 1
+    # one decomposition per rung used, however many circuits climbed it
+    assert len(climbed) > len(set(climbed)) > 1
+    assert sorted(calls) == sorted(set(climbed))
 
 
 def test_spectrum_sweep_empty_grid():
@@ -255,8 +348,49 @@ def test_spectrum_sweep_empty_grid():
         fluxonium.spectrum_sweep(REFERENCE_PARAMS, [], 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_sweep_rejects_a_non_finite_flux(bad):
+    with pytest.raises(ValueError, match="sweep row 1: flux must be finite"):
+        fluxonium.spectrum_sweep(REFERENCE_PARAMS, [0.5, bad], 3)
+
+
+def test_too_small_a_basis_raises():
+    # the reference circuit keeps 3.8e-5 of level 3 in the top 4 of 24 states
+    small = REFERENCE_PARAMS.replace(basis_size=24)
+    with pytest.raises(NumericalError, match=r"basis 24 too small: level 3 has weight 3\.78e-05"):
+        fluxonium.eigensystem(fluxonium.build_hamiltonian(small), 4)
+    with pytest.raises(NumericalError, match=r"sweep row 0 \(flux=0\.5\): basis 24 too small"):
+        fluxonium.spectrum_sweep(small, [0.5, 0.0], 4)
+    for call in (
+        lambda: fluxonium.eigenbasis_phase_matrix(small, 4),
+        lambda: fluxonium.phase_matrix_element(small, 0, 1, n_levels=4),
+        lambda: fluxonium.find_reset_flux(small, 4.98),
+    ):
+        with pytest.raises(NumericalError, match="basis 24 too small"):
+            call()
+
+
+def test_every_criterion_01_circuit_passes_the_guard_at_basis_120():
+    # every row of the fixed-basis sweep goes through eigensystem's guard
+    worst = 0.0
+    for params in [REFERENCE_PARAMS, *_circuits(100, 71), *CORNERS]:
+        for _, spec in fixed_basis_spectrum_sweep(params, np.linspace(0.0, 0.5, 4), 6):
+            worst = max(worst, spec.tail_weight)
+    assert 4e-12 < worst <= fluxonium.TAIL_LIMIT
+
+
+def test_sign_fix_matches_the_column_loop():
+    import scipy.linalg
+
+    for params in [REFERENCE_PARAMS, *_circuits(40, 73), *CORNERS]:
+        h = fluxonium.build_hamiltonian(params.replace(phi_ext=0.3))
+        _, vecs = scipy.linalg.eigh(h, subset_by_index=(0, 5))
+        np.testing.assert_array_equal(fluxonium.eigensystem(h, 6)._vectors, loop_sign_fix(vecs))
+
+
 def test_find_reset_flux_fixed_point():
-    f_sweet = fluxonium.eigensystem(fluxonium.build_hamiltonian(REFERENCE_PARAMS), 2).levels[1]
+    # REFERENCE_PARAMS sits at the sweet spot, so this is the search's own solve
+    f_sweet = fluxonium.eigenbasis_phase_matrix(REFERENCE_PARAMS, 2)[0][1]
     sol = fluxonium.find_reset_flux(REFERENCE_PARAMS, f_sweet)
     assert sol.excursion_phi0 == 0.0
 
@@ -286,8 +420,8 @@ def _reset_outcome(search, params, f_target, scan_points):
 
 
 def _f01_at(params, flux):
-    h = fluxonium.build_hamiltonian(params.replace(phi_ext=flux))
-    return fluxonium.eigensystem(h, 2).levels[1]
+    """f01 at ``flux`` from the single-point solve the reset search uses."""
+    return fluxonium.eigenbasis_phase_matrix(params.replace(phi_ext=flux), 2)[0][1]
 
 
 @pytest.mark.slow
@@ -313,7 +447,7 @@ def test_find_reset_flux_stops_scanning_at_the_first_bracket(monkeypatch):
     from scipy.optimize import brentq
 
     params, f_target, scan_points = REFERENCE_PARAMS, 4.98, 160
-    terms = fluxonium._flux_free_terms(params)
+    terms = {}
     grid = np.linspace(0.5, 1e-3, scan_points)
     f01s = np.array([fluxonium._f01(params, terms, g) for g in grid])
     bracket = int(np.flatnonzero((f01s[:-1] - f_target) * (f01s[1:] - f_target) <= 0)[0])
@@ -323,10 +457,11 @@ def test_find_reset_flux_stops_scanning_at_the_first_bracket(monkeypatch):
     )
     assert bracket + 2 < scan_points  # a full scan would exceed the budget below
 
+    # the budget counts single-point solves, each of which may climb rungs
     calls = []
-    solve = fluxonium.eigensystem
+    solve = fluxonium._solve_point
     monkeypatch.setattr(
-        fluxonium, "eigensystem", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
+        fluxonium, "_solve_point", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
     )
     fluxonium.find_reset_flux(params, f_target, scan_points=scan_points)
     assert len(calls) <= bracket + 2 + info.function_calls
