@@ -198,7 +198,7 @@ def test_ladder_sweeps_agree_with_the_fixed_basis_oracle():
             m01 = abs(fluxonium.phase_matrix(params, spec)[0, 1])
             want_m01 = abs(operator_phase_matrix(params, want_spec)[0, 1])
             assert m01 == pytest.approx(want_m01, rel=1e-10, abs=0)
-    assert rungs == {60, 80, 100, 120}
+    assert rungs == {80, 100, 120}
 
 
 @pytest.mark.slow
@@ -223,17 +223,22 @@ def test_no_rung_below_three_times_the_levels_is_climbed(monkeypatch):
     # climbs every rung that holds its levels
     corner = CORNERS[4].replace(basis_size=240)
     for n_levels, ladder in [
-        (2, [60, 80, 100, 240]), (20, [60, 80, 100, 240]), (21, [80, 100, 240]),
+        (2, [80, 100, 240]), (20, [80, 100, 240]), (21, [80, 100, 240]),
         (26, [80, 100, 240]), (27, [100, 240]), (33, [100, 240]), (34, [240]), (40, [240]),
     ]:
         for flux in (0.0, 0.5):
             solves.clear()
             fluxonium.spectrum_sweep(corner, [flux], n_levels)
             assert solves == [(size, n_levels) for size in ladder]
-    # a point stops at its first converged rung; the reference circuit needs 80
-    solves.clear()
-    fluxonium.spectrum_sweep(REFERENCE_PARAMS.replace(basis_size=90), [0.5], 2)
-    assert solves == [(60, 2), (80, 2)]
+    # a point stops at its first converged rung: the reference circuit at the
+    # bottom, E_J 9, E_C 1, E_L 0.5 one rung below the top
+    for params, ladder in [
+        (REFERENCE_PARAMS.replace(basis_size=90), [80]),
+        (fluxonium.FluxoniumParams(e_j=9.0, e_c=1.0, e_l=0.5), [80, 100]),
+    ]:
+        solves.clear()
+        fluxonium.spectrum_sweep(params, [0.5], 2)
+        assert solves == [(size, 2) for size in ladder]
 
 
 def test_phase_matrix_matches_the_operator_product():
