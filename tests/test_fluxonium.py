@@ -181,7 +181,7 @@ def test_spectrum_sweep_rows_equal_single_builds():
 
 def test_ladder_sweeps_agree_with_the_fixed_basis_oracle():
     # rows solved on the smallest converged rung against every row at the
-    # top rung, basis 120: 7.7e-11 GHz and 8.0e-11 relative worst over 308
+    # top rung, basis 120: 6.6e-11 GHz and 3.4e-11 relative worst over 308
     # circuits; at the E_J 9, E_L 0.3 corners basis 120 itself differs from
     # basis 200 by up to 5.5e-11 GHz
     rng = np.random.default_rng(53)
