@@ -30,6 +30,10 @@ ideal mode is the closed-form depolarizing decay 0.5 + 0.5 p^m (Magesan,
 Gambetta and Emerson, PRL 106, 180504 (2011)); its waveform mode compiles
 every sampled Clifford sequence to a PulseProgram and evolves it.
 
+Every drive reaches the channel through `_prepare`, the one place that
+pre-distorts it, and plays inside _QUIET_NS = 40 ns of zeros on both sides:
+`cosine_drive`'s margins, or the padding around an RB sequence.
+
 Single-qubit Cliffords use the canonical {+/-X_pi/2, virtual-Z} decomposition
 shipped as package data (ops plus matrices, 4 virtual-Z-only entries, 16 with
 one physical pulse, 4 with two); the tests check that the table closes under
@@ -54,6 +58,7 @@ from .waveform import Waveform
 DEFAULT_LEVELS = 4
 DEFAULT_TIME_STEP = 0.005  # ns; halving it moves final populations < 1e-7
 DRIVE_SAMPLE_RATE = 1.0  # GS/s of every drive pulse and RB program
+_QUIET_NS = 40.0  # ns of zeros on each side of every drive, so no pulse rings across its ends
 CLIFFORD_COUNT = 24
 
 # Program-emission conventions, fixed against the shipped Clifford matrices
@@ -311,10 +316,15 @@ class _Shape:
         return len(self.mids) // self.steps_per_sample / self.sample_rate
 
 
-def _prepare(scenario: DriveScenario, w: Waveform) -> _Shape:
-    """The amplitude-free half of `evolve`: the channel (`apply_transfer`,
-    which checks the waveform), the scaling to delta_phi, `_step_midpoints`
-    and the scenario fingerprint."""
+def _prepare(scenario: DriveScenario, w: Waveform, predistortion: bool = False) -> _Shape:
+    """The amplitude-free half of `evolve`: the compensation when asked
+    (`predistort_drive` at f01, the one place a drive is compensated), the
+    channel (`apply_transfer`, which checks the waveform), the scaling to
+    delta_phi, `_step_midpoints` and the scenario fingerprint. ``peak`` is
+    that of the waveform the AWG plays, compensation included."""
+    if predistortion:
+        w = predistort_drive(w, scenario.channel,
+                             _qubit_frame(scenario.qubit, scenario.levels)[0][1])
     # `_drive` checks that the step divides the sample period; until then an
     # undivided period only rounds to the nearest whole step count.
     k = max(1, int(round(1.0 / w.sample_rate / scenario.time_step)))
@@ -422,7 +432,7 @@ def rotating_frame(unitary: np.ndarray, levels_ghz: np.ndarray,
 
 
 def cosine_drive(duration_ns: float, amplitude_v: float, frequency_ghz: float,
-                 *, lead_ns: float = 40.0, tail_ns: float = 40.0) -> Waveform:
+                 *, lead_ns: float = _QUIET_NS, tail_ns: float = _QUIET_NS) -> Waveform:
     """Cosine-envelope pulse with quiet margins, sampled at DRIVE_SAMPLE_RATE.
 
     The carrier is cos(2 pi f t) on the global time axis, with t = 0 at the
@@ -510,10 +520,11 @@ def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float =
     """Excited-state population over a grid of drive amplitudes (volts).
 
     One ``duration_ns`` cosine pulse at ``drive_frequency_ghz`` (default
-    f01), optionally pre-distorted, passes through the scenario channel once
+    f01), pre-distorted when asked, passes through the scenario channel once
     (`_prepare`); each grid point drives that shape at its amplitude and
     reads the final excited population. The grid must be non-empty, and
-    the drive frequency below the Nyquist frequency of DRIVE_SAMPLE_RATE.
+    the drive frequency below the Nyquist frequency of DRIVE_SAMPLE_RATE,
+    which is checked before the pulse is built.
     """
     grid = [float(a) for a in amplitudes]
     if not grid:
@@ -521,20 +532,10 @@ def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float =
     f_d = drive_frequency_ghz
     if f_d is None:
         f_d = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
-    shape = _prepare(scenario, drive_pulse(scenario, 1.0, duration_ns, f_d, predistortion))
     _check_sampled(f_d)
+    shape = _prepare(scenario, cosine_drive(duration_ns, 1.0, f_d), predistortion)
     pops = [float(_drive(shape, a).populations[-1, 1]) for a in grid]
     return RabiCurve(grid=tuple(grid), populations=tuple(pops))
-
-
-def drive_pulse(scenario: DriveScenario, amplitude_v: float, duration_ns: float,
-                frequency_ghz: float, predistortion: bool = True) -> Waveform:
-    """One cosine pulse at the AWG, pre-distorted for the scenario channel when asked."""
-    w = cosine_drive(duration_ns, amplitude_v, frequency_ghz)
-    if predistortion:
-        w = predistort_drive(w, scenario.channel,
-                             _qubit_frame(scenario.qubit, scenario.levels)[0][1])
-    return w
 
 
 @dataclass(frozen=True)
@@ -585,8 +586,7 @@ class _Rotations:
         self.amplitudes = (0.3 * self.start, 2.2 * self.start)
         self.frequencies = (f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4)
         self.propagations, self.last, self._frequency = 0, None, f01
-        self._shape = _prepare(scenario, drive_pulse(scenario, 1.0, duration_ns, f01,
-                                                     predistortion))
+        self._shape = _prepare(scenario, cosine_drive(duration_ns, 1.0, f01), predistortion)
         peak, vmax = self.start * self._shape.peak, scenario.line.awg_vmax
         if peak > vmax * (1.0 + 1e-12):
             raise SaturationError(
@@ -612,8 +612,8 @@ class _Rotations:
         scenario = self.scenario
         if frequency != self._frequency:
             self._frequency = frequency
-            self._shape = _prepare(scenario, drive_pulse(
-                scenario, 1.0, self.duration_ns, frequency, self.predistortion))
+            self._shape = _prepare(scenario, cosine_drive(self.duration_ns, 1.0, frequency),
+                                   self.predistortion)
         self.propagations += 1
         frame = _qubit_frame(scenario.qubit, scenario.levels)[0].copy()
         detuning = frame[1] - frequency
@@ -905,16 +905,6 @@ def build_rb_program(indices, gate: RbGate, sample_rate: float,
     )
 
 
-def _waveform_survival(scenario, program, config) -> float:
-    compiled = pulsec.compile(program, config)
-    synthesized = pulsec.synthesize(compiled, config)
-    if len(synthesized) < 2:
-        return 1.0  # virtual-Z-only sequence: no drive, ground state survives
-    volts = synthesized.with_samples(synthesized.samples * scenario.line.awg_vmax)
-    outcome = evolve(scenario, volts)
-    return float(outcome.populations[-1, 0])
-
-
 def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
            seed: int, interleaved: int | None = None, *, mode: str = "ideal",
            depolarizing: float = 1.0, gate: RbGate | None = None) -> tuple:
@@ -926,9 +916,12 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
     sequence of length m survives with 0.5 + 0.5 p^m; ``seed``,
     ``interleaved`` and ``gate`` change nothing there. ``mode="waveform"``
     samples each sequence from the seed, inserts ``interleaved`` after each
-    random Clifford, appends the recovery, and compiles, synthesizes (at
-    DRIVE_SAMPLE_RATE, so the carrier must lie below its Nyquist frequency)
-    and evolves its program through the scenario.
+    random Clifford, appends the recovery, and compiles and synthesizes its
+    program (at DRIVE_SAMPLE_RATE, so the carrier must lie below its Nyquist
+    frequency). The synthesized sequence, at full scale ``awg_vmax``, plays
+    inside _QUIET_NS of zeros on both sides, as every drive does, and
+    `evolve` reads its ground-state survival; a sequence of virtual Z's
+    alone plays only the silence and survives exactly.
     """
     lengths = [int(m) for m in lengths]
     if not lengths or any(m < 1 for m in lengths):
@@ -962,7 +955,10 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
             try:
                 program = build_rb_program(applied + [recovery_index(applied)], gate,
                                            config.sample_rate, carrier)
-                survival = _waveform_survival(scenario, program, config)
+                played = pulsec.synthesize(pulsec.compile(program, config), config)
+                quiet = round(_QUIET_NS * played.sample_rate)  # samples on each side
+                volts = np.pad(played.samples * scenario.line.awg_vmax, quiet)
+                survival = float(evolve(scenario, played.with_samples(volts)).populations[-1, 0])
             except UnifluxError as exc:
                 raise type(exc)(
                     f"sequence (length={length}, index={seq_index}): {exc}"

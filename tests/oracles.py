@@ -27,6 +27,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import curve_fit
 from scipy.signal import lfilter
 
+from uniflux import pulsec
 from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord, _probe_design_matrix
 from uniflux.dynamics import (
     CLIFFORD_COUNT,
@@ -46,8 +47,8 @@ from uniflux.dynamics import (
     _qubit_frame,
     _rwa_pi_amplitude,
     _tree_product,
+    build_rb_program,
     cosine_drive,
-    drive_pulse,
     evolve,
     predistort_drive,
     rotating_frame,
@@ -538,11 +539,21 @@ def midpoint_propagate(levels, phi_mat, e_l, dphi_mid, h, record_every):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _excited_population(scenario, amplitude_v, duration_ns, frequency_ghz,
-                        predistortion, f01) -> float:
+def drive_pulse(scenario: DriveScenario, amplitude_v: float, duration_ns: float,
+                frequency_ghz: float, predistortion: bool = True) -> Waveform:
+    """One cosine pulse at the AWG, pre-distorted for the scenario channel
+    when asked: the drive built whole at its amplitude, before the channel,
+    where the package's `_prepare` compensates a unit shape itself."""
     w = cosine_drive(duration_ns, amplitude_v, frequency_ghz)
     if predistortion:
-        w = predistort_drive(w, scenario.channel, f01)
+        w = predistort_drive(w, scenario.channel,
+                             _qubit_frame(scenario.qubit, scenario.levels)[0][1])
+    return w
+
+
+def _excited_population(scenario, amplitude_v, duration_ns, frequency_ghz,
+                        predistortion) -> float:
+    w = drive_pulse(scenario, amplitude_v, duration_ns, frequency_ghz, predistortion)
     return float(evolve(scenario, w).populations[-1, 1])
 
 
@@ -592,7 +603,7 @@ def population_calibrate_pi(scenario: DriveScenario, duration_ns: float,
         raise ValueError("bracket must satisfy 0 <= lo < hi")
 
     def objective(a):
-        return _excited_population(scenario, a, duration_ns, f_d, predistortion, f01)
+        return _excited_population(scenario, a, duration_ns, f_d, predistortion)
 
     coarse = np.linspace(lo, hi, 17)
     values = [objective(a) for a in coarse]
@@ -627,7 +638,7 @@ def population_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: f
 
     def best_population(f_d):
         def objective(a):
-            return _excited_population(scenario, a, duration_ns, f_d, predistortion, f01)
+            return _excited_population(scenario, a, duration_ns, f_d, predistortion)
         amp = golden_section_max(objective, 0.8 * estimate, 1.3 * estimate, 1e-6)
         return objective(amp)
 
@@ -711,6 +722,38 @@ def nested_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float
 
     frequency = _secant(tilt, lo, tilt(lo), hi, lo, hi, "drive-frequency")
     return amplitude[0], frequency
+
+
+# ---------------------------------------------------------------------------
+# randomized benchmarking: a sequence played with margins of any width
+# ---------------------------------------------------------------------------
+
+
+def padded_rb_survivals(scenario: DriveScenario, gate, length: int, sequences: int,
+                        seed: int, quiet_ns: float) -> list:
+    """Ground-state survivals of ``sequences`` random sequences of ``length``
+    Cliffords, drawn from ``seed`` as waveform-mode `run_rb` draws them (no
+    interleaving) and closed by the recovery the rounded-key lookup finds.
+    Each program is compiled and synthesized at DRIVE_SAMPLE_RATE, scaled to
+    ``awg_vmax`` and evolved with ``quiet_ns`` of zeros before and after it."""
+    f01 = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
+    carrier = f01 if gate.drive_frequency_ghz is None else gate.drive_frequency_ghz
+    config = pulsec.SynthesisConfig(sample_rate=DRIVE_SAMPLE_RATE)
+    quiet = np.zeros(int(round(quiet_ns * DRIVE_SAMPLE_RATE)))
+    rng = np.random.default_rng(seed)
+    survivals = []
+    for _ in range(sequences):
+        indices = [int(i) for i in rng.integers(0, CLIFFORD_COUNT, size=length)]
+        total = np.eye(2, dtype=complex)
+        for i in indices:
+            total = clifford_matrix(i) @ total
+        program = build_rb_program(indices + [clifford_index_of(total.conj().T)], gate,
+                                   DRIVE_SAMPLE_RATE, carrier)
+        played = pulsec.synthesize(pulsec.compile(program, config), config).samples
+        volts = np.concatenate([quiet, played * scenario.line.awg_vmax, quiet])
+        survivals.append(float(evolve(scenario, Waveform(volts, DRIVE_SAMPLE_RATE))
+                               .populations[-1, 0]))
+    return survivals
 
 
 # ---------------------------------------------------------------------------

@@ -976,6 +976,8 @@ _INPUT_FILES = {
         '"time_step_ns": 0.01}'
     ),
     "flat-channel.json": '{"channel": {"kind": "flat"}, "levels": 2, "time_step_ns": 0.05}',
+    # a 1 MHz Gaussian, whose |H| underflows to 0 at f01 = 0.224 GHz
+    "deaf-channel.json": '{"channel": {"kind": "gaussian", "f_c": 0.001}}',
     # f01 = 0.858 GHz, above the 0.5 GHz Nyquist frequency of the 1 GS/s drive sampling
     "flux-0.45-wide-channel.json": (
         '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.45}, '
@@ -1127,8 +1129,13 @@ _EXIT_CODE_CASES = [
      ("simulate", "gate", "--no-predistort", "--scenario", "{tmp}/zero-flux.json"), 3,
      "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
     ("simulate-rabi-channel-passes-nothing-at-f01",
-     ("simulate", "rabi", "--scenario", "{tmp}/zero-flux.json"), 3,
-     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
+     ("simulate", "rabi", "--scenario", "{tmp}/deaf-channel.json"), 3,
+     "the channel passes nothing at f01 = 0.223769 GHz (|H| = 0): no drive reaches the qubit"),
+    # a Rabi drive is checked against the sampling before it is built and compensated
+    ("simulate-rabi-at-f01-5.4-ghz",
+     ("simulate", "rabi", "--points", "3", "--scenario", "{tmp}/zero-flux.json"), 3,
+     "a drive at 5.4039 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
     ("simulate-rabi-uncompensated-at-f01-5.4-ghz",
      ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
       "{tmp}/zero-flux.json"), 3,

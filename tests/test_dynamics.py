@@ -441,7 +441,7 @@ def test_top_level_population_falls_as_levels_grow():
         scenario = DriveScenario(QUBIT, LINE, GAUSS, levels=levels)
         f01 = dynamics.qubit_frame(scenario)[0][1]
         amp = dynamics.calibrate_pi(scenario, 20.0).amplitude_v
-        pulse = dynamics.drive_pulse(scenario, amp, 20.0, f01)
+        pulse = oracles.drive_pulse(scenario, amp, 20.0, f01)
         tops.append(oracles.scanned_trajectory(scenario, pulse)[2])
     assert tops[0] > tops[1] > tops[2] > 0.0
 
@@ -524,6 +524,40 @@ def test_cosine_drive_layout():
     np.testing.assert_allclose(samples[25:], 0.0, atol=0)
     # zero-frequency carrier leaves the raised-cosine envelope itself
     assert samples[5 + 10] == pytest.approx(0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.3e-3], ids=["f01", "f01+2.3MHz"])
+@pytest.mark.parametrize("duration", [20.0, 24.0, 32.0])
+def test_cosine_drive_is_the_pulse_the_compiler_emits(duration, offset):
+    # the calibrations' closed form against Delay 40, one full-scale play,
+    # Delay 40 at the same carrier (measured 3.2e-15 to 4.9e-15)
+    primitive = pulsec.PulsePrimitive(
+        id="pulse", samples=tuple(pulsec.cosine_envelope(duration, 1.0)), sample_rate=1.0)
+    program = pulsec.PulseProgram(
+        instructions=(pulsec.Delay(40.0), pulsec.PlayXY("pulse", amplitude=1.0),
+                      pulsec.Delay(40.0)),
+        primitives={"pulse": primitive},
+        initial_carrier=F01 + offset,
+    )
+    config = pulsec.SynthesisConfig(sample_rate=dynamics.DRIVE_SAMPLE_RATE)
+    emitted = pulsec.synthesize(pulsec.compile(program, config), config)
+    closed = dynamics.cosine_drive(duration, 1.0, F01 + offset)
+    assert len(emitted) == len(closed) == 80 + duration
+    assert np.abs(emitted.samples - closed.samples).max() <= 1e-14
+
+
+@pytest.mark.parametrize("predistortion", [True, False], ids=["predistorted", "uncompensated"])
+def test_prepare_compensates_as_the_pulse_built_whole(predistortion):
+    # `_prepare` pre-distorts the unit shape it is given: bit for bit the
+    # shape of the pulse compensated before the channel
+    for scenario, duration, frequency in ((GAUSS2, 20.0, F01),
+                                          (GAUSS2.replace(levels=3), 24.0, F01 + 2.3e-3)):
+        shape = dynamics._prepare(scenario, dynamics.cosine_drive(duration, 1.0, frequency),
+                                  predistortion)
+        whole = dynamics._prepare(scenario, oracles.drive_pulse(scenario, 1.0, duration,
+                                                                frequency, predistortion))
+        assert shape.peak == whole.peak
+        assert np.array_equal(shape.mids, whole.mids)
 
 
 def test_predistort_drive_requires_gaussian_channel():
@@ -723,7 +757,7 @@ def test_trimmed_calibration_transfers_no_less_than_the_population_oracle(
     assert p1 > 1.0 - 1e-10
     # The trimmed 2-level GAUSS2 pulse reads P1 = 1 + 1.4e-12; its fidelity
     # must stay bounded all the same.
-    pulse = dynamics.drive_pulse(scenario, amp, 20.0, f_d, predistortion)
+    pulse = oracles.drive_pulse(scenario, amp, 20.0, f_d, predistortion)
     metrics = dynamics.gate_fidelity(oracles.drive_frame_unitary(scenario, pulse, f_d), X_PI)
     assert 1.0 - 1e-10 < metrics.fidelity <= 1.0
     populations = dynamics.evolve(scenario, pulse).populations
@@ -794,7 +828,7 @@ def test_rabi_scan_matches_one_evolve_per_amplitude(predistortion):
     grid = np.linspace(0.2, 1.6, 5) * V_PI_20NS
     curve = dynamics.rabi_experiment(GAUSS2, amplitudes=grid, predistortion=predistortion)
     for a, p1 in zip(grid, curve.populations):
-        pulse = dynamics.drive_pulse(GAUSS2, a, 20.0, F01, predistortion)
+        pulse = oracles.drive_pulse(GAUSS2, a, 20.0, F01, predistortion)
         assert p1 == pytest.approx(dynamics.evolve(GAUSS2, pulse).populations[-1, 1],
                                    rel=0, abs=1e-11)
 
@@ -802,7 +836,7 @@ def test_rabi_scan_matches_one_evolve_per_amplitude(predistortion):
 def test_calibration_record_holds_the_propagator_of_its_amplitude():
     calibration = dynamics.calibrate_pi(GAUSS2, 20.0)
     f01 = float(dynamics.qubit_frame(GAUSS2)[0][1])
-    pulse = dynamics.drive_pulse(GAUSS2, calibration.amplitude_v, 20.0, f01)
+    pulse = oracles.drive_pulse(GAUSS2, calibration.amplitude_v, 20.0, f01)
     # the two propagations differ by rounding and the unitarity drift, ~2e-11
     np.testing.assert_allclose(
         calibration.unitary, oracles.drive_frame_unitary(GAUSS2, pulse, f01), rtol=0, atol=1e-10
@@ -1076,14 +1110,37 @@ def test_rb_program_structure():
 
 def test_rb_virtual_z_only_sequence_survives_exactly():
     # a sequence whose Cliffords (and recovery) are all virtual-Z compiles to
-    # an empty drive: ground-state survival is exactly 1
+    # an empty drive and plays only its margins: survival is exactly 1
     gate = RbGate(duration_ns=20.0, amplitude_dac=0.01)
-    config = pulsec.SynthesisConfig(sample_rate=1.0)
-    indices = [1, dynamics.recovery_index([1])]
+
+    def drawn(seed):  # the one Clifford run_rb draws for a length-1 sequence
+        return int(np.random.default_rng(seed).integers(0, dynamics.CLIFFORD_COUNT, size=1)[0])
+
+    seed = next(s for s in range(100) if all(op[0] == "vz" for op in dynamics.clifford_ops(drawn(s))))
+    indices = [drawn(seed), dynamics.recovery_index([drawn(seed)])]
     program = dynamics.build_rb_program(indices, gate, 1.0, F01)
     assert all(isinstance(instr, pulsec.VirtualZ) for instr in program.instructions)
-    survival = dynamics._waveform_survival(FLAT2, program, config)
-    assert survival == 1.0
+    for scenario in (FLAT2, GAUSS2.replace(levels=4, time_step=0.05)):
+        (record,) = dynamics.run_rb(scenario, [1], 1, seed, mode="waveform", gate=gate)
+        assert record.survival == 1.0
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_rb_sequences_play_inside_quiet_margins(seed):
+    # 320-Clifford sequences at 0.02 of full scale through a 0.1 GHz channel.
+    # Margins of 80 ns instead of 40 move survival by at most 1.7e-9 here,
+    # and 41 ns by up to 7e-9: the step midpoints interpolate periodically
+    # over the sample count, and the drive keeps content near the 0.5 GHz
+    # Nyquist frequency. No margins move it by 2.0e-5 to 2.8e-3.
+    scenario = DriveScenario(QUBIT, LINE, filters.gaussian_lowpass(0.1), levels=2,
+                             time_step=0.05)
+    gate = RbGate()
+    records = dynamics.run_rb(scenario, [320], 3, seed, mode="waveform", gate=gate)
+    survivals = [r.survival for r in records]
+    wider = oracles.padded_rb_survivals(scenario, gate, 320, 3, seed, quiet_ns=80.0)
+    np.testing.assert_allclose(survivals, wider, rtol=0, atol=5e-9)
+    bare = oracles.padded_rb_survivals(scenario, gate, 320, 3, seed, quiet_ns=0.0)
+    assert np.abs(np.subtract(survivals, bare)).min() > 1e-5
 
 
 def test_rb_waveform_mode_with_calibrated_gate():

@@ -273,3 +273,25 @@ def test_each_format_constant_lives_in_its_owner():
     )
     assert strays == [], f"format constants outside their owning module: {strays}"
 
+
+
+# ---------------------------------------------------------------------------
+# each step of the drive has one home
+# ---------------------------------------------------------------------------
+
+# Functions that one function in src/ alone may call: every drive reaches the
+# channel through `dynamics._prepare`, which alone pre-distorts it.
+CALL_OWNERS = {"predistort_drive": "dynamics._prepare"}
+
+
+def test_each_owned_function_has_one_caller():
+    callers = {}
+    for path in SOURCES:
+        for call, stack in _calls(ast.parse(path.read_text())):
+            callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if callee in CALL_OWNERS:
+                names = [fn.name for fn in stack if isinstance(fn, ast.FunctionDef)]
+                callers.setdefault(callee, set()).add(".".join([path.stem, *names]))
+    assert callers == {callee: {owner} for callee, owner in CALL_OWNERS.items()}, (
+        f"calls outside their owning function: {callers}"
+    )
