@@ -73,7 +73,7 @@ _CHUNK_STEPS = 65536  # steps per Chebyshev fit
 _BLOCK_STEPS = 8192  # steps per evaluation and tree product
 _CHEB_TAIL = 1e-16
 _SOLVE_TOL = 1e-10  # |theta - pi| and |n_z| at a calibration root
-_SOLVE_STEPS = 16  # iterations per secant or Newton solve
+_SOLVE_STEPS = 16  # iterations per Newton or Broyden solve
 _AMPLITUDE_TOL = 1e-6  # last amplitude step, relative, at the transfer maximum
 
 
@@ -630,20 +630,6 @@ class _Rotations:
         return self.last
 
 
-def _secant(residual, x0: float, r0: float, x1: float, what: str) -> float:
-    """Root of ``residual`` to 1e-10 by secant steps from (x0, r0) and x1.
-    The step cap reached raises CalibrationError; ``residual`` checks each
-    iterate against its own bracket."""
-    for _ in range(_SOLVE_STEPS):
-        r1 = residual(x1)
-        if abs(r1) < _SOLVE_TOL:
-            return x1
-        if r1 == r0:
-            break
-        x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
-    raise CalibrationError(f"{what} solve did not converge in {_SOLVE_STEPS} steps")
-
-
 def _check_bracket(x: float, lo: float, hi: float, what: str) -> None:
     if not lo <= x <= hi:
         raise CalibrationError(f"{what} solve left its bracket [{lo:.6g}, {hi:.6g}] at {x:.6g}")
@@ -653,12 +639,12 @@ def _maximize_transfer(tried, rotation) -> Calibration:
     """The pulse of largest P1 = 1 - |loss(a)|^2, by Newton steps on
     d|loss|^2/da from the last pulse tried. The loss's slope and curvature
     come from the quadratic through the last three amplitudes (a = 0, where
-    loss is the ground state, counts as one). Where the curvature term would
-    cut the second derivative below a quarter of its Gauss-Newton part it is
-    dropped, and no step exceeds a fifth of the amplitude. It stops once a
-    step falls below 1e-6 of the amplitude, which costs P1 less than 1e-11,
-    and returns the last pulse propagated; no convergence raises
-    CalibrationError."""
+    loss is the ground state, counts as one); with only two, from the line
+    through them, with no curvature. Where the curvature term would cut the
+    second derivative below a quarter of its Gauss-Newton part it is dropped,
+    and no step exceeds a fifth of the amplitude. It stops once a step falls
+    below 1e-6 of the amplitude, which costs P1 less than 1e-11, and returns
+    the last pulse propagated; no convergence raises CalibrationError."""
 
     def loss(pulse):  # the ground-state column without level 1: |loss|^2 = 1 - P1
         return np.delete(pulse.unitary[:, 0], 1)
@@ -667,7 +653,7 @@ def _maximize_transfer(tried, rotation) -> Calibration:
     points = [(0.0, np.eye(len(loss(best)))[0])] + [(p.amplitude_v, loss(p)) for p in tried]
     for _ in range(_SOLVE_STEPS):
         (a1, r1), (a2, r2) = points[-2:]
-        slope, curvature = (r2 - r1) / (a2 - a1), 0.0
+        slope, curvature = (r2 - r1) / (a2 - a1), np.zeros_like(r2)
         if len(points) > 2:
             a0, r0 = points[-3]
             curvature = 2.0 * (slope - (r1 - r0) / (a1 - a0)) / (a2 - a0)
@@ -689,15 +675,15 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
     """Pi pulse at f01: the amplitude (volts) of largest transfer P1, solved on
     the final unitary.
 
-    First theta = 2 arccos(Re tr V / 2), with V the pulse's {0,1} block in the
-    drive frame normalized by the root of its determinant, is solved to pi:
-    from the start a (`_Rotations`), a step a * pi / theta and then secant
-    steps reach |theta - pi| < 1e-10, usually in three propagations; since
-    theta(0) = 0, that first step is the secant step from (0, -pi). P1 =
-    sin^2(theta/2) (1 - n_z^2) peaks there only when the axis lies in the
-    equator (n_z = 0); Newton steps on the propagator's ground-state column
-    then move the amplitude to the P1 maximum, and cost no propagation when
-    n_z is already 0. The pulse shape is filtered once; each amplitude tried
+    The pulse at the start a (`_Rotations`, the RWA pi amplitude) is
+    propagated once; Newton steps on its propagator's ground-state column
+    (`_maximize_transfer`, anchored at a = 0, where that column is the
+    ground state) then move the amplitude to the P1 maximum. No theta = pi
+    solve comes first: P1 = sin^2(theta/2) (1 - n_z^2) peaks at theta = pi
+    only when the axis lies in the equator (n_z = 0), and the maximum is what
+    the gate needs. It usually takes three propagations with pre-distortion
+    and six or seven without, where the tilted axis moves the maximum far
+    from theta = pi. The pulse shape is filtered once; each amplitude tried
     only propagates it. An amplitude outside its bracket, or no convergence,
     raises CalibrationError.
 
@@ -706,14 +692,7 @@ def calibrate_pi(scenario: DriveScenario, duration_ns: float,
     """
     rotations = _Rotations(scenario, duration_ns, predistortion)
     f01 = rotations.frequencies[0]
-    tried = []
-
-    def excess(a):
-        tried.append(rotations(a, f01))
-        return tried[-1].theta - math.pi
-
-    _secant(excess, 0.0, -math.pi, rotations.start, "amplitude")
-    return _maximize_transfer(tried, lambda a: rotations(a, f01))
+    return _maximize_transfer([rotations(rotations.start, f01)], lambda a: rotations(a, f01))
 
 
 def calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,

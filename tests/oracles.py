@@ -32,14 +32,17 @@ from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord, _probe_
 from uniflux.dynamics import (
     CLIFFORD_COUNT,
     DRIVE_SAMPLE_RATE,
+    Calibration,
     DriveScenario,
     _CHUNK_STEPS,
+    _Rotations,
     _SOLVE_STEPS,
     _SOLVE_TOL,
     _chebyshev_fit,
     _chebyshev_steps,
     _check_bracket,
     _clifford_table,
+    _maximize_transfer,
     _multiply_planes,
     _net_carrier_gain,
     _phase_norm,
@@ -690,6 +693,24 @@ def _secant(residual, x0: float, r0: float, x1: float, lo: float, hi: float,
             break
         x0, x1, r0 = x1, x1 - r1 * (x1 - x0) / (r1 - r0), r1
     raise CalibrationError(f"{what} solve did not converge in {_SOLVE_STEPS} steps")
+
+
+def theta_first_calibrate_pi(scenario: DriveScenario, duration_ns: float,
+                             predistortion: bool = True) -> Calibration:
+    """The pi pulse of largest transfer at f01, found as `calibrate_pi` found
+    it before it went straight for the maximum: theta = pi solved to 1e-10 by
+    secant steps from (0, -pi) and the start (`_Rotations`), then Newton steps
+    (`_maximize_transfer`) from every pulse that solve propagated."""
+    rotations = _Rotations(scenario, duration_ns, predistortion)
+    f01 = rotations.frequencies[0]
+    tried = []
+
+    def excess(a):
+        tried.append(rotations(a, f01))
+        return tried[-1].theta - math.pi
+
+    _secant(excess, 0.0, -math.pi, rotations.start, *rotations.amplitudes, "amplitude")
+    return _maximize_transfer(tried, lambda a: rotations(a, f01))
 
 
 def nested_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float,

@@ -619,7 +619,8 @@ def test_calibrate_pi_with_and_without_predistortion_differ():
 
 def test_calibrate_pi_monotone_bracket_raises(monkeypatch):
     # A start at a fifth of the RWA amplitude puts the pi amplitude at 5x the
-    # start, beyond the bracket's 2.2x: the secant steps leave it.
+    # start, beyond the bracket's 2.2x: the Newton steps, each at most a fifth
+    # of the amplitude, leave it.
     rwa = dynamics._rwa_pi_amplitude
     monkeypatch.setattr(dynamics, "_rwa_pi_amplitude", lambda *args: 0.2 * rwa(*args))
     with pytest.raises(CalibrationError, match="amplitude solve left its bracket"):
@@ -739,6 +740,61 @@ def test_calibrate_pi_transfers_as_much_as_the_population_oracle(scenario, predi
     assert _p1(scenario, amp, predistortion) >= _p1(scenario, reference, predistortion) - 1e-5
 
 
+def _drawn_scenario(seed):
+    """A gate scenario near QUBIT, drawn as the benchmark and test_cli.py's
+    `_gate_scenario` draw them: 2 levels at 0.05 ns for even seeds, 3 levels
+    at 0.04 ns for odd."""
+    rng = np.random.default_rng(seed)
+    e_j, e_c, e_l = (float(ref * rng.uniform(0.97, 1.03)) for ref in (4.5, 1.1, 0.5))
+    channel = filters.gaussian_lowpass(float(rng.uniform(0.095, 0.12)))
+    return DriveScenario(fluxonium.FluxoniumParams(e_j=e_j, e_c=e_c, e_l=e_l), LINE, channel,
+                         levels=2 + seed % 2, time_step=(0.05, 0.04)[seed % 2])
+
+
+_THETA_FIRST_CASES = [
+    (f"{name}-{scenario.levels}", scenario, 20.0, predistortion)
+    for name, scenario, predistortion in _EQUIVALENCE_CASES
+] + [
+    (f"drawn-{seed}-{duration:g}ns-{'pre' if seed < 2 else 'raw'}", _drawn_scenario(seed),
+     duration, seed < 2)
+    for seed, duration in enumerate((20.0, 24.0, 24.0, 32.0))
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, duration, predistortion",
+    [case[1:] for case in _THETA_FIRST_CASES],
+    ids=[case[0] for case in _THETA_FIRST_CASES],
+)
+def test_calibrate_pi_matches_the_theta_first_oracle(scenario, duration, predistortion):
+    # A theta = pi solve used to come first and only fed the Newton steps.
+    # Without it the amplitude stays within the Newton stop, P1 within its
+    # rounding noise of about 1e-11, and fewer pulses are propagated.
+    got = dynamics.calibrate_pi(scenario, duration, predistortion)
+    want = oracles.theta_first_calibrate_pi(scenario, duration, predistortion)
+    assert got.amplitude_v == pytest.approx(want.amplitude_v, rel=dynamics._AMPLITUDE_TOL, abs=0)
+    assert abs(got.unitary[1, 0]) ** 2 >= abs(want.unitary[1, 0]) ** 2 - 2e-11
+    assert got.propagations < want.propagations
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+@pytest.mark.parametrize(
+    "scenario, predistortion", [(FLAT2, False), (GAUSS2, True)], ids=["flat", "gauss"]
+)
+def test_transfer_maximum_from_a_single_pulse(scenario, predistortion, levels):
+    # The first Newton step has two points, a = 0 and the start, and so no
+    # curvature; on more than two levels the loss column is a vector.
+    scenario = scenario.replace(levels=levels)
+    rotations = dynamics._Rotations(scenario, 20.0, predistortion)
+    f01 = rotations.frequencies[0]
+    got = dynamics._maximize_transfer([rotations(rotations.start, f01)],
+                                      lambda a: rotations(a, f01))
+    want = dynamics.calibrate_pi(scenario, 20.0, predistortion)
+    assert got.amplitude_v == want.amplitude_v
+    assert got.propagations == want.propagations
+    np.testing.assert_array_equal(got.unitary, want.unitary)
+
+
 @pytest.mark.parametrize(
     "scenario, predistortion", [(FLAT2, False), (GAUSS2, True)], ids=["flat", "gauss"]
 )
@@ -780,19 +836,23 @@ def _count_propagations(monkeypatch):
 @pytest.mark.parametrize(
     "scenario, predistortion", [(FLAT2, False), (GAUSS2, True)], ids=["flat", "gauss"]
 )
-def test_calibrate_pi_takes_at_most_five_evolves(monkeypatch, scenario, predistortion):
+def test_calibrate_pi_takes_at_most_three_evolves(monkeypatch, scenario, predistortion):
+    # the start and two Newton steps; the third falls below the stop and propagates nothing
     calls = _count_propagations(monkeypatch)
-    calibration = dynamics.calibrate_pi(scenario, 20.0, predistortion)
-    assert 1 <= len(calls) <= 5
-    assert calibration.propagations == len(calls)
+    for levels in (2, 3, 4):
+        calls.clear()
+        calibration = dynamics.calibrate_pi(scenario.replace(levels=levels), 20.0, predistortion)
+        assert 1 <= len(calls) <= 3
+        assert calibration.propagations == len(calls)
 
 
-def test_uncompensated_calibrate_pi_takes_at_most_twelve_evolves(monkeypatch):
-    # Four to reach theta = pi, then Newton steps across the 27 % to the
-    # largest transfer; the population search took 26.
+def test_uncompensated_calibrate_pi_takes_at_most_seven_evolves(monkeypatch):
+    # The start, then Newton steps, each at most a fifth of the amplitude,
+    # across the 27 % to the largest transfer; the theta-first solve took 10
+    # and the population search 26.
     calls = _count_propagations(monkeypatch)
     calibration = dynamics.calibrate_pi(GAUSS2, 20.0, predistortion=False)
-    assert 1 <= len(calls) <= 12
+    assert 1 <= len(calls) <= 7
     assert calibration.propagations == len(calls)
 
 
