@@ -36,8 +36,9 @@ pre-distorts it, and plays inside _QUIET_NS = 40 ns of zeros on both sides:
 
 Single-qubit Cliffords use the canonical {+/-X_pi/2, virtual-Z} decomposition
 shipped as package data (ops plus matrices, 4 virtual-Z-only entries, 16 with
-one physical pulse, 4 with two); the tests check that the table closes under
-composition.
+one physical pulse, 4 with two). Its composition and inverse tables are built
+once, in one vectorized pass, and refused unless the 24 entries form a group;
+RB reads each recovery Clifford off them.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import math
 from dataclasses import dataclass, replace as _dc_replace
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -823,15 +825,44 @@ def clifford_ops(index: int) -> tuple:
     return _clifford_table()[index][0]
 
 
+def _composition_tables(mats: np.ndarray) -> tuple:
+    """(compose, inverse, identity) of the group the 2x2 unitaries ``mats``
+    form up to global phase: C_i C_j is entry compose[i][j], the one C with
+    |tr(C^dag C_i C_j)| = 2, and compose[inverse[t]][t] is the identity.
+
+    Raises UnifluxError unless each product matches exactly one entry (|tr|
+    within 1e-9 of 2, every other entry at most sqrt(2) + 1e-9), exactly one
+    entry is the identity and every entry has an inverse.
+    """
+    products = np.einsum("iab,jbc->ijac", mats, mats)
+    overlaps = np.abs(np.einsum("kab,ijab->ijk", mats.conj(), products))
+    match = np.abs(overlaps - 2.0) <= 1e-9
+    if (match.sum(axis=2) != 1).any() or (overlaps[~match] > math.sqrt(2.0) + 1e-9).any():
+        raise UnifluxError("clifford table products do not each match exactly one entry")
+    compose = match.argmax(axis=2)
+    identities = np.flatnonzero((compose == np.arange(len(mats))).all(axis=1))
+    if len(identities) != 1:
+        raise UnifluxError(f"clifford table has {len(identities)} identity entries, expected 1")
+    is_identity = compose == identities[0]
+    if (is_identity.sum(axis=0) != 1).any():
+        raise UnifluxError("clifford table has an entry without an inverse")
+    return (tuple(map(tuple, compose.tolist())), tuple(is_identity.argmax(axis=0).tolist()),
+            int(identities[0]))
+
+
+@lru_cache(maxsize=1)
+def _clifford_group() -> tuple:
+    """(compose, inverse, identity) of the shipped table, checked once."""
+    return _composition_tables(np.array([mat for _, mat in _clifford_table()]))
+
+
 def recovery_index(indices) -> int:
-    """Index of the Clifford inverting the composition T of ``indices`` in order:
-    the table entry C with |tr(C T)| = 2, where any other has |tr(C T)| <= sqrt(2)."""
-    table = _clifford_table()
-    total = np.eye(2, dtype=complex)
+    """Index of the Clifford inverting the composition of ``indices`` in order,
+    folded through the composition table and read off the inverse table."""
+    compose, inverse, total = _clifford_group()
     for i in indices:
-        total = table[i][1] @ total
-    mats = np.array([mat for _, mat in table])
-    return int(np.argmax(np.abs(np.einsum("kij,ji->k", mats, total))))
+        total = compose[i][total]
+    return inverse[total]
 
 
 @dataclass(frozen=True)
@@ -842,11 +873,13 @@ class RbGate:
     amplitude_dac: float = 0.02
     drive_frequency_ghz: float | None = None  # None: the scenario's f01
 
-    def __post_init__(self):
-        if not self.duration_ns > 0:
-            raise ValueError("duration_ns must be positive")
+    def __post_init__(self):  # refused here, since a gate keys the block cache
+        if not 0 < self.duration_ns < math.inf:
+            raise ValueError("duration_ns must be positive and finite")
         if not 0 < abs(self.amplitude_dac) <= 1:
             raise ValueError("amplitude_dac must be within DAC full scale")
+        if self.drive_frequency_ghz is not None and not math.isfinite(self.drive_frequency_ghz):
+            raise ValueError("drive_frequency_ghz must be finite")
 
 
 @dataclass(frozen=True)
@@ -856,29 +889,32 @@ class RbRecord:
     survival: float
 
 
-def build_rb_program(indices, gate: RbGate, sample_rate: float,
-                     carrier_ghz: float) -> pulsec.PulseProgram:
-    """Compile-ready program for one Clifford sequence (recovery included)."""
+@lru_cache(maxsize=64)
+def _clifford_blocks(gate: RbGate, sample_rate: float) -> tuple:
+    """(x90 primitive, one instruction tuple per Clifford) for ``gate``: every
+    block plays the one shared PlayXY and emits its Clifford's VirtualZ's."""
     primitive = pulsec.PulsePrimitive(
         id="x90",
         samples=tuple(pulsec.cosine_envelope(gate.duration_ns, sample_rate)),
         sample_rate=sample_rate,
         kind="envelope",
     )
-    instructions = []
-    for index in indices:
-        for op in clifford_ops(index):
-            if op[0] == "vz":
-                instructions.append(
-                    pulsec.VirtualZ(phase=VZ_EMISSION_SIGN * op[1] * math.pi / 2.0)
-                )
-            else:
-                instructions.append(
-                    pulsec.PlayXY("x90", amplitude=gate.amplitude_dac,
-                                  phase_offset=X90_PHASE_OFFSET)
-                )
+    play = pulsec.PlayXY("x90", amplitude=gate.amplitude_dac, phase_offset=X90_PHASE_OFFSET)
+    blocks = tuple(
+        tuple(pulsec.VirtualZ(phase=VZ_EMISSION_SIGN * op[1] * math.pi / 2.0)
+              if op[0] == "vz" else play for op in clifford_ops(index))
+        for index in range(CLIFFORD_COUNT)
+    )
+    return primitive, blocks
+
+
+def build_rb_program(indices, gate: RbGate, sample_rate: float,
+                     carrier_ghz: float) -> pulsec.PulseProgram:
+    """Compile-ready program for one Clifford sequence (recovery included):
+    the gate's cached per-Clifford blocks, joined in order."""
+    primitive, blocks = _clifford_blocks(gate, sample_rate)
     return pulsec.PulseProgram(
-        instructions=tuple(instructions),
+        instructions=tuple(chain.from_iterable(blocks[i] for i in indices)),
         primitives={"x90": primitive},
         initial_carrier=carrier_ghz,
     )

@@ -165,15 +165,16 @@ def tradeoff_sweep(
 ) -> list[TradeoffPoint]:
     """Rabi rate, T1 limit, and dc excursion across an attenuation grid.
 
-    f01 and |<0|phi|1>| come from the fluxonium module at ``params``; the
-    drive amplitude assumes the full AWG scale at every attenuation. The
-    line noise is the AWG floor alone: it dominates room-temperature Johnson
-    noise by nearly four orders of magnitude, so Johnson noise is excluded.
+    |<0|phi|1>| comes from a 2-level solve of the fluxonium module at
+    ``params``; the drive amplitude assumes the full AWG scale at every
+    attenuation. The line noise is the AWG floor alone: it dominates
+    room-temperature Johnson noise by nearly four orders of magnitude, so
+    Johnson noise is excluded.
     """
     grid = [float(a) for a in attenuation_db_grid]
     if not grid:
         raise ValueError("attenuation grid must be non-empty")
-    m01 = fluxonium.phase_matrix_element(params, 0, 1)
+    m01 = fluxonium.phase_matrix_element(params, 0, 1, n_levels=2)
     s_vv = awg_noise_psd(line_template.awg_noise_dbm_per_hz, line_template.line_impedance)
     points = []
     for db in grid:

@@ -32,6 +32,8 @@ from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord, _probe_
 from uniflux.dynamics import (
     CLIFFORD_COUNT,
     DRIVE_SAMPLE_RATE,
+    VZ_EMISSION_SIGN,
+    X90_PHASE_OFFSET,
     Calibration,
     DriveScenario,
     _CHUNK_STEPS,
@@ -51,6 +53,7 @@ from uniflux.dynamics import (
     _rwa_pi_amplitude,
     _tree_product,
     build_rb_program,
+    clifford_ops,
     cosine_drive,
     evolve,
     predistort_drive,
@@ -775,6 +778,43 @@ def padded_rb_survivals(scenario: DriveScenario, gate, length: int, sequences: i
         survivals.append(float(evolve(scenario, Waveform(volts, DRIVE_SAMPLE_RATE))
                                .populations[-1, 0]))
     return survivals
+
+
+def matrix_recovery_index(indices) -> int:
+    """Index of the Clifford inverting the composition T of ``indices`` in
+    order, by multiplying their 2x2 matrices one by one: the table entry C
+    with |tr(C T)| = 2, where any other has |tr(C T)| <= sqrt(2)."""
+    table = _clifford_table()
+    total = np.eye(2, dtype=complex)
+    for i in indices:
+        total = table[i][1] @ total
+    mats = np.array([mat for _, mat in table])
+    return int(np.argmax(np.abs(np.einsum("kij,ji->k", mats, total))))
+
+
+def instruction_rb_program(indices, gate, sample_rate: float,
+                           carrier_ghz: float) -> PulseProgram:
+    """`build_rb_program` built one instruction at a time: a fresh PlayXY per
+    X_pi/2 and a fresh VirtualZ per virtual-Z op of every Clifford."""
+    primitive = PulsePrimitive(
+        id="x90",
+        samples=tuple(pulsec.cosine_envelope(gate.duration_ns, sample_rate)),
+        sample_rate=sample_rate,
+        kind="envelope",
+    )
+    instructions = []
+    for index in indices:
+        for op in clifford_ops(index):
+            if op[0] == "vz":
+                instructions.append(VirtualZ(phase=VZ_EMISSION_SIGN * op[1] * math.pi / 2.0))
+            else:
+                instructions.append(PlayXY("x90", amplitude=gate.amplitude_dac,
+                                           phase_offset=X90_PHASE_OFFSET))
+    return PulseProgram(
+        instructions=tuple(instructions),
+        primitives={"x90": primitive},
+        initial_carrier=carrier_ghz,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1069,6 +1069,44 @@ def test_clifford_index_of_rejects_non_clifford():
         oracles.clifford_index_of(np.array([[1.0, 0.0], [0.0, np.exp(0.3j)]]))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 23), max_size=400), st.none() | st.integers(0, 23))
+def test_recovery_index_matches_the_matrix_product_oracle(indices, interleaved):
+    applied = []
+    for i in indices:
+        applied += [i] if interleaved is None else [i, interleaved]
+    assert dynamics.recovery_index(applied) == oracles.matrix_recovery_index(applied)
+
+
+def test_composition_tables_match_the_closure_oracle():
+    compose, inverse, identity = dynamics._clifford_group()
+    np.testing.assert_array_equal(compose, oracles.clifford_closure_table())
+    assert identity == 0
+    assert all(compose[inverse[t]][t] == compose[t][inverse[t]] == 0 for t in range(24))
+
+
+def _shipped_matrices():
+    return np.array([oracles.clifford_matrix(i) for i in range(dynamics.CLIFFORD_COUNT)])
+
+
+def test_composition_tables_ignore_a_global_phase():
+    mats = _shipped_matrices()
+    mats[7] *= np.exp(0.4j)
+    assert dynamics._composition_tables(mats) == dynamics._clifford_group()
+
+
+@pytest.mark.parametrize("replacement", [
+    np.array([[1.0, 0.0], [0.0, np.exp(0.3j)]]),  # not a Clifford: no product matches it
+    oracles.clifford_matrix(6),  # a duplicate: products match two entries
+    np.eye(2),  # a second identity
+], ids=["non-clifford", "duplicate", "second-identity"])
+def test_composition_tables_refuse_a_table_with_one_matrix_replaced(replacement):
+    mats = _shipped_matrices()
+    mats[5] = replacement
+    with pytest.raises(UnifluxError, match="exactly one entry"):
+        dynamics._composition_tables(mats)
+
+
 # ---------------------------------------------------------------------------
 # randomized benchmarking
 # ---------------------------------------------------------------------------
@@ -1154,6 +1192,40 @@ def test_rb_argument_validation():
     with pytest.raises(ValueError):
         dynamics.run_rb(FLAT2, lengths=[2], sequences_per_length=1, seed=0,
                         mode="montecarlo")
+
+
+@pytest.mark.parametrize("field", ["duration_ns", "amplitude_dac", "drive_frequency_ghz"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rb_gate_refuses_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        RbGate(**{field: bad})
+
+
+RB_GATES = [
+    RbGate(),
+    RbGate(duration_ns=16.0, amplitude_dac=-0.5),
+    RbGate(duration_ns=33.0, amplitude_dac=1.0, drive_frequency_ghz=0.21),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 23), max_size=64), st.sampled_from(RB_GATES),
+       st.sampled_from([1.0, 2.0]))
+def test_build_rb_program_matches_the_instruction_oracle(indices, gate, rate):
+    program = dynamics.build_rb_program(indices, gate, rate, F01)
+    assert program == oracles.instruction_rb_program(indices, gate, rate, F01)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_rb_waveform_records_match_the_oracle_paths_bit_for_bit(seed, monkeypatch):
+    scenario = DriveScenario(QUBIT, LINE, filters.gaussian_lowpass(0.1), levels=2,
+                             time_step=0.05)
+    kwargs = dict(lengths=[48, 320], sequences_per_length=1, seed=seed, mode="waveform",
+                  gate=RbGate(amplitude_dac=0.018))
+    got = dynamics.run_rb(scenario, **kwargs)
+    monkeypatch.setattr(dynamics, "build_rb_program", oracles.instruction_rb_program)
+    monkeypatch.setattr(dynamics, "recovery_index", oracles.matrix_recovery_index)
+    assert got == dynamics.run_rb(scenario, **kwargs)
 
 
 def test_rb_program_structure():

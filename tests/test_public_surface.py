@@ -106,8 +106,6 @@ OPTIONS_ALLOWED = {
         "must equal the measured window; a test shows a wrong one biases the fit",
     "distortion.fit_multi_exponential.n_starts":
         "the 100-seed Monte-Carlo test pins its hit rate at 8 starts",
-    "fluxonium.phase_matrix_element.n_levels":
-        "a test compares it bit for bit with a 4-level eigensystem",
     "pulsec.parse_program.base_dir":
         "the CLI forwards it through _read_input(..., *args), which name matching cannot follow",
 }
