@@ -831,8 +831,9 @@ def _composition_tables(mats: np.ndarray) -> tuple:
     |tr(C^dag C_i C_j)| = 2, and compose[inverse[t]][t] is the identity.
 
     Raises UnifluxError unless each product matches exactly one entry (|tr|
-    within 1e-9 of 2, every other entry at most sqrt(2) + 1e-9), exactly one
-    entry is the identity and every entry has an inverse.
+    within 1e-9 of 2, every other entry at most sqrt(2) + 1e-9). Distinct
+    entries closed under products form a group, so the identity (the one
+    idempotent entry) and every inverse then exist.
     """
     products = np.einsum("iab,jbc->ijac", mats, mats)
     overlaps = np.abs(np.einsum("kab,ijab->ijk", mats.conj(), products))
@@ -840,14 +841,9 @@ def _composition_tables(mats: np.ndarray) -> tuple:
     if (match.sum(axis=2) != 1).any() or (overlaps[~match] > math.sqrt(2.0) + 1e-9).any():
         raise UnifluxError("clifford table products do not each match exactly one entry")
     compose = match.argmax(axis=2)
-    identities = np.flatnonzero((compose == np.arange(len(mats))).all(axis=1))
-    if len(identities) != 1:
-        raise UnifluxError(f"clifford table has {len(identities)} identity entries, expected 1")
-    is_identity = compose == identities[0]
-    if (is_identity.sum(axis=0) != 1).any():
-        raise UnifluxError("clifford table has an entry without an inverse")
-    return (tuple(map(tuple, compose.tolist())), tuple(is_identity.argmax(axis=0).tolist()),
-            int(identities[0]))
+    identity = int(np.argmax(compose.diagonal() == np.arange(len(mats))))
+    return (tuple(map(tuple, compose.tolist())),
+            tuple((compose == identity).argmax(axis=0).tolist()), identity)
 
 
 @lru_cache(maxsize=1)
@@ -873,7 +869,7 @@ class RbGate:
     amplitude_dac: float = 0.02
     drive_frequency_ghz: float | None = None  # None: the scenario's f01
 
-    def __post_init__(self):  # refused here, since a gate keys the block cache
+    def __post_init__(self):
         if not 0 < self.duration_ns < math.inf:
             raise ValueError("duration_ns must be positive and finite")
         if not 0 < abs(self.amplitude_dac) <= 1:
@@ -889,10 +885,11 @@ class RbRecord:
     survival: float
 
 
-@lru_cache(maxsize=64)
-def _clifford_blocks(gate: RbGate, sample_rate: float) -> tuple:
-    """(x90 primitive, one instruction tuple per Clifford) for ``gate``: every
-    block plays the one shared PlayXY and emits its Clifford's VirtualZ's."""
+def build_rb_program(indices, gate: RbGate, sample_rate: float,
+                     carrier_ghz: float) -> pulsec.PulseProgram:
+    """Compile-ready program for one Clifford sequence (recovery included):
+    one instruction block per Clifford, joined in order; every block plays
+    the one shared PlayXY and emits its Clifford's VirtualZ's."""
     primitive = pulsec.PulsePrimitive(
         id="x90",
         samples=tuple(pulsec.cosine_envelope(gate.duration_ns, sample_rate)),
@@ -900,19 +897,11 @@ def _clifford_blocks(gate: RbGate, sample_rate: float) -> tuple:
         kind="envelope",
     )
     play = pulsec.PlayXY("x90", amplitude=gate.amplitude_dac, phase_offset=X90_PHASE_OFFSET)
-    blocks = tuple(
+    blocks = [
         tuple(pulsec.VirtualZ(phase=VZ_EMISSION_SIGN * op[1] * math.pi / 2.0)
               if op[0] == "vz" else play for op in clifford_ops(index))
         for index in range(CLIFFORD_COUNT)
-    )
-    return primitive, blocks
-
-
-def build_rb_program(indices, gate: RbGate, sample_rate: float,
-                     carrier_ghz: float) -> pulsec.PulseProgram:
-    """Compile-ready program for one Clifford sequence (recovery included):
-    the gate's cached per-Clifford blocks, joined in order."""
-    primitive, blocks = _clifford_blocks(gate, sample_rate)
+    ]
     return pulsec.PulseProgram(
         instructions=tuple(chain.from_iterable(blocks[i] for i in indices)),
         primitives={"x90": primitive},
