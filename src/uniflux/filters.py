@@ -340,20 +340,25 @@ def design_iir_corrector(exponentials: Sequence[tuple], sample_rate: float) -> I
 
 
 def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
-    """Run a waveform through the section cascade (causal, zero initial state)."""
+    """Run a waveform through the section cascade (causal, zero initial state).
+
+    The whole cascade is one ``sosfilt`` pass: section (b0, b1, a1) is the
+    biquad row [b0, b1, 0, 1, a1, 0]. ``sosfilt`` and a chain of one
+    ``lfilter`` per section are both direct form II transposed with the same
+    order of operations, so the samples are the same bit for bit. A
+    zero-length waveform is returned as it is (``sosfilt`` cannot reshape it).
+    """
     if w.sample_rate != c.sample_rate:
         raise ValueError(
             f"waveform rate {w.sample_rate} GS/s does not match corrector rate "
             f"{c.sample_rate} GS/s"
         )
-    if c.is_identity:
+    if c.is_identity or len(w) == 0:
         return w
-    from scipy.signal import lfilter
+    from scipy.signal import sosfilt
 
-    out = w.samples
-    for s in c.sections:
-        out = lfilter([s.b0, s.b1], [1.0, s.a1], out)
-    return Waveform(out, w.sample_rate)
+    sos = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in c.sections]
+    return Waveform(sosfilt(sos, w.samples), w.sample_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import contextlib
 import hashlib
 import json
 import math
-import operator
 import pathlib
 import re
 from dataclasses import dataclass
@@ -364,7 +363,7 @@ class _Schedule:
         self.n = n0 + int(instr.count) * (self.n - n0)
 
     def _scales(self, records: np.ndarray) -> tuple:
-        """(amplitude * rotor of each play, as a Python complex; final frame phase).
+        """(amplitude * rotor of each play; final frame phase).
 
         The frame phase adds the virtual-Z phases one by one in program
         order (``np.add.accumulate`` is sequential), as a running sum does.
@@ -381,10 +380,15 @@ class _Schedule:
                 f"xy play {int(np.argmin(finite))} in program order: frame phase "
                 "plus phase offset is not finite"
             )
-        angle = angle.tolist()
-        rotors = map(complex, map(math.cos, angle), map(math.sin, angle))
-        scales = map(operator.mul, plays[:, 3].tolist(), rotors)
-        return np.fromiter(scales, complex, len(angle)), float(frame[-1])
+        angle, n = angle.tolist(), len(angle)
+        rotors = np.empty(n, complex)
+        rotors.real = np.fromiter(map(math.cos, angle), float, n)
+        rotors.imag = np.fromiter(map(math.sin, angle), float, n)
+        # One complex product, as Python's float * complex: both promote the
+        # amplitude to complex, so each part gains a +-amplitude * 0.0 term
+        # that settles the sign of a zero; separate real and imaginary
+        # products keep a -0.0 that the complex product makes 0.0.
+        return plays[:, 3] * rotors, float(frame[-1])
 
     def _scatter(self, out: np.ndarray, records: np.ndarray, scale: np.ndarray):
         """out[start + k] = scale * samples[k] for each record's primitive."""
@@ -480,9 +484,15 @@ def _render_xy(compiled: CompiledProgram, fir: FirFilter | None) -> np.ndarray:
         omega_k = 2.0 * math.pi * f * np.arange(len(samples)) / rate
         m = np.convolve(samples * np.exp(-1j * omega_k), taps)
         at, c = starts[group == g], gain[group == g]
-        # one k at a time the plays' samples are distinct, so += adds each once
-        for k, (re, im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
-            out[at + k] += c.real * re - c.imag * im
+        c_re, c_im = c.real.copy(), c.imag.copy()
+        part, other = np.empty_like(c_re), np.empty_like(c_re)
+        # one k at a time the plays' samples are distinct, so each is added once
+        for re, im in zip(m.real.tolist(), m.imag.tolist()):
+            np.multiply(c_re, re, out=part)
+            part -= np.multiply(c_im, im, out=other)
+            part += out[at]
+            out[at] = part
+            at += 1
     return out[:n]
 
 

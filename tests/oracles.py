@@ -68,7 +68,6 @@ from uniflux.errors import (
     ScheduleError,
     _is_integer,
 )
-from uniflux.filters import apply_iir
 from uniflux.fluxonium import ResetFlux, _f01, _flux_free_terms, eigensystem
 from uniflux.pulsec import (
     EDGE,
@@ -301,6 +300,15 @@ def lti_distorted(samples, amplitudes, taus_ns, sample_rate_gsps):
     for a_k, tau in zip(amplitudes, taus_ns):
         lam = np.exp(-t / tau)
         out += a_k * lfilter([1.0, -1.0], [1.0, -lam], samples)
+    return out
+
+
+def sectionwise_iir(w: Waveform, c) -> np.ndarray:
+    """An IIR corrector's output, one ``lfilter`` per section in cascade order
+    (the scheme ``filters.apply_iir`` replaced by a single ``sosfilt`` pass)."""
+    out = w.samples
+    for s in c.sections:
+        out = lfilter([s.b0, s.b1], [1.0, s.a1], out)
     return out
 
 
@@ -901,7 +909,7 @@ def timeline_synthesize(compiled, config) -> Waveform:
         xy_real = lfilter(config.xy_fir.taps_float, [1.0], xy_real)
     z = compiled.z_baseband
     if config.z_iir is not None:
-        z = apply_iir(z, config.z_iir)
+        z = Waveform(sectionwise_iir(z, config.z_iir), z.sample_rate)
     composite = xy_real + z.samples
     peak_index = int(np.argmax(np.abs(composite)))
     peak = float(abs(composite[peak_index]))

@@ -1001,6 +1001,11 @@ _INPUT_FILES = {
     # the carrier phase overflows: 2 pi * 1e308 is inf
     "huge-carrier-silent.pulse": "carrier 1e308\ndelay 2\n",
     "huge-carrier-play.pulse": "prim p envelope 0.5 0.5\ncarrier 1e308\nxy p\n",
+    "carrier-only.pulse": "carrier 0.2\n",
+    "iir-one-section.json": (
+        '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
+        '{"sections": [[1.0, -0.5, -0.5]], "source_exponentials": []}}'
+    ),
     # the composite rounds to 1.0000000000000002
     "full-scale-play.pulse": (
         "prim p envelope 0.0 1.0 0.0\ncarrier 2.9884235703558835\n"
@@ -1017,8 +1022,8 @@ _INPUT_FILES = {
 
 _PROGRAM = ("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
 
-# (id, argv, exit code, start of the message after "uniflux: error: ");
-# "{tmp}" stands for the directory holding _INPUT_FILES.
+# (id, argv, exit code, start of the message after "uniflux: error: ", or on
+# exit 0 of stdout); "{tmp}" stands for the directory holding _INPUT_FILES.
 _EXIT_CODE_CASES = [
     ("no-command", (), 2, "a command is required"),
     ("unknown-command", ("frobnicate",), 2, "argument COMMAND: invalid choice"),
@@ -1067,6 +1072,10 @@ _EXIT_CODE_CASES = [
      "xy play 0 in program order: carrier phase is not finite"),
     ("compile-full-scale-play", ("compile", "{tmp}/full-scale-play.pulse", "--rate", "2"), 0,
      None),
+    # no sample to correct: the Z path passes the empty waveform as it is
+    ("compile-carrier-only-iir", ("compile", "{tmp}/carrier-only.pulse", "--rate", "2",
+                                  "--iir", "{tmp}/iir-one-section.json"), 0,
+     f"sha256 {hashlib.sha256(b'').hexdigest()}\nsamples 0\n"),
     ("compile-garbled-primitive-file", ("compile", "{tmp}/file-primitive.pulse", "--rate", "2"),
      3, "{tmp}/file-primitive.pulse: cannot read {tmp}/samples.txt: could not convert"),
     ("compile-missing-fir", (*_PROGRAM, "--fir", "{tmp}/absent.json"), 3, "{tmp}/absent.json: "),
@@ -1284,12 +1293,13 @@ def test_exit_code_matrix(tmp_path, capsys, argv, code, message):
             (tmp_path / name).write_text(content)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        got, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert [str(w.message) for w in caught] == []
     assert got == code
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
+        assert out.startswith(message or "")
     else:
         [line] = err.splitlines()
         assert line.startswith(f"uniflux: error: {message.format(tmp=tmp_path)}"), line

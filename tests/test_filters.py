@@ -9,7 +9,7 @@ from uniflux import filters
 from uniflux.errors import NonInvertibleError
 from uniflux.waveform import Waveform
 
-from oracles import fir_response, floor_frequency, lti_distorted
+from oracles import fir_response, floor_frequency, lti_distorted, sectionwise_iir
 
 RECORD = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "fir_design_record.json").read_text()
@@ -360,6 +360,27 @@ def test_apply_iir_rate_mismatch():
     c = filters.design_iir_corrector(SETTLING_TERMS, 1.0)
     with pytest.raises(ValueError):
         filters.apply_iir(_step(10, 2.0), c)
+
+
+def _iir_signals(rng, n):
+    """Noise, piecewise-constant holds and zeros, n samples each."""
+    holds = np.zeros(n)
+    for start in np.sort(rng.integers(0, n + 1, size=int(rng.integers(1, 8)))):
+        holds[start:] = rng.uniform(-0.3, 0.3)
+    return rng.normal(size=n), holds, np.zeros(n)
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0, 2.5])
+@pytest.mark.parametrize("n_sections", [1, 2, 3, 4])
+def test_apply_iir_matches_the_sectionwise_oracle(rate, n_sections):
+    rng = np.random.default_rng([n_sections, round(10 * rate)])
+    for n in (0, 1, 2, *rng.integers(3, 5001, size=5).tolist(), 5000):
+        terms = [(rng.uniform(-0.1, 0.1), 10.0 ** rng.uniform(0.0, 3.3))
+                 for _ in range(n_sections)]
+        c = filters.design_iir_corrector(terms, rate)
+        for x in _iir_signals(rng, n):
+            w = Waveform(x, rate)
+            assert np.array_equal(filters.apply_iir(w, c).samples, sectionwise_iir(w, c))
 
 
 def test_sections_stable_and_minimum_phase():

@@ -13,6 +13,7 @@ from oracles import (
     dac_dequantize,
     load_waveform_binary,
     raised_cosine_edge,
+    sectionwise_iir,
     serialize_program,
     timeline_synthesize,
     unrolled_compile,
@@ -217,9 +218,16 @@ def test_frame_phase_reported_modulo_2pi():
 # ---------------------------------------------------------------------------
 
 
+# with an IIR config, an empty Z baseband passes the corrector as it is
+CONFIG_IIR = SynthesisConfig(
+    sample_rate=RATE, z_iir=filters.design_iir_corrector([(-0.0174, 34.0)], RATE)
+)
+
+
 def test_zero_program_synthesizes_empty():
-    out = pulsec.synthesize(pulsec.compile(_program(()), CONFIG), CONFIG)
-    assert len(out) == 0
+    for config in (CONFIG, CONFIG_IIR):
+        out = pulsec.synthesize(pulsec.compile(_program(()), config), config)
+        assert len(out) == 0
 
 
 def test_modulation_closed_form():
@@ -841,6 +849,14 @@ def test_long_programs_synthesize_like_the_sample_oracle(seed, filters_used):
     plays, samples, ratio, differ = _check_long_program(seed, filters_used)
     assert 390_000 <= samples <= 400_000 and 3_000 <= plays <= 9_000
     assert ratio <= 1.0 and differ == []
+
+
+def test_iir_on_a_long_z_baseband_matches_the_sectionwise_oracle():
+    config = _long_config(0, "fir+iir")
+    z = pulsec.compile(_long_program(0), config).z_baseband
+    assert len(z) >= 390_000 and len(config.z_iir.sections) == 3
+    assert np.array_equal(filters.apply_iir(z, config.z_iir).samples,
+                          sectionwise_iir(z, config.z_iir))
 
 
 # property: every numeric field of every instruction rejects NaN and +-inf
