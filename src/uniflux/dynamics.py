@@ -185,9 +185,7 @@ def _step_midpoints(x: np.ndarray, k: int) -> np.ndarray:
     if n % 2 == 0:
         spec[-1] *= 0.5  # split the Nyquist bin, now an interior frequency
     spec *= np.exp(1j * np.pi / (n * k) * np.arange(len(spec)))
-    out = np.fft.irfft(spec, n * k)
-    out *= k
-    return out
+    return np.fft.irfft(spec, n * k) * k
 
 
 def _node_count(growth: float) -> int:

@@ -384,10 +384,10 @@ class _Schedule:
         rotors = np.empty(n, complex)
         rotors.real = np.fromiter(map(math.cos, angle), float, n)
         rotors.imag = np.fromiter(map(math.sin, angle), float, n)
-        # One complex product, as Python's float * complex: both promote the
-        # amplitude to complex, so each part gains a +-amplitude * 0.0 term
-        # that settles the sign of a zero; separate real and imaginary
-        # products keep a -0.0 that the complex product makes 0.0.
+        # One complex product: the amplitude a is promoted to a + 0j, so the
+        # parts are a*cos - 0*sin and a*sin + 0*cos. The 0 * ... terms settle
+        # the sign of a zero part; separate products a*cos and a*sin would
+        # keep a -0.0 that the complex product makes 0.0.
         return plays[:, 3] * rotors, float(frame[-1])
 
     def _scatter(self, out: np.ndarray, records: np.ndarray, scale: np.ndarray):
@@ -484,15 +484,9 @@ def _render_xy(compiled: CompiledProgram, fir: FirFilter | None) -> np.ndarray:
         omega_k = 2.0 * math.pi * f * np.arange(len(samples)) / rate
         m = np.convolve(samples * np.exp(-1j * omega_k), taps)
         at, c = starts[group == g], gain[group == g]
-        c_re, c_im = c.real.copy(), c.imag.copy()
-        part, other = np.empty_like(c_re), np.empty_like(c_re)
-        # one k at a time the plays' samples are distinct, so each is added once
-        for re, im in zip(m.real.tolist(), m.imag.tolist()):
-            np.multiply(c_re, re, out=part)
-            part -= np.multiply(c_im, im, out=other)
-            part += out[at]
-            out[at] = part
-            at += 1
+        # one k at a time the plays' samples are distinct, so += adds each once
+        for k, (re, im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
+            out[at + k] += c.real * re - c.imag * im
     return out[:n]
 
 

@@ -987,7 +987,9 @@ class _Compiler:
             math.cos(instr.phase_offset + self.frame_phase),
             math.sin(instr.phase_offset + self.frame_phase),
         )
-        chunk = instr.amplitude * rotor * np.asarray(prim.samples)
+        # (a + 0j) * rotor, the rule xy_scales follows; a bare float * complex
+        # keeps signed zeros differently from Python 3.14 on
+        chunk = complex(instr.amplitude) * rotor * np.asarray(prim.samples)
         self._advance(len(prim.samples), xy_chunk=chunk.astype(complex))
 
     def _play_z(self, instr: PlayZ):
