@@ -32,7 +32,9 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, analysis, dynamics, filters, fluxonium, linebudget, pulsec
+# Only what the parser and REFERENCE_LINE need loads with this module; each
+# command imports the library modules it runs, and pays for no other.
+from . import __version__, fluxonium, linebudget
 from .errors import ProgramParseError, ScheduleError, UnifluxError
 
 PROG = "uniflux"
@@ -197,6 +199,8 @@ _dac_amplitude = _checked(float, lambda a: 0 < abs(a) <= 1, "non-zero and within
 def _drive_frequency(text: str) -> float:
     """A drive frequency in GHz: positive, and below the Nyquist frequency of
     the drive sampling, above which a drive pulse aliases."""
+    from . import dynamics
+
     frequency, nyquist = _positive(text), 0.5 * dynamics.DRIVE_SAMPLE_RATE
     if not frequency < nyquist:
         raise argparse.ArgumentTypeError(
@@ -213,12 +217,32 @@ def _int_in(lo: int, hi: float = math.inf):
 def _pulse_ns(least: int):
     """A pulse length in ns: a whole number of at least ``least`` drive
     samples, by the compiler's sample-count rule."""
-    rate = dynamics.DRIVE_SAMPLE_RATE
-    return _checked(
-        float,
-        lambda ns: pulsec._sample_count(ns, rate, "pulse") >= least,
-        f"a whole number of at least {least} samples at {rate:g} GS/s",
-    )
+
+    def parse(text: str) -> float:
+        from . import dynamics, pulsec
+
+        rate = dynamics.DRIVE_SAMPLE_RATE
+        return _checked(
+            float,
+            lambda ns: pulsec._sample_count(ns, rate, "pulse") >= least,
+            f"a whole number of at least {least} samples at {rate:g} GS/s",
+        )(text)
+
+    return parse
+
+
+def _dac_bits(text: str) -> int:
+    """A DAC resolution within the bounds the compiler states."""
+    from . import pulsec
+
+    return _int_in(pulsec.MIN_DAC_BITS, pulsec.MAX_DAC_BITS)(text)
+
+
+def _clifford_index(text: str) -> int:
+    """An index into the Clifford table."""
+    from . import dynamics
+
+    return _int_in(0, dynamics.CLIFFORD_COUNT - 1)(text)
 
 
 def _amp_tau(text: str) -> tuple[float, float, str]:
@@ -247,6 +271,8 @@ _CHANNEL_KEYS = ("kind", "f_c")
 
 
 def _default_scenario() -> dynamics.DriveScenario:
+    from . import dynamics, filters
+
     return dynamics.DriveScenario(
         qubit=fluxonium.FluxoniumParams(
             REFERENCE_EJ_GHZ, REFERENCE_EC_GHZ, REFERENCE_EL_GHZ
@@ -275,6 +301,8 @@ def _section(raw: dict, key: str, cls):
 def _scenario_from_json(text: str) -> dynamics.DriveScenario:
     """A drive scenario from JSON text; absent sections keep the defaults.
     Every field but the channel's kind and ``levels`` must be a number."""
+    from . import dynamics, filters
+
     base = _default_scenario()
     raw = json.loads(text)
     _check_keys(raw, _SCENARIO_KEYS, "scenario")
@@ -336,9 +364,8 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _loglog_slope(alpha_db: np.ndarray, values: np.ndarray) -> float:
-    """d log10(value) / d log10(amplitude transmission 10^(alpha/20))."""
-    x = np.log10(np.power(10.0, alpha_db / 20.0))
+def _loglog_slope(x: np.ndarray, values: np.ndarray) -> float:
+    """d log10(value) / d x over the grid's ends, x the log10 amplitude."""
     y = np.log10(values)
     return float((y[-1] - y[0]) / (x[-1] - x[0]))
 
@@ -361,8 +388,9 @@ def cmd_tradeoff(args) -> int:
         for p in points
     ]
     footer = []
-    if len(points) >= 2:
-        alpha = np.array([p.attenuation_db for p in points])
+    alpha = np.array([p.attenuation_db for p in points])
+    x = np.log10(np.power(10.0, alpha / 20.0))  # log10 amplitude transmission
+    if x[-1] != x[0]:  # one point, or a grid of equal amplitudes, has no slope
         for label, values in (
             ("rabi_mhz", [p.rabi_mhz for p in points]),
             ("t1_line_us", [p.t1_line_us for p in points]),
@@ -371,7 +399,7 @@ def cmd_tradeoff(args) -> int:
             values = np.asarray(values)
             if np.all(np.isfinite(values)) and np.all(values > 0):
                 footer.append(
-                    f"# slope_{label}_vs_amplitude = {_loglog_slope(alpha, values)!r}"
+                    f"# slope_{label}_vs_amplitude = {_loglog_slope(x, values)!r}"
                 )
     header = "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0"
     _write_text(args.output, _csv_table(header, rows, footer))
@@ -383,19 +411,30 @@ def cmd_tradeoff(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _inverts(args) -> bool:
+    """Whether the design is, or samples, the bounded inverse of the channel."""
+    return args.kind == "inverse" or (args.kind == "fir" and args.target == "inverse")
+
+
 def _design_provenance(args) -> str:
-    """A deterministic record of the invoking parameters."""
+    """A deterministic record of the options the design kind reads."""
+    flags = ["rate"] if args.kind == "iir" else ["fc"]
+    if _inverts(args):
+        flags += ["fq", "gmax", "window_cutoff"]
+    if args.kind == "fir":
+        flags += ["target", "taps", "rate"]
     parts = [f"{PROG} design {args.kind}"]
-    for flag in ("fc", "fq", "gmax", "window_cutoff", "target", "taps", "rate"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            parts.append(f"--{flag.replace('_', '-')} {value}")
-    for *_, text in args.exp or ():
-        parts.append(f"--exp {text}")
+    parts += [f"--{flag.replace('_', '-')} {getattr(args, flag)}" for flag in flags]
+    if args.kind == "fir" and not args.quantize:
+        parts.append("--no-quantize")
+    if args.kind == "iir":
+        parts.extend(f"--exp {text}" for *_, text in args.exp)
     return " ".join(parts)
 
 
 def cmd_design(args) -> int:
+    from . import filters
+
     if args.kind in ("fir", "iir"):
         _require(args.rate is not None, f"design {args.kind} requires --rate")
     if args.kind == "iir":
@@ -403,7 +442,7 @@ def cmd_design(args) -> int:
         obj = filters.design_iir_corrector([(amp, tau) for amp, tau, _ in args.exp], args.rate)
     else:
         obj = filters.gaussian_lowpass(args.fc)
-        if args.kind == "inverse" or (args.kind == "fir" and args.target == "inverse"):
+        if _inverts(args):
             _require(args.fq is not None, "an inverse design requires --fq")
             _require(
                 args.kind != "fir" or args.rate > 2.0 * args.fq,
@@ -428,6 +467,8 @@ def cmd_design(args) -> int:
 
 def cmd_compile(args) -> int:
     import pathlib
+
+    from . import filters, pulsec
 
     base_dir = pathlib.Path(args.program).parent
     program = _read_input(args.program, pulsec.parse_program, args.rate, base_dir)
@@ -462,6 +503,8 @@ def cmd_compile(args) -> int:
 
 
 def _simulate_rabi(args, scenario) -> int:
+    from . import dynamics
+
     grid = np.linspace(0.0, args.amp_max, args.points)
     grid = grid[1:]  # zero drive is not a valid waveform amplitude
     curve = dynamics.rabi_experiment(
@@ -479,6 +522,8 @@ def _simulate_rabi(args, scenario) -> int:
 
 
 def _simulate_gate(args, scenario) -> int:
+    from . import dynamics
+
     if args.trim_frequency:
         pulse = dynamics.calibrate_drive_frequency(scenario, args.duration, args.predistort)
     else:
@@ -503,11 +548,14 @@ def _simulate_gate(args, scenario) -> int:
 
 
 def _simulate_rb(args, scenario) -> int:
-    gate = dynamics.RbGate(
-        duration_ns=args.gate_duration,
-        amplitude_dac=args.gate_amplitude,
-        drive_frequency_ghz=args.gate_frequency,
-    )
+    from . import dynamics
+
+    given = {
+        "duration_ns": args.gate_duration,
+        "amplitude_dac": args.gate_amplitude,
+        "drive_frequency_ghz": args.gate_frequency,
+    }  # an option left out keeps the RbGate default
+    gate = dynamics.RbGate(**{name: v for name, v in given.items() if v is not None})
     records = dynamics.run_rb(
         scenario,
         args.lengths,
@@ -540,6 +588,8 @@ def cmd_simulate(args) -> int:
 
 
 def _rb_means(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    from . import analysis
+
     names, body = analysis.load_csv(lines)
     if "length" not in names or "survival" not in names:
         raise ValueError("expected CSV columns length,seq_index,survival")
@@ -555,6 +605,8 @@ def _rb_means(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _fit_csv(text: str, args):
     """The fit of ``args.model`` to CSV text."""
+    from . import analysis
+
     if not text.strip():
         raise ValueError("empty file")
     lines = text.splitlines()
@@ -571,6 +623,8 @@ def _fit_csv(text: str, args):
 
 
 def cmd_fit(args) -> int:
+    from . import analysis
+
     _require(args.model != "dephasing" or args.t1_us is not None,
              "fit dephasing requires --t1-us")
     fit = _read_input(args.data, _fit_csv, args)
@@ -696,9 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=_positive, required=True, help="sample rate, GS/s")
     p.add_argument("--fir", metavar="DESIGN_JSON", help="XY-path FIR design file")
     p.add_argument("--iir", metavar="DESIGN_JSON", help="Z-path corrector design file")
-    p.add_argument(
-        "--dac-bits", type=_int_in(pulsec.MIN_DAC_BITS, pulsec.MAX_DAC_BITS), default=16
-    )
+    p.add_argument("--dac-bits", type=_dac_bits, default=16)
     p.add_argument("-o", "--output", help="waveform binary path (sidecar JSON added)")
     p.add_argument("--report-memory", action="store_true")
     p.set_defaults(func=cmd_compile)
@@ -742,13 +794,11 @@ def build_parser() -> argparse.ArgumentParser:
     rb.add_argument("--depolarizing", type=_probability, default=1.0, metavar="P")
     rb.add_argument(
         "--interleaved",
-        type=_int_in(0, dynamics.CLIFFORD_COUNT - 1),
+        type=_clifford_index,
         help="interleave this table index",
     )
-    rb.add_argument("--gate-duration", type=_pulse_ns(2), default=dynamics.RbGate.duration_ns,
-                    metavar="NS")
-    rb.add_argument("--gate-amplitude", type=_dac_amplitude,
-                    default=dynamics.RbGate.amplitude_dac, metavar="DAC")
+    rb.add_argument("--gate-duration", type=_pulse_ns(2), metavar="NS")
+    rb.add_argument("--gate-amplitude", type=_dac_amplitude, metavar="DAC")
     rb.add_argument("--gate-frequency", type=_drive_frequency, metavar="GHZ")
 
     p = sub.add_parser("fit", help="fit a decay or readout model to a CSV")

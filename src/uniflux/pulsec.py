@@ -381,14 +381,18 @@ class _Schedule:
                 "plus phase offset is not finite"
             )
         angle, n = angle.tolist(), len(angle)
-        rotors = np.empty(n, complex)
-        rotors.real = np.fromiter(map(math.cos, angle), float, n)
-        rotors.imag = np.fromiter(map(math.sin, angle), float, n)
-        # One complex product: the amplitude a is promoted to a + 0j, so the
-        # parts are a*cos - 0*sin and a*sin + 0*cos. The 0 * ... terms settle
-        # the sign of a zero part; separate products a*cos and a*sin would
-        # keep a -0.0 that the complex product makes 0.0.
-        return plays[:, 3] * rotors, float(frame[-1])
+        cos = np.fromiter(map(math.cos, angle), float, n)
+        sin = np.fromiter(map(math.sin, angle), float, n)
+        # The complex product (a + 0j) * rotor, written out: a*cos - 0*sin and
+        # a*sin + 0*cos. The 0 * ... terms settle the sign of a zero part; a
+        # bare a*sin would keep a -0.0 that the complex product makes 0.0.
+        # numpy's own complex multiply may fuse a*sin + 0*cos into one FMA,
+        # which keeps the -0.0 of an underflowed a*sin, so the parts are
+        # rounded one operation at a time.
+        amplitude, scales = plays[:, 3], np.empty(n, complex)
+        scales.real = amplitude * cos - 0.0 * sin
+        scales.imag = amplitude * sin + 0.0 * cos
+        return scales, float(frame[-1])
 
     def _scatter(self, out: np.ndarray, records: np.ndarray, scale: np.ndarray):
         """out[start + k] = scale * samples[k] for each record's primitive."""

@@ -222,6 +222,18 @@ def test_tradeoff_zero_noise_reports_unlimited(capsys):
         assert line.split(",")[2] == "unlimited"
 
 
+def test_tradeoff_zero_span_grid_has_no_slope_footer(capsys):
+    # pytest raises RuntimeWarning as an error, so a 0/0 slope would fail here
+    code, out, err = run_cli(capsys, "tradeoff", "--alpha-from", "-30", "--alpha-to", "-30",
+                             "-n", "3")
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0"
+    assert len(rows) == 3 and len(set(rows)) == 1 and rows[0].startswith("-30.0,")
+    one_point = run_cli(capsys, "tradeoff", "--alpha-from", "-30", "--alpha-to", "-30", "-n", "1")
+    assert one_point == (0, "\n".join([header, rows[0]]) + "\n", "")
+
+
 def test_non_finite_ranges_are_usage_errors(capsys):
     code, _, err = run_cli(capsys, "tradeoff", "--alpha-from", "nan")
     assert code == 2
@@ -272,6 +284,28 @@ def test_design_gauss_document(capsys):
     code, out, _ = run_cli(capsys, "design", "gauss", "--fc", "0.092")
     assert code == 0
     assert json.loads(out)["parameters"]["f_c_ghz"] == 0.092
+
+
+@pytest.mark.parametrize("argv, provenance", [
+    (("gauss", "--fc", "0.1", "--rate", "2", "--exp", "-0.02:30"), "gauss --fc 0.1"),
+    (("inverse", "--fq", "0.2", "--taps", "8"),
+     "inverse --fc 0.092 --fq 0.2 --gmax 50.0 --window-cutoff 1.0"),
+    (("fir", "--rate", "2", "--fq", "0.2"),
+     "fir --fc 0.092 --fq 0.2 --gmax 50.0 --window-cutoff 1.0 --target inverse --taps 16 "
+     "--rate 2.0"),
+    (("fir", "--rate", "2", "--target", "gauss", "--fq", "0.2", "--gmax", "30"),
+     "fir --fc 0.092 --target gauss --taps 16 --rate 2.0"),
+    (("fir", "--rate", "2", "--fq", "0.2", "--no-quantize", "--taps", "8"),
+     "fir --fc 0.092 --fq 0.2 --gmax 50.0 --window-cutoff 1.0 --target inverse --taps 8 "
+     "--rate 2.0 --no-quantize"),
+    (("gauss", "--fc", "0.1", "--no-quantize"), "gauss --fc 0.1"),
+    (("iir", "--rate", "2", "--exp", "-0.02:30", "--fc", "0.1", "--exp", "-1e-2:5e2"),
+     "iir --rate 2.0 --exp -0.02:30 --exp -1e-2:5e2"),
+])
+def test_design_provenance_records_the_options_its_kind_reads(capsys, argv, provenance):
+    code, out, _ = run_cli(capsys, "design", *argv)
+    assert code == 0
+    assert json.loads(out)["provenance"] == f"uniflux design {provenance}"
 
 
 def test_design_usage_errors(capsys):
@@ -583,7 +617,7 @@ def test_simulate_gate_transfer_is_at_most_one(tmp_path, capsys, monkeypatch):
         amplitude_v=0.01, frequency_ghz=0.2237, propagations=1, theta=np.pi, n_z=0.0,
         unitary=scale * np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
     )
-    monkeypatch.setattr(cli.dynamics, "calibrate_pi", lambda *args, **kwargs: record)
+    monkeypatch.setattr(dynamics, "calibrate_pi", lambda *args, **kwargs: record)
     scenario = write_scenario(tmp_path)
     code, out, _ = run_cli(capsys, "simulate", "gate", "--scenario", scenario)
     assert code == 0

@@ -1,12 +1,18 @@
-"""Cold start: the command-line front end loads no scipy until a command needs it.
+"""Cold start: a command loads only the library modules it runs, and no
+scipy until a function that calls it runs.
 
-A compile loads none unless it runs the Z-path IIR (``--iir``), and an
-ideal-mode `simulate rb`, the closed-form decay, loads none either.
+A fresh `import uniflux.cli` loads numpy and the package core: `errors`,
+`waveform`, `constants`, `fluxonium` and `linebudget` (the parser's basis
+bounds and the reference line). Each command imports the other modules
+inside the functions that run them: `design` adds `filters`, `compile`
+adds `filters` and `pulsec`, `fit` adds `analysis`, and `simulate` adds
+`dynamics`, `filters` and `pulsec`; `devices`, `spectrum` and `tradeoff`
+add none. Every scipy subpackage is imported inside the function that calls
+it, so a compile loads no scipy unless it runs the Z-path IIR (``--iir``),
+and an ideal-mode `simulate rb`, the closed-form decay, loads none either.
 
-Every scipy subpackage is imported inside the function that calls it, so a
-fresh `import uniflux.cli` costs numpy and the package alone. The AST check
-below is where that rule is written down; the subprocess checks show what a
-fresh interpreter actually loads.
+The AST checks below are where these rules are written down; the
+subprocess checks show what a fresh interpreter actually loads.
 """
 
 import ast
@@ -15,6 +21,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import uniflux
 from uniflux import cli
@@ -25,15 +33,25 @@ EXAMPLE_PROGRAM = DATA / "example_program.pulse"
 EXAMPLE_SHA256 = (DATA / "example_program.sha256").read_text().strip()
 
 # Runs cli.main on its argv, then reports the exit code and every loaded
-# scipy module on the last stderr line.
+# scipy and uniflux module on the last stderr line.
 _DRIVER = """
 import json, sys
 from uniflux import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"code": code, "scipy": loaded}), file=sys.stderr)
+def loaded(root):
+    return sorted(m for m in sys.modules if m == root or m.startswith(root + "."))
+print(json.dumps({"code": code, "scipy": loaded("scipy"), "uniflux": loaded("uniflux")}),
+      file=sys.stderr)
 """
+
+# What a fresh `import uniflux.cli` loads of the package, and what each
+# command adds to it.
+_CORE = ("", "cli", "constants", "errors", "fluxonium", "linebudget", "waveform")
+
+
+def _package(*modules):
+    return sorted(f"uniflux.{m}" if m else "uniflux" for m in (*_CORE, *modules))
 
 
 def _fresh(*args):
@@ -56,21 +74,52 @@ def test_import_cli_loads_no_scipy():
     proc = _fresh(
         "-c",
         "import sys, uniflux.cli; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])",
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'uniflux'))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy, package = proc.stdout.splitlines()
+    assert scipy == "[]"
+    assert package == repr(_package())
 
 
 def test_devices_loads_no_scipy():
     report, stdout = _run_fresh_command("devices")
-    assert report == {"code": 0, "scipy": []}
+    assert report == {"code": 0, "scipy": [], "uniflux": _package()}
     assert json.loads(stdout)[0]["name"]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("spectrum", "--from", "0.4", "--to", "0.5", "-n", "3", "--levels", "2"), 3),
+    (("tradeoff", "-n", "3"), 3 + 3),  # and the three slope lines
+])
+def test_sweeps_load_only_the_package_core(argv, rows):
+    report, stdout = _run_fresh_command(*argv)
+    assert report["code"] == 0
+    assert report["uniflux"] == _package()
+    assert len(stdout.splitlines()) == 1 + rows
+
+
+def test_design_loads_only_filters():
+    report, stdout = _run_fresh_command("design", "fir", "--rate", "2", "--fq", "0.22")
+    assert report["code"] == 0
+    assert report["uniflux"] == _package("filters")
+    assert json.loads(stdout)["kind"] == "fir"
+
+
+def test_fit_rb_loads_only_analysis(tmp_path):
+    data = tmp_path / "rb.csv"
+    data.write_text("length,seq_index,survival\n"
+                    + "".join(f"{m},0,{0.5 + 0.5 * 0.99 ** m!r}\n" for m in (1, 4, 16, 64)))
+    report, stdout = _run_fresh_command("fit", "rb", str(data))
+    assert report["code"] == 0
+    assert report["uniflux"] == _package("analysis")
+    assert json.loads(stdout)
 
 
 def test_example_compile_loads_no_scipy_and_keeps_its_golden_digest():
     report, stdout = _run_fresh_command("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
-    assert report == {"code": 0, "scipy": []}
+    assert report == {"code": 0, "scipy": [], "uniflux": _package("filters", "pulsec")}
     assert stdout.splitlines()[0] == f"sha256 {EXAMPLE_SHA256}"
 
 
@@ -81,7 +130,7 @@ def test_fir_compile_loads_no_scipy(tmp_path):
     report, stdout = _run_fresh_command(
         "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--fir", str(fir)
     )
-    assert report == {"code": 0, "scipy": []}
+    assert report == {"code": 0, "scipy": [], "uniflux": _package("filters", "pulsec")}
     assert stdout.splitlines()[0] == (
         "sha256 0393591644efe18ef4aeaa1c3cc26d3f77eb4da0c449fc09f077424bcb76cd57"
     )
@@ -89,7 +138,8 @@ def test_fir_compile_loads_no_scipy(tmp_path):
 
 def test_default_rb_loads_no_scipy():
     report, stdout = _run_fresh_command("simulate", "rb")
-    assert report == {"code": 0, "scipy": []}
+    assert report == {"code": 0, "scipy": [],
+                      "uniflux": _package("dynamics", "filters", "pulsec")}
     # depolarizing strength 1: every sequence survives with 0.5 + 0.5 * 1^m
     assert stdout.splitlines() == ["length,seq_index,survival"] + [
         f"{2 ** j},{k},1.0" for j in range(9) for k in range(2)
@@ -112,6 +162,19 @@ def _imported_roots(stmt):
     return [(stmt.module or "").split(".")[0]] if stmt.level == 0 else []
 
 
+def _imported_package_modules(stmt):
+    """The uniflux modules an import statement inside the package names."""
+    if isinstance(stmt, ast.Import):
+        names = [alias.name for alias in stmt.names]
+    elif stmt.level == 0:
+        names = [f"{stmt.module}.{alias.name}" for alias in stmt.names]
+    elif stmt.module:
+        names = [f"uniflux.{stmt.module}"]
+    else:
+        names = [f"uniflux.{alias.name}" for alias in stmt.names]
+    return [name.split(".")[1] for name in names if name.startswith("uniflux.")]
+
+
 def test_no_module_level_scipy_import():
     """Rule: import each scipy subpackage inside the function that calls it."""
     sources = sorted(PACKAGE.glob("*.py"))
@@ -124,3 +187,15 @@ def test_no_module_level_scipy_import():
     ]
     assert offenders == []
 
+
+def test_cli_imports_no_command_module_at_module_level():
+    """Rule: `cli` imports the modules that only commands run inside the
+    functions that run them, so every command pays only for its own."""
+    path = PACKAGE / "cli.py"
+    imported = {
+        module
+        for stmt in _module_level_imports(ast.parse(path.read_text(), str(path)))
+        for module in _imported_package_modules(stmt)
+    }
+    assert "fluxonium" in imported  # the rule sees relative imports
+    assert imported.isdisjoint({"analysis", "distortion", "dynamics", "filters", "pulsec"})

@@ -618,9 +618,18 @@ _SIGNED_ZERO = PulseProgram(
 )
 
 
+# a*sin(phase) underflows to -0.0; added to 0*cos in one fused multiply-add
+# the imaginary part of the scale would stay -0.0 instead of 0.0
+_FUSED_SIGNED_ZERO = PulseProgram(
+    (PlayXY("zero", -3.506424101618955e-286, 1.274314262014313e-232),),
+    {"zero": PulsePrimitive("zero", (0.0,), RATE)},
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_programs())
 @example(_SIGNED_ZERO)
+@example(_FUSED_SIGNED_ZERO)
 def test_compile_matches_unrolled_oracle_property(program):
     _assert_compiles_like_oracle(program)
 
