@@ -8,7 +8,10 @@ degenerate regimes a caller should know about (unidentifiable decay,
 exchange degeneracy, component collapse).
 
 These fits and those in ``distortion`` share one multi-start kernel,
-``_least_squares_fit``, with one covariance rule.
+``_least_squares_fit``, with one covariance rule. A residual handed to it
+without an analytic Jacobian takes a trailing batch axis: an (n, k) stack of
+parameter vectors gives the (k, m) residuals of its k columns, so the kernel
+forms each finite-difference Jacobian from one call.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .errors import FitError
 
 _RATE_CAP = 1e3  # 1/us; fastest representable decay rate in the fits
+_FD_STEP = math.sqrt(np.finfo(float).eps)  # SciPy's relative 2-point step
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +75,51 @@ def _validate_decay_input(t, values, min_points):
     return t, values
 
 
+def _forward_difference(residuals, bounds):
+    """SciPy's bounded 2-point Jacobian, from one call of batched ``residuals``.
+
+    The step is sqrt(eps) * sign(x) * max(1, |x|), with sign(0) = +1. A step
+    that leaves the box flips if it fits on the other side, and otherwise
+    goes to the farther bound. J = (f_i - f_0) / ((x_i + h_i) - x_i), where
+    x and its n stepped copies are the columns of one (n, n + 1) stack.
+    """
+    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
+
+    def jacobian(x):
+        h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        lower, upper = x - lb, ub - x
+        fits = np.abs(h) <= np.maximum(lower, upper)
+        stepped = x + h
+        h = np.where(((stepped < lb) | (stepped > ub)) & fits, -h, h)
+        stepped = x + np.where(fits, h, np.where(upper >= lower, upper, -lower))
+        n = x.size
+        stack = np.repeat(x[:, None], n + 1, axis=1)
+        stack[np.arange(n), np.arange(1, n + 1)] = stepped
+        f = residuals(stack)
+        return ((f[1:] - f[0]) / (stepped - x)[:, None]).T
+
+    return jacobian
+
+
 def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
     """Multi-start least squares: (x, covariance, sse) of the best start.
 
     ``scipy.optimize.least_squares`` runs once per start, with ``trf`` when
     any bound is finite and ``lm`` otherwise; ``solver`` passes ``jac``,
-    ``max_nfev`` or ``xtol`` through. Starts that raise or do not converge
-    are skipped and the lowest sum of squares wins. The covariance is SciPy's
-    curve-fit rule: the SVD pseudo-inverse of J^T J (singular values below
-    eps * max(m, n) * s_0 dropped) times sse / (m - n), and inf when m <= n.
+    ``max_nfev`` or ``xtol`` through. Without ``jac``, ``residuals`` must
+    take a trailing batch axis (an (n, k) parameter stack gives (k, m)
+    residuals), and ``_forward_difference`` builds the Jacobian that
+    ``least_squares(jac="2-point")`` would, bit for bit, from one call.
+    Starts that raise or do not converge are skipped and the lowest sum of
+    squares wins. The covariance is SciPy's curve-fit rule: the SVD
+    pseudo-inverse of J^T J (singular values below eps * max(m, n) * s_0
+    dropped) times sse / (m - n), and inf when m <= n.
     """
     import scipy.linalg
     from scipy.optimize import least_squares
 
+    if "jac" not in solver:
+        solver["jac"] = _forward_difference(residuals, bounds)
     method = "trf" if np.isfinite(bounds).any() else "lm"
     best = None
     for x0 in starts:
@@ -157,7 +193,7 @@ def fit_t1_double_exponential(t_us, p_e) -> RelaxationFit:
         [10.0, 1.0, 1e7, 1e7, 50.0],
     )
     popt, pcov, sse = _least_squares_fit(
-        lambda p: relaxation_model(t, *p) - values, starts, bounds, max_nfev=20000
+        lambda p: relaxation_model(t, *p[..., None]) - values, starts, bounds, max_nfev=20000
     )
     a, b, t_exp, t_qp, n_qp = (float(x) for x in popt)
 
@@ -222,7 +258,7 @@ def fit_dephasing_envelope(t_us, env, t1_de) -> DephasingFit:
     ]
     bounds = ([1e-12, -1.0, 0.0, 1e-9], [10.0, 1.0, _RATE_CAP, _RATE_CAP])
     popt, pcov, sse = _least_squares_fit(
-        lambda p: dephasing_model(t, p[0], p[1], t1_de, *p[2:]) - values,
+        lambda p: dephasing_model(t, *p[:2, ..., None], t1_de, *p[2:, ..., None]) - values,
         starts, bounds, max_nfev=20000,
     )
     c, d, gamma_exp, gamma_g = (float(x) for x in popt)
@@ -301,7 +337,7 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
               for p0 in (0.9, 0.99, 0.999, 0.9999)]
     bounds = ([0.0, 0.0, 1e-9], [1.0, 1.0, 1.0])
     popt, pcov, sse = _least_squares_fit(
-        lambda p: rb_model(m, *p) - s, starts, bounds, max_nfev=20000
+        lambda p: rb_model(m, *p[..., None]) - s, starts, bounds, max_nfev=20000
     )
     a, b, p = (float(x) for x in popt)
     if a < 1e-6:
@@ -555,15 +591,23 @@ def load_signal_samples(source) -> np.ndarray:
     return body[:, names.index("signal")]
 
 
+def _json_value(value):
+    """``value`` with arrays and tuples as lists and non-finite floats as None."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def fit_report(fit) -> dict:
-    """JSON-ready dict of any fit dataclass (arrays become lists)."""
-    out = {}
-    for key, value in dataclasses.asdict(fit).items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
+    """Strict-JSON dict of any fit dataclass: arrays become lists, and each
+    nan or inf becomes None (null). A null is an unreached 1/e time (flagged
+    ``one-over-e-unreached``), a vanished exponential dephasing rate
+    (t_phi_exp), or a covariance that no more points than parameters leave
+    undetermined."""
+    out = {key: _json_value(value) for key, value in dataclasses.asdict(fit).items()}
     out["model"] = type(fit).__name__
     return out

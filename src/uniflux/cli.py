@@ -628,7 +628,8 @@ def cmd_fit(args) -> int:
     _require(args.model != "dephasing" or args.t1_us is not None,
              "fit dephasing requires --t1-us")
     fit = _read_input(args.data, _fit_csv, args)
-    _write_text(args.output, json.dumps(analysis.fit_report(fit), indent=2) + "\n")
+    report = json.dumps(analysis.fit_report(fit), indent=2, allow_nan=False)
+    _write_text(args.output, report + "\n")
     return 0
 
 

@@ -256,6 +256,144 @@ def test_rb_fit_matches_curve_fit_reference(monkeypatch):
     assert np.all(np.isinf(fit.covariance))
 
 
+def _compile_fit_t1(rng, n_qp):
+    """A `fit t1` input as the compile_fit benchmark draws it, at a given n_qp."""
+    a, b = rng.uniform(0.85, 0.95), rng.uniform(0.02, 0.06)
+    t_exp, t_qp = rng.uniform(80.0, 200.0), rng.uniform(15.0, 40.0)
+    t = np.concatenate([[0.0], np.geomspace(0.5, 4.0 * t_exp, 120)])
+    clean = oracles.double_exp_population(t, a, b, t_exp, t_qp, n_qp)
+    return t, clean + rng.normal(0.0, 0.003, len(t))
+
+
+def test_compile_fit_shaped_t1_fits_match_curve_fit(monkeypatch):
+    calls = _record_kernel(monkeypatch)
+    rng = np.random.default_rng(44)
+    for n_qp in (rng.uniform(0.5, 1.5), 0.0):
+        t, noisy = _compile_fit_t1(rng, n_qp)
+        fit = analysis.fit_t1_double_exponential(t, noisy)
+        _assert_matches_curve_fit(calls, fit, analysis.relaxation_model, t, noisy)
+
+
+def test_compile_fit_shaped_dephasing_and_rb_fits_match_curve_fit(monkeypatch):
+    calls = _record_kernel(monkeypatch)
+    rng = np.random.default_rng(45)
+    t = np.linspace(0.0, 400.0, 81)
+    for t_phi_exp in (rng.uniform(60.0, 150.0), math.inf):
+        c, d, t1 = rng.uniform(0.85, 0.95), rng.uniform(0.02, 0.06), rng.uniform(120.0, 250.0)
+        clean = oracles.dephasing_envelope(t, c, d, t1, t_phi_exp, rng.uniform(80.0, 200.0))
+        noisy = clean + rng.normal(0.0, 0.003, len(t))
+        fit = analysis.fit_dephasing_envelope(t, noisy, t1_de=t1)
+
+        def model(tt, c, d, gamma_exp, gamma_g):
+            return analysis.dephasing_model(tt, c, d, t1, gamma_exp, gamma_g)
+
+        _assert_matches_curve_fit(calls, fit, model, t, noisy)
+    lengths = np.repeat(2.0 ** np.arange(10), 2)
+    for p in (rng.uniform(0.99, 0.998), 1.0):
+        survivals = oracles.depolarized_survival(p, lengths)
+        survivals = survivals + rng.normal(0.0, 0.002, len(lengths))
+        fit = analysis.fit_rb_decay(lengths, survivals)
+        _assert_matches_curve_fit(calls, fit, analysis.rb_model, lengths, survivals)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's finite-difference Jacobian against SciPy's
+# ---------------------------------------------------------------------------
+
+T1_BOUNDS = ([1e-12, -1.0, 1e-6, 1e-6, 0.0], [10.0, 1.0, 1e7, 1e7, 50.0])
+_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _t1_residuals():
+    t = np.concatenate([[0.0], np.geomspace(0.5, 600.0, 120)])
+    values = oracles.double_exp_population(t, 0.9, 0.04, 150.0, 30.0, 1.0)
+    return lambda p: analysis.relaxation_model(t, *p[..., None]) - values
+
+
+@pytest.mark.parametrize("x, bounds", [
+    # interior, with a negative and a zero parameter (sign(0) = +1)
+    ([0.9, -0.05, 150.0, 30.0, 1.0], T1_BOUNDS),
+    ([2.5, 0.0, 1e5, 0.3, 0.0], T1_BOUNDS),
+    # within one step of the upper bound: the forward step flips
+    ([10.0 - 1e-9, 1.0 - 1e-10, 1e7 - 1.0, 30.0, 50.0 - 1e-7], T1_BOUNDS),
+    # within one step of the lower bound: the backward step of a negative x flips
+    ([0.9, -1.0 + 1e-10, 150.0, 30.0, 1.0], T1_BOUNDS),
+    # boxes narrower than the step: forward to the upper bound ...
+    ([0.9 + 3e-11, 0.04, 150.0, 30.0, 1.0],
+     ([0.9, -1.0, 1e-6, 1e-6, 0.0], [0.9 + 1e-10, 1.0, 1e7, 1e7, 50.0])),
+    # ... and backward to the lower bound, on a negative parameter too
+    ([0.9 + 7e-11, -0.04 + 1e-11, 150.0, 30.0, 1.0],
+     ([0.9, -0.04, 1e-6, 1e-6, 0.0], [0.9 + 1e-10, -0.04 + 1.5e-11, 1e7, 1e7, 50.0])),
+])
+def test_forward_difference_equals_approx_derivative_bit_for_bit(x, bounds):
+    from scipy.optimize._numdiff import approx_derivative
+
+    residuals = _t1_residuals()
+    x = np.array(x)
+    got = analysis._forward_difference(residuals, bounds)(x)
+    want = approx_derivative(residuals, x, method="2-point", bounds=bounds, f0=residuals(x))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_forward_difference_takes_each_step_rule_in_one_call():
+    # a and b sit within one step of a bound, t_exp and t_qp in boxes
+    # narrower than their step, n_qp at zero inside its box
+    x = np.array([10.0 - 1e-9, -1.0 + 1e-10, 150.0 + 3e-7, 30.0, 0.0])
+    bounds = ([1e-12, -1.0, 150.0, 30.0 - 3e-7, -1.0], [10.0, 1.0, 150.0 + 1e-6, 30.0 + 1e-7, 50.0])
+    stacks = []
+
+    def residuals(p):
+        stacks.append(p)
+        return _t1_residuals()(p)
+
+    analysis._forward_difference(residuals, bounds)(x)
+    (stack,) = stacks
+    assert stack.shape == (5, 6)
+    assert np.array_equal(stack[:, 0], x)
+    steps = np.diag(stack[:, 1:]) - x
+    assert steps[0] == pytest.approx(-_STEP * 10.0)  # flipped below the upper bound
+    assert steps[1] == pytest.approx(_STEP)  # a negative x's step flipped above the lower bound
+    assert steps[2] == pytest.approx(7e-7)  # forward to the farther, upper bound
+    assert steps[3] == pytest.approx(-3e-7)  # backward to the farther, lower bound
+    assert steps[4] == _STEP  # sign(0) = +1
+
+
+def _captured_residuals(monkeypatch):
+    """Spy on the fit kernel: each call's residuals, starts and solution."""
+    captured = []
+    kernel = analysis._least_squares_fit
+
+    def spy(residuals, starts, bounds, **solver):
+        result = kernel(residuals, starts, bounds, **solver)
+        captured.append((residuals, starts, result[0]))
+        return result
+
+    monkeypatch.setattr(analysis, "_least_squares_fit", spy)
+    return captured
+
+
+def test_batched_residuals_equal_single_calls_row_by_row(monkeypatch):
+    captured = _captured_residuals(monkeypatch)
+    rng = np.random.default_rng(46)
+    t, noisy = _compile_fit_t1(rng, 1.0)
+    analysis.fit_t1_double_exponential(t, noisy)
+    t = np.linspace(0.0, 400.0, 81)
+    env = oracles.dephasing_envelope(t, 0.9, 0.04, 180.0, 90.0, 128.0)
+    analysis.fit_dephasing_envelope(t, env + rng.normal(0.0, 0.003, len(t)), t1_de=180.0)
+    lengths = np.repeat(2.0 ** np.arange(10), 2)
+    survivals = oracles.depolarized_survival(0.995, lengths)
+    analysis.fit_rb_decay(lengths, survivals + rng.normal(0.0, 0.002, len(lengths)))
+    assert len(captured) == 3
+    for residuals, starts, solution in captured:
+        stack = np.column_stack([*starts, solution])
+        batch = residuals(stack)
+        assert batch.shape == (stack.shape[1], residuals(solution).size)
+        for column, row in zip(stack.T, batch):
+            assert row.tobytes() == residuals(column).tobytes()
+
+
 def test_fits_reject_non_finite_data():
     t = _t_grid(40)
     p = oracles.double_exp_population(t, **T1_CANON)
@@ -426,3 +564,9 @@ def test_fit_report_is_json_ready():
     assert isinstance(report["covariance"], list)
     loaded = json.loads(json.dumps(report, indent=2))
     assert loaded["p"] == pytest.approx(0.995, abs=1e-9)
+    vanished = analysis.DephasingFit(c=1.0, d=0.0, t1_de=200.0, t_phi_exp=math.inf,
+                                     t_phi_g=128.0, covariance=np.full((4, 4), math.nan),
+                                     sse=0.0)
+    report = analysis.fit_report(vanished)
+    assert report["t_phi_exp"] is None and report["covariance"] == [[None] * 4] * 4
+    json.dumps(report, allow_nan=False)

@@ -881,6 +881,35 @@ def test_fit_reset_recovers_two_percent(tmp_path, capsys):
     assert report["fidelity"] == pytest.approx(0.98, abs=0.003)
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, as jq and other strict parsers do."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_fit_reports_are_strict_json_with_null_for_non_finite_values(tmp_path, capsys):
+    t = np.concatenate([[0.0, 1.0, 2.0, 5.0], np.linspace(10.0, 600.0, 20)])
+    p = oracles.double_exp_population(t, a=1.0, b=0.0, t_exp=2e4, t_qp=30.0, n_qp=0.0)
+    t1_csv = tmp_path / "t1.csv"
+    np.savetxt(t1_csv, np.column_stack([t, p]), delimiter=",", header="t_us,p_e",
+               comments="", fmt="%.17g")
+    code, out, _ = run_cli(capsys, "fit", "t1", str(t1_csv))
+    assert code == 0
+    report = _strict_json(out)
+    assert report["t1_eff"] is None
+    assert report["flags"] == ["one-over-e-unreached"]
+
+    rb_csv = tmp_path / "rb.csv"  # three lengths for three parameters
+    rb_csv.write_text("length,seq_index,survival\n1,0,0.99\n16,0,0.9\n256,0,0.6\n")
+    code, out, _ = run_cli(capsys, "fit", "rb", str(rb_csv))
+    assert code == 0
+    report = _strict_json(out)
+    assert report["covariance"] == [[None] * 3] * 3
+    assert 0.0 < report["p"] < 1.0
+
+
 def test_fit_malformed_csv_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t_us,p1\n0,1.0\n1,bad,extra\n")

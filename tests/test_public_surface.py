@@ -274,12 +274,16 @@ def test_each_format_constant_lives_in_its_owner():
 
 
 # ---------------------------------------------------------------------------
-# each step of the drive has one home
+# each step of the drive, and each fit, has one home
 # ---------------------------------------------------------------------------
 
 # Functions that one function in src/ alone may call: every drive reaches the
-# channel through `dynamics._prepare`, which alone pre-distorts it.
-CALL_OWNERS = {"predistort_drive": "dynamics._prepare"}
+# channel through `dynamics._prepare`, which alone pre-distorts it, and every
+# fit runs through the one kernel, `analysis._least_squares_fit`.
+CALL_OWNERS = {
+    "predistort_drive": "dynamics._prepare",
+    "least_squares": "analysis._least_squares_fit",
+}
 
 
 def test_each_owned_function_has_one_caller():
@@ -293,3 +297,18 @@ def test_each_owned_function_has_one_caller():
     assert callers == {callee: {owner} for callee, owner in CALL_OWNERS.items()}, (
         f"calls outside their owning function: {callers}"
     )
+
+
+def test_no_module_imports_a_private_scipy_module():
+    private = sorted(
+        (path.stem, name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name.split(".")[0] == "scipy" and any(part.startswith("_") for part in name.split("."))
+    )
+    assert private == [], f"imports of private scipy modules: {private}"
