@@ -24,15 +24,18 @@ sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch, Math. Comp. 23, 221
 scales the nodes by its phi_zpf (the oscillator-basis approach of
 Groszkowski & Koch, scqubits, Quantum 5, 583 (2021)).
 
-Truncation is measured, not assumed: ``eigensystem`` reports the largest
-weight a returned eigenvector has in the top sixth of the oscillator states
-and refuses a spectrum whose weight there exceeds TAIL_LIMIT. Sweeps,
+One kernel, ``_eigensolve``, diagonalizes every Hamiltonian, a stack of them
+at a time, through LAPACK's dsyevr with the workspace scipy.linalg.eigh
+queries: bit for bit eigh, without its per-call wrapper. Truncation is
+measured, not assumed: the kernel reports the weight each eigenvector has in
+the top sixth of the oscillator states, and a spectrum whose weight there
+exceeds TAIL_LIMIT is refused. Sweeps,
 reset-flux searches and eigenbasis phase matrices solve each flux point on a
 short ladder of basis sizes, RUNGS and then ``basis_size``, and keep the
 first rung whose tail weight is at most TAIL_CONVERGED. Each point climbs
 from the bottom, so a sweep row equals the single-point solve at its flux.
 A call forms cos(phi_op) and sin(phi_op) once per rung it climbs; each rung
-a point visits costs one matrix sum and one subset eigensolve.
+solves the points still climbing as one stack.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class EnergySpectrum:
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=float)
-        if lv[0] != 0.0 or np.any(np.diff(lv) < 0):
+        if lv[0] != 0.0 or (lv[1:] < lv[:-1]).any():
             raise ValueError("levels must be non-decreasing with levels[0] == 0")
         object.__setattr__(self, "levels", lv)
 
@@ -148,6 +151,7 @@ def _phase_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, v
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _eigensolve refuses what overflows
 def _flux_free_terms(params: FluxoniumParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(LC diagonal, cos(phi_op), sin(phi_op)): every term of H that flux leaves alone."""
     nodes, v = _phase_basis(params.basis_size)
@@ -156,12 +160,23 @@ def _flux_free_terms(params: FluxoniumParams) -> tuple[np.ndarray, np.ndarray, n
     return lc, (v * np.cos(w)) @ v.T, (v * np.sin(w)) @ v.T
 
 
-def _assemble(terms, e_j: float, phi_ext: float) -> np.ndarray:
-    """H at ``phi_ext`` from the flux-free terms of a circuit with ``e_j``."""
+@np.errstate(over="ignore", invalid="ignore")  # _eigensolve refuses what overflows
+def _assemble(terms, e_j: float, fluxes: np.ndarray) -> np.ndarray:
+    """H at each of ``fluxes``: a (len(fluxes), n, n) stack from the flux-free
+    terms of a circuit with ``e_j``, each row built in place as D - E_J (C cos
+    + S sin), then (H + H^T) / 2, so every row is exactly symmetric."""
     lc, cos_phi, sin_phi = terms
-    phi_dc = 2.0 * np.pi * phi_ext
-    h = np.diag(lc) - e_j * (cos_phi * np.cos(phi_dc) + sin_phi * np.sin(phi_dc))
-    return (h + h.T) / 2.0
+    phi_dc = 2.0 * np.pi * fluxes
+    diag = np.diag(lc)
+    stack = np.empty((len(fluxes), *diag.shape))
+    scratch = np.empty_like(diag)
+    for h, c, s in zip(stack, np.cos(phi_dc), np.sin(phi_dc)):
+        np.multiply(cos_phi, c, out=h)
+        h += np.multiply(sin_phi, s, out=scratch)
+        h *= e_j
+        np.subtract(diag, h, out=h)
+        np.divide(np.add(h, h.T, out=scratch), 2.0, out=h)
+    return stack
 
 
 def build_hamiltonian(params: FluxoniumParams) -> np.ndarray:
@@ -175,20 +190,31 @@ def build_hamiltonian(params: FluxoniumParams) -> np.ndarray:
     form them once and reuse them. The result is explicitly symmetrized to
     absorb floating-point asymmetry of the reconstructed matrix functions.
     """
-    return _assemble(_flux_free_terms(params), params.e_j, params.phi_ext)
+    return _assemble(_flux_free_terms(params), params.e_j, np.array([params.phi_ext]))[0]
 
 
-def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectrum:
-    """Lowest ``n_levels`` eigenfrequencies of ``h``, relative to the ground state.
+@lru_cache(maxsize=len(RUNGS) + 2)
+def _syevr(n: int):
+    """(dsyevr, lwork, liwork) for n x n: the workspace scipy.linalg.eigh queries."""
+    from scipy.linalg import get_lapack_funcs
 
-    ``n_levels`` may be at most a third of the basis size: levels closer to
-    the truncation edge are not trustworthy. A retained eigenvector with more
-    than TAIL_LIMIT of its weight in the top ``dim // TAIL_DIVISOR``
-    oscillator states raises NumericalError: the basis is too small.
+    syevr, query = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    lwork, liwork, _ = query(n, lower=1)
+    return syevr, int(lwork), liwork
+
+
+def _eigensolve(stack: np.ndarray, n_levels: int):
+    """(levels, vectors, tails, info) of the lowest ``n_levels`` states of each
+    exactly symmetric (n, n) row of ``stack``, which it overwrites.
+
+    Per row: levels above the ground state; vectors as LAPACK returns them,
+    Fortran-ordered, each signed so its largest-magnitude component is
+    positive; tails, each vector's weight in the top n // TAIL_DIVISOR states;
+    info 0, dsyevr's failure code, or -1 for a row refused as not finite.
+    ``n_levels`` may be at most a third of n: levels closer to the truncation
+    edge are not trustworthy.
     """
-    import scipy.linalg
-
-    dim = h.shape[0]
+    p, dim, _ = stack.shape
     if n_levels < 2:
         raise ValueError("n_levels must be at least 2")
     if n_levels > dim // BASIS_PER_LEVEL:
@@ -196,21 +222,55 @@ def eigensystem(h: np.ndarray, n_levels: int = DEFAULT_N_LEVELS) -> EnergySpectr
             f"n_levels={n_levels} exceeds the truncation safety margin "
             f"(basis_size={dim} supports at most {dim // BASIS_PER_LEVEL})"
         )
-    try:
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, n_levels - 1))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    syevr, lwork, liwork = _syevr(dim)
+    vals = np.zeros((p, n_levels))
+    # phase_matrix's product rounds by layout: each row keeps LAPACK's
+    vecs = np.zeros((p, n_levels, dim)).transpose(0, 2, 1)
+    info = np.where(np.isfinite(stack).all(axis=(1, 2)), 0, -1)
+    for i in np.flatnonzero(info == 0):
+        # a C-ordered row's transpose is Fortran-ordered: solved in place
+        w, vecs[i], _, _, info[i] = syevr(
+            stack[i].T, range="I", il=1, iu=n_levels, lower=1, lwork=lwork, liwork=liwork,
+            overwrite_a=1,
+        )
+        vals[i] = w[:n_levels]
     # Fix each eigenvector's sign: largest-magnitude component real-positive.
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n_levels)]
-    vecs *= np.where(lead < 0, -1.0, 1.0)
-    tail = np.sum(vecs[dim - dim // TAIL_DIVISOR:] ** 2, axis=0)
-    level = int(np.argmax(tail))
-    if tail[level] > TAIL_LIMIT:
+    rows, cols = np.arange(p)[:, None], np.arange(n_levels)
+    lead = vecs[rows, np.abs(vecs).argmax(axis=1), cols]
+    vecs *= np.where(lead < 0, -1.0, 1.0)[:, None]
+    tails = (vecs[:, dim - dim // TAIL_DIVISOR:] ** 2).sum(axis=1)
+    return vals - vals[:, :1], vecs, tails, info
+
+
+def _spectrum(levels, vectors, tails, info) -> EnergySpectrum:
+    """One row of ``_eigensolve`` as an EnergySpectrum, or the error refusing it."""
+    if info < 0:
+        raise ValueError("Hamiltonian is not finite")
+    if info > 0:
+        raise NumericalError(f"eigensolver failed to converge (dsyevr info {info})")
+    level = int(tails.argmax())
+    if tails[level] > TAIL_LIMIT:
+        dim = len(vectors)
         raise NumericalError(
-            f"basis {dim} too small: level {level} has weight {tail[level]:.2e} in the top "
+            f"basis {dim} too small: level {level} has weight {tails[level]:.2e} in the top "
             f"{dim // TAIL_DIVISOR} oscillator states (limit {TAIL_LIMIT:g})"
         )
-    return EnergySpectrum(levels=vals - vals[0], tail_weight=float(tail[level]), _vectors=vecs)
+    return EnergySpectrum(levels=levels, tail_weight=float(tails[level]), _vectors=vectors)
+
+
+def eigensystem(h: np.ndarray, n_levels: int) -> EnergySpectrum:
+    """Lowest ``n_levels`` eigenfrequencies of the symmetric ``h``, relative to
+    the ground state: ``_eigensolve`` on a one-matrix stack.
+
+    ``n_levels`` may be at most a third of the basis size. A matrix that is not
+    finite raises ValueError. A retained eigenvector with more than TAIL_LIMIT
+    of its weight in the top ``dim // TAIL_DIVISOR`` oscillator states raises
+    NumericalError: the basis is too small.
+    """
+    # the kernel reads the transpose of each row and overwrites the stack:
+    # hand it the transpose of a Fortran copy, so it reads h's lower triangle
+    [row] = zip(*_eigensolve(np.array(h, dtype=float, order="F").T[None], n_levels))
+    return _spectrum(*row)
 
 
 def phase_matrix(params: FluxoniumParams, spectrum: EnergySpectrum) -> np.ndarray:
@@ -227,31 +287,46 @@ def phase_matrix(params: FluxoniumParams, spectrum: EnergySpectrum) -> np.ndarra
     return params.phi_zpf * (lowered + lowered.T)
 
 
-def _solve_point(params: FluxoniumParams, phi_ext: float, n_levels: int, terms: dict
-                 ) -> EnergySpectrum:
-    """Eigensystem of ``params`` at ``phi_ext`` on the smallest converged rung.
+def _solve(params: FluxoniumParams, fluxes, n_levels: int, terms: dict
+           ) -> list[EnergySpectrum]:
+    """Eigensystem of ``params`` at each of ``fluxes`` on its smallest converged rung.
 
-    Climbs the RUNGS below ``params.basis_size`` that hold ``n_levels`` at a
-    third of their size, then ``basis_size`` itself, and returns the first
-    rung whose tail weight is at most TAIL_CONVERGED; the top rung answers
-    only to eigensystem's TAIL_LIMIT. ``terms`` maps each rung to its
-    flux-free terms; it is filled as rungs are first climbed, so a caller
-    visiting many fluxes of one circuit builds each rung's terms once.
+    Rows climb the RUNGS below ``params.basis_size`` that hold ``n_levels`` at
+    a third of their size, then ``basis_size``, as one stack per rung. A row
+    stops at the first rung whose tail weight is at most TAIL_CONVERGED, or
+    where it is found not finite; one whose solve failed climbs on, and the
+    top rung answers only to TAIL_LIMIT.
+    ``terms`` maps each rung to its flux-free terms and is filled as rungs are
+    first climbed. The first bad row in grid order raises, its index as the
+    error's ``row``.
     """
     top = params.basis_size
     rungs = [n for n in RUNGS if n < top and n_levels <= n // BASIS_PER_LEVEL]
+    fluxes = np.asarray(fluxes, dtype=float)
+    rows = [None] * len(fluxes)
+    climbing = list(range(len(fluxes)))
     for n in rungs + [top]:
         if n not in terms:
             terms[n] = _flux_free_terms(params.replace(basis_size=n))
-        h = _assemble(terms[n], params.e_j, phi_ext)
-        if n == top:
-            return eigensystem(h, n_levels)
+        solved = _eigensolve(_assemble(terms[n], params.e_j, fluxes[climbing]), n_levels)
+        still = []
+        for idx, row in zip(climbing, zip(*solved)):
+            info = row[3]
+            if n < top and (info > 0 or info == 0 and row[2].max() > TAIL_CONVERGED):
+                still.append(idx)
+            else:
+                rows[idx] = row
+        climbing = still
+        if not climbing:
+            break
+    spectra = []
+    for idx, row in enumerate(rows):
         try:
-            spec = eigensystem(h, n_levels)
-        except NumericalError:
-            continue  # the tail is over TAIL_LIMIT: climb
-        if spec.tail_weight <= TAIL_CONVERGED:
-            return spec
+            spectra.append(_spectrum(*row))
+        except (NumericalError, ValueError) as exc:
+            exc.row = idx
+            raise
+    return spectra
 
 
 def phase_matrix_element(
@@ -267,7 +342,7 @@ def phase_matrix_element(
     n_levels = max(n_levels, i + 1, j + 1)
     if min(i, j) < 0 or n_levels > params.basis_size // BASIS_PER_LEVEL:
         raise ValueError(f"level index out of range for basis_size={params.basis_size}")
-    spectrum = _solve_point(params, params.phi_ext, n_levels, {})
+    [spectrum] = _solve(params, [params.phi_ext], n_levels, {})
     # one triangle is read, so (i, j) and (j, i) agree exactly
     return float(abs(phase_matrix(params, spectrum)[min(i, j), max(i, j)]))
 
@@ -281,7 +356,7 @@ def eigenbasis_phase_matrix(
     drive physics uses it as the coupling operator, where diagonal offsets
     only shift the energy reference.
     """
-    spectrum = _solve_point(params, params.phi_ext, n_levels, {})
+    [spectrum] = _solve(params, [params.phi_ext], n_levels, {})
     return spectrum.levels.copy(), phase_matrix(params, spectrum)
 
 
@@ -290,23 +365,26 @@ def spectrum_sweep(
 ) -> list[tuple[float, EnergySpectrum]]:
     """Eigensystem at each flux in ``flux_grid``; rows are independent.
 
-    Each row is the single-point solve at its flux; the flux-free terms of
-    each rung are computed once for the whole grid.
+    Each row is the single-point solve at its flux. The flux-free terms of
+    each rung are computed once for the whole grid, and each rung solves the
+    rows still climbing as one stack. A non-finite flux raises ValueError
+    before any solve. A row refused on the top rung, or whose Hamiltonian is
+    not finite, raises with its index and flux; when several are, the first
+    in grid order is named.
     """
     flux_grid = list(flux_grid)
     if not flux_grid:
         raise ValueError("flux_grid must be non-empty")
-    terms = {}
-    rows = []
     for idx, flux in enumerate(flux_grid):
         if not np.isfinite(flux):
             raise ValueError(f"sweep row {idx}: flux must be finite, got {flux}")
-        try:
-            spec = _solve_point(params, flux, n_levels, terms)
-        except NumericalError as exc:
-            raise NumericalError(f"sweep row {idx} (flux={flux}): {exc}") from exc
-        rows.append((float(flux), spec))
-    return rows
+    try:
+        spectra = _solve(params, flux_grid, n_levels, {})
+    except (NumericalError, ValueError) as exc:
+        if not hasattr(exc, "row"):
+            raise  # n_levels out of range: no row is at fault
+        raise type(exc)(f"sweep row {exc.row} (flux={flux_grid[exc.row]}): {exc}") from exc
+    return [(float(flux), spec) for flux, spec in zip(flux_grid, spectra)]
 
 
 @dataclass(frozen=True)
@@ -319,7 +397,7 @@ class ResetFlux:
 
 
 def _f01(params: FluxoniumParams, terms: dict, flux: float) -> float:
-    return float(_solve_point(params, flux, 2, terms).levels[1])
+    return float(_solve(params, [flux], 2, terms)[0].levels[1])
 
 
 def find_reset_flux(

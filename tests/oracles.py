@@ -68,7 +68,7 @@ from uniflux.errors import (
     ScheduleError,
     _is_integer,
 )
-from uniflux.fluxonium import ResetFlux, _f01, _flux_free_terms, eigensystem
+from uniflux.fluxonium import TAIL_DIVISOR, ResetFlux, _f01, _flux_free_terms, eigensystem
 from uniflux.pulsec import (
     EDGE,
     ENVELOPE,
@@ -135,6 +135,22 @@ def loop_sign_fix(vecs):
         if vecs[lead, k] < 0:
             vecs[:, k] = -vecs[:, k]
     return vecs
+
+
+def eigh_eigensystem(h, n_levels: int):
+    """The package's eigensolve as scipy.linalg.eigh gives it: (levels above the
+    ground state, vectors, tails) of the lowest ``n_levels`` states of ``h``.
+
+    Each vector is signed so that its largest-magnitude component is positive;
+    tails are the vectors' weights in the top dim // TAIL_DIVISOR oscillator
+    states. The package calls LAPACK itself and must match this bit for bit.
+    """
+    dim = h.shape[0]
+    vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, n_levels - 1))
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n_levels)]
+    vecs *= np.where(lead < 0, -1.0, 1.0)
+    tails = np.sum(vecs[dim - dim // TAIL_DIVISOR:] ** 2, axis=0)
+    return vals - vals[0], vecs, tails
 
 
 def tridiagonal_flux_free_terms(params):

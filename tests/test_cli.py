@@ -170,6 +170,29 @@ def test_spectrum_m01_matches_phase_matrix_element(tmp_path, capsys):
         assert m01 == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_spectrum_stdout_is_built_from_the_eigh_oracle(capsys):
+    # every row from scipy.linalg.eigh on the rung the row stops on; m01 is
+    # a product of the vectors, which rounds by their layout, so this pins
+    # the Fortran order LAPACK returns them in as well as their values
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--ej", "6.2", "--ec", "0.9", "--el", "0.7",
+        "--from", "-0.4", "--to", "1.2", "-n", "17", "--levels", "4",
+    )
+    params = fluxonium.FluxoniumParams(6.2, 0.9, 0.7)
+    lines = ["flux_phi0,f01_ghz,f02_ghz,f03_ghz,m01_abs"]
+    for flux in np.linspace(-0.4, 1.2, 17):
+        for size in (80, 100, 120):
+            h = fluxonium.build_hamiltonian(params.replace(phi_ext=flux, basis_size=size))
+            levels, vecs, tails = oracles.eigh_eigensystem(h, 4)
+            if tails.max() <= fluxonium.TAIL_CONVERGED:
+                break
+        spec = fluxonium.EnergySpectrum(levels, tails.max(), vecs)
+        m01 = fluxonium.phase_matrix(params, spec)[0, 1]
+        lines.append(",".join(repr(float(v)) for v in (flux, *levels[1:], abs(m01))))
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+
+
 def test_spectrum_reversed_range_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--from", "0.7", "--to", "0.3")
     assert code == 2
@@ -1100,6 +1123,14 @@ _EXIT_CODE_CASES = [
     # at flux 0 the reference circuit keeps 1.0e-5 of level 1 in the top 4 of 24 states
     ("spectrum-basis-too-small", ("spectrum", "--basis-size", "24", "--levels", "4"), 4,
      "sweep row 0 (flux=0.0): basis 24 too small: level"),
+    # E_J 1.7e308 overflows H + H^T; E_C 1e308 overflows phi_zpf and the LC diagonal
+    ("spectrum-overflowing-ej",
+     ("spectrum", "--ej", "1.7e308", "--ec", "1.2", "--el", "0.9", "--from", "0.3", "--to",
+      "0.3", "-n", "1", "--levels", "3"), 3,
+     "sweep row 0 (flux=0.3): Hamiltonian is not finite"),
+    ("spectrum-overflowing-ec",
+     ("spectrum", "--ec", "1e308", "--from", "0.3", "--to", "0.3", "-n", "1", "--levels", "3"),
+     3, "sweep row 0 (flux=0.3): Hamiltonian is not finite"),
     ("spectrum-negative-exponent",
      ("spectrum", "--from", "-1e-3", "--to", "0.01", "-n", "2", "--levels", "2"), 0, None),
     # tradeoff

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from uniflux.errors import NoSolutionError, NumericalError
 
 from oracles import (
     cosm_hamiltonian,
+    eigh_eigensystem,
     fixed_basis_reset_flux,
     fixed_basis_spectrum_sweep,
     loop_sign_fix,
@@ -170,7 +173,7 @@ def test_spectrum_sweep_rows_equal_single_builds():
         assert [flux for flux, _ in rows] == grid
         for flux, spec in rows:
             for single in (
-                fluxonium._solve_point(params, flux, 4, {}),
+                fluxonium._solve(params, [flux], 4, {})[0],
                 fluxonium.eigensystem(fluxonium.build_hamiltonian(
                     params.replace(phi_ext=flux, basis_size=len(spec._vectors))), 4),
             ):
@@ -212,13 +215,20 @@ def test_ladder_reset_search_agrees_with_the_fixed_basis_oracle():
         assert got.f01_ghz == want.f01_ghz
 
 
-def test_no_rung_below_three_times_the_levels_is_climbed(monkeypatch):
-    solves = []
-    solve = fluxonium.eigensystem
+def _count_kernel_rows(monkeypatch):
+    """(basis size, n_levels) of every row the kernel solves from now on."""
+    rows = []
+    solve = fluxonium._eigensolve
     monkeypatch.setattr(
-        fluxonium, "eigensystem",
-        lambda h, n_levels: solves.append((len(h), n_levels)) or solve(h, n_levels),
+        fluxonium, "_eigensolve",
+        lambda stack, n_levels: rows.extend([(stack.shape[1], n_levels)] * len(stack))
+        or solve(stack, n_levels),
     )
+    return rows
+
+
+def test_no_rung_below_three_times_the_levels_is_climbed(monkeypatch):
+    solves = _count_kernel_rows(monkeypatch)
     # E_J 9, E_L 0.3, E_C 0.6 fails every rung below 120, so each point
     # climbs every rung that holds its levels
     corner = CORNERS[4].replace(basis_size=240)
@@ -244,7 +254,7 @@ def test_no_rung_below_three_times_the_levels_is_climbed(monkeypatch):
 def test_phase_matrix_matches_the_operator_product():
     # the ladder form against V^T phi_op V with the n x n phase operator
     for params in [REFERENCE_PARAMS, *_circuits(20, 67), *CORNERS]:
-        spec = fluxonium._solve_point(params, params.phi_ext, 6, {})
+        [spec] = fluxonium._solve(params, [params.phi_ext], 6, {})
         got = fluxonium.phase_matrix(params, spec)
         np.testing.assert_array_equal(got, got.T)
         np.testing.assert_allclose(got, operator_phase_matrix(params, spec), rtol=0, atol=1e-13)
@@ -253,7 +263,7 @@ def test_phase_matrix_matches_the_operator_product():
 def test_phase_matrix_is_shared_by_element_and_eigenbasis_paths():
     params = REFERENCE_PARAMS.replace(phi_ext=0.31)
     levels, matrix = fluxonium.eigenbasis_phase_matrix(params, 4)
-    spec = fluxonium._solve_point(params, params.phi_ext, 4, {})
+    [spec] = fluxonium._solve(params, [params.phi_ext], 4, {})
     np.testing.assert_array_equal(levels, spec.levels)
     np.testing.assert_array_equal(matrix, fluxonium.phase_matrix(params, spec))
     np.testing.assert_allclose(matrix, matrix.T, rtol=0, atol=1e-13)
@@ -393,6 +403,110 @@ def test_sign_fix_matches_the_column_loop():
         np.testing.assert_array_equal(fluxonium.eigensystem(h, 6)._vectors, loop_sign_fix(vecs))
 
 
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_kernel_matches_the_eigh_oracle_bit_for_bit():
+    # whole stacks on the rungs, the default top and a size that is no rung,
+    # then sweep rows, which stop on different rungs, against the oracle on
+    # the rung each stopped on; eigh's vectors are Fortran-ordered, and
+    # phase_matrix's product rounds by layout
+    rng = np.random.default_rng(79)
+    rungs = set()
+    compared = 0
+    for k, params in enumerate([*_circuits(100, 83), *CORNERS]):
+        n_levels = 2 + k % 5
+        grid = rng.uniform(-0.5, 1.5, 3)
+        for size in (80, 100, 120, 61):
+            terms = fluxonium._flux_free_terms(params.replace(basis_size=size))
+            stack = fluxonium._assemble(terms, params.e_j, grid[:2])
+            want = [eigh_eigensystem(h.copy(), n_levels) for h in stack]
+            levels, vecs, tails, info = fluxonium._eigensolve(stack, n_levels)
+            assert info.tolist() == [0, 0]
+            for row, (want_levels, want_vecs, want_tails) in enumerate(want):
+                _assert_same_bits(levels[row], want_levels)
+                _assert_same_bits(vecs[row], want_vecs)
+                assert vecs[row].flags.f_contiguous
+                _assert_same_bits(tails[row], want_tails)
+                compared += 1
+        for flux, spec in fluxonium.spectrum_sweep(params, grid, n_levels):
+            size = len(spec._vectors)
+            rungs.add(size)
+            h = fluxonium.build_hamiltonian(params.replace(phi_ext=flux, basis_size=size))
+            want_levels, want_vecs, want_tails = eigh_eigensystem(h, n_levels)
+            _assert_same_bits(spec.levels, want_levels)
+            _assert_same_bits(spec._vectors, want_vecs)
+            assert spec._vectors.flags.f_contiguous
+            assert spec.tail_weight == want_tails.max()
+            compared += 1
+    assert rungs == {80, 100, 120}
+    assert compared >= 1000
+
+
+def _failing_syevr(monkeypatch, fails):
+    """Make dsyevr report failure on the (basis size, H[0, 0]) pairs in ``fails``."""
+    syevr_of = fluxonium._syevr
+
+    def patched(n):
+        syevr, lwork, liwork = syevr_of(n)
+
+        def run(a, **kw):
+            fail = (n, a[0, 0]) in fails
+            *out, info = syevr(a, **kw)
+            return (*out, 1 if fail else info)
+
+        return run, lwork, liwork
+
+    monkeypatch.setattr(fluxonium, "_syevr", patched)
+
+
+def test_a_row_whose_solve_fails_climbs_alone(monkeypatch):
+    grid = [0.1, 0.2, 0.3, 0.4]
+
+    def h00(flux, size):
+        return fluxonium.build_hamiltonian(
+            REFERENCE_PARAMS.replace(phi_ext=flux, basis_size=size))[0, 0]
+
+    fails = {(80, h00(flux, 80)) for flux in (0.2, 0.4)}
+    _failing_syevr(monkeypatch, fails)
+    solves = _count_kernel_rows(monkeypatch)
+    rows = fluxonium.spectrum_sweep(REFERENCE_PARAMS, grid, 3)
+    # only the two failed rows climb
+    assert solves == [(80, 3)] * 4 + [(100, 3)] * 2
+    for (flux, spec), size in zip(rows, (80, 100, 80, 100)):
+        want = fluxonium.eigensystem(fluxonium.build_hamiltonian(
+            REFERENCE_PARAMS.replace(phi_ext=flux, basis_size=size)), 3)
+        _assert_same_bits(spec._vectors, want._vectors)
+        _assert_same_bits(spec.levels, want.levels)
+    # failing on every rung, the first bad row in grid order is named
+    fails |= {(size, h00(flux, size)) for flux in (0.2, 0.4) for size in (100, 120)}
+    with pytest.raises(NumericalError, match=r"^sweep row 1 \(flux=0\.2\): eigensolver failed"):
+        fluxonium.spectrum_sweep(REFERENCE_PARAMS, grid, 3)
+    with pytest.raises(NumericalError, match=r"^eigensolver failed to converge \(dsyevr info 1\)"):
+        fluxonium.eigenbasis_phase_matrix(REFERENCE_PARAMS.replace(phi_ext=0.4), 3)
+
+
+@pytest.mark.parametrize("params, ladder", [
+    # H + H^T overflows at flux 0.3 but not at 0.4, whose row climbs alone
+    # and fails the top rung's tail limit: the first bad row is still named
+    (fluxonium.FluxoniumParams(e_j=1.7e308, e_c=1.2, e_l=0.9), [80, 80, 100, 120]),
+    (fluxonium.FluxoniumParams(e_j=4.5, e_c=1e308, e_l=0.9), [80, 80]),  # phi_zpf overflows
+])
+def test_a_hamiltonian_that_is_not_finite_is_refused(monkeypatch, params, ladder):
+    solves = _count_kernel_rows(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sweep row 0 \(flux=0\.3\): Hamiltonian is not finite$"):
+            fluxonium.spectrum_sweep(params, [0.3, 0.4], 3)
+        assert solves == [(size, 3) for size in ladder]  # a refused row never climbs
+        with pytest.raises(ValueError, match="^Hamiltonian is not finite$"):
+            fluxonium.eigenbasis_phase_matrix(params.replace(phi_ext=0.3), 3)
+        with pytest.raises(ValueError, match="^Hamiltonian is not finite$"):
+            fluxonium.eigensystem(np.full((12, 12), np.nan), 2)
+
+
 def test_find_reset_flux_fixed_point():
     # REFERENCE_PARAMS sits at the sweet spot, so this is the search's own solve
     f_sweet = fluxonium.eigenbasis_phase_matrix(REFERENCE_PARAMS, 2)[0][1]
@@ -462,12 +576,8 @@ def test_find_reset_flux_stops_scanning_at_the_first_bracket(monkeypatch):
     )
     assert bracket + 2 < scan_points  # a full scan would exceed the budget below
 
-    # the budget counts single-point solves, each of which may climb rungs
-    calls = []
-    solve = fluxonium._solve_point
-    monkeypatch.setattr(
-        fluxonium, "_solve_point", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
-    )
+    # the budget counts rows the kernel solves, a rung climbed counting again
+    calls = _count_kernel_rows(monkeypatch)
     fluxonium.find_reset_flux(params, f_target, scan_points=scan_points)
     assert len(calls) <= bracket + 2 + info.function_calls
 
@@ -478,8 +588,7 @@ def test_find_reset_flux_stops_scanning_at_the_first_bracket(monkeypatch):
 ])
 def test_find_reset_flux_rejects_bad_inputs_before_any_eigensolve(monkeypatch, f_target,
                                                                   scan_points):
-    calls = []
-    monkeypatch.setattr(fluxonium, "eigensystem", lambda *args, **kw: calls.append(1))
+    calls = _count_kernel_rows(monkeypatch)
     with pytest.raises(ValueError, match="f_target must be finite|scan_points must be an integer"):
         fluxonium.find_reset_flux(REFERENCE_PARAMS, f_target, scan_points=scan_points)
     assert calls == []

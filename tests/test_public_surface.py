@@ -19,6 +19,8 @@ import ast
 import pathlib
 from typing import NamedTuple
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "uniflux").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
@@ -312,3 +314,56 @@ def test_no_module_imports_a_private_scipy_module():
         if name.split(".")[0] == "scipy" and any(part.startswith("_") for part in name.split("."))
     )
     assert private == [], f"imports of private scipy modules: {private}"
+
+
+# ---------------------------------------------------------------------------
+# one eigensolver for every Hamiltonian
+# ---------------------------------------------------------------------------
+
+
+def _scipy_eigh_references(source: str) -> list[int]:
+    """Lines of ``source`` that reach scipy.linalg.eigh, however it is imported."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> the dotted name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                bound[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def dotted(expr):
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id, expr.id)
+        if isinstance(expr, ast.Attribute):
+            base = dotted(expr.value)
+            return base and f"{base}.{expr.attr}"
+        return None
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and dotted(node) == "scipy.linalg.eigh"]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import scipy.linalg\nscipy.linalg.eigh(h)", [2]),
+    ("from scipy import linalg\nlinalg.eigh(h)", [2]),
+    ("from scipy.linalg import eigh as solve\nsolve(h)", [2]),
+    ("import numpy as np\nnp.linalg.eigh(h)", []),
+    ("import scipy.linalg\nscipy.linalg.eigh_tridiagonal(d, e)", []),
+])
+def test_the_eigh_rule_sees_every_import_form(source, lines):
+    assert _scipy_eigh_references(source) == lines
+
+
+def test_only_fluxonium_diagonalizes_a_hamiltonian():
+    # every Hamiltonian goes through fluxonium._eigensolve, which alone names
+    # LAPACK's dsyevr; dynamics' np.linalg.eigh at the Chebyshev nodes is
+    # another problem and stays
+    calls = {path.stem: _scipy_eigh_references(path.read_text()) for path in SOURCES}
+    assert {module: lines for module, lines in calls.items() if lines} == {}, (
+        "scipy.linalg.eigh in src/: diagonalize through fluxonium._eigensolve"
+    )
+    named = [path.stem for path in SOURCES if "syevr" in path.read_text()]
+    assert named == ["fluxonium"], f"syevr named outside fluxonium: {named}"
