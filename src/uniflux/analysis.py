@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -41,8 +40,18 @@ def relaxation_model(t, a, b, t_exp, t_qp, n_qp):
     return a * np.exp(-t / t_exp) * np.exp(n_qp * (np.exp(-t / t_qp) - 1.0)) + b
 
 
+class _FrozenCovariance:
+    """A fit record's ``covariance`` becomes a read-only float array. The base
+    has no fields, so a record's fields and their order are its own."""
+
+    def __post_init__(self):
+        cov = np.asarray(self.covariance, dtype=float)
+        cov.setflags(write=False)
+        object.__setattr__(self, "covariance", cov)
+
+
 @dataclass(frozen=True)
-class RelaxationFit:
+class RelaxationFit(_FrozenCovariance):
     """Double-exponential relaxation parameters plus the 1/e time."""
 
     a: float
@@ -54,11 +63,6 @@ class RelaxationFit:
     covariance: np.ndarray
     sse: float
     flags: tuple = ()
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
 
 
 def _validate_decay_input(t, values, min_points):
@@ -217,7 +221,7 @@ def dephasing_model(t, c, d, t1_de, gamma_exp, gamma_g):
 
 
 @dataclass(frozen=True)
-class DephasingFit:
+class DephasingFit(_FrozenCovariance):
     """Envelope fit; t_phi_g is the headline pure-dephasing time."""
 
     c: float
@@ -228,11 +232,6 @@ class DephasingFit:
     covariance: np.ndarray
     sse: float
     flags: tuple = ()
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
 
 
 def fit_dephasing_envelope(t_us, env, t1_de) -> DephasingFit:
@@ -286,7 +285,7 @@ def rb_model(m, a, b, p):
 
 
 @dataclass(frozen=True)
-class RbFit:
+class RbFit(_FrozenCovariance):
     """A p^m + B decay; f_avg = 1 - (1 - p)/2."""
 
     a: float
@@ -297,11 +296,6 @@ class RbFit:
     sse: float
     interleaved: dict | None = None
     flags: tuple = ()
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
 
 
 def fit_rb_decay(lengths, survivals) -> RbFit:
@@ -550,15 +544,10 @@ def _check_widths(lines: list[str], width: int) -> None:
             raise ValueError(f"Line #{number} (got {count} columns instead of {width})")
 
 
-def load_csv(source) -> tuple[tuple[str, ...], np.ndarray]:
-    """(column names, rows as a 2-D float array) of a CSV with a header line,
-    from a path or its lines. A row whose column count is not the header's
-    is reported by its line number."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = list(source)
+def load_csv(lines) -> tuple[tuple[str, ...], np.ndarray]:
+    """(column names, rows as a 2-D float array) of the lines of a CSV with a
+    header line. A row whose column count is not the header's is reported by
+    its line number."""
     if not lines:
         raise ValueError("expected a CSV header line")
     names = tuple(name.strip() for name in lines[0].split(","))
@@ -575,17 +564,17 @@ def load_csv(source) -> tuple[tuple[str, ...], np.ndarray]:
     return names, body
 
 
-def load_time_series(source) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `t_us,<value>` CSV (a path or its lines) into (t, values)."""
-    names, body = load_csv(source)
+def load_time_series(lines) -> tuple[np.ndarray, np.ndarray]:
+    """Read the lines of a `t_us,<value>` CSV into (t, values)."""
+    names, body = load_csv(lines)
     if len(names) != 2 or names[0] != "t_us":
         raise ValueError("expected a two-column CSV with header t_us,<value>")
     return body[:, 0], body[:, 1]
 
 
-def load_signal_samples(source) -> np.ndarray:
-    """Read a single-column `signal` CSV (a path or its lines) into samples."""
-    names, body = load_csv(source)
+def load_signal_samples(lines) -> np.ndarray:
+    """Read the lines of a single-column `signal` CSV into samples."""
+    names, body = load_csv(lines)
     if "signal" not in names:
         raise ValueError("expected a CSV with a `signal` column")
     return body[:, names.index("signal")]

@@ -216,17 +216,19 @@ def _int_in(lo: int, hi: float = math.inf):
 
 def _pulse_ns(least: int):
     """A pulse length in ns: a whole number of at least ``least`` drive
-    samples, by the compiler's sample-count rule."""
+    samples, by the compiler's sample-count rule, read as the length of
+    those samples."""
 
     def parse(text: str) -> float:
         from . import dynamics, pulsec
 
         rate = dynamics.DRIVE_SAMPLE_RATE
-        return _checked(
-            float,
-            lambda ns: pulsec._sample_count(ns, rate, "pulse") >= least,
+        samples = _checked(
+            lambda t: pulsec._sample_count(float(t), rate, "pulse"),
+            lambda n: n >= least,
             f"a whole number of at least {least} samples at {rate:g} GS/s",
         )(text)
+        return samples / rate
 
     return parse
 
@@ -547,6 +549,9 @@ def _simulate_gate(args, scenario) -> int:
     return 0
 
 
+_RB_COLUMNS = "length,seq_index,survival"  # what `simulate rb` writes and `fit rb` reads
+
+
 def _simulate_rb(args, scenario) -> int:
     from . import dynamics
 
@@ -566,7 +571,8 @@ def _simulate_rb(args, scenario) -> int:
         depolarizing=args.depolarizing,
         gate=gate,
     )
-    _write_text(args.output, dynamics.rb_csv_text(records))
+    rows = [f"{r.length},{r.seq_index},{_fmt(r.survival)}" for r in records]
+    _write_text(args.output, _csv_table(_RB_COLUMNS, rows))
     return 0
 
 
@@ -592,7 +598,7 @@ def _rb_means(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
     names, body = analysis.load_csv(lines)
     if "length" not in names or "survival" not in names:
-        raise ValueError("expected CSV columns length,seq_index,survival")
+        raise ValueError(f"expected CSV columns {_RB_COLUMNS}")
     lengths = body[:, names.index("length")]
     if not (np.all(np.isfinite(lengths)) and np.all(lengths == np.round(lengths))):
         raise ValueError("lengths must be integers")

@@ -32,7 +32,9 @@ every sampled Clifford sequence to a PulseProgram and evolves it.
 
 Every drive reaches the channel through `_prepare`, the one place that
 pre-distorts it, and plays inside _QUIET_NS = 40 ns of zeros on both sides:
-`cosine_drive`'s margins, or the padding around an RB sequence.
+`cosine_drive`'s margins, or the padding around an RB sequence. Pulse
+lengths and margins become samples by the compiler's one rule,
+`pulsec._sample_count`, so a pulse is calibrated at the length it plays.
 
 Single-qubit Cliffords use the canonical {+/-X_pi/2, virtual-Z} decomposition
 shipped as package data (ops plus matrices, 4 virtual-Z-only entries, 16 with
@@ -112,23 +114,25 @@ class DriveScenario:
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Final propagator and final populations of one closed-system simulation.
+    """Final propagator of one closed-system simulation.
 
     ``final_unitary`` is the lab-frame propagator U on the retained
-    subspace. ``populations`` is one row, the level populations of a
-    ground-state start at the end, |U[:, 0]|^2 clipped at 1, so
+    subspace. ``populations`` is read off U: one row, the level populations
+    of a ground-state start at the end, |U[:, 0]|^2 clipped at 1, so
     ``populations[-1, k]`` reads level k.
     """
 
-    populations: np.ndarray
     final_unitary: np.ndarray
     metadata: dict
 
     def __post_init__(self):
-        for name in ("populations", "final_unitary"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.final_unitary.setflags(write=False)
+
+    @property
+    def populations(self) -> np.ndarray:
+        # They sum to (U^dag U)_00 <= 1 + drift, so none exceeds 1 by more
+        # than the drift `_drive` checked; that rounding is clipped.
+        return np.minimum(np.abs(self.final_unitary[None, :, 0]) ** 2, 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -377,9 +381,6 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
             f"propagator unitarity drift {drift:.2e} exceeds 1e-8; "
             "use a smaller time step"
         )
-    # The populations sum to (U^dag U)_00 <= 1 + drift, so none exceeds 1 by
-    # more than the drift just checked; that rounding is clipped.
-    pops = np.minimum(np.abs(unitary[None, :, 0]) ** 2, 1.0)
     meta = {
         "scenario_sha256": shape.fingerprint,
         "time_step_ns": h,
@@ -388,7 +389,7 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
         "unitarity_drift": float(drift),
         "chebyshev_nodes": nodes,
     }
-    return SimOutcome(populations=pops, final_unitary=unitary, metadata=meta)
+    return SimOutcome(final_unitary=unitary, metadata=meta)
 
 
 def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
@@ -398,11 +399,12 @@ def evolve(scenario: DriveScenario, at_awg_waveform: Waveform) -> SimOutcome:
     scaled to delta_phi(t), band-limit-resampled onto the time-step midpoints
     (`_step_midpoints`: one rfft, delayed half a step by a phase ramp and
     inverted on the n*k step grid), and propagated with midpoint
-    exponentials. The outcome holds the final propagator U and the final
-    ground-start populations, no trajectory. That is two halves: `_prepare`
-    does everything that does not depend on the amplitude, and `_drive`
-    propagates one amplitude of it, here 1. The calibrations and Rabi scans
-    prepare each pulse shape once and drive it at every amplitude they try.
+    exponentials. The outcome holds the final propagator U, off which it
+    reads the final ground-start populations; no trajectory. That is two
+    halves: `_prepare` does everything that does not depend on the
+    amplitude, and `_drive` propagates one amplitude of it, here 1. The
+    calibrations and Rabi scans prepare each pulse shape once and drive it
+    at every amplitude they try.
 
     Each chunk of at most 65 536 steps takes exact exponentials only at K
     Chebyshev nodes over its drive range, with K the smallest count meeting
@@ -439,12 +441,12 @@ def cosine_drive(duration_ns: float, amplitude_v: float, frequency_ghz: float,
 
     The carrier is cos(2 pi f t) on the global time axis, with t = 0 at the
     first lead sample, so the rotation axis seen in the f01 frame does not
-    depend on where the pulse sits. ``duration_ns`` must be a whole number of
-    samples.
+    depend on where the pulse sits. ``duration_ns`` and both margins must
+    each be a whole number of samples.
     """
     env = pulsec.cosine_envelope(duration_ns, DRIVE_SAMPLE_RATE)
-    n_lead = int(round(lead_ns * DRIVE_SAMPLE_RATE))
-    n_tail = int(round(tail_ns * DRIVE_SAMPLE_RATE))
+    n_lead = pulsec._sample_count(lead_ns, DRIVE_SAMPLE_RATE, "lead")
+    n_tail = pulsec._sample_count(tail_ns, DRIVE_SAMPLE_RATE, "tail")
     total = np.zeros(n_lead + len(env) + n_tail)
     total[n_lead:n_lead + len(env)] = amplitude_v * env
     t = np.arange(len(total)) / DRIVE_SAMPLE_RATE
@@ -579,8 +581,10 @@ class _Rotations:
     """
 
     def __init__(self, scenario: DriveScenario, duration_ns: float, predistortion: bool):
-        if duration_ns * DRIVE_SAMPLE_RATE < 4:
+        samples = pulsec._sample_count(duration_ns, DRIVE_SAMPLE_RATE, "pulse")
+        if samples < 4:
             raise ValueError("pulse duration must cover at least 4 samples")
+        duration_ns = samples / DRIVE_SAMPLE_RATE  # the pulse that plays
         self.scenario, self.duration_ns, self.predistortion = scenario, duration_ns, predistortion
         f01 = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
         gain = _net_carrier_gain(scenario, predistortion, f01, f01)
@@ -888,8 +892,9 @@ class RbRecord:
 def build_rb_program(indices, gate: RbGate, sample_rate: float,
                      carrier_ghz: float) -> pulsec.PulseProgram:
     """Compile-ready program for one Clifford sequence (recovery included):
-    one instruction block per Clifford, joined in order; every block plays
-    the one shared PlayXY and emits its Clifford's VirtualZ's."""
+    the carrier, then one instruction block per Clifford, joined in order;
+    every block plays the one shared PlayXY and emits its Clifford's
+    VirtualZ's."""
     primitive = pulsec.PulsePrimitive(
         id="x90",
         samples=tuple(pulsec.cosine_envelope(gate.duration_ns, sample_rate)),
@@ -903,9 +908,9 @@ def build_rb_program(indices, gate: RbGate, sample_rate: float,
         for index in range(CLIFFORD_COUNT)
     ]
     return pulsec.PulseProgram(
-        instructions=tuple(chain.from_iterable(blocks[i] for i in indices)),
+        instructions=(pulsec.SetCarrier(carrier_ghz),
+                      *chain.from_iterable(blocks[i] for i in indices)),
         primitives={"x90": primitive},
-        initial_carrier=carrier_ghz,
     )
 
 
@@ -960,7 +965,7 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
                 program = build_rb_program(applied + [recovery_index(applied)], gate,
                                            config.sample_rate, carrier)
                 played = pulsec.synthesize(pulsec.compile(program, config), config)
-                quiet = round(_QUIET_NS * played.sample_rate)  # samples on each side
+                quiet = pulsec._sample_count(_QUIET_NS, played.sample_rate, "quiet margin")
                 volts = np.pad(played.samples * scenario.line.awg_vmax, quiet)
                 survival = float(evolve(scenario, played.with_samples(volts)).populations[-1, 0])
             except UnifluxError as exc:
@@ -970,13 +975,3 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
             records.append(RbRecord(length=length, seq_index=seq_index, survival=survival))
     return tuple(records)
 
-
-def rb_csv_text(records) -> str:
-    """The `RbRecord`s as CSV text, `length,seq_index,survival` per row.
-
-    Floats are rendered with repr so equal results are byte-equal.
-    """
-    lines = ["length,seq_index,survival"]
-    for record in records:
-        lines.append(f"{record.length},{record.seq_index},{record.survival!r}")
-    return "\n".join(lines) + "\n"

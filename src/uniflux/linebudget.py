@@ -179,16 +179,13 @@ def tradeoff_sweep(
     points = []
     for db in grid:
         line = line_template.replace(attenuation_db=db)
-        try:
-            dphi = flux_drive_amplitude(line, line.awg_vmax)
-            points.append(
-                TradeoffPoint(
-                    attenuation_db=db,
-                    rabi_mhz=rabi_frequency(params.e_l, dphi, m01),
-                    t1_line_us=t1_line_limit(params.e_l, m01, line, s_vv),
-                    max_dc_excursion_phi0=max_dc_excursion(line),
-                )
+        dphi = flux_drive_amplitude(line, line.awg_vmax)
+        points.append(
+            TradeoffPoint(
+                attenuation_db=db,
+                rabi_mhz=rabi_frequency(params.e_l, dphi, m01),
+                t1_line_us=t1_line_limit(params.e_l, m01, line, s_vv),
+                max_dc_excursion_phi0=max_dc_excursion(line),
             )
-        except (ValueError, SaturationError) as exc:
-            raise type(exc)(f"at attenuation {db} dB: {exc}") from exc
+        )
     return points

@@ -4,11 +4,12 @@ A program is a short list of instructions referencing a store of reusable
 sample primitives, so sequences of tens of microseconds compile from well
 under 100 ns of stored waveform data. A program compiles to a play schedule:
 records of where each primitive plays, with its scale, and of the frame
-(carrier switches, virtual-Z phases). A ``repeat`` body is expanded once and
-its records tiled; virtual-Z phases add up in program order. The compiled
-program keeps the XY plays (start sample, primitive, complex scale
-amplitude * exp(i(phase_offset + frame_phase))) and one timeline, the real
-Z baseband: flux edges, holds, and idle zeros.
+(carrier switches, virtual-Z phases). The carrier is 0 GHz until a
+``SetCarrier`` switches it from that sample on. A ``repeat`` body is
+expanded once and its records tiled; virtual-Z phases add up in program
+order. The compiled program keeps the XY plays (start sample, primitive,
+complex scale amplitude * exp(i(phase_offset + frame_phase))) and one
+timeline, the real Z baseband: flux edges, holds, and idle zeros.
 
 Synthesis plays the XY path as a stored-envelope generator does: each
 primitive is modulated with the phase-continuous carrier
@@ -160,16 +161,10 @@ def _walk_primitive_refs(instructions):
 class PulseProgram:
     instructions: tuple
     primitives: dict
-    initial_carrier: float = 0.0  # GHz
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "primitives", dict(self.primitives))
-        object.__setattr__(self, "initial_carrier", float(self.initial_carrier))
-        if not 0 <= self.initial_carrier < math.inf:
-            raise ValueError(
-                f"initial carrier must be non-negative and finite, got {self.initial_carrier}"
-            )
         for pid, prim in self.primitives.items():
             if pid != prim.id:
                 raise ValueError(f"store key {pid!r} does not match primitive id {prim.id!r}")
@@ -416,7 +411,7 @@ class _Schedule:
         fill = np.arange(counts.sum()) + np.repeat(holds[:, 1].astype(np.int64) - first, counts)
         z[fill] = np.repeat(holds[:, 3], counts)
 
-        segments = [FrameSegment(0, self.program.initial_carrier, 0.0)]
+        segments = [FrameSegment(0, 0.0, 0.0)]
         for _, start, _, frequency, _ in records[kind == _CARRIER].tolist():
             seg, start = segments[-1], int(start)
             phase_now = seg.carrier_phase_rad + (
@@ -602,16 +597,10 @@ class _Parser:
         self.rate = sample_rate
         self.base_dir = pathlib.Path(base_dir) if base_dir else pathlib.Path.cwd()
         self.primitives: dict = {}
-        self.initial_carrier: float | None = None
         self.pos = 0  # next line index
 
     def parse(self) -> PulseProgram:
-        instructions = self._block(top_level=True)
-        return PulseProgram(
-            instructions=tuple(instructions),
-            primitives=self.primitives,
-            initial_carrier=self.initial_carrier or 0.0,
-        )
+        return PulseProgram(self._block(top_level=True), self.primitives)
 
     def _block(self, top_level: bool) -> list:
         out: list = []
@@ -631,7 +620,7 @@ class _Parser:
             handler = getattr(self, f"_line_{word}", None)
             if handler is None:
                 raise ProgramParseError(f"unknown directive {word!r}", line_no, col0)
-            result = handler(toks, line_no, bool(out) or not top_level)
+            result = handler(toks, line_no)
             if result is not None:
                 out.append(result)
         if not top_level:
@@ -652,7 +641,7 @@ class _Parser:
             )
         return None
 
-    def _line_prim(self, toks, line_no, _seen):
+    def _line_prim(self, toks, line_no):
         if len(toks) < 4:
             raise ProgramParseError("prim needs: prim <id> <kind> <values...|path>", line_no, toks[0][0])
         (_, pid), (kcol, kind) = toks[1], toks[2]
@@ -681,18 +670,14 @@ class _Parser:
             self.primitives[pid] = PulsePrimitive(pid, tuple(values), self.rate, kind)
         return None
 
-    def _line_carrier(self, toks, line_no, seen_instructions):
+    def _line_carrier(self, toks, line_no):
         if len(toks) != 2:
             raise ProgramParseError("carrier needs exactly one frequency", line_no, toks[0][0])
         freq = _parse_float(toks[1][1], line_no, toks[1][0], "frequency")
         with _located(line_no, toks[1][0]):
-            carrier = SetCarrier(freq)
-        if not seen_instructions and self.initial_carrier is None:
-            self.initial_carrier = carrier.frequency
-            return None
-        return carrier
+            return SetCarrier(freq)
 
-    def _line_xy(self, toks, line_no, _seen):
+    def _line_xy(self, toks, line_no):
         if len(toks) < 2:
             raise ProgramParseError("xy needs a primitive id", line_no, toks[0][0])
         pid = toks[1][1]
@@ -709,13 +694,13 @@ class _Parser:
         with _located(line_no, toks[0][0]):
             return PlayXY(primitive_id=pid, amplitude=amp, phase_offset=phase)
 
-    def _line_vz(self, toks, line_no, _seen):
+    def _line_vz(self, toks, line_no):
         if len(toks) != 2:
             raise ProgramParseError("vz needs exactly one phase", line_no, toks[0][0])
         with _located(line_no, toks[1][0]):
             return VirtualZ(_parse_float(toks[1][1], line_no, toks[1][0], "phase"))
 
-    def _line_delay(self, toks, line_no, _seen):
+    def _line_delay(self, toks, line_no):
         if len(toks) != 2:
             raise ProgramParseError("delay needs exactly one duration", line_no, toks[0][0])
         dur = _parse_float(toks[1][1], line_no, toks[1][0], "duration")
@@ -723,7 +708,7 @@ class _Parser:
             _sample_count(dur, self.rate, "delay")
             return Delay(dur)
 
-    def _line_z(self, toks, line_no, _seen):
+    def _line_z(self, toks, line_no):
         if len(toks) < 4:
             raise ProgramParseError(
                 "z needs: z rise=<prim> hold=<amp>,<ns> fall=<prim>", line_no, toks[0][0]
@@ -751,7 +736,7 @@ class _Parser:
                 body=body or (),
             )
 
-    def _line_repeat(self, toks, line_no, _seen):
+    def _line_repeat(self, toks, line_no):
         if len(toks) < 2:
             raise ProgramParseError("repeat needs a count", line_no, toks[0][0])
         try:

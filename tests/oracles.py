@@ -818,15 +818,16 @@ def matrix_recovery_index(indices) -> int:
 
 def instruction_rb_program(indices, gate, sample_rate: float,
                            carrier_ghz: float) -> PulseProgram:
-    """`build_rb_program` built one instruction at a time: a fresh PlayXY per
-    X_pi/2 and a fresh VirtualZ per virtual-Z op of every Clifford."""
+    """`build_rb_program` built one instruction at a time: the carrier, then a
+    fresh PlayXY per X_pi/2 and a fresh VirtualZ per virtual-Z op of every
+    Clifford."""
     primitive = PulsePrimitive(
         id="x90",
         samples=tuple(pulsec.cosine_envelope(gate.duration_ns, sample_rate)),
         sample_rate=sample_rate,
         kind="envelope",
     )
-    instructions = []
+    instructions = [SetCarrier(carrier_ghz)]
     for index in indices:
         for op in clifford_ops(index):
             if op[0] == "vz":
@@ -837,7 +838,6 @@ def instruction_rb_program(indices, gate, sample_rate: float,
     return PulseProgram(
         instructions=tuple(instructions),
         primitives={"x90": primitive},
-        initial_carrier=carrier_ghz,
     )
 
 
@@ -948,7 +948,7 @@ class _Compiler:
         self.frame_phase = 0.0
         self.z_level = 0.0
         self.in_hold = False
-        self.segments = [FrameSegment(0, program.initial_carrier, 0.0)]
+        self.segments = [FrameSegment(0, 0.0, 0.0)]
 
     # -- timeline ----------------------------------------------------------
 
@@ -1208,7 +1208,6 @@ def serialize_program(program) -> str:
     for prim in program.primitives.values():
         values = " ".join(repr(s) for s in prim.samples)
         lines.append(f"prim {prim.id} {prim.kind} {values}")
-    lines.append(f"carrier {program.initial_carrier!r}")
     for instr in program.instructions:
         _serialize_instruction(instr, lines, 0)
     return "\n".join(lines) + "\n"

@@ -521,16 +521,12 @@ def test_reset_estimator_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_time_series_csv_roundtrip(tmp_path):
-    path = tmp_path / "decay.csv"
-    path.write_text("t_us,value\n0.0,1.0\n1.0,0.5\n2.0,0.25\n")
-    t, v = analysis.load_time_series(path)
+def test_time_series_csv_roundtrip():
+    t, v = analysis.load_time_series(["t_us,value", "0.0,1.0", "1.0,0.5", "2.0,0.25"])
     np.testing.assert_allclose(t, [0.0, 1.0, 2.0])
     np.testing.assert_allclose(v, [1.0, 0.5, 0.25])
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n0,1\n")
     with pytest.raises(ValueError):
-        analysis.load_time_series(bad)
+        analysis.load_time_series(["x,y", "0,1"])
 
 
 def test_csv_reader_names_a_ragged_line_and_takes_a_bare_header():
@@ -545,15 +541,11 @@ def test_csv_reader_names_a_ragged_line_and_takes_a_bare_header():
         analysis.load_csv(["t_us,p1", "0,1,2", "1,2,3"])
 
 
-def test_signal_csv_roundtrip(tmp_path):
-    path = tmp_path / "shots.csv"
-    path.write_text("signal\n" + "\n".join(str(x) for x in range(5)) + "\n")
-    samples = analysis.load_signal_samples(path)
+def test_signal_csv_roundtrip():
+    samples = analysis.load_signal_samples(["signal", *(str(x) for x in range(5))])
     np.testing.assert_allclose(samples, np.arange(5.0))
-    bad = tmp_path / "bad.csv"
-    bad.write_text("value\n1\n")
     with pytest.raises(ValueError):
-        analysis.load_signal_samples(bad)
+        analysis.load_signal_samples(["value", "1"])
 
 
 def test_fit_report_is_json_ready():

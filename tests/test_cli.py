@@ -754,6 +754,21 @@ def test_simulate_gate_bytes_do_not_depend_on_cached_bases(tmp_path, capsys):
     assert len(set(outputs)) == 1
 
 
+@pytest.mark.parametrize("duration", ["3.9999999", "4.0000001"])
+def test_a_gate_within_the_sample_rule_of_four_samples_is_the_four_sample_gate(
+        tmp_path, capsys, duration):
+    # the option check and the calibration count samples by the one rule, and
+    # the report names the length that plays; a 5 V full scale lets the
+    # 4-sample pulse calibrate
+    line = dict(mutual_inductance=2e-12, attenuation_db=-30.0, awg_noise_dbm_per_hz=-130.0,
+                awg_vmax=5.0)
+    scenario = write_scenario(tmp_path, {"line": line, "levels": 2, "time_step_ns": 0.05})
+    argv = ("simulate", "gate", "--scenario", scenario, "--duration")
+    want = run_cli(capsys, *argv, "4")
+    assert want[0] == 0
+    assert run_cli(capsys, *argv, duration) == want
+
+
 def test_simulate_rb_seeded_csv_is_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -764,7 +779,10 @@ def test_simulate_rb_seeded_csv_is_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
-    assert first.read_text().splitlines()[0] == "length,seq_index,survival"
+    # one row per record, the survival in repr: equal results are byte-equal
+    records = dynamics.run_rb(cli._default_scenario(), [1, 2, 4], 2, 9, depolarizing=0.995)
+    assert first.read_text().splitlines() == ["length,seq_index,survival"] + [
+        f"{r.length},{r.seq_index},{r.survival!r}" for r in records]
 
 
 def test_simulate_rb_interleaved_perfect_gate(capsys):
@@ -1110,6 +1128,8 @@ _PROGRAM = ("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
 
 # (id, argv, exit code, start of the message after "uniflux: error: ", or on
 # exit 0 of stdout); "{tmp}" stands for the directory holding _INPUT_FILES.
+_FOUR_SAMPLE_GATE = ("a pi pulse at f01 = 0.223769 GHz starts at a 3.51 V peak, beyond the "
+                     "AWG full scale 0.5 V: the line passes |H| = 0.98 of it")
 _EXIT_CODE_CASES = [
     ("no-command", (), 2, "a command is required"),
     ("unknown-command", ("frobnicate",), 2, "argument COMMAND: invalid choice"),
@@ -1215,6 +1235,12 @@ _EXIT_CODE_CASES = [
     ("simulate-rb-waveform-one-sample-gate",
      ("simulate", "rb", "--mode", "waveform", "--gate-duration", "1"), 2,
      "argument --gate-duration: must be a whole number of at least 2 samples"),
+    # a length within 1e-6 of 4 samples is the 4-sample pulse, which the
+    # reference line cannot drive through a pi rotation
+    ("simulate-gate-four-samples", ("simulate", "gate", "--duration", "4"), 3,
+     _FOUR_SAMPLE_GATE),
+    ("simulate-gate-just-under-four-samples", ("simulate", "gate", "--duration", "3.9999999"),
+     3, _FOUR_SAMPLE_GATE),
     # each experiment takes only the options it reads
     ("simulate-gate-frequency", ("simulate", "gate", "--frequency", "0.3"), 2,
      "unrecognized arguments: --frequency"),

@@ -49,11 +49,12 @@ FALL4 = PulsePrimitive(
 )
 
 
-def _program(instructions, initial_carrier=0.0, extra=()):
+def _program(instructions, carrier=None, extra=()):
+    """The instructions over the test store, after ``SetCarrier(carrier)`` if given."""
+    head = () if carrier is None else (SetCarrier(carrier),)
     return PulseProgram(
-        instructions=tuple(instructions),
+        instructions=head + tuple(instructions),
         primitives=_store(COS20, FLAT8, EDGE4, FALL4, *extra),
-        initial_carrier=initial_carrier,
     )
 
 
@@ -73,12 +74,11 @@ def test_primitive_validation():
 
 def test_program_rejects_unknown_reference():
     with pytest.raises(ValueError, match="ghost"):
-        PulseProgram((PlayXY("ghost"),), {}, 0.0)
+        PulseProgram((PlayXY("ghost"),), {})
     with pytest.raises(ValueError, match="ghost"):
         PulseProgram(
             (Repeat(2, (PlayZ("edge4", 0.1, 8.0, "ghost"),)),),
             _store(EDGE4),
-            0.0,
         )
 
 
@@ -128,7 +128,7 @@ def test_virtual_z_equivalent_to_phase_offset():
 
 def test_carrier_phase_continuous_across_switch():
     program = _program(
-        (PlayXY("flat8"), SetCarrier(0.31), PlayXY("flat8")), initial_carrier=0.208
+        (PlayXY("flat8"), SetCarrier(0.31), PlayXY("flat8")), carrier=0.208
     )
     compiled = pulsec.compile(program, CONFIG)
     theta = carrier_phase(compiled)
@@ -152,7 +152,7 @@ def test_z_hold_hosts_xy_body():
                 body=(Delay(8.0), PlayXY("cos20", 0.5)),
             ),
         ),
-        initial_carrier=0.208,
+        carrier=0.208,
     )
     compiled = pulsec.compile(program, CONFIG)
     assert len(compiled) == 4 + 40 + 4
@@ -232,7 +232,7 @@ def test_zero_program_synthesizes_empty():
 
 def test_modulation_closed_form():
     program = _program(
-        (PlayXY("flat8", 0.8, math.pi / 3),), initial_carrier=0.25
+        (PlayXY("flat8", 0.8, math.pi / 3),), carrier=0.25
     )
     out = pulsec.synthesize(pulsec.compile(program, CONFIG), CONFIG)
     n = np.arange(8)
@@ -254,7 +254,7 @@ def _fig3_style_program(xy_amp=0.5, hold=0.3):
             ),
             Delay(16.0),
         ),
-        initial_carrier=0.208,
+        carrier=0.208,
     )
 
 
@@ -293,7 +293,7 @@ def test_fir_applied_after_modulation():
         filters.bounded_inverse(filters.gaussian_lowpass(0.092), 0.208), 16, RATE
     )
     config = SynthesisConfig(sample_rate=RATE, xy_fir=fir)
-    program = _program((PlayXY("cos20", 0.4),), initial_carrier=0.208)
+    program = _program((PlayXY("cos20", 0.4),), carrier=0.208)
     compiled = pulsec.compile(program, CONFIG)
     out = pulsec.synthesize(compiled, config)
     # the contract: FIR filters the real modulated signal
@@ -408,7 +408,7 @@ def test_dac_round_trip_fixed_point():
 def test_memory_report_replay_example():
     p20 = PulsePrimitive("p20", (0.5,) * 20, RATE, "envelope")
     program = PulseProgram(
-        (Repeat(100, (PlayXY("p20"), Delay(480.0))),), _store(p20), 0.208
+        (SetCarrier(0.208), Repeat(100, (PlayXY("p20"), Delay(480.0)))), _store(p20)
     )
     report = pulsec.memory_report(program, pulsec.compile(program, CONFIG))
     assert report["stored_ns"] == 20.0
@@ -417,7 +417,7 @@ def test_memory_report_replay_example():
 
 
 def test_memory_report_empty_program():
-    program = PulseProgram((), {}, 0.0)
+    program = PulseProgram((), {})
     report = pulsec.memory_report(program, pulsec.compile(program, CONFIG))
     assert report == {"stored_ns": 0.0, "sequence_ns": 0.0, "ratio": None}
 
@@ -430,7 +430,7 @@ def test_memory_report_matches_compiled_duration():
     cases = [
         (_fig3_style_program(), CONFIG),
         (
-            PulseProgram((PlayXY("two"), PlayXY("seven")), _store(two, seven), 0.2),
+            PulseProgram((SetCarrier(0.2), PlayXY("two"), PlayXY("seven")), _store(two, seven)),
             SynthesisConfig(sample_rate=2.4),
         ),
     ]
@@ -470,11 +470,11 @@ repeat 2 {
 }
 """
     program = pulsec.parse_program(text, RATE)
-    assert program.initial_carrier == 0.208
+    assert program.instructions[0] == SetCarrier(0.208)
     assert len(program.primitives) == 2
     kinds = [type(i).__name__ for i in program.instructions]
-    assert kinds == ["PlayXY", "VirtualZ", "PlayZ", "Delay", "Repeat"]
-    z = program.instructions[2]
+    assert kinds == ["SetCarrier", "PlayXY", "VirtualZ", "PlayZ", "Delay", "Repeat"]
+    z = program.instructions[3]
     assert z.hold_amplitude == 0.3
     assert [type(i).__name__ for i in z.body] == ["Delay", "PlayXY"]
     pulsec.compile(program, CONFIG)  # also schedulable
@@ -577,7 +577,7 @@ def _programs(draw):
     # bodies nest: a Repeat may hold a PlayZ whose hold holds a Repeat, ...
     instruction = st.recursive(leaf, compound, max_leaves=6)
     instructions = tuple(draw(st.lists(instruction, max_size=5)))
-    return PulseProgram(instructions, prims, draw(_freqs))
+    return PulseProgram((SetCarrier(draw(_freqs)), *instructions), prims)
 
 
 @settings(max_examples=60, deadline=None)
@@ -644,7 +644,7 @@ def test_compile_matches_oracle_on_long_two_level_repeat():
         PlayZ("edge4", 0.2, 12.0, "fall4", body=(VirtualZ(phase()), PlayXY("flat8", 0.25))),
         SetCarrier(0.2),
     )
-    program = _program((Repeat(2000, body), PlayXY("cos20", 0.1)), initial_carrier=0.21)
+    program = _program((Repeat(2000, body), PlayXY("cos20", 0.1)), carrier=0.21)
     _assert_compiles_like_oracle(program)
     assert len(pulsec.compile(program, CONFIG)) == 2000 * (20 + 3 * 10 + 20) + 20
 
@@ -770,7 +770,7 @@ def test_dac_quantize_accepts_every_synthesized_composite(program, config):
 def test_silent_span_on_a_non_finite_carrier_phase_is_zeros():
     program = _program(
         (PlayXY("flat8", 0.8, math.pi / 3), SetCarrier(1e308), Delay(4.0)),
-        initial_carrier=0.25,
+        carrier=0.25,
     )
     compiled = pulsec.compile(program, CONFIG)
     with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
@@ -784,7 +784,7 @@ def test_silent_span_on_a_non_finite_carrier_phase_is_zeros():
 def test_play_on_a_non_finite_carrier_phase_is_named():
     program = _program(
         (PlayXY("flat8"), Delay(2.0), SetCarrier(1e307), Delay(2.0), PlayXY("flat8")),
-        initial_carrier=0.25,
+        carrier=0.25,
     )
     with pytest.raises(ScheduleError) as info:
         pulsec.synthesize(pulsec.compile(program, CONFIG), CONFIG)
@@ -815,9 +815,9 @@ def _long_program(seed):
     else:
         inner = Repeat(int(rng.integers(2, 6)), (PlayXY("g", amp()), VirtualZ(phase())))
         body = (inner, PlayZ("e", level, hold, "e"), Delay(delay))
-    carrier = float(rng.uniform(0.2, 0.25))
-    per_body = len(pulsec.compile(PulseProgram(body, prims, carrier), CONFIG_2))
-    return PulseProgram((Repeat(400_000 // per_body, body),), prims, carrier)
+    carrier = SetCarrier(float(rng.uniform(0.2, 0.25)))
+    per_body = len(pulsec.compile(PulseProgram(body, prims), CONFIG_2))
+    return PulseProgram((carrier, Repeat(400_000 // per_body, body)), prims)
 
 
 def _long_config(seed, filters_used):
@@ -927,7 +927,7 @@ def test_synthesis_config_rejects_bad_dac(fields, match):
 def test_program_rejects_non_finite_carrier_and_samples():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="carrier"):
-            _program((), initial_carrier=bad)
+            _program((), carrier=bad)
     with pytest.raises(ValueError, match="outside"):
         PulsePrimitive("p", (0.5, math.nan), RATE)
     with pytest.raises(ValueError, match="finite"):
