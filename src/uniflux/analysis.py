@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -547,7 +548,9 @@ def _check_widths(lines: list[str], width: int) -> None:
 def load_csv(lines) -> tuple[tuple[str, ...], np.ndarray]:
     """(column names, rows as a 2-D float array) of the lines of a CSV with a
     header line. A row whose column count is not the header's is reported by
-    its line number."""
+    its line number; a string or a path is refused with TypeError."""
+    if isinstance(lines, (str, os.PathLike)):
+        raise TypeError(f"expected the lines of a CSV, not a {type(lines).__name__}")
     if not lines:
         raise ValueError("expected a CSV header line")
     names = tuple(name.strip() for name in lines[0].split(","))

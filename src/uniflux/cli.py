@@ -490,7 +490,7 @@ def cmd_compile(args) -> int:
         _, digest, length = pulsec.dac_payload(codes)
     lines = [f"sha256 {digest}", f"samples {length}"]
     if args.report_memory:
-        report = pulsec.memory_report(program, compiled)
+        report = pulsec.memory_report(compiled)
         ratio = report["ratio"]
         lines.append(f"stored_ns {_fmt(report['stored_ns'])}")
         lines.append(f"sequence_ns {_fmt(report['sequence_ns'])}")

@@ -158,7 +158,7 @@ def qubit_frame(scenario: DriveScenario) -> tuple[np.ndarray, np.ndarray]:
 
 def phase_drive_per_volt(line: linebudget.LineModel) -> float:
     """At-qubit phase-drive amplitude (rad) per volt at the AWG output."""
-    return linebudget.flux_drive_amplitude(line, line.awg_vmax) / line.awg_vmax
+    return linebudget.flux_drive_amplitude(line) / line.awg_vmax
 
 
 def _scenario_fingerprint(scenario: DriveScenario, sample_rate: float) -> str:
@@ -346,7 +346,7 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
     checked for unitarity drift."""
     scenario = shape.scenario
     peak = abs(amplitude) * shape.peak
-    if peak > scenario.line.awg_vmax * (1.0 + 1e-12):
+    if peak > scenario.line.awg_vmax * pulsec.FULL_SCALE:
         raise SaturationError(
             f"waveform peak {peak:.6g} V exceeds AWG full scale "
             f"{scenario.line.awg_vmax} V",
@@ -594,7 +594,7 @@ class _Rotations:
         self.propagations, self.last, self._frequency = 0, None, f01
         self._shape = _prepare(scenario, cosine_drive(duration_ns, 1.0, f01), predistortion)
         peak, vmax = self.start * self._shape.peak, scenario.line.awg_vmax
-        if peak > vmax * (1.0 + 1e-12):
+        if peak > vmax * pulsec.FULL_SCALE:
             raise SaturationError(
                 f"a pi pulse at f01 = {f01:.6g} GHz starts at a {peak:.3g} V peak, beyond the "
                 f"AWG full scale {vmax} V: the line passes |H| = {gain:.2g} of it",

@@ -287,9 +287,9 @@ def phase_matrix(params: FluxoniumParams, spectrum: EnergySpectrum) -> np.ndarra
     return params.phi_zpf * (lowered + lowered.T)
 
 
-def _solve(params: FluxoniumParams, fluxes, n_levels: int, terms: dict
-           ) -> list[EnergySpectrum]:
-    """Eigensystem of ``params`` at each of ``fluxes`` on its smallest converged rung.
+def _solve(params: FluxoniumParams, fluxes, n_levels: int, terms: dict) -> list[tuple]:
+    """``_eigensolve`` row of ``params`` at each of ``fluxes`` on its smallest
+    converged rung; ``_spectrum`` turns a row into its spectrum or its error.
 
     Rows climb the RUNGS below ``params.basis_size`` that hold ``n_levels`` at
     a third of their size, then ``basis_size``, as one stack per rung. A row
@@ -297,8 +297,7 @@ def _solve(params: FluxoniumParams, fluxes, n_levels: int, terms: dict
     where it is found not finite; one whose solve failed climbs on, and the
     top rung answers only to TAIL_LIMIT.
     ``terms`` maps each rung to its flux-free terms and is filled as rungs are
-    first climbed. The first bad row in grid order raises, its index as the
-    error's ``row``.
+    first climbed. An ``n_levels`` out of range raises before any row exists.
     """
     top = params.basis_size
     rungs = [n for n in RUNGS if n < top and n_levels <= n // BASIS_PER_LEVEL]
@@ -319,14 +318,7 @@ def _solve(params: FluxoniumParams, fluxes, n_levels: int, terms: dict
         climbing = still
         if not climbing:
             break
-    spectra = []
-    for idx, row in enumerate(rows):
-        try:
-            spectra.append(_spectrum(*row))
-        except (NumericalError, ValueError) as exc:
-            exc.row = idx
-            raise
-    return spectra
+    return rows
 
 
 def phase_matrix_element(
@@ -342,7 +334,7 @@ def phase_matrix_element(
     n_levels = max(n_levels, i + 1, j + 1)
     if min(i, j) < 0 or n_levels > params.basis_size // BASIS_PER_LEVEL:
         raise ValueError(f"level index out of range for basis_size={params.basis_size}")
-    [spectrum] = _solve(params, [params.phi_ext], n_levels, {})
+    spectrum = _spectrum(*_solve(params, [params.phi_ext], n_levels, {})[0])
     # one triangle is read, so (i, j) and (j, i) agree exactly
     return float(abs(phase_matrix(params, spectrum)[min(i, j), max(i, j)]))
 
@@ -356,7 +348,7 @@ def eigenbasis_phase_matrix(
     drive physics uses it as the coupling operator, where diagonal offsets
     only shift the energy reference.
     """
-    [spectrum] = _solve(params, [params.phi_ext], n_levels, {})
+    spectrum = _spectrum(*_solve(params, [params.phi_ext], n_levels, {})[0])
     return spectrum.levels.copy(), phase_matrix(params, spectrum)
 
 
@@ -378,26 +370,26 @@ def spectrum_sweep(
     for idx, flux in enumerate(flux_grid):
         if not np.isfinite(flux):
             raise ValueError(f"sweep row {idx}: flux must be finite, got {flux}")
-    try:
-        spectra = _solve(params, flux_grid, n_levels, {})
-    except (NumericalError, ValueError) as exc:
-        if not hasattr(exc, "row"):
-            raise  # n_levels out of range: no row is at fault
-        raise type(exc)(f"sweep row {exc.row} (flux={flux_grid[exc.row]}): {exc}") from exc
-    return [(float(flux), spec) for flux, spec in zip(flux_grid, spectra)]
+    sweep = []
+    for idx, (flux, row) in enumerate(zip(flux_grid, _solve(params, flux_grid, n_levels, {}))):
+        try:
+            sweep.append((float(flux), _spectrum(*row)))
+        except (NumericalError, ValueError) as exc:
+            raise type(exc)(f"sweep row {idx} (flux={flux}): {exc}") from exc
+    return sweep
 
 
 @dataclass(frozen=True)
 class ResetFlux:
-    """Solution of f01(flux) = f_target closest to the half-flux point."""
+    """Solution of f01(flux) = f_target closest to the half-flux point, and
+    its excursion from there."""
 
     flux_phi0: float
     excursion_phi0: float
-    f01_ghz: float
 
 
 def _f01(params: FluxoniumParams, terms: dict, flux: float) -> float:
-    return float(_solve(params, [flux], 2, terms)[0].levels[1])
+    return float(_spectrum(*_solve(params, [flux], 2, terms)[0]).levels[1])
 
 
 def find_reset_flux(
@@ -424,7 +416,7 @@ def find_reset_flux(
     grid = np.linspace(0.5, 1e-3, scan_points)
     lo = _f01(params, terms, grid[0])
     if f_target == lo:
-        return ResetFlux(0.5, 0.0, lo)
+        return ResetFlux(0.5, 0.0)
     f01s = [lo]
     for k in range(len(grid) - 1):
         f01s.append(_f01(params, terms, grid[k + 1]))
@@ -433,7 +425,7 @@ def find_reset_flux(
             root = brentq(
                 lambda x: _f01(params, terms, x) - f_target, grid[k + 1], grid[k], xtol=1e-10
             )
-            return ResetFlux(float(root), 0.5 - float(root), float(f_target))
+            return ResetFlux(float(root), 0.5 - float(root))
     raise NoSolutionError(
         f"f_target={f_target} GHz outside attainable band "
         f"[{lo:.4f}, {max(f01s):.4f}] GHz on flux in (0, 0.5]"

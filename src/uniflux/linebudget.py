@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from . import fluxonium
 from .constants import HBAR, PHI0, PLANCK
-from .errors import SaturationError
 
 
 @dataclass(frozen=True)
@@ -68,20 +67,14 @@ class TradeoffPoint:
     max_dc_excursion_phi0: float
 
 
-def flux_drive_amplitude(line: LineModel, v0: float) -> float:
-    """Phase-drive amplitude delta-phi (radians) reaching the qubit.
+def flux_drive_amplitude(line: LineModel) -> float:
+    """Phase-drive amplitude delta-phi (radians) reaching the qubit at full
+    AWG scale.
 
     delta_phi = 2 pi M I_d / Phi0 with the at-fridge current
-    I_d = alpha * v0 / Z0.
+    I_d = alpha * awg_vmax / Z0.
     """
-    if v0 < 0:
-        raise ValueError("v0 must be non-negative")
-    if v0 > line.awg_vmax:
-        raise SaturationError(
-            f"requested v0={v0} V exceeds AWG full scale {line.awg_vmax} V",
-            peak=v0,
-        )
-    current = line.alpha * v0 / line.line_impedance
+    current = line.alpha * line.awg_vmax / line.line_impedance
     return 2.0 * math.pi * line.mutual_inductance * current / PHI0
 
 
@@ -155,7 +148,7 @@ def t1_line_limit(e_l: float, m01: float, line: LineModel, s_vv: float) -> float
 
 def max_dc_excursion(line: LineModel) -> float:
     """Largest quasi-dc flux excursion (Phi0) at full AWG scale."""
-    return flux_drive_amplitude(line, line.awg_vmax) / (2.0 * math.pi)
+    return flux_drive_amplitude(line) / (2.0 * math.pi)
 
 
 def tradeoff_sweep(
@@ -179,7 +172,7 @@ def tradeoff_sweep(
     points = []
     for db in grid:
         line = line_template.replace(attenuation_db=db)
-        dphi = flux_drive_amplitude(line, line.awg_vmax)
+        dphi = flux_drive_amplitude(line)
         points.append(
             TradeoffPoint(
                 attenuation_db=db,

@@ -70,10 +70,6 @@ class PulsePrimitive:
             raise ValueError("sample_rate must be positive and finite")
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration_ns(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class PlayXY:
@@ -195,13 +191,6 @@ class SynthesisConfig:
 
 
 @dataclass(frozen=True)
-class FrameState:
-    carrier_ghz: float
-    frame_phase_rad: float  # reported modulo 2 pi
-    time_ns: float
-
-
-@dataclass(frozen=True)
 class FrameSegment:
     """Constant-carrier span: phase(t) = phase0 + 2 pi f (n - start)/rate."""
 
@@ -221,7 +210,6 @@ class CompiledProgram:
     primitives: tuple  # sample arrays, in store order
     z_baseband: Waveform
     frame_segments: tuple
-    final_frame: FrameState
 
     @property
     def sample_rate(self) -> float:
@@ -357,8 +345,8 @@ class _Schedule:
         self.blocks[mark:] = [tiled]
         self.n = n0 + int(instr.count) * (self.n - n0)
 
-    def _scales(self, records: np.ndarray) -> tuple:
-        """(amplitude * rotor of each play; final frame phase).
+    def _scales(self, records: np.ndarray) -> np.ndarray:
+        """amplitude * rotor of each play.
 
         The frame phase adds the virtual-Z phases one by one in program
         order (``np.add.accumulate`` is sequential), as a running sum does.
@@ -387,7 +375,7 @@ class _Schedule:
         amplitude, scales = plays[:, 3], np.empty(n, complex)
         scales.real = amplitude * cos - 0.0 * sin
         scales.imag = amplitude * sin + 0.0 * cos
-        return scales, float(frame[-1])
+        return scales
 
     def _scatter(self, out: np.ndarray, records: np.ndarray, scale: np.ndarray):
         """out[start + k] = scale * samples[k] for each record's primitive."""
@@ -401,7 +389,7 @@ class _Schedule:
     def finish(self) -> CompiledProgram:
         records = self._records()
         kind = records[:, 0]
-        scales, frame_phase = self._scales(records)
+        scales = self._scales(records)
         plays = records[kind == _PLAY]
         z = np.zeros(self.n)
         edges, holds = records[kind == _EDGE], records[kind == _HOLD]
@@ -427,11 +415,6 @@ class _Schedule:
             primitives=tuple(np.array(p.samples) for p in self.program.primitives.values()),
             z_baseband=Waveform(z, self.rate),
             frame_segments=tuple(segments),
-            final_frame=FrameState(
-                carrier_ghz=segments[-1].carrier_ghz,
-                frame_phase_rad=frame_phase % (2.0 * math.pi),
-                time_ns=self.n / self.rate,
-            ),
         )
 
 
@@ -528,15 +511,16 @@ def dac_quantize(w: Waveform, config: SynthesisConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def memory_report(program: PulseProgram, compiled: CompiledProgram) -> dict:
-    """Stored-vs-emitted accounting: {stored_ns, sequence_ns, ratio}.
+def memory_report(compiled: CompiledProgram) -> dict:
+    """Stored-vs-emitted accounting of a compiled program:
+    {stored_ns, sequence_ns, ratio}.
 
-    stored_ns counts every primitive in the store once; sequence_ns is the
-    length of ``compiled``, the program as compiled; ratio is None when
+    stored_ns counts every primitive in the store once, at the engine rate;
+    sequence_ns is the length of the compiled timeline; ratio is None when
     nothing is stored (the empty program).
     """
-    stored = sum(p.duration_ns for p in program.primitives.values())
-    sequence = compiled.final_frame.time_ns
+    stored = sum(len(p) / compiled.sample_rate for p in compiled.primitives)
+    sequence = compiled.z_baseband.duration_ns
     ratio = sequence / stored if stored > 0 else None
     return {"stored_ns": stored, "sequence_ns": sequence, "ratio": ratio}
 

@@ -75,7 +75,6 @@ from uniflux.pulsec import (
     CompiledProgram,
     Delay,
     FrameSegment,
-    FrameState,
     PlayXY,
     PlayZ,
     PulsePrimitive,
@@ -202,14 +201,14 @@ def scanned_reset_flux(params, f_target: float, scan_points: int = 160):
             f"[{lo:.4f}, {hi:.4f}] GHz on flux in (0, 0.5]"
         )
     if f_target == lo:
-        return ResetFlux(0.5, 0.0, lo)
+        return ResetFlux(0.5, 0.0)
     # first bracket scanning away from 0.5
     for k in range(len(grid) - 1):
         if (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
             root = brentq(
                 lambda x: _f01(params, terms, x) - f_target, grid[k + 1], grid[k], xtol=1e-10
             )
-            return ResetFlux(float(root), 0.5 - float(root), f_target)
+            return ResetFlux(float(root), 0.5 - float(root))
     raise NoSolutionError(  # pragma: no cover - guarded by band check
         f"no crossing found for f_target={f_target} GHz"
     )
@@ -274,7 +273,7 @@ def fixed_basis_reset_flux(params, f_target: float, scan_points: int = 160):
     grid = np.linspace(0.5, 1e-3, scan_points)
     lo = _fixed_basis_f01(params, terms, grid[0])
     if f_target == lo:
-        return ResetFlux(0.5, 0.0, lo)
+        return ResetFlux(0.5, 0.0)
     f01s = [lo]
     for k in range(len(grid) - 1):
         f01s.append(_fixed_basis_f01(params, terms, grid[k + 1]))
@@ -284,7 +283,7 @@ def fixed_basis_reset_flux(params, f_target: float, scan_points: int = 160):
                 lambda x: _fixed_basis_f01(params, terms, x) - f_target,
                 grid[k + 1], grid[k], xtol=1e-10,
             )
-            return ResetFlux(float(root), 0.5 - float(root), float(f_target))
+            return ResetFlux(float(root), 0.5 - float(root))
     raise NoSolutionError(
         f"f_target={f_target} GHz outside attainable band "
         f"[{lo:.4f}, {max(f01s):.4f}] GHz on flux in (0, 0.5]"
@@ -855,7 +854,6 @@ class TimelineProgram:
     xy_envelope: np.ndarray  # complex, one entry per sample of z_baseband
     z_baseband: Waveform
     frame_segments: tuple
-    final_frame: FrameState
 
     @property
     def sample_rate(self) -> float:
@@ -886,7 +884,6 @@ def timelines(compiled: CompiledProgram) -> TimelineProgram:
         xy_envelope=xy_timeline(compiled),
         z_baseband=compiled.z_baseband,
         frame_segments=compiled.frame_segments,
-        final_frame=compiled.final_frame,
     )
 
 
@@ -1053,11 +1050,6 @@ class _Compiler:
             xy_envelope=xy.astype(complex),
             z_baseband=Waveform(z, self.rate),
             frame_segments=tuple(self.segments),
-            final_frame=FrameState(
-                carrier_ghz=self.segments[-1].carrier_ghz,
-                frame_phase_rad=self.frame_phase % (2.0 * math.pi),
-                time_ns=self.n / self.rate,
-            ),
         )
 
 

@@ -341,7 +341,7 @@ def test_criterion_10_memory_claim():
         dynamics.qubit_frame(SEARCH_SCENARIO)[0][1],
     )
     config = pulsec.SynthesisConfig(sample_rate=1.0)
-    report = pulsec.memory_report(program, pulsec.compile(program, config))
+    report = pulsec.memory_report(pulsec.compile(program, config))
     assert report["sequence_ns"] > 50_000.0, (
         f"benchmark program spans {report['sequence_ns']} ns, need > 50 us"
     )

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -546,6 +547,16 @@ def test_signal_csv_roundtrip():
     np.testing.assert_allclose(samples, np.arange(5.0))
     with pytest.raises(ValueError):
         analysis.load_signal_samples(["value", "1"])
+
+
+@pytest.mark.parametrize("path", ["t1.csv", pathlib.Path("t1.csv")])
+@pytest.mark.parametrize(
+    "reader", [analysis.load_csv, analysis.load_time_series, analysis.load_signal_samples]
+)
+def test_csv_readers_refuse_a_path_or_a_string(reader, path):
+    # a string would be read as its characters, a path would not be read at all
+    with pytest.raises(TypeError, match="expected the lines of a CSV"):
+        reader(path)
 
 
 def test_fit_report_is_json_ready():

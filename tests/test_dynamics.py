@@ -65,7 +65,7 @@ def test_scenario_rejects_non_finite_time_step(bad):
 def test_phase_drive_per_volt_matches_budget():
     c = dynamics.phase_drive_per_volt(LINE)
     assert c == pytest.approx(3.8434764090566715, rel=1e-12)
-    assert c == pytest.approx(linebudget.flux_drive_amplitude(LINE, 0.25) / 0.25)
+    assert c == pytest.approx(linebudget.flux_drive_amplitude(LINE) / LINE.awg_vmax)
 
 
 def test_zero_waveform_is_free_evolution():
@@ -1320,7 +1320,7 @@ def test_rb_example_program_serialization_round_trip():
 def test_rb_example_program_and_memory_footprint():
     config = pulsec.SynthesisConfig(sample_rate=1.0)
     program = _rb_program(3, 4, 300, carrier=dynamics.qubit_frame(FLAT2)[0][1])
-    report = pulsec.memory_report(program, pulsec.compile(program, config))
+    report = pulsec.memory_report(pulsec.compile(program, config))
     assert report["stored_ns"] == pytest.approx(20.0)
     assert report["ratio"] > 200.0
 

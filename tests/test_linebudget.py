@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from uniflux import fluxonium, linebudget
-from uniflux.errors import SaturationError
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "line_budget_hand.json").read_text()
@@ -23,19 +22,13 @@ FIG_PARAMS = fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, phi_ext=0.5)
 
 
 def test_drive_amplitude_full_scale():
-    assert linebudget.flux_drive_amplitude(LINE, 0.5) == pytest.approx(60.78, abs=0.01)
+    assert linebudget.flux_drive_amplitude(LINE) == pytest.approx(60.78, abs=0.01)
 
 
 def test_drive_amplitude_minus50db():
     line = LINE.replace(attenuation_db=-50.0)
     expected = FIXTURE["expected"]["dphi_rad"]
-    assert linebudget.flux_drive_amplitude(line, 0.5) == pytest.approx(expected, rel=1e-9)
-
-
-def test_drive_amplitude_zero_and_saturation():
-    assert linebudget.flux_drive_amplitude(LINE, 0.0) == 0.0
-    with pytest.raises(SaturationError):
-        linebudget.flux_drive_amplitude(LINE, 0.6)
+    assert linebudget.flux_drive_amplitude(line) == pytest.approx(expected, rel=1e-9)
 
 
 def test_rabi_frequency_substitution():
@@ -45,7 +38,7 @@ def test_rabi_frequency_substitution():
 
 def test_rabi_frequency_hand_fixture():
     line = LINE.replace(attenuation_db=-50.0)
-    dphi = linebudget.flux_drive_amplitude(line, 0.5)
+    dphi = linebudget.flux_drive_amplitude(line)
     m01 = FIXTURE["inputs"]["m01"]
     assert linebudget.rabi_frequency(0.5, dphi, m01) == pytest.approx(
         FIXTURE["expected"]["rabi_mhz"], rel=1e-9
@@ -104,7 +97,7 @@ def test_consistency_two_evaluation_routes():
     m01 = 2.1
     t1_direct = linebudget.t1_line_limit(0.5, m01, line, s_vv)
     # composition route: coupling per volt from the drive-amplitude chain
-    dphi_per_volt = linebudget.flux_drive_amplitude(line, 1e-3) / 1e-3
+    dphi_per_volt = linebudget.flux_drive_amplitude(line) / line.awg_vmax
     coupling_si = 0.5 * 1e9 * PLANCK * dphi_per_volt * m01 / HBAR  # rad/s per volt
     rate = coupling_si**2 * s_vv
     assert t1_direct == pytest.approx(1e6 / rate, rel=1e-12)
@@ -138,7 +131,7 @@ def test_tradeoff_single_point_equals_direct_calls():
     pts = linebudget.tradeoff_sweep(FIG_PARAMS, LINE, [-50.0])
     m01 = fluxonium.phase_matrix_element(FIG_PARAMS, 0, 1)
     line = LINE.replace(attenuation_db=-50.0)
-    dphi = linebudget.flux_drive_amplitude(line, 0.5)
+    dphi = linebudget.flux_drive_amplitude(line)
     assert pts[0].rabi_mhz == pytest.approx(linebudget.rabi_frequency(0.5, dphi, m01))
     assert pts[0].max_dc_excursion_phi0 == pytest.approx(linebudget.max_dc_excursion(line))
 

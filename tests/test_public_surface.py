@@ -263,10 +263,17 @@ FORMAT_OWNERS = {
 
 # Spellings that only the listed modules may have anywhere in their text, in
 # a constant, a name or a docstring: the RB survival CSV is written and read
-# by `cli` alone, and only a SetCarrier instruction sets a program's carrier.
+# by `cli` alone, only a SetCarrier instruction sets a program's carrier, the
+# full-scale tolerance is `pulsec.FULL_SCALE`, a compiled program's length and
+# carrier live in its timeline and frame segments, and a sweep names its bad
+# row where it builds the spectra.
 SPELLING_OWNERS = {
     "length,seq_index,survival": ("cli",),
     "initial_carrier": (),
+    "1.0 + 1e-12": ("pulsec",),
+    "FrameState": (),
+    "final_frame": (),
+    "exc.row": (),
 }
 
 

@@ -103,7 +103,6 @@ def test_instruction_validation():
 def test_empty_program_compiles_to_zero_duration():
     compiled = pulsec.compile(_program(()), CONFIG)
     assert len(compiled) == 0
-    assert compiled.final_frame.time_ns == 0.0
 
 
 def test_virtual_z_rotates_envelope():
@@ -189,7 +188,7 @@ def test_repeat_matches_manual_expansion():
     manual = pulsec.compile(_program(body * 3), CONFIG)
     assert xy_timeline(rep).tobytes() == xy_timeline(manual).tobytes()
     assert np.array_equal(rep.z_baseband.samples, manual.z_baseband.samples)
-    assert rep.final_frame == manual.final_frame
+    assert rep.frame_segments == manual.frame_segments
 
 
 def test_kind_and_rate_enforcement():
@@ -205,12 +204,6 @@ def test_kind_and_rate_enforcement():
 def test_duration_checks():
     with pytest.raises(ScheduleError, match="integer"):
         pulsec.compile(_program((Delay(3.25),)), CONFIG)
-
-
-def test_frame_phase_reported_modulo_2pi():
-    compiled = pulsec.compile(_program((VirtualZ(7.0 * math.pi),)), CONFIG)
-    assert 0.0 <= compiled.final_frame.frame_phase_rad < 2.0 * math.pi
-    assert compiled.final_frame.frame_phase_rad == pytest.approx(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +403,7 @@ def test_memory_report_replay_example():
     program = PulseProgram(
         (SetCarrier(0.208), Repeat(100, (PlayXY("p20"), Delay(480.0)))), _store(p20)
     )
-    report = pulsec.memory_report(program, pulsec.compile(program, CONFIG))
+    report = pulsec.memory_report(pulsec.compile(program, CONFIG))
     assert report["stored_ns"] == 20.0
     assert report["sequence_ns"] == 50_000.0
     assert report["ratio"] == 2500.0
@@ -418,7 +411,7 @@ def test_memory_report_replay_example():
 
 def test_memory_report_empty_program():
     program = PulseProgram((), {})
-    report = pulsec.memory_report(program, pulsec.compile(program, CONFIG))
+    report = pulsec.memory_report(pulsec.compile(program, CONFIG))
     assert report == {"stored_ns": 0.0, "sequence_ns": 0.0, "ratio": None}
 
 
@@ -436,7 +429,7 @@ def test_memory_report_matches_compiled_duration():
     ]
     for program, config in cases:
         compiled = pulsec.compile(program, config)
-        report = pulsec.memory_report(program, compiled)
+        report = pulsec.memory_report(compiled)
         assert report["sequence_ns"] == compiled.z_baseband.duration_ns
         assert report["sequence_ns"] == len(compiled) / config.sample_rate
 
@@ -608,7 +601,6 @@ def _assert_compiles_like_oracle(program, config=CONFIG):
     assert got.z_baseband.samples.tobytes() == want.z_baseband.samples.tobytes()
     # repr tells -0.0 from 0.0 and compares NaN carrier phases
     assert repr(got.frame_segments) == repr(want.frame_segments)
-    assert repr(got.final_frame) == repr(want.final_frame)
 
 
 # one play of a one-sample primitive: the product underflows to a signed zero
