@@ -239,7 +239,8 @@ def fit_dephasing_envelope(t_us, env, t1_de) -> DephasingFit:
     """Fit (C, D, exponential rate, Gaussian rate) with T1 held fixed.
 
     Rates are fitted (not times) so a vanishing exponential component lands
-    on the closed boundary and reports t_phi_exp = inf. A correlation above
+    on the closed boundary and reports t_phi_exp = inf, flagged
+    ``exponential-rate-vanished``. A correlation above
     0.95 between the two rates marks the exchange-degenerate regime.
     """
     t, values = _validate_decay_input(t_us, env, min_points=6)
@@ -268,7 +269,9 @@ def fit_dephasing_envelope(t_us, env, t1_de) -> DephasingFit:
         denom = math.sqrt(abs(pcov[2, 2] * pcov[3, 3]))
         corr = pcov[2, 3] / denom if denom > 0 else 0.0
     if np.isfinite(corr) and abs(corr) > 0.95:
-        flags = ("exchange-degeneracy",)
+        flags += ("exchange-degeneracy",)
+    if gamma_exp < 1e-12:
+        flags += ("exponential-rate-vanished",)
 
     t_phi_exp = math.inf if gamma_exp < 1e-12 else 1.0 / gamma_exp
     return DephasingFit(c=c, d=d, t1_de=float(t1_de), t_phi_exp=t_phi_exp,
@@ -306,7 +309,8 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
     least three distinct lengths are required. A survival trace constant at
     full amplitude is the perfect-gate limit (p = 1); constant anywhere else
     leaves p unidentifiable and raises FitError, as does a fitted decay
-    amplitude too small to pin the rate.
+    amplitude too small to pin the rate. Three lengths leave the covariance
+    undetermined (inf), flagged ``covariance-undetermined``.
     """
     m = np.asarray(lengths, dtype=float)
     s = np.asarray(survivals, dtype=float)
@@ -339,8 +343,9 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
         raise FitError("decay amplitude vanished in the fit; p unidentifiable")
     if not 0.0 < p <= 1.0:
         raise FitError(f"fitted p = {p} outside (0, 1]")
+    flags = () if np.all(np.isfinite(pcov)) else ("covariance-undetermined",)
     return RbFit(a=a, b=b, p=p, f_avg=1.0 - (1.0 - p) / 2.0, covariance=pcov,
-                 sse=sse)
+                 sse=sse, flags=flags)
 
 
 def interleaved_fidelity(p_ref: float, p_int: float) -> float:
@@ -393,37 +398,32 @@ def _mixture_inits(x: np.ndarray) -> tuple:
 
     The quantile ladder reaches up to a 98/2 split, so a small excited blob
     gets at least one start already sitting on the right answer; best final
-    log-likelihood picks the winner.
+    log-likelihood picks the winner. The k-means 5/95 pair and the ladder's
+    30 quantiles come from one percentile call. A Lloyd step puts a sample
+    in the upper cluster only where it is strictly nearer the upper centre
+    (argmin's tie rule) and stops once neither centre moves by over 1e-12.
     """
-    starts = []
-    centers = np.percentile(x, [5.0, 95.0])
+    q = np.linspace(0.02, 0.98, 15)
+    quantiles = np.percentile(x, np.concatenate([[5.0, 95.0], 50.0 * q, 50.0 + 50.0 * q]))
+    centers = quantiles[:2]
     for _ in range(64):  # Lloyd iterations on a line
-        assign = np.abs(x[:, None] - centers[None, :]).argmin(axis=1)
-        updated = np.array([
-            x[assign == k].mean() if np.any(assign == k) else centers[k]
-            for k in range(2)
-        ])
-        if np.allclose(updated, centers, rtol=0, atol=1e-12):
+        upper = np.abs(x - centers[1]) < np.abs(x - centers[0])
+        updated = np.array([x[m].mean() if m.any() else c
+                            for m, c in zip((~upper, upper), centers)])
+        if np.all(np.abs(updated - centers) <= 1e-12):
             break
         centers = updated
-    starts.append(np.sort(centers))
-    for q in np.linspace(0.02, 0.98, 15):
-        starts.append(np.percentile(x, [50.0 * q, 50.0 + 50.0 * q]))
+    starts = [np.sort(centers), *zip(quantiles[2:17], quantiles[17:])]
 
     weights, means, variances = [], [], []
-    overall_var = max(float(np.var(x)), 1e-12)
+    var_floor = 1e-3 * max(float(np.var(x)), 1e-12)
     for lo_c, hi_c in starts:
-        threshold = 0.5 * (lo_c + hi_c)
-        mask = x > threshold
+        mask = x > 0.5 * (lo_c + hi_c)
         frac = min(max(float(mask.mean()), 1e-3), 1.0 - 1e-3)
-        lo = x[~mask] if np.any(~mask) else x
-        hi = x[mask] if np.any(mask) else x
+        parts = [part if part.size else x for part in (x[~mask], x[mask])]
         weights.append([1.0 - frac, frac])
-        means.append([float(lo.mean()), float(hi.mean())])
-        variances.append([
-            max(float(lo.var()), 1e-3 * overall_var),
-            max(float(hi.var()), 1e-3 * overall_var),
-        ])
+        means.append([float(part.mean()) for part in parts])
+        variances.append([max(float(part.var()), var_floor) for part in parts])
     return np.array(weights), np.array(means), np.array(variances)
 
 
@@ -432,28 +432,36 @@ def _em_all_restarts(x: np.ndarray, cx: np.ndarray, cw: np.ndarray,
     """Two-component 1-D EM on binned samples, all restarts in parallel.
 
     ``cx``/``cw`` are occupied histogram centers and counts; inits come from
-    the raw samples. Returns (weights, means, variances, log-likelihood) of
-    the best restart and whether its likelihood had stopped moving.
+    the raw samples. The (restarts, 2, bins) work arrays are allocated once,
+    and the squared distances (cx - mu)^2 of each M-step serve the next
+    E-step. Returns (weights, means, variances, log-likelihood) of the best
+    restart and whether its likelihood had stopped moving.
     """
     w, mu, var = _mixture_inits(x)
     total = cw.sum()
     prev_ll = np.full(len(w), -np.inf)
     ll = prev_ll
+    sq = np.square(cx - mu[:, :, None])
+    log_comp = np.empty_like(sq)
+    work = np.empty_like(sq)
+    lse = np.empty((len(w), len(cx)))
     for _ in range(max_iter):
         # (restarts, 2, bins) responsibilities in the log domain
-        log_comp = (
-            -0.5 * (np.log(2.0 * np.pi * var[:, :, None])
-                    + (cx[None, None, :] - mu[:, :, None]) ** 2 / var[:, :, None])
-            + np.log(w[:, :, None])
-        )
-        lse = np.logaddexp(log_comp[:, 0, :], log_comp[:, 1, :])
-        ll = (cw[None, :] * lse).sum(axis=1)
-        resp = np.exp(log_comp - lse[:, None, :]) * cw[None, None, :]
+        np.divide(sq, var[:, :, None], out=log_comp)
+        log_comp += np.log(2.0 * np.pi * var)[:, :, None]
+        log_comp *= -0.5
+        log_comp += np.log(w)[:, :, None]
+        np.logaddexp(log_comp[:, 0, :], log_comp[:, 1, :], out=lse)
+        log_comp -= lse[:, None, :]
+        lse *= cw
+        ll = lse.sum(axis=1)
+        resp = np.exp(log_comp, out=log_comp)
+        resp *= cw
         bulk = np.maximum(resp.sum(axis=2), 1e-300)
         w = bulk / total
-        mu = (resp * cx[None, None, :]).sum(axis=2) / bulk
-        var = (resp * (cx[None, None, :] - mu[:, :, None]) ** 2).sum(axis=2) / bulk
-        var = np.maximum(var, floor)
+        mu = np.multiply(resp, cx, out=work).sum(axis=2) / bulk
+        np.square(np.subtract(cx, mu[:, :, None], out=sq), out=sq)
+        var = np.maximum(np.multiply(resp, sq, out=work).sum(axis=2) / bulk, floor)
         w = np.clip(w, 1e-12, 1.0 - 1e-12)
         w /= w.sum(axis=1, keepdims=True)
         if np.all(np.abs(ll - prev_ll) < 1e-10 * (np.abs(ll) + 1.0)):
@@ -483,13 +491,20 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
     (``excited_component`` is "upper" or "lower"). If a single Gaussian
     explains the data better (BIC), the residual population is reported as
     zero with an "unimodal" flag; a variance floor guards against component
-    collapse, which is flagged.
+    collapse, which is flagged. Samples that are not finite, or whose
+    moments overflow, are refused with ValueError.
     """
     if excited_component not in ("upper", "lower"):
         raise ValueError('excited_component must be "upper" or "lower"')
     x = np.asarray(signal, dtype=float).ravel()
     if len(x) < 1000:
         raise ValueError(f"need at least 1000 samples, got {len(x)}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal samples must be finite")
+    # every sum the mixture forms is at most n * max|x| or n * (max - min)^2
+    lo, hi = float(x.min()), float(x.max())
+    if not math.isfinite(len(x) * max(-lo, hi, (hi - lo) * (hi - lo))):
+        raise ValueError(f"signal samples from {lo:.3g} to {hi:.3g} overflow the mixture's moments")
 
     floor = 1e-6 * max(float(np.var(x)), 1e-12)
     counts, edges = np.histogram(x, bins=512)
@@ -596,10 +611,11 @@ def _json_value(value):
 
 def fit_report(fit) -> dict:
     """Strict-JSON dict of any fit dataclass: arrays become lists, and each
-    nan or inf becomes None (null). A null is an unreached 1/e time (flagged
-    ``one-over-e-unreached``), a vanished exponential dephasing rate
-    (t_phi_exp), or a covariance that no more points than parameters leave
-    undetermined."""
+    nan or inf becomes None (null). Each kind of null has its flag: an
+    unreached 1/e time (``one-over-e-unreached``), a vanished exponential
+    dephasing rate, t_phi_exp (``exponential-rate-vanished``), or an RB
+    covariance that no more lengths than parameters leave undetermined
+    (``covariance-undetermined``)."""
     out = {key: _json_value(value) for key, value in dataclasses.asdict(fit).items()}
     out["model"] = type(fit).__name__
     return out

@@ -67,12 +67,27 @@ class TailFitResult:
     degenerate_taus: bool
 
 
-def _probe_design_matrix(delays, taus, window):
-    """Columns g_k(d) = (tau_k/w) e^{-d/tau_k} (1 - e^{-w/tau_k})."""
-    cols = [
-        (tau / window) * np.exp(-delays / tau) * -np.expm1(-window / tau) for tau in taus
-    ]
-    return np.stack(cols, axis=1)
+def _probe_design_matrix(delays, taus, window, decay=None):
+    """Columns g_k(d) = (tau_k/w) e^{-d/tau_k} (1 - e^{-w/tau_k}), one broadcast
+    of the (m,) delays against the (k,) taus. ``decay`` is e^{-d/tau_k} when
+    the caller has it already."""
+    if decay is None:
+        decay = np.exp(-delays[:, None] / taus)
+    return (taus / window) * decay * -np.expm1(-window / taus)
+
+
+def _probe_jacobian(theta, delays, window):
+    """Jacobian of the probe residual in theta = (A_k, log tau_k): the design
+    matrix, then tau_k dg_k/dtau_k times A_k, both from one e^{-d/tau_k}."""
+    n_terms = theta.size // 2
+    taus = np.exp(theta[n_terms:])
+    d = delays[:, None]
+    late = d + window
+    decay = np.exp(-d / taus)
+    # d g / d log tau = (1/w) [ (1 + d/tau) e^{-d/tau} - (1 + (d+w)/tau) e^{-(d+w)/tau} ] * tau
+    dg_dtau = ((1.0 + d / taus) * decay - (1.0 + late / taus) * np.exp(-late / taus)) / window
+    return np.hstack([_probe_design_matrix(delays, taus, window, decay),
+                      theta[:n_terms] * dg_dtau * taus])
 
 
 def fit_multi_exponential(
@@ -119,20 +134,10 @@ def fit_multi_exponential(
         g = _probe_design_matrix(delays, np.exp(theta[n_terms:]), probe_window)
         return g @ theta[:n_terms] - values
 
-    def jacobian(theta):
-        taus = np.exp(theta[n_terms:])
-        jac = np.empty((len(delays), 2 * n_terms))
-        jac[:, :n_terms] = _probe_design_matrix(delays, taus, probe_window)
-        # d g / d log tau = (1/w) [ (1 + d/tau) e^{-d/tau} - (1 + (d+w)/tau) e^{-(d+w)/tau} ] * tau
-        for k, tau in enumerate(taus):
-            e0 = np.exp(-delays / tau)
-            e1 = np.exp(-(delays + probe_window) / tau)
-            dg_dtau = ((1.0 + delays / tau) * e0
-                       - (1.0 + (delays + probe_window) / tau) * e1) / probe_window
-            jac[:, n_terms + k] = theta[k] * dg_dtau * tau
-        return jac
-
-    theta, cov, sse = _least_squares_fit(residuals, starts, jac=jacobian, xtol=1e-14)
+    theta, cov, sse = _least_squares_fit(
+        residuals, starts, jac=lambda theta: _probe_jacobian(theta, delays, probe_window),
+        xtol=1e-14,
+    )
     cost = math.sqrt(sse)
     amps = theta[:n_terms]
     taus = np.exp(theta[n_terms:])

@@ -17,7 +17,7 @@ import json
 import math
 import pathlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,7 @@ from scipy.optimize import curve_fit
 from scipy.signal import lfilter
 
 from uniflux import pulsec
-from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord, _probe_design_matrix
+from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord
 from uniflux.dynamics import (
     CLIFFORD_COUNT,
     DRIVE_SAMPLE_RATE,
@@ -417,6 +417,99 @@ def multi_start_curve_fit(model, t, values, starts, bounds):
     if best is None:
         raise FitError("least-squares fit did not converge from any start")
     return best
+
+
+def argmin_mixture_inits(x: np.ndarray) -> tuple:
+    """The reset EM's 16 starts as first written: Lloyd steps that assign by
+    argmin over an (n, 2) distance array and stop on ``np.allclose``, and one
+    percentile call per quantile pair. The package must match it bit for bit."""
+    starts = []
+    centers = np.percentile(x, [5.0, 95.0])
+    for _ in range(64):
+        assign = np.abs(x[:, None] - centers[None, :]).argmin(axis=1)
+        updated = np.array([
+            x[assign == k].mean() if np.any(assign == k) else centers[k]
+            for k in range(2)
+        ])
+        if np.allclose(updated, centers, rtol=0, atol=1e-12):
+            break
+        centers = updated
+    starts.append(np.sort(centers))
+    for q in np.linspace(0.02, 0.98, 15):
+        starts.append(np.percentile(x, [50.0 * q, 50.0 + 50.0 * q]))
+
+    weights, means, variances = [], [], []
+    overall_var = max(float(np.var(x)), 1e-12)
+    for lo_c, hi_c in starts:
+        threshold = 0.5 * (lo_c + hi_c)
+        mask = x > threshold
+        frac = min(max(float(mask.mean()), 1e-3), 1.0 - 1e-3)
+        lo = x[~mask] if np.any(~mask) else x
+        hi = x[mask] if np.any(mask) else x
+        weights.append([1.0 - frac, frac])
+        means.append([float(lo.mean()), float(hi.mean())])
+        variances.append([
+            max(float(lo.var()), 1e-3 * overall_var),
+            max(float(hi.var()), 1e-3 * overall_var),
+        ])
+    return np.array(weights), np.array(means), np.array(variances)
+
+
+def fresh_array_em(x: np.ndarray, cx: np.ndarray, cw: np.ndarray, floor: float,
+                   max_iter: int = 300):
+    """The reset EM as first written: every iteration builds its (restarts, 2,
+    bins) arrays afresh and squares (cx - mu) in both the E- and the M-step.
+    Same return as ``analysis._em_all_restarts``, bit for bit."""
+    w, mu, var = argmin_mixture_inits(x)
+    total = cw.sum()
+    prev_ll = np.full(len(w), -np.inf)
+    ll = prev_ll
+    for _ in range(max_iter):
+        log_comp = (
+            -0.5 * (np.log(2.0 * np.pi * var[:, :, None])
+                    + (cx[None, None, :] - mu[:, :, None]) ** 2 / var[:, :, None])
+            + np.log(w[:, :, None])
+        )
+        lse = np.logaddexp(log_comp[:, 0, :], log_comp[:, 1, :])
+        ll = (cw[None, :] * lse).sum(axis=1)
+        resp = np.exp(log_comp - lse[:, None, :]) * cw[None, None, :]
+        bulk = np.maximum(resp.sum(axis=2), 1e-300)
+        w = bulk / total
+        mu = (resp * cx[None, None, :]).sum(axis=2) / bulk
+        var = (resp * (cx[None, None, :] - mu[:, :, None]) ** 2).sum(axis=2) / bulk
+        var = np.maximum(var, floor)
+        w = np.clip(w, 1e-12, 1.0 - 1e-12)
+        w /= w.sum(axis=1, keepdims=True)
+        if np.all(np.abs(ll - prev_ll) < 1e-10 * (np.abs(ll) + 1.0)):
+            break
+        prev_ll = ll
+    best = int(np.argmax(ll))
+    converged = abs(ll[best] - prev_ll[best]) < 1e-7 * (abs(ll[best]) + 1.0)
+    return w[best], mu[best], var[best], float(ll[best]), converged
+
+
+def per_term_design_matrix(delays, taus, window):
+    """The settling fit's design matrix built one tau at a time and stacked:
+    g_k(d) = (tau_k/w) e^{-d/tau_k} (1 - e^{-w/tau_k})."""
+    cols = [
+        (tau / window) * np.exp(-delays / tau) * -np.expm1(-window / tau) for tau in taus
+    ]
+    return np.stack(cols, axis=1)
+
+
+def per_term_jacobian(theta, delays, window):
+    """The settling fit's Jacobian in (A_k, log tau_k), one tau at a time, with
+    e^{-d/tau_k} evaluated again for each block."""
+    n_terms = theta.size // 2
+    taus = np.exp(theta[n_terms:])
+    jac = np.empty((len(delays), 2 * n_terms))
+    jac[:, :n_terms] = per_term_design_matrix(delays, taus, window)
+    for k, tau in enumerate(taus):
+        e0 = np.exp(-delays / tau)
+        e1 = np.exp(-(delays + window) / tau)
+        dg_dtau = ((1.0 + delays / tau) * e0 - (1.0 + (delays + window) / tau) * e1) / window
+        jac[:, n_terms + k] = theta[k] * dg_dtau * tau
+    return jac
 
 
 def upsample(x: np.ndarray, factor: int) -> np.ndarray:
@@ -1071,6 +1164,21 @@ def unrolled_compile(program, config):
 # ---------------------------------------------------------------------------
 
 
+def hex_fields(value):
+    """``value`` with every float, at any depth of dataclasses, tuples and
+    arrays, written as ``float.hex``: two results compare equal only if they
+    agree bit for bit, signed zeros included."""
+    if is_dataclass(value):
+        return {f.name: hex_fields(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [hex_fields(item) for item in value]
+    if isinstance(value, float):
+        return float(value).hex()
+    return value
+
+
 def floor_frequency(inverse) -> float:
     """Frequency (GHz) where a bounded inverse's gain cap engages: H_gauss(f) = floor."""
     return math.sqrt(2.0 * math.log(1.0 / inverse.floor)) / inverse.gauss.sigma
@@ -1091,7 +1199,7 @@ def simulate_tail_probe(model, delays, probe_window: float = DEFAULT_PROBE_WINDO
     """Noiseless tail-over-ref records: the closed form the settling fit inverts."""
     delays = np.asarray(delays, dtype=float)
     amps, taus = np.array(model.terms).T
-    values = _probe_design_matrix(delays, taus, probe_window) @ amps
+    values = per_term_design_matrix(delays, taus, probe_window) @ amps
     return [TailProbeRecord(float(d), float(v)) for d, v in zip(delays, values)]
 
 

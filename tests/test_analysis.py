@@ -136,6 +136,19 @@ def test_dephasing_snr20_monte_carlo():
     assert np.mean(recovered) == pytest.approx(128.0, rel=0.05)
 
 
+def test_dephasing_flags_a_vanished_exponential_rate():
+    t = np.linspace(0.0, 300.0, 121)
+    clean = oracles.dephasing_envelope(t, c=1.0, d=0.0, t1_de=200.0,
+                                       t_phi_exp=math.inf, t_phi_g=128.0)
+    noisy = clean + 0.005 * np.random.default_rng(42).standard_normal(len(t))
+    fit = analysis.fit_dephasing_envelope(t, noisy, t1_de=200.0)
+    assert fit.t_phi_exp == math.inf
+    assert fit.flags == ("exponential-rate-vanished",)
+    mixed = oracles.dephasing_envelope(t, c=0.9, d=0.05, t1_de=180.0,
+                                       t_phi_exp=90.0, t_phi_g=128.0)
+    assert analysis.fit_dephasing_envelope(t, mixed, t1_de=180.0).flags == ()
+
+
 def test_dephasing_requires_positive_t1():
     t = np.linspace(0.0, 300.0, 40)
     with pytest.raises(ValueError):
@@ -173,6 +186,14 @@ def test_rb_perfect_data_gives_unit_fidelity():
     assert fit.p == 1.0
     assert fit.f_avg == 1.0
     assert "constant-survival" in fit.flags
+
+
+def test_rb_flags_an_undetermined_covariance():
+    fit = analysis.fit_rb_decay([1, 16, 256], [0.99, 0.9, 0.6])
+    assert np.all(np.isinf(fit.covariance))
+    assert fit.flags == ("covariance-undetermined",)
+    fit = analysis.fit_rb_decay([1, 16, 64, 256], [0.99, 0.9, 0.75, 0.6])
+    assert np.all(np.isfinite(fit.covariance)) and fit.flags == ()
 
 
 def test_rb_constant_baseline_rejected():
@@ -515,6 +536,94 @@ def test_reset_estimator_validation():
     with pytest.raises(ValueError):
         analysis.estimate_reset_fidelity(rng.standard_normal(2000),
                                          excited_component="middle")
+
+
+_NORMAL = np.random.default_rng(3).standard_normal(1999)
+
+
+@pytest.mark.parametrize("samples, match", [
+    (np.append(_NORMAL, math.nan), "must be finite"),
+    (np.append(_NORMAL, math.inf), "must be finite"),
+    (np.append(_NORMAL, -math.inf), "must be finite"),
+    # n * spread^2, the variance's sum, overflows
+    (np.append(_NORMAL, -1e300), "overflow the mixture's moments"),
+    # n * peak, the mean's sum, overflows although the samples all agree
+    (np.full(2000, 1e306), "overflow the mixture's moments"),
+], ids=["nan", "inf", "-inf", "wide", "large"])
+def test_reset_estimator_refuses_samples_whose_moments_do_not_exist(samples, match):
+    with pytest.raises(ValueError, match=match):
+        analysis.estimate_reset_fidelity(samples)
+
+
+def _assert_reset_matches_the_fresh_array_oracle(monkeypatch, samples, excited_component):
+    """The EM's return, converged included, and every ResetEstimate field equal
+    the oracle's by float.hex; the oracle path is the EM as first written."""
+    assert oracles.hex_fields(analysis._mixture_inits(samples)) == oracles.hex_fields(
+        oracles.argmin_mixture_inits(samples))
+    got = _reset_outcome(monkeypatch, samples, excited_component, analysis._em_all_restarts)
+    want = _reset_outcome(monkeypatch, samples, excited_component, oracles.fresh_array_em)
+    assert got == want
+    return got
+
+
+def _reset_outcome(monkeypatch, samples, excited_component, em):
+    """(the EM's return, the estimate or the FitError it raised), floats as
+    float.hex, with ``em`` as the estimator's EM."""
+    returned = []
+
+    def spy(*args):
+        returned.append(em(*args))
+        return returned[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_em_all_restarts", spy)
+        try:
+            estimate = analysis.estimate_reset_fidelity(samples, excited_component)
+        except FitError as exc:
+            estimate = repr(exc)
+    return oracles.hex_fields(returned), oracles.hex_fields(estimate)
+
+
+def _readout_mixture(seed, n, weight_e, sigma, step=0.0):
+    """Readout samples at 0 and 1 with ``weight_e`` excited; a ``step`` rounds
+    them to a digitizer's grid, where a sample can sit exactly midway between
+    two cluster centres."""
+    rng = np.random.default_rng(seed)
+    excited = rng.random(n) < weight_e
+    x = np.where(excited, rng.normal(1.0, sigma, n), rng.normal(0.0, sigma, n))
+    return np.round(x / step) * step if step else x
+
+
+@pytest.mark.parametrize("seed, n, weight_e, sigma, flag", [
+    (61, 5000, 0.0, 0.15, "unimodal"),
+    (63, 4000, 0.5, 0.15, None),
+    (64, 20000, 0.5, 0.5, None),
+    (65, 10000, 0.01, 0.15, None),
+    (66, 1000, 0.01, 0.1, None),
+])
+@pytest.mark.parametrize("step", [0.0, 0.125])
+def test_reset_estimator_matches_the_fresh_array_oracle(monkeypatch, seed, n, weight_e,
+                                                        sigma, flag, step):
+    est = _assert_reset_matches_the_fresh_array_oracle(
+        monkeypatch, _readout_mixture(seed, n, weight_e, sigma, step), "upper")
+    if not step:
+        assert est[1]["flags"] == ([flag] if flag else [])
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1000, 20000),
+    weight_e=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)),
+    sigma=st.floats(0.1, 0.5),
+    step=st.sampled_from([0.0, 0.125, 0.25]),
+    excited_component=st.sampled_from(["upper", "lower"]),
+)
+def test_reset_estimator_matches_the_fresh_array_oracle_property(seed, n, weight_e, sigma,
+                                                                 step, excited_component):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_reset_matches_the_fresh_array_oracle(
+            monkeypatch, _readout_mixture(seed, n, weight_e, sigma, step), excited_component)
 
 
 # ---------------------------------------------------------------------------

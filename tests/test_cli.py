@@ -7,6 +7,7 @@ for real to cover the module entry point.
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -948,7 +949,21 @@ def test_fit_reports_are_strict_json_with_null_for_non_finite_values(tmp_path, c
     assert code == 0
     report = _strict_json(out)
     assert report["covariance"] == [[None] * 3] * 3
+    assert report["flags"] == ["covariance-undetermined"]
     assert 0.0 < report["p"] < 1.0
+
+    t = np.linspace(0.0, 300.0, 121)  # a pure Gaussian envelope, noisy
+    env = oracles.dephasing_envelope(t, c=1.0, d=0.0, t1_de=200.0, t_phi_exp=math.inf,
+                                     t_phi_g=128.0)
+    env = env + 0.005 * np.random.default_rng(42).standard_normal(len(t))
+    dephasing_csv = tmp_path / "dephasing.csv"
+    np.savetxt(dephasing_csv, np.column_stack([t, env]), delimiter=",",
+               header="t_us,p_env", comments="", fmt="%.17g")
+    code, out, _ = run_cli(capsys, "fit", "dephasing", str(dephasing_csv), "--t1-us", "200")
+    assert code == 0
+    report = _strict_json(out)
+    assert report["t_phi_exp"] is None
+    assert report["flags"] == ["exponential-rate-vanished"]
 
 
 def test_fit_malformed_csv_reports_line(tmp_path, capsys):
@@ -1122,6 +1137,9 @@ _INPUT_FILES = {
     "rb-nan.csv": "length,seq_index,survival\n1,0,0.9\nnan,0,0.8\n",
     "rb-fractional.csv": "length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n4,0,0.96\n",
     "reset-nan.csv": "signal\n" + "0.0\n" * 1000 + "nan\n",
+    "reset-inf.csv": "signal\n" + "0.0\n" * 1000 + "-inf\n",
+    # finite samples whose spread, squared, overflows
+    "reset-overflow.csv": "signal\n" + "1e300\n" * 500 + "-1e300\n" * 500,
 }
 
 _PROGRAM = ("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
@@ -1391,7 +1409,11 @@ _EXIT_CODE_CASES = [
     ("fit-rb-fractional-length", ("fit", "rb", "{tmp}/rb-fractional.csv"), 3,
      "{tmp}/rb-fractional.csv: lengths must be integers"),
     ("fit-reset-non-finite-csv", ("fit", "reset", "{tmp}/reset-nan.csv"), 3,
-     "{tmp}/reset-nan.csv: "),
+     "{tmp}/reset-nan.csv: signal samples must be finite"),
+    ("fit-reset-infinite-csv", ("fit", "reset", "{tmp}/reset-inf.csv"), 3,
+     "{tmp}/reset-inf.csv: signal samples must be finite"),
+    ("fit-reset-overflowing-csv", ("fit", "reset", "{tmp}/reset-overflow.csv"), 3,
+     "{tmp}/reset-overflow.csv: signal samples from -1e+300 to 1e+300 overflow"),
     # devices has no numeric option; its one value option takes a choice
     ("devices-non-finite-option", ("devices", "--format", "nan"), 2, "argument --format:"),
     ("devices-unknown-option", ("devices", "--points", "3"), 2, "unrecognized arguments"),

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from uniflux import distortion, filters
 from uniflux.distortion import ExponentialTailModel, TailProbeRecord
 from uniflux.errors import FitError
@@ -178,3 +182,151 @@ def test_fits_reject_non_finite_data():
         broken[5] = TailProbeRecord(broken[5].delay, bad)
         with pytest.raises(ValueError, match="finite"):
             distortion.fit_multi_exponential(broken, 2)
+
+
+# ---------------------------------------------------------------------------
+# the one-broadcast design matrix and Jacobian against the per-term oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_checked_kernel(monkeypatch, records, probe_window):
+    """Spy on the tail fit's kernel: at every theta the fit evaluates, its
+    residual and Jacobian must equal the per-term oracle's bytes. Returns the
+    list of each call's starts and a one-item list counting its evaluations."""
+    delays = np.array([r.delay for r in records])
+    values = np.array([r.tail_over_ref for r in records])
+    kernel = distortion._least_squares_fit
+    calls = []
+
+    def spy(residuals, starts, jac, **solver):
+        count = [0]
+        calls.append((oracles.hex_fields(starts), count))
+
+        def checked_residuals(theta):
+            n = theta.size // 2
+            g = oracles.per_term_design_matrix(delays, np.exp(theta[n:]), probe_window)
+            got = residuals(theta)
+            assert got.tobytes() == (g @ theta[:n] - values).tobytes()
+            count[0] += 1
+            return got
+
+        def checked_jacobian(theta):
+            got = jac(theta)
+            assert got.tobytes() == oracles.per_term_jacobian(theta, delays, probe_window).tobytes()
+            count[0] += 1
+            return got
+
+        return kernel(checked_residuals, starts, jac=checked_jacobian, **solver)
+
+    monkeypatch.setattr(distortion, "_least_squares_fit", spy)
+    return calls
+
+
+def _tail_outcome(records, n_terms, n_starts):
+    """(every TailFitResult field as float.hex, or the FitError, and the
+    warnings the fit gave)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = oracles.hex_fields(
+                distortion.fit_multi_exponential(records, n_terms, n_starts=n_starts))
+        except FitError as exc:
+            result = repr(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def _per_term_outcome(monkeypatch, records, n_terms, n_starts):
+    with monkeypatch.context() as patch:
+        patch.setattr(distortion, "_probe_design_matrix", oracles.per_term_design_matrix)
+        patch.setattr(distortion, "_probe_jacobian", oracles.per_term_jacobian)
+        return _tail_outcome(records, n_terms, n_starts)
+
+
+@pytest.mark.parametrize("terms, noise, n, n_terms, n_starts, flagged", [
+    (((-0.03, 120.0),), 0.0, 24, 1, 16, False),
+    (((-0.02, 30.0), (-0.015, 400.0)), 2e-5, 40, 2, 16, False),
+    (SETTLING_MODEL.terms, 1e-5, 60, 3, 16, False),
+    (((-0.01, 8.0), (-0.012, 60.0), (-0.015, 400.0), (-0.01, 2500.0)), 0.0, 60, 4, 4, False),
+    # neighbouring taus 1.25 apart: degenerate
+    (((-0.02, 100.0), (-0.02, 125.0)), 0.0, 60, 2, 16, True),
+    # one term fitted with two: the second collapses to an unresolved tau
+    (((-0.02, 80.0),), 2e-5, 60, 2, 16, True),
+])
+def test_tail_fit_matches_the_per_term_oracle_bit_for_bit(monkeypatch, terms, noise, n,
+                                                          n_terms, n_starts, flagged):
+    # SciPy's lm solve can round differently with the process's heap layout,
+    # on either side; each case here gave one result under 40 heap
+    # perturbations, and the property below checks evaluations instead.
+    model = ExponentialTailModel(terms=terms)
+    records = _synthetic_records(model, noise, np.random.default_rng(71), n)
+    want = _per_term_outcome(monkeypatch, records, n_terms, n_starts)
+    calls = _oracle_checked_kernel(monkeypatch, records, distortion.DEFAULT_PROBE_WINDOW_NS)
+    got = _tail_outcome(records, n_terms, n_starts)
+    assert got == want
+    assert got[0]["degenerate_taus"] is flagged
+    [(_, [evaluations])] = calls
+    assert evaluations > n_starts
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_terms=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    ratio=st.floats(1.05, 30.0),
+    noise=st.sampled_from([0.0, 2e-5]),
+    extra=st.booleans(),
+)
+def test_tail_fit_evaluates_what_the_per_term_oracle_does_property(n_terms, seed, ratio, noise,
+                                                                    extra):
+    # taus a geometric ladder ratio apart from 5 ns; ``extra`` fits one term
+    # more than the data hold (capped at 4), so a term may collapse
+    rng = np.random.default_rng(seed)
+    taus = 5.0 * ratio ** np.arange(n_terms) * rng.uniform(1.0, 1.2, n_terms)
+    amps = rng.uniform(-0.8, 0.8, n_terms) / n_terms
+    records = _synthetic_records(ExponentialTailModel(tuple(zip(amps, taus))), noise, rng, 40)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _oracle_checked_kernel(monkeypatch, records, distortion.DEFAULT_PROBE_WINDOW_NS)
+        fit_terms = min(n_terms + extra, 4)
+        _tail_outcome(records, fit_terms, n_starts=2)
+        oracle_starts = []
+
+        def record_starts(residuals, starts, **solver):
+            oracle_starts.append(oracles.hex_fields(starts))
+            raise FitError("starts recorded")
+
+        monkeypatch.setattr(distortion, "_least_squares_fit", record_starts)
+        _per_term_outcome(monkeypatch, records, fit_terms, n_starts=2)
+    [(starts, [evaluations])] = calls
+    assert oracle_starts == [starts]
+    assert evaluations > 0
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 4])
+def test_tail_jacobian_matches_a_central_difference(n_terms):
+    # The step h = eps^(1/3) max(1, |theta_j|) balances the central
+    # difference's truncation error (h^2/6 times the third derivative) against
+    # its rounding error (eps |r| / h); both are ~eps^(2/3) ~ 4e-11 of the
+    # residual's scale, and over 200 random thetas the worst column was off by
+    # 1e-8 of its largest entry. 1e-6 leaves a factor 100; a wrong factor or
+    # sign in the Jacobian is off by order 1.
+    rng = np.random.default_rng(80 + n_terms)
+    delays = np.geomspace(2.0, 6000.0, 60)
+    values = rng.normal(0.0, 0.01, delays.size)
+    window = distortion.DEFAULT_PROBE_WINDOW_NS
+
+    def residuals(theta):
+        g = distortion._probe_design_matrix(delays, np.exp(theta[n_terms:]), window)
+        return g @ theta[:n_terms] - values
+
+    cbrt_eps = np.finfo(float).eps ** (1.0 / 3.0)
+    for _ in range(5):
+        taus = 5.0 * 4.0 ** np.arange(n_terms) * rng.uniform(1.0, 1.5, n_terms)
+        theta = np.concatenate([rng.uniform(-0.3, 0.3, n_terms), np.log(taus)])
+        jac = distortion._probe_jacobian(theta, delays, window)
+        assert jac.shape == (delays.size, 2 * n_terms)
+        for j, h in enumerate(cbrt_eps * np.maximum(1.0, np.abs(theta))):
+            step = np.zeros_like(theta)
+            step[j] = h
+            central = (residuals(theta + step) - residuals(theta - step)) / (2.0 * h)
+            scale = np.max(np.abs(jac[:, j]))
+            assert np.max(np.abs(central - jac[:, j])) <= 1e-6 * scale, j
