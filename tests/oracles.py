@@ -896,6 +896,31 @@ def padded_rb_survivals(scenario: DriveScenario, gate, length: int, sequences: i
     return survivals
 
 
+def interleaved_rb_survivals(scenario: DriveScenario, gate, length: int, sequences: int,
+                            seed: int, interleaved: int, quiet_ns: float) -> list:
+    """Ground-state survivals of waveform-mode interleaved RB, each sequence
+    built explicitly: ``length`` Cliffords drawn from ``seed`` as `run_rb`
+    draws them, ``interleaved`` after each one, and the recovery that
+    `matrix_recovery_index` finds. Each program is played as
+    `padded_rb_survivals` plays it."""
+    f01 = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
+    carrier = f01 if gate.drive_frequency_ghz is None else gate.drive_frequency_ghz
+    config = pulsec.SynthesisConfig(sample_rate=DRIVE_SAMPLE_RATE)
+    quiet = np.zeros(int(round(quiet_ns * DRIVE_SAMPLE_RATE)))
+    rng = np.random.default_rng(seed)
+    survivals = []
+    for _ in range(sequences):
+        drawn = [int(i) for i in rng.integers(0, CLIFFORD_COUNT, size=length)]
+        applied = [index for i in drawn for index in (i, interleaved)]
+        program = build_rb_program(applied + [matrix_recovery_index(applied)], gate,
+                                   DRIVE_SAMPLE_RATE, carrier)
+        played = pulsec.synthesize(pulsec.compile(program, config), config).samples
+        volts = np.concatenate([quiet, played * scenario.line.awg_vmax, quiet])
+        survivals.append(float(evolve(scenario, Waveform(volts, DRIVE_SAMPLE_RATE))
+                               .populations[-1, 0]))
+    return survivals
+
+
 def matrix_recovery_index(indices) -> int:
     """Index of the Clifford inverting the composition T of ``indices`` in
     order, by multiplying their 2x2 matrices one by one: the table entry C

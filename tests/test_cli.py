@@ -1095,6 +1095,9 @@ _INPUT_FILES = {
         '"time_step_ns": 0.01}'
     ),
     "flat-channel.json": '{"channel": {"kind": "flat"}, "levels": 2, "time_step_ns": 0.05}',
+    "flat-channel-fc.json": '{"channel": {"kind": "flat", "f_c": 0.1}}',
+    # 0.25 ns exceeds 1/(20 f01) = 0.2234 ns at the reference f01
+    "coarse-step.json": '{"time_step_ns": 0.25}',
     # a 1 MHz Gaussian, whose |H| underflows to 0 at f01 = 0.224 GHz
     "deaf-channel.json": '{"channel": {"kind": "gaussian", "f_c": 0.001}}',
     # f01 = 0.858 GHz, above the 0.5 GHz Nyquist frequency of the 1 GS/s drive sampling
@@ -1136,6 +1139,7 @@ _INPUT_FILES = {
     "nan.csv": "t_us,p_e\n0,1.0\n1,nan\n2,0.5\n",
     "rb-nan.csv": "length,seq_index,survival\n1,0,0.9\nnan,0,0.8\n",
     "rb-fractional.csv": "length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n4,0,0.96\n",
+    "rb-columns.csv": "m,p\n1,0.99\n2,0.98\n4,0.96\n",
     "reset-nan.csv": "signal\n" + "0.0\n" * 1000 + "nan\n",
     "reset-inf.csv": "signal\n" + "0.0\n" * 1000 + "-inf\n",
     # finite samples whose spread, squared, overflows
@@ -1342,6 +1346,13 @@ _EXIT_CODE_CASES = [
     ("simulate-gate-predistorted-flat-channel",
      ("simulate", "gate", "--scenario", "{tmp}/flat-channel.json"), 3,
      "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
+    ("simulate-gate-flat-channel-with-fc",
+     ("simulate", "gate", "--scenario", "{tmp}/flat-channel-fc.json"), 3,
+     "{tmp}/flat-channel-fc.json: flat channel takes no f_c"),
+    ("simulate-rb-waveform-unstable-time-step",
+     ("simulate", "rb", "--mode", "waveform", "--lengths", "1", "--sequences", "1",
+      "--scenario", "{tmp}/coarse-step.json"), 4,
+     "sequence (length=1, index=0): time_step 0.25 ns violates the stability bound"),
     ("simulate-rabi-uncompensated-flat-channel",
      ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
       "{tmp}/flat-channel.json"), 0, None),
@@ -1408,6 +1419,8 @@ _EXIT_CODE_CASES = [
     ("fit-rb-non-finite-csv", ("fit", "rb", "{tmp}/rb-nan.csv"), 3, "{tmp}/rb-nan.csv: "),
     ("fit-rb-fractional-length", ("fit", "rb", "{tmp}/rb-fractional.csv"), 3,
      "{tmp}/rb-fractional.csv: lengths must be integers"),
+    ("fit-rb-wrong-columns", ("fit", "rb", "{tmp}/rb-columns.csv"), 3,
+     "{tmp}/rb-columns.csv: expected CSV columns length,seq_index,survival"),
     ("fit-reset-non-finite-csv", ("fit", "reset", "{tmp}/reset-nan.csv"), 3,
      "{tmp}/reset-nan.csv: signal samples must be finite"),
     ("fit-reset-infinite-csv", ("fit", "reset", "{tmp}/reset-inf.csv"), 3,

@@ -1295,6 +1295,23 @@ def test_rb_sequences_play_inside_quiet_margins(seed):
     assert np.abs(np.subtract(survivals, bare)).min() > 1e-5
 
 
+def test_rb_waveform_interleaving_the_identity_changes_nothing():
+    # Clifford 0 plays nothing, so interleaving it leaves every program as it was
+    assert dynamics.clifford_ops(0) == ()
+    kwargs = dict(lengths=[1, 4, 8], sequences_per_length=2, seed=5, mode="waveform")
+    assert (dynamics.run_rb(GAUSS2, interleaved=0, **kwargs)
+            == dynamics.run_rb(GAUSS2, **kwargs))
+
+
+@pytest.mark.parametrize("interleaved", [4, 16])
+def test_rb_waveform_interleaved_matches_the_explicit_sequence_oracle(interleaved):
+    gate = RbGate(amplitude_dac=0.018)
+    records = dynamics.run_rb(GAUSS2, [3], 3, seed=6, interleaved=interleaved,
+                              mode="waveform", gate=gate)
+    assert [r.survival for r in records] == oracles.interleaved_rb_survivals(
+        GAUSS2, gate, 3, 3, 6, interleaved, quiet_ns=dynamics._QUIET_NS)
+
+
 def test_rb_waveform_mode_with_calibrated_gate():
     # frozen two-pulse calibration of the 20 ns X90 through a flat channel
     gate = RbGate(

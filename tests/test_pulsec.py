@@ -946,6 +946,43 @@ def test_parse_rejects_non_finite_values_with_location(text, line, column):
     assert (info.value.line, info.value.column) == (line, column)
 
 
+_PRIMS = "prim g envelope 0.0 0.5 0.0\nprim e edge 0.0 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("prim p envelope\n", "prim needs: prim <id> <kind> <values...|path>", 1, 1),
+        ("prim p file env.txt 0.5\n", "unexpected token after path", 1, 21),
+        ("prim p sine 0.5\n", "primitive kind must be envelope, edge, or file, got 'sine'",
+         1, 8),
+        ("carrier\n", "carrier needs exactly one frequency", 1, 1),
+        ("carrier 0.2 0.3\n", "carrier needs exactly one frequency", 1, 1),
+        ("xy\n", "xy needs a primitive id", 1, 1),
+        (_PRIMS + "xy g amp=0.5 gain=2\n", "unexpected token 'gain=2'", 3, 14),
+        ("vz 0.1 0.2\n", "vz needs exactly one phase", 1, 1),
+        ("  delay\n", "delay needs exactly one duration", 1, 3),
+        (_PRIMS + "z rise=e hold=0.5,4\n", "z needs: z rise=<prim> hold=<amp>,<ns> fall=<prim>",
+         3, 1),
+        (_PRIMS + "z rise=e hld=0.5,4 fall=e\n", "expected hold=..., got 'hld=0.5,4'", 3, 10),
+        (_PRIMS + "z rise=e hold=0.5,4 fall=f\n", "unknown primitive 'f'", 3, 21),
+        (_PRIMS + "z rise=e hold=0.5 fall=e\n", "hold needs <amp>,<ns>", 3, 10),
+        (_PRIMS + "z rise=e hold=0.5,4 fall=e x\n", "unexpected token 'x'", 3, 28),
+        ("repeat\n", "repeat needs a count", 1, 1),
+        ("repeat two {\n}\n", "bad count 'two'", 1, 8),
+        ("repeat 3\n", "repeat needs a '{' block", 1, 8),
+        (_PRIMS + "repeat 3 { xy g\n}\n", "'{' must end the line", 3, 12),
+        (_PRIMS + "repeat 3 {\nxy g\n} vz 0.1\n", "'}' must end the line", 5, 3),
+    ],
+)
+def test_parse_refusals_name_their_line_and_column(tmp_path, text, message, line, column):
+    (tmp_path / "env.txt").write_text("0.0 0.5\n")
+    with pytest.raises(ProgramParseError) as info:
+        pulsec.parse_program(text, RATE, base_dir=tmp_path)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"{message} (line {line}, column {column})", line, column)
+
+
 # ---------------------------------------------------------------------------
 # binary IO
 # ---------------------------------------------------------------------------
