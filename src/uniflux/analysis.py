@@ -67,6 +67,9 @@ class RelaxationFit(_FrozenCovariance):
 
 
 def _validate_decay_input(t, values, min_points):
+    """The checked (t, values) of a decay, and where its fit starts: the span
+    t.max(), the tail (the mean of the last three values) and the amplitude
+    (the mean of the first three less the tail, at least 1e-3)."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     if t.shape != values.shape or t.ndim != 1:
@@ -77,7 +80,8 @@ def _validate_decay_input(t, values, min_points):
         raise ValueError(f"need at least {min_points} samples, got {len(t)}")
     if np.any(np.diff(t) <= 0) or t[0] < 0:
         raise ValueError("time samples must be non-negative and increasing")
-    return t, values
+    head, tail = float(np.mean(values[:3])), float(np.mean(values[-3:]))
+    return t, values, float(t.max()), tail, max(head - tail, 1e-3)
 
 
 def _forward_difference(residuals, bounds):
@@ -178,15 +182,11 @@ def fit_t1_double_exponential(t_us, p_e) -> RelaxationFit:
     the fitted curve and flagged (nan) if the curve stays above 1/e out to
     ten times the data span.
     """
-    t, values = _validate_decay_input(t_us, p_e, min_points=10)
+    t, values, span, tail, a0 = _validate_decay_input(t_us, p_e, min_points=10)
     positive = t[t > 0]
     if len(positive) == 0 or t.max() / positive.min() < 100.0:
         raise ValueError("time samples must span at least two decades")
 
-    span = float(t.max())
-    head = float(np.mean(values[:3]))
-    tail = float(np.mean(values[-3:]))
-    a0 = max(head - tail, 1e-3)
     starts = [
         (a0, tail, te, tq, nq)
         for te in (span / 10.0, span / 3.0, span)
@@ -243,14 +243,9 @@ def fit_dephasing_envelope(t_us, env, t1_de) -> DephasingFit:
     ``exponential-rate-vanished``. A correlation above
     0.95 between the two rates marks the exchange-degenerate regime.
     """
-    t, values = _validate_decay_input(t_us, env, min_points=6)
+    t, values, span, tail, c0 = _validate_decay_input(t_us, env, min_points=6)
     if not t1_de > 0:
         raise ValueError("t1_de must be positive")
-
-    span = float(t.max())
-    head = float(np.mean(values[:3]))
-    tail = float(np.mean(values[-3:]))
-    c0 = max(head - tail, 1e-3)
 
     starts = [
         (c0, tail, ge, gg)

@@ -73,30 +73,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class DeviceRecord:
-    """One row of the bundled benchmark-device registry.
-
-    ``fidelity_pct`` is None for devices benchmarked without a reported
-    fidelity; it is serialized as an explicit null, never a zero.
-    """
-
-    name: str
-    f_q_mhz: float
-    fidelity_pct: float | None
-    gate_ns: float
-    t1_us: float
-    t2r_us: float
-    t2echo_us: float
-
-    def __post_init__(self):
-        for field in ("gate_ns", "t1_us", "t2r_us", "t2echo_us"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"device {self.name!r}: {field} must be positive")
-        if not self.f_q_mhz > 0:
-            raise ValueError(f"device {self.name!r}: f_q_mhz must be positive")
-
-
 def _device_table_bytes() -> bytes:
     return resources.files("uniflux").joinpath("data/devices.json").read_bytes()
 
@@ -106,14 +82,11 @@ def device_table_checksum() -> str:
     return hashlib.sha256(_device_table_bytes()).hexdigest()
 
 
-def load_devices() -> tuple[DeviceRecord, ...]:
-    """The bundled device registry, validated (unique names, positive times)."""
-    rows = json.loads(_device_table_bytes().decode())
-    records = tuple(DeviceRecord(**row) for row in rows)
-    names = [r.name for r in records]
-    if len(set(names)) != len(names):
-        raise ValueError("device registry has duplicate names")
-    return records
+def load_devices() -> list[dict]:
+    """The bundled device registry, one dict per row as the file holds it.
+    ``fidelity_pct`` is None for a device benchmarked without a reported
+    fidelity: an explicit null, never a zero."""
+    return json.loads(_device_table_bytes().decode())
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +477,17 @@ def cmd_compile(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_rabi(args, scenario) -> int:
+def _scenario(args) -> dynamics.DriveScenario:
+    """The drive scenario of the ``--scenario`` file, or the reference one."""
+    if args.scenario is None:
+        return _default_scenario()
+    return _read_input(args.scenario, _scenario_from_json)
+
+
+def _simulate_rabi(args) -> int:
     from . import dynamics
 
+    scenario = _scenario(args)
     grid = np.linspace(0.0, args.amp_max, args.points)
     grid = grid[1:]  # zero drive is not a valid waveform amplitude
     curve = dynamics.rabi_experiment(
@@ -523,9 +504,10 @@ def _simulate_rabi(args, scenario) -> int:
     return 0
 
 
-def _simulate_gate(args, scenario) -> int:
+def _simulate_gate(args) -> int:
     from . import dynamics
 
+    scenario = _scenario(args)
     if args.trim_frequency:
         pulse = dynamics.calibrate_drive_frequency(scenario, args.duration, args.predistort)
     else:
@@ -552,9 +534,10 @@ def _simulate_gate(args, scenario) -> int:
 _RB_COLUMNS = "length,seq_index,survival"  # what `simulate rb` writes and `fit rb` reads
 
 
-def _simulate_rb(args, scenario) -> int:
+def _simulate_rb(args) -> int:
     from . import dynamics
 
+    scenario = _scenario(args)
     given = {
         "duration_ns": args.gate_duration,
         "amplitude_dac": args.gate_amplitude,
@@ -574,18 +557,6 @@ def _simulate_rb(args, scenario) -> int:
     rows = [f"{r.length},{r.seq_index},{_fmt(r.survival)}" for r in records]
     _write_text(args.output, _csv_table(_RB_COLUMNS, rows))
     return 0
-
-
-def cmd_simulate(args) -> int:
-    if args.scenario is None:
-        scenario = _default_scenario()
-    else:
-        scenario = _read_input(args.scenario, _scenario_from_json)
-    if args.experiment == "rabi":
-        return _simulate_rabi(args, scenario)
-    if args.experiment == "gate":
-        return _simulate_gate(args, scenario)
-    return _simulate_rb(args, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -647,16 +618,13 @@ def cmd_fit(args) -> int:
 def cmd_devices(args) -> int:
     records = load_devices()
     if args.format == "json":
-        payload = [dataclasses.asdict(r) for r in records]
-        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.output, json.dumps(records, indent=2) + "\n")
         return 0
     header = "name,f_q_mhz,fidelity_pct,gate_ns,t1_us,t2r_us,t2echo_us"
     rows = [
         ",".join([
-            r.name,
-            _fmt(r.f_q_mhz),
-            "" if r.fidelity_pct is None else _fmt(r.fidelity_pct),
-            *map(_fmt, (r.gate_ns, r.t1_us, r.t2r_us, r.t2echo_us)),
+            r["name"],
+            *("" if r[key] is None else _fmt(r[key]) for key in header.split(",")[1:]),
         ])
         for r in records
     ]
@@ -767,10 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
     rabi = experiments.add_parser("rabi", help="excited population over a drive-amplitude sweep")
     gate = experiments.add_parser("gate", help="calibrate an X_pi pulse and report its fidelity")
     rb = experiments.add_parser("rb", help="randomized benchmarking over the Clifford group")
-    for q in (rabi, gate, rb):
+    for q, run in ((rabi, _simulate_rabi), (gate, _simulate_gate), (rb, _simulate_rb)):
         q.add_argument("--scenario", metavar="JSON", help="drive-scenario file")
         _add_output(q)
-        q.set_defaults(func=cmd_simulate)
+        q.set_defaults(func=run)
     for q, least in ((rabi, 2), (gate, 4)):
         q.add_argument("--duration", type=_pulse_ns(least), default=20.0, help="pulse length, ns")
         q.add_argument(

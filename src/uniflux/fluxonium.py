@@ -118,22 +118,17 @@ class FluxoniumParams:
 class EnergySpectrum:
     """Eigenfrequencies relative to the ground state, in GHz.
 
-    ``levels[0]`` is exactly 0. Eigenvectors are retained (in the oscillator
-    basis, phase-fixed) so matrix elements can be evaluated afterwards.
-    ``tail_weight`` is the largest weight any retained eigenvector has in the
-    top ``dim // TAIL_DIVISOR`` oscillator states: how close the spectrum
-    comes to the truncation edge.
+    ``levels`` ascend from exactly 0, as ``_eigensolve`` returns them.
+    Eigenvectors are retained (in the oscillator basis, phase-fixed) so
+    matrix elements can be evaluated afterwards. ``tail_weight`` is the
+    largest weight any retained eigenvector has in the top
+    ``dim // TAIL_DIVISOR`` oscillator states: how close the spectrum comes
+    to the truncation edge.
     """
 
     levels: np.ndarray
     tail_weight: float
     _vectors: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        if lv[0] != 0.0 or (lv[1:] < lv[:-1]).any():
-            raise ValueError("levels must be non-decreasing with levels[0] == 0")
-        object.__setattr__(self, "levels", lv)
 
 
 @lru_cache(maxsize=len(RUNGS) + 2)

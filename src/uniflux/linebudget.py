@@ -17,7 +17,10 @@ import math
 from dataclasses import dataclass
 
 from . import fluxonium
-from .constants import HBAR, PHI0, PLANCK
+
+PLANCK = 6.62607015e-34  # J s, SI 2019 exact
+HBAR = PLANCK / (2.0 * math.pi)  # J s
+PHI0 = 2.067833848e-15  # magnetic flux quantum, Wb
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,9 @@ class LineModel:
     line_impedance: float = 50.0  # ohm
 
     def __post_init__(self):
-        if not 0 < self.mutual_inductance < math.inf:
-            raise ValueError("mutual_inductance must be positive and finite")
-        if not 0 < self.line_impedance < math.inf:
-            raise ValueError("line_impedance must be positive and finite")
-        if not 0 < self.awg_vmax < math.inf:
-            raise ValueError("awg_vmax must be positive and finite")
+        for name in ("mutual_inductance", "line_impedance", "awg_vmax"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not -math.inf < self.attenuation_db <= 0:
             raise ValueError("attenuation_db must be finite and <= 0 (it is an attenuation)")
         if not self.awg_noise_dbm_per_hz < math.inf:  # -inf is a silent AWG

@@ -575,6 +575,10 @@ def _parse_kv(token, key, line_no, col):
     return token[len(key) + 1 :]
 
 
+_ONE_NUMBER = {"carrier": (SetCarrier, "frequency"), "vz": (VirtualZ, "phase"),
+               "delay": (Delay, "duration")}
+
+
 class _Parser:
     def __init__(self, text: str, sample_rate: float, base_dir=None):
         self.lines = text.splitlines()
@@ -654,13 +658,6 @@ class _Parser:
             self.primitives[pid] = PulsePrimitive(pid, tuple(values), self.rate, kind)
         return None
 
-    def _line_carrier(self, toks, line_no):
-        if len(toks) != 2:
-            raise ProgramParseError("carrier needs exactly one frequency", line_no, toks[0][0])
-        freq = _parse_float(toks[1][1], line_no, toks[1][0], "frequency")
-        with _located(line_no, toks[1][0]):
-            return SetCarrier(freq)
-
     def _line_xy(self, toks, line_no):
         if len(toks) < 2:
             raise ProgramParseError("xy needs a primitive id", line_no, toks[0][0])
@@ -678,19 +675,20 @@ class _Parser:
         with _located(line_no, toks[0][0]):
             return PlayXY(primitive_id=pid, amplitude=amp, phase_offset=phase)
 
-    def _line_vz(self, toks, line_no):
+    def _one_number(self, toks, line_no):
+        """``carrier <GHz>``, ``vz <rad>`` or ``delay <ns>``: one number, which
+        its instruction checks (and a delay, the compiler's sample rule)."""
+        col0, word = toks[0]
+        cls, what = _ONE_NUMBER[word]
         if len(toks) != 2:
-            raise ProgramParseError("vz needs exactly one phase", line_no, toks[0][0])
+            raise ProgramParseError(f"{word} needs exactly one {what}", line_no, col0)
+        value = _parse_float(toks[1][1], line_no, toks[1][0], what)
         with _located(line_no, toks[1][0]):
-            return VirtualZ(_parse_float(toks[1][1], line_no, toks[1][0], "phase"))
+            if cls is Delay:
+                _sample_count(value, self.rate, "delay")
+            return cls(value)
 
-    def _line_delay(self, toks, line_no):
-        if len(toks) != 2:
-            raise ProgramParseError("delay needs exactly one duration", line_no, toks[0][0])
-        dur = _parse_float(toks[1][1], line_no, toks[1][0], "duration")
-        with _located(line_no, toks[1][0]):
-            _sample_count(dur, self.rate, "delay")
-            return Delay(dur)
+    _line_carrier = _line_vz = _line_delay = _one_number
 
     def _line_z(self, toks, line_no):
         if len(toks) < 4:

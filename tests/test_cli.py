@@ -1024,9 +1024,10 @@ def test_devices_csv_leaves_missing_fidelity_empty(capsys):
 def test_device_registry_loads_and_validates():
     records = cli.load_devices()
     assert len(records) == 8
-    assert len({r.name for r in records}) == 8
+    assert len({r["name"] for r in records}) == 8
     for record in records:
-        assert record.t1_us > 0 and record.gate_ns > 0
+        for key in ("f_q_mhz", "gate_ns", "t1_us", "t2r_us", "t2echo_us"):
+            assert record[key] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 scipy until a function that calls it runs.
 
 A fresh `import uniflux.cli` loads numpy and the package core: `errors`,
-`waveform`, `constants`, `fluxonium` and `linebudget` (the parser's basis
-bounds and the reference line). Each command imports the other modules
+`waveform`, `fluxonium` and `linebudget` (the parser's basis bounds and the
+reference line). Each command imports the other modules
 inside the functions that run them: `design` adds `filters`, `compile`
 adds `filters` and `pulsec`, `fit` adds `analysis`, and `simulate` adds
 `dynamics`, `filters` and `pulsec`; `devices`, `spectrum` and `tradeoff`
@@ -47,7 +47,7 @@ print(json.dumps({"code": code, "scipy": loaded("scipy"), "uniflux": loaded("uni
 
 # What a fresh `import uniflux.cli` loads of the package, and what each
 # command adds to it.
-_CORE = ("", "cli", "constants", "errors", "fluxonium", "linebudget", "waveform")
+_CORE = ("", "cli", "errors", "fluxonium", "linebudget", "waveform")
 
 
 def _package(*modules):

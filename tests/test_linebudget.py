@@ -90,7 +90,7 @@ def test_max_dc_excursion():
 def test_consistency_two_evaluation_routes():
     # closed-form drive rate versus composition through flux_drive_amplitude:
     # 1/T1 = (Omega_R[ per volt ] / m01 ... ) — both must agree to 1e-12.
-    from uniflux.constants import HBAR, PHI0, PLANCK
+    from uniflux.linebudget import HBAR, PHI0, PLANCK
 
     line = LINE.replace(attenuation_db=-37.0)
     s_vv = linebudget.awg_noise_psd(-130.0, 50.0)
