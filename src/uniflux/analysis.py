@@ -28,6 +28,7 @@ from .errors import FitError
 
 _RATE_CAP = 1e3  # 1/us; fastest representable decay rate in the fits
 _FD_STEP = math.sqrt(np.finfo(float).eps)  # SciPy's relative 2-point step
+_RESET_BINS = 512  # equal-width histogram bins the reset mixture is fitted on
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +487,9 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
     (``excited_component`` is "upper" or "lower"). If a single Gaussian
     explains the data better (BIC), the residual population is reported as
     zero with an "unimodal" flag; a variance floor guards against component
-    collapse, which is flagged. Samples that are not finite, or whose
-    moments overflow, are refused with ValueError.
+    collapse, which is flagged. Samples that are not finite, whose moments
+    overflow, or whose range cannot be cut into _RESET_BINS bins of increasing
+    edges are refused with ValueError.
     """
     if excited_component not in ("upper", "lower"):
         raise ValueError('excited_component must be "upper" or "lower"')
@@ -500,9 +502,13 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
     lo, hi = float(x.min()), float(x.max())
     if not math.isfinite(len(x) * max(-lo, hi, (hi - lo) * (hi - lo))):
         raise ValueError(f"signal samples from {lo:.3g} to {hi:.3g} overflow the mixture's moments")
+    edges = np.linspace(lo, hi, _RESET_BINS + 1)  # the edges np.histogram cuts
+    if not np.all(edges[:-1] < edges[1:]):
+        raise ValueError(f"signal samples from {lo!r} to {hi!r} span too little to cut into "
+                         f"{_RESET_BINS} histogram bins")
 
     floor = 1e-6 * max(float(np.var(x)), 1e-12)
-    counts, edges = np.histogram(x, bins=512)
+    counts, edges = np.histogram(x, bins=_RESET_BINS)
     centers = 0.5 * (edges[:-1] + edges[1:])
     occupied = counts > 0
     cx, cw = centers[occupied], counts[occupied].astype(float)

@@ -555,6 +555,24 @@ def test_reset_estimator_refuses_samples_whose_moments_do_not_exist(samples, mat
         analysis.estimate_reset_fidelity(samples)
 
 
+@pytest.mark.parametrize("samples", [
+    np.zeros(1000),
+    np.full(1000, 1e17),
+    # steps of 8 near 1e17, where the doubles lie 16 apart: 512 equal bins
+    # of the range would be 15.6 wide, so some edges round onto each other
+    1e17 + 8.0 * np.arange(1000),
+], ids=["zeros", "1e17", "1e17-steps"])
+def test_reset_estimator_refuses_samples_its_bins_cannot_resolve(samples):
+    with pytest.raises(ValueError, match="span too little to cut into 512 histogram bins"):
+        analysis.estimate_reset_fidelity(samples)
+
+
+def test_reset_estimator_takes_samples_whose_bins_are_one_double_apart():
+    # steps of 16, one double apart near 1e17: every bin edge is distinct
+    estimate = analysis.estimate_reset_fidelity(1e17 + 16.0 * np.arange(1000))
+    assert 1e17 < estimate.mu_g < 1e17 + 16000 and estimate.sigma_g > 0
+
+
 def _assert_reset_matches_the_fresh_array_oracle(monkeypatch, samples, excited_component):
     """The EM's return, converged included, and every ResetEstimate field equal
     the oracle's by float.hex; the oracle path is the EM as first written."""

@@ -1145,6 +1145,10 @@ _INPUT_FILES = {
     "reset-inf.csv": "signal\n" + "0.0\n" * 1000 + "-inf\n",
     # finite samples whose spread, squared, overflows
     "reset-overflow.csv": "signal\n" + "1e300\n" * 500 + "-1e300\n" * 500,
+    # samples that 512 equal histogram bins cannot resolve
+    "reset-zeros.csv": "signal\n" + "0.0\n" * 1000,
+    "reset-1e17.csv": "signal\n" + "1e17\n" * 1000,
+    "reset-1e17-steps.csv": "signal\n" + "".join(f"{1e17 + 8 * k!r}\n" for k in range(1000)),
 }
 
 _PROGRAM = ("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
@@ -1428,6 +1432,14 @@ _EXIT_CODE_CASES = [
      "{tmp}/reset-inf.csv: signal samples must be finite"),
     ("fit-reset-overflowing-csv", ("fit", "reset", "{tmp}/reset-overflow.csv"), 3,
      "{tmp}/reset-overflow.csv: signal samples from -1e+300 to 1e+300 overflow"),
+    ("fit-reset-zeros", ("fit", "reset", "{tmp}/reset-zeros.csv"), 3,
+     "{tmp}/reset-zeros.csv: signal samples from 0.0 to 0.0 span too little to cut into 512 "
+     "histogram bins"),
+    ("fit-reset-1e17", ("fit", "reset", "{tmp}/reset-1e17.csv"), 3,
+     "{tmp}/reset-1e17.csv: signal samples from 1e+17 to 1e+17 span too little"),
+    ("fit-reset-1e17-steps", ("fit", "reset", "{tmp}/reset-1e17-steps.csv"), 3,
+     "{tmp}/reset-1e17-steps.csv: signal samples from 1e+17 to 1.00000000000008e+17 span too "
+     "little"),
     # devices has no numeric option; its one value option takes a choice
     ("devices-non-finite-option", ("devices", "--format", "nan"), 2, "argument --format:"),
     ("devices-unknown-option", ("devices", "--points", "3"), 2, "unrecognized arguments"),
