@@ -502,8 +502,8 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
     lo, hi = float(x.min()), float(x.max())
     if not math.isfinite(len(x) * max(-lo, hi, (hi - lo) * (hi - lo))):
         raise ValueError(f"signal samples from {lo:.3g} to {hi:.3g} overflow the mixture's moments")
-    edges = np.linspace(lo, hi, _RESET_BINS + 1)  # the edges np.histogram cuts
-    if not np.all(edges[:-1] < edges[1:]):
+    cuts = np.linspace(lo, hi, _RESET_BINS + 1)  # the bin edges np.histogram takes
+    if not np.all(cuts[:-1] < cuts[1:]):
         raise ValueError(f"signal samples from {lo!r} to {hi!r} span too little to cut into "
                          f"{_RESET_BINS} histogram bins")
 
