@@ -325,16 +325,28 @@ class _Shape:
 def _prepare(scenario: DriveScenario, w: Waveform, predistortion: bool = False) -> _Shape:
     """The amplitude-free half of `evolve`: the compensation when asked
     (`predistort_drive` at f01, the one place a drive is compensated), the
-    channel (`apply_transfer`, which checks the waveform), the scaling to
-    delta_phi, `_step_midpoints` and the scenario fingerprint. ``peak`` is
-    that of the waveform the AWG plays, compensation included."""
+    channel (`apply_transfer`, which checks the waveform), the step rules,
+    the scaling to delta_phi, `_step_midpoints` and the scenario
+    fingerprint. The step must stay at or below 1/(20 f01), else
+    `NumericalError`, and divide the sample period into a whole number k of
+    steps, else `ValueError`. ``peak`` is that of the waveform the AWG
+    plays, compensation included."""
+    f01 = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
     if predistortion:
-        w = predistort_drive(w, scenario.channel,
-                             _qubit_frame(scenario.qubit, scenario.levels)[0][1])
-    # `_drive` checks that the step divides the sample period; until then an
-    # undivided period only rounds to the nearest whole step count.
-    k = max(1, int(round(1.0 / w.sample_rate / scenario.time_step)))
+        w = predistort_drive(w, scenario.channel, f01)
     filtered = filters.apply_transfer(w, scenario.channel)
+    h, period = scenario.time_step, 1.0 / w.sample_rate
+    if h > 1.0 / (20.0 * f01):
+        raise NumericalError(
+            f"time_step {h} ns violates the stability bound 1/(20 f01) = "
+            f"{1.0 / (20.0 * f01):.4f} ns; use a smaller step"
+        )
+    k = max(1, int(round(period / h)))
+    if abs(k * h - period) > 1e-9 * period:
+        raise ValueError(
+            f"time_step {h} ns does not divide the sample period {period} ns; "
+            "resampling onto the step grid must be exact"
+        )
     dphi = filtered.samples * phase_drive_per_volt(scenario.line)
     return _Shape(scenario, w.sample_rate, k, float(np.max(np.abs(w.samples))),
                   _step_midpoints(dphi, k), _scenario_fingerprint(scenario, w.sample_rate))
@@ -342,8 +354,8 @@ def _prepare(scenario: DriveScenario, w: Waveform, predistortion: bool = False) 
 
 def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
     """The per-amplitude half of `evolve`: ``amplitude`` times the prepared
-    shape is checked against full scale and the step rules, propagated, and
-    checked for unitarity drift."""
+    shape is checked against full scale, propagated, and checked for
+    unitarity drift."""
     scenario = shape.scenario
     peak = abs(amplitude) * shape.peak
     if peak > scenario.line.awg_vmax * pulsec.FULL_SCALE:
@@ -353,26 +365,12 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
             peak=peak,
         )
     levels, phi_mat = _qubit_frame(scenario.qubit, scenario.levels)
-    f01 = levels[1]
-    h = scenario.time_step
-    if h > 1.0 / (20.0 * f01):
-        raise NumericalError(
-            f"time_step {h} ns violates the stability bound 1/(20 f01) = "
-            f"{1.0 / (20.0 * f01):.4f} ns; use a smaller step"
-        )
-    period = 1.0 / shape.sample_rate
-    k = shape.steps_per_sample
-    if abs(k * h - period) > 1e-9 * period:
-        raise ValueError(
-            f"time_step {h} ns does not divide the sample period {period} ns; "
-            "resampling onto the step grid must be exact"
-        )
 
     # The drive enters H only as E_L * delta_phi, so the amplitude scales
     # E_L rather than a copy of the midpoints.
     unitary, nodes = _propagate(
         levels, phi_mat, _phase_norm(scenario.qubit, scenario.levels),
-        amplitude * scenario.qubit.e_l, shape.mids, h,
+        amplitude * scenario.qubit.e_l, shape.mids, scenario.time_step,
     )
 
     drift = np.abs(unitary.conj().T @ unitary - np.eye(scenario.levels)).max()
@@ -383,7 +381,7 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
         )
     meta = {
         "scenario_sha256": shape.fingerprint,
-        "time_step_ns": h,
+        "time_step_ns": scenario.time_step,
         "levels": scenario.levels,
         "steps": len(shape.mids),
         "unitarity_drift": float(drift),

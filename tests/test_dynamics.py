@@ -131,6 +131,20 @@ def test_time_step_stability_bound():
         dynamics.evolve(slow, _zero_waveform(8, rate=1.0))
 
 
+@pytest.mark.parametrize("run", [
+    lambda s: dynamics.calibrate_pi(s, 20.0, predistortion=False),
+    lambda s: dynamics.rabi_experiment(s, [V_PI_20NS], predistortion=False),
+], ids=["calibrate-pi", "rabi"])
+def test_a_step_over_the_stability_bound_is_refused_before_saturation(run):
+    # the pi start needs ~0.01 V, twice this line's full scale
+    saturating = FLAT2.replace(line=dataclasses.replace(LINE, awg_vmax=0.005))
+    with pytest.raises(SaturationError):
+        run(saturating)
+    with pytest.raises(NumericalError, match=r"time_step 0.25 ns violates the stability "
+                       r"bound 1/\(20 f01\) = 0.2234 ns; use a smaller step"):
+        run(saturating.replace(time_step=0.25))  # 4 steps per sample, 0.25 > 1/(20 f01)
+
+
 def test_rabi_oscillation_matches_line_budget_rate():
     # Rectangular drive at f01: P1 oscillates at the first-order Rabi rate.
     amp = 0.002
