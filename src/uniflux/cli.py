@@ -488,16 +488,15 @@ def _simulate_rabi(args) -> int:
     from . import dynamics
 
     scenario = _scenario(args)
-    grid = np.linspace(0.0, args.amp_max, args.points)
-    grid = grid[1:]  # zero drive is not a valid waveform amplitude
-    curve = dynamics.rabi_experiment(
+    grid = np.linspace(0.0, args.amp_max, args.points)[1:]
+    populations = dynamics.rabi_experiment(
         scenario,
         amplitudes=grid,
         duration_ns=args.duration,
         predistortion=args.predistort,
         drive_frequency_ghz=args.frequency,
     )
-    rows = [f"{_fmt(a)},{_fmt(p)}" for a, p in zip(curve.grid, curve.populations)]
+    rows = [f"{_fmt(a)},{_fmt(p)}" for a, p in zip(grid, populations)]
     state = "on" if args.predistort else "off"
     text = _csv_table("amplitude_v,p1", rows, (f"# predistortion: {state}",))
     _write_text(args.output, text)

@@ -508,36 +508,27 @@ def _rwa_pi_amplitude(scenario, duration_ns, gain) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RabiCurve:
-    """Excited-state population versus the drive amplitude."""
-
-    grid: tuple
-    populations: tuple
-
-
 def rabi_experiment(scenario: DriveScenario, amplitudes, *, duration_ns: float = 20.0,
                     predistortion: bool = True,
-                    drive_frequency_ghz: float | None = None) -> RabiCurve:
-    """Excited-state population over a grid of drive amplitudes (volts).
+                    drive_frequency_ghz: float | None = None) -> tuple:
+    """Excited-state population at each drive amplitude (volts), in order.
 
     One ``duration_ns`` cosine pulse at ``drive_frequency_ghz`` (default
     f01), pre-distorted when asked, passes through the scenario channel once
-    (`_prepare`); each grid point drives that shape at its amplitude and
-    reads the final excited population. The grid must be non-empty, and
-    the drive frequency below the Nyquist frequency of DRIVE_SAMPLE_RATE,
-    which is checked before the pulse is built.
+    (`_prepare`); each amplitude drives that shape and reads the final
+    excited population. The amplitudes must be non-empty, and the drive
+    frequency below the Nyquist frequency of DRIVE_SAMPLE_RATE, which is
+    checked before the pulse is built.
     """
-    grid = [float(a) for a in amplitudes]
-    if not grid:
+    amplitudes = [float(a) for a in amplitudes]
+    if not amplitudes:
         raise ValueError("amplitude grid must be non-empty")
     f_d = drive_frequency_ghz
     if f_d is None:
         f_d = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
     _check_sampled(f_d)
     shape = _prepare(scenario, cosine_drive(duration_ns, 1.0, f_d), predistortion)
-    pops = [float(_drive(shape, a).populations[-1, 1]) for a in grid]
-    return RabiCurve(grid=tuple(grid), populations=tuple(pops))
+    return tuple(float(_drive(shape, a).populations[-1, 1]) for a in amplitudes)
 
 
 @dataclass(frozen=True)

@@ -604,12 +604,12 @@ def test_rabi_experiment_argument_rules():
 
 def test_rabi_amplitude_sweep_peaks_near_pi_amplitude():
     grid = np.linspace(0.2, 1.6, 8) * V_PI_20NS
-    curve = dynamics.rabi_experiment(
+    populations = dynamics.rabi_experiment(
         FLAT2, amplitudes=grid, duration_ns=20.0, predistortion=False
     )
-    assert len(curve.populations) == len(grid)
-    assert all(0.0 <= p <= 1.0 + 1e-9 for p in curve.populations)
-    best = curve.grid[int(np.argmax(curve.populations))]
+    assert len(populations) == len(grid)
+    assert all(0.0 <= p <= 1.0 + 1e-9 for p in populations)
+    best = grid[int(np.argmax(populations))]
     assert best == pytest.approx(V_PI_20NS, rel=0.15)
 
 
@@ -700,7 +700,7 @@ def test_calibrated_pulse_inverts_population():
     amp = dynamics.calibrate_pi(FLAT2, 20.0, predistortion=False).amplitude_v
     p1 = dynamics.rabi_experiment(
         FLAT2, amplitudes=[amp], duration_ns=20.0, predistortion=False
-    ).populations[0]
+    )[0]
     assert p1 > 0.99
 
 
@@ -728,7 +728,7 @@ def test_calibrate_drive_frequency_converges_on_short_pulses(duration):
     p1 = dynamics.rabi_experiment(
         FLAT2, amplitudes=[amp], duration_ns=duration, predistortion=False,
         drive_frequency_ghz=f_d,
-    ).populations[0]
+    )[0]
     assert p1 > 1.0 - 1e-9
 
 
@@ -764,7 +764,7 @@ def _p1(scenario, amplitude, predistortion, frequency=None):
     return dynamics.rabi_experiment(
         scenario, amplitudes=[amplitude], duration_ns=20.0,
         predistortion=predistortion, drive_frequency_ghz=frequency,
-    ).populations[0]
+    )[0]
 
 
 @pytest.mark.parametrize(
@@ -925,8 +925,8 @@ def test_rabi_scan_matches_one_evolve_per_amplitude(predistortion):
     # a * (unit shape) and the pulse built at a differ by rounding, which the
     # propagation's unitarity drift (~1e-12 here) turns into ~1e-12 in P1
     grid = np.linspace(0.2, 1.6, 5) * V_PI_20NS
-    curve = dynamics.rabi_experiment(GAUSS2, amplitudes=grid, predistortion=predistortion)
-    for a, p1 in zip(grid, curve.populations):
+    populations = dynamics.rabi_experiment(GAUSS2, amplitudes=grid, predistortion=predistortion)
+    for a, p1 in zip(grid, populations):
         pulse = oracles.drive_pulse(GAUSS2, a, 20.0, F01, predistortion)
         assert p1 == pytest.approx(dynamics.evolve(GAUSS2, pulse).populations[-1, 1],
                                    rel=0, abs=1e-11)
@@ -1367,4 +1367,4 @@ def test_drives_at_or_above_the_nyquist_frequency_are_refused():
         dynamics.run_rb(FLAT2, [2], 1, seed=3, mode="waveform",
                         gate=RbGate(drive_frequency_ghz=F01 + 1.0))
     assert dynamics.rabi_experiment(FLAT2, [0.01], predistortion=False,
-                                    drive_frequency_ghz=0.49).populations[0] < 1e-3
+                                    drive_frequency_ghz=0.49)[0] < 1e-3
