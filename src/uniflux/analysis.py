@@ -337,8 +337,6 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
     a, b, p = (float(x) for x in popt)
     if a < 1e-6:
         raise FitError("decay amplitude vanished in the fit; p unidentifiable")
-    if not 0.0 < p <= 1.0:
-        raise FitError(f"fitted p = {p} outside (0, 1]")
     flags = () if np.all(np.isfinite(pcov)) else ("covariance-undetermined",)
     return RbFit(a=a, b=b, p=p, f_avg=1.0 - (1.0 - p) / 2.0, covariance=pcov,
                  sse=sse, flags=flags)

@@ -809,8 +809,6 @@ def _clifford_table() -> tuple:
         )
         mat.setflags(write=False)
         table.append((ops, mat))
-    if len(table) != CLIFFORD_COUNT:
-        raise UnifluxError(f"clifford table has {len(table)} entries, expected 24")
     return tuple(table)
 
 

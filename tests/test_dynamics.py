@@ -1038,6 +1038,7 @@ def test_gate_fidelity_reports_leakage():
 
 
 def test_clifford_table_shape_and_identity():
+    assert len(dynamics._clifford_table()) == dynamics.CLIFFORD_COUNT == 24
     assert dynamics.clifford_ops(0) == ()
     np.testing.assert_allclose(oracles.clifford_matrix(0), np.eye(2), atol=0)
     pulses = [
