@@ -583,8 +583,6 @@ def _fit_csv(text: str, args):
     """The fit of ``args.model`` to CSV text."""
     from . import analysis
 
-    if not text.strip():
-        raise ValueError("empty file")
     lines = text.splitlines()
     if args.model == "rb":
         return analysis.fit_rb_decay(*_rb_means(lines))
