@@ -550,20 +550,28 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
 # ---------------------------------------------------------------------------
 
 
-def _check_widths(lines: list[str], width: int) -> None:
-    """Raise for the first row that has not ``width`` columns, naming its line."""
+def _check_rows(lines: list[str], width: int) -> None:
+    """Raise for the first row, in line order, that has not ``width`` columns
+    or holds a cell that is not a number, naming its line."""
     for number, line in enumerate(lines[1:], start=2):
         content = line.split("#")[0]
-        count = len(content.split(","))
-        if content.strip() and count != width:
-            raise ValueError(f"Line #{number} (got {count} columns instead of {width})")
+        cells = content.split(",") if content.strip() else []
+        if cells and len(cells) != width:
+            raise ValueError(f"Line #{number} (got {len(cells)} columns instead of {width})")
+        for column, cell in enumerate(cells, start=1):
+            try:  # np.loadtxt reads what float reads, in ASCII and without "_"
+                float(cell if cell.strip().isascii() and "_" not in cell else "_")
+            except ValueError:
+                raise ValueError(f"Line #{number} (column {column} is {cell.strip()!r}, "
+                                 "not a number)") from None
 
 
 def load_csv(lines) -> tuple[tuple[str, ...], np.ndarray]:
     """(column names, rows as a 2-D float array) of the lines of a CSV with a
     header line. Lines that are all blank are an empty file; a row whose
-    column count is not the header's is reported by its line number; a
-    string or a path is refused with TypeError."""
+    column count is not the header's, or that holds a cell that is not a
+    number, is reported by its line number; a string or a path is refused
+    with TypeError."""
     if isinstance(lines, (str, os.PathLike)):
         raise TypeError(f"expected the lines of a CSV, not a {type(lines).__name__}")
     if not any(line.strip() for line in lines):
@@ -574,10 +582,10 @@ def load_csv(lines) -> tuple[tuple[str, ...], np.ndarray]:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     except ValueError:
-        _check_widths(lines, len(names))
+        _check_rows(lines, len(names))
         raise
     if body.shape[1] != len(names):
-        _check_widths(lines, len(names))
+        _check_rows(lines, len(names))
         body = body.reshape(0, len(names))  # the widths hold, so there is no row
     return names, body
 

@@ -99,6 +99,7 @@ def _inputs() -> dict[str, str]:
         "reset-1e17.csv": _column("signal", [1e17] * 1000),
         "reset-1e17-steps.csv": _column("signal", [1e17 + 8 * k for k in range(1000)]),
         "empty.csv": "",
+        "t1-bad-cell.csv": "t_us,p_e\n0,1\n1,abc\n",
     }
 
 
@@ -182,6 +183,7 @@ COMMANDS = [
     ("fit-reset-1e17", ("fit", "reset", "reset-1e17.csv")),
     ("fit-reset-1e17-steps", ("fit", "reset", "reset-1e17-steps.csv")),
     ("fit-empty-csv", ("fit", "t1", "empty.csv")),
+    ("fit-t1-bad-cell", ("fit", "t1", "t1-bad-cell.csv")),
     ("devices", ("devices",)),
     ("devices-csv", ("devices", "--format", "csv")),
     ("devices-csv-to-file", ("devices", "--format", "csv", "-o", "devices.csv")),

@@ -1136,6 +1136,7 @@ _INPUT_FILES = {
     ),
     "empty.csv": "",
     "garbled.csv": "t_us,p1\n0,1.0\n1,bad,extra\n",
+    "bad-cell.csv": "t_us,p_e\n0,1\n1,abc\n",
     "wrong-shape.csv": "a,b,c\n1,2,3\n",
     "nan.csv": "t_us,p_e\n0,1.0\n1,nan\n2,0.5\n",
     "rb-nan.csv": "length,seq_index,survival\n1,0,0.9\nnan,0,0.8\n",
@@ -1418,6 +1419,8 @@ _EXIT_CODE_CASES = [
     ("fit-directory-csv", ("fit", "t1", "{tmp}/dir"), 3, "{tmp}/dir: "),
     ("fit-empty-csv", ("fit", "rb", "{tmp}/empty.csv"), 3, "{tmp}/empty.csv: "),
     ("fit-garbled-csv", ("fit", "t1", "{tmp}/garbled.csv"), 3, "{tmp}/garbled.csv: "),
+    ("fit-bad-cell-csv", ("fit", "t1", "{tmp}/bad-cell.csv"), 3,
+     "{tmp}/bad-cell.csv: Line #3 (column 2 is 'abc', not a number)"),
     ("fit-wrong-shape-csv", ("fit", "t1", "{tmp}/wrong-shape.csv"), 3,
      "{tmp}/wrong-shape.csv: "),
     ("fit-non-finite-csv", ("fit", "t1", "{tmp}/nan.csv"), 3, "{tmp}/nan.csv: "),
