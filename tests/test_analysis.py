@@ -206,6 +206,23 @@ def test_rb_needs_three_distinct_lengths():
         analysis.fit_rb_decay([2, 2, 4, 4], [0.9, 0.91, 0.8, 0.81])
 
 
+@pytest.mark.parametrize("fit, message", [
+    (lambda: analysis.fit_t1_double_exponential(np.arange(10.0), np.ones(9)),
+     "t and values must be 1-D arrays of equal length"),
+    (lambda: analysis.fit_dephasing_envelope(np.ones((2, 5)), np.ones((2, 5)), t1_de=100.0),
+     "t and values must be 1-D arrays of equal length"),
+    (lambda: analysis.fit_rb_decay([1, 2, 4], [0.9, 0.8]),
+     "lengths and survivals must be 1-D arrays of equal length"),
+    (lambda: analysis.fit_rb_decay([0, 1, 2, 4], [0.99, 0.9, 0.8, 0.7]),
+     "sequence lengths must be >= 1"),
+], ids=["t1-shapes", "dephasing-2-d", "rb-shapes", "rb-length-0"])
+def test_fits_refuse_inputs_of_the_wrong_shape_or_length(fit, message):
+    with pytest.raises(ValueError) as info:
+        fit()
+    assert str(info.value) == message
+
+
+
 # ---------------------------------------------------------------------------
 # the fit kernel against the curve_fit reference
 # ---------------------------------------------------------------------------
@@ -464,6 +481,19 @@ def test_interleaved_inconsistency_warns_not_clamps():
     assert fidelity > 1.0
 
 
+@pytest.mark.parametrize("p_ref, p_int, message", [
+    (0.0, 0.5, "p_ref must lie in (0, 1]"),
+    (1.5, 0.5, "p_ref must lie in (0, 1]"),
+    (0.9, -0.1, "p_int must lie in [0, 1]"),
+    (0.9, 1.1, "p_int must lie in [0, 1]"),
+])
+def test_interleaved_fidelity_refuses_a_decay_outside_its_range(p_ref, p_int, message):
+    with pytest.raises(ValueError) as info:
+        analysis.interleaved_fidelity(p_ref, p_int)
+    assert str(info.value) == message
+
+
+
 def test_attach_interleaved_payload():
     survivals = oracles.depolarized_survival(0.999, RB_LENGTHS)
     fit = analysis.fit_rb_decay(RB_LENGTHS, survivals)
@@ -692,6 +722,14 @@ def test_csv_reader_reads_what_loadtxt_reads():
     names, body = analysis.load_csv(["a,b,c", " 1 ,\xa02,+inf", "-nan,.5,1e3"])
     assert names == ("a", "b", "c")
     np.testing.assert_array_equal(body, [[1.0, 2.0, math.inf], [math.nan, 0.5, 1e3]])
+
+
+@pytest.mark.parametrize("lines", [[], ["  "], ["", " ", "\t"]])
+def test_csv_reader_refuses_lines_that_are_all_blank_as_an_empty_file(lines):
+    with pytest.raises(ValueError) as info:
+        analysis.load_csv(lines)
+    assert str(info.value) == "empty file"
+
 
 
 def test_signal_csv_roundtrip():

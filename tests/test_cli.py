@@ -1142,6 +1142,7 @@ _INPUT_FILES = {
     "rb-nan.csv": "length,seq_index,survival\n1,0,0.9\nnan,0,0.8\n",
     "rb-fractional.csv": "length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n4,0,0.96\n",
     "rb-columns.csv": "m,p\n1,0.99\n2,0.98\n4,0.96\n",
+    "rb-length-0.csv": "length,seq_index,survival\n0,0,1.0\n1,0,0.99\n2,0,0.98\n4,0,0.96\n",
     "reset-nan.csv": "signal\n" + "0.0\n" * 1000 + "nan\n",
     "reset-inf.csv": "signal\n" + "0.0\n" * 1000 + "-inf\n",
     # finite samples whose spread, squared, overflows
@@ -1427,6 +1428,8 @@ _EXIT_CODE_CASES = [
     ("fit-rb-non-finite-csv", ("fit", "rb", "{tmp}/rb-nan.csv"), 3, "{tmp}/rb-nan.csv: "),
     ("fit-rb-fractional-length", ("fit", "rb", "{tmp}/rb-fractional.csv"), 3,
      "{tmp}/rb-fractional.csv: lengths must be integers"),
+    ("fit-rb-length-0", ("fit", "rb", "{tmp}/rb-length-0.csv"), 3,
+     "{tmp}/rb-length-0.csv: sequence lengths must be >= 1"),
     ("fit-rb-wrong-columns", ("fit", "rb", "{tmp}/rb-columns.csv"), 3,
      "{tmp}/rb-columns.csv: expected CSV columns length,seq_index,survival"),
     ("fit-reset-non-finite-csv", ("fit", "reset", "{tmp}/reset-nan.csv"), 3,

@@ -1022,6 +1022,18 @@ def test_gate_fidelity_rejects_non_unitary():
         dynamics.gate_fidelity(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("achieved, target, message", [
+    (np.eye(3)[:2], X_PI, "achieved must be a square matrix spanning the qubit subspace"),
+    (np.eye(1), X_PI, "achieved must be a square matrix spanning the qubit subspace"),
+    (np.eye(3), np.eye(3), "target must be a 2x2 unitary"),
+], ids=["2x3", "1x1", "3x3-target"])
+def test_gate_fidelity_refuses_matrices_of_the_wrong_shape(achieved, target, message):
+    with pytest.raises(ValueError) as info:
+        dynamics.gate_fidelity(achieved, target)
+    assert str(info.value) == message
+
+
+
 def test_gate_fidelity_reports_leakage():
     theta = 0.02
     mixer = np.eye(4, dtype=complex)
@@ -1160,6 +1172,14 @@ def test_rb_ideal_survival_matches_depolarizing_oracle():
     for record in result:
         expected = oracles.depolarized_survival(p, record.length)
         assert record.survival == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("strength", [-0.1, 1.5, math.nan])
+def test_rb_refuses_a_depolarizing_strength_outside_0_to_1(strength):
+    with pytest.raises(ValueError) as info:
+        dynamics.run_rb(FLAT2, [1, 2], 1, seed=0, depolarizing=strength)
+    assert str(info.value) == "depolarizing strength must lie in [0, 1]"
+
 
 
 @pytest.mark.parametrize("interleaved", [None, 5])

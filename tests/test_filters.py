@@ -139,6 +139,13 @@ def test_waveform_rejects_non_finite_sample_rate():
             Waveform([0.0, 0.0], bad)
 
 
+def test_waveform_refuses_samples_that_are_not_1_d():
+    with pytest.raises(ValueError) as info:
+        Waveform(np.zeros((2, 3)), 1.0)
+    assert str(info.value) == "samples must be 1-D, got shape (2, 3)"
+
+
+
 def test_round_trip_recovers_windowed_target():
     # predistort -> channel recovers H_qubit * (window-filtered input) for a
     # pulse whose spectrum sits below the cap-engagement frequency
@@ -435,3 +442,16 @@ def test_design_documents():
     assert doc["kind"] == "iir"
     assert doc["parameters"]["direct_form_coefficient_count"] == 7
     assert json.loads(json.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("tau", [0.0, -3.0])
+def test_iir_design_refuses_a_settling_time_that_is_not_positive(tau):
+    with pytest.raises(ValueError) as info:
+        filters.design_iir_corrector([(0.1, tau)], 1.0)
+    assert str(info.value) == f"tau must be positive, got {tau}"
+
+
+def test_design_document_refuses_a_descriptor_with_no_document_form():
+    with pytest.raises(ValueError) as info:
+        filters.design_document(filters.FlatResponse())
+    assert str(info.value) == "no design-document form for FlatResponse"

@@ -367,6 +367,20 @@ def test_spectrum_sweep_rejects_a_non_finite_flux(bad):
         fluxonium.spectrum_sweep(REFERENCE_PARAMS, [0.5, bad], 3)
 
 
+@pytest.mark.parametrize("params, n_levels, message", [
+    (REFERENCE_PARAMS, 1, "n_levels must be at least 2"),
+    (REFERENCE_PARAMS, 41, "n_levels=41 exceeds the truncation safety margin "
+                           "(basis_size=120 supports at most 40)"),
+    (REFERENCE_PARAMS.replace(basis_size=24), 9, "n_levels=9 exceeds the truncation safety "
+                                                 "margin (basis_size=24 supports at most 8)"),
+])
+def test_spectrum_sweep_refuses_a_level_count_the_basis_cannot_hold(params, n_levels, message):
+    with pytest.raises(ValueError) as info:
+        fluxonium.spectrum_sweep(params, [0.5], n_levels)
+    assert str(info.value) == message
+
+
+
 def test_too_small_a_basis_raises():
     # the reference circuit keeps 3.8e-5 of level 3 in the top 4 of 24 states
     small = REFERENCE_PARAMS.replace(basis_size=24)

@@ -157,3 +157,19 @@ def test_noise_floor_may_be_minus_inf_only():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite or -inf"):
             LINE.replace(awg_noise_dbm_per_hz=bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linebudget.rabi_frequency(-0.5, 1.0, 2.6), "inputs must be non-negative"),
+    (lambda: linebudget.rabi_frequency(0.5, -1.0, 2.6), "inputs must be non-negative"),
+    (lambda: linebudget.rabi_frequency(0.5, 1.0, -2.6), "inputs must be non-negative"),
+    (lambda: linebudget.awg_noise_psd(-130.0, -50.0), "z0 must be non-negative"),
+    (lambda: linebudget.t1_line_limit(0.5, 2.6, LINE, -1e-15), "s_vv must be non-negative"),
+    (lambda: linebudget.t1_line_limit(0.5, 0.0, LINE, 1e-15), "m01 must be positive"),
+    (lambda: linebudget.tradeoff_sweep(FIG_PARAMS, LINE, []),
+     "attenuation grid must be non-empty"),
+], ids=["rabi-e_l", "rabi-dphi", "rabi-m01", "psd-z0", "t1-s_vv", "t1-m01", "sweep-empty"])
+def test_budget_functions_refuse_inputs_outside_their_domain(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -82,6 +82,13 @@ def test_program_rejects_unknown_reference():
         )
 
 
+def test_program_refuses_a_store_key_that_is_not_the_primitive_id():
+    with pytest.raises(ValueError) as info:
+        PulseProgram((PlayXY("x90"),), {"x90": COS20})
+    assert str(info.value) == "store key 'x90' does not match primitive id 'cos20'"
+
+
+
 def test_instruction_validation():
     with pytest.raises(ValueError):
         PlayXY("p", amplitude=1.5)
@@ -320,6 +327,27 @@ def test_config_filter_rate_mismatch():
     fir = filters.synthesize_fir(filters.FlatResponse(), 16, 2.0)
     with pytest.raises(ValueError):
         SynthesisConfig(sample_rate=RATE, xy_fir=fir)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SynthesisConfig(sample_rate=RATE, z_iir=filters.design_iir_corrector(
+        [(-0.0174, 34.0)], 2.0 * RATE)), "z_iir sample rate does not match the engine rate"),
+    (lambda: pulsec.synthesize(pulsec.compile(_program((PlayXY("cos20"),)), CONFIG),
+                               SynthesisConfig(sample_rate=2.0 * RATE)),
+     "config sample rate does not match the compiled program"),
+    (lambda: pulsec.cosine_envelope(1.0, RATE), "envelope needs at least 2 samples"),
+], ids=["z-iir-rate", "synthesize-rate", "one-sample-envelope"])
+def test_synthesis_refuses_a_rate_or_length_it_cannot_play(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_compile_refuses_an_unknown_instruction_object():
+    with pytest.raises(TypeError) as info:
+        pulsec.compile(_program((Delay(2.0), object())), CONFIG)
+    assert str(info.value) == "unknown instruction object"
+
 
 
 def test_synthesis_deterministic():
