@@ -551,8 +551,7 @@ def estimate_reset_fidelity(signal, excited_component: str = "upper") -> ResetEs
 
 
 def _check_rows(lines: list[str], width: int) -> None:
-    """Raise for the first row, in line order, that has not ``width`` columns
-    or holds a cell that is not a number, naming its line."""
+    """Raise for the first faulty row, in line order, naming its line."""
     for number, line in enumerate(lines[1:], start=2):
         content = line.split("#")[0]
         cells = content.split(",") if content.strip() else []
@@ -568,10 +567,9 @@ def _check_rows(lines: list[str], width: int) -> None:
 
 def load_csv(lines) -> tuple[tuple[str, ...], np.ndarray]:
     """(column names, rows as a 2-D float array) of the lines of a CSV with a
-    header line. Lines that are all blank are an empty file; a row whose
-    column count is not the header's, or that holds a cell that is not a
-    number, is reported by its line number; a string or a path is refused
-    with TypeError."""
+    header line. All-blank lines are an empty file; the first row not of the
+    header's width, or with a cell that is not a number, is named by its
+    line; a string or a path is refused with TypeError."""
     if isinstance(lines, (str, os.PathLike)):
         raise TypeError(f"expected the lines of a CSV, not a {type(lines).__name__}")
     if not any(line.strip() for line in lines):

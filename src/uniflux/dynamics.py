@@ -325,12 +325,11 @@ class _Shape:
 def _prepare(scenario: DriveScenario, w: Waveform, predistortion: bool = False) -> _Shape:
     """The amplitude-free half of `evolve`: the compensation when asked
     (`predistort_drive` at f01, the one place a drive is compensated), the
-    channel (`apply_transfer`, which checks the waveform), the step rules,
-    the scaling to delta_phi, `_step_midpoints` and the scenario
-    fingerprint. The step must stay at or below 1/(20 f01), else
-    `NumericalError`, and divide the sample period into a whole number k of
-    steps, else `ValueError`. ``peak`` is that of the waveform the AWG
-    plays, compensation included."""
+    channel (`apply_transfer`, which checks the waveform), the step rules
+    (at most 1/(20 f01), else `NumericalError`; a whole number k of steps
+    per sample, else `ValueError`), the scaling to delta_phi,
+    `_step_midpoints` and the scenario fingerprint. ``peak`` is that of the
+    waveform the AWG plays, compensation included."""
     f01 = _qubit_frame(scenario.qubit, scenario.levels)[0][1]
     if predistortion:
         w = predistort_drive(w, scenario.channel, f01)
