@@ -201,6 +201,13 @@ def test_rb_constant_baseline_rejected():
         analysis.fit_rb_decay([1, 8, 64], [0.5, 0.5, 0.5])
 
 
+def test_rb_refuses_a_decay_whose_fitted_amplitude_vanishes():
+    # survival varying by 1e-7, above the constant-trace cut, fits a < 1e-6
+    with pytest.raises(FitError) as info:
+        analysis.fit_rb_decay([1, 2, 4, 8], [0.5, 0.5, 0.5, 0.5000001])
+    assert str(info.value) == "decay amplitude vanished in the fit; p unidentifiable"
+
+
 def test_rb_needs_three_distinct_lengths():
     with pytest.raises(ValueError):
         analysis.fit_rb_decay([2, 2, 4, 4], [0.9, 0.91, 0.8, 0.81])
