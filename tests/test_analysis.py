@@ -229,7 +229,6 @@ def test_fits_refuse_inputs_of_the_wrong_shape_or_length(fit, message):
     assert str(info.value) == message
 
 
-
 # ---------------------------------------------------------------------------
 # the fit kernel against the curve_fit reference
 # ---------------------------------------------------------------------------
@@ -500,7 +499,6 @@ def test_interleaved_fidelity_refuses_a_decay_outside_its_range(p_ref, p_int, me
     assert str(info.value) == message
 
 
-
 def test_attach_interleaved_payload():
     survivals = oracles.depolarized_survival(0.999, RB_LENGTHS)
     fit = analysis.fit_rb_decay(RB_LENGTHS, survivals)
@@ -732,7 +730,6 @@ def test_csv_reader_refuses_lines_that_are_all_blank_as_an_empty_file(lines):
     with pytest.raises(ValueError) as info:
         analysis.load_csv(lines)
     assert str(info.value) == "empty file"
-
 
 
 def test_signal_csv_roundtrip():

@@ -1033,7 +1033,6 @@ def test_gate_fidelity_refuses_matrices_of_the_wrong_shape(achieved, target, mes
     assert str(info.value) == message
 
 
-
 def test_gate_fidelity_reports_leakage():
     theta = 0.02
     mixer = np.eye(4, dtype=complex)
@@ -1179,7 +1178,6 @@ def test_rb_refuses_a_depolarizing_strength_outside_0_to_1(strength):
     with pytest.raises(ValueError) as info:
         dynamics.run_rb(FLAT2, [1, 2], 1, seed=0, depolarizing=strength)
     assert str(info.value) == "depolarizing strength must lie in [0, 1]"
-
 
 
 @pytest.mark.parametrize("interleaved", [None, 5])

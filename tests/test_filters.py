@@ -145,7 +145,6 @@ def test_waveform_refuses_samples_that_are_not_1_d():
     assert str(info.value) == "samples must be 1-D, got shape (2, 3)"
 
 
-
 def test_round_trip_recovers_windowed_target():
     # predistort -> channel recovers H_qubit * (window-filtered input) for a
     # pulse whose spectrum sits below the cap-engagement frequency

@@ -380,7 +380,6 @@ def test_spectrum_sweep_refuses_a_level_count_the_basis_cannot_hold(params, n_le
     assert str(info.value) == message
 
 
-
 def test_too_small_a_basis_raises():
     # the reference circuit keeps 3.8e-5 of level 3 in the top 4 of 24 states
     small = REFERENCE_PARAMS.replace(basis_size=24)

@@ -88,7 +88,6 @@ def test_program_refuses_a_store_key_that_is_not_the_primitive_id():
     assert str(info.value) == "store key 'x90' does not match primitive id 'cos20'"
 
 
-
 def test_instruction_validation():
     with pytest.raises(ValueError):
         PlayXY("p", amplitude=1.5)
@@ -347,7 +346,6 @@ def test_compile_refuses_an_unknown_instruction_object():
     with pytest.raises(TypeError) as info:
         pulsec.compile(_program((Delay(2.0), object())), CONFIG)
     assert str(info.value) == "unknown instruction object"
-
 
 
 def test_synthesis_deterministic():
