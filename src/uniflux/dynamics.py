@@ -137,22 +137,17 @@ class SimOutcome:
 
 @lru_cache(maxsize=64)
 def _qubit_frame(qubit: fluxonium.FluxoniumParams, levels: int):
+    """(levels, phi, ||phi||_2), read-only: a drive at amplitude a grows the
+    Chebyshev steps by 2 pi |a E_L| h times the norm times half its range."""
     lv, pm = fluxonium.eigenbasis_phase_matrix(qubit, levels)
     lv.setflags(write=False)
     pm.setflags(write=False)
-    return lv, pm
-
-
-@lru_cache(maxsize=64)
-def _phase_norm(qubit: fluxonium.FluxoniumParams, levels: int) -> float:
-    """||phi||_2 of the `_qubit_frame` phase matrix: a drive at amplitude a
-    grows the Chebyshev steps by 2 pi |a E_L| h times this times half its range."""
-    return float(np.linalg.norm(_qubit_frame(qubit, levels)[1], 2))
+    return lv, pm, float(np.linalg.norm(pm, 2))
 
 
 def qubit_frame(scenario: DriveScenario) -> tuple[np.ndarray, np.ndarray]:
     """(eigenfrequencies relative to ground, phi-hat matrix) for the scenario."""
-    lv, pm = _qubit_frame(scenario.qubit, scenario.levels)
+    lv, pm, _ = _qubit_frame(scenario.qubit, scenario.levels)
     return lv.copy(), pm.copy()
 
 
@@ -363,12 +358,10 @@ def _drive(shape: _Shape, amplitude: float) -> SimOutcome:
             f"{scenario.line.awg_vmax} V",
             peak=peak,
         )
-    levels, phi_mat = _qubit_frame(scenario.qubit, scenario.levels)
-
     # The drive enters H only as E_L * delta_phi, so the amplitude scales
     # E_L rather than a copy of the midpoints.
     unitary, nodes = _propagate(
-        levels, phi_mat, _phase_norm(scenario.qubit, scenario.levels),
+        *_qubit_frame(scenario.qubit, scenario.levels),
         amplitude * scenario.qubit.e_l, shape.mids, scenario.time_step,
     )
 
@@ -496,7 +489,7 @@ def _net_carrier_gain(scenario, predistortion, f01, frequency_ghz) -> float:
 def _rwa_pi_amplitude(scenario, duration_ns, gain) -> float:
     """First-order pi amplitude: cosine-envelope area T/2 at the linear
     flux-per-volt slope of the line."""
-    levels, phi_mat = _qubit_frame(scenario.qubit, scenario.levels)
+    phi_mat = _qubit_frame(scenario.qubit, scenario.levels)[1]
     m01 = abs(phi_mat[0, 1])
     c = phase_drive_per_volt(scenario.line)
     return 1.0 / (scenario.qubit.e_l * m01 * c * duration_ns * gain)
@@ -935,7 +928,7 @@ def run_rb(scenario: DriveScenario, lengths, sequences_per_length: int,
 
     gate = gate or RbGate()
     config = pulsec.SynthesisConfig(sample_rate=DRIVE_SAMPLE_RATE)
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
+    levels = _qubit_frame(scenario.qubit, scenario.levels)[0]
     carrier = gate.drive_frequency_ghz if gate.drive_frequency_ghz is not None else levels[1]
     _check_sampled(carrier)
     rng = np.random.default_rng(seed)

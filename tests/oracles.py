@@ -47,7 +47,6 @@ from uniflux.dynamics import (
     _maximize_transfer,
     _multiply_planes,
     _net_carrier_gain,
-    _phase_norm,
     _prepare,
     _qubit_frame,
     _rwa_pi_amplitude,
@@ -583,12 +582,12 @@ def scanned_trajectory(scenario: DriveScenario, w: Waveform):
     the package clips them.
     """
     shape = _prepare(scenario, w)
-    levels, phi_mat = _qubit_frame(scenario.qubit, scenario.levels)
+    levels, phi_mat, phi_norm = _qubit_frame(scenario.qubit, scenario.levels)
     e_l, h, k = scenario.qubit.e_l, scenario.time_step, shape.steps_per_sample
     dim = len(levels)
     static = 2.0 * np.pi * np.diag(levels).astype(complex)
     coupling = 2.0 * np.pi * (-e_l) * phi_mat
-    coupling_norm = 2.0 * np.pi * abs(e_l) * _phase_norm(scenario.qubit, scenario.levels)
+    coupling_norm = 2.0 * np.pi * abs(e_l) * phi_norm
     chunk = max(1, _CHUNK_STEPS // k) * k
     samples = []
     for start in range(0, len(shape.mids), chunk):
@@ -712,7 +711,7 @@ def population_calibrate_pi(scenario: DriveScenario, duration_ns: float,
     """
     if duration_ns * DRIVE_SAMPLE_RATE < 4:
         raise ValueError("pulse duration must cover at least 4 samples")
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
+    levels = _qubit_frame(scenario.qubit, scenario.levels)[0]
     f01 = levels[1]
     f_d = drive_frequency_ghz if drive_frequency_ghz is not None else f01
 
@@ -749,7 +748,7 @@ def population_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: f
     f01 = 224 MHz, falling off as 1/duration^2); this searches the trimmed
     frequency by golden section, re-optimizing the amplitude at each point.
     """
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
+    levels = _qubit_frame(scenario.qubit, scenario.levels)[0]
     f01 = levels[1]
     if bracket_ghz is None:
         span = 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4
@@ -840,7 +839,7 @@ def nested_calibrate_drive_frequency(scenario: DriveScenario, duration_ns: float
     on n_z from the two ends of the bracket, each step around a full secant
     solve of theta = pi warm-started from the last one. The amplitude is that
     inner solve's root at the returned frequency."""
-    levels, _ = _qubit_frame(scenario.qubit, scenario.levels)
+    levels = _qubit_frame(scenario.qubit, scenario.levels)[0]
     f01 = levels[1]
     lo, hi = bracket_ghz or (f01, f01 + 2.6e-3 * (20.0 / duration_ns) ** 2 + 4e-4)
     estimate = _rwa_pi_amplitude(scenario, duration_ns,

@@ -654,11 +654,10 @@ def test_simulate_gate_transfer_is_at_most_one(tmp_path, capsys, monkeypatch):
 @pytest.fixture
 def per_circuit_terms(monkeypatch):
     """Call to switch the package to the per-circuit eigendecomposition of the
-    phase operator; the qubit-frame caches are emptied at the switch and
+    phase operator; the qubit-frame cache is emptied at the switch and
     after the test, so no frame crosses it."""
     def clear():
         dynamics._qubit_frame.cache_clear()
-        dynamics._phase_norm.cache_clear()
 
     def switch():
         clear()
@@ -740,7 +739,6 @@ def test_simulate_gate_bytes_do_not_depend_on_cached_bases(tmp_path, capsys):
     for clear in (fluxonium._phase_basis.cache_clear, dynamics._qubit_frame.cache_clear, None):
         if clear is not None:
             clear()
-            dynamics._phase_norm.cache_clear()
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         outputs.append(out)

@@ -370,7 +370,7 @@ def _chunk_tree_reference(scenario, w):
     """evolve's drive preparation followed by one tree product per chunk."""
     shape = dynamics._prepare(scenario, w)
     levels, phi_mat = dynamics.qubit_frame(scenario)
-    phi_norm = dynamics._phase_norm(scenario.qubit, scenario.levels)
+    phi_norm = dynamics._qubit_frame(scenario.qubit, scenario.levels)[2]
     return oracles.chunk_tree_propagate(levels, phi_mat, phi_norm, scenario.qubit.e_l,
                                         shape.mids, scenario.time_step)
 
@@ -390,11 +390,10 @@ def test_evolve_matches_one_tree_per_chunk(case):
 def test_propagate_works_in_block_sized_memory():
     # a 2-level drive of two full chunks: the steps of one block, not of a
     # whole chunk, are held at a time (one chunk's planes alone are 4 MiB)
-    levels, phi_mat = dynamics._qubit_frame(QUBIT, 2)
+    levels, phi_mat, phi_norm = dynamics._qubit_frame(QUBIT, 2)
     h = 0.05
     t = (np.arange(2 * dynamics._CHUNK_STEPS) + 0.5) * h
     mids = 0.01 * dynamics.phase_drive_per_volt(LINE) * np.cos(2 * np.pi * F01 * t)
-    phi_norm = dynamics._phase_norm(QUBIT, 2)
     tracemalloc.start()
     try:
         dynamics._propagate(levels, phi_mat, phi_norm, QUBIT.e_l, mids, h)
@@ -500,8 +499,7 @@ def test_node_count_from_the_frame_norm_matches_the_coupling_norm():
             e_j=rng.uniform(2.0, 9.0), e_c=rng.uniform(0.6, 2.0), e_l=rng.uniform(0.3, 1.8)
         )
         for levels in (2, 3, 4, 6):
-            phi_mat = dynamics._qubit_frame(qubit, levels)[1]
-            phi_norm = dynamics._phase_norm(qubit, levels)
+            _, phi_mat, phi_norm = dynamics._qubit_frame(qubit, levels)
             for _ in range(60):
                 e_l = rng.uniform(0.0, 2.0) * qubit.e_l
                 h, radius = rng.uniform(0.005, 0.05), 10.0 ** rng.uniform(-4.0, 1.0)
