@@ -306,15 +306,11 @@ class _Shape:
     """
 
     scenario: DriveScenario
-    sample_rate: float
+    duration_ns: float
     steps_per_sample: int
     peak: float
     mids: np.ndarray
     fingerprint: str
-
-    @property
-    def duration_ns(self) -> float:
-        return len(self.mids) // self.steps_per_sample / self.sample_rate
 
 
 def _prepare(scenario: DriveScenario, w: Waveform, predistortion: bool = False) -> _Shape:
@@ -342,7 +338,7 @@ def _prepare(scenario: DriveScenario, w: Waveform, predistortion: bool = False) 
             "resampling onto the step grid must be exact"
         )
     dphi = filtered.samples * phase_drive_per_volt(scenario.line)
-    return _Shape(scenario, w.sample_rate, k, float(np.max(np.abs(w.samples))),
+    return _Shape(scenario, w.duration_ns, k, float(np.max(np.abs(w.samples))),
                   _step_midpoints(dphi, k), _scenario_fingerprint(scenario, w.sample_rate))
 
 
