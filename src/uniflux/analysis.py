@@ -114,12 +114,13 @@ def _forward_difference(residuals, bounds):
 def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
     """Multi-start least squares: (x, covariance, sse) of the best start.
 
-    ``scipy.optimize.least_squares`` runs once per start, with ``trf`` when
-    any bound is finite and ``lm`` otherwise; ``solver`` passes ``jac``,
-    ``max_nfev`` or ``xtol`` through. Without ``jac``, ``residuals`` must
-    take a trailing batch axis (an (n, k) parameter stack gives (k, m)
-    residuals), and ``_forward_difference`` builds the Jacobian that
-    ``least_squares(jac="2-point")`` would, bit for bit, from one call.
+    ``scipy.optimize.least_squares`` runs once per start; ``solver`` passes
+    ``method``, ``jac``, ``max_nfev`` or ``xtol`` through, so the caller
+    picks the method and SciPy's default, ``trf``, runs when it names none.
+    Without ``jac``, ``residuals`` must take a trailing batch axis (an (n, k)
+    parameter stack gives (k, m) residuals), and ``_forward_difference``
+    builds the Jacobian that ``least_squares(jac="2-point")`` would, bit for
+    bit, from one call.
     Starts that raise or do not converge are skipped and the lowest sum of
     squares wins. The covariance is SciPy's curve-fit rule: the SVD
     pseudo-inverse of J^T J (singular values below eps * max(m, n) * s_0
@@ -130,13 +131,12 @@ def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
 
     if "jac" not in solver:
         solver["jac"] = _forward_difference(residuals, bounds)
-    method = "trf" if np.isfinite(bounds).any() else "lm"
     best = None
     for x0 in starts:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = least_squares(residuals, x0, bounds=bounds, method=method, **solver)
+                sol = least_squares(residuals, x0, bounds=bounds, **solver)
         except (ValueError, FloatingPointError):
             continue
         if not sol.success:

@@ -98,7 +98,8 @@ def fit_multi_exponential(
 ) -> TailFitResult:
     """Fit window-averaged multi-exponential settling to probe records.
 
-    Levenberg-Marquardt with an analytic Jacobian in (A_k, log tau_k).
+    Levenberg-Marquardt (``method="lm"``, chosen here: the fit is unbounded)
+    with an analytic Jacobian in (A_k, log tau_k).
     Starts are seeded by log-spaced/log-uniform tau draws over the delay span
     with amplitudes solved linearly per seed; the best converged start wins.
     ``probe_window`` must be the window the records were measured with —
@@ -135,8 +136,8 @@ def fit_multi_exponential(
         return g @ theta[:n_terms] - values
 
     theta, cov, sse = _least_squares_fit(
-        residuals, starts, jac=lambda theta: _probe_jacobian(theta, delays, probe_window),
-        xtol=1e-14,
+        residuals, starts, method="lm",
+        jac=lambda theta: _probe_jacobian(theta, delays, probe_window), xtol=1e-14,
     )
     cost = math.sqrt(sse)
     amps = theta[:n_terms]
