@@ -67,16 +67,22 @@ class RelaxationFit(_FrozenCovariance):
     flags: tuple = ()
 
 
+def _paired(x, y, names: str):
+    """``x`` and ``y`` as float arrays, refused unless both are 1-D, of equal
+    length and finite; ``names`` starts each message."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"{names} must be 1-D arrays of equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"{names} must be finite")
+    return x, y
+
+
 def _validate_decay_input(t, values, min_points):
     """The checked (t, values) of a decay, and where its fit starts: the span
     t.max(), the tail (the mean of the last three values) and the amplitude
     (the mean of the first three less the tail, at least 1e-3)."""
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.shape != values.shape or t.ndim != 1:
-        raise ValueError("t and values must be 1-D arrays of equal length")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
-        raise ValueError("t and values must be finite")
+    t, values = _paired(t, values, "t and values")
     if len(t) < min_points:
         raise ValueError(f"need at least {min_points} samples, got {len(t)}")
     if np.any(np.diff(t) <= 0) or t[0] < 0:
@@ -308,12 +314,7 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
     amplitude too small to pin the rate. Three lengths leave the covariance
     undetermined (inf), flagged ``covariance-undetermined``.
     """
-    m = np.asarray(lengths, dtype=float)
-    s = np.asarray(survivals, dtype=float)
-    if m.shape != s.shape or m.ndim != 1:
-        raise ValueError("lengths and survivals must be 1-D arrays of equal length")
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
-        raise ValueError("lengths and survivals must be finite")
+    m, s = _paired(lengths, survivals, "lengths and survivals")
     if len(np.unique(m)) < 3:
         raise ValueError("need at least 3 distinct sequence lengths")
     if np.any(m < 1):

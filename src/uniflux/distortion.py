@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import _least_squares_fit
+from .analysis import _least_squares_fit, _paired
 from .errors import FitError
 
 DEFAULT_PROBE_WINDOW_NS = 20.0
@@ -113,10 +113,8 @@ def fit_multi_exponential(
         raise ValueError("n_terms must be between 1 and 4")
     if len(data) < 4 * n_terms:
         raise ValueError(f"need at least {4 * n_terms} records to fit {n_terms} terms")
-    delays = np.array([r.delay for r in data], dtype=float)
-    values = np.array([r.tail_over_ref for r in data], dtype=float)
-    if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(values))):
-        raise ValueError("probe delays and values must be finite")
+    delays, values = _paired([r.delay for r in data], [r.tail_over_ref for r in data],
+                             "probe delays and values")
     lo = max(np.min(delays), probe_window / 10.0, 1e-3)
     hi = max(np.max(delays), lo * 10.0)
     rng = np.random.default_rng(1357)
