@@ -800,10 +800,6 @@ def _clifford_table() -> tuple:
     return tuple(table)
 
 
-def clifford_ops(index: int) -> tuple:
-    return _clifford_table()[index][0]
-
-
 def _composition_tables(mats: np.ndarray) -> tuple:
     """(compose, inverse, identity) of the group the 2x2 unitaries ``mats``
     form up to global phase: C_i C_j is entry compose[i][j], the one C with
@@ -879,8 +875,8 @@ def build_rb_program(indices, gate: RbGate, sample_rate: float,
     play = pulsec.PlayXY("x90", amplitude=gate.amplitude_dac, phase_offset=X90_PHASE_OFFSET)
     blocks = [
         tuple(pulsec.VirtualZ(phase=VZ_EMISSION_SIGN * op[1] * math.pi / 2.0)
-              if op[0] == "vz" else play for op in clifford_ops(index))
-        for index in range(CLIFFORD_COUNT)
+              if op[0] == "vz" else play for op in ops)
+        for ops, _ in _clifford_table()
     ]
     return pulsec.PulseProgram(
         instructions=(pulsec.SetCarrier(carrier_ghz),

@@ -52,7 +52,6 @@ from uniflux.dynamics import (
     _rwa_pi_amplitude,
     _tree_product,
     build_rb_program,
-    clifford_ops,
     cosine_drive,
     evolve,
     predistort_drive,
@@ -945,7 +944,7 @@ def instruction_rb_program(indices, gate, sample_rate: float,
     )
     instructions = [SetCarrier(carrier_ghz)]
     for index in indices:
-        for op in clifford_ops(index):
+        for op in _clifford_table()[index][0]:
             if op[0] == "vz":
                 instructions.append(VirtualZ(phase=VZ_EMISSION_SIGN * op[1] * math.pi / 2.0))
             else:

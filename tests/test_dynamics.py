@@ -1048,10 +1048,10 @@ def test_gate_fidelity_reports_leakage():
 
 def test_clifford_table_shape_and_identity():
     assert len(dynamics._clifford_table()) == dynamics.CLIFFORD_COUNT == 24
-    assert dynamics.clifford_ops(0) == ()
+    assert dynamics._clifford_table()[0][0] == ()
     np.testing.assert_allclose(oracles.clifford_matrix(0), np.eye(2), atol=0)
     pulses = [
-        sum(1 for op in dynamics.clifford_ops(i) if op[0] == "x90")
+        sum(1 for op in dynamics._clifford_table()[i][0] if op[0] == "x90")
         for i in range(dynamics.CLIFFORD_COUNT)
     ]
     assert pulses.count(0) == 4
@@ -1298,7 +1298,7 @@ def test_rb_virtual_z_only_sequence_survives_exactly():
     def drawn(seed):  # the one Clifford run_rb draws for a length-1 sequence
         return int(np.random.default_rng(seed).integers(0, dynamics.CLIFFORD_COUNT, size=1)[0])
 
-    seed = next(s for s in range(100) if all(op[0] == "vz" for op in dynamics.clifford_ops(drawn(s))))
+    seed = next(s for s in range(100) if all(op[0] == "vz" for op in dynamics._clifford_table()[drawn(s)][0]))
     indices = [drawn(seed), dynamics.recovery_index([drawn(seed)])]
     program = dynamics.build_rb_program(indices, gate, 1.0, F01)
     assert program.instructions[0] == pulsec.SetCarrier(F01)
@@ -1328,7 +1328,7 @@ def test_rb_sequences_play_inside_quiet_margins(seed):
 
 def test_rb_waveform_interleaving_the_identity_changes_nothing():
     # Clifford 0 plays nothing, so interleaving it leaves every program as it was
-    assert dynamics.clifford_ops(0) == ()
+    assert dynamics._clifford_table()[0][0] == ()
     kwargs = dict(lengths=[1, 4, 8], sequences_per_length=2, seed=5, mode="waveform")
     assert (dynamics.run_rb(GAUSS2, interleaved=0, **kwargs)
             == dynamics.run_rb(GAUSS2, **kwargs))
