@@ -184,10 +184,6 @@ class FirFilter:
         if not 0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
 
-    @property
-    def n_taps(self) -> int:
-        return len(self.taps_float)
-
 
 def synthesize_fir(target: TransferFunction, n_taps: int, sample_rate: float) -> FirFilter:
     """Design an even-length (Type-II) linear-phase FIR matching |target|.
@@ -370,7 +366,7 @@ def design_document(obj, provenance: str = "") -> dict:
     """Serializable record of a designed filter."""
     fir = isinstance(obj, FirFilter)
     if fir:
-        params = {"n_taps": obj.n_taps}
+        params = {"n_taps": len(obj.taps_float)}
     elif isinstance(obj, IirCorrector):
         b, a, count = obj.direct_form()
         params = {
