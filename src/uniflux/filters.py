@@ -273,10 +273,6 @@ class IirCorrector:
         if not 0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
 
-    @property
-    def is_identity(self) -> bool:
-        return len(self.sections) == 0
-
     def direct_form(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Collapse the cascade to one direct-form filter.
 
@@ -349,7 +345,7 @@ def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
             f"waveform rate {w.sample_rate} GS/s does not match corrector rate "
             f"{c.sample_rate} GS/s"
         )
-    if c.is_identity or len(w) == 0:
+    if not c.sections or len(w) == 0:
         return w
     from scipy.signal import sosfilt
 
