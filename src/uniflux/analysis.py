@@ -126,10 +126,12 @@ def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
     Without ``jac``, ``residuals`` must take a trailing batch axis (an (n, k)
     parameter stack gives (k, m) residuals), and ``_forward_difference``
     builds the Jacobian that ``least_squares(jac="2-point")`` would, bit for
-    bit, from one call.
-    Starts that raise or do not converge are skipped and the lowest sum of
-    squares wins. The covariance is SciPy's curve-fit rule: the SVD
-    pseudo-inverse of J^T J (singular values below eps * max(m, n) * s_0
+    bit, from one call. Starts that raise or do not converge are skipped and
+    the lowest sum of squares wins. SciPy refuses a start outside the bounds
+    unsolved, so data that put every start there raise ValueError naming the
+    first start's first such parameter (counted from 1 in the model's order),
+    its value and its bounds. The covariance is SciPy's curve-fit rule: the
+    SVD pseudo-inverse of J^T J (singular values below eps * max(m, n) * s_0
     dropped) times sse / (m - n), and inf when m <= n.
     """
     import scipy.linalg
@@ -151,6 +153,13 @@ def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
         if best is None or sse < best[1]:
             best = (sol, sse)
     if best is None:
+        x = np.asarray(starts, dtype=float)
+        lb, ub = (np.broadcast_to(b, x.shape[1:]) for b in np.asarray(bounds, dtype=float))
+        outside = (x < lb) | (x > ub)
+        if outside.any(axis=1).all():
+            i = int(np.argmax(outside[0]))
+            raise ValueError(f"the data put every start outside the fit's bounds: parameter "
+                             f"{i + 1} starts at {x[0, i]:.6g}, outside [{lb[i]:g}, {ub[i]:g}]")
         raise FitError("least-squares fit did not converge from any start")
     sol, sse = best
     m, n = sol.jac.shape
@@ -312,7 +321,9 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
     full amplitude is the perfect-gate limit (p = 1); constant anywhere else
     leaves p unidentifiable and raises FitError, as does a fitted decay
     amplitude too small to pin the rate. Three lengths leave the covariance
-    undetermined (inf), flagged ``covariance-undetermined``.
+    undetermined (inf), flagged ``covariance-undetermined``. A fitted p
+    within 1e-9 of its upper bound 1, as survivals that rise with length
+    give, is flagged ``no-decay``.
     """
     m, s = _paired(lengths, survivals, "lengths and survivals")
     if len(np.unique(m)) < 3:
@@ -339,6 +350,8 @@ def fit_rb_decay(lengths, survivals) -> RbFit:
     if a < 1e-6:
         raise FitError("decay amplitude vanished in the fit; p unidentifiable")
     flags = () if np.all(np.isfinite(pcov)) else ("covariance-undetermined",)
+    if 1.0 - p < 1e-9:  # p at its upper bound: the survivals show no decay
+        flags += ("no-decay",)
     return RbFit(a=a, b=b, p=p, f_avg=1.0 - (1.0 - p) / 2.0, covariance=pcov,
                  sse=sse, flags=flags)
 
@@ -622,7 +635,9 @@ def fit_report(fit) -> dict:
     unreached 1/e time (``one-over-e-unreached``), a vanished exponential
     dephasing rate, t_phi_exp (``exponential-rate-vanished``), or an RB
     covariance that no more lengths than parameters leave undetermined
-    (``covariance-undetermined``)."""
+    (``covariance-undetermined``). An RB fit whose p sits at its upper
+    bound, survivals that show no decay, is flagged ``no-decay``; its p and
+    f_avg read as a perfect gate."""
     out = {key: _json_value(value) for key, value in dataclasses.asdict(fit).items()}
     out["model"] = type(fit).__name__
     return out

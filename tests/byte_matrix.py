@@ -100,6 +100,14 @@ def _inputs() -> dict[str, str]:
         "reset-1e17-steps.csv": _column("signal", [1e17 + 8 * k for k in range(1000)]),
         "empty.csv": "",
         "t1-bad-cell.csv": "t_us,p_e\n0,1\n1,abc\n",
+        # data that put every fit start outside the bounds, and survivals that rise
+        "offset-1.2.csv": _table("t_us,p_e", zip(t.tolist(),
+                                                 (1.5 * np.exp(-t / 60.0) + 1.2).tolist())),
+        "rb-above-1.csv": _table("length,seq_index,survival",
+                                 [(1, 0, 1.5), (2, 0, 1.4), (4, 0, 1.3), (8, 0, 1.2),
+                                  (16, 0, 1.1)]),
+        "rb-rising.csv": _table("length,seq_index,survival",
+                                [(1, 0, 0.5), (2, 0, 0.6), (4, 0, 0.7), (8, 0, 0.8)]),
     }
 
 
@@ -175,6 +183,11 @@ COMMANDS = [
     ("fit-dephasing-no-t1", ("fit", "dephasing", "dephasing.csv")),
     ("fit-rb", ("fit", "rb", "rb.csv")),
     ("fit-rb-wrong-columns", ("fit", "rb", "rb-columns.csv")),
+    ("fit-t1-offset-outside-bounds", ("fit", "t1", "offset-1.2.csv")),
+    ("fit-dephasing-offset-outside-bounds", ("fit", "dephasing", "offset-1.2.csv", "--t1-us",
+                                            "50")),
+    ("fit-rb-offset-outside-bounds", ("fit", "rb", "rb-above-1.csv")),
+    ("fit-rb-rising", ("fit", "rb", "rb-rising.csv")),
     ("fit-reset-to-file", ("fit", "reset", "reset.csv", "-o", "reset-out.json")),
     ("fit-reset-lower", ("fit", "reset", "reset.csv", "--excited-component", "lower")),
     ("fit-reset-non-finite", ("fit", "reset", "reset-nan.csv")),

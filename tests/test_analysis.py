@@ -149,6 +149,16 @@ def test_dephasing_flags_a_vanished_exponential_rate():
     assert analysis.fit_dephasing_envelope(t, mixed, t1_de=180.0).flags == ()
 
 
+def test_dephasing_flags_exchange_degeneracy_on_a_short_window():
+    # over 20 us, short of both dephasing times, the exponential and Gaussian
+    # rates trade off (their correlation is above 0.95); over 300 us it is not
+    for span, flags in ((20.0, ("exchange-degeneracy",)), (300.0, ())):
+        t = np.linspace(0.0, span, 41)
+        env = oracles.dephasing_envelope(t, c=0.9, d=0.05, t1_de=180.0,
+                                         t_phi_exp=90.0, t_phi_g=128.0)
+        assert analysis.fit_dephasing_envelope(t, env, t1_de=180.0).flags == flags
+
+
 def test_dephasing_requires_positive_t1():
     t = np.linspace(0.0, 300.0, 40)
     with pytest.raises(ValueError):
@@ -196,6 +206,16 @@ def test_rb_flags_an_undetermined_covariance():
     assert np.all(np.isfinite(fit.covariance)) and fit.flags == ()
 
 
+def test_rb_flags_survivals_that_show_no_decay():
+    # survivals that rise with length pin p at its upper bound; the numbers
+    # read as a perfect gate, so the flag carries the warning
+    fit = analysis.fit_rb_decay([1, 2, 4, 8], [0.5, 0.6, 0.7, 0.8])
+    assert 1.0 - fit.p < 1e-9 and fit.f_avg == 1.0
+    assert fit.flags == ("no-decay",)
+    decay = oracles.depolarized_survival(0.9998, RB_LENGTHS)
+    assert analysis.fit_rb_decay(RB_LENGTHS, decay).flags == ()
+
+
 def test_rb_constant_baseline_rejected():
     with pytest.raises(FitError):
         analysis.fit_rb_decay([1, 8, 64], [0.5, 0.5, 0.5])
@@ -227,6 +247,28 @@ def test_fits_refuse_inputs_of_the_wrong_shape_or_length(fit, message):
     with pytest.raises(ValueError) as info:
         fit()
     assert str(info.value) == message
+
+
+_SPAN = np.concatenate(([0.0], np.geomspace(0.5, 300.0, 40)))
+_ABOVE_ONE = 1.5 * np.exp(-_SPAN / 60.0) + 1.2  # its tail, the offset start, is 1.22419
+
+
+@pytest.mark.parametrize("fit, message", [
+    (lambda: analysis.fit_t1_double_exponential(_SPAN, _ABOVE_ONE),
+     "parameter 2 starts at 1.22419, outside [-1, 1]"),
+    (lambda: analysis.fit_dephasing_envelope(_SPAN, _ABOVE_ONE, t1_de=50.0),
+     "parameter 2 starts at 1.22419, outside [-1, 1]"),
+    (lambda: analysis.fit_rb_decay([1, 2, 4, 8, 16], [1.5, 1.4, 1.3, 1.2, 1.1]),
+     "parameter 2 starts at 1.1, outside [0, 1]"),
+    (lambda: analysis.fit_rb_decay([1, 2, 4, 8], [1.5, 1.0, 0.5, 0.0]),
+     "parameter 1 starts at 1.5, outside [0, 1]"),
+], ids=["t1-offset", "dephasing-offset", "rb-offset", "rb-amplitude"])
+def test_fits_refuse_data_that_put_every_start_outside_the_bounds(fit, message):
+    # SciPy refuses each such start unsolved; the refusal names the value and
+    # the bound instead of reporting a fit that did not converge
+    with pytest.raises(ValueError) as info:
+        fit()
+    assert str(info.value) == f"the data put every start outside the fit's bounds: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -1141,6 +1141,11 @@ _INPUT_FILES = {
     "rb-fractional.csv": "length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n4,0,0.96\n",
     "rb-columns.csv": "m,p\n1,0.99\n2,0.98\n4,0.96\n",
     "rb-length-0.csv": "length,seq_index,survival\n0,0,1.0\n1,0,0.99\n2,0,0.98\n4,0,0.96\n",
+    # data that put every fit start outside the bounds: an offset above 1
+    "offset-1.2.csv": "t_us,p_e\n" + "".join(
+        f"{t!r},{1.5 * math.exp(-t / 60.0) + 1.2!r}\n"
+        for t in [0.0, *np.geomspace(0.5, 300.0, 40).tolist()]),
+    "rb-above-1.csv": "length,seq_index,survival\n1,0,1.5\n2,0,1.4\n4,0,1.3\n8,0,1.2\n16,0,1.1\n",
     "reset-nan.csv": "signal\n" + "0.0\n" * 1000 + "nan\n",
     "reset-inf.csv": "signal\n" + "0.0\n" * 1000 + "-inf\n",
     # finite samples whose spread, squared, overflows
@@ -1430,6 +1435,16 @@ _EXIT_CODE_CASES = [
      "{tmp}/rb-length-0.csv: sequence lengths must be >= 1"),
     ("fit-rb-wrong-columns", ("fit", "rb", "{tmp}/rb-columns.csv"), 3,
      "{tmp}/rb-columns.csv: expected CSV columns length,seq_index,survival"),
+    ("fit-t1-offset-outside-bounds", ("fit", "t1", "{tmp}/offset-1.2.csv"), 3,
+     "{tmp}/offset-1.2.csv: the data put every start outside the fit's bounds: parameter 2 "
+     "starts at 1.22419, outside [-1, 1]"),
+    ("fit-dephasing-offset-outside-bounds",
+     ("fit", "dephasing", "{tmp}/offset-1.2.csv", "--t1-us", "50"), 3,
+     "{tmp}/offset-1.2.csv: the data put every start outside the fit's bounds: parameter 2 "
+     "starts at 1.22419, outside [-1, 1]"),
+    ("fit-rb-offset-outside-bounds", ("fit", "rb", "{tmp}/rb-above-1.csv"), 3,
+     "{tmp}/rb-above-1.csv: the data put every start outside the fit's bounds: parameter 2 "
+     "starts at 1.1, outside [0, 1]"),
     ("fit-reset-non-finite-csv", ("fit", "reset", "{tmp}/reset-nan.csv"), 3,
      "{tmp}/reset-nan.csv: signal samples must be finite"),
     ("fit-reset-infinite-csv", ("fit", "reset", "{tmp}/reset-inf.csv"), 3,
