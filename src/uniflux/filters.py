@@ -1,6 +1,6 @@
 """Control-line transfer functions and compensation filters.
 
-Three families live here:
+Four parts live here:
 
 * analytic transfer-function descriptors — the Gaussian low-pass model of the
   cryogenic filter, the bounded inverse used for pre-distortion
