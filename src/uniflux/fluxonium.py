@@ -26,10 +26,12 @@ Groszkowski & Koch, scqubits, Quantum 5, 583 (2021)).
 
 One kernel, ``_eigensolve``, diagonalizes every Hamiltonian, a stack of them
 at a time, through LAPACK's dsyevr with the workspace scipy.linalg.eigh
-queries: bit for bit eigh, without its per-call wrapper. Truncation is
-measured, not assumed: the kernel reports the weight each eigenvector has in
-the top sixth of the oscillator states, and a spectrum whose weight there
-exceeds TAIL_LIMIT is refused. Sweeps,
+queries: bit for bit eigh, without its per-call wrapper. It and the phase
+basis call SciPy's LAPACK extension, which ``_lapack`` loads without the
+import of scipy.linalg, about half of a cold command. Truncation is measured,
+not assumed: the kernel reports the weight each eigenvector has in the top
+sixth of the oscillator states, and a spectrum whose weight there exceeds
+TAIL_LIMIT is refused. Sweeps,
 reset-flux searches and eigenbasis phase matrices solve each flux point on a
 short ladder of basis sizes, RUNGS and then ``basis_size``, and keep the
 first rung whose tail weight is at most TAIL_CONVERGED. Each point climbs
@@ -40,8 +42,12 @@ solves the points still climbing as one stack.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -131,16 +137,38 @@ class EnergySpectrum:
     _vectors: np.ndarray = field(default=None, repr=False)
 
 
+@cache
+def _lapack():
+    """scipy.linalg._flapack, SciPy's LAPACK extension, without scipy.linalg.
+
+    The module in sys.modules if there is one; otherwise the extension is
+    loaded from scipy's directory, which ``find_spec("scipy")`` names without
+    importing anything, and registered under its own name. Its routines are
+    the objects ``scipy.linalg.get_lapack_funcs`` returns, and a later
+    ``import scipy.linalg`` reuses the module. The one wart: that package then
+    lacks a ``_flapack`` attribute, though SciPy's own ``from scipy.linalg
+    import _flapack`` still works through sys.modules.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        [root] = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, "linalg")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 @lru_cache(maxsize=len(RUNGS) + 2)
 def _phase_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (nodes, V) with a + a^dagger = V diag(nodes) V^T on ``n`` levels.
+    """Read-only (nodes, V) with a + a^dagger = V diag(nodes) V^T on ``n`` levels,
+    from dstevd, as scipy.linalg.eigh_tridiagonal computes them.
 
     Each entry holds an n x n array, so the cache keeps only the rungs, the
     default top rung and one other size.
     """
-    import scipy.linalg
-
-    nodes, v = scipy.linalg.eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n)))
+    nodes, v, info = _lapack().dstevd(np.zeros(n), np.sqrt(np.arange(1.0, n)), compute_v=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
     nodes.setflags(write=False)
     v.setflags(write=False)
     return nodes, v
@@ -191,11 +219,9 @@ def build_hamiltonian(params: FluxoniumParams) -> np.ndarray:
 @lru_cache(maxsize=len(RUNGS) + 2)
 def _syevr(n: int):
     """(dsyevr, lwork, liwork) for n x n: the workspace scipy.linalg.eigh queries."""
-    from scipy.linalg import get_lapack_funcs
-
-    syevr, query = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
-    lwork, liwork, _ = query(n, lower=1)
-    return syevr, int(lwork), liwork
+    lapack = _lapack()
+    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    return lapack.dsyevr, int(lwork), liwork
 
 
 def _eigensolve(stack: np.ndarray, n_levels: int):
@@ -396,9 +422,10 @@ def find_reset_flux(
     that brackets the target, the crossing closest to the sweet spot, then
     refines it with a bracketing root-finder; the scan and every root-finder
     evaluation are single-point solves that share each rung's flux-free
-    terms. The whole grid is evaluated only when no step brackets the
-    target: then NoSolutionError names the attainable band, f01(0.5) up to
-    the grid's largest f01. A non-finite ``f_target``, or a ``scan_points``
+    terms; the root-finder reads its bracket ends off the scan, so no flux
+    is solved twice. The whole grid is evaluated only when no step brackets
+    the target: then NoSolutionError names the attainable band, f01(0.5) up
+    to the grid's largest f01. A non-finite ``f_target``, or a ``scan_points``
     that is not an integer >= 2, raises ValueError before any eigensolve.
     """
     if not np.isfinite(f_target):
@@ -417,8 +444,11 @@ def find_reset_flux(
         f01s.append(_f01(params, terms, grid[k + 1]))
         # below the sweet-spot minimum no bracket counts
         if lo <= f_target and (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
+            # brentq opens on both bracket ends, which the scan has just solved
+            scanned = {grid[k]: f01s[k], grid[k + 1]: f01s[k + 1]}
             root = brentq(
-                lambda x: _f01(params, terms, x) - f_target, grid[k + 1], grid[k], xtol=1e-10
+                lambda x: (scanned[x] if x in scanned else _f01(params, terms, x)) - f_target,
+                grid[k + 1], grid[k], xtol=1e-10,
             )
             return ResetFlux(float(root), 0.5 - float(root))
     raise NoSolutionError(

@@ -10,6 +10,9 @@ adds `filters` and `pulsec`, `fit` adds `analysis`, and `simulate` adds
 add none. Every scipy subpackage is imported inside the function that calls
 it, so a compile loads no scipy unless it runs the Z-path IIR (``--iir``),
 and an ideal-mode `simulate rb`, the closed-form decay, loads none either.
+The eigensolves of `spectrum`, `tradeoff` and `simulate` load one scipy
+module, its LAPACK extension ``scipy.linalg._flapack``, without importing
+``scipy.linalg``; a later ``import scipy.linalg`` reuses that module.
 
 The AST checks below are where these rules are written down; the
 subprocess checks show what a fresh interpreter actually loads.
@@ -48,6 +51,8 @@ print(json.dumps({"code": code, "scipy": loaded("scipy"), "uniflux": loaded("uni
 # What a fresh `import uniflux.cli` loads of the package, and what each
 # command adds to it.
 _CORE = ("", "cli", "errors", "fluxonium", "linebudget", "waveform")
+# All an eigensolve loads of scipy.
+_LAPACK = ["scipy.linalg._flapack"]
 
 
 def _package(*modules):
@@ -95,9 +100,34 @@ def test_devices_loads_no_scipy():
 ])
 def test_sweeps_load_only_the_package_core(argv, rows):
     report, stdout = _run_fresh_command(*argv)
-    assert report["code"] == 0
-    assert report["uniflux"] == _package()
+    assert report == {"code": 0, "scipy": _LAPACK, "uniflux": _package()}
     assert len(stdout.splitlines()) == 1 + rows
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "gate"),
+    ("simulate", "rb", "--mode", "waveform", "--lengths", "1,4", "--sequences", "1"),
+])
+def test_simulations_load_only_scipys_lapack_extension(argv):
+    report, stdout = _run_fresh_command(*argv)
+    assert report == {"code": 0, "scipy": _LAPACK,
+                      "uniflux": _package("dynamics", "filters", "pulsec")}
+    assert stdout
+
+
+def test_a_later_scipy_linalg_reuses_the_lapack_extension():
+    proc = _fresh("-c", """
+import numpy as np
+from uniflux import cli, fluxonium
+assert cli.main(["spectrum", "--from", "0.4", "--to", "0.5", "-n", "3", "--levels", "2"]) == 0
+import scipy.linalg
+from scipy.linalg import _flapack
+syevr, query = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+print([_flapack is fluxonium._lapack(), syevr is fluxonium._syevr(80)[0],
+       query is fluxonium._lapack().dsyevr_lwork])
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[True, True, True]"
 
 
 def test_design_loads_only_filters():

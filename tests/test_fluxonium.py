@@ -327,16 +327,26 @@ def test_phase_basis_cache_is_bounded():
     assert fluxonium._phase_basis.cache_info().currsize <= maxsize
 
 
-def test_one_phase_decomposition_per_basis_size(monkeypatch):
+@pytest.mark.parametrize("n", [12, 37, 80, 100, 120])
+def test_phase_basis_is_eigh_tridiagonal_bit_for_bit(n):
     import scipy.linalg
 
+    nodes, v = scipy.linalg.eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n)))
+    fluxonium._phase_basis.cache_clear()
+    got_nodes, got_v = fluxonium._phase_basis(n)
+    _assert_same_bits(got_nodes, nodes)
+    _assert_same_bits(got_v, v)
+    assert got_v.flags.f_contiguous == v.flags.f_contiguous
+
+
+def test_one_phase_decomposition_per_basis_size(monkeypatch):
     from uniflux import dynamics
 
     calls = []
-    solve = scipy.linalg.eigh_tridiagonal
+    lapack = fluxonium._lapack()
+    solve = lapack.dstevd
     monkeypatch.setattr(
-        scipy.linalg, "eigh_tridiagonal",
-        lambda *args, **kw: calls.append(len(args[0])) or solve(*args, **kw),
+        lapack, "dstevd", lambda *args, **kw: calls.append(len(args[0])) or solve(*args, **kw)
     )
     fluxonium._phase_basis.cache_clear()
     dynamics._qubit_frame.cache_clear()
@@ -587,10 +597,17 @@ def test_find_reset_flux_stops_scanning_at_the_first_bracket(monkeypatch):
     )
     assert bracket + 2 < scan_points  # a full scan would exceed the budget below
 
-    # the budget counts rows the kernel solves, a rung climbed counting again
+    # the budget counts rows the kernel solves, a rung climbed counting again;
+    # brentq's first two evaluations are the bracket ends the scan solved
     calls = _count_kernel_rows(monkeypatch)
+    fluxes = []
+    f01 = fluxonium._f01
+    monkeypatch.setattr(
+        fluxonium, "_f01", lambda p, terms, flux: fluxes.append(flux) or f01(p, terms, flux)
+    )
     fluxonium.find_reset_flux(params, f_target, scan_points=scan_points)
-    assert len(calls) <= bracket + 2 + info.function_calls
+    assert len(calls) <= bracket + info.function_calls
+    assert len(set(fluxes)) == len(fluxes)  # no flux is solved twice
 
 
 @pytest.mark.parametrize("f_target, scan_points", [
