@@ -47,6 +47,9 @@ def _table(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+_GATE9 = "prim gate envelope 0.0 0.25 0.5 0.75 1.0 0.75 0.5 0.25 0.0\nprim edge edge 0.0 0.5 1.0\n"
+
+
 def _inputs() -> dict[str, str]:
     """Every input file, by relative path: scenarios, programs, designs and
     CSVs, the random ones from fixed seeds."""
@@ -72,6 +75,18 @@ def _inputs() -> dict[str, str]:
         "brace.pulse": "prim gate envelope 0.0 0.5 0.0\nrepeat 2 { xy gate\n}\n",
         "nan.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nxy gate amp=nan\n",
         "carrier-only.pulse": "carrier 0.2\n",
+        # 225 000 samples at 1 GS/s: plays, FIR tails, Z edges, holds and the
+        # IIR state all cross the synthesizer's block boundaries
+        "long.pulse": (_GATE9 + "carrier 0.2238\nrepeat 1500 {\n  xy gate amp=0.3 phase=0.4\n"
+                       "  vz 0.7\n  z rise=edge hold=0.15,120.0 fall=edge {\n    delay 10.0\n"
+                       "    xy gate amp=0.25\n  }\n  delay 15.0\n}\n"),
+        # passes full scale first near sample 54 500 (1.05), and further near
+        # 119 900 (1.15), past the first block
+        "saturates-late.pulse": (_GATE9 + "repeat 500 {\n  xy gate amp=0.5\n  delay 100.0\n}\n"
+                                 "z rise=edge hold=0.6,20.0 fall=edge {\n  xy gate amp=0.45\n}\n"
+                                 "repeat 600 {\n  xy gate amp=0.5\n  delay 100.0\n}\n"
+                                 "z rise=edge hold=0.7,20.0 fall=edge {\n  xy gate amp=0.45\n}\n"
+                                 "delay 50.0\n"),
         "fir.json": json.dumps({"kind": "fir", "taps_float": taps.tolist(), "taps_int16": None,
                                 "sample_rate_gsps": 1.0}),
         "iir.json": json.dumps({"kind": "iir", "sample_rate_gsps": 1.0, "parameters": {
@@ -153,6 +168,12 @@ COMMANDS = [
     ("compile-z-burst-saturates", ("compile", "z-burst.pulse", "--rate", "1")),
     ("compile-carrier-only-iir", ("compile", "carrier-only.pulse", "--rate", "1", "--iir",
                                   "iir.json")),
+    ("compile-long-filtered-to-file", ("compile", "long.pulse", "--rate", "1", *FIR_IIR,
+                                       "--report-memory", "-o", "long.bin")),
+    ("compile-long-filtered", ("compile", "long.pulse", "--rate", "1", *FIR_IIR,
+                               "--report-memory")),
+    ("compile-saturates-past-the-first-block", ("compile", "saturates-late.pulse", "--rate", "1",
+                                                "-o", "late.bin")),
     ("compile-brace-not-ending-line", ("compile", "brace.pulse", "--rate", "1")),
     ("compile-non-finite-program", ("compile", "nan.pulse", "--rate", "1")),
     ("compile-missing-program", ("compile", "absent.pulse", "--rate", "1")),
