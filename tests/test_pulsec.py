@@ -694,7 +694,7 @@ def test_compile_raises_the_first_fault_in_program_order():
 # synthesize against the sample-by-sample oracle: within the oracle's own
 # rounding of the carrier phase, and the same errors
 
-EPS = np.finfo(float).eps
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 _FIR = filters.synthesize_fir(
     filters.bounded_inverse(filters.gaussian_lowpass(0.092), 0.208), 16, RATE
 )
@@ -705,9 +705,16 @@ _CONFIGS = [CONFIG, SynthesisConfig(RATE, xy_fir=_FIR), SynthesisConfig(RATE, xy
 def _tolerance(compiled, config):
     """8 eps (1 + max|theta|) A G: theta the carrier phase over the program,
     A the largest |scale * sample| of a play, G the FIR's sum of |taps| (1
-    without a FIR). The oracle rounds theta[n] itself, to eps |theta| each."""
+    without a FIR). The oracle rounds theta[n] itself, to eps |theta| each.
+
+    A is floored at the smallest normal double, TINY. Below it rounding is
+    absolute: one step is eps * TINY = 2^-1074, whatever the value. The oracle
+    rounds a * sample before the FIR and the renderer after it, so where every
+    play is subnormal the two may differ by such steps while a relative bound
+    reads 0. The floor makes the bound at least 8 of them.
+    """
     theta = np.max(np.abs(carrier_phase(compiled)), initial=0.0)
-    a = np.max(np.abs(xy_timeline(compiled)), initial=0.0)
+    a = max(np.max(np.abs(xy_timeline(compiled)), initial=0.0), TINY)
     g = 1.0 if config.xy_fir is None else np.sum(np.abs(config.xy_fir.taps_float))
     return 8.0 * EPS * (1.0 + theta) * a * g
 
@@ -764,9 +771,21 @@ def _assert_synthesizes_like_oracle(compiled, config):
     return got, want
 
 
+def _one_subnormal_play(amplitude, sample):
+    """One play of a one-sample primitive, with the draw's unused edge."""
+    return PulseProgram(
+        (SetCarrier(0.0), PlayXY("env0", amplitude, 0.0)),
+        {"env0": PulsePrimitive("env0", (sample,), RATE),
+         "edge0": PulsePrimitive("edge0", (0.0,), RATE, "edge")},
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(_programs(), st.sampled_from(_CONFIGS))
 @example(_SIGNED_ZERO, CONFIG)
+# subnormal plays through the FIR: the oracle and the renderer one step apart
+@example(_one_subnormal_play(2.225073858507e-311, 0.875), _CONFIGS[1])
+@example(_one_subnormal_play(2.2250738585e-313, 0.75), _CONFIGS[1])
 def test_synthesize_matches_the_sample_oracle_property(program, config):
     try:
         compiled = pulsec.compile(program, config)
