@@ -454,8 +454,7 @@ def cmd_compile(args) -> int:
         dac_bits=args.dac_bits,
     )
     compiled = pulsec.compile(program, config)
-    wave = pulsec.synthesize(compiled, config)
-    codes = pulsec.dac_quantize(wave, config)
+    codes = pulsec.dac_codes(compiled, config)
     if args.output:
         meta = pulsec.dump_waveform_binary(args.output, codes, args.rate, args.dac_bits)
         digest, length = meta["sha256"], meta["length"]

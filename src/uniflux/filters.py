@@ -331,14 +331,34 @@ def design_iir_corrector(exponentials: Sequence[tuple], sample_rate: float) -> I
     )
 
 
-def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
-    """Run a waveform through the section cascade (causal, zero initial state).
+def iir_blocks(c: IirCorrector):
+    """A filter of one signal handed over block by block: each call runs the
+    next block through the section cascade and returns it.
 
     The whole cascade is one ``sosfilt`` pass: section (b0, b1, a1) is the
-    biquad row [b0, b1, 0, 1, a1, 0]. ``sosfilt`` and a chain of one
-    ``lfilter`` per section are both direct form II transposed with the same
-    order of operations, so the samples are the same bit for bit. A
-    zero-length waveform is returned as it is (``sosfilt`` cannot reshape it).
+    biquad row [b0, b1, 0, 1, a1, 0]. Its direct form II transposed state
+    carries from one call to the next, so the blocks come out as one pass
+    over their concatenation would give them, bit for bit. ``sosfilt`` and a
+    chain of one ``lfilter`` per section have the same order of operations,
+    so the samples are also theirs.
+    """
+    from scipy.signal import sosfilt
+
+    sos = np.array([[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in c.sections])
+    state = np.zeros((len(sos), 2))
+
+    def run(x: np.ndarray) -> np.ndarray:
+        nonlocal state
+        y, state = sosfilt(sos, x, zi=state)
+        return y
+
+    return run
+
+
+def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
+    """Run a waveform through the section cascade (causal, zero initial
+    state), as one block of ``iir_blocks``. A zero-length waveform is returned
+    as it is (``sosfilt`` cannot reshape it).
     """
     if w.sample_rate != c.sample_rate:
         raise ValueError(
@@ -347,10 +367,7 @@ def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
         )
     if not c.sections or len(w) == 0:
         return w
-    from scipy.signal import sosfilt
-
-    sos = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in c.sections]
-    return Waveform(sosfilt(sos, w.samples), w.sample_rate)
+    return Waveform(iir_blocks(c)(w.samples), w.sample_rate)
 
 
 # ---------------------------------------------------------------------------

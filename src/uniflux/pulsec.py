@@ -8,15 +8,20 @@ records of where each primitive plays, with its scale, and of the frame
 ``SetCarrier`` switches it from that sample on. A ``repeat`` body is
 expanded once and its records tiled; virtual-Z phases add up in program
 order. The compiled program keeps the XY plays (start sample, primitive,
-complex scale amplitude * exp(i(phase_offset + frame_phase))) and one
-timeline, the real Z baseband: flux edges, holds, and idle zeros.
+complex scale amplitude * exp(i(phase_offset + frame_phase))) and the Z
+schedule, its flux edges and holds; it holds records, not samples.
 
-Synthesis plays the XY path as a stored-envelope generator does: each
-primitive is modulated with the phase-continuous carrier
-(x(t) = Re{env * e^{-i theta(t)}}) and FIR-filtered once per carrier, and
-each play adds it times a complex gain. The IIR corrector runs over the Z
-timeline; both paths sum into the single-DAC composite. Amplitudes are
-normalized to DAC full scale; anything past it raises instead of clipping.
+Synthesis plays the schedule as a stored-envelope generator does, one block
+of ``_BLOCK`` samples at a time: each primitive is modulated with the
+phase-continuous carrier (x(t) = Re{env * e^{-i theta(t)}}) and FIR-filtered
+once per carrier, and each play adds it, clipped to the block, times a
+complex gain. The Z edges and holds that reach the block are written from
+their records and run through the IIR corrector, whose state carries to the
+next block; both paths sum into the single-DAC composite. Amplitudes are
+normalized to DAC full scale; anything past it raises instead of clipping,
+once every block is checked. ``dac_codes`` rounds each block into one int16
+buffer, so besides its records a compile holds 2 bytes per output sample;
+``synthesize`` gathers the float composite, 8 bytes per sample.
 
 Z holds may host nested instructions (an XY burst riding on a flux step);
 everything else is strictly sequential.
@@ -35,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProgramParseError, SaturationError, ScheduleError, _is_integer
-from .filters import FirFilter, IirCorrector, apply_iir, round_half_away
-from .waveform import Waveform
+from .filters import FirFilter, IirCorrector, iir_blocks, round_half_away
+from .filters import apply_iir  # noqa: F401  (pulsec.apply_iir: perfbench traces it)
+from .waveform import NOT_FINITE, Waveform
 
 ENVELOPE = "envelope"
 EDGE = "edge"
@@ -202,21 +208,26 @@ class FrameSegment:
 @dataclass(frozen=True)
 class CompiledProgram:
     """XY play i puts ``xy_scales[i] * primitives[xy_primitives[i]]`` at
-    sample ``xy_starts[i]``; plays are in program order and never overlap."""
+    sample ``xy_starts[i]``; plays are in program order and never overlap.
+
+    The Z schedule is two record tables in program order: edges, rows of
+    (start sample, primitive index, level), each putting level * primitive at
+    its start, and holds, rows of (start sample, samples, level). Z records
+    never overlap either; every other sample of the Z path is 0.
+    """
 
     xy_starts: np.ndarray  # int64
     xy_primitives: np.ndarray  # index into ``primitives``
     xy_scales: np.ndarray  # complex: amplitude * rotor
     primitives: tuple  # sample arrays, in store order
-    z_baseband: Waveform
+    z_edges: np.ndarray  # (start, primitive index, level) rows
+    z_holds: np.ndarray  # (start, samples, level) rows
     frame_segments: tuple
-
-    @property
-    def sample_rate(self) -> float:
-        return self.z_baseband.sample_rate
+    sample_rate: float
+    n_samples: int
 
     def __len__(self) -> int:
-        return len(self.z_baseband)
+        return self.n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +249,7 @@ _PLAY, _EDGE, _HOLD, _VZ, _CARRIER = range(5)  # record kinds
 
 
 class _Schedule:
-    """A program compiled to play records; ``finish`` writes the Z timeline.
+    """A program compiled to play records.
 
     A record is (kind, start sample, primitive index or hold samples, value,
     phase offset); the value is an amplitude, a Z level, a virtual-Z phase or
@@ -377,27 +388,11 @@ class _Schedule:
         scales.imag = amplitude * sin + 0.0 * cos
         return scales
 
-    def _scatter(self, out: np.ndarray, records: np.ndarray, scale: np.ndarray):
-        """out[start + k] = scale * samples[k] for each record's primitive."""
-        starts = records[:, 1].astype(np.int64)
-        for index, prim in enumerate(self.program.primitives.values()):
-            mine = records[:, 2] == index
-            count, length = int(mine.sum()), len(prim.samples)
-            at = starts[mine, None] + np.arange(length)
-            out[at.ravel()] = np.repeat(scale[mine], length) * np.tile(prim.samples, count)
-
     def finish(self) -> CompiledProgram:
         records = self._records()
         kind = records[:, 0]
         scales = self._scales(records)
         plays = records[kind == _PLAY]
-        z = np.zeros(self.n)
-        edges, holds = records[kind == _EDGE], records[kind == _HOLD]
-        self._scatter(z, edges, edges[:, 3])
-        counts = holds[:, 2].astype(np.int64)
-        first = np.cumsum(counts) - counts  # each hold's first place in the fill
-        fill = np.arange(counts.sum()) + np.repeat(holds[:, 1].astype(np.int64) - first, counts)
-        z[fill] = np.repeat(holds[:, 3], counts)
 
         segments = [FrameSegment(0, 0.0, 0.0)]
         for _, start, _, frequency, _ in records[kind == _CARRIER].tolist():
@@ -413,18 +408,22 @@ class _Schedule:
             xy_primitives=plays[:, 2].astype(np.int64),
             xy_scales=scales,
             primitives=tuple(np.array(p.samples) for p in self.program.primitives.values()),
-            z_baseband=Waveform(z, self.rate),
+            z_edges=records[kind == _EDGE, 1:4],
+            z_holds=records[kind == _HOLD, 1:4],
             frame_segments=tuple(segments),
+            sample_rate=self.rate,
+            n_samples=self.n,
         )
 
 
 def compile(program: PulseProgram, config: SynthesisConfig) -> CompiledProgram:
-    """Compile a program to its XY play schedule and its Z-baseband timeline.
+    """Compile a program to its XY play schedule and its Z schedule.
 
     The schedule records each play, Z edge, hold, virtual Z and carrier switch
     once per instruction; a ``repeat`` body is expanded once and its records
-    tiled. Phases add up in program order into each play's complex scale; one
-    scatter per primitive and one fill of the holds write the Z timeline.
+    tiled. Phases add up in program order into each play's complex scale. No
+    sample is written: the compiled program holds records only, so its size
+    grows with the unrolled instruction count, not with the output length.
     """
     schedule = _Schedule(program, config.sample_rate)
     schedule.build(program.instructions)
@@ -435,16 +434,20 @@ def compile(program: PulseProgram, config: SynthesisConfig) -> CompiledProgram:
 # synthesis
 # ---------------------------------------------------------------------------
 
+_BLOCK = 65_536  # output samples rendered, filtered, checked and quantized at a time
 
-def _render_xy(compiled: CompiledProgram, fir: FirFilter | None) -> np.ndarray:
-    """The real XY path: the sum over plays of Re(c * FIR(m)), cut at the end.
+
+def _xy_groups(compiled: CompiledProgram, fir: FirFilter | None) -> list:
+    """The XY plays as (starts, gain real, gain imag, m real, m imag, length)
+    groups, one per (primitive, carrier), in that key order.
 
     Within a frame segment the carrier phase is affine in the sample index,
-    so a play at sample s contributes c = scale * e^{-i theta(s)} times
-    m[k] = samples[k] * e^{-i omega k}; m and its FIR are computed once per
-    (primitive, carrier). FIR tails of neighbouring plays add up.
+    so a play at sample s contributes Re(c * m[k]) at s + k, with gain
+    c = scale * e^{-i theta(s)} and m[k] = FIR(samples[k] * e^{-i omega k});
+    m is computed once per group. A play whose carrier phase is not finite at
+    its first or last sample raises ``ScheduleError``.
     """
-    n, rate, starts = len(compiled), compiled.sample_rate, compiled.xy_starts
+    rate, starts = compiled.sample_rate, compiled.xy_starts
     segments = np.array([(s.start_index, s.carrier_ghz, s.carrier_phase_rad)
                          for s in compiled.frame_segments])
     seg_start, freq, phase0 = segments[np.searchsorted(segments[:, 0], starts, side="right") - 1].T
@@ -458,52 +461,173 @@ def _render_xy(compiled: CompiledProgram, fir: FirFilter | None) -> np.ndarray:
         )
     gain = compiled.xy_scales * np.exp(-1j * theta[0])
     taps = np.ones(1) if fir is None else fir.taps_float
-    out = np.zeros(n + max(map(len, compiled.primitives), default=0) + len(taps) - 1)
     carriers, carrier = np.unique(freq, return_inverse=True)
     keys, group = np.unique(compiled.xy_primitives * len(carriers) + carrier, return_inverse=True)
+    groups = []
     for g, key in enumerate(keys.tolist()):
         samples, f = compiled.primitives[key // len(carriers)], carriers[key % len(carriers)]
         omega_k = 2.0 * math.pi * f * np.arange(len(samples)) / rate
         m = np.convolve(samples * np.exp(-1j * omega_k), taps)
-        at, c = starts[group == g], gain[group == g]
-        # one k at a time the plays' samples are distinct, so += adds each once
-        for k, (re, im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
-            out[at + k] += c.real * re - c.imag * im
-    return out[:n]
+        c = gain[group == g]
+        groups.append((starts[group == g], c.real.copy(), c.imag.copy(), m.real, m.imag,
+                       len(samples)))
+    return groups
 
 
-def _check_full_scale(samples: np.ndarray) -> None:
-    """Raise ``SaturationError`` at the first sample past ``FULL_SCALE``."""
-    if len(samples) and max(samples.max(), -samples.min()) > FULL_SCALE:
-        index = int(np.argmax(np.abs(samples)))
-        peak = float(abs(samples[index]))
-        raise SaturationError(f"peak {peak!r} at sample {index} exceeds full scale",
-                              peak=peak, index=index)
+class _Player:
+    """Renders a compiled program's composite one block of samples at a time.
+
+    The XY path adds each play's Re(c * m[k]) clipped to the block; the Z
+    path writes the holds and edges that reach the block and runs them through
+    the IIR corrector, whose state carries from block to block. Every sample
+    gets its additions in the order a whole-array render gives them: the
+    groups in key order, each group's terms by increasing k, the XY sum first
+    and the Z path last.
+    """
+
+    def __init__(self, compiled: CompiledProgram, config: SynthesisConfig):
+        if config.sample_rate != compiled.sample_rate:
+            raise ValueError("config sample rate does not match the compiled program")
+        self.groups = _xy_groups(compiled, config.xy_fir)
+        self.pad = max((len(g[3]) for g in self.groups), default=1) - 1
+        edges, holds = compiled.z_edges, compiled.z_holds
+        self.edges = [
+            (edges[mine, 0].astype(np.int64), edges[mine, 2], compiled.primitives[int(index)])
+            for index in np.unique(edges[:, 1])
+            for mine in [edges[:, 1] == index]
+        ]
+        self.hold_starts = holds[:, 0].astype(np.int64)
+        self.hold_ends = self.hold_starts + holds[:, 1].astype(np.int64)
+        self.hold_levels = holds[:, 2]
+        iir = config.z_iir
+        self.iir = iir_blocks(iir) if iir is not None and iir.sections else None
+
+    def _xy(self, start: int, stop: int) -> np.ndarray:
+        """The XY sum over [start, stop), with ``pad`` samples on each side.
+
+        A play's m spans its samples and its FIR tail. Two plays of one group
+        lie at least the primitive's length apart, so the terms of a run of
+        that many k reach each sample at most once: one fancy ``+=`` adds a
+        run, and the runs go by increasing k.
+        """
+        out = np.zeros(stop - start + 2 * self.pad)
+        for at, c_re, c_im, m_re, m_im, length in self.groups:
+            first, end = np.searchsorted(at, (start - len(m_re) + 1, stop))
+            if first == end:
+                continue
+            at = at[first:end, None] + (self.pad - start)
+            c_re, c_im, k = c_re[first:end, None], c_im[first:end, None], np.arange(len(m_re))
+            for run in (slice(k0, k0 + length) for k0 in range(0, len(m_re), length)):
+                out[at + k[run]] += c_re * m_re[run] - c_im * m_im[run]
+        return out[self.pad : self.pad + stop - start]
+
+    def _z(self, start: int, stop: int) -> np.ndarray:
+        """The Z path over [start, stop): holds and gaps, the edges, the IIR."""
+        first = np.searchsorted(self.hold_ends, start, side="right")
+        end = np.searchsorted(self.hold_starts, stop)
+        bounds = np.empty(2 * (end - first) + 2, np.int64)
+        bounds[0], bounds[-1] = 0, stop - start
+        bounds[1:-1:2] = np.maximum(self.hold_starts[first:end], start) - start
+        bounds[2:-1:2] = np.minimum(self.hold_ends[first:end], stop) - start
+        levels = np.zeros(len(bounds) - 1)
+        levels[1::2] = self.hold_levels[first:end]
+        z = np.repeat(levels, np.diff(bounds))
+        for starts, level, samples in self.edges:
+            first, end = np.searchsorted(starts, (start - len(samples) + 1, stop))
+            at = starts[first:end, None] + np.arange(len(samples)) - start
+            inside = (at >= 0) & (at < stop - start)
+            z[at[inside]] = (level[first:end, None] * samples)[inside]
+        return z if self.iir is None else self.iir(z)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        composite = self._xy(start, stop)
+        composite += self._z(start, stop)
+        return composite
+
+
+class _FullScale:
+    """The full-scale check of a composite seen block by block.
+
+    It keeps the largest |sample| and its first index: a composite is refused
+    at its peak, not at the first sample past ``FULL_SCALE``. A NaN sample
+    takes precedence: the composite is then refused as not finite.
+    """
+
+    def __init__(self):
+        self.peak, self.index, self.nan = 0.0, 0, False
+
+    def see(self, start: int, samples: np.ndarray) -> bool:
+        """Take in the samples from index ``start`` on; True while every
+        sample seen is a number within full scale."""
+        if len(samples):
+            magnitude = np.abs(samples)
+            i = int(np.argmax(magnitude))  # the first NaN, if there is one
+            if np.isnan(magnitude[i]):
+                self.nan = True
+            elif magnitude[i] > self.peak:
+                self.peak, self.index = float(magnitude[i]), start + i
+        return not self.nan and self.peak <= FULL_SCALE
+
+    def check(self) -> None:
+        """Raise ``ValueError`` for a NaN, else ``SaturationError`` for a peak
+        past ``FULL_SCALE``."""
+        if self.nan:
+            raise ValueError(NOT_FINITE)
+        if self.peak > FULL_SCALE:
+            raise SaturationError(f"peak {self.peak!r} at sample {self.index} exceeds full scale",
+                                  peak=self.peak, index=self.index)
+
+
+def _blocks(compiled: CompiledProgram, config: SynthesisConfig):
+    """Yield (start, composite samples) of each block of ``_BLOCK`` samples
+    while the composite passes its full-scale check; after the last block,
+    raise if it did not."""
+    player, scan = _Player(compiled, config), _FullScale()
+    for start in range(0, len(compiled), _BLOCK):
+        samples = player.block(start, min(start + _BLOCK, len(compiled)))
+        if scan.see(start, samples):
+            yield start, samples
+    scan.check()
 
 
 def synthesize(compiled: CompiledProgram, config: SynthesisConfig) -> Waveform:
     """Play, condition, and sum the two paths into the composite output.
 
-    The XY path is played from the schedule (``_render_xy``); a sample no play
-    reaches is zero, and a play whose carrier phase is not finite raises
-    ``ScheduleError``. The IIR corrector runs over the Z baseband. The sum
-    must stay within DAC full scale.
+    The composite is rendered in blocks of ``_BLOCK`` samples, as
+    ``dac_codes`` renders it, and gathered into one float array. A sample no
+    play reaches is zero, and a play whose carrier phase is not finite raises
+    ``ScheduleError``. The IIR corrector runs over the Z path. The composite
+    must be finite and stay within DAC full scale.
     """
-    if config.sample_rate != compiled.sample_rate:
-        raise ValueError("config sample rate does not match the compiled program")
-    z = compiled.z_baseband
-    if config.z_iir is not None:
-        z = apply_iir(z, config.z_iir)
-    composite = _render_xy(compiled, config.xy_fir)
-    composite += z.samples
-    _check_full_scale(composite)
-    return Waveform(composite, config.sample_rate)
+    out = np.empty(len(compiled))
+    for start, samples in _blocks(compiled, config):
+        out[start : start + len(samples)] = samples
+    return Waveform(out, config.sample_rate)
+
+
+def _quantize(samples: np.ndarray, dac_bits: int) -> np.ndarray:
+    return round_half_away(samples * float(2 ** (dac_bits - 1) - 1), np.int16)
 
 
 def dac_quantize(w: Waveform, config: SynthesisConfig) -> np.ndarray:
     """Integer DAC codes: round-half-away-from-zero of w * (2^(bits-1) - 1)."""
-    _check_full_scale(w.samples)
-    return round_half_away(w.samples * float(2 ** (config.dac_bits - 1) - 1), np.int32)
+    scan = _FullScale()
+    scan.see(0, w.samples)
+    scan.check()
+    return _quantize(w.samples, config.dac_bits)
+
+
+def dac_codes(compiled: CompiledProgram, config: SynthesisConfig) -> np.ndarray:
+    """The program's int16 DAC codes, ``dac_quantize(synthesize(...))``,
+    rendered, filtered, checked and rounded one block at a time.
+
+    Only the codes, 2 bytes per output sample, and fixed block buffers are
+    held; a refusal comes after the last block is checked.
+    """
+    codes = np.empty(len(compiled), np.int16)
+    for start, samples in _blocks(compiled, config):
+        codes[start : start + len(samples)] = _quantize(samples, config.dac_bits)
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +644,7 @@ def memory_report(compiled: CompiledProgram) -> dict:
     nothing is stored (the empty program).
     """
     stored = sum(len(p) / compiled.sample_rate for p in compiled.primitives)
-    sequence = compiled.z_baseband.duration_ns
+    sequence = len(compiled) / compiled.sample_rate
     ratio = sequence / stored if stored > 0 else None
     return {"stored_ns": stored, "sequence_ns": sequence, "ratio": ratio}
 
@@ -742,9 +866,10 @@ def parse_program(text: str, sample_rate: float, base_dir=None) -> PulseProgram:
 # ---------------------------------------------------------------------------
 
 
-def dac_payload(codes) -> tuple[bytes, str, int]:
-    """The little-endian int16 bytes of ``codes``, their sha256 and the code count."""
-    payload = np.asarray(codes).astype("<i2").tobytes()
+def dac_payload(codes) -> tuple[np.ndarray, str, int]:
+    """The little-endian int16 payload of ``codes`` (``codes`` itself when
+    it already is one), its sha256 and the code count."""
+    payload = np.ascontiguousarray(np.asarray(codes).astype("<i2", copy=False))
     return payload, hashlib.sha256(payload).hexdigest(), len(codes)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+NOT_FINITE = "samples must be finite"
+
 
 @dataclass(frozen=True)
 class Waveform:
@@ -40,7 +42,7 @@ class Waveform:
             )
         arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=True)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
+            raise ValueError(NOT_FINITE)
         if np.iscomplexobj(arr):
             raise ValueError("samples must be real")
         arr.setflags(write=False)

@@ -87,6 +87,14 @@ def _inputs() -> dict[str, str]:
                                  "repeat 600 {\n  xy gate amp=0.5\n  delay 100.0\n}\n"
                                  "z rise=edge hold=0.7,20.0 fall=edge {\n  xy gate amp=0.45\n}\n"
                                  "delay 50.0\n"),
+        # saturates at once through a FIR of gain 4.8, then an IIR whose output
+        # overflows turns a later block into NaN
+        "nan-late.pulse": _GATE9 + "xy gate amp=1.0\ndelay 70000.0\nz rise=edge hold=0.5,10.0 fall=edge\n",
+        "carrier-overflow.pulse": _GATE9 + "carrier 1e308\ndelay 2.0\nxy gate\n",
+        "loud-fir.json": json.dumps({"kind": "fir", "taps_float": [0.3] * 16, "taps_int16": None,
+                                     "sample_rate_gsps": 1.0}),
+        "overflowing-iir.json": json.dumps({"kind": "iir", "sample_rate_gsps": 1.0, "parameters": {
+            "sections": [[1e308, 1e308, 0.5]] * 2, "source_exponentials": []}}),
         "fir.json": json.dumps({"kind": "fir", "taps_float": taps.tolist(), "taps_int16": None,
                                 "sample_rate_gsps": 1.0}),
         "iir.json": json.dumps({"kind": "iir", "sample_rate_gsps": 1.0, "parameters": {
@@ -174,6 +182,11 @@ COMMANDS = [
                                "--report-memory")),
     ("compile-saturates-past-the-first-block", ("compile", "saturates-late.pulse", "--rate", "1",
                                                 "-o", "late.bin")),
+    ("compile-nan-after-saturation", ("compile", "nan-late.pulse", "--rate", "1", "--fir",
+                                      "loud-fir.json", "--iir", "overflowing-iir.json", "-o",
+                                      "nan.bin")),
+    ("compile-carrier-phase-overflows", ("compile", "carrier-overflow.pulse", "--rate", "1",
+                                         "-o", "carrier.bin")),
     ("compile-brace-not-ending-line", ("compile", "brace.pulse", "--rate", "1")),
     ("compile-non-finite-program", ("compile", "nan.pulse", "--rate", "1")),
     ("compile-missing-program", ("compile", "absent.pulse", "--rate", "1")),

@@ -66,6 +66,7 @@ from uniflux.errors import (
     ScheduleError,
     _is_integer,
 )
+from uniflux.filters import apply_iir, round_half_away
 from uniflux.fluxonium import TAIL_DIVISOR, ResetFlux, _f01, _flux_free_terms, eigensystem
 from uniflux.pulsec import (
     EDGE,
@@ -995,12 +996,92 @@ def xy_timeline(compiled: CompiledProgram) -> np.ndarray:
     return out
 
 
+def z_timeline(compiled: CompiledProgram) -> Waveform:
+    """The Z path of a Z schedule as one sample timeline (the form
+    ``pulsec.compile`` returned before it kept the schedule): one scatter per
+    edge primitive, out[start + k] = level * samples[k], then one fill of the
+    holds."""
+    z = np.zeros(len(compiled))
+    edges, holds = compiled.z_edges, compiled.z_holds
+    starts = edges[:, 0].astype(np.int64)
+    for index, samples in enumerate(compiled.primitives):
+        mine = edges[:, 1] == index
+        count, length = int(mine.sum()), len(samples)
+        at = starts[mine, None] + np.arange(length)
+        z[at.ravel()] = np.repeat(edges[mine, 2], length) * np.tile(samples, count)
+    counts = holds[:, 1].astype(np.int64)
+    first = np.cumsum(counts) - counts  # each hold's first place in the fill
+    fill = np.arange(counts.sum()) + np.repeat(holds[:, 0].astype(np.int64) - first, counts)
+    z[fill] = np.repeat(holds[:, 2], counts)
+    return Waveform(z, compiled.sample_rate)
+
+
 def timelines(compiled: CompiledProgram) -> TimelineProgram:
     return TimelineProgram(
         xy_envelope=xy_timeline(compiled),
-        z_baseband=compiled.z_baseband,
+        z_baseband=z_timeline(compiled),
         frame_segments=compiled.frame_segments,
     )
+
+
+def _whole_array_xy(compiled: CompiledProgram, fir) -> np.ndarray:
+    """The XY sum over the whole program: for each (primitive, carrier)
+    group in key order and each k in order, every play of the group adds
+    Re(c * m[k]) at its start + k; the sum is cut at the end."""
+    n, rate, starts = len(compiled), compiled.sample_rate, compiled.xy_starts
+    segments = np.array([(s.start_index, s.carrier_ghz, s.carrier_phase_rad)
+                         for s in compiled.frame_segments])
+    seg_start, freq, phase0 = segments[np.searchsorted(segments[:, 0], starts, side="right") - 1].T
+    last = starts - 1 + np.array([len(p) for p in compiled.primitives])[compiled.xy_primitives]
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = phase0 + 2.0 * math.pi * freq * (np.stack([starts, last]) - seg_start) / rate
+    finite = np.isfinite(theta).all(axis=0)
+    if not finite.all():
+        raise ScheduleError(
+            f"xy play {int(np.argmin(finite))} in program order: carrier phase is not finite"
+        )
+    gain = compiled.xy_scales * np.exp(-1j * theta[0])
+    taps = np.ones(1) if fir is None else fir.taps_float
+    out = np.zeros(n + max(map(len, compiled.primitives), default=0) + len(taps) - 1)
+    carriers, carrier = np.unique(freq, return_inverse=True)
+    keys, group = np.unique(compiled.xy_primitives * len(carriers) + carrier, return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        samples, f = compiled.primitives[key // len(carriers)], carriers[key % len(carriers)]
+        omega_k = 2.0 * math.pi * f * np.arange(len(samples)) / rate
+        m = np.convolve(samples * np.exp(-1j * omega_k), taps)
+        at, c = starts[group == g], gain[group == g]
+        for k, (re, im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
+            out[at + k] += c.real * re - c.imag * im
+    return out[:n]
+
+
+def whole_array_synthesize(compiled: CompiledProgram, config) -> Waveform:
+    """The composite computed over whole arrays (the arithmetic
+    ``pulsec.synthesize`` ran before it rendered blocks): the Z timeline
+    through ``apply_iir`` in one pass, plus the whole XY sum, checked at its
+    largest |sample|. The block renderer must match it byte for byte and
+    raise what it raises."""
+    if config.sample_rate != compiled.sample_rate:
+        raise ValueError("config sample rate does not match the compiled program")
+    z = z_timeline(compiled)
+    if config.z_iir is not None:
+        z = apply_iir(z, config.z_iir)
+    composite = _whole_array_xy(compiled, config.xy_fir)
+    composite += z.samples
+    if len(composite) and max(composite.max(), -composite.min()) > pulsec.FULL_SCALE:
+        index = int(np.argmax(np.abs(composite)))
+        peak = float(abs(composite[index]))
+        raise SaturationError(f"peak {peak!r} at sample {index} exceeds full scale",
+                              peak=peak, index=index)
+    return Waveform(composite, config.sample_rate)
+
+
+def whole_array_payload(compiled: CompiledProgram, config) -> bytes:
+    """The little-endian int16 DAC payload of ``whole_array_synthesize``:
+    int32 codes rounded half away from zero, then cast."""
+    w = whole_array_synthesize(compiled, config)
+    codes = round_half_away(w.samples * float(2 ** (config.dac_bits - 1) - 1), np.int32)
+    return codes.astype("<i2").tobytes()
 
 
 def carrier_phase(compiled) -> np.ndarray:

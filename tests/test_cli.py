@@ -508,6 +508,43 @@ def test_compile_missing_filter_design_exits_3(tmp_path, capsys):
         assert "absent.json" in err
 
 
+# The traced peak of a compile may grow by at most this many bytes per added
+# output sample: the 2 bytes of its DAC code, plus the compiled schedule's
+# records. A compile that holds float timelines of the whole program grows
+# by about 37.
+COMPILE_BYTES_PER_SAMPLE = 10.0
+
+
+def test_compile_memory_grows_by_the_codes_and_the_records_only(tmp_path, capsys):
+    import tracemalloc
+
+    fir, iir = str(tmp_path / "fir.json"), str(tmp_path / "iir.json")
+    assert run_cli(capsys, "design", "fir", "--rate", "2", "--fc", "0.1", "--fq", "0.22",
+                   "--taps", "16", "-o", fir)[0] == 0
+    assert run_cli(capsys, "design", "iir", "--rate", "2", "--exp", "-0.02:30",
+                   "--exp", "-0.015:200", "-o", iir)[0] == 0
+    env = " ".join(repr(0.5 - 0.5 * math.cos(2 * math.pi * k / 32)) for k in range(32))
+    edge = " ".join(repr(0.5 - 0.5 * math.cos(math.pi * k / 7)) for k in range(8))
+    peaks = {}
+    for count in (1000, 4000, 1000):  # the first run loads what a compile imports
+        program = tmp_path / f"p{count}.pulse"
+        program.write_text(
+            f"prim g envelope {env}\nprim e edge {edge}\ncarrier 0.22\nrepeat {count} {{\n"
+            "  xy g amp=0.04 phase=0.3\n  vz 0.7\n  delay 7.0\n"
+            "  z rise=e hold=0.2,45.0 fall=e {\n    delay 3.0\n    xy g amp=0.05\n  }\n"
+            "  xy g amp=0.03\n}\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "compile", str(program), "--rate", "2",
+                                     "--fir", fir, "--iir", iir, "-o", str(tmp_path / "w.bin"))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err, out.splitlines()[1]) == (0, "", f"samples {184 * count}")
+    growth = (peaks[4000] - peaks[1000]) / (184 * 3000)
+    assert growth <= COMPILE_BYTES_PER_SAMPLE, f"{growth:.1f} bytes per sample"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -166,6 +166,24 @@ def test_fir_compile_loads_no_scipy(tmp_path):
     )
 
 
+def test_multi_block_fir_compile_loads_no_scipy(tmp_path):
+    # the FIR plays without scipy in every block, not only in the first
+    from uniflux import pulsec
+
+    fir = tmp_path / "fir.json"
+    design = ("design", "fir", "--rate", "2", "--fc", "0.1", "--fq", "0.22", "--taps", "16")
+    assert cli.main([*design, "-o", str(fir)]) == 0
+    program = tmp_path / "long.pulse"
+    program.write_text("prim g envelope 0.0 0.5 1.0 0.5 0.0\ncarrier 0.22\n"
+                       "repeat 30000 {\n  xy g amp=0.05\n  delay 2.0\n}\n")
+    report, stdout = _run_fresh_command(
+        "compile", str(program), "--rate", "2", "--fir", str(fir), "-o", str(tmp_path / "w.bin")
+    )
+    assert report == {"code": 0, "scipy": [], "uniflux": _package("filters", "pulsec")}
+    assert stdout.splitlines()[1] == "samples 270000"
+    assert 270000 > 4 * pulsec._BLOCK
+
+
 def test_default_rb_loads_no_scipy():
     report, stdout = _run_fresh_command("simulate", "rb")
     assert report == {"code": 0, "scipy": [],

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from oracles import (
     serialize_program,
     timeline_synthesize,
     unrolled_compile,
+    whole_array_payload,
+    whole_array_synthesize,
     xy_timeline,
+    z_timeline,
 )
 from uniflux import dynamics, filters, pulsec
 from uniflux.errors import ProgramParseError, SaturationError, ScheduleError
@@ -161,7 +165,7 @@ def test_z_hold_hosts_xy_body():
     )
     compiled = pulsec.compile(program, CONFIG)
     assert len(compiled) == 4 + 40 + 4
-    z = compiled.z_baseband.samples
+    z = z_timeline(compiled).samples
     np.testing.assert_allclose(z[4:44], 0.3)
     np.testing.assert_allclose(z[:4], 0.3 * np.asarray(EDGE4.samples))
     np.testing.assert_allclose(z[44:], 0.3 * np.asarray(FALL4.samples))
@@ -193,7 +197,7 @@ def test_repeat_matches_manual_expansion():
     rep = pulsec.compile(_program((Repeat(3, body),)), CONFIG)
     manual = pulsec.compile(_program(body * 3), CONFIG)
     assert xy_timeline(rep).tobytes() == xy_timeline(manual).tobytes()
-    assert np.array_equal(rep.z_baseband.samples, manual.z_baseband.samples)
+    assert np.array_equal(z_timeline(rep).samples, z_timeline(manual).samples)
     assert rep.frame_segments == manual.frame_segments
 
 
@@ -318,7 +322,7 @@ def test_iir_applied_to_z_path():
     out = pulsec.synthesize(compiled, config)
     theta = carrier_phase(compiled)
     xy = np.real(xy_timeline(compiled) * np.exp(-1j * theta))
-    z = filters.apply_iir(compiled.z_baseband, corrector)
+    z = filters.apply_iir(z_timeline(compiled), corrector)
     np.testing.assert_allclose(out.samples, xy + z.samples, atol=1e-12)
 
 
@@ -456,7 +460,7 @@ def test_memory_report_matches_compiled_duration():
     for program, config in cases:
         compiled = pulsec.compile(program, config)
         report = pulsec.memory_report(compiled)
-        assert report["sequence_ns"] == compiled.z_baseband.duration_ns
+        assert report["sequence_ns"] == pulsec.synthesize(compiled, config).duration_ns
         assert report["sequence_ns"] == len(compiled) / config.sample_rate
 
 
@@ -624,7 +628,7 @@ def _assert_compiles_like_oracle(program, config=CONFIG):
         return
     got = pulsec.compile(program, config)
     assert xy_timeline(got).tobytes() == want.xy_envelope.tobytes()
-    assert got.z_baseband.samples.tobytes() == want.z_baseband.samples.tobytes()
+    assert z_timeline(got).samples.tobytes() == want.z_baseband.samples.tobytes()
     # repr tells -0.0 from 0.0 and compares NaN carrier phases
     assert repr(got.frame_segments) == repr(want.frame_segments)
 
@@ -899,10 +903,109 @@ def test_long_programs_synthesize_like_the_sample_oracle(seed, filters_used):
 
 def test_iir_on_a_long_z_baseband_matches_the_sectionwise_oracle():
     config = _long_config(0, "fir+iir")
-    z = pulsec.compile(_long_program(0), config).z_baseband
+    z = z_timeline(pulsec.compile(_long_program(0), config))
     assert len(z) >= 390_000 and len(config.z_iir.sections) == 3
     assert np.array_equal(filters.apply_iir(z, config.z_iir).samples,
                           sectionwise_iir(z, config.z_iir))
+
+
+# blocks against the whole-array oracle: the same bytes and the same errors
+
+
+def _assert_blocks_match_whole_arrays(compiled, config):
+    """``synthesize`` and ``dac_codes`` give the whole-array oracle's bytes,
+    or raise what it raises; returns the oracle's exception, if any."""
+    try:
+        want = whole_array_synthesize(compiled, config)
+    except Exception as exc:
+        for render in (pulsec.synthesize, pulsec.dac_codes):
+            with pytest.raises(type(exc)) as info:
+                render(compiled, config)
+            assert str(info.value) == str(exc)
+            assert vars(info.value) == vars(exc)  # a saturation's peak and index
+        return exc
+    assert pulsec.synthesize(compiled, config).samples.tobytes() == want.samples.tobytes()
+    payload, _, _ = pulsec.dac_payload(pulsec.dac_codes(compiled, config))
+    assert payload.tobytes() == whole_array_payload(compiled, config)
+    return None
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=100, deadline=None)
+@given(_programs(), st.sampled_from(_CONFIGS))
+@example(_SIGNED_ZERO, CONFIG)
+def test_blocks_match_the_whole_array_oracle_property(block, program, config):
+    # plays, FIR tails, Z edges, holds and the IIR state cross block boundaries
+    try:
+        compiled = pulsec.compile(program, config)
+    except (ValueError, ScheduleError):
+        return
+    with mock.patch.object(pulsec, "_BLOCK", block):
+        _assert_blocks_match_whole_arrays(compiled, config)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocks_match_the_whole_array_oracle_across_every_boundary(block):
+    # a FIR tail longer than the play, a hold longer than a block and an edge
+    # across each boundary, through FIR and IIR
+    program = _program(
+        (PlayXY("cos20", 0.1, 0.3), VirtualZ(0.4), PlayXY("flat8", -0.08),
+         PlayZ("edge4", 0.3, 150.0, "fall4", body=(Delay(7.0), PlayXY("cos20", 0.05))),
+         Repeat(9, (PlayXY("flat8", 0.06), Delay(1.0), PlayZ("edge4", -0.2, 3.0, "fall4")))),
+        carrier=0.208,
+    )
+    compiled = pulsec.compile(program, _CONFIGS[2])
+    assert len(compiled) > 3 * 64
+    with mock.patch.object(pulsec, "_BLOCK", block):
+        assert _assert_blocks_match_whole_arrays(compiled, _CONFIGS[2]) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compile_fit_shaped_programs_match_the_whole_array_oracle(seed):
+    config = _long_config(seed, "fir+iir")
+    compiled = pulsec.compile(_long_program(seed), config)
+    assert len(compiled) > 5 * pulsec._BLOCK
+    assert _assert_blocks_match_whole_arrays(compiled, config) is None
+
+
+def test_saturation_names_the_largest_peak_not_the_first_exceedance():
+    # 0.6 + 0.45 passes full scale in the first block; 0.7 + 0.45 is larger,
+    # a whole block later
+    burst = lambda level: PlayZ("edge4", level, 20.0, "fall4",  # noqa: E731
+                                body=(PlayXY("flat8", 0.9),))
+    program = _program((burst(0.6), Delay(float(pulsec._BLOCK)), burst(0.7), Delay(4.0)))
+    compiled = pulsec.compile(program, CONFIG)
+    with pytest.raises(SaturationError):
+        timeline_synthesize(compiled, CONFIG)
+    composite = z_timeline(compiled).samples + np.real(xy_timeline(compiled))
+    first = int(np.argmax(np.abs(composite) > pulsec.FULL_SCALE))
+    assert first == 4 < pulsec._BLOCK
+    exc = _assert_blocks_match_whole_arrays(compiled, CONFIG)
+    assert type(exc) is SaturationError
+    assert (exc.peak, exc.index) == (0.45 + 0.7, 28 + pulsec._BLOCK + 4)
+    assert str(exc) == f"peak {0.45 + 0.7!r} at sample {28 + pulsec._BLOCK + 4} exceeds full scale"
+    # eight equal peaks from sample 4 on, over three blocks: the first is named
+    with mock.patch.object(pulsec, "_BLOCK", 3):
+        exc = _assert_blocks_match_whole_arrays(pulsec.compile(_program((burst(0.7),)), CONFIG),
+                                                CONFIG)
+    assert (exc.peak, exc.index) == (0.45 + 0.7, 4)
+
+
+def test_a_nan_sample_is_refused_before_an_earlier_saturation():
+    # the XY play passes full scale through a FIR of gain 4.8; two IIR
+    # sections overflow on the Z hold, a block later, to inf and then NaN
+    loud = filters.FirFilter(taps_float=np.full(16, 0.3), sample_rate=RATE)
+    overflowing = filters.IirCorrector(
+        sections=(filters.IirSection(1e308, 1e308, 0.5),) * 2, sample_rate=RATE,
+        source_exponentials=())
+    config = SynthesisConfig(RATE, xy_fir=loud, z_iir=overflowing)
+    program = _program((PlayXY("cos20"), Delay(100.0), PlayZ("edge4", 0.5, 10.0, "fall4")))
+    compiled = pulsec.compile(program, config)
+    with pytest.raises(SaturationError):
+        pulsec.synthesize(compiled, SynthesisConfig(RATE, xy_fir=loud))
+    with mock.patch.object(pulsec, "_BLOCK", 64):
+        exc = _assert_blocks_match_whole_arrays(compiled, config)
+    assert (type(exc), str(exc)) == (ValueError, "samples must be finite")
 
 
 # property: every numeric field of every instruction rejects NaN and +-inf
