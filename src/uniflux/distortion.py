@@ -105,9 +105,10 @@ def fit_multi_exponential(
     ``probe_window`` must be the window the records were measured with —
     omitting the window model biases fast-tau amplitudes by O(w/tau).
     ``degenerate_taus`` is set, with a warning, when neighbouring taus are
-    nearly equal or when a term has collapsed to a tau beyond
-    ``UNRESOLVED_TAU_SPAN`` times the longest delay; the fitted numbers are
-    returned either way.
+    nearly equal or when a term has collapsed out of the probed span: to a
+    tau beyond ``UNRESOLVED_TAU_SPAN`` times the longest delay, or below the
+    shortest delay, where the data hold only the term's tail. The fitted
+    numbers are returned either way.
     """
     if not 1 <= n_terms <= 4:
         raise ValueError("n_terms must be between 1 and 4")
@@ -164,14 +165,15 @@ def fit_multi_exponential(
             f"{DEGENERATE_TAU_RATIO}); amplitudes are poorly determined",
             stacklevel=2,
         )
-    longest = float(np.max(delays))
-    unresolved = taus_sorted[-1] > UNRESOLVED_TAU_SPAN * longest
-    if unresolved:
-        warnings.warn(
-            f"fitted settling time {taus_sorted[-1]:.3g} ns exceeds {UNRESOLVED_TAU_SPAN:g}x "
-            f"the longest probe delay ({longest:.3g} ns); the term is unresolved",
-            stacklevel=2,
-        )
+    shortest, longest = float(np.min(delays)), float(np.max(delays))
+    unresolved = [
+        *(f"{tau:.3g} ns exceeds {UNRESOLVED_TAU_SPAN:g}x the longest probe delay "
+          f"({longest:.3g} ns)" for tau in taus_sorted[-1:] if tau > UNRESOLVED_TAU_SPAN * longest),
+        *(f"{tau:.3g} ns is below the shortest probe delay ({shortest:.3g} ns)"
+          for tau in taus_sorted[:1] if tau < shortest),
+    ]
+    for what in unresolved:
+        warnings.warn(f"fitted settling time {what}; the term is unresolved", stacklevel=2)
     return TailFitResult(
         model=model,
         amplitude_sigmas=tuple(amp_sig[order]),

@@ -131,6 +131,20 @@ def test_fit_flags_a_collapsed_term():
     assert fit.model.terms[0] == pytest.approx((-0.02, 80.0), rel=1e-2)
 
 
+def test_fit_flags_a_term_faster_than_the_first_delay():
+    # the first probe comes 2 ns after the edge: the 0.8 ns term is seen only
+    # by its tail, so its amplitude and tau are extrapolated
+    truth = ExponentialTailModel(terms=((-0.02, 0.8), (-0.02, 80.0)))
+    with pytest.warns(UserWarning) as caught:
+        fit = distortion.fit_multi_exponential(_synthetic_records(truth), 2)
+    tau = fit.model.terms[0][1]
+    assert [str(w.message) for w in caught] == [
+        f"fitted settling time {tau:.3g} ns is below the shortest probe delay (2 ns); "
+        "the term is unresolved"]
+    assert fit.degenerate_taus
+    assert tau == pytest.approx(0.8, rel=1e-9)
+
+
 def test_fit_round_trip_records():
     records = _synthetic_records(SETTLING_MODEL)
     fit = distortion.fit_multi_exponential(records, 3)
