@@ -340,14 +340,14 @@ def iir_blocks(c: IirCorrector):
     carries from one call to the next, so the blocks come out as one pass
     over their concatenation would give them, bit for bit. ``sosfilt`` and a
     chain of one ``lfilter`` per section have the same order of operations,
-    so the samples are also theirs.
+    so the samples are also theirs. SciPy is imported at the first block.
     """
-    from scipy.signal import sosfilt
-
     sos = np.array([[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in c.sections])
     state = np.zeros((len(sos), 2))
 
     def run(x: np.ndarray) -> np.ndarray:
+        from scipy.signal import sosfilt
+
         nonlocal state
         y, state = sosfilt(sos, x, zi=state)
         return y

@@ -492,15 +492,16 @@ class _Player:
         self.pad = max((len(g[3]) for g in self.groups), default=1) - 1
         edges, holds = compiled.z_edges, compiled.z_holds
         self.edges = [
-            (edges[mine, 0].astype(np.int64), edges[mine, 2], compiled.primitives[int(index)])
-            for index in np.unique(edges[:, 1])
-            for mine in [edges[:, 1] == index]
+            (edges[mine, 0].astype(np.int64), edges[mine, 2], samples)
+            for index, samples in enumerate(compiled.primitives)
+            for mine in [edges[:, 1] == index] if mine.any()
         ]
         self.hold_starts = holds[:, 0].astype(np.int64)
         self.hold_ends = self.hold_starts + holds[:, 1].astype(np.int64)
         self.hold_levels = holds[:, 2]
         iir = config.z_iir
         self.iir = iir_blocks(iir) if iir is not None and iir.sections else None
+        self.n = len(compiled)
 
     def _xy(self, start: int, stop: int) -> np.ndarray:
         """The XY sum over [start, stop), with ``pad`` samples on each side.
@@ -539,55 +540,39 @@ class _Player:
             z[at[inside]] = (level[first:end, None] * samples)[inside]
         return z if self.iir is None else self.iir(z)
 
-    def block(self, start: int, stop: int) -> np.ndarray:
-        composite = self._xy(start, stop)
-        composite += self._z(start, stop)
-        return composite
+    def blocks(self):
+        """Yield (start, composite samples) of each block of ``_BLOCK`` samples."""
+        for start in range(0, self.n, _BLOCK):
+            stop = min(start + _BLOCK, self.n)
+            composite = self._xy(start, stop)
+            composite += self._z(start, stop)
+            yield start, composite
 
 
-class _FullScale:
-    """The full-scale check of a composite seen block by block.
+def _checked(blocks):
+    """Pass on the (start, samples) blocks of a composite while it is within
+    DAC full scale, then refuse it, if it must be, after the last block.
 
-    It keeps the largest |sample| and its first index: a composite is refused
-    at its peak, not at the first sample past ``FULL_SCALE``. A NaN sample
-    takes precedence: the composite is then refused as not finite.
+    The refusal names the largest |sample|, at its first index, not the first
+    sample past ``FULL_SCALE``. A NaN sample takes precedence: the composite
+    is then refused as not finite.
     """
-
-    def __init__(self):
-        self.peak, self.index, self.nan = 0.0, 0, False
-
-    def see(self, start: int, samples: np.ndarray) -> bool:
-        """Take in the samples from index ``start`` on; True while every
-        sample seen is a number within full scale."""
+    peak, index, nan = 0.0, 0, False
+    for start, samples in blocks:
         if len(samples):
             magnitude = np.abs(samples)
             i = int(np.argmax(magnitude))  # the first NaN, if there is one
             if np.isnan(magnitude[i]):
-                self.nan = True
-            elif magnitude[i] > self.peak:
-                self.peak, self.index = float(magnitude[i]), start + i
-        return not self.nan and self.peak <= FULL_SCALE
-
-    def check(self) -> None:
-        """Raise ``ValueError`` for a NaN, else ``SaturationError`` for a peak
-        past ``FULL_SCALE``."""
-        if self.nan:
-            raise ValueError(NOT_FINITE)
-        if self.peak > FULL_SCALE:
-            raise SaturationError(f"peak {self.peak!r} at sample {self.index} exceeds full scale",
-                                  peak=self.peak, index=self.index)
-
-
-def _blocks(compiled: CompiledProgram, config: SynthesisConfig):
-    """Yield (start, composite samples) of each block of ``_BLOCK`` samples
-    while the composite passes its full-scale check; after the last block,
-    raise if it did not."""
-    player, scan = _Player(compiled, config), _FullScale()
-    for start in range(0, len(compiled), _BLOCK):
-        samples = player.block(start, min(start + _BLOCK, len(compiled)))
-        if scan.see(start, samples):
+                nan = True
+            elif magnitude[i] > peak:
+                peak, index = float(magnitude[i]), start + i
+        if not nan and peak <= FULL_SCALE:
             yield start, samples
-    scan.check()
+    if nan:
+        raise ValueError(NOT_FINITE)
+    if peak > FULL_SCALE:
+        raise SaturationError(f"peak {peak!r} at sample {index} exceeds full scale",
+                              peak=peak, index=index)
 
 
 def synthesize(compiled: CompiledProgram, config: SynthesisConfig) -> Waveform:
@@ -600,34 +585,34 @@ def synthesize(compiled: CompiledProgram, config: SynthesisConfig) -> Waveform:
     must be finite and stay within DAC full scale.
     """
     out = np.empty(len(compiled))
-    for start, samples in _blocks(compiled, config):
+    for start, samples in _checked(_Player(compiled, config).blocks()):
         out[start : start + len(samples)] = samples
     return Waveform(out, config.sample_rate)
 
 
-def _quantize(samples: np.ndarray, dac_bits: int) -> np.ndarray:
-    return round_half_away(samples * float(2 ** (dac_bits - 1) - 1), np.int16)
+def _codes(blocks, n: int, dac_bits: int) -> np.ndarray:
+    """Round-half-away-from-zero of samples * (2^(bits-1) - 1), block by
+    block, into one int16 buffer of n codes."""
+    codes = np.empty(n, np.int16)
+    for start, samples in _checked(blocks):
+        codes[start : start + len(samples)] = round_half_away(
+            samples * float(2 ** (dac_bits - 1) - 1), np.int16)
+    return codes
 
 
 def dac_quantize(w: Waveform, config: SynthesisConfig) -> np.ndarray:
     """Integer DAC codes: round-half-away-from-zero of w * (2^(bits-1) - 1)."""
-    scan = _FullScale()
-    scan.see(0, w.samples)
-    scan.check()
-    return _quantize(w.samples, config.dac_bits)
+    return _codes([(0, w.samples)], len(w), config.dac_bits)
 
 
 def dac_codes(compiled: CompiledProgram, config: SynthesisConfig) -> np.ndarray:
-    """The program's int16 DAC codes, ``dac_quantize(synthesize(...))``,
-    rendered, filtered, checked and rounded one block at a time.
+    """The program's DAC codes, ``dac_quantize(synthesize(...))``, rendered,
+    filtered, checked and rounded one block at a time.
 
-    Only the codes, 2 bytes per output sample, and fixed block buffers are
-    held; a refusal comes after the last block is checked.
+    Only the int16 codes, 2 bytes per output sample, and fixed block buffers
+    are held; a refusal comes after the last block is checked.
     """
-    codes = np.empty(len(compiled), np.int16)
-    for start, samples in _blocks(compiled, config):
-        codes[start : start + len(samples)] = _quantize(samples, config.dac_bits)
-    return codes
+    return _codes(_Player(compiled, config).blocks(), len(compiled), config.dac_bits)
 
 
 # ---------------------------------------------------------------------------
