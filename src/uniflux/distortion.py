@@ -166,12 +166,13 @@ def fit_multi_exponential(
             stacklevel=2,
         )
     shortest, longest = float(np.min(delays)), float(np.max(delays))
-    unresolved = [
-        *(f"{tau:.3g} ns exceeds {UNRESOLVED_TAU_SPAN:g}x the longest probe delay "
-          f"({longest:.3g} ns)" for tau in taus_sorted[-1:] if tau > UNRESOLVED_TAU_SPAN * longest),
-        *(f"{tau:.3g} ns is below the shortest probe delay ({shortest:.3g} ns)"
-          for tau in taus_sorted[:1] if tau < shortest),
-    ]
+    unresolved = []
+    if taus_sorted[-1] > UNRESOLVED_TAU_SPAN * longest:
+        unresolved.append(f"{taus_sorted[-1]:.3g} ns exceeds {UNRESOLVED_TAU_SPAN:g}x the "
+                          f"longest probe delay ({longest:.3g} ns)")
+    if taus_sorted[0] < shortest:
+        unresolved.append(f"{taus_sorted[0]:.3g} ns is below the shortest probe delay "
+                          f"({shortest:.3g} ns)")
     for what in unresolved:
         warnings.warn(f"fitted settling time {what}; the term is unresolved", stacklevel=2)
     return TailFitResult(

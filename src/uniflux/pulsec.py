@@ -504,12 +504,14 @@ class _Player:
         self.n = len(compiled)
 
     def _xy(self, start: int, stop: int) -> np.ndarray:
-        """The XY sum over [start, stop), with ``pad`` samples on each side.
+        """The XY sum over [start, stop).
 
-        A play's m spans its samples and its FIR tail. Two plays of one group
-        lie at least the primitive's length apart, so the terms of a run of
-        that many k reach each sample at most once: one fancy ``+=`` adds a
-        run, and the runs go by increasing k.
+        Every play that reaches the block adds its whole m, its samples and
+        its FIR tail, into a buffer with ``pad`` spare samples on each side,
+        so no term is clipped one by one. Two plays of one group lie at least
+        the primitive's length apart, so the terms of a run of that many k
+        reach each sample at most once: one fancy ``+=`` adds a run, and the
+        runs go by increasing k.
         """
         out = np.zeros(stop - start + 2 * self.pad)
         for at, c_re, c_im, m_re, m_im, length in self.groups:
