@@ -8,14 +8,20 @@ degenerate regimes a caller should know about (unidentifiable decay,
 exchange degeneracy, component collapse).
 
 These fits and those in ``distortion`` share one multi-start kernel,
-``_least_squares_fit``, with one covariance rule. A residual handed to it
-without an analytic Jacobian takes a trailing batch axis: an (n, k) stack of
-parameter vectors gives the (k, m) residuals of its k columns, so the kernel
-forms each finite-difference Jacobian from one call.
+``_least_squares_fit``, with one winner rule and one covariance rule. A
+bounded fit runs SciPy's ``trf`` (Branch, Coleman & Li, SIAM J. Sci. Comput.
+21, 1 (1999)), ported from SciPy 1.17.1 operation for operation, with one
+Python generator per start; the starts advance in lockstep and share one
+residual call per round, so every start's result is least_squares' bit for
+bit. Its residual takes a trailing batch axis: an (n, k) stack of parameter
+vectors gives the (k, m) residuals of its k columns. Every SVD is LAPACK's
+dgesdd from SciPy's LAPACK extension, loaded alone, so these fits import
+neither scipy.optimize nor scipy.linalg.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import os
@@ -24,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, _scipy_extension
 
 _RATE_CAP = 1e3  # 1/us; fastest representable decay rate in the fits
-_FD_STEP = math.sqrt(np.finfo(float).eps)  # SciPy's relative 2-point step
+_EPS = np.finfo(float).eps
+_FD_STEP = math.sqrt(_EPS)  # SciPy's relative 2-point step
+_TOL = 1e-8  # least_squares' default ftol, xtol and gtol
 _RESET_BINS = 512  # equal-width histogram bins the reset mixture is fitted on
 
 
@@ -91,63 +99,451 @@ def _validate_decay_input(t, values, min_points):
     return t, values, float(t.max()), tail, max(head - tail, 1e-3)
 
 
-def _forward_difference(residuals, bounds):
-    """SciPy's bounded 2-point Jacobian, from one call of batched ``residuals``.
+def _svd(a):
+    """(U, s, Vt) of a real (m, n) matrix with full_matrices=False: the dgesdd
+    call scipy.linalg.svd makes, with the workspace it queries, so the bits
+    are its. A matrix that is not finite raises svd's ValueError."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = _scipy_extension("linalg", "_flapack")
+    lwork = int(lapack.dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0)[0].real)
+    u, s, vt, info = lapack.dgesdd(a, compute_uv=1, lwork=lwork, full_matrices=0)
+    if info:
+        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info={info})")
+    return u, s, vt
+
+
+def _norm(v):
+    """numpy.linalg.norm(v) of a 1-D v, which is this root of a dot product."""
+    return np.float64(math.sqrt(np.dot(v, v)))
+
+
+def _forward_difference(x, lb, ub):
+    """SciPy's bounded 2-point Jacobian at each row of the (k, n) x:
+    (stack, jacobians). The (n, k (n + 1)) parameter stack holds each row and
+    then its n stepped copies; ``jacobians`` turns their k (n + 1) residual
+    rows into the k Jacobians, each (m, n) and Fortran-ordered, as SciPy's.
 
     The step is sqrt(eps) * sign(x) * max(1, |x|), with sign(0) = +1. A step
     that leaves the box flips if it fits on the other side, and otherwise
-    goes to the farther bound. J = (f_i - f_0) / ((x_i + h_i) - x_i), where
-    x and its n stepped copies are the columns of one (n, n + 1) stack.
+    goes to the farther bound. J = (f_i - f_0) / ((x_i + h_i) - x_i). Every
+    operation is elementwise, so a row's bits do not depend on the others.
     """
-    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
-
-    def jacobian(x):
-        h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-        lower, upper = x - lb, ub - x
-        fits = np.abs(h) <= np.maximum(lower, upper)
-        stepped = x + h
-        h = np.where(((stepped < lb) | (stepped > ub)) & fits, -h, h)
+    h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    lower, upper = x - lb, ub - x
+    fits = np.abs(h) <= np.maximum(lower, upper)
+    stepped = x + h
+    leaves = (stepped < lb) | (stepped > ub)
+    if leaves.any() or not fits.all():
+        h = np.where(leaves & fits, -h, h)
         stepped = x + np.where(fits, h, np.where(upper >= lower, upper, -lower))
-        n = x.size
-        stack = np.repeat(x[:, None], n + 1, axis=1)
-        stack[np.arange(n), np.arange(1, n + 1)] = stepped
-        f = residuals(stack)
-        return ((f[1:] - f[0]) / (stepped - x)[:, None]).T
+    k, n = x.shape
+    stack = np.repeat(x, n + 1, axis=0).reshape(k, n + 1, n)
+    stack[:, np.arange(1, n + 1), np.arange(n)] = stepped
 
-    return jacobian
+    def jacobians(f):
+        f = f.reshape(k, n + 1, f.shape[-1])
+        return ((f[:, 1:] - f[:, :1]) / (stepped - x)[:, :, None]).transpose(0, 2, 1)
+
+    return stack.reshape(k * (n + 1), n).T, jacobians
+
+
+# The helpers below port those of scipy/optimize/_lsq/common.py (SciPy
+# 1.17.1) that trf_bounds runs with tr_solver="exact", a linear loss and
+# x_scale=1, operation for operation; each carries SciPy's name in its
+# docstring. numpy.linalg.norm(v) is written _norm(v), and norm(v, inf) is
+# np.abs(v).max(), which is how numpy computes both.
+
+
+def _strictly_feasible(x, lb, ub, rstep):
+    """make_strictly_feasible: x at least a relative ``rstep`` inside the
+    bounds, or the next double inside them when ``rstep`` is 0; a bound
+    pair too close for that gives its midpoint."""
+    if rstep == 0:  # find_active_constraints(x, lb, ub, rtol=0)
+        if ((lb < x) & (x < ub)).all():
+            return x.copy()  # strictly inside: no constraint is active
+        x_new = x.copy()
+        lower, upper = x <= lb, x >= ub
+        lower &= ~upper
+        x_new[lower] = np.nextafter(lb[lower], ub[lower])
+        x_new[upper] = np.nextafter(ub[upper], lb[upper])
+    else:  # find_active_constraints(x, lb, ub, rtol=rstep)
+        x_new = x.copy()
+        lower_dist, upper_dist = x - lb, ub - x
+        lower = np.isfinite(lb) & (lower_dist <= np.minimum(
+            upper_dist, rstep * np.maximum(1, np.abs(lb))))
+        upper = np.isfinite(ub) & (upper_dist <= np.minimum(
+            lower_dist, rstep * np.maximum(1, np.abs(ub))))
+        lower &= ~upper
+        x_new[lower] = lb[lower] + rstep * np.maximum(1, np.abs(lb[lower]))
+        x_new[upper] = ub[upper] - rstep * np.maximum(1, np.abs(ub[upper]))
+    tight = (x_new < lb) | (x_new > ub)
+    x_new[tight] = 0.5 * (lb[tight] + ub[tight])
+    return x_new
+
+
+def _in_bounds(x, lb, ub):
+    """in_bounds."""
+    return ((x >= lb) & (x <= ub)).all()
+
+
+def _coleman_li_scaling(x, g, lb, ub):
+    """CL_scaling_vector: (v, dv), with v the distance to the bound the
+    gradient points away from (1 where there is none) and dv its
+    derivative."""
+    to_upper = (g < 0) & np.isfinite(ub)
+    to_lower = (g > 0) & np.isfinite(lb)
+    v = np.where(to_lower, x - lb, np.where(to_upper, ub - x, 1.0))
+    return v, to_lower - to_upper.astype(float)
+
+
+def _step_to_bound(x, s, lb, ub):
+    """step_size_to_bound: the least t >= 0 that puts x + t s on a bound,
+    and per parameter -1, 0 or 1 for the lower, no or upper bound hit."""
+    non_zero = np.nonzero(s)
+    s_non_zero = s[non_zero]
+    steps = np.empty_like(x)
+    steps.fill(np.inf)
+    with np.errstate(over="ignore"):
+        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
+                                     (ub - x)[non_zero] / s_non_zero)
+    min_step = np.min(steps)
+    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
+
+
+def _trust_region_crossing(x, s, delta):
+    """intersect_trust_region: the roots t of |x + s t| = delta, smaller
+    first; ValueError when s is zero or x lies outside."""
+    a = np.dot(s, s)
+    if a == 0:
+        raise ValueError("`s` is zero.")
+    b = np.dot(x, s)
+    c = np.dot(x, x) - delta**2
+    if c > 0:
+        raise ValueError("`x` is not within the trust region.")
+    d = np.sqrt(b * b - a * c)
+    q = -(b + math.copysign(d, b))
+    t1, t2 = q / a, c / q
+    return (t1, t2) if t1 < t2 else (t2, t1)
+
+
+def _quadratic_along(j, g, s, diag, s0=None):
+    """build_quadratic_1d: (a, b) or, from s0, (a, b, c) of the quadratic
+    0.5 (s0 + s t)^T (J^T J + diag) (s0 + s t) + g^T (s0 + s t) in t."""
+    v = j.dot(s)
+    a = np.dot(v, v)
+    a += np.dot(s * diag, s)
+    a *= 0.5
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = j.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _minimize_quadratic(a, b, lb, ub, c=0):
+    """minimize_quadratic_1d: (t, value) at the least of t (a t + b) + c
+    over the bounds and the interior extremum."""
+    t = [lb, ub]
+    if a != 0:
+        extremum = -0.5 * b / a
+        if lb < extremum < ub:
+            t.append(extremum)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    i = np.argmin(y)
+    return t[i], y[i]
+
+
+def _quadratic_value(j, g, s, diag):
+    """evaluate_quadratic of one step: 0.5 s^T (J^T J + diag) s + g^T s."""
+    js = j.dot(s)
+    q = np.dot(js, js)
+    q += np.dot(s * diag, s)
+    return 0.5 * q + np.dot(s, g)
+
+
+def _trust_region_step(n, m, uf, s, v, delta, alpha, rtol=0.01, max_iter=10):
+    """solve_lsq_trust_region: (p, alpha) minimizing |J p + f| within
+    |p| <= delta, from J's SVD (uf = U^T f), by More's iteration on the
+    Levenberg-Marquardt parameter alpha, started at the previous one."""
+
+    def phi_and_derivative(alpha):
+        denom = s2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - delta, -(suf2 / denom**3).sum() / p_norm
+
+    suf = s * uf
+    s2, suf2 = s**2, suf**2
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -v.dot(uf / s)
+        if _norm(p) <= delta:
+            return p, 0.0
+    alpha_upper = _norm(suf) / delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(max_iter):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < rtol * delta:
+            break
+    p = -v.dot(suf / (s2 + alpha))
+    p *= delta / _norm(p)
+    return p, alpha
+
+
+def _select_step(x, j_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
+    """select_step: (step, step in the scaled variables, predicted cost
+    reduction), the best of the trust-region step, its reflection off the
+    first bound it crosses and the scaled anti-gradient, each kept strictly
+    inside the bounds."""
+    if _in_bounds(x + p, lb, ub):
+        return p, p_h, -_quadratic_value(j_h, g_h, p_h, diag_h)
+    p_stride, hits = _step_to_bound(x, p, lb, ub)
+    r_h = np.copy(p_h)
+    r_h[hits.astype(bool)] *= -1
+    r = d * r_h
+    p *= p_stride
+    p_h *= p_stride
+    x_on_bound = x + p
+    _, to_tr = _trust_region_crossing(p_h, r_h, delta)
+    to_bound, _ = _step_to_bound(x_on_bound, r, lb, ub)
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_stride_l, r_stride_u = 0, -1
+    if r_stride_l <= r_stride_u:
+        a, b, c = _quadratic_along(j_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_quadratic(a, b, r_stride_l, r_stride_u, c=c)
+        r_h *= r_stride
+        r_h += p_h
+        r = r_h * d
+    else:
+        r_value = np.inf
+    p *= theta
+    p_h *= theta
+    p_value = _quadratic_value(j_h, g_h, p_h, diag_h)
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = delta / _norm(ag_h)
+    to_bound, _ = _step_to_bound(x, ag, lb, ub)
+    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
+    a, b = _quadratic_along(j_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_quadratic(a, b, 0, ag_stride)
+    ag_h *= ag_stride
+    ag *= ag_stride
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag, ag_h, -ag_value
+
+
+def _trf(x0, lb, ub, max_nfev):
+    """SciPy's trf_bounds from the strictly feasible start x0 (Branch,
+    Coleman & Li, SIAM J. Sci. Comput. 21, 1 (1999)), with tr_solver="exact",
+    a linear loss, x_scale=1 and ftol = xtol = gtol = 1e-8, statement for
+    statement, as a generator: where SciPy calls fun(x) or jac(x) it yields
+    ("f", x) or ("J", x) and takes back x's residual row or its
+    ``_forward_difference`` Jacobian. Returns (x, cost, fun, jac, status, nfev),
+    as least_squares reports them, or None for a start whose residuals are
+    not finite, which least_squares refuses.
+    """
+    f = yield "f", x0
+    if not np.isfinite(f).all():
+        return None
+    J = yield "J", x0
+    x, nfev = x0, 1
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    v, _ = _coleman_li_scaling(x, g, lb, ub)
+    delta = _norm(x0 / v**0.5)
+    if delta == 0:
+        delta = 1.0
+    f_augmented = np.zeros(m + n)
+    J_augmented = np.empty((m + n, n))
+    alpha = 0.0
+    status = None
+    while True:
+        v, dv = _coleman_li_scaling(x, g, lb, ub)
+        g_norm = np.abs(g * v).max()
+        if g_norm < _TOL:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        d = v**0.5
+        diag_h = g * dv
+        g_h = d * g
+        f_augmented[:m] = f
+        J_augmented[:m] = J * d
+        J_h = J_augmented[:m]
+        J_augmented[m:] = np.diag(diag_h**0.5)
+        U, s, V = _svd(J_augmented)
+        V = V.T
+        uf = U.T.dot(f_augmented)
+        theta = max(0.995, 1 - g_norm)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            p_h, alpha = _trust_region_step(n, m, uf, s, V, delta, alpha)
+            p = d * p_h
+            step, step_h, predicted_reduction = _select_step(
+                x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta)
+            x_new = _strictly_feasible(x + step, lb, ub, rstep=0)
+            f_new = yield "f", x_new
+            nfev += 1
+            step_h_norm = _norm(step_h)
+            if not np.isfinite(f_new).all():
+                delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            # update_tr_radius
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * delta:
+                delta_new *= 2.0
+            # check_termination
+            ftol_satisfied = actual_reduction < _TOL * cost and ratio > 0.25
+            xtol_satisfied = _norm(step) < _TOL * (_TOL + _norm(x))
+            if ftol_satisfied or xtol_satisfied:
+                status = 4 if ftol_satisfied and xtol_satisfied else 2 if ftol_satisfied else 3
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = yield "J", x
+            g = J.T.dot(f)
+    return x, cost, f, J, status or 0, nfev
+
+
+_Start = collections.namedtuple("_Start", "x cost fun jac status nfev")
+
+
+def _answers(residuals, asks, lb, ub):
+    """The answer to each ("f", x) or ("J", x) ask of ``_trf``, x's residual
+    row or its Jacobian, from one residual call on the columns they need:
+    one per "f", then n + 1 per "J" from one ``_forward_difference``."""
+    points = [i for i, (kind, _) in enumerate(asks) if kind == "f"]
+    steps = [i for i, (kind, _) in enumerate(asks) if kind == "J"]
+    at = np.array([x for _, x in asks])
+    stack, jacobians = _forward_difference(at[steps], lb, ub)
+    rows = residuals(np.hstack([at[points].T, stack]))
+    answers = [None] * len(asks)
+    for i, answer in zip(points + steps, [*rows[: len(points)], *jacobians(rows[len(points):])]):
+        answers[i] = answer
+    return answers
+
+
+def _answer_or_error(residuals, ask, lb, ub):
+    """One ask's answer, or the ValueError or FloatingPointError its residual
+    call raised."""
+    try:
+        return _answers(residuals, [ask], lb, ub)[0]
+    except (ValueError, FloatingPointError) as error:
+        return error
+
+
+def _lockstep(residuals, starts, bounds, max_nfev=None):
+    """Each start's ``_Start`` from SciPy's least_squares(method="trf"), or
+    None where least_squares raises, with every start run at once.
+
+    As least_squares does, a start outside the bounds is refused, and the
+    others are moved strictly inside them (a relative 1e-10) before ``_trf``
+    runs. Each round answers what every live start asks for from one call
+    of ``residuals`` (``_answers``). A start drops out when it, or the
+    residuals of its own columns, raise ValueError or FloatingPointError, as
+    least_squares would.
+    """
+    x0 = np.asarray(starts, dtype=float)
+    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape[1:]) for b in bounds)
+    if max_nfev is None:
+        max_nfev = 100 * x0.shape[1]
+    results = [None] * len(x0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runs = {i: _trf(_strictly_feasible(x, lb, ub, rstep=1e-10), lb, ub, max_nfev)
+                for i, x in enumerate(x0) if _in_bounds(x, lb, ub)}
+        asks = {i: next(run) for i, run in runs.items()}
+        while asks:
+            try:
+                answers = _answers(residuals, list(asks.values()), lb, ub)
+            except (ValueError, FloatingPointError):  # find the starts that raise
+                answers = [_answer_or_error(residuals, ask, lb, ub) for ask in asks.values()]
+            for (i, run), answer in zip(list(runs.items()), answers):
+                try:
+                    if isinstance(answer, Exception):
+                        raise answer
+                    asks[i] = run.send(answer)
+                    continue
+                except StopIteration as done:
+                    results[i] = None if done.value is None else _Start(*done.value)
+                except (ValueError, FloatingPointError):
+                    pass
+                del runs[i], asks[i]
+    return results
 
 
 def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
     """Multi-start least squares: (x, covariance, sse) of the best start.
 
-    ``scipy.optimize.least_squares`` runs once per start; ``solver`` passes
-    ``method``, ``jac``, ``max_nfev`` or ``xtol`` through, so the caller
-    picks the method and SciPy's default, ``trf``, runs when it names none.
-    Without ``jac``, ``residuals`` must take a trailing batch axis (an (n, k)
-    parameter stack gives (k, m) residuals), and ``_forward_difference``
-    builds the Jacobian that ``least_squares(jac="2-point")`` would, bit for
-    bit, from one call. Starts that raise or do not converge are skipped and
-    the lowest sum of squares wins. SciPy refuses a start outside the bounds
-    unsolved, so data that put every start there raise ValueError naming the
-    first start's first such parameter (counted from 1 in the model's order),
-    its value and its bounds. The covariance is SciPy's curve-fit rule: the
-    SVD pseudo-inverse of J^T J (singular values below eps * max(m, n) * s_0
-    dropped) times sse / (m - n), and inf when m <= n.
+    A bounded fit runs every start at once through ``_lockstep``: SciPy's
+    least_squares with its default ``trf`` method, bit for bit, sharing one
+    residual call per round. ``solver`` may pass ``max_nfev``, and
+    ``residuals`` must take a trailing batch axis: an (n, k) parameter stack
+    gives (k, m) residuals. ``method="lm"`` instead runs
+    ``scipy.optimize.least_squares`` once per start, passing ``solver``
+    (``jac``, ``xtol``) through. Starts that raise or do not converge are
+    skipped, and the lowest sum of squares wins, the first start on a tie.
+    SciPy refuses a start outside the bounds unsolved, so data that put
+    every start there raise ValueError naming the first start's first such
+    parameter (counted from 1 in the model's order), its value and its
+    bounds. The covariance is SciPy's curve-fit rule: the SVD pseudo-inverse
+    of J^T J (singular values below eps * max(m, n) * s_0 dropped) times
+    sse / (m - n), and inf when m <= n.
     """
-    import scipy.linalg
-    from scipy.optimize import least_squares
+    if solver.get("method") == "lm":
+        from scipy.optimize import least_squares
 
-    if "jac" not in solver:
-        solver["jac"] = _forward_difference(residuals, bounds)
+        solutions = []
+        for x0 in starts:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    solutions.append(least_squares(residuals, x0, bounds=bounds, **solver))
+            except (ValueError, FloatingPointError):
+                solutions.append(None)
+    else:
+        solutions = _lockstep(residuals, starts, bounds, **solver)
     best = None
-    for x0 in starts:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sol = least_squares(residuals, x0, bounds=bounds, **solver)
-        except (ValueError, FloatingPointError):
-            continue
-        if not sol.success:
+    for sol in solutions:
+        if sol is None or sol.status <= 0:
             continue
         sse = float(np.sum(sol.fun**2))
         if best is None or sse < best[1]:
@@ -163,7 +559,7 @@ def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
         raise FitError("least-squares fit did not converge from any start")
     sol, sse = best
     m, n = sol.jac.shape
-    _, s, vt = scipy.linalg.svd(sol.jac, full_matrices=False)
+    _, s, vt = _svd(sol.jac)
     s = s[s > np.finfo(float).eps * max(m, n) * s[0]]
     cov = np.dot(vt[: s.size].T / s**2, vt[: s.size])
     if m > n and not np.isnan(cov).any():

@@ -10,8 +10,10 @@ that the instrument calibration must supply; this module takes the data
 already scaled. The fitted terms are what `filters.design_iir_corrector`
 inverts.
 
-The fit runs on ``analysis._least_squares_fit``, whose SVD covariance gives a
-rank-deficient fit (say, a tau run off to infinity) huge, unclipped sigmas.
+The fit runs on ``analysis._least_squares_fit`` with ``method="lm"``, which
+calls scipy.optimize.least_squares once per start, and whose SVD covariance
+gives a rank-deficient fit (say, a tau run off to infinity) huge, unclipped
+sigmas.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonInvertibleError
+from .errors import NonInvertibleError, _scipy_extension
 from .waveform import Waveform
 
 
@@ -335,37 +335,37 @@ def iir_blocks(c: IirCorrector):
     """A filter of one signal handed over block by block: each call runs the
     next block through the section cascade and returns it.
 
-    The whole cascade is one ``sosfilt`` pass: section (b0, b1, a1) is the
-    biquad row [b0, b1, 0, 1, a1, 0]. Its direct form II transposed state
-    carries from one call to the next, so the blocks come out as one pass
-    over their concatenation would give them, bit for bit. ``sosfilt`` and a
-    chain of one ``lfilter`` per section have the same order of operations,
-    so the samples are also theirs. SciPy is imported at the first block.
+    The whole cascade is one pass of ``sosfilt``'s kernel,
+    ``scipy.signal._sosfilt._sosfilt``, loaded alone at the first block
+    (``errors._scipy_extension``) and run as ``sosfilt`` runs it: in place,
+    on a C-contiguous float64 copy of the block and a (1, sections, 2) state.
+    Section (b0, b1, a1) is the biquad row [b0, b1, 0, 1, a1, 0]. The direct
+    form II transposed state carries from one call to the next, so the
+    blocks come out as one pass over their concatenation would give them,
+    bit for bit. ``sosfilt`` and a chain of one ``lfilter`` per section have
+    the same order of operations, so the samples are also theirs.
     """
     sos = np.array([[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in c.sections])
-    state = np.zeros((len(sos), 2))
+    state = np.zeros((1, len(sos), 2))
 
     def run(x: np.ndarray) -> np.ndarray:
-        from scipy.signal import sosfilt
-
-        nonlocal state
-        y, state = sosfilt(sos, x, zi=state)
-        return y
+        y = np.array(x, dtype=float, order="C").reshape(1, -1)
+        _scipy_extension("signal", "_sosfilt")._sosfilt(sos, y, state)
+        return y[0]
 
     return run
 
 
 def apply_iir(w: Waveform, c: IirCorrector) -> Waveform:
     """Run a waveform through the section cascade (causal, zero initial
-    state), as one block of ``iir_blocks``. A zero-length waveform is returned
-    as it is (``sosfilt`` cannot reshape it).
+    state), as one block of ``iir_blocks``.
     """
     if w.sample_rate != c.sample_rate:
         raise ValueError(
             f"waveform rate {w.sample_rate} GS/s does not match corrector rate "
             f"{c.sample_rate} GS/s"
         )
-    if not c.sections or len(w) == 0:
+    if not c.sections:
         return w
     return Waveform(iir_blocks(c)(w.samples), w.sample_rate)
 

@@ -42,16 +42,12 @@ solves the points still climbing as one stack.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoSolutionError, NumericalError, _is_integer
+from .errors import NoSolutionError, NumericalError, _is_integer, _scipy_extension
 
 DEFAULT_BASIS_SIZE = 120
 DEFAULT_N_LEVELS = 6
@@ -137,25 +133,12 @@ class EnergySpectrum:
     _vectors: np.ndarray = field(default=None, repr=False)
 
 
-@cache
 def _lapack():
-    """scipy.linalg._flapack, SciPy's LAPACK extension, without scipy.linalg.
-
-    The module in sys.modules if there is one; otherwise the extension is
-    loaded from scipy's directory, which ``find_spec("scipy")`` names without
-    importing anything, and registered under its own name. Its routines are
-    the objects ``scipy.linalg.get_lapack_funcs`` returns, and a later
-    ``import scipy.linalg`` reuses the module. The one wart: that package then
-    lacks a ``_flapack`` attribute, though SciPy's own ``from scipy.linalg
-    import _flapack`` still works through sys.modules.
-    """
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        [root] = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, "linalg")])
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+    """scipy.linalg._flapack, SciPy's LAPACK extension, without scipy.linalg
+    (``errors._scipy_extension``). Its routines are the objects
+    ``scipy.linalg.get_lapack_funcs`` returns; after a later ``import
+    scipy.linalg`` that package lacks a ``_flapack`` attribute."""
+    return _scipy_extension("linalg", "_flapack")
 
 
 @lru_cache(maxsize=len(RUNGS) + 2)

@@ -24,8 +24,8 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import curve_fit
-from scipy.signal import lfilter
+from scipy.optimize import curve_fit, least_squares
+from scipy.signal import lfilter, sosfilt
 
 from uniflux import pulsec
 from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord
@@ -317,6 +317,19 @@ def lti_distorted(samples, amplitudes, taus_ns, sample_rate_gsps):
     return out
 
 
+def sosfilt_blocks(c, blocks) -> list:
+    """An IIR corrector's output block by block through ``scipy.signal.sosfilt``
+    with its state carried in ``zi`` (``filters.iir_blocks`` before it ran
+    sosfilt's kernel alone)."""
+    sos = np.array([[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in c.sections])
+    state = np.zeros((len(sos), 2))
+    out = []
+    for x in blocks:
+        y, state = sosfilt(sos, x, zi=state)
+        out.append(y)
+    return out
+
+
 def sectionwise_iir(w: Waveform, c) -> np.ndarray:
     """An IIR corrector's output, one ``lfilter`` per section in cascade order
     (the scheme ``filters.apply_iir`` replaced by a single ``sosfilt`` pass)."""
@@ -416,6 +429,50 @@ def multi_start_curve_fit(model, t, values, starts, bounds):
     if best is None:
         raise FitError("least-squares fit did not converge from any start")
     return best
+
+
+def per_start_least_squares(residuals, starts, bounds, **solver):
+    """Reference multi-start kernel: ``least_squares`` from each start, one
+    start after another, as ``analysis._least_squares_fit`` ran its starts
+    before they advanced in lockstep. Each start's OptimizeResult, or None
+    where least_squares raised ValueError or FloatingPointError (a start
+    outside the bounds, residuals not finite at the start). The Jacobian is
+    least_squares' own 2-point rule, which the kernel's forward difference
+    equals bit for bit."""
+    results = []
+    for x0 in starts:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                results.append(least_squares(residuals, x0, bounds=bounds, **solver))
+        except (ValueError, FloatingPointError):
+            results.append(None)
+    return results
+
+
+def least_squares_winner(solutions):
+    """(x, covariance, sse) of the ``per_start_least_squares`` solutions: the
+    lowest sum of squares among the starts that converged, the first on a
+    tie, and the curve-fit covariance through ``scipy.linalg.svd``."""
+    best = None
+    for sol in solutions:
+        if sol is None or not sol.success:
+            continue
+        sse = float(np.sum(sol.fun**2))
+        if best is None or sse < best[1]:
+            best = (sol, sse)
+    if best is None:
+        raise FitError("least-squares fit did not converge from any start")
+    sol, sse = best
+    m, n = sol.jac.shape
+    _, s, vt = scipy.linalg.svd(sol.jac, full_matrices=False)
+    s = s[s > np.finfo(float).eps * max(m, n) * s[0]]
+    cov = np.dot(vt[: s.size].T / s**2, vt[: s.size])
+    if m > n and not np.isnan(cov).any():
+        cov = cov * (2 * sol.cost / (m - n))
+    else:
+        cov.fill(np.inf)
+    return sol.x, cov, sse
 
 
 def argmin_mixture_inits(x: np.ndarray) -> tuple:

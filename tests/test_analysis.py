@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -391,6 +391,15 @@ T1_BOUNDS = ([1e-12, -1.0, 1e-6, 1e-6, 0.0], [10.0, 1.0, 1e7, 1e7, 50.0])
 _STEP = math.sqrt(np.finfo(float).eps)
 
 
+def _jacobian(residuals, bounds, x):
+    """The kernel's forward-difference Jacobian of ``residuals`` at x, from
+    one call on its parameter stack."""
+    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
+    stack, jacobians = analysis._forward_difference(x[None], lb, ub)
+    (jac,) = jacobians(residuals(stack))
+    return jac
+
+
 def _t1_residuals():
     t = np.concatenate([[0.0], np.geomspace(0.5, 600.0, 120)])
     values = oracles.double_exp_population(t, 0.9, 0.04, 150.0, 30.0, 1.0)
@@ -417,7 +426,7 @@ def test_forward_difference_equals_approx_derivative_bit_for_bit(x, bounds):
 
     residuals = _t1_residuals()
     x = np.array(x)
-    got = analysis._forward_difference(residuals, bounds)(x)
+    got = _jacobian(residuals, bounds, x)
     want = approx_derivative(residuals, x, method="2-point", bounds=bounds, f0=residuals(x))
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -435,7 +444,7 @@ def test_forward_difference_takes_each_step_rule_in_one_call():
         stacks.append(p)
         return _t1_residuals()(p)
 
-    analysis._forward_difference(residuals, bounds)(x)
+    _jacobian(residuals, bounds, x)
     (stack,) = stacks
     assert stack.shape == (5, 6)
     assert np.array_equal(stack[:, 0], x)
@@ -445,6 +454,23 @@ def test_forward_difference_takes_each_step_rule_in_one_call():
     assert steps[2] == pytest.approx(7e-7)  # forward to the farther, upper bound
     assert steps[3] == pytest.approx(-3e-7)  # backward to the farther, lower bound
     assert steps[4] == _STEP  # sign(0) = +1
+
+
+def test_forward_difference_rows_do_not_depend_on_their_company():
+    # the lockstep kernel steps every start that asks for a Jacobian in one
+    # stack: each row's columns and Jacobian equal its own, bit for bit
+    x = np.array([[0.9, -0.05, 150.0, 30.0, 1.0], [2.5, 0.0, 1e5, 0.3, 0.0],
+                  [10.0 - 1e-9, 1.0 - 1e-10, 1e7 - 1.0, 30.0, 50.0 - 1e-7],
+                  [0.9, -1.0 + 1e-10, 150.0, 30.0, 1.0]])
+    lb, ub = (np.asarray(b) for b in T1_BOUNDS)
+    residuals = _t1_residuals()
+    stack, jacobians = analysis._forward_difference(x, lb, ub)
+    together = jacobians(residuals(stack))
+    for i, row in enumerate(x):
+        alone, _ = analysis._forward_difference(row[None], lb, ub)
+        assert stack[:, 6 * i: 6 * i + 6].tobytes() == alone.tobytes()
+        assert together[i].tobytes() == _jacobian(residuals, T1_BOUNDS, row).tobytes()
+        assert together[i].flags.f_contiguous
 
 
 def _captured_residuals(monkeypatch):
@@ -479,6 +505,169 @@ def test_batched_residuals_equal_single_calls_row_by_row(monkeypatch):
         assert batch.shape == (stack.shape[1], residuals(solution).size)
         for column, row in zip(stack.T, batch):
             assert row.tobytes() == residuals(column).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the lockstep kernel against least_squares, start by start
+# ---------------------------------------------------------------------------
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _kernel_call(fit):
+    """(residuals, starts, bounds, solver) of the kernel call ``fit`` makes,
+    stopped there."""
+    calls = []
+
+    def record(residuals, starts, bounds, **solver):
+        calls.append((residuals, starts, bounds, solver))
+        raise _Recorded
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(analysis, "_least_squares_fit", record)
+        with pytest.raises(_Recorded):
+            fit()
+    (call,) = calls
+    return call
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _assert_each_start_matches(residuals, starts, bounds, solver):
+    """Per start, the lockstep kernel's (x, cost, fun, jac, status, nfev) equal
+    least_squares' bit for bit, and the kernel's (x, covariance, sse) those
+    of the per-start oracle. Returns the lockstep's per-start results."""
+    got = analysis._lockstep(residuals, starts, bounds, **solver)
+    want = oracles.per_start_least_squares(residuals, starts, bounds, **solver)
+    assert len(got) == len(want) == len(starts)
+    for mine, theirs in zip(got, want):
+        assert (mine is None) == (theirs is None)
+        if theirs is None:
+            continue
+        for field in ("x", "cost", "fun", "jac"):
+            assert np.shape(getattr(mine, field)) == np.shape(getattr(theirs, field))
+            assert _hex(getattr(mine, field)) == _hex(getattr(theirs, field)), field
+        assert np.array_equal(mine.jac, theirs.jac)
+        assert (mine.status, mine.nfev) == (theirs.status, theirs.nfev)
+    try:
+        expected = oracles.least_squares_winner(want)
+    except FitError:
+        with pytest.raises((FitError, ValueError)):
+            analysis._least_squares_fit(residuals, starts, bounds, **solver)
+    else:
+        result = analysis._least_squares_fit(residuals, starts, bounds, **solver)
+        assert [_hex(v) for v in result] == [_hex(v) for v in expected]
+    return got
+
+
+def _compile_fit_calls(rng):
+    """Kernel calls of `compile_fit`-shaped T1, dephasing and RB fits."""
+    for n_qp in (rng.uniform(0.5, 1.5), 0.0):
+        t, noisy = _compile_fit_t1(rng, n_qp)
+        yield _kernel_call(lambda: analysis.fit_t1_double_exponential(t, noisy))
+    t = np.linspace(0.0, 400.0, 81)
+    for t_phi_exp in (rng.uniform(60.0, 150.0), math.inf):
+        c, d, t1 = rng.uniform(0.85, 0.95), rng.uniform(0.02, 0.06), rng.uniform(120.0, 250.0)
+        clean = oracles.dephasing_envelope(t, c, d, t1, t_phi_exp, rng.uniform(80.0, 200.0))
+        noisy = clean + rng.normal(0.0, 0.003, len(t))
+        yield _kernel_call(lambda: analysis.fit_dephasing_envelope(t, noisy, t1_de=t1))
+    lengths = np.repeat(2.0 ** np.arange(10), 2)
+    for p in (rng.uniform(0.99, 0.998), 1.0):
+        survivals = oracles.depolarized_survival(p, lengths)
+        survivals = survivals + rng.normal(0.0, 0.002, len(lengths))
+        yield _kernel_call(lambda: analysis.fit_rb_decay(lengths, survivals))
+
+
+def test_lockstep_matches_least_squares_on_compile_fit_shaped_fits():
+    for call in _compile_fit_calls(np.random.default_rng(47)):
+        assert None not in _assert_each_start_matches(*call)
+
+
+# a failing draw is reported as drawn: each shrink step would rerun two fits
+@settings(max_examples=12, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(
+    model=st.sampled_from(["t1", "dephasing", "rb"]),
+    decay=st.floats(min_value=0.2, max_value=5.0),
+    amplitude=st.floats(min_value=0.05, max_value=1.0),
+    offset=st.floats(min_value=0.0, max_value=0.3),
+    shape=st.floats(min_value=0.0, max_value=2.0),
+    noise_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_lockstep_matches_least_squares_on_drawn_decays(model, decay, amplitude, offset, shape,
+                                                        noise_seed):
+    # decay sets the time constant as a fraction of the span; shape is n_qp,
+    # the Gaussian share of the dephasing or the RB decay per length
+    rng = np.random.default_rng(noise_seed)
+    if model == "t1":
+        t = np.concatenate([[0.0], np.geomspace(0.5, 300.0, 50)])
+        clean = oracles.double_exp_population(t, amplitude, offset, 300.0 / decay,
+                                              60.0 / decay, shape)
+        noisy = clean + rng.normal(0.0, 0.003, len(t))
+        call = _kernel_call(lambda: analysis.fit_t1_double_exponential(t, noisy))
+    elif model == "dephasing":
+        t = np.linspace(0.0, 300.0, 41)
+        t_phi = 300.0 / decay
+        clean = oracles.dephasing_envelope(t, amplitude, offset, 200.0, t_phi * (1.0 + shape),
+                                           t_phi / max(shape, 0.1))
+        noisy = clean + rng.normal(0.0, 0.003, len(t))
+        call = _kernel_call(lambda: analysis.fit_dephasing_envelope(t, noisy, t1_de=200.0))
+    else:
+        lengths = np.repeat(2.0 ** np.arange(9), 2)
+        survivals = amplitude * (1.0 - 0.005 * decay * shape) ** lengths + offset
+        noisy = survivals + rng.normal(0.0, 0.002, len(lengths))
+        call = _kernel_call(lambda: analysis.fit_rb_decay(lengths, noisy))
+    _assert_each_start_matches(*call)
+
+
+def test_lockstep_matches_least_squares_on_a_decay_slower_than_its_span():
+    # A decay that never reaches 1/e: each start crawls along the valley where
+    # a, b and t_exp trade off, for 104 to 4 796 evaluations. Three starts
+    # keep the check short: the quickest, a middling one and the longest.
+    t = np.concatenate([[0.0], np.geomspace(0.5, 100.0, 60)])
+    values = analysis.relaxation_model(t, 0.9, 0.05, 3e4, 20.0, 0.01)
+    residuals, starts, bounds, solver = _kernel_call(
+        lambda: analysis.fit_t1_double_exponential(t, values))
+    starts = [starts[4], starts[3], starts[10]]
+    solutions = _assert_each_start_matches(residuals, starts, bounds, solver)
+    assert [sol.nfev for sol in solutions] == [104, 1764, 4796]
+
+
+def test_lockstep_skips_the_starts_least_squares_refuses():
+    # beside a good start: one outside the bounds, one whose residuals are not
+    # finite, and one whose residual call raises
+    t = np.concatenate([[0.0], np.geomspace(0.5, 600.0, 60)])
+    values = oracles.double_exp_population(t, 0.9, 0.04, 150.0, 30.0, 1.0)
+
+    def residuals(p):
+        if np.any(p[0] == 0.25):
+            raise FloatingPointError("overflow")
+        r = analysis.relaxation_model(t, *p[..., None]) - values
+        return np.where(p[0][..., None] == 0.5, np.nan, r)
+
+    starts = [(0.9, 0.04, 60.0, 12.0, 0.2), (0.9, 1.5, 60.0, 12.0, 0.2),
+              (0.5, 0.04, 60.0, 12.0, 0.2), (0.25, 0.04, 60.0, 12.0, 0.2)]
+    solutions = _assert_each_start_matches(residuals, starts, T1_BOUNDS, {"max_nfev": 20000})
+    assert [sol is None for sol in solutions] == [False, True, True, True]
+
+
+@pytest.mark.parametrize("shape", [(126, 5), (80, 4), (3, 3), (4, 6)])
+def test_svd_equals_scipy_svd_bit_for_bit(shape):
+    import scipy.linalg
+
+    a = np.random.default_rng(48).standard_normal(shape) * np.geomspace(1.0, 1e-9, shape[1])
+    for got, want in zip(analysis._svd(a), scipy.linalg.svd(a, full_matrices=False)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    a[1, 1] = np.inf
+    with pytest.raises(ValueError) as scipy_error:
+        scipy.linalg.svd(a, full_matrices=False)
+    with pytest.raises(ValueError) as error:
+        analysis._svd(a)
+    assert str(error.value) == str(scipy_error.value)
 
 
 def test_fits_reject_non_finite_data():

@@ -7,12 +7,14 @@ reference line). Each command imports the other modules
 inside the functions that run them: `design` adds `filters`, `compile`
 adds `filters` and `pulsec`, `fit` adds `analysis`, and `simulate` adds
 `dynamics`, `filters` and `pulsec`; `devices`, `spectrum` and `tradeoff`
-add none. Every scipy subpackage is imported inside the function that calls
-it, so a compile loads no scipy unless it runs the Z-path IIR (``--iir``),
-and an ideal-mode `simulate rb`, the closed-form decay, loads none either.
-The eigensolves of `spectrum`, `tradeoff` and `simulate` load one scipy
-module, its LAPACK extension ``scipy.linalg._flapack``, without importing
-``scipy.linalg``; a later ``import scipy.linalg`` reuses that module.
+add none. Every scipy module is loaded inside the function that calls it,
+so a compile loads no scipy unless it runs the Z-path IIR (``--iir``), and
+an ideal-mode `simulate rb`, the closed-form decay, loads none either.
+The eigensolves of `spectrum`, `tradeoff` and `simulate`, and the fits of
+`fit t1|dephasing|rb`, load one scipy module, its LAPACK extension
+``scipy.linalg._flapack``, without importing ``scipy.linalg``; a later
+``import scipy.linalg`` reuses that module. The IIR loads sosfilt's kernel,
+``scipy.signal._sosfilt``, and what it imports, without ``scipy.signal``.
 
 The AST checks below are where these rules are written down; the
 subprocess checks show what a fresh interpreter actually loads.
@@ -20,11 +22,13 @@ subprocess checks show what a fresh interpreter actually loads.
 
 import ast
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import uniflux
@@ -51,8 +55,13 @@ print(json.dumps({"code": code, "scipy": loaded("scipy"), "uniflux": loaded("uni
 # What a fresh `import uniflux.cli` loads of the package, and what each
 # command adds to it.
 _CORE = ("", "cli", "errors", "fluxonium", "linebudget", "waveform")
-# All an eigensolve loads of scipy.
+# All an eigensolve or a fit loads of scipy.
 _LAPACK = ["scipy.linalg._flapack"]
+# All the Z-path IIR loads of scipy: sosfilt's Cython kernel and what it imports.
+_SOSFILT = ["scipy", "scipy.__config__", "scipy._cyutility", "scipy._distributor_init",
+            "scipy._lib", "scipy._lib._ccallback", "scipy._lib._ccallback_c",
+            "scipy._lib._pep440", "scipy._lib._testutils", "scipy.signal._sosfilt",
+            "scipy.version"]
 
 
 def _package(*modules):
@@ -137,14 +146,43 @@ def test_design_loads_only_filters():
     assert json.loads(stdout)["kind"] == "fir"
 
 
+def _decay_csv(path, header, t, values):
+    path.write_text(header + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(t, values)))
+    return str(path)
+
+
 def test_fit_rb_loads_only_analysis(tmp_path):
     data = tmp_path / "rb.csv"
     data.write_text("length,seq_index,survival\n"
                     + "".join(f"{m},0,{0.5 + 0.5 * 0.99 ** m!r}\n" for m in (1, 4, 16, 64)))
     report, stdout = _run_fresh_command("fit", "rb", str(data))
-    assert report["code"] == 0
-    assert report["uniflux"] == _package("analysis")
+    assert report == {"code": 0, "scipy": _LAPACK, "uniflux": _package("analysis")}
     assert json.loads(stdout)
+
+
+def test_decay_fits_load_only_scipys_lapack_extension(tmp_path):
+    # the fit kernel runs SciPy's trf itself and takes dgesdd from _flapack,
+    # so no fit loads scipy.optimize or scipy.linalg
+    t = [0.0, *np.geomspace(0.5, 600.0, 30).tolist()]
+    t1 = _decay_csv(tmp_path / "t1.csv", "t_us,p_e", t, [
+        0.9 * math.exp(-x / 150.0) * math.exp(math.exp(-x / 30.0) - 1.0) + 0.04 for x in t])
+    envelope = _decay_csv(tmp_path / "env.csv", "t_us,p_env", t, [
+        math.exp(-x / 400.0 - (x / 300.0) ** 2) for x in t])
+    for argv in (("t1", t1), ("dephasing", envelope, "--t1-us", "200")):
+        report, stdout = _run_fresh_command("fit", *argv)
+        assert report == {"code": 0, "scipy": _LAPACK, "uniflux": _package("analysis")}, argv
+        assert json.loads(stdout)
+
+
+def test_iir_compile_loads_only_sosfilts_kernel(tmp_path):
+    iir = tmp_path / "iir.json"
+    assert cli.main(["design", "iir", "--exp", "-0.0174:34", "--exp", "0.01:200",
+                     "--rate", "2", "-o", str(iir)]) == 0
+    report, stdout = _run_fresh_command(
+        "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--iir", str(iir)
+    )
+    assert report == {"code": 0, "scipy": _SOSFILT, "uniflux": _package("filters", "pulsec")}
+    assert stdout.startswith("sha256 ")
 
 
 def test_example_compile_loads_no_scipy_and_keeps_its_golden_digest():

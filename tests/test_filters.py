@@ -9,7 +9,7 @@ from uniflux import filters
 from uniflux.errors import NonInvertibleError
 from uniflux.waveform import Waveform
 
-from oracles import fir_response, floor_frequency, lti_distorted, sectionwise_iir
+from oracles import fir_response, floor_frequency, lti_distorted, sectionwise_iir, sosfilt_blocks
 
 RECORD = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "fir_design_record.json").read_text()
@@ -387,6 +387,22 @@ def test_apply_iir_matches_the_sectionwise_oracle(rate, n_sections):
         for x in _iir_signals(rng, n):
             w = Waveform(x, rate)
             assert np.array_equal(filters.apply_iir(w, c).samples, sectionwise_iir(w, c))
+
+
+@pytest.mark.parametrize("n_sections", [1, 3])
+def test_iir_blocks_equal_sosfilt_block_by_block(n_sections):
+    # the kernel run alone, with its state carried, against sosfilt with zi
+    # carried, over blocks of uneven lengths, bit for bit
+    rng = np.random.default_rng([n_sections, 49])
+    terms = [(rng.uniform(-0.1, 0.1), 10.0 ** rng.uniform(0.0, 3.3)) for _ in range(n_sections)]
+    c = filters.design_iir_corrector(terms, 2.0)
+    for x in _iir_signals(rng, 20000):
+        blocks = np.split(x, [1, 700, 6000, 19999])
+        run = filters.iir_blocks(c)
+        got = [run(block) for block in blocks]
+        want = sosfilt_blocks(c, blocks)
+        assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
+        assert np.concatenate(got).tobytes() == filters.apply_iir(Waveform(x, 2.0), c).samples.tobytes()
 
 
 def test_sections_stable_and_minimum_phase():
