@@ -560,7 +560,7 @@ def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
     sol, sse = best
     m, n = sol.jac.shape
     _, s, vt = _svd(sol.jac)
-    s = s[s > np.finfo(float).eps * max(m, n) * s[0]]
+    s = s[s > _EPS * max(m, n) * s[0]]
     cov = np.dot(vt[: s.size].T / s**2, vt[: s.size])
     if m > n and not np.isnan(cov).any():
         cov = cov * (2 * sol.cost / (m - n))
