@@ -7,16 +7,18 @@ of the winning start, a sum-of-squares diagnostic, and string flags for the
 degenerate regimes a caller should know about (unidentifiable decay,
 exchange degeneracy, component collapse).
 
-These fits and those in ``distortion`` share one multi-start kernel,
-``_least_squares_fit``, with one winner rule and one covariance rule. A
-bounded fit runs SciPy's ``trf`` (Branch, Coleman & Li, SIAM J. Sci. Comput.
-21, 1 (1999)), ported from SciPy 1.17.1 operation for operation, with one
-Python generator per start; the starts advance in lockstep and share one
-residual call per round, so every start's result is least_squares' bit for
-bit. Its residual takes a trailing batch axis: an (n, k) stack of parameter
-vectors gives the (k, m) residuals of its k columns. Every SVD is LAPACK's
-dgesdd from SciPy's LAPACK extension, loaded alone, so these fits import
-neither scipy.optimize nor scipy.linalg.
+These fits and the settling-tail fit in ``distortion`` share one
+multi-start kernel, ``_least_squares_fit``, with one solver, one winner rule
+and one covariance rule. It runs SciPy's ``trf_bounds`` (Branch, Coleman &
+Li, SIAM J. Sci. Comput. 21, 1 (1999)), ported from SciPy 1.17.1 operation
+for operation, with one Python generator per start; the starts advance in
+lockstep and share one residual call per round, so every bounded start's
+result is least_squares' bit for bit. An unbounded fit runs the same rule
+with unit Coleman-Li scaling, which is not SciPy's ``trf_no_bounds``. The
+residual takes a trailing batch axis: an (n, k) stack of parameter vectors
+gives the (k, m) residuals of its k columns. Every SVD is LAPACK's dgesdd
+from SciPy's LAPACK extension, loaded alone, so these fits import neither
+scipy.optimize nor scipy.linalg.
 """
 
 from __future__ import annotations
@@ -357,10 +359,10 @@ def _select_step(x, j_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
     return ag, ag_h, -ag_value
 
 
-def _trf(x0, lb, ub, max_nfev):
+def _trf(x0, lb, ub, max_nfev, tol):
     """SciPy's trf_bounds from the strictly feasible start x0 (Branch,
     Coleman & Li, SIAM J. Sci. Comput. 21, 1 (1999)), with tr_solver="exact",
-    a linear loss, x_scale=1 and ftol = xtol = gtol = 1e-8, statement for
+    a linear loss, x_scale=1 and ftol = xtol = gtol = ``tol``, statement for
     statement, as a generator: where SciPy calls fun(x) or jac(x) it yields
     ("f", x) or ("J", x) and takes back x's residual row or its
     ``_forward_difference`` Jacobian. Returns (x, cost, fun, jac, status, nfev),
@@ -386,7 +388,7 @@ def _trf(x0, lb, ub, max_nfev):
     while True:
         v, dv = _coleman_li_scaling(x, g, lb, ub)
         g_norm = np.abs(g * v).max()
-        if g_norm < _TOL:
+        if g_norm < tol:
             status = 1
         if status is not None or nfev == max_nfev:
             break
@@ -429,8 +431,8 @@ def _trf(x0, lb, ub, max_nfev):
             elif ratio > 0.75 and step_h_norm > 0.95 * delta:
                 delta_new *= 2.0
             # check_termination
-            ftol_satisfied = actual_reduction < _TOL * cost and ratio > 0.25
-            xtol_satisfied = _norm(step) < _TOL * (_TOL + _norm(x))
+            ftol_satisfied = actual_reduction < tol * cost and ratio > 0.25
+            xtol_satisfied = _norm(step) < tol * (tol + _norm(x))
             if ftol_satisfied or xtol_satisfied:
                 status = 4 if ftol_satisfied and xtol_satisfied else 2 if ftol_satisfied else 3
                 break
@@ -470,9 +472,10 @@ def _answer_or_error(residuals, ask, lb, ub):
         return error
 
 
-def _lockstep(residuals, starts, bounds, max_nfev=None):
-    """Each start's ``_Start`` from SciPy's least_squares(method="trf"), or
-    None where least_squares raises, with every start run at once.
+def _lockstep(residuals, starts, bounds, max_nfev=None, tol=_TOL):
+    """Each start's ``_Start`` from ``_trf`` with ftol = xtol = gtol = ``tol``,
+    or None where least_squares raises, with every start run at once. Within
+    bounds that is least_squares(method="trf")'s result, bit for bit.
 
     As least_squares does, a start outside the bounds is refused, and the
     others are moved strictly inside them (a relative 1e-10) before ``_trf``
@@ -488,7 +491,7 @@ def _lockstep(residuals, starts, bounds, max_nfev=None):
     results = [None] * len(x0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        runs = {i: _trf(_strictly_feasible(x, lb, ub, rstep=1e-10), lb, ub, max_nfev)
+        runs = {i: _trf(_strictly_feasible(x, lb, ub, rstep=1e-10), lb, ub, max_nfev, tol)
                 for i, x in enumerate(x0) if _in_bounds(x, lb, ub)}
         asks = {i: next(run) for i, run in runs.items()}
         while asks:
@@ -510,37 +513,23 @@ def _lockstep(residuals, starts, bounds, max_nfev=None):
     return results
 
 
-def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), **solver):
+def _least_squares_fit(residuals, starts, bounds=(-np.inf, np.inf), max_nfev=None, tol=_TOL):
     """Multi-start least squares: (x, covariance, sse) of the best start.
 
-    A bounded fit runs every start at once through ``_lockstep``: SciPy's
-    least_squares with its default ``trf`` method, bit for bit, sharing one
-    residual call per round. ``solver`` may pass ``max_nfev``, and
-    ``residuals`` must take a trailing batch axis: an (n, k) parameter stack
-    gives (k, m) residuals. ``method="lm"`` instead runs
-    ``scipy.optimize.least_squares`` once per start, passing ``solver``
-    (``jac``, ``xtol``) through. Starts that raise or do not converge are
-    skipped, and the lowest sum of squares wins, the first start on a tie.
-    SciPy refuses a start outside the bounds unsolved, so data that put
-    every start there raise ValueError naming the first start's first such
-    parameter (counted from 1 in the model's order), its value and its
-    bounds. The covariance is SciPy's curve-fit rule: the SVD pseudo-inverse
-    of J^T J (singular values below eps * max(m, n) * s_0 dropped) times
-    sse / (m - n), and inf when m <= n.
+    Every start runs at once through ``_lockstep``, which shares one call of
+    ``residuals`` per round, so ``residuals`` must take a trailing batch
+    axis: an (n, k) parameter stack gives (k, m) residuals. A bounded fit is
+    SciPy's least_squares with its default ``trf`` method, bit for bit, for
+    the same ``max_nfev`` and ftol = xtol = gtol = ``tol``. Starts that
+    raise or do not converge are skipped, and the lowest sum of squares
+    wins, the first start on a tie. SciPy refuses a start outside the
+    bounds unsolved, so data that put every start there raise ValueError
+    naming the first start's first such parameter (counted from 1 in the
+    model's order), its value and its bounds. The covariance is SciPy's
+    curve-fit rule: the SVD pseudo-inverse of J^T J (singular values below
+    eps * max(m, n) * s_0 dropped) times sse / (m - n), and inf when m <= n.
     """
-    if solver.get("method") == "lm":
-        from scipy.optimize import least_squares
-
-        solutions = []
-        for x0 in starts:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    solutions.append(least_squares(residuals, x0, bounds=bounds, **solver))
-            except (ValueError, FloatingPointError):
-                solutions.append(None)
-    else:
-        solutions = _lockstep(residuals, starts, bounds, **solver)
+    solutions = _lockstep(residuals, starts, bounds, max_nfev, tol)
     best = None
     for sol in solutions:
         if sol is None or sol.status <= 0:

@@ -10,10 +10,9 @@ that the instrument calibration must supply; this module takes the data
 already scaled. The fitted terms are what `filters.design_iir_corrector`
 inverts.
 
-The fit runs on ``analysis._least_squares_fit`` with ``method="lm"``, which
-calls scipy.optimize.least_squares once per start, and whose SVD covariance
-gives a rank-deficient fit (say, a tau run off to infinity) huge, unclipped
-sigmas.
+The fit runs on ``analysis._least_squares_fit``, the lockstep trust-region
+kernel every fit shares, unbounded; its SVD covariance gives a rank-deficient
+fit (say, a collapsed term) huge, unclipped sigmas.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .errors import FitError
 DEFAULT_PROBE_WINDOW_NS = 20.0
 DEGENERATE_TAU_RATIO = 1.5
 UNRESOLVED_TAU_SPAN = 100.0  # a fitted tau this many times the longest delay is unresolved
+_TOL = 1e-10  # ftol = xtol = gtol; at 1e-8 a tau below the first delay is 1.3e-9 off
 
 
 @dataclass(frozen=True)
@@ -69,27 +69,11 @@ class TailFitResult:
     degenerate_taus: bool
 
 
-def _probe_design_matrix(delays, taus, window, decay=None):
+def _probe_design_matrix(delays, taus, window):
     """Columns g_k(d) = (tau_k/w) e^{-d/tau_k} (1 - e^{-w/tau_k}), one broadcast
-    of the (m,) delays against the (k,) taus. ``decay`` is e^{-d/tau_k} when
-    the caller has it already."""
-    if decay is None:
-        decay = np.exp(-delays[:, None] / taus)
-    return (taus / window) * decay * -np.expm1(-window / taus)
-
-
-def _probe_jacobian(theta, delays, window):
-    """Jacobian of the probe residual in theta = (A_k, log tau_k): the design
-    matrix, then tau_k dg_k/dtau_k times A_k, both from one e^{-d/tau_k}."""
-    n_terms = theta.size // 2
-    taus = np.exp(theta[n_terms:])
-    d = delays[:, None]
-    late = d + window
-    decay = np.exp(-d / taus)
-    # d g / d log tau = (1/w) [ (1 + d/tau) e^{-d/tau} - (1 + (d+w)/tau) e^{-(d+w)/tau} ] * tau
-    dg_dtau = ((1.0 + d / taus) * decay - (1.0 + late / taus) * np.exp(-late / taus)) / window
-    return np.hstack([_probe_design_matrix(delays, taus, window, decay),
-                      theta[:n_terms] * dg_dtau * taus])
+    of the (m,) delays against the (..., k) taus: (..., m, k)."""
+    taus = taus[..., None, :]
+    return (taus / window) * np.exp(-delays[:, None] / taus) * -np.expm1(-window / taus)
 
 
 def fit_multi_exponential(
@@ -100,10 +84,10 @@ def fit_multi_exponential(
 ) -> TailFitResult:
     """Fit window-averaged multi-exponential settling to probe records.
 
-    Levenberg-Marquardt (``method="lm"``, chosen here: the fit is unbounded)
-    with an analytic Jacobian in (A_k, log tau_k).
-    Starts are seeded by log-spaced/log-uniform tau draws over the delay span
-    with amplitudes solved linearly per seed; the best converged start wins.
+    Unbounded least squares in (A_k, log tau_k) on the shared trust-region
+    kernel, every start in lockstep. Starts are seeded by
+    log-spaced/log-uniform tau draws over the delay span with amplitudes
+    solved linearly per seed; the best converged start wins.
     ``probe_window`` must be the window the records were measured with —
     omitting the window model biases fast-tau amplitudes by O(w/tau).
     ``degenerate_taus`` is set, with a warning, when neighbouring taus are
@@ -133,13 +117,15 @@ def fit_multi_exponential(
         starts.append(np.concatenate([amps, log_taus]))
 
     def residuals(theta):
-        g = _probe_design_matrix(delays, np.exp(theta[n_terms:]), probe_window)
-        return g @ theta[:n_terms] - values
+        # (2 n_terms, k) -> (k, m), summed term by term: no matmul mixes columns
+        terms = _probe_design_matrix(delays, np.exp(theta[n_terms:]).T, probe_window)
+        terms *= theta[:n_terms].T[:, None, :]
+        fitted = terms[..., 0]
+        for k in range(1, n_terms):
+            fitted = fitted + terms[..., k]
+        return fitted - values
 
-    theta, cov, sse = _least_squares_fit(
-        residuals, starts, method="lm",
-        jac=lambda theta: _probe_jacobian(theta, delays, probe_window), xtol=1e-14,
-    )
+    theta, cov, sse = _least_squares_fit(residuals, starts, tol=_TOL)
     cost = math.sqrt(sse)
     amps = theta[:n_terms]
     taus = np.exp(theta[n_terms:])

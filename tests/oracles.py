@@ -28,7 +28,7 @@ from scipy.optimize import curve_fit, least_squares
 from scipy.signal import lfilter, sosfilt
 
 from uniflux import pulsec
-from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, TailProbeRecord
+from uniflux.distortion import DEFAULT_PROBE_WINDOW_NS, ExponentialTailModel, TailProbeRecord
 from uniflux.dynamics import (
     CLIFFORD_COUNT,
     DRIVE_SAMPLE_RATE,
@@ -566,6 +566,27 @@ def per_term_jacobian(theta, delays, window):
         dg_dtau = ((1.0 + delays / tau) * e0 - (1.0 + (delays + window) / tau) * e1) / window
         jac[:, n_terms + k] = theta[k] * dg_dtau * tau
     return jac
+
+
+def lm_tail_fit(delays, values, window, starts):
+    """The settling-tail fit as the package first ran it: MINPACK
+    Levenberg-Marquardt (``least_squares(method="lm")``) from each start,
+    with the per-term design matrix and Jacobian and xtol 1e-14, then
+    ``least_squares_winner``'s (x, covariance, sse). Raises FitError when no
+    start converges, and also, as the package does, when the winner's total
+    amplitude is at least 1. Its result may depend on the process's heap
+    layout; it is a reference for the residual norm, not for bits."""
+    n = len(starts[0]) // 2
+
+    def residuals(theta):
+        return per_term_design_matrix(delays, np.exp(theta[n:]), window) @ theta[:n] - values
+
+    x, cov, sse = least_squares_winner(per_start_least_squares(
+        residuals, starts, (-np.inf, np.inf), method="lm",
+        jac=lambda theta: per_term_jacobian(theta, delays, window), xtol=1e-14))
+    if np.sum(np.abs(x[:n])) >= 1.0:
+        raise FitError("best fit is unphysical")
+    return x, cov, sse
 
 
 def upsample(x: np.ndarray, factor: int) -> np.ndarray:
@@ -1362,6 +1383,20 @@ def simulate_tail_probe(model, delays, probe_window: float = DEFAULT_PROBE_WINDO
     amps, taus = np.array(model.terms).T
     values = per_term_design_matrix(delays, taus, probe_window) @ amps
     return [TailProbeRecord(float(d), float(v)) for d, v in zip(delays, values)]
+
+
+def four_term_tail_records(seed: int) -> list:
+    """A four-term settling tail with mixed signs, drawn from
+    ``default_rng(seed)`` in this order: a ratio r ~ U(1.5, 10), taus
+    5 r^k U(1, 1.2) ns for k = 0-3, amplitudes U(-0.8, 0.8)/4, then
+    N(0, 2e-5) noise on each of 60 records from 2 to 6000 ns (20 ns window)."""
+    rng = np.random.default_rng(seed)
+    ratio = rng.uniform(1.5, 10.0)
+    taus = 5.0 * ratio ** np.arange(4) * rng.uniform(1.0, 1.2, 4)
+    amps = rng.uniform(-0.8, 0.8, 4) / 4
+    clean = simulate_tail_probe(ExponentialTailModel(tuple(zip(amps, taus))),
+                                np.geomspace(2.0, 6000.0, 60))
+    return [TailProbeRecord(r.delay, r.tail_over_ref + rng.normal(0.0, 2e-5)) for r in clean]
 
 
 def clifford_matrix(index: int) -> np.ndarray:

@@ -10,9 +10,10 @@ adds `filters` and `pulsec`, `fit` adds `analysis`, and `simulate` adds
 add none. Every scipy module is loaded inside the function that calls it,
 so a compile loads no scipy unless it runs the Z-path IIR (``--iir``), and
 an ideal-mode `simulate rb`, the closed-form decay, loads none either.
-The eigensolves of `spectrum`, `tradeoff` and `simulate`, and the fits of
-`fit t1|dephasing|rb`, load one scipy module, its LAPACK extension
-``scipy.linalg._flapack``, without importing ``scipy.linalg``; a later
+The eigensolves of `spectrum`, `tradeoff` and `simulate`, the fits of
+`fit t1|dephasing|rb` and the library's settling-tail fit load one scipy
+module, its LAPACK extension ``scipy.linalg._flapack``, without importing
+``scipy.linalg``; a later
 ``import scipy.linalg`` reuses that module. The IIR loads sosfilt's kernel,
 ``scipy.signal._sosfilt``, and what it imports, without ``scipy.signal``.
 
@@ -172,6 +173,21 @@ def test_decay_fits_load_only_scipys_lapack_extension(tmp_path):
         report, stdout = _run_fresh_command("fit", *argv)
         assert report == {"code": 0, "scipy": _LAPACK, "uniflux": _package("analysis")}, argv
         assert json.loads(stdout)
+
+
+def test_tail_fit_loads_only_scipys_lapack_extension():
+    # the settling-tail fit runs on the same kernel as the CLI's fits
+    proc = _fresh("-c", """
+import sys
+import numpy as np
+from uniflux import distortion
+records = [distortion.TailProbeRecord(d, -0.02 * np.exp(-d / 40.0) - 0.015 * np.exp(-d / 400.0))
+           for d in np.geomspace(5.0, 3000.0, 40)]
+fit = distortion.fit_multi_exponential(records, 2)
+print(len(fit.model.terms), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"2 {_LAPACK}"
 
 
 def test_iir_compile_loads_only_sosfilts_kernel(tmp_path):

@@ -301,11 +301,12 @@ def test_each_format_constant_lives_in_its_owner():
 
 # Functions that one function in src/ alone may call: every drive reaches the
 # channel through `dynamics._prepare`, which alone pre-distorts it, every fit
-# runs through the one kernel, `analysis._least_squares_fit`, and every SVD,
-# the trust region's and the covariance's, through `analysis._svd`.
+# runs through the one kernel, `analysis._least_squares_fit`, and its one
+# solver, `analysis._lockstep`, and every SVD, the trust region's and the
+# covariance's, through `analysis._svd`.
 CALL_OWNERS = {
     "predistort_drive": "dynamics._prepare",
-    "least_squares": "analysis._least_squares_fit",
+    "_lockstep": "analysis._least_squares_fit",
     "dgesdd": "analysis._svd",
 }
 
