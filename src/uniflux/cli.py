@@ -364,7 +364,8 @@ def cmd_tradeoff(args) -> int:
     ]
     footer = []
     alpha = np.array([p.attenuation_db for p in points])
-    x = np.log10(np.power(10.0, alpha / 20.0))  # log10 amplitude transmission
+    with np.errstate(divide="ignore"):  # a transmission that underflows to 0 has x = -inf
+        x = np.log10(np.power(10.0, alpha / 20.0))  # log10 amplitude transmission
     if x[-1] != x[0]:  # one point, or a grid of equal amplitudes, has no slope
         for label, values in (
             ("rabi_mhz", [p.rabi_mhz for p in points]),
@@ -571,7 +572,6 @@ def _rb_means(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     lengths = body[:, names.index("length")]
     if not (np.all(np.isfinite(lengths)) and np.all(lengths == np.round(lengths))):
         raise ValueError("lengths must be integers")
-    lengths = lengths.astype(int)
     survivals = body[:, names.index("survival")]
     unique = np.unique(lengths)
     means = np.array([survivals[lengths == m].mean() for m in unique])

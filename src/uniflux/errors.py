@@ -35,8 +35,9 @@ def _scipy_extension(subpackage: str, name: str):
     The module in sys.modules if there is one; otherwise the extension is
     loaded from scipy's directory, which ``find_spec("scipy")`` names without
     importing anything, and registered under its own name. What the
-    extension imports loads with it: LAPACK's ``_flapack`` imports nothing,
-    the Cython ``_sosfilt`` ``scipy`` and a few of ``scipy._lib``'s modules.
+    extension imports loads with it: LAPACK's ``_flapack`` and brentq's
+    ``_zeros`` import nothing, the Cython ``_sosfilt`` ``scipy`` and a few of
+    ``scipy._lib``'s modules.
     Its functions are the objects SciPy's own wrappers call, and a later
     ``import scipy.<subpackage>`` reuses the module. The one wart: that
     package then lacks the ``name`` attribute, though SciPy's own ``from

@@ -65,6 +65,7 @@ class GaussianLowpass(TransferFunction):
     def sigma(self) -> float:
         return math.sqrt(math.log(2.0)) / self.f_c
 
+    @np.errstate(over="ignore")  # a tiny f_c squares to inf, and exp(-inf) = 0
     def response(self, f):
         f = np.asarray(f, dtype=float)
         return np.exp(-((f * self.sigma) ** 2) / 2.0)

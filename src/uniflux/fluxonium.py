@@ -27,11 +27,12 @@ Groszkowski & Koch, scqubits, Quantum 5, 583 (2021)).
 One kernel, ``_eigensolve``, diagonalizes every Hamiltonian, a stack of them
 at a time, through LAPACK's dsyevr with the workspace scipy.linalg.eigh
 queries: bit for bit eigh, without its per-call wrapper. It and the phase
-basis call SciPy's LAPACK extension, which ``_lapack`` loads without the
-import of scipy.linalg, about half of a cold command. Truncation is measured,
-not assumed: the kernel reports the weight each eigenvector has in the top
-sixth of the oscillator states, and a spectrum whose weight there exceeds
-TAIL_LIMIT is refused. Sweeps,
+basis call SciPy's LAPACK extension ``_flapack``, and the reset search calls
+brentq's compiled kernel, ``scipy.optimize._zeros``; ``errors._scipy_extension``
+loads each without the import of its subpackage, which would be about half of
+a cold command. Truncation is measured, not assumed: the kernel reports the
+weight each eigenvector has in the top sixth of the oscillator states, and a
+spectrum whose weight there exceeds TAIL_LIMIT is refused. Sweeps,
 reset-flux searches and eigenbasis phase matrices solve each flux point on a
 short ladder of basis sizes, RUNGS and then ``basis_size``, and keep the
 first rung whose tail weight is at most TAIL_CONVERGED. Each point climbs
@@ -133,14 +134,6 @@ class EnergySpectrum:
     _vectors: np.ndarray = field(default=None, repr=False)
 
 
-def _lapack():
-    """scipy.linalg._flapack, SciPy's LAPACK extension, without scipy.linalg
-    (``errors._scipy_extension``). Its routines are the objects
-    ``scipy.linalg.get_lapack_funcs`` returns; after a later ``import
-    scipy.linalg`` that package lacks a ``_flapack`` attribute."""
-    return _scipy_extension("linalg", "_flapack")
-
-
 @lru_cache(maxsize=len(RUNGS) + 2)
 def _phase_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (nodes, V) with a + a^dagger = V diag(nodes) V^T on ``n`` levels,
@@ -149,7 +142,8 @@ def _phase_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     Each entry holds an n x n array, so the cache keeps only the rungs, the
     default top rung and one other size.
     """
-    nodes, v, info = _lapack().dstevd(np.zeros(n), np.sqrt(np.arange(1.0, n)), compute_v=1)
+    dstevd = _scipy_extension("linalg", "_flapack").dstevd
+    nodes, v, info = dstevd(np.zeros(n), np.sqrt(np.arange(1.0, n)), compute_v=1)
     if info:
         raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
     nodes.setflags(write=False)
@@ -202,7 +196,7 @@ def build_hamiltonian(params: FluxoniumParams) -> np.ndarray:
 @lru_cache(maxsize=len(RUNGS) + 2)
 def _syevr(n: int):
     """(dsyevr, lwork, liwork) for n x n: the workspace scipy.linalg.eigh queries."""
-    lapack = _lapack()
+    lapack = _scipy_extension("linalg", "_flapack")
     lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
     return lapack.dsyevr, int(lwork), liwork
 
@@ -415,8 +409,6 @@ def find_reset_flux(
         raise ValueError(f"f_target must be finite, got {f_target}")
     if not _is_integer(scan_points) or scan_points < 2:
         raise ValueError(f"scan_points must be an integer >= 2, got {scan_points!r}")
-    from scipy.optimize import brentq
-
     terms = {}
     grid = np.linspace(0.5, 1e-3, scan_points)
     lo = _f01(params, terms, grid[0])
@@ -429,9 +421,10 @@ def find_reset_flux(
         if lo <= f_target and (f01s[k] - f_target) * (f01s[k + 1] - f_target) <= 0:
             # brentq opens on both bracket ends, which the scan has just solved
             scanned = {grid[k]: f01s[k], grid[k + 1]: f01s[k + 1]}
-            root = brentq(
+            # brentq(..., xtol=1e-10)'s kernel call; its checks pass here and f01 is never NaN
+            root = _scipy_extension("optimize", "_zeros")._brentq(
                 lambda x: (scanned[x] if x in scanned else _f01(params, terms, x)) - f_target,
-                grid[k + 1], grid[k], xtol=1e-10,
+                grid[k + 1], grid[k], 1e-10, 4 * np.finfo(float).eps, 100, (), False, True,
             )
             return ResetFlux(float(root), 0.5 - float(root))
     raise NoSolutionError(

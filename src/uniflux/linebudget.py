@@ -93,7 +93,10 @@ def awg_noise_psd(noise_dbm_per_hz: float, z0: float) -> float:
     """Double-sided voltage PSD (V^2/Hz) of an AWG noise floor given in dBm/Hz."""
     if z0 < 0:
         raise ValueError("z0 must be non-negative")
-    p_watt_per_hz = 10.0 ** ((noise_dbm_per_hz - 30.0) / 10.0)
+    try:
+        p_watt_per_hz = 10.0 ** ((noise_dbm_per_hz - 30.0) / 10.0)
+    except OverflowError:  # a floor past the float range
+        return math.inf if z0 else 0.0
     return 0.5 * p_watt_per_hz * z0
 
 
@@ -103,8 +106,9 @@ def t1_line_limit(e_l: float, m01: float, line: LineModel, s_vv: float) -> float
     1/T1 = (1/hbar^2) (2 pi E_L M alpha / (Phi0 Z0))^2 |<0|phi|1>|^2 S_VV,
     evaluated in SI (E_L converted from GHz through h). ``s_vv`` is the
     double-sided PSD at the qubit transition frequency, referenced to the AWG
-    output. A zero PSD returns math.inf; serialized reports spell that as
-    "unlimited" rather than emitting a float infinity.
+    output. A zero PSD returns math.inf, as does a rate that underflows to
+    0; serialized reports spell that as "unlimited" rather than emitting a
+    float infinity. A rate past the float range returns 0.0.
 
     Derivation, following Krantz et al., Appl. Phys. Rev. 6, 021318 (2019),
     Sec. III:
@@ -142,8 +146,12 @@ def t1_line_limit(e_l: float, m01: float, line: LineModel, s_vv: float) -> float
         2.0 * math.pi * e_l_si * line.mutual_inductance * line.alpha
         / (PHI0 * line.line_impedance)
     )
-    rate = (coupling / HBAR) ** 2 * m01**2 * s_vv  # 1/s
-    return 1e6 / rate
+    try:
+        gain = (coupling / HBAR) ** 2 * m01**2
+    except OverflowError:  # the rate is past the float range
+        return 0.0
+    rate = gain * s_vv if gain else 0.0  # 1/s; no coupling carries no noise
+    return 1e6 / rate if rate else math.inf
 
 
 def max_dc_excursion(line: LineModel) -> float:

@@ -131,6 +131,12 @@ def _inputs() -> dict[str, str]:
                                   (16, 0, 1.1)]),
         "rb-rising.csv": _table("length,seq_index,survival",
                                 [(1, 0, 0.5), (2, 0, 0.6), (4, 0, 0.7), (8, 0, 0.8)]),
+        # a length past int64
+        "rb-1e19.csv": _table("length,seq_index,survival",
+                              [(1, 0, 0.97), (2, 0, 0.95), (4, 0, 0.91), (8, 0, 0.84),
+                               (1e19, 0, 0.5)]),
+        # a cutoff whose Gaussian squares past the float range
+        "tiny-fc.json": json.dumps({"channel": {"kind": "gaussian", "f_c": 1e-300}}),
     }
 
 
@@ -154,6 +160,10 @@ COMMANDS = [
     ("tradeoff-silent-awg", ("tradeoff", "--noise", "-inf", "-n", "5")),
     ("tradeoff-to-file", ("tradeoff", "--vmax", "0.3", "-n", "4", "-o", "tradeoff.csv")),
     ("tradeoff-reversed", ("tradeoff", "--alpha-from", "-20", "--alpha-to", "-80")),
+    ("tradeoff-rate-underflows", ("tradeoff", "--alpha-from", "-4000", "-n", "3")),
+    ("tradeoff-transmission-underflows", ("tradeoff", "--alpha-from", "-20000", "-n", "3")),
+    ("tradeoff-coupling-overflows", ("tradeoff", "--mutual", "1e200", "-n", "3")),
+    ("tradeoff-noise-overflows", ("tradeoff", "--noise", "4000", "-n", "3")),
     ("design-gauss", ("design", "gauss")),
     ("design-inverse", ("design", "inverse", "--fq", "0.2238")),
     ("design-fir-to-file", ("design", "fir", "--fq", "0.2238", "--rate", "1", "-o",
@@ -164,6 +174,7 @@ COMMANDS = [
                             "--rate", "1", "-o", "iir-out.json")),
     ("design-iir-no-exp", ("design", "iir", "--rate", "1")),
     ("design-fir-rate-below-twice-fq", ("design", "fir", "--rate", "0.3", "--fq", "0.208")),
+    ("design-fir-tiny-fc", ("design", "fir", "--fc", "1e-300", "--fq", "0.2", "--rate", "1")),
     ("compile", ("compile", "example.pulse", "--rate", "1")),
     ("compile-memory", ("compile", "example.pulse", "--rate", "2", "--report-memory")),
     ("compile-filtered", ("compile", "example.pulse", "--rate", "1", *FIR_IIR,
@@ -201,6 +212,7 @@ COMMANDS = [
     ("simulate-gate-saturates", ("simulate", "gate", "--scenario", "weak-line.json")),
     ("simulate-gate-just-under-four-samples", ("simulate", "gate", "--duration", "3.9999999")),
     ("simulate-gate-flat-channel-with-fc", ("simulate", "gate", "--scenario", "flat-fc.json")),
+    ("simulate-gate-tiny-fc", ("simulate", "gate", "--scenario", "tiny-fc.json")),
     ("simulate-rb-to-file", ("simulate", "rb", "-o", "rb-out.csv")),
     ("simulate-rb-waveform", ("simulate", "rb", "--mode", "waveform", "--lengths", "1,4,8",
                               "--sequences", "2", "--scenario", "fast.json")),
@@ -222,6 +234,7 @@ COMMANDS = [
                                             "50")),
     ("fit-rb-offset-outside-bounds", ("fit", "rb", "rb-above-1.csv")),
     ("fit-rb-rising", ("fit", "rb", "rb-rising.csv")),
+    ("fit-rb-length-past-int64", ("fit", "rb", "rb-1e19.csv")),
     ("fit-reset-to-file", ("fit", "reset", "reset.csv", "-o", "reset-out.json")),
     ("fit-reset-lower", ("fit", "reset", "reset.csv", "--excited-component", "lower")),
     ("fit-reset-non-finite", ("fit", "reset", "reset-nan.csv")),

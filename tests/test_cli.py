@@ -1136,6 +1136,8 @@ _INPUT_FILES = {
     "coarse-step.json": '{"time_step_ns": 0.25}',
     # a 1 MHz Gaussian, whose |H| underflows to 0 at f01 = 0.224 GHz
     "deaf-channel.json": '{"channel": {"kind": "gaussian", "f_c": 0.001}}',
+    # a cutoff whose (f sigma)^2 overflows to inf, and |H| = exp(-inf) = 0
+    "tiny-fc.json": '{"channel": {"kind": "gaussian", "f_c": 1e-300}}',
     # f01 = 0.858 GHz, above the 0.5 GHz Nyquist frequency of the 1 GS/s drive sampling
     "flux-0.45-wide-channel.json": (
         '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.45}, '
@@ -1178,6 +1180,9 @@ _INPUT_FILES = {
     "rb-fractional.csv": "length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n4,0,0.96\n",
     "rb-columns.csv": "m,p\n1,0.99\n2,0.98\n4,0.96\n",
     "rb-length-0.csv": "length,seq_index,survival\n0,0,1.0\n1,0,0.99\n2,0,0.98\n4,0,0.96\n",
+    # an integral length past int64
+    "rb-1e19.csv": ("length,seq_index,survival\n1,0,0.97\n2,0,0.95\n4,0,0.91\n8,0,0.84\n"
+                    "1e19,0,0.5\n"),
     # data that put every fit start outside the bounds: an offset above 1
     "offset-1.2.csv": "t_us,p_e\n" + "".join(
         f"{t!r},{1.5 * math.exp(-t / 60.0) + 1.2!r}\n"
@@ -1199,6 +1204,7 @@ _PROGRAM = ("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
 # exit 0 of stdout); "{tmp}" stands for the directory holding _INPUT_FILES.
 _FOUR_SAMPLE_GATE = ("a pi pulse at f01 = 0.223769 GHz starts at a 3.51 V peak, beyond the "
                      "AWG full scale 0.5 V: the line passes |H| = 0.98 of it")
+_TRADEOFF_HEADER = "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0"
 _EXIT_CODE_CASES = [
     ("no-command", (), 2, "a command is required"),
     ("unknown-command", ("frobnicate",), 2, "argument COMMAND: invalid choice"),
@@ -1229,12 +1235,23 @@ _EXIT_CODE_CASES = [
     ("tradeoff-negative-exponent", ("tradeoff", "--alpha-from", "-8e1", "-n", "3"), 0, None),
     ("tradeoff-abbreviated-option", ("tradeoff", "--alpha-f", "-8e1"), 2,
      "unrecognized arguments: --alpha-f"),
+    # a rate past the float range: T1_line 0.0 when it overflows, unlimited when it underflows
+    ("tradeoff-rate-underflows", ("tradeoff", "--alpha-from", "-4000", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-4000.0,8.032884102209929e-196,unlimited,"),
+    ("tradeoff-transmission-underflows", ("tradeoff", "--alpha-from", "-20000", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-20000.0,0.0,unlimited,0.0\n"),
+    ("tradeoff-coupling-overflows", ("tradeoff", "--mutual", "1e200", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-80.0,4.016442051104964e+212,0.0,"),
+    ("tradeoff-noise-overflows", ("tradeoff", "--noise", "4000", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-80.0,8.032884102209929,0.0,"),
     # design
     ("design-non-finite-option", ("design", "gauss", "--fc", "inf"), 2, "argument --fc:"),
     ("design-fc-0", ("design", "gauss", "--fc", "0"), 2, "argument --fc:"),
     ("design-no-taps", ("design", "fir", "--rate", "2", "--taps", "0"), 2, "argument --taps:"),
     ("design-odd-taps", ("design", "fir", "--rate", "2", "--taps", "15"), 2,
      "argument --taps: must be an even integer"),
+    ("design-fir-tiny-fc", ("design", "fir", "--fc", "1e-300", "--fq", "0.2", "--rate", "1"),
+     3, "cannot quantize all-zero taps"),
     ("design-fir-rate-below-twice-fq", ("design", "fir", "--rate", "0.3", "--fq", "0.208"), 2,
      "--rate 0.3 GS/s cannot represent the 0.208 GHz band"),
     # compile
@@ -1393,6 +1410,8 @@ _EXIT_CODE_CASES = [
     ("simulate-gate-predistorted-flat-channel",
      ("simulate", "gate", "--scenario", "{tmp}/flat-channel.json"), 3,
      "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
+    ("simulate-gate-tiny-fc", ("simulate", "gate", "--scenario", "{tmp}/tiny-fc.json"), 3,
+     "the channel passes nothing at f01 = 0.223769 GHz (|H| = 0): no drive reaches the qubit"),
     ("simulate-gate-flat-channel-with-fc",
      ("simulate", "gate", "--scenario", "{tmp}/flat-channel-fc.json"), 3,
      "{tmp}/flat-channel-fc.json: flat channel takes no f_c"),
@@ -1470,6 +1489,7 @@ _EXIT_CODE_CASES = [
      "{tmp}/rb-fractional.csv: lengths must be integers"),
     ("fit-rb-length-0", ("fit", "rb", "{tmp}/rb-length-0.csv"), 3,
      "{tmp}/rb-length-0.csv: sequence lengths must be >= 1"),
+    ("fit-rb-length-past-int64", ("fit", "rb", "{tmp}/rb-1e19.csv"), 0, '{\n  "a": '),
     ("fit-rb-wrong-columns", ("fit", "rb", "{tmp}/rb-columns.csv"), 3,
      "{tmp}/rb-columns.csv: expected CSV columns length,seq_index,survival"),
     ("fit-t1-offset-outside-bounds", ("fit", "t1", "{tmp}/offset-1.2.csv"), 3,

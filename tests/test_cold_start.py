@@ -14,8 +14,12 @@ The eigensolves of `spectrum`, `tradeoff` and `simulate`, the fits of
 `fit t1|dephasing|rb` and the library's settling-tail fit load one scipy
 module, its LAPACK extension ``scipy.linalg._flapack``, without importing
 ``scipy.linalg``; a later
-``import scipy.linalg`` reuses that module. The IIR loads sosfilt's kernel,
-``scipy.signal._sosfilt``, and what it imports, without ``scipy.signal``.
+``import scipy.linalg`` reuses that module. The library's reset search adds
+brentq's kernel, ``scipy.optimize._zeros``, without ``scipy.optimize``. The
+IIR loads sosfilt's kernel, ``scipy.signal._sosfilt``, and what it imports,
+without ``scipy.signal``. Each of these comes through
+``errors._scipy_extension``: no module in the package has a scipy import
+statement.
 
 The AST checks below are where these rules are written down; the
 subprocess checks show what a fresh interpreter actually loads.
@@ -132,12 +136,33 @@ from uniflux import cli, fluxonium
 assert cli.main(["spectrum", "--from", "0.4", "--to", "0.5", "-n", "3", "--levels", "2"]) == 0
 import scipy.linalg
 from scipy.linalg import _flapack
+from uniflux.errors import _scipy_extension
 syevr, query = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
-print([_flapack is fluxonium._lapack(), syevr is fluxonium._syevr(80)[0],
-       query is fluxonium._lapack().dsyevr_lwork])
+print([_flapack is _scipy_extension("linalg", "_flapack"), syevr is fluxonium._syevr(80)[0],
+       query is _scipy_extension("linalg", "_flapack").dsyevr_lwork])
 """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[True, True, True]"
+
+
+def test_reset_search_loads_only_the_lapack_and_brentq_kernels():
+    # brentq's compiled kernel, without the 300-odd modules of scipy.optimize;
+    # a later import of scipy.optimize reuses it and lacks only the attribute
+    proc = _fresh("-c", """
+import sys
+from uniflux import fluxonium
+params = fluxonium.FluxoniumParams(e_j=4.5, e_c=1.1, e_l=0.5, phi_ext=0.5)
+fluxonium.find_reset_flux(params, 4.98, scan_points=48)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+zeros = sys.modules["scipy.optimize._zeros"]
+import scipy.optimize
+from scipy.optimize import _zeros
+root = scipy.optimize.brentq(lambda x: x * x - 2.0, 0.0, 2.0)
+print([_zeros is zeros, hasattr(scipy.optimize, "_zeros"), abs(root - 2.0 ** 0.5) < 1e-12])
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        str([*_LAPACK, "scipy.optimize._zeros"]), "[True, False, True]"]
 
 
 def test_design_loads_only_filters():
@@ -277,16 +302,31 @@ def _imported_package_modules(stmt):
     return [name.split(".")[1] for name in names if name.startswith("uniflux.")]
 
 
-def test_no_module_level_scipy_import():
-    """Rule: import each scipy subpackage inside the function that calls it."""
+def _scipy_imports(source):
+    """Lines of ``source`` with a scipy import statement, at any depth."""
+    return [stmt.lineno for stmt in ast.walk(ast.parse(source))
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and "scipy" in _imported_roots(stmt)]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import scipy.linalg", [1]),
+    ("import numpy, scipy as sp", [1]),
+    ("from scipy.linalg import _flapack", [1]),
+    ("def f():\n    from scipy.optimize import brentq", [2]),
+    ("class C:\n    def f(self):\n        import scipy.signal", [3]),
+    ("from .errors import _scipy_extension\nimport numpy as np", []),
+])
+def test_the_scipy_import_rule_sees_every_statement(source, lines):
+    assert _scipy_imports(source) == lines
+
+
+def test_no_scipy_import_statement():
+    """Rule: SciPy enters the package only through ``errors._scipy_extension``,
+    one compiled kernel at a time; no module, and no function, imports scipy."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 5
-    offenders = [
-        f"{path.name}:{stmt.lineno}"
-        for path in sources
-        for stmt in _module_level_imports(ast.parse(path.read_text(), str(path)))
-        if "scipy" in _imported_roots(stmt)
-    ]
+    offenders = [f"{path.name}:{line}" for path in sources
+                 for line in _scipy_imports(path.read_text())]
     assert offenders == []
 
 

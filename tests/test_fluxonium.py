@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniflux import fluxonium
-from uniflux.errors import NoSolutionError, NumericalError
+from uniflux.errors import NoSolutionError, NumericalError, _scipy_extension
 
 from oracles import (
     cosm_hamiltonian,
@@ -343,7 +343,7 @@ def test_one_phase_decomposition_per_basis_size(monkeypatch):
     from uniflux import dynamics
 
     calls = []
-    lapack = fluxonium._lapack()
+    lapack = _scipy_extension("linalg", "_flapack")
     solve = lapack.dstevd
     monkeypatch.setattr(
         lapack, "dstevd", lambda *args, **kw: calls.append(len(args[0])) or solve(*args, **kw)

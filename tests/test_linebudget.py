@@ -78,6 +78,20 @@ def test_t1_zero_noise_sentinel():
     assert linebudget.t1_line_limit(0.5, 2.0, LINE, 0.0) == math.inf
 
 
+def test_t1_past_the_float_range():
+    # a rate that underflows to 0 is as unlimited as a silent line; one that overflows reads 0
+    faint = LINE.replace(attenuation_db=-4000.0)
+    strong = LINE.replace(mutual_inductance=1e200)
+    loud = linebudget.awg_noise_psd(4000.0, 50.0)
+    assert loud == math.inf
+    assert linebudget.awg_noise_psd(4000.0, 0.0) == 0.0
+    assert linebudget.t1_line_limit(0.5, 2.0, faint, 2.5e-15) == math.inf
+    assert linebudget.t1_line_limit(0.5, 2.0, strong, 2.5e-15) == 0.0
+    assert linebudget.t1_line_limit(0.5, 2.0, LINE, loud) == 0.0
+    # a coupling that squares to 0 carries none of an infinite floor
+    assert linebudget.t1_line_limit(0.5, 2.0, faint, loud) == math.inf
+
+
 def test_max_dc_excursion():
     line = LINE.replace(attenuation_db=-20.0)
     assert linebudget.max_dc_excursion(line) == pytest.approx(0.967, abs=5e-4)
