@@ -320,7 +320,7 @@ def test_the_scipy_import_rule_sees_every_statement(source, lines):
     assert _scipy_imports(source) == lines
 
 
-def test_no_scipy_import_statement():
+def test_no_module_level_scipy_import():
     """Rule: SciPy enters the package only through ``errors._scipy_extension``,
     one compiled kernel at a time; no module, and no function, imports scipy."""
     sources = sorted(PACKAGE.glob("*.py"))

@@ -324,6 +324,21 @@ def test_each_owned_function_has_one_caller():
     )
 
 
+def test_no_module_imports_a_private_scipy_module():
+    private = sorted(
+        (path.stem, name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name.split(".")[0] == "scipy" and any(part.startswith("_") for part in name.split("."))
+    )
+    assert private == [], f"imports of private scipy modules: {private}"
+
+
 # ---------------------------------------------------------------------------
 # one eigensolver for every Hamiltonian
 # ---------------------------------------------------------------------------
