@@ -110,9 +110,8 @@ def _csv_table(header: str, rows, footer_lines=()) -> str:
 
 
 def _fmt(value: float) -> str:
-    """Repr-based cell formatting so equal values are byte-equal."""
-    if math.isinf(value):
-        return "unlimited"
+    """Repr-based cell formatting so equal values are byte-equal; an infinity
+    reads inf. Only tradeoff's t1_line_us column writes "unlimited"."""
     return repr(float(value))
 
 
@@ -358,8 +357,9 @@ def cmd_tradeoff(args) -> int:
     grid = np.linspace(args.alpha_from, args.alpha_to, args.points)
     points = linebudget.tradeoff_sweep(params, line, grid)
     rows = [
-        ",".join(map(_fmt, (p.attenuation_db, p.rabi_mhz, p.t1_line_us,
-                            p.max_dc_excursion_phi0)))
+        ",".join((_fmt(p.attenuation_db), _fmt(p.rabi_mhz),
+                  "unlimited" if p.t1_line_us == math.inf else _fmt(p.t1_line_us),
+                  _fmt(p.max_dc_excursion_phi0)))
         for p in points
     ]
     footer = []

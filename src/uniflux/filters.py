@@ -47,6 +47,20 @@ class TransferFunction:
         raise NotImplementedError
 
 
+_SQRT_LN2 = math.sqrt(math.log(2.0))
+
+
+def _check_cutoff(name: str, f_c: float) -> None:
+    """The one rule for a Gaussian's 3-dB cutoff: positive and finite, and no
+    smaller than sqrt(ln 2) / DBL_MAX (about 4.6e-309 GHz), below which sigma
+    is inf and the response at dc 0 * inf = NaN."""
+    if not 0 < f_c < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    if _SQRT_LN2 / f_c == math.inf:
+        raise ValueError(f"{name} {f_c!r} GHz is too small: sigma = sqrt(ln 2) / {name} "
+                         "overflows")
+
+
 @dataclass(frozen=True)
 class GaussianLowpass(TransferFunction):
     """H(f) = exp(-(f sigma)^2 / 2) with |H(f_c)|^2 = 1/2.
@@ -58,12 +72,11 @@ class GaussianLowpass(TransferFunction):
     kind = "gaussian-lowpass"
 
     def __post_init__(self):
-        if not 0 < self.f_c < math.inf:
-            raise ValueError("f_c must be positive and finite")
+        _check_cutoff("f_c", self.f_c)
 
     @property
     def sigma(self) -> float:
-        return math.sqrt(math.log(2.0)) / self.f_c
+        return _SQRT_LN2 / self.f_c
 
     @np.errstate(over="ignore")  # a tiny f_c squares to inf, and exp(-inf) = 0
     def response(self, f):
@@ -102,9 +115,10 @@ class BoundedInverse(TransferFunction):
         if not isinstance(self.gauss, GaussianLowpass):
             raise ValueError("pre-distortion requires a Gaussian low-pass channel, "
                              f"got {self.gauss!r}")
-        for name in ("f_q", "g_max_db", "window_cutoff"):
+        for name in ("f_q", "g_max_db"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        _check_cutoff("window_cutoff", self.window_cutoff)
 
     @property
     def window(self) -> GaussianLowpass:

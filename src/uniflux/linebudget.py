@@ -107,8 +107,9 @@ def t1_line_limit(e_l: float, m01: float, line: LineModel, s_vv: float) -> float
     evaluated in SI (E_L converted from GHz through h). ``s_vv`` is the
     double-sided PSD at the qubit transition frequency, referenced to the AWG
     output. A zero PSD returns math.inf, as does a rate that underflows to
-    0; serialized reports spell that as "unlimited" rather than emitting a
-    float infinity. A rate past the float range returns 0.0.
+    0; the CLI's t1_line_us column spells that "unlimited", the one cell that
+    does, where every other infinite cell reads inf. A rate past the float
+    range returns 0.0.
 
     Derivation, following Krantz et al., Appl. Phys. Rev. 6, 021318 (2019),
     Sec. III:

@@ -1,12 +1,16 @@
-"""Byte matrix of the command-line tool: a fixed list of `uniflux` command
-lines, each with the stdout, stderr and exit code it gives, the warnings it
-raises and the sha256 of every file it writes.
+"""The one table of command-line cases: a fixed list of `uniflux` command
+lines, each recorded with the stdout, stderr and exit code it gives, the
+warnings it raises and the sha256 of every file it writes. A case of the
+exit-code matrix also carries the exit code and message that
+``test_cli.py::test_exit_code_matrix`` expects of it. A CLI fix adds its case
+here, once.
 
 The inputs are written from fixed seeds into a temporary working directory
 and named by relative paths, so no record holds a machine path. The records
 live in ``data/byte_matrix.json``; ``test_byte_matrix.py`` compares them
-with a fresh in-process run. A change that moves an output on purpose
-re-records the file and names each moved command.
+with a fresh in-process run and checks that each keeps the CLI contract. A
+change that moves an output on purpose re-records the file and names each
+moved command.
 
     python tests/byte_matrix.py                # run in-process, list moved records
     python tests/byte_matrix.py --record       # rewrite data/byte_matrix.json
@@ -50,9 +54,10 @@ def _table(header: str, rows) -> str:
 _GATE9 = "prim gate envelope 0.0 0.25 0.5 0.75 1.0 0.75 0.5 0.25 0.0\nprim edge edge 0.0 0.5 1.0\n"
 
 
-def _inputs() -> dict[str, str]:
-    """Every input file, by relative path: scenarios, programs, designs and
-    CSVs, the random ones from fixed seeds."""
+def _inputs() -> dict[str, str | bytes | None]:
+    """Every input file, by relative path: text, bytes, or None for a
+    directory. Scenarios, programs, designs and CSVs, the random ones from
+    fixed seeds."""
     rng = np.random.default_rng(36)
     t = np.concatenate(([0.0], np.geomspace(0.5, 300.0, 40)))
     t1 = 0.85 * np.exp(-t / 60.0) + 0.05 * np.exp(-t / 4.0) + 0.02
@@ -66,6 +71,8 @@ def _inputs() -> dict[str, str]:
     taps[7] += 1.0
     fast = {"channel": {"kind": "gaussian", "f_c": 0.092}, "levels": 2, "time_step_ns": 0.02}
     return {
+        "dir": None,
+        # programs
         "example.pulse": EXAMPLE_PROGRAM.read_text(),
         "repeat.pulse": ("prim gate envelope 0.0 0.5 1.0 0.5 0.0\ncarrier 0.2238\n"
                          "repeat 200 {\n  xy gate amp=0.9\n  vz 0.3\n}\n"),
@@ -91,6 +98,18 @@ def _inputs() -> dict[str, str]:
         # overflows turns a later block into NaN
         "nan-late.pulse": _GATE9 + "xy gate amp=1.0\ndelay 70000.0\nz rise=edge hold=0.5,10.0 fall=edge\n",
         "carrier-overflow.pulse": _GATE9 + "carrier 1e308\ndelay 2.0\nxy gate\n",
+        "garbled.pulse": b"\xff\xfe\x00prim",
+        "samples.txt": "1.0 x 0.5\n",
+        "file-primitive.pulse": "prim p file samples.txt\nxy p\n",
+        # the carrier phase overflows: 2 pi * 1e308 is inf
+        "huge-carrier-silent.pulse": "carrier 1e308\ndelay 2\n",
+        "huge-carrier-play.pulse": "prim p envelope 0.5 0.5\ncarrier 1e308\nxy p\n",
+        # the composite rounds to 1.0000000000000002
+        "full-scale-play.pulse": (
+            "prim p envelope 0.0 1.0 0.0\ncarrier 2.9884235703558835\n"
+            "xy p amp=1.0 phase=3.1052242272650368\n"
+        ),
+        # designs
         "loud-fir.json": json.dumps({"kind": "fir", "taps_float": [0.3] * 16, "taps_int16": None,
                                      "sample_rate_gsps": 1.0}),
         "overflowing-iir.json": json.dumps({"kind": "iir", "sample_rate_gsps": 1.0, "parameters": {
@@ -99,6 +118,46 @@ def _inputs() -> dict[str, str]:
                                 "sample_rate_gsps": 1.0}),
         "iir.json": json.dumps({"kind": "iir", "sample_rate_gsps": 1.0, "parameters": {
             "sections": [[1.0, -0.9, -0.95]], "source_exponentials": []}}),
+        "list.json": "[]",
+        "fir-kind-only.json": '{"kind": "fir"}',
+        "fir-nan-tap.json": (
+            '{"kind": "fir", "taps_float": [NaN, 0.5], "taps_int16": null, '
+            '"sample_rate_gsps": 2.0}'
+        ),
+        "iir-nan-section.json": (
+            '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
+            '{"sections": [[NaN, 0.0, -0.5]], "source_exponentials": []}}'
+        ),
+        "fir-int16-beside-float.json": (
+            '{"kind": "fir", "taps_float": [0.5, 0.5], "taps_int16": [99999, 1, 2], '
+            '"sample_rate_gsps": 2.0}'
+        ),
+        "fir-empty-taps.json": (
+            '{"kind": "fir", "taps_float": [], "taps_int16": null, "sample_rate_gsps": 2.0}'
+        ),
+        "fir-nested-taps.json": (
+            '{"kind": "fir", "taps_float": [[0.5], [0.5]], "taps_int16": null, '
+            '"sample_rate_gsps": 2.0}'
+        ),
+        "fir-boolean-taps.json": (
+            '{"kind": "fir", "taps_float": [true, false], "taps_int16": null, '
+            '"sample_rate_gsps": 2.0}'
+        ),
+        "fir-infinite-rate.json": (
+            '{"kind": "fir", "taps_float": [0.5, 0.5], "taps_int16": null, '
+            '"sample_rate_gsps": Infinity}'
+        ),
+        "iir-nan-rate.json": (
+            '{"kind": "iir", "sample_rate_gsps": NaN, "parameters": '
+            '{"sections": [[1.0, -0.5, -0.5]], "source_exponentials": []}}'
+        ),
+        # a first-order inverse section is stable only with its pole inside the
+        # unit circle (Rol et al., Appl. Phys. Lett. 116, 054001 (2020))
+        "iir-unstable-pole.json": (
+            '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
+            '{"sections": [[1.0, -0.5, -1.5]], "source_exponentials": []}}'
+        ),
+        # scenarios
         "fast.json": json.dumps(fast),
         "flat.json": json.dumps({"channel": {"kind": "flat"}, "levels": 2,
                                  "time_step_ns": 0.05}),
@@ -106,8 +165,48 @@ def _inputs() -> dict[str, str]:
         "weak-line.json": json.dumps({**fast, "line": {
             "mutual_inductance": 2e-12, "attenuation_db": -60.0,
             "awg_noise_dbm_per_hz": -130.0, "awg_vmax": 0.05}}),
+        # 0.25 ns exceeds 1/(20 f01) = 0.2234 ns at the reference f01
         "step-0.25.json": json.dumps({"time_step_ns": 0.25}),
         "garbled.json": '{"qubit": ',
+        # a cutoff whose (f sigma)^2 overflows to inf, and |H| = exp(-inf) = 0
+        "tiny-fc.json": json.dumps({"channel": {"kind": "gaussian", "f_c": 1e-300}}),
+        # a cutoff whose sigma = sqrt(ln 2) / f_c overflows
+        "subnormal-fc.json": json.dumps({"channel": {"kind": "gaussian", "f_c": 5e-324}}),
+        "qubit-5.json": '{"qubit": 5}',
+        "inf-step.json": '{"time_step_ns": Infinity}',
+        "levels-2.7.json": '{"levels": 2.7}',
+        "levels-true.json": '{"levels": true}',
+        # f01 = 5.40 GHz, where the 92 MHz Gaussian's |H| underflows to 0
+        "zero-flux.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.0}}',
+        "basis-60.7.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "basis_size": 60.7}}',
+        # f01 = 4.08 and 2.49 GHz, where the 92 MHz Gaussian passes ~3e-297 and ~4e-109
+        "quarter-flux.json": (
+            '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.25}, "levels": 2, '
+            '"time_step_ns": 0.01}'
+        ),
+        "flux-0.35.json": (
+            '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.35}, "levels": 2, '
+            '"time_step_ns": 0.01}'
+        ),
+        # a 1 MHz Gaussian, whose |H| underflows to 0 at f01 = 0.224 GHz
+        "deaf-channel.json": '{"channel": {"kind": "gaussian", "f_c": 0.001}}',
+        # f01 = 0.858 GHz, above the 0.5 GHz Nyquist frequency of the 1 GS/s drive sampling
+        "flux-0.45-wide-channel.json": (
+            '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.45}, '
+            '"channel": {"kind": "gaussian", "f_c": 5.0}}'
+        ),
+        # every scenario field but the channel's kind and levels is a JSON number
+        "step-true.json": '{"time_step_ns": true}',
+        "step-string.json": '{"time_step_ns": "0.02"}',
+        "step-null.json": '{"time_step_ns": null}',
+        "ej-true.json": '{"qubit": {"e_j": true, "e_c": 1.1, "e_l": 0.5}}',
+        "ej-null.json": '{"qubit": {"e_j": null, "e_c": 1.1, "e_l": 0.5}}',
+        "fc-true.json": '{"channel": {"f_c": true}}',
+        "vmax-string.json": (
+            '{"line": {"mutual_inductance": 2e-12, "attenuation_db": -30, '
+            '"awg_noise_dbm_per_hz": -130, "awg_vmax": "0.5"}}'
+        ),
+        # CSVs
         "t1.csv": _table("t_us,p_e", zip(t.tolist(), (t1 + rng.normal(0, 0.003, t.size)).tolist())),
         "dephasing.csv": _table("t_us,envelope",
                                 zip(t.tolist(), (env + rng.normal(0, 0.003, t.size)).tolist())),
@@ -115,6 +214,8 @@ def _inputs() -> dict[str, str]:
         "rb-columns.csv": _table("m,p", [(m, s) for m, _, s in rb]),
         "reset.csv": _column("signal", reset.tolist()),
         "reset-nan.csv": "signal\n" + "0.0\n" * 1000 + "nan\n",
+        "reset-inf.csv": "signal\n" + "0.0\n" * 1000 + "-inf\n",
+        # finite samples whose spread, squared, overflows
         "reset-overflow.csv": "signal\n" + "1e300\n" * 500 + "-1e300\n" * 500,
         # samples that 512 equal bins cannot resolve: no spread, or less
         # spread than 512 steps of the doubles near 1e17
@@ -123,6 +224,13 @@ def _inputs() -> dict[str, str]:
         "reset-1e17-steps.csv": _column("signal", [1e17 + 8 * k for k in range(1000)]),
         "empty.csv": "",
         "t1-bad-cell.csv": "t_us,p_e\n0,1\n1,abc\n",
+        "garbled.csv": "t_us,p1\n0,1.0\n1,bad,extra\n",
+        "wrong-shape.csv": "a,b,c\n1,2,3\n",
+        "nan.csv": "t_us,p_e\n0,1.0\n1,nan\n2,0.5\n",
+        "rb-nan.csv": "length,seq_index,survival\n1,0,0.9\nnan,0,0.8\n",
+        "rb-fractional.csv": ("length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n"
+                              "4,0,0.96\n"),
+        "rb-length-0.csv": "length,seq_index,survival\n0,0,1.0\n1,0,0.99\n2,0,0.98\n4,0,0.96\n",
         # data that put every fit start outside the bounds, and survivals that rise
         "offset-1.2.csv": _table("t_us,p_e", zip(t.tolist(),
                                                  (1.5 * np.exp(-t / 60.0) + 1.2).tolist())),
@@ -135,35 +243,74 @@ def _inputs() -> dict[str, str]:
         "rb-1e19.csv": _table("length,seq_index,survival",
                               [(1, 0, 0.97), (2, 0, 0.95), (4, 0, 0.91), (8, 0, 0.84),
                                (1e19, 0, 0.5)]),
-        # a cutoff whose Gaussian squares past the float range
-        "tiny-fc.json": json.dumps({"channel": {"kind": "gaussian", "f_c": 1e-300}}),
     }
 
 
 FIR_IIR = ("--fir", "fir.json", "--iir", "iir.json")
+_PROGRAM = ("compile", "example.pulse", "--rate", "2")
+_TRADEOFF_HEADER = "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0"
+_FOUR_SAMPLE_GATE = ("a pi pulse at f01 = 0.223769 GHz starts at a 3.51 V peak, beyond the "
+                     "AWG full scale 0.5 V: the line passes |H| = 0.98 of it")
 
-# (id, argv); every subcommand, with successes and refusals
-COMMANDS = [
+# The one table of CLI cases, every subcommand with successes and refusals.
+# A row is (id, argv), or (id, argv, exit code, message) for a case of the
+# exit-code matrix: 2 the command line is wrong, 3 an input file is wrong or
+# a domain error occurred, 4 a numerical result failed its convergence check.
+# The message is the start of the one stderr line after "uniflux: error: ",
+# or on exit 0 the start of stdout (None: any).
+CASES = [
     ("version", ("--version", "--provenance")),
-    ("no-command", ()),
-    ("unknown-command", ("frobnicate",)),
+    ("no-command", (), 2, "a command is required"),
+    ("unknown-command", ("frobnicate",), 2, "argument COMMAND: invalid choice"),
+    # spectrum
     ("spectrum", ("spectrum", "-n", "7", "--levels", "6")),
     ("spectrum-to-file", ("spectrum", "--from", "0.4", "--to", "0.5", "-n", "3", "--levels",
                           "3", "-o", "spectrum.csv")),
-    ("spectrum-overflowing-ej", ("spectrum", "--ej", "1.7e308", "--ec", "1.2", "--el", "0.9",
-                                 "--from", "0.3", "--to", "0.3", "-n", "1", "--levels", "3")),
-    ("spectrum-basis-too-small", ("spectrum", "--basis-size", "24", "--levels", "4", "-n", "5")),
-    ("spectrum-levels-over-a-third", ("spectrum", "--levels", "50")),
-    ("spectrum-non-finite", ("spectrum", "--to", "nan")),
+    ("spectrum-non-finite-option", ("spectrum", "--to", "nan"), 2, "argument --to: must be"),
+    ("spectrum-infinite-ej", ("spectrum", "--ej", "inf"), 2, "argument --ej: must be"),
+    ("spectrum-basis-size-5", ("spectrum", "--basis-size", "5"), 2, "argument --basis-size:"),
+    ("spectrum-one-level", ("spectrum", "--levels", "1"), 2, "argument --levels:"),
+    ("spectrum-levels-over-a-third-of-basis", ("spectrum", "--levels", "50"), 2,
+     "--levels 50 exceeds 40"),
+    # at flux 0 the reference circuit keeps 1.0e-5 of level 1 in the top 4 of 24 states
+    ("spectrum-basis-too-small", ("spectrum", "--basis-size", "24", "--levels", "4", "-n", "5"),
+     4, "sweep row 0 (flux=0.0): basis 24 too small: level"),
+    # E_J 1.7e308 overflows H + H^T; E_C 1e308 overflows phi_zpf and the LC diagonal
+    ("spectrum-overflowing-ej",
+     ("spectrum", "--ej", "1.7e308", "--ec", "1.2", "--el", "0.9", "--from", "0.3", "--to",
+      "0.3", "-n", "1", "--levels", "3"), 3,
+     "sweep row 0 (flux=0.3): Hamiltonian is not finite"),
+    ("spectrum-overflowing-ec",
+     ("spectrum", "--ec", "1e308", "--from", "0.3", "--to", "0.3", "-n", "1", "--levels", "3"),
+     3, "sweep row 0 (flux=0.3): Hamiltonian is not finite"),
+    ("spectrum-negative-exponent",
+     ("spectrum", "--from", "-1e-3", "--to", "0.01", "-n", "2", "--levels", "2"), 0, None),
+    # tradeoff
     ("tradeoff", ("tradeoff", "-n", "5")),
     ("tradeoff-one-point", ("tradeoff", "-n", "1", "--alpha-from", "-50", "--alpha-to", "-50")),
     ("tradeoff-silent-awg", ("tradeoff", "--noise", "-inf", "-n", "5")),
     ("tradeoff-to-file", ("tradeoff", "--vmax", "0.3", "-n", "4", "-o", "tradeoff.csv")),
     ("tradeoff-reversed", ("tradeoff", "--alpha-from", "-20", "--alpha-to", "-80")),
-    ("tradeoff-rate-underflows", ("tradeoff", "--alpha-from", "-4000", "-n", "3")),
-    ("tradeoff-transmission-underflows", ("tradeoff", "--alpha-from", "-20000", "-n", "3")),
-    ("tradeoff-coupling-overflows", ("tradeoff", "--mutual", "1e200", "-n", "3")),
-    ("tradeoff-noise-overflows", ("tradeoff", "--noise", "4000", "-n", "3")),
+    ("tradeoff-non-finite-option", ("tradeoff", "--mutual", "nan"), 2, "argument --mutual:"),
+    ("tradeoff-vmax-0", ("tradeoff", "--vmax", "0"), 2, "argument --vmax:"),
+    ("tradeoff-noise-plus-inf", ("tradeoff", "--noise", "inf"), 2, "argument --noise:"),
+    ("tradeoff-negative-exponent", ("tradeoff", "--alpha-from", "-8e1", "-n", "3"), 0, None),
+    ("tradeoff-abbreviated-option", ("tradeoff", "--alpha-f", "-8e1"), 2,
+     "unrecognized arguments: --alpha-f"),
+    # a rate past the float range: T1_line 0.0 when it overflows, unlimited when it underflows
+    ("tradeoff-rate-underflows", ("tradeoff", "--alpha-from", "-4000", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-4000.0,8.032884102209929e-196,unlimited,"),
+    ("tradeoff-transmission-underflows", ("tradeoff", "--alpha-from", "-20000", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-20000.0,0.0,unlimited,0.0\n"),
+    ("tradeoff-coupling-overflows", ("tradeoff", "--mutual", "1e200", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-80.0,4.016442051104964e+212,0.0,"),
+    ("tradeoff-noise-overflows", ("tradeoff", "--noise", "4000", "-n", "3"), 0,
+     f"{_TRADEOFF_HEADER}\n-80.0,8.032884102209929,0.0,"),
+    # a drive past the float range reads inf; "unlimited" is T1_line's word alone
+    ("tradeoff-drive-overflows",
+     ("tradeoff", "-n", "2", "--mutual", "1e300", "--alpha-from", "-1", "--alpha-to", "0"), 0,
+     f"{_TRADEOFF_HEADER}\n-1.0,inf,0.0,inf\n0.0,inf,0.0,inf\n"),
+    # design
     ("design-gauss", ("design", "gauss")),
     ("design-inverse", ("design", "inverse", "--fq", "0.2238")),
     ("design-fir-to-file", ("design", "fir", "--fq", "0.2238", "--rate", "1", "-o",
@@ -173,8 +320,24 @@ COMMANDS = [
     ("design-iir-to-file", ("design", "iir", "--exp", "-0.0174:34", "--exp", "0.01:200",
                             "--rate", "1", "-o", "iir-out.json")),
     ("design-iir-no-exp", ("design", "iir", "--rate", "1")),
-    ("design-fir-rate-below-twice-fq", ("design", "fir", "--rate", "0.3", "--fq", "0.208")),
-    ("design-fir-tiny-fc", ("design", "fir", "--fc", "1e-300", "--fq", "0.2", "--rate", "1")),
+    ("design-non-finite-option", ("design", "gauss", "--fc", "inf"), 2, "argument --fc:"),
+    ("design-fc-0", ("design", "gauss", "--fc", "0"), 2, "argument --fc:"),
+    ("design-no-taps", ("design", "fir", "--rate", "2", "--taps", "0"), 2, "argument --taps:"),
+    ("design-odd-taps", ("design", "fir", "--rate", "2", "--taps", "15"), 2,
+     "argument --taps: must be an even integer"),
+    ("design-fir-tiny-fc", ("design", "fir", "--fc", "1e-300", "--fq", "0.2", "--rate", "1"),
+     3, "cannot quantize all-zero taps"),
+    # below sqrt(ln 2) / DBL_MAX a cutoff's sigma overflows, and |H(0)| = 0 * inf = NaN
+    ("design-gauss-subnormal-fc", ("design", "gauss", "--fc", "5e-324"), 3,
+     "f_c 5e-324 GHz is too small"),
+    ("design-inverse-subnormal-window-cutoff",
+     ("design", "inverse", "--fq", "0.2", "--window-cutoff", "5e-324"), 3,
+     "window_cutoff 5e-324 GHz is too small"),
+    ("design-fir-subnormal-fc", ("design", "fir", "--fc", "5e-324", "--fq", "0.2", "--rate", "1"),
+     3, "f_c 5e-324 GHz is too small"),
+    ("design-fir-rate-below-twice-fq", ("design", "fir", "--rate", "0.3", "--fq", "0.208"), 2,
+     "--rate 0.3 GS/s cannot represent the 0.208 GHz band"),
+    # compile
     ("compile", ("compile", "example.pulse", "--rate", "1")),
     ("compile-memory", ("compile", "example.pulse", "--rate", "2", "--report-memory")),
     ("compile-filtered", ("compile", "example.pulse", "--rate", "1", *FIR_IIR,
@@ -185,8 +348,6 @@ COMMANDS = [
     ("compile-repeat-filtered-12-bit", ("compile", "repeat.pulse", "--rate", "1", *FIR_IIR,
                                         "--dac-bits", "12", "--report-memory")),
     ("compile-z-burst-saturates", ("compile", "z-burst.pulse", "--rate", "1")),
-    ("compile-carrier-only-iir", ("compile", "carrier-only.pulse", "--rate", "1", "--iir",
-                                  "iir.json")),
     ("compile-long-filtered-to-file", ("compile", "long.pulse", "--rate", "1", *FIR_IIR,
                                        "--report-memory", "-o", "long.bin")),
     ("compile-long-filtered", ("compile", "long.pulse", "--rate", "1", *FIR_IIR,
@@ -199,8 +360,54 @@ COMMANDS = [
     ("compile-carrier-phase-overflows", ("compile", "carrier-overflow.pulse", "--rate", "1",
                                          "-o", "carrier.bin")),
     ("compile-brace-not-ending-line", ("compile", "brace.pulse", "--rate", "1")),
-    ("compile-non-finite-program", ("compile", "nan.pulse", "--rate", "1")),
-    ("compile-missing-program", ("compile", "absent.pulse", "--rate", "1")),
+    ("compile-non-finite-option", ("compile", "example.pulse", "--rate", "inf"), 2,
+     "argument --rate:"),
+    ("compile-dac-bits-20", (*_PROGRAM, "--dac-bits", "20"), 2, "argument --dac-bits:"),
+    ("compile-missing-program", ("compile", "absent.pulse", "--rate", "1"), 3,
+     "absent.pulse: No such file"),
+    ("compile-directory-program", ("compile", "dir", "--rate", "2"), 3, "dir: "),
+    ("compile-garbled-program", ("compile", "garbled.pulse", "--rate", "2"), 3, "garbled.pulse: "),
+    ("compile-non-finite-program", ("compile", "nan.pulse", "--rate", "1"), 3, "nan.pulse: "),
+    ("compile-silent-non-finite-carrier-phase",
+     ("compile", "huge-carrier-silent.pulse", "--rate", "2"), 0, None),
+    ("compile-play-on-non-finite-carrier-phase",
+     ("compile", "huge-carrier-play.pulse", "--rate", "2"), 3,
+     "xy play 0 in program order: carrier phase is not finite"),
+    ("compile-full-scale-play", ("compile", "full-scale-play.pulse", "--rate", "2"), 0, None),
+    # no sample to correct: the Z path passes the empty waveform as it is
+    ("compile-carrier-only-iir", ("compile", "carrier-only.pulse", "--rate", "1", "--iir",
+                                  "iir.json"), 0,
+     f"sha256 {hashlib.sha256(b'').hexdigest()}\nsamples 0\n"),
+    ("compile-garbled-primitive-file", ("compile", "file-primitive.pulse", "--rate", "2"), 3,
+     "file-primitive.pulse: cannot read samples.txt: could not convert"),
+    ("compile-missing-fir", (*_PROGRAM, "--fir", "absent.json"), 3, "absent.json: "),
+    ("compile-directory-fir", (*_PROGRAM, "--fir", "dir"), 3, "dir: "),
+    ("compile-list-fir", (*_PROGRAM, "--fir", "list.json"), 3, "list.json: "),
+    ("compile-kind-only-fir", (*_PROGRAM, "--fir", "fir-kind-only.json"), 3,
+     "fir-kind-only.json: missing key"),
+    ("compile-garbled-fir", (*_PROGRAM, "--fir", "garbled.json"), 3, "garbled.json: "),
+    ("compile-non-finite-fir", (*_PROGRAM, "--fir", "fir-nan-tap.json"), 3, "fir-nan-tap.json: "),
+    ("compile-list-iir", (*_PROGRAM, "--iir", "list.json"), 3, "list.json: "),
+    ("compile-wrong-kind-iir", (*_PROGRAM, "--iir", "fir-kind-only.json"), 3,
+     "fir-kind-only.json: expected"),
+    ("compile-non-finite-iir", (*_PROGRAM, "--iir", "iir-nan-section.json"), 3,
+     "iir-nan-section.json: "),
+    ("compile-int16-taps-beside-float-taps", (*_PROGRAM, "--fir", "fir-int16-beside-float.json"),
+     3, "fir-int16-beside-float.json: taps_int16 must be null or one integer in "
+     "[-32768, 32767] per float tap"),
+    ("compile-empty-fir-taps", (*_PROGRAM, "--fir", "fir-empty-taps.json"), 3,
+     "fir-empty-taps.json: taps_float must be a non-empty list of numbers"),
+    ("compile-nested-fir-taps", (*_PROGRAM, "--fir", "fir-nested-taps.json"), 3,
+     "fir-nested-taps.json: taps_float must be a non-empty list of numbers"),
+    ("compile-boolean-fir-taps", (*_PROGRAM, "--fir", "fir-boolean-taps.json"), 3,
+     "fir-boolean-taps.json: taps_float must be a non-empty list of numbers"),
+    ("compile-infinite-rate-fir", (*_PROGRAM, "--fir", "fir-infinite-rate.json"), 3,
+     "fir-infinite-rate.json: sample_rate must be positive and finite"),
+    ("compile-nan-rate-iir", (*_PROGRAM, "--iir", "iir-nan-rate.json"), 3,
+     "iir-nan-rate.json: sample_rate must be positive and finite"),
+    ("compile-unstable-pole-iir", (*_PROGRAM, "--iir", "iir-unstable-pole.json"), 3,
+     "iir-unstable-pole.json: IIR section pole 1.5 must lie inside the unit circle"),
+    # simulate
     ("simulate-rabi", ("simulate", "rabi", "--scenario", "fast.json", "--points", "5")),
     ("simulate-rabi-flat", ("simulate", "rabi", "--scenario", "flat.json", "--no-predistort",
                             "--points", "9")),
@@ -208,46 +415,226 @@ COMMANDS = [
                                  "--points", "5", "--amp-max", "0.2")),
     ("simulate-gate", ("simulate", "gate", "--scenario", "fast.json")),
     ("simulate-gate-trim", ("simulate", "gate", "--scenario", "fast.json", "--trim-frequency")),
-    ("simulate-gate-flat", ("simulate", "gate", "--scenario", "flat.json", "--no-predistort")),
     ("simulate-gate-saturates", ("simulate", "gate", "--scenario", "weak-line.json")),
-    ("simulate-gate-just-under-four-samples", ("simulate", "gate", "--duration", "3.9999999")),
-    ("simulate-gate-flat-channel-with-fc", ("simulate", "gate", "--scenario", "flat-fc.json")),
-    ("simulate-gate-tiny-fc", ("simulate", "gate", "--scenario", "tiny-fc.json")),
     ("simulate-rb-to-file", ("simulate", "rb", "-o", "rb-out.csv")),
     ("simulate-rb-waveform", ("simulate", "rb", "--mode", "waveform", "--lengths", "1,4,8",
                               "--sequences", "2", "--scenario", "fast.json")),
     ("simulate-rb-waveform-interleaved", ("simulate", "rb", "--mode", "waveform", "--lengths",
                                           "1,4", "--sequences", "2", "--interleaved", "4",
                                           "--scenario", "fast.json")),
-    ("simulate-rb-waveform-unstable-step", ("simulate", "rb", "--mode", "waveform",
-                                            "--lengths", "1", "--sequences", "1",
-                                            "--scenario", "step-0.25.json")),
-    ("simulate-rb-interleaved-24", ("simulate", "rb", "--interleaved", "24")),
-    ("simulate-garbled-scenario", ("simulate", "rb", "--scenario", "garbled.json")),
+    ("simulate-rabi-infinite-amp-max", ("simulate", "rabi", "--amp-max", "inf"), 2,
+     "argument --amp-max:"),
+    ("simulate-gate-nan-duration", ("simulate", "gate", "--duration", "nan"), 2,
+     "argument --duration:"),
+    ("simulate-gate-half-sample-duration", ("simulate", "gate", "--duration", "0.5"), 2,
+     "argument --duration: must be a whole number of at least 4 samples"),
+    ("simulate-rabi-fractional-duration", ("simulate", "rabi", "--duration", "2.5"), 2,
+     "argument --duration: must be a whole number of at least 2 samples"),
+    ("simulate-rb-half-sample-gate-duration", ("simulate", "rb", "--gate-duration", "0.5"), 2,
+     "argument --gate-duration: must be a whole number of at least 2 samples"),
+    ("simulate-rb-waveform-one-sample-gate",
+     ("simulate", "rb", "--mode", "waveform", "--gate-duration", "1"), 2,
+     "argument --gate-duration: must be a whole number of at least 2 samples"),
+    # a length within 1e-6 of 4 samples is the 4-sample pulse, which the
+    # reference line cannot drive through a pi rotation
+    ("simulate-gate-four-samples", ("simulate", "gate", "--duration", "4"), 3,
+     _FOUR_SAMPLE_GATE),
+    ("simulate-gate-just-under-four-samples", ("simulate", "gate", "--duration", "3.9999999"),
+     3, _FOUR_SAMPLE_GATE),
+    # each experiment takes only the options it reads
+    ("simulate-gate-frequency", ("simulate", "gate", "--frequency", "0.3"), 2,
+     "unrecognized arguments: --frequency"),
+    ("simulate-rabi-trim-frequency", ("simulate", "rabi", "--trim-frequency"), 2,
+     "unrecognized arguments: --trim-frequency"),
+    # the uncompensated 92 MHz channel tilts the axis to n_z ~ -0.75 across the bracket
+    ("simulate-gate-trim-uncompensated", ("simulate", "gate", "--trim-frequency",
+                                          "--no-predistort"), 3,
+     "no drive frequency in the bracket [0.223769, 0.226769] GHz levels the pi rotation's "
+     "axis: n_z = -0.741 at 0.225869 GHz"),
+    ("simulate-gate-channel-passes-nothing-at-f01",
+     ("simulate", "gate", "--scenario", "zero-flux.json"), 3,
+     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
+    ("simulate-gate-uncompensated-channel-passes-nothing-at-f01",
+     ("simulate", "gate", "--no-predistort", "--scenario", "zero-flux.json"), 3,
+     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
+    ("simulate-rabi-channel-passes-nothing-at-f01",
+     ("simulate", "rabi", "--scenario", "deaf-channel.json"), 3,
+     "the channel passes nothing at f01 = 0.223769 GHz (|H| = 0): no drive reaches the qubit"),
+    # a Rabi drive is checked against the sampling before it is built and compensated
+    ("simulate-rabi-at-f01-5.4-ghz",
+     ("simulate", "rabi", "--points", "3", "--scenario", "zero-flux.json"), 3,
+     "a drive at 5.4039 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
+    ("simulate-rabi-uncompensated-at-f01-5.4-ghz",
+     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario", "zero-flux.json"), 3,
+     "a drive at 5.4039 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
+    # a drive pulse sampled at 1 GS/s cannot carry 0.5 GHz or more
+    ("simulate-rabi-frequency-above-nyquist",
+     ("simulate", "rabi", "--frequency", "1.22376881665", "--points", "3", "--amp-max", "0.02"),
+     2, "argument --frequency: must lie below 0.5 GHz, the Nyquist frequency of the 1 GS/s "
+     "drive sampling, got '1.22376881665'"),
+    ("simulate-rabi-frequency-at-nyquist", ("simulate", "rabi", "--frequency", "0.5"), 2,
+     "argument --frequency: must lie below 0.5 GHz"),
+    ("simulate-rabi-negative-frequency", ("simulate", "rabi", "--frequency", "-1"), 2,
+     "argument --frequency: must be positive and finite, got '-1'"),
+    ("simulate-rb-gate-frequency-above-nyquist",
+     ("simulate", "rb", "--mode", "waveform", "--lengths", "2", "--seed", "3",
+      "--gate-frequency", "1.22376881665"), 2,
+     "argument --gate-frequency: must lie below 0.5 GHz, the Nyquist frequency of the 1 GS/s "
+     "drive sampling, got '1.22376881665'"),
+    ("simulate-rabi-uncompensated-f01-above-nyquist",
+     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
+      "flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
+    ("simulate-rabi-f01-above-nyquist",
+     ("simulate", "rabi", "--points", "3", "--scenario", "flux-0.45-wide-channel.json"),
+     3, "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling"),
+    ("simulate-rb-waveform-f01-above-nyquist",
+     ("simulate", "rb", "--mode", "waveform", "--lengths", "2", "--scenario",
+      "flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling"),
+    # the calibrations check the top of their frequency bracket, f01 + 3 MHz at 20 ns
+    ("simulate-gate-f01-above-nyquist",
+     ("simulate", "gate", "--scenario", "flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.861252 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
+     "below 0.5 GHz"),
+    ("simulate-gate-uncompensated-f01-above-nyquist",
+     ("simulate", "gate", "--no-predistort", "--trim-frequency", "--scenario",
+      "flux-0.45-wide-channel.json"), 3,
+     "a drive at 0.861252 GHz aliases at the 1 GS/s drive sampling"),
+    ("simulate-gate-start-beyond-full-scale",
+     ("simulate", "gate", "--scenario", "quarter-flux.json"), 3,
+     "a pi pulse at f01 = 4.08328 GHz starts at a 3.05e+295 V peak, beyond the AWG full "
+     "scale 0.5 V: the line passes |H| = 3.1e-297 of it"),
+    ("simulate-gate-uncompensated-start-beyond-full-scale",
+     ("simulate", "gate", "--no-predistort", "--scenario", "quarter-flux.json"), 3,
+     "a pi pulse at f01 = 4.08328 GHz starts at a 2.12e+295 V peak, beyond the AWG full "
+     "scale 0.5 V: the line passes |H| = 3.2e-297 of it"),
+    ("simulate-gate-start-beyond-full-scale-at-flux-0.35",
+     ("simulate", "gate", "--scenario", "flux-0.35.json"), 3,
+     "a pi pulse at f01 = 2.48707 GHz starts at a 4.38e+109 V peak, beyond the AWG full "
+     "scale 0.5 V: the line passes |H| = 3.7e-109 of it"),
+    # pre-distortion needs a Gaussian channel: both experiments say so alike
+    ("simulate-rabi-predistorted-flat-channel", ("simulate", "rabi", "--scenario", "flat.json"),
+     3, "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
+    ("simulate-gate-predistorted-flat-channel", ("simulate", "gate", "--scenario", "flat.json"),
+     3, "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
+    ("simulate-gate-tiny-fc", ("simulate", "gate", "--scenario", "tiny-fc.json"), 3,
+     "the channel passes nothing at f01 = 0.223769 GHz (|H| = 0): no drive reaches the qubit"),
+    ("simulate-rabi-subnormal-fc", ("simulate", "rabi", "--no-predistort", "--points", "3",
+                                    "--scenario", "subnormal-fc.json"), 3,
+     "subnormal-fc.json: f_c 5e-324 GHz is too small"),
+    ("simulate-gate-flat-channel-with-fc", ("simulate", "gate", "--scenario", "flat-fc.json"), 3,
+     "flat-fc.json: flat channel takes no f_c"),
+    ("simulate-rb-waveform-unstable-time-step",
+     ("simulate", "rb", "--mode", "waveform", "--lengths", "1", "--sequences", "1",
+      "--scenario", "step-0.25.json"), 4,
+     "sequence (length=1, index=0): time_step 0.25 ns violates the stability bound"),
+    ("simulate-rabi-uncompensated-flat-channel",
+     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario", "flat.json"), 0,
+     None),
+    ("simulate-gate-uncompensated-flat-channel",
+     ("simulate", "gate", "--scenario", "flat.json", "--no-predistort"), 0, None),
+    ("simulate-rb-duration", ("simulate", "rb", "--duration", "24"), 2,
+     "unrecognized arguments: --duration"),
+    ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,
+     "argument --sequences:"),
+    ("simulate-rb-interleaved-24", ("simulate", "rb", "--interleaved", "24"), 2,
+     "argument --interleaved:"),
+    ("simulate-rb-depolarizing-1.5", ("simulate", "rb", "--depolarizing", "1.5"), 2,
+     "argument --depolarizing: must be in [0, 1]"),
+    ("simulate-rb-gate-amplitude-2", ("simulate", "rb", "--gate-amplitude", "2"), 2,
+     "argument --gate-amplitude: must be non-zero and within [-1, 1]"),
+    ("simulate-rb-gate-amplitude-0", ("simulate", "rb", "--gate-amplitude", "0"), 2,
+     "argument --gate-amplitude: must be non-zero and within [-1, 1]"),
+    ("simulate-missing-scenario", ("simulate", "rb", "--scenario", "absent.json"), 3,
+     "absent.json: "),
+    ("simulate-directory-scenario", ("simulate", "rb", "--scenario", "dir"), 3, "dir: "),
+    ("simulate-garbled-scenario", ("simulate", "rb", "--scenario", "garbled.json"), 3,
+     "garbled.json: Expecting value"),
+    ("simulate-list-scenario", ("simulate", "rb", "--scenario", "list.json"), 3, "list.json: "),
+    ("simulate-qubit-5-scenario", ("simulate", "rb", "--scenario", "qubit-5.json"), 3,
+     "qubit-5.json: "),
+    ("simulate-non-finite-scenario", ("simulate", "rb", "--scenario", "inf-step.json"), 3,
+     "inf-step.json: "),
+    ("simulate-fractional-levels", ("simulate", "rb", "--scenario", "levels-2.7.json"), 3,
+     "levels-2.7.json: levels must be an integer >= 2, got 2.7"),
+    ("simulate-boolean-levels", ("simulate", "rb", "--scenario", "levels-true.json"), 3,
+     "levels-true.json: levels must be an integer >= 2, got True"),
+    ("simulate-fractional-basis-size", ("simulate", "rb", "--scenario", "basis-60.7.json"), 3,
+     "basis-60.7.json: basis_size must be an integer >= 12, got 60.7"),
+    ("simulate-boolean-time-step", ("simulate", "gate", "--scenario", "step-true.json"), 3,
+     "step-true.json: scenario time_step_ns must be a number, got true"),
+    ("simulate-string-time-step", ("simulate", "gate", "--scenario", "step-string.json"), 3,
+     'step-string.json: scenario time_step_ns must be a number, got "0.02"'),
+    ("simulate-null-time-step", ("simulate", "gate", "--scenario", "step-null.json"), 3,
+     "step-null.json: scenario time_step_ns must be a number, got null"),
+    ("simulate-boolean-qubit-field", ("simulate", "gate", "--scenario", "ej-true.json"), 3,
+     "ej-true.json: scenario qubit e_j must be a number, got true"),
+    ("simulate-null-qubit-field", ("simulate", "gate", "--scenario", "ej-null.json"), 3,
+     "ej-null.json: scenario qubit e_j must be a number, got null"),
+    ("simulate-boolean-channel-field", ("simulate", "gate", "--scenario", "fc-true.json"), 3,
+     "fc-true.json: scenario channel f_c must be a number, got true"),
+    ("simulate-string-line-field", ("simulate", "gate", "--scenario", "vmax-string.json"), 3,
+     'vmax-string.json: scenario line awg_vmax must be a number, got "0.5"'),
+    # fit
     ("fit-t1", ("fit", "t1", "t1.csv")),
     ("fit-dephasing", ("fit", "dephasing", "dephasing.csv", "--t1-us", "60")),
     ("fit-dephasing-no-t1", ("fit", "dephasing", "dephasing.csv")),
     ("fit-rb", ("fit", "rb", "rb.csv")),
-    ("fit-rb-wrong-columns", ("fit", "rb", "rb-columns.csv")),
-    ("fit-t1-offset-outside-bounds", ("fit", "t1", "offset-1.2.csv")),
-    ("fit-dephasing-offset-outside-bounds", ("fit", "dephasing", "offset-1.2.csv", "--t1-us",
-                                            "50")),
-    ("fit-rb-offset-outside-bounds", ("fit", "rb", "rb-above-1.csv")),
     ("fit-rb-rising", ("fit", "rb", "rb-rising.csv")),
-    ("fit-rb-length-past-int64", ("fit", "rb", "rb-1e19.csv")),
     ("fit-reset-to-file", ("fit", "reset", "reset.csv", "-o", "reset-out.json")),
     ("fit-reset-lower", ("fit", "reset", "reset.csv", "--excited-component", "lower")),
-    ("fit-reset-non-finite", ("fit", "reset", "reset-nan.csv")),
-    ("fit-reset-overflowing", ("fit", "reset", "reset-overflow.csv")),
-    ("fit-reset-zeros", ("fit", "reset", "reset-zeros.csv")),
-    ("fit-reset-1e17", ("fit", "reset", "reset-1e17.csv")),
-    ("fit-reset-1e17-steps", ("fit", "reset", "reset-1e17-steps.csv")),
-    ("fit-empty-csv", ("fit", "t1", "empty.csv")),
-    ("fit-t1-bad-cell", ("fit", "t1", "t1-bad-cell.csv")),
+    ("fit-non-finite-option", ("fit", "dephasing", "nan.csv", "--t1-us", "nan"), 2,
+     "argument --t1-us:"),
+    ("fit-t1-us-0", ("fit", "dephasing", "nan.csv", "--t1-us", "0"), 2, "argument --t1-us:"),
+    ("fit-missing-csv", ("fit", "t1", "absent.csv"), 3, "absent.csv: "),
+    ("fit-directory-csv", ("fit", "t1", "dir"), 3, "dir: "),
+    ("fit-empty-csv", ("fit", "t1", "empty.csv"), 3, "empty.csv: "),
+    ("fit-garbled-csv", ("fit", "t1", "garbled.csv"), 3, "garbled.csv: "),
+    ("fit-bad-cell-csv", ("fit", "t1", "t1-bad-cell.csv"), 3,
+     "t1-bad-cell.csv: Line #3 (column 2 is 'abc', not a number)"),
+    ("fit-wrong-shape-csv", ("fit", "t1", "wrong-shape.csv"), 3, "wrong-shape.csv: "),
+    ("fit-non-finite-csv", ("fit", "t1", "nan.csv"), 3, "nan.csv: "),
+    ("fit-rb-non-finite-csv", ("fit", "rb", "rb-nan.csv"), 3, "rb-nan.csv: "),
+    ("fit-rb-fractional-length", ("fit", "rb", "rb-fractional.csv"), 3,
+     "rb-fractional.csv: lengths must be integers"),
+    ("fit-rb-length-0", ("fit", "rb", "rb-length-0.csv"), 3,
+     "rb-length-0.csv: sequence lengths must be >= 1"),
+    ("fit-rb-length-past-int64", ("fit", "rb", "rb-1e19.csv"), 0, '{\n  "a": '),
+    ("fit-rb-wrong-columns", ("fit", "rb", "rb-columns.csv"), 3,
+     "rb-columns.csv: expected CSV columns length,seq_index,survival"),
+    ("fit-t1-offset-outside-bounds", ("fit", "t1", "offset-1.2.csv"), 3,
+     "offset-1.2.csv: the data put every start outside the fit's bounds: parameter 2 starts at "
+     "1.22419, outside [-1, 1]"),
+    ("fit-dephasing-offset-outside-bounds",
+     ("fit", "dephasing", "offset-1.2.csv", "--t1-us", "50"), 3,
+     "offset-1.2.csv: the data put every start outside the fit's bounds: parameter 2 starts at "
+     "1.22419, outside [-1, 1]"),
+    ("fit-rb-offset-outside-bounds", ("fit", "rb", "rb-above-1.csv"), 3,
+     "rb-above-1.csv: the data put every start outside the fit's bounds: parameter 2 starts at "
+     "1.1, outside [0, 1]"),
+    ("fit-reset-non-finite-csv", ("fit", "reset", "reset-nan.csv"), 3,
+     "reset-nan.csv: signal samples must be finite"),
+    ("fit-reset-infinite-csv", ("fit", "reset", "reset-inf.csv"), 3,
+     "reset-inf.csv: signal samples must be finite"),
+    ("fit-reset-overflowing-csv", ("fit", "reset", "reset-overflow.csv"), 3,
+     "reset-overflow.csv: signal samples from -1e+300 to 1e+300 overflow"),
+    ("fit-reset-zeros", ("fit", "reset", "reset-zeros.csv"), 3,
+     "reset-zeros.csv: signal samples from 0.0 to 0.0 span too little to cut into 512 "
+     "histogram bins"),
+    ("fit-reset-1e17", ("fit", "reset", "reset-1e17.csv"), 3,
+     "reset-1e17.csv: signal samples from 1e+17 to 1e+17 span too little"),
+    ("fit-reset-1e17-steps", ("fit", "reset", "reset-1e17-steps.csv"), 3,
+     "reset-1e17-steps.csv: signal samples from 1e+17 to 1.00000000000008e+17 span too little"),
+    # devices has no numeric option; its one value option takes a choice
     ("devices", ("devices",)),
     ("devices-csv", ("devices", "--format", "csv")),
     ("devices-csv-to-file", ("devices", "--format", "csv", "-o", "devices.csv")),
-    ("devices-bad-format", ("devices", "--format", "nan")),
+    ("devices-non-finite-option", ("devices", "--format", "nan"), 2, "argument --format:"),
+    ("devices-unknown-option", ("devices", "--points", "3"), 2, "unrecognized arguments"),
 ]
 
 
@@ -256,7 +643,7 @@ def _digests(root: pathlib.Path) -> dict[str, str]:
             for p in sorted(root.iterdir()) if p.is_file()}
 
 
-def _run(argv) -> dict:
+def run(argv) -> dict:
     """One command through ``cli.main`` in the working directory."""
     from uniflux import cli
 
@@ -280,13 +667,23 @@ def _run(argv) -> dict:
     }
 
 
+def write_inputs(root: pathlib.Path) -> None:
+    """Write every input file under ``root``."""
+    for name, content in _inputs().items():
+        if content is None:
+            (root / name).mkdir()
+        elif isinstance(content, bytes):
+            (root / name).write_bytes(content)
+        else:
+            (root / name).write_text(content)
+
+
 @contextlib.contextmanager
 def _workdir():
     """A fresh temporary working directory holding the inputs."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in _inputs().items():
-            (pathlib.Path(tmp) / name).write_text(text)
+        write_inputs(pathlib.Path(tmp))
         os.chdir(tmp)
         try:
             yield
@@ -294,10 +691,10 @@ def _workdir():
             os.chdir(cwd)
 
 
-def run_all(commands=COMMANDS) -> dict:
-    """The records of ``commands``, run in one process, in one working directory."""
+def run_all(cases=CASES) -> dict:
+    """The records of ``cases``, run in one process, in one working directory."""
     with _workdir():
-        return {name: _run(argv) for name, argv in commands}
+        return {name: run(argv) for name, argv, *_ in cases}
 
 
 def recorded() -> dict:
@@ -323,7 +720,7 @@ def _in_fresh_interpreters(processes: int) -> dict[str, list]:
                               capture_output=True, text=True, check=True)
         return name, json.loads(done.stdout)
 
-    jobs = [(name, seed) for name, _ in COMMANDS for seed in range(processes)]
+    jobs = [(name, seed) for name, *_ in CASES for seed in range(processes)]
     runs: dict[str, list] = {}
     with ThreadPoolExecutor(max_workers=2) as pool:
         for name, record in pool.map(child, jobs):
@@ -340,14 +737,14 @@ def main() -> int:
     parser.add_argument("--child", metavar="ID", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        json.dump(run_all([c for c in COMMANDS if c[0] == args.child])[args.child], sys.stdout)
+        json.dump(run_all([c for c in CASES if c[0] == args.child])[args.child], sys.stdout)
         return 0
     if args.processes:
         kept = recorded()
         runs = _in_fresh_interpreters(args.processes)
-        differ = [name for name, _ in COMMANDS
+        differ = [name for name, *_ in CASES
                   if any(record != kept.get(name) for record in runs[name])]
-        print(f"{len(COMMANDS) - len(differ)} of {len(COMMANDS)} commands gave the recorded "
+        print(f"{len(CASES) - len(differ)} of {len(CASES)} commands gave the recorded "
               f"bytes in each of {args.processes} fresh interpreters")
         for name in differ:
             print(f"differs: {name}")

@@ -2,7 +2,9 @@
 
 Commands run in-process through cli.main so exit codes and output can be
 asserted without subprocess overhead; one test drives `python -m uniflux.cli`
-for real to cover the module entry point.
+for real to cover the module entry point. The exit-code matrix holds no case
+of its own: it runs the cases of ``byte_matrix.CASES`` that carry an exit
+code and message, on byte_matrix's input files.
 """
 
 import hashlib
@@ -12,11 +14,11 @@ import os
 import pathlib
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
+import byte_matrix
 import oracles
 from uniflux import analysis, cli, dynamics, fluxonium
 
@@ -1066,491 +1068,36 @@ def test_device_registry_loads_and_validates():
 
 
 # ---------------------------------------------------------------------------
-# exit-code matrix: 2 the command line is wrong, 3 an input file is wrong or a
-# domain error occurred, 4 a numerical result failed its convergence check;
-# in every case exactly one stderr line and no warning
+# exit-code matrix: the cases of byte_matrix.CASES that carry an exit code,
+# each run in a working directory of byte_matrix's inputs; in every case
+# exactly one stderr line and no warning
 # ---------------------------------------------------------------------------
 
-# Written under tmp_path before each case; None makes a directory.
-_INPUT_FILES = {
-    "dir": None,
-    "garbled.json": '{"qubit": ',
-    "list.json": "[]",
-    "fir-kind-only.json": '{"kind": "fir"}',
-    "fir-nan-tap.json": (
-        '{"kind": "fir", "taps_float": [NaN, 0.5], "taps_int16": null, '
-        '"sample_rate_gsps": 2.0}'
-    ),
-    "iir-nan-section.json": (
-        '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
-        '{"sections": [[NaN, 0.0, -0.5]], "source_exponentials": []}}'
-    ),
-    "fir-int16-beside-float.json": (
-        '{"kind": "fir", "taps_float": [0.5, 0.5], "taps_int16": [99999, 1, 2], '
-        '"sample_rate_gsps": 2.0}'
-    ),
-    "fir-empty-taps.json": (
-        '{"kind": "fir", "taps_float": [], "taps_int16": null, "sample_rate_gsps": 2.0}'
-    ),
-    "fir-nested-taps.json": (
-        '{"kind": "fir", "taps_float": [[0.5], [0.5]], "taps_int16": null, '
-        '"sample_rate_gsps": 2.0}'
-    ),
-    "fir-boolean-taps.json": (
-        '{"kind": "fir", "taps_float": [true, false], "taps_int16": null, '
-        '"sample_rate_gsps": 2.0}'
-    ),
-    "fir-infinite-rate.json": (
-        '{"kind": "fir", "taps_float": [0.5, 0.5], "taps_int16": null, '
-        '"sample_rate_gsps": Infinity}'
-    ),
-    "iir-nan-rate.json": (
-        '{"kind": "iir", "sample_rate_gsps": NaN, "parameters": '
-        '{"sections": [[1.0, -0.5, -0.5]], "source_exponentials": []}}'
-    ),
-    # a first-order inverse section is stable only with its pole inside the
-    # unit circle (Rol et al., Appl. Phys. Lett. 116, 054001 (2020))
-    "iir-unstable-pole.json": (
-        '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
-        '{"sections": [[1.0, -0.5, -1.5]], "source_exponentials": []}}'
-    ),
-    "qubit-5.json": '{"qubit": 5}',
-    "inf-step.json": '{"time_step_ns": Infinity}',
-    "levels-2.7.json": '{"levels": 2.7}',
-    "levels-true.json": '{"levels": true}',
-    # f01 = 5.40 GHz, where the 92 MHz Gaussian's |H| underflows to 0
-    "zero-flux.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.0}}',
-    "basis-60.7.json": '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "basis_size": 60.7}}',
-    # f01 = 4.08 and 2.49 GHz, where the 92 MHz Gaussian passes ~3e-297 and ~4e-109
-    "quarter-flux.json": (
-        '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.25}, "levels": 2, '
-        '"time_step_ns": 0.01}'
-    ),
-    "flux-0.35.json": (
-        '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.35}, "levels": 2, '
-        '"time_step_ns": 0.01}'
-    ),
-    "flat-channel.json": '{"channel": {"kind": "flat"}, "levels": 2, "time_step_ns": 0.05}',
-    "flat-channel-fc.json": '{"channel": {"kind": "flat", "f_c": 0.1}}',
-    # 0.25 ns exceeds 1/(20 f01) = 0.2234 ns at the reference f01
-    "coarse-step.json": '{"time_step_ns": 0.25}',
-    # a 1 MHz Gaussian, whose |H| underflows to 0 at f01 = 0.224 GHz
-    "deaf-channel.json": '{"channel": {"kind": "gaussian", "f_c": 0.001}}',
-    # a cutoff whose (f sigma)^2 overflows to inf, and |H| = exp(-inf) = 0
-    "tiny-fc.json": '{"channel": {"kind": "gaussian", "f_c": 1e-300}}',
-    # f01 = 0.858 GHz, above the 0.5 GHz Nyquist frequency of the 1 GS/s drive sampling
-    "flux-0.45-wide-channel.json": (
-        '{"qubit": {"e_j": 4.5, "e_c": 1.1, "e_l": 0.5, "phi_ext": 0.45}, '
-        '"channel": {"kind": "gaussian", "f_c": 5.0}}'
-    ),
-    # every scenario field but the channel's kind and levels is a JSON number
-    "step-true.json": '{"time_step_ns": true}',
-    "step-string.json": '{"time_step_ns": "0.02"}',
-    "step-null.json": '{"time_step_ns": null}',
-    "ej-true.json": '{"qubit": {"e_j": true, "e_c": 1.1, "e_l": 0.5}}',
-    "ej-null.json": '{"qubit": {"e_j": null, "e_c": 1.1, "e_l": 0.5}}',
-    "fc-true.json": '{"channel": {"f_c": true}}',
-    "vmax-string.json": (
-        '{"line": {"mutual_inductance": 2e-12, "attenuation_db": -30, '
-        '"awg_noise_dbm_per_hz": -130, "awg_vmax": "0.5"}}'
-    ),
-    "garbled.pulse": b"\xff\xfe\x00prim",
-    "samples.txt": "1.0 x 0.5\n",
-    "file-primitive.pulse": "prim p file samples.txt\nxy p\n",
-    "nan.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nxy gate amp=nan\n",
-    # the carrier phase overflows: 2 pi * 1e308 is inf
-    "huge-carrier-silent.pulse": "carrier 1e308\ndelay 2\n",
-    "huge-carrier-play.pulse": "prim p envelope 0.5 0.5\ncarrier 1e308\nxy p\n",
-    "carrier-only.pulse": "carrier 0.2\n",
-    "iir-one-section.json": (
-        '{"kind": "iir", "sample_rate_gsps": 2.0, "parameters": '
-        '{"sections": [[1.0, -0.5, -0.5]], "source_exponentials": []}}'
-    ),
-    # the composite rounds to 1.0000000000000002
-    "full-scale-play.pulse": (
-        "prim p envelope 0.0 1.0 0.0\ncarrier 2.9884235703558835\n"
-        "xy p amp=1.0 phase=3.1052242272650368\n"
-    ),
-    "empty.csv": "",
-    "garbled.csv": "t_us,p1\n0,1.0\n1,bad,extra\n",
-    "bad-cell.csv": "t_us,p_e\n0,1\n1,abc\n",
-    "wrong-shape.csv": "a,b,c\n1,2,3\n",
-    "nan.csv": "t_us,p_e\n0,1.0\n1,nan\n2,0.5\n",
-    "rb-nan.csv": "length,seq_index,survival\n1,0,0.9\nnan,0,0.8\n",
-    "rb-fractional.csv": "length,seq_index,survival\n1,0,0.99\n2,0,0.98\n2.5,0,0.5\n4,0,0.96\n",
-    "rb-columns.csv": "m,p\n1,0.99\n2,0.98\n4,0.96\n",
-    "rb-length-0.csv": "length,seq_index,survival\n0,0,1.0\n1,0,0.99\n2,0,0.98\n4,0,0.96\n",
-    # an integral length past int64
-    "rb-1e19.csv": ("length,seq_index,survival\n1,0,0.97\n2,0,0.95\n4,0,0.91\n8,0,0.84\n"
-                    "1e19,0,0.5\n"),
-    # data that put every fit start outside the bounds: an offset above 1
-    "offset-1.2.csv": "t_us,p_e\n" + "".join(
-        f"{t!r},{1.5 * math.exp(-t / 60.0) + 1.2!r}\n"
-        for t in [0.0, *np.geomspace(0.5, 300.0, 40).tolist()]),
-    "rb-above-1.csv": "length,seq_index,survival\n1,0,1.5\n2,0,1.4\n4,0,1.3\n8,0,1.2\n16,0,1.1\n",
-    "reset-nan.csv": "signal\n" + "0.0\n" * 1000 + "nan\n",
-    "reset-inf.csv": "signal\n" + "0.0\n" * 1000 + "-inf\n",
-    # finite samples whose spread, squared, overflows
-    "reset-overflow.csv": "signal\n" + "1e300\n" * 500 + "-1e300\n" * 500,
-    # samples that 512 equal histogram bins cannot resolve
-    "reset-zeros.csv": "signal\n" + "0.0\n" * 1000,
-    "reset-1e17.csv": "signal\n" + "1e17\n" * 1000,
-    "reset-1e17-steps.csv": "signal\n" + "".join(f"{1e17 + 8 * k!r}\n" for k in range(1000)),
-}
-
-_PROGRAM = ("compile", str(EXAMPLE_PROGRAM), "--rate", "2")
-
-# (id, argv, exit code, start of the message after "uniflux: error: ", or on
-# exit 0 of stdout); "{tmp}" stands for the directory holding _INPUT_FILES.
-_FOUR_SAMPLE_GATE = ("a pi pulse at f01 = 0.223769 GHz starts at a 3.51 V peak, beyond the "
-                     "AWG full scale 0.5 V: the line passes |H| = 0.98 of it")
-_TRADEOFF_HEADER = "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0"
-_EXIT_CODE_CASES = [
-    ("no-command", (), 2, "a command is required"),
-    ("unknown-command", ("frobnicate",), 2, "argument COMMAND: invalid choice"),
-    # spectrum
-    ("spectrum-non-finite-option", ("spectrum", "--to", "nan"), 2, "argument --to: must be"),
-    ("spectrum-infinite-ej", ("spectrum", "--ej", "inf"), 2, "argument --ej: must be"),
-    ("spectrum-basis-size-5", ("spectrum", "--basis-size", "5"), 2, "argument --basis-size:"),
-    ("spectrum-one-level", ("spectrum", "--levels", "1"), 2, "argument --levels:"),
-    ("spectrum-levels-over-a-third-of-basis", ("spectrum", "--levels", "50"), 2,
-     "--levels 50 exceeds 40"),
-    # at flux 0 the reference circuit keeps 1.0e-5 of level 1 in the top 4 of 24 states
-    ("spectrum-basis-too-small", ("spectrum", "--basis-size", "24", "--levels", "4"), 4,
-     "sweep row 0 (flux=0.0): basis 24 too small: level"),
-    # E_J 1.7e308 overflows H + H^T; E_C 1e308 overflows phi_zpf and the LC diagonal
-    ("spectrum-overflowing-ej",
-     ("spectrum", "--ej", "1.7e308", "--ec", "1.2", "--el", "0.9", "--from", "0.3", "--to",
-      "0.3", "-n", "1", "--levels", "3"), 3,
-     "sweep row 0 (flux=0.3): Hamiltonian is not finite"),
-    ("spectrum-overflowing-ec",
-     ("spectrum", "--ec", "1e308", "--from", "0.3", "--to", "0.3", "-n", "1", "--levels", "3"),
-     3, "sweep row 0 (flux=0.3): Hamiltonian is not finite"),
-    ("spectrum-negative-exponent",
-     ("spectrum", "--from", "-1e-3", "--to", "0.01", "-n", "2", "--levels", "2"), 0, None),
-    # tradeoff
-    ("tradeoff-non-finite-option", ("tradeoff", "--mutual", "nan"), 2, "argument --mutual:"),
-    ("tradeoff-vmax-0", ("tradeoff", "--vmax", "0"), 2, "argument --vmax:"),
-    ("tradeoff-noise-plus-inf", ("tradeoff", "--noise", "inf"), 2, "argument --noise:"),
-    ("tradeoff-negative-exponent", ("tradeoff", "--alpha-from", "-8e1", "-n", "3"), 0, None),
-    ("tradeoff-abbreviated-option", ("tradeoff", "--alpha-f", "-8e1"), 2,
-     "unrecognized arguments: --alpha-f"),
-    # a rate past the float range: T1_line 0.0 when it overflows, unlimited when it underflows
-    ("tradeoff-rate-underflows", ("tradeoff", "--alpha-from", "-4000", "-n", "3"), 0,
-     f"{_TRADEOFF_HEADER}\n-4000.0,8.032884102209929e-196,unlimited,"),
-    ("tradeoff-transmission-underflows", ("tradeoff", "--alpha-from", "-20000", "-n", "3"), 0,
-     f"{_TRADEOFF_HEADER}\n-20000.0,0.0,unlimited,0.0\n"),
-    ("tradeoff-coupling-overflows", ("tradeoff", "--mutual", "1e200", "-n", "3"), 0,
-     f"{_TRADEOFF_HEADER}\n-80.0,4.016442051104964e+212,0.0,"),
-    ("tradeoff-noise-overflows", ("tradeoff", "--noise", "4000", "-n", "3"), 0,
-     f"{_TRADEOFF_HEADER}\n-80.0,8.032884102209929,0.0,"),
-    # design
-    ("design-non-finite-option", ("design", "gauss", "--fc", "inf"), 2, "argument --fc:"),
-    ("design-fc-0", ("design", "gauss", "--fc", "0"), 2, "argument --fc:"),
-    ("design-no-taps", ("design", "fir", "--rate", "2", "--taps", "0"), 2, "argument --taps:"),
-    ("design-odd-taps", ("design", "fir", "--rate", "2", "--taps", "15"), 2,
-     "argument --taps: must be an even integer"),
-    ("design-fir-tiny-fc", ("design", "fir", "--fc", "1e-300", "--fq", "0.2", "--rate", "1"),
-     3, "cannot quantize all-zero taps"),
-    ("design-fir-rate-below-twice-fq", ("design", "fir", "--rate", "0.3", "--fq", "0.208"), 2,
-     "--rate 0.3 GS/s cannot represent the 0.208 GHz band"),
-    # compile
-    ("compile-non-finite-option", ("compile", str(EXAMPLE_PROGRAM), "--rate", "inf"), 2,
-     "argument --rate:"),
-    ("compile-dac-bits-20", (*_PROGRAM, "--dac-bits", "20"), 2, "argument --dac-bits:"),
-    ("compile-missing-program", ("compile", "{tmp}/absent.pulse", "--rate", "2"), 3,
-     "{tmp}/absent.pulse: No such file"),
-    ("compile-directory-program", ("compile", "{tmp}/dir", "--rate", "2"), 3, "{tmp}/dir: "),
-    ("compile-garbled-program", ("compile", "{tmp}/garbled.pulse", "--rate", "2"), 3,
-     "{tmp}/garbled.pulse: "),
-    ("compile-non-finite-program", ("compile", "{tmp}/nan.pulse", "--rate", "2"), 3,
-     "{tmp}/nan.pulse: "),
-    ("compile-silent-non-finite-carrier-phase",
-     ("compile", "{tmp}/huge-carrier-silent.pulse", "--rate", "2"), 0, None),
-    ("compile-play-on-non-finite-carrier-phase",
-     ("compile", "{tmp}/huge-carrier-play.pulse", "--rate", "2"), 3,
-     "xy play 0 in program order: carrier phase is not finite"),
-    ("compile-full-scale-play", ("compile", "{tmp}/full-scale-play.pulse", "--rate", "2"), 0,
-     None),
-    # no sample to correct: the Z path passes the empty waveform as it is
-    ("compile-carrier-only-iir", ("compile", "{tmp}/carrier-only.pulse", "--rate", "2",
-                                  "--iir", "{tmp}/iir-one-section.json"), 0,
-     f"sha256 {hashlib.sha256(b'').hexdigest()}\nsamples 0\n"),
-    ("compile-garbled-primitive-file", ("compile", "{tmp}/file-primitive.pulse", "--rate", "2"),
-     3, "{tmp}/file-primitive.pulse: cannot read {tmp}/samples.txt: could not convert"),
-    ("compile-missing-fir", (*_PROGRAM, "--fir", "{tmp}/absent.json"), 3, "{tmp}/absent.json: "),
-    ("compile-directory-fir", (*_PROGRAM, "--fir", "{tmp}/dir"), 3, "{tmp}/dir: "),
-    ("compile-list-fir", (*_PROGRAM, "--fir", "{tmp}/list.json"), 3, "{tmp}/list.json: "),
-    ("compile-kind-only-fir", (*_PROGRAM, "--fir", "{tmp}/fir-kind-only.json"), 3,
-     "{tmp}/fir-kind-only.json: missing key"),
-    ("compile-garbled-fir", (*_PROGRAM, "--fir", "{tmp}/garbled.json"), 3, "{tmp}/garbled.json: "),
-    ("compile-non-finite-fir", (*_PROGRAM, "--fir", "{tmp}/fir-nan-tap.json"), 3,
-     "{tmp}/fir-nan-tap.json: "),
-    ("compile-list-iir", (*_PROGRAM, "--iir", "{tmp}/list.json"), 3, "{tmp}/list.json: "),
-    ("compile-wrong-kind-iir", (*_PROGRAM, "--iir", "{tmp}/fir-kind-only.json"), 3,
-     "{tmp}/fir-kind-only.json: expected"),
-    ("compile-non-finite-iir", (*_PROGRAM, "--iir", "{tmp}/iir-nan-section.json"), 3,
-     "{tmp}/iir-nan-section.json: "),
-    ("compile-int16-taps-beside-float-taps",
-     (*_PROGRAM, "--fir", "{tmp}/fir-int16-beside-float.json"), 3,
-     "{tmp}/fir-int16-beside-float.json: taps_int16 must be null or one integer in "
-     "[-32768, 32767] per float tap"),
-    ("compile-empty-fir-taps", (*_PROGRAM, "--fir", "{tmp}/fir-empty-taps.json"), 3,
-     "{tmp}/fir-empty-taps.json: taps_float must be a non-empty list of numbers"),
-    ("compile-nested-fir-taps", (*_PROGRAM, "--fir", "{tmp}/fir-nested-taps.json"), 3,
-     "{tmp}/fir-nested-taps.json: taps_float must be a non-empty list of numbers"),
-    ("compile-boolean-fir-taps", (*_PROGRAM, "--fir", "{tmp}/fir-boolean-taps.json"), 3,
-     "{tmp}/fir-boolean-taps.json: taps_float must be a non-empty list of numbers"),
-    ("compile-infinite-rate-fir", (*_PROGRAM, "--fir", "{tmp}/fir-infinite-rate.json"), 3,
-     "{tmp}/fir-infinite-rate.json: sample_rate must be positive and finite"),
-    ("compile-nan-rate-iir", (*_PROGRAM, "--iir", "{tmp}/iir-nan-rate.json"), 3,
-     "{tmp}/iir-nan-rate.json: sample_rate must be positive and finite"),
-    ("compile-unstable-pole-iir", (*_PROGRAM, "--iir", "{tmp}/iir-unstable-pole.json"), 3,
-     "{tmp}/iir-unstable-pole.json: IIR section pole 1.5 must lie inside the unit circle"),
-    # simulate
-    ("simulate-rabi-infinite-amp-max", ("simulate", "rabi", "--amp-max", "inf"), 2,
-     "argument --amp-max:"),
-    ("simulate-gate-nan-duration", ("simulate", "gate", "--duration", "nan"), 2,
-     "argument --duration:"),
-    ("simulate-gate-half-sample-duration", ("simulate", "gate", "--duration", "0.5"), 2,
-     "argument --duration: must be a whole number of at least 4 samples"),
-    ("simulate-rabi-fractional-duration", ("simulate", "rabi", "--duration", "2.5"), 2,
-     "argument --duration: must be a whole number of at least 2 samples"),
-    ("simulate-rb-half-sample-gate-duration", ("simulate", "rb", "--gate-duration", "0.5"), 2,
-     "argument --gate-duration: must be a whole number of at least 2 samples"),
-    ("simulate-rb-waveform-one-sample-gate",
-     ("simulate", "rb", "--mode", "waveform", "--gate-duration", "1"), 2,
-     "argument --gate-duration: must be a whole number of at least 2 samples"),
-    # a length within 1e-6 of 4 samples is the 4-sample pulse, which the
-    # reference line cannot drive through a pi rotation
-    ("simulate-gate-four-samples", ("simulate", "gate", "--duration", "4"), 3,
-     _FOUR_SAMPLE_GATE),
-    ("simulate-gate-just-under-four-samples", ("simulate", "gate", "--duration", "3.9999999"),
-     3, _FOUR_SAMPLE_GATE),
-    # each experiment takes only the options it reads
-    ("simulate-gate-frequency", ("simulate", "gate", "--frequency", "0.3"), 2,
-     "unrecognized arguments: --frequency"),
-    ("simulate-rabi-trim-frequency", ("simulate", "rabi", "--trim-frequency"), 2,
-     "unrecognized arguments: --trim-frequency"),
-    # the uncompensated 92 MHz channel tilts the axis to n_z ~ -0.75 across the bracket
-    ("simulate-gate-trim-uncompensated", ("simulate", "gate", "--trim-frequency",
-                                          "--no-predistort"), 3,
-     "no drive frequency in the bracket [0.223769, 0.226769] GHz levels the pi rotation's "
-     "axis: n_z = -0.741 at 0.225869 GHz"),
-    ("simulate-gate-channel-passes-nothing-at-f01",
-     ("simulate", "gate", "--scenario", "{tmp}/zero-flux.json"), 3,
-     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
-    ("simulate-gate-uncompensated-channel-passes-nothing-at-f01",
-     ("simulate", "gate", "--no-predistort", "--scenario", "{tmp}/zero-flux.json"), 3,
-     "the channel passes nothing at f01 = 5.4039 GHz (|H| = 0): no drive reaches the qubit"),
-    ("simulate-rabi-channel-passes-nothing-at-f01",
-     ("simulate", "rabi", "--scenario", "{tmp}/deaf-channel.json"), 3,
-     "the channel passes nothing at f01 = 0.223769 GHz (|H| = 0): no drive reaches the qubit"),
-    # a Rabi drive is checked against the sampling before it is built and compensated
-    ("simulate-rabi-at-f01-5.4-ghz",
-     ("simulate", "rabi", "--points", "3", "--scenario", "{tmp}/zero-flux.json"), 3,
-     "a drive at 5.4039 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
-     "below 0.5 GHz"),
-    ("simulate-rabi-uncompensated-at-f01-5.4-ghz",
-     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
-      "{tmp}/zero-flux.json"), 3,
-     "a drive at 5.4039 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
-     "below 0.5 GHz"),
-    # a drive pulse sampled at 1 GS/s cannot carry 0.5 GHz or more
-    ("simulate-rabi-frequency-above-nyquist",
-     ("simulate", "rabi", "--frequency", "1.22376881665", "--points", "3", "--amp-max", "0.02"),
-     2, "argument --frequency: must lie below 0.5 GHz, the Nyquist frequency of the 1 GS/s "
-     "drive sampling, got '1.22376881665'"),
-    ("simulate-rabi-frequency-at-nyquist", ("simulate", "rabi", "--frequency", "0.5"), 2,
-     "argument --frequency: must lie below 0.5 GHz"),
-    ("simulate-rabi-negative-frequency", ("simulate", "rabi", "--frequency", "-1"), 2,
-     "argument --frequency: must be positive and finite, got '-1'"),
-    ("simulate-rb-gate-frequency-above-nyquist",
-     ("simulate", "rb", "--mode", "waveform", "--lengths", "2", "--seed", "3",
-      "--gate-frequency", "1.22376881665"), 2,
-     "argument --gate-frequency: must lie below 0.5 GHz, the Nyquist frequency of the 1 GS/s "
-     "drive sampling, got '1.22376881665'"),
-    ("simulate-rabi-uncompensated-f01-above-nyquist",
-     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
-      "{tmp}/flux-0.45-wide-channel.json"), 3,
-     "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
-     "below 0.5 GHz"),
-    ("simulate-rabi-f01-above-nyquist",
-     ("simulate", "rabi", "--points", "3", "--scenario", "{tmp}/flux-0.45-wide-channel.json"),
-     3, "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling"),
-    ("simulate-rb-waveform-f01-above-nyquist",
-     ("simulate", "rb", "--mode", "waveform", "--lengths", "2", "--scenario",
-      "{tmp}/flux-0.45-wide-channel.json"), 3,
-     "a drive at 0.858252 GHz aliases at the 1 GS/s drive sampling"),
-    # the calibrations check the top of their frequency bracket, f01 + 3 MHz at 20 ns
-    ("simulate-gate-f01-above-nyquist",
-     ("simulate", "gate", "--scenario", "{tmp}/flux-0.45-wide-channel.json"), 3,
-     "a drive at 0.861252 GHz aliases at the 1 GS/s drive sampling: drive frequencies must lie "
-     "below 0.5 GHz"),
-    ("simulate-gate-uncompensated-f01-above-nyquist",
-     ("simulate", "gate", "--no-predistort", "--trim-frequency", "--scenario",
-      "{tmp}/flux-0.45-wide-channel.json"), 3,
-     "a drive at 0.861252 GHz aliases at the 1 GS/s drive sampling"),
-    ("simulate-gate-start-beyond-full-scale",
-     ("simulate", "gate", "--scenario", "{tmp}/quarter-flux.json"), 3,
-     "a pi pulse at f01 = 4.08328 GHz starts at a 3.05e+295 V peak, beyond the AWG full "
-     "scale 0.5 V: the line passes |H| = 3.1e-297 of it"),
-    ("simulate-gate-uncompensated-start-beyond-full-scale",
-     ("simulate", "gate", "--no-predistort", "--scenario", "{tmp}/quarter-flux.json"), 3,
-     "a pi pulse at f01 = 4.08328 GHz starts at a 2.12e+295 V peak, beyond the AWG full "
-     "scale 0.5 V: the line passes |H| = 3.2e-297 of it"),
-    ("simulate-gate-start-beyond-full-scale-at-flux-0.35",
-     ("simulate", "gate", "--scenario", "{tmp}/flux-0.35.json"), 3,
-     "a pi pulse at f01 = 2.48707 GHz starts at a 4.38e+109 V peak, beyond the AWG full "
-     "scale 0.5 V: the line passes |H| = 3.7e-109 of it"),
-    # pre-distortion needs a Gaussian channel: both experiments say so alike
-    ("simulate-rabi-predistorted-flat-channel",
-     ("simulate", "rabi", "--scenario", "{tmp}/flat-channel.json"), 3,
-     "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
-    ("simulate-gate-predistorted-flat-channel",
-     ("simulate", "gate", "--scenario", "{tmp}/flat-channel.json"), 3,
-     "pre-distortion requires a Gaussian low-pass channel, got FlatResponse()"),
-    ("simulate-gate-tiny-fc", ("simulate", "gate", "--scenario", "{tmp}/tiny-fc.json"), 3,
-     "the channel passes nothing at f01 = 0.223769 GHz (|H| = 0): no drive reaches the qubit"),
-    ("simulate-gate-flat-channel-with-fc",
-     ("simulate", "gate", "--scenario", "{tmp}/flat-channel-fc.json"), 3,
-     "{tmp}/flat-channel-fc.json: flat channel takes no f_c"),
-    ("simulate-rb-waveform-unstable-time-step",
-     ("simulate", "rb", "--mode", "waveform", "--lengths", "1", "--sequences", "1",
-      "--scenario", "{tmp}/coarse-step.json"), 4,
-     "sequence (length=1, index=0): time_step 0.25 ns violates the stability bound"),
-    ("simulate-rabi-uncompensated-flat-channel",
-     ("simulate", "rabi", "--no-predistort", "--points", "3", "--scenario",
-      "{tmp}/flat-channel.json"), 0, None),
-    ("simulate-gate-uncompensated-flat-channel",
-     ("simulate", "gate", "--no-predistort", "--scenario", "{tmp}/flat-channel.json"), 0,
-     None),
-    ("simulate-rb-duration", ("simulate", "rb", "--duration", "24"), 2,
-     "unrecognized arguments: --duration"),
-    ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,
-     "argument --sequences:"),
-    ("simulate-rb-interleaved-24", ("simulate", "rb", "--interleaved", "24"), 2,
-     "argument --interleaved:"),
-    ("simulate-rb-depolarizing-1.5", ("simulate", "rb", "--depolarizing", "1.5"), 2,
-     "argument --depolarizing: must be in [0, 1]"),
-    ("simulate-rb-gate-amplitude-2", ("simulate", "rb", "--gate-amplitude", "2"), 2,
-     "argument --gate-amplitude: must be non-zero and within [-1, 1]"),
-    ("simulate-rb-gate-amplitude-0", ("simulate", "rb", "--gate-amplitude", "0"), 2,
-     "argument --gate-amplitude: must be non-zero and within [-1, 1]"),
-    ("simulate-missing-scenario", ("simulate", "rb", "--scenario", "{tmp}/absent.json"), 3,
-     "{tmp}/absent.json: "),
-    ("simulate-directory-scenario", ("simulate", "rb", "--scenario", "{tmp}/dir"), 3,
-     "{tmp}/dir: "),
-    ("simulate-garbled-scenario", ("simulate", "rb", "--scenario", "{tmp}/garbled.json"), 3,
-     "{tmp}/garbled.json: Expecting value"),
-    ("simulate-list-scenario", ("simulate", "rb", "--scenario", "{tmp}/list.json"), 3,
-     "{tmp}/list.json: "),
-    ("simulate-qubit-5-scenario", ("simulate", "rb", "--scenario", "{tmp}/qubit-5.json"), 3,
-     "{tmp}/qubit-5.json: "),
-    ("simulate-non-finite-scenario", ("simulate", "rb", "--scenario", "{tmp}/inf-step.json"),
-     3, "{tmp}/inf-step.json: "),
-    ("simulate-fractional-levels", ("simulate", "rb", "--scenario", "{tmp}/levels-2.7.json"),
-     3, "{tmp}/levels-2.7.json: levels must be an integer >= 2, got 2.7"),
-    ("simulate-boolean-levels", ("simulate", "rb", "--scenario", "{tmp}/levels-true.json"),
-     3, "{tmp}/levels-true.json: levels must be an integer >= 2, got True"),
-    ("simulate-fractional-basis-size",
-     ("simulate", "rb", "--scenario", "{tmp}/basis-60.7.json"), 3,
-     "{tmp}/basis-60.7.json: basis_size must be an integer >= 12, got 60.7"),
-    ("simulate-boolean-time-step", ("simulate", "gate", "--scenario", "{tmp}/step-true.json"),
-     3, "{tmp}/step-true.json: scenario time_step_ns must be a number, got true"),
-    ("simulate-string-time-step", ("simulate", "gate", "--scenario", "{tmp}/step-string.json"),
-     3, '{tmp}/step-string.json: scenario time_step_ns must be a number, got "0.02"'),
-    ("simulate-null-time-step", ("simulate", "gate", "--scenario", "{tmp}/step-null.json"),
-     3, "{tmp}/step-null.json: scenario time_step_ns must be a number, got null"),
-    ("simulate-boolean-qubit-field", ("simulate", "gate", "--scenario", "{tmp}/ej-true.json"),
-     3, "{tmp}/ej-true.json: scenario qubit e_j must be a number, got true"),
-    ("simulate-null-qubit-field", ("simulate", "gate", "--scenario", "{tmp}/ej-null.json"),
-     3, "{tmp}/ej-null.json: scenario qubit e_j must be a number, got null"),
-    ("simulate-boolean-channel-field", ("simulate", "gate", "--scenario", "{tmp}/fc-true.json"),
-     3, "{tmp}/fc-true.json: scenario channel f_c must be a number, got true"),
-    ("simulate-string-line-field", ("simulate", "gate", "--scenario", "{tmp}/vmax-string.json"),
-     3, '{tmp}/vmax-string.json: scenario line awg_vmax must be a number, got "0.5"'),
-    # fit
-    ("fit-non-finite-option", ("fit", "dephasing", "{tmp}/nan.csv", "--t1-us", "nan"), 2,
-     "argument --t1-us:"),
-    ("fit-t1-us-0", ("fit", "dephasing", "{tmp}/nan.csv", "--t1-us", "0"), 2,
-     "argument --t1-us:"),
-    ("fit-missing-csv", ("fit", "t1", "{tmp}/absent.csv"), 3, "{tmp}/absent.csv: "),
-    ("fit-directory-csv", ("fit", "t1", "{tmp}/dir"), 3, "{tmp}/dir: "),
-    ("fit-empty-csv", ("fit", "rb", "{tmp}/empty.csv"), 3, "{tmp}/empty.csv: "),
-    ("fit-garbled-csv", ("fit", "t1", "{tmp}/garbled.csv"), 3, "{tmp}/garbled.csv: "),
-    ("fit-bad-cell-csv", ("fit", "t1", "{tmp}/bad-cell.csv"), 3,
-     "{tmp}/bad-cell.csv: Line #3 (column 2 is 'abc', not a number)"),
-    ("fit-wrong-shape-csv", ("fit", "t1", "{tmp}/wrong-shape.csv"), 3,
-     "{tmp}/wrong-shape.csv: "),
-    ("fit-non-finite-csv", ("fit", "t1", "{tmp}/nan.csv"), 3, "{tmp}/nan.csv: "),
-    ("fit-rb-non-finite-csv", ("fit", "rb", "{tmp}/rb-nan.csv"), 3, "{tmp}/rb-nan.csv: "),
-    ("fit-rb-fractional-length", ("fit", "rb", "{tmp}/rb-fractional.csv"), 3,
-     "{tmp}/rb-fractional.csv: lengths must be integers"),
-    ("fit-rb-length-0", ("fit", "rb", "{tmp}/rb-length-0.csv"), 3,
-     "{tmp}/rb-length-0.csv: sequence lengths must be >= 1"),
-    ("fit-rb-length-past-int64", ("fit", "rb", "{tmp}/rb-1e19.csv"), 0, '{\n  "a": '),
-    ("fit-rb-wrong-columns", ("fit", "rb", "{tmp}/rb-columns.csv"), 3,
-     "{tmp}/rb-columns.csv: expected CSV columns length,seq_index,survival"),
-    ("fit-t1-offset-outside-bounds", ("fit", "t1", "{tmp}/offset-1.2.csv"), 3,
-     "{tmp}/offset-1.2.csv: the data put every start outside the fit's bounds: parameter 2 "
-     "starts at 1.22419, outside [-1, 1]"),
-    ("fit-dephasing-offset-outside-bounds",
-     ("fit", "dephasing", "{tmp}/offset-1.2.csv", "--t1-us", "50"), 3,
-     "{tmp}/offset-1.2.csv: the data put every start outside the fit's bounds: parameter 2 "
-     "starts at 1.22419, outside [-1, 1]"),
-    ("fit-rb-offset-outside-bounds", ("fit", "rb", "{tmp}/rb-above-1.csv"), 3,
-     "{tmp}/rb-above-1.csv: the data put every start outside the fit's bounds: parameter 2 "
-     "starts at 1.1, outside [0, 1]"),
-    ("fit-reset-non-finite-csv", ("fit", "reset", "{tmp}/reset-nan.csv"), 3,
-     "{tmp}/reset-nan.csv: signal samples must be finite"),
-    ("fit-reset-infinite-csv", ("fit", "reset", "{tmp}/reset-inf.csv"), 3,
-     "{tmp}/reset-inf.csv: signal samples must be finite"),
-    ("fit-reset-overflowing-csv", ("fit", "reset", "{tmp}/reset-overflow.csv"), 3,
-     "{tmp}/reset-overflow.csv: signal samples from -1e+300 to 1e+300 overflow"),
-    ("fit-reset-zeros", ("fit", "reset", "{tmp}/reset-zeros.csv"), 3,
-     "{tmp}/reset-zeros.csv: signal samples from 0.0 to 0.0 span too little to cut into 512 "
-     "histogram bins"),
-    ("fit-reset-1e17", ("fit", "reset", "{tmp}/reset-1e17.csv"), 3,
-     "{tmp}/reset-1e17.csv: signal samples from 1e+17 to 1e+17 span too little"),
-    ("fit-reset-1e17-steps", ("fit", "reset", "{tmp}/reset-1e17-steps.csv"), 3,
-     "{tmp}/reset-1e17-steps.csv: signal samples from 1e+17 to 1.00000000000008e+17 span too "
-     "little"),
-    # devices has no numeric option; its one value option takes a choice
-    ("devices-non-finite-option", ("devices", "--format", "nan"), 2, "argument --format:"),
-    ("devices-unknown-option", ("devices", "--points", "3"), 2, "unrecognized arguments"),
-]
+_EXPECTED = [case for case in byte_matrix.CASES if len(case) == 4]
 
 
 @pytest.mark.parametrize(
     "argv, code, message",
-    [case[1:] for case in _EXIT_CODE_CASES],
-    ids=[case[0] for case in _EXIT_CODE_CASES],
+    [case[1:] for case in _EXPECTED],
+    ids=[case[0] for case in _EXPECTED],
 )
-def test_exit_code_matrix(tmp_path, capsys, argv, code, message):
-    for name, content in _INPUT_FILES.items():
-        if content is None:
-            (tmp_path / name).mkdir()
-        elif isinstance(content, bytes):
-            (tmp_path / name).write_bytes(content)
-        else:
-            (tmp_path / name).write_text(content)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
-    assert [str(w.message) for w in caught] == []
-    assert got == code
-    assert "Traceback" not in err
+def test_exit_code_matrix(tmp_path, monkeypatch, argv, code, message):
+    byte_matrix.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    record = byte_matrix.run(argv)
+    assert record["warnings"] == []
+    assert record["exit"] == code
+    assert "Traceback" not in record["stderr"]
     if code == 0:
-        assert err == ""
-        assert out.startswith(message or "")
+        assert record["stderr"] == ""
+        assert record["stdout"].startswith(message or "")
     else:
-        [line] = err.splitlines()
-        assert line.startswith(f"uniflux: error: {message.format(tmp=tmp_path)}"), line
+        [line] = record["stderr"].splitlines()
+        assert line.startswith(f"uniflux: error: {message}"), line
 
 
 def test_exit_code_matrix_covers_every_subcommand():
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
-    covered = {argv[0] for _, argv, _, _ in _EXIT_CODE_CASES if argv}
+    covered = {argv[0] for _, argv, _, _ in _EXPECTED if argv}
     assert set(commands) <= covered
