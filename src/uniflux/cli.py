@@ -230,7 +230,7 @@ _exponential = _checked(
     "AMPLITUDE:TAU_NS with a finite amplitude and a positive finite tau, e.g. -0.0174:34",
 )
 _lengths = _checked(
-    lambda text: [int(token) for token in text.split(",") if token],
+    lambda text: [int(token) for token in text.split(",")],
     lambda lengths: lengths and min(lengths) >= 1,
     "comma-separated integers >= 1",
 )
@@ -836,7 +836,7 @@ def main(argv=None) -> int:
     except UnifluxError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 3
 

@@ -389,6 +389,10 @@ class _Schedule:
         return scales
 
     def finish(self) -> CompiledProgram:
+        if self.n > np.iinfo(np.int64).max:  # no int64 cast below could hold a start
+            raise OverflowError(
+                f"{self.n} samples at {self.rate} GS/s overflow an int64 sample index"
+            )
         records = self._records()
         kind = records[:, 0]
         scales = self._scales(records)

@@ -81,6 +81,9 @@ def _inputs() -> dict[str, str | bytes | None]:
                           "  xy gate amp=0.5\n  delay 5.0\n  xy gate amp=0.5\n}\n"),
         "brace.pulse": "prim gate envelope 0.0 0.5 0.0\nrepeat 2 { xy gate\n}\n",
         "nan.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nxy gate amp=nan\n",
+        "amp-oops.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\ncarrier 0.2\nxy gate amp=oops\n",
+        "vz-nan.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nvz 0.1\nvz nan\n",
+        "carrier-inf.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nvz 0.1\ncarrier inf\n",
         "carrier-only.pulse": "carrier 0.2\n",
         # 225 000 samples at 1 GS/s: plays, FIR tails, Z edges, holds and the
         # IIR state all cross the synthesizer's block boundaries
@@ -173,6 +176,9 @@ def _inputs() -> dict[str, str | bytes | None]:
         # a cutoff whose sigma = sqrt(ln 2) / f_c overflows
         "subnormal-fc.json": json.dumps({"channel": {"kind": "gaussian", "f_c": 5e-324}}),
         "qubit-5.json": '{"qubit": 5}',
+        "chanel.json": '{"chanel": {"kind": "flat"}}',
+        "bessel.json": '{"channel": {"kind": "bessel"}}',
+        "ej-nan.json": '{"qubit": {"e_j": NaN, "e_c": 1.1, "e_l": 0.5}}',
         "inf-step.json": '{"time_step_ns": Infinity}',
         "levels-2.7.json": '{"levels": 2.7}',
         "levels-true.json": '{"levels": true}',
@@ -249,6 +255,9 @@ def _inputs() -> dict[str, str | bytes | None]:
 FIR_IIR = ("--fir", "fir.json", "--iir", "iir.json")
 _PROGRAM = ("compile", "example.pulse", "--rate", "2")
 _TRADEOFF_HEADER = "alpha_db,rabi_mhz,t1_line_us,max_excursion_phi0"
+_BAD_EXP = ("argument --exp: must be AMPLITUDE:TAU_NS with a finite amplitude and a positive "
+            "finite tau, e.g. -0.0174:34")
+_BAD_RATE = "argument --rate: must be positive and finite, got"
 _FOUR_SAMPLE_GATE = ("a pi pulse at f01 = 0.223769 GHz starts at a 3.51 V peak, beyond the "
                      "AWG full scale 0.5 V: the line passes |H| = 0.98 of it")
 
@@ -266,7 +275,10 @@ CASES = [
     ("spectrum", ("spectrum", "-n", "7", "--levels", "6")),
     ("spectrum-to-file", ("spectrum", "--from", "0.4", "--to", "0.5", "-n", "3", "--levels",
                           "3", "-o", "spectrum.csv")),
-    ("spectrum-non-finite-option", ("spectrum", "--to", "nan"), 2, "argument --to: must be"),
+    ("spectrum-non-finite-option", ("spectrum", "--to", "nan"), 2,
+     "argument --to: must be finite"),
+    ("spectrum-reversed-range", ("spectrum", "--from", "0.7", "--to", "0.3"), 2,
+     "--from must not exceed --to"),
     ("spectrum-infinite-ej", ("spectrum", "--ej", "inf"), 2, "argument --ej: must be"),
     ("spectrum-basis-size-5", ("spectrum", "--basis-size", "5"), 2, "argument --basis-size:"),
     ("spectrum-one-level", ("spectrum", "--levels", "1"), 2, "argument --levels:"),
@@ -288,10 +300,20 @@ CASES = [
     # tradeoff
     ("tradeoff", ("tradeoff", "-n", "5")),
     ("tradeoff-one-point", ("tradeoff", "-n", "1", "--alpha-from", "-50", "--alpha-to", "-50")),
-    ("tradeoff-silent-awg", ("tradeoff", "--noise", "-inf", "-n", "5")),
+    # a silent AWG leaves T1_line unlimited at every attenuation
+    ("tradeoff-silent-awg", ("tradeoff", "--noise", "-inf", "-n", "5"), 0,
+     f"{_TRADEOFF_HEADER}\n-80.0,8.032884102209929,unlimited,0.0009671956970500271\n"
+     "-65.0,45.17222691137219,unlimited,0.005438941099975157\n"
+     "-50.0,254.02209943140193,unlimited,0.030585413457922848\n"
+     "-35.0,1428.4712402188918,unlimited,0.17199441935423074\n"
+     "-20.0,8032.884102209929,unlimited,"),
     ("tradeoff-to-file", ("tradeoff", "--vmax", "0.3", "-n", "4", "-o", "tradeoff.csv")),
     ("tradeoff-reversed", ("tradeoff", "--alpha-from", "-20", "--alpha-to", "-80")),
     ("tradeoff-non-finite-option", ("tradeoff", "--mutual", "nan"), 2, "argument --mutual:"),
+    ("tradeoff-nan-alpha-from", ("tradeoff", "--alpha-from", "nan"), 2,
+     "argument --alpha-from: must be finite"),
+    ("tradeoff-no-points", ("tradeoff", "-n", "0"), 2,
+     "argument -n/--points: must be an integer in [1, inf], got '0'"),
     ("tradeoff-vmax-0", ("tradeoff", "--vmax", "0"), 2, "argument --vmax:"),
     ("tradeoff-noise-plus-inf", ("tradeoff", "--noise", "inf"), 2, "argument --noise:"),
     ("tradeoff-negative-exponent", ("tradeoff", "--alpha-from", "-8e1", "-n", "3"), 0, None),
@@ -319,7 +341,22 @@ CASES = [
     ("design-fir-gauss", ("design", "fir", "--fq", "0.2238", "--rate", "1", "--target", "gauss")),
     ("design-iir-to-file", ("design", "iir", "--exp", "-0.0174:34", "--exp", "0.01:200",
                             "--rate", "1", "-o", "iir-out.json")),
-    ("design-iir-no-exp", ("design", "iir", "--rate", "1")),
+    ("design-iir-no-exp", ("design", "iir", "--rate", "1"), 2,
+     "design iir requires at least one --exp"),
+    ("design-fir-no-rate", ("design", "fir", "--target", "inverse", "--fq", "0.208", "--taps",
+                            "16"), 2, "design fir requires --rate"),
+    ("design-inverse-no-fq", ("design", "inverse"), 2, "an inverse design requires --fq"),
+    ("design-iir-garbled-exp", ("design", "iir", "--rate", "2", "--exp", "oops"), 2,
+     f"{_BAD_EXP}, got 'oops'"),
+    ("design-iir-nan-amplitude", ("design", "iir", "--rate", "2", "--exp", "nan:34"), 2,
+     f"{_BAD_EXP}, got 'nan:34'"),
+    ("design-iir-infinite-tau", ("design", "iir", "--rate", "2", "--exp", "-0.0174:inf"), 2,
+     f"{_BAD_EXP}, got '-0.0174:inf'"),
+    ("design-iir-nan-tau", ("design", "iir", "--rate", "2", "--exp", "-0.0174:nan"), 2,
+     f"{_BAD_EXP}, got '-0.0174:nan'"),
+    *((f"design-{kind}-rate-{rate}",
+       ("design", kind, "--fq", "0.2", "--exp", "-0.0174:34", "--rate", rate), 2,
+       f"{_BAD_RATE} {rate!r}") for kind in ("fir", "iir") for rate in ("inf", "nan", "0")),
     ("design-non-finite-option", ("design", "gauss", "--fc", "inf"), 2, "argument --fc:"),
     ("design-fc-0", ("design", "gauss", "--fc", "0"), 2, "argument --fc:"),
     ("design-no-taps", ("design", "fir", "--rate", "2", "--taps", "0"), 2, "argument --taps:"),
@@ -347,7 +384,8 @@ CASES = [
     ("compile-repeat", ("compile", "repeat.pulse", "--rate", "1", "--report-memory")),
     ("compile-repeat-filtered-12-bit", ("compile", "repeat.pulse", "--rate", "1", *FIR_IIR,
                                         "--dac-bits", "12", "--report-memory")),
-    ("compile-z-burst-saturates", ("compile", "z-burst.pulse", "--rate", "1")),
+    ("compile-z-burst-saturates", ("compile", "z-burst.pulse", "--rate", "1"), 3,
+     "peak 1.1666276731112803 at sample 5"),
     ("compile-long-filtered-to-file", ("compile", "long.pulse", "--rate", "1", *FIR_IIR,
                                        "--report-memory", "-o", "long.bin")),
     ("compile-long-filtered", ("compile", "long.pulse", "--rate", "1", *FIR_IIR,
@@ -361,13 +399,32 @@ CASES = [
                                          "-o", "carrier.bin")),
     ("compile-brace-not-ending-line", ("compile", "brace.pulse", "--rate", "1")),
     ("compile-non-finite-option", ("compile", "example.pulse", "--rate", "inf"), 2,
-     "argument --rate:"),
+     f"{_BAD_RATE} 'inf'"),
+    ("compile-nan-rate", ("compile", "example.pulse", "--rate", "nan"), 2, f"{_BAD_RATE} 'nan'"),
+    ("compile-rate-0", ("compile", "example.pulse", "--rate", "0"), 2, f"{_BAD_RATE} '0'"),
+    # at 1e17 GS/s the example's 24 ns of delays and holds take 2.4e18 int16
+    # codes, and at 1e19 GS/s more samples than an int64 index counts
+    ("compile-rate-1e17", ("compile", "example.pulse", "--rate", "1e17"), 3,
+     "Unable to allocate 4.16 EiB for an array with shape (2400000000000000050,) and data type "
+     "int16"),
+    ("compile-rate-1e19", ("compile", "example.pulse", "--rate", "1e19"), 3,
+     "240000000000000000050 samples at 1e+19 GS/s overflow an int64 sample index"),
+    # the DAC full scale in volts belongs to the scenario's line, not to compile
+    ("compile-full-scale", (*_PROGRAM, "--full-scale", "nan"), 2,
+     "unrecognized arguments: --full-scale nan"),
     ("compile-dac-bits-20", (*_PROGRAM, "--dac-bits", "20"), 2, "argument --dac-bits:"),
     ("compile-missing-program", ("compile", "absent.pulse", "--rate", "1"), 3,
      "absent.pulse: No such file"),
     ("compile-directory-program", ("compile", "dir", "--rate", "2"), 3, "dir: "),
     ("compile-garbled-program", ("compile", "garbled.pulse", "--rate", "2"), 3, "garbled.pulse: "),
-    ("compile-non-finite-program", ("compile", "nan.pulse", "--rate", "1"), 3, "nan.pulse: "),
+    ("compile-non-finite-program", ("compile", "nan.pulse", "--rate", "1"), 3,
+     "nan.pulse: amplitude nan outside [-1, 1] (line 2"),
+    ("compile-garbled-amplitude", ("compile", "amp-oops.pulse", "--rate", "2"), 3,
+     "amp-oops.pulse: bad amplitude 'oops' (line 3"),
+    ("compile-non-finite-vz", ("compile", "vz-nan.pulse", "--rate", "2"), 3,
+     "vz-nan.pulse: virtual-Z phase must be finite, got nan (line 3"),
+    ("compile-infinite-carrier", ("compile", "carrier-inf.pulse", "--rate", "2"), 3,
+     "carrier-inf.pulse: carrier frequency must be non-negative and finite, got inf (line 3"),
     ("compile-silent-non-finite-carrier-phase",
      ("compile", "huge-carrier-silent.pulse", "--rate", "2"), 0, None),
     ("compile-play-on-non-finite-carrier-phase",
@@ -381,6 +438,7 @@ CASES = [
     ("compile-garbled-primitive-file", ("compile", "file-primitive.pulse", "--rate", "2"), 3,
      "file-primitive.pulse: cannot read samples.txt: could not convert"),
     ("compile-missing-fir", (*_PROGRAM, "--fir", "absent.json"), 3, "absent.json: "),
+    ("compile-missing-iir", (*_PROGRAM, "--iir", "absent.json"), 3, "absent.json: No such file"),
     ("compile-directory-fir", (*_PROGRAM, "--fir", "dir"), 3, "dir: "),
     ("compile-list-fir", (*_PROGRAM, "--fir", "list.json"), 3, "list.json: "),
     ("compile-kind-only-fir", (*_PROGRAM, "--fir", "fir-kind-only.json"), 3,
@@ -539,6 +597,10 @@ CASES = [
      ("simulate", "gate", "--scenario", "flat.json", "--no-predistort"), 0, None),
     ("simulate-rb-duration", ("simulate", "rb", "--duration", "24"), 2,
      "unrecognized arguments: --duration"),
+    ("simulate-rb-garbled-lengths", ("simulate", "rb", "--lengths", "1,two"), 2,
+     "argument --lengths: must be comma-separated integers >= 1, got '1,two'"),
+    ("simulate-rb-empty-length", ("simulate", "rb", "--lengths", "1,,4"), 2,
+     "argument --lengths: must be comma-separated integers >= 1, got '1,,4'"),
     ("simulate-rb-no-sequences", ("simulate", "rb", "--sequences", "0"), 2,
      "argument --sequences:"),
     ("simulate-rb-interleaved-24", ("simulate", "rb", "--interleaved", "24"), 2,
@@ -558,7 +620,14 @@ CASES = [
     ("simulate-qubit-5-scenario", ("simulate", "rb", "--scenario", "qubit-5.json"), 3,
      "qubit-5.json: "),
     ("simulate-non-finite-scenario", ("simulate", "rb", "--scenario", "inf-step.json"), 3,
-     "inf-step.json: "),
+     "inf-step.json: time_step must be positive and finite"),
+    ("simulate-nan-qubit-field", ("simulate", "rb", "--scenario", "ej-nan.json"), 3,
+     "ej-nan.json: e_j must be non-negative and finite"),
+    ("simulate-unknown-scenario-key", ("simulate", "rb", "--scenario", "chanel.json"), 3,
+     "chanel.json: unknown scenario key 'chanel'; valid keys: channel, levels, line, qubit, "
+     "time_step_ns"),
+    ("simulate-unknown-channel-kind", ("simulate", "rb", "--scenario", "bessel.json"), 3,
+     "bessel.json: unknown channel kind 'bessel'; valid kinds: flat, gaussian"),
     ("simulate-fractional-levels", ("simulate", "rb", "--scenario", "levels-2.7.json"), 3,
      "levels-2.7.json: levels must be an integer >= 2, got 2.7"),
     ("simulate-boolean-levels", ("simulate", "rb", "--scenario", "levels-true.json"), 3,
@@ -582,7 +651,8 @@ CASES = [
     # fit
     ("fit-t1", ("fit", "t1", "t1.csv")),
     ("fit-dephasing", ("fit", "dephasing", "dephasing.csv", "--t1-us", "60")),
-    ("fit-dephasing-no-t1", ("fit", "dephasing", "dephasing.csv")),
+    ("fit-dephasing-no-t1", ("fit", "dephasing", "dephasing.csv"), 2,
+     "fit dephasing requires --t1-us"),
     ("fit-rb", ("fit", "rb", "rb.csv")),
     ("fit-rb-rising", ("fit", "rb", "rb-rising.csv")),
     ("fit-reset-to-file", ("fit", "reset", "reset.csv", "-o", "reset-out.json")),
@@ -593,11 +663,11 @@ CASES = [
     ("fit-missing-csv", ("fit", "t1", "absent.csv"), 3, "absent.csv: "),
     ("fit-directory-csv", ("fit", "t1", "dir"), 3, "dir: "),
     ("fit-empty-csv", ("fit", "t1", "empty.csv"), 3, "empty.csv: "),
-    ("fit-garbled-csv", ("fit", "t1", "garbled.csv"), 3, "garbled.csv: "),
+    ("fit-garbled-csv", ("fit", "t1", "garbled.csv"), 3, "garbled.csv: Line #3"),
     ("fit-bad-cell-csv", ("fit", "t1", "t1-bad-cell.csv"), 3,
      "t1-bad-cell.csv: Line #3 (column 2 is 'abc', not a number)"),
     ("fit-wrong-shape-csv", ("fit", "t1", "wrong-shape.csv"), 3, "wrong-shape.csv: "),
-    ("fit-non-finite-csv", ("fit", "t1", "nan.csv"), 3, "nan.csv: "),
+    ("fit-non-finite-csv", ("fit", "t1", "nan.csv"), 3, "nan.csv: t and values must be finite"),
     ("fit-rb-non-finite-csv", ("fit", "rb", "rb-nan.csv"), 3, "rb-nan.csv: "),
     ("fit-rb-fractional-length", ("fit", "rb", "rb-fractional.csv"), 3,
      "rb-fractional.csv: lengths must be integers"),

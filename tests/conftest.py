@@ -1,6 +1,7 @@
 import pathlib
 import sys
 
+import pytest
 from hypothesis import settings
 
 # make tests/oracles.py importable regardless of invocation directory
@@ -13,3 +14,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 # --hypothesis-profile=default --hypothesis-seed N.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(scope="session")
+def cli_records():
+    """One fresh run of every case of ``byte_matrix.CASES``, by id, shared by
+    the tests that check the CLI cases, so each command runs once a session."""
+    import byte_matrix
+
+    return byte_matrix.run_all()

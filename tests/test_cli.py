@@ -2,9 +2,10 @@
 
 Commands run in-process through cli.main so exit codes and output can be
 asserted without subprocess overhead; one test drives `python -m uniflux.cli`
-for real to cover the module entry point. The exit-code matrix holds no case
-of its own: it runs the cases of ``byte_matrix.CASES`` that carry an exit
-code and message, on byte_matrix's input files.
+for real to cover the module entry point. This file holds no exit-code case:
+a refusal, or any command checked only by its exit code and the start of its
+output, is a row of ``byte_matrix.CASES``. The exit-code matrix asserts the
+rows that carry an exit code and message, on the session's one run of them.
 """
 
 import hashlib
@@ -92,18 +93,6 @@ def test_version_alone(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert len(out.splitlines()) == 1
-
-
-def test_no_command_is_usage_error(capsys):
-    code, _, err = run_cli(capsys)
-    assert code == 2
-    assert "command is required" in err
-
-
-def test_unknown_command_exits_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["frobnicate"])
-    assert excinfo.value.code == 2
 
 
 def test_module_entry_point():
@@ -196,12 +185,6 @@ def test_spectrum_stdout_is_built_from_the_eigh_oracle(capsys):
     assert out == "\n".join(lines) + "\n"
 
 
-def test_spectrum_reversed_range_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "spectrum", "--from", "0.7", "--to", "0.3")
-    assert code == 2
-    assert "--from" in err
-
-
 # ---------------------------------------------------------------------------
 # tradeoff
 # ---------------------------------------------------------------------------
@@ -233,21 +216,6 @@ def test_tradeoff_default_grid(tmp_path, capsys):
     )
 
 
-def test_tradeoff_empty_grid_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "tradeoff", "-n", "0")
-    assert code == 2
-    assert err.splitlines() == [
-        "uniflux: error: argument -n/--points: must be an integer in [1, inf], got '0'"
-    ]
-
-
-def test_tradeoff_zero_noise_reports_unlimited(capsys):
-    code, out, _ = run_cli(capsys, "tradeoff", "-n", "3", "--noise", "-inf")
-    assert code == 0
-    for line in out.splitlines()[1:4]:
-        assert line.split(",")[2] == "unlimited"
-
-
 def test_tradeoff_zero_span_grid_has_no_slope_footer(capsys):
     # pytest raises RuntimeWarning as an error, so a 0/0 slope would fail here
     code, out, err = run_cli(capsys, "tradeoff", "--alpha-from", "-30", "--alpha-to", "-30",
@@ -258,15 +226,6 @@ def test_tradeoff_zero_span_grid_has_no_slope_footer(capsys):
     assert len(rows) == 3 and len(set(rows)) == 1 and rows[0].startswith("-30.0,")
     one_point = run_cli(capsys, "tradeoff", "--alpha-from", "-30", "--alpha-to", "-30", "-n", "1")
     assert one_point == (0, "\n".join([header, rows[0]]) + "\n", "")
-
-
-def test_non_finite_ranges_are_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "tradeoff", "--alpha-from", "nan")
-    assert code == 2
-    assert "must be finite" in err
-    code, _, err = run_cli(capsys, "spectrum", "--to", "nan")
-    assert code == 2
-    assert "must be finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -334,40 +293,6 @@ def test_design_provenance_records_the_options_its_kind_reads(capsys, argv, prov
     assert json.loads(out)["provenance"] == f"uniflux design {provenance}"
 
 
-def test_design_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "design", "fir", "--target", "inverse",
-                           "--fq", "0.208", "--taps", "16")
-    assert code == 2 and "--rate" in err
-    code, _, err = run_cli(capsys, "design", "inverse")
-    assert code == 2 and "--fq" in err
-    code, _, err = run_cli(capsys, "design", "iir", "--rate", "2",
-                           "--exp", "oops")
-    assert code == 2 and "AMPLITUDE:TAU_NS" in err
-    code, _, err = run_cli(capsys, "design", "iir", "--rate", "2")
-    assert code == 2 and "--exp" in err
-
-
-@pytest.mark.parametrize("kind", ["fir", "iir"])
-@pytest.mark.parametrize("rate", ["inf", "nan", "0"])
-def test_design_bad_rate_is_usage_error(capsys, kind, rate):
-    code, out, err = run_cli(
-        capsys, "design", kind, "--fq", "0.2", "--exp", "-0.0174:34", "--rate", rate
-    )
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [
-        f"uniflux: error: argument --rate: must be positive and finite, got {rate!r}"
-    ]
-
-
-@pytest.mark.parametrize("exp", ["nan:34", "-0.0174:inf", "-0.0174:nan"])
-def test_design_non_finite_exponential_is_usage_error(capsys, exp):
-    code, _, err = run_cli(capsys, "design", "iir", "--rate", "2", "--exp", exp)
-    assert code == 2
-    assert "must be" in err and "finite" in err
-
-
-
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------
@@ -408,61 +333,6 @@ def test_compile_report_memory(capsys):
     assert float(report["ratio"]) == pytest.approx(49.0 / 6.5)
 
 
-def test_compile_saturating_program_exits_3_with_peak(tmp_path, capsys):
-    program = tmp_path / "hot.pulse"
-    program.write_text(
-        "prim gate envelope 0.0 0.5 1.0 0.5\n"
-        "prim edge edge 0.0 0.5 1.0\n"
-        "carrier 0.2238\n"
-        "z rise=edge hold=0.8,8.0 fall=edge {\n"
-        "  delay 2.0\n"
-        "  xy gate amp=0.5\n"
-        "  delay 2.0\n"
-        "}\n"
-    )
-    code, _, err = run_cli(capsys, "compile", str(program), "--rate", "2")
-    assert code == 3
-    assert "peak" in err
-
-
-def test_compile_parse_error_names_the_line(tmp_path, capsys):
-    program = tmp_path / "broken.pulse"
-    program.write_text("prim gate envelope 0.0 0.5 1.0 0.5\ncarrier 0.2\nxy gate amp=oops\n")
-    code, _, err = run_cli(capsys, "compile", str(program), "--rate", "2")
-    assert code == 3
-    assert "line 3" in err
-
-
-@pytest.mark.parametrize("line", ["vz nan", "carrier inf", "xy gate amp=nan"])
-def test_compile_non_finite_instruction_names_the_line(tmp_path, capsys, line):
-    program = tmp_path / "nan.pulse"
-    program.write_text(f"prim gate envelope 0.0 0.5 1.0 0.5\nvz 0.1\n{line}\n")
-    code, _, err = run_cli(capsys, "compile", str(program), "--rate", "2")
-    assert code == 3
-    assert "line 3" in err
-
-
-@pytest.mark.parametrize("rate", ["inf", "nan", "0"])
-def test_compile_bad_rate_is_usage_error(capsys, rate):
-    code, _, err = run_cli(capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", rate)
-    assert code == 2
-    assert err.splitlines() == [
-        f"uniflux: error: argument --rate: must be positive and finite, got {rate!r}"
-    ]
-
-
-@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
-def test_compile_bad_full_scale_is_usage_error(capsys, scale):
-    # the DAC full scale in volts belongs to the scenario's line, not to compile
-    code, out, err = run_cli(
-        capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--full-scale", scale
-    )
-    assert (code, out) == (2, "")
-    assert err.splitlines() == [
-        f"uniflux: error: unrecognized arguments: --full-scale {scale}"
-    ]
-
-
 def test_readme_pulse_assembly_example_compiles(tmp_path, capsys):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme[readme.index("## Pulse assembly"):]
@@ -498,22 +368,6 @@ def test_compile_with_designed_filters(tmp_path, capsys):
     assert EXAMPLE_SHA256 not in out
 
 
-def test_compile_missing_filter_design_exits_3(tmp_path, capsys):
-    absent = str(tmp_path / "absent.json")
-    for flag in ("--fir", "--iir"):
-        code, out, err = run_cli(
-            capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", "2", flag, absent
-        )
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1
-        assert "absent.json" in err
-
-
-# The traced peak of a compile may grow by at most this many bytes per added
-# output sample: the 2 bytes of its DAC code, plus the compiled schedule's
-# records. A compile that holds float timelines of the whole program grows
-# by about 37.
 COMPILE_BYTES_PER_SAMPLE = 10.0
 
 
@@ -833,54 +687,6 @@ def test_simulate_rb_interleaved_perfect_gate(capsys):
         assert float(line.split(",")[2]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_simulate_unknown_scenario_key_lists_valid_keys(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, {"chanel": {"kind": "flat"}})
-    code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", scenario)
-    assert code == 3
-    assert len(err.splitlines()) == 1
-    assert "chanel" in err
-    assert "channel, levels, line, qubit, time_step_ns" in err
-
-
-def test_simulate_unknown_channel_kind_lists_valid_kinds(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, {"channel": {"kind": "bessel"}})
-    code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", scenario)
-    assert code == 3
-    assert len(err.splitlines()) == 1
-    assert "flat, gaussian" in err
-
-
-def test_simulate_missing_scenario_exits_3(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "simulate", "rb", "--scenario", str(tmp_path / "absent.json")
-    )
-    assert code == 3
-    assert err.count("\n") == 1
-    assert "absent.json" in err
-
-
-def test_simulate_non_finite_scenario_exits_3(tmp_path, capsys):
-    scenario = tmp_path / "nan.json"
-    scenario.write_text('{"qubit": {"e_j": NaN, "e_c": 1.1, "e_l": 0.5}}')
-    code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", str(scenario))
-    assert code == 3
-    assert "finite" in err
-
-
-def test_simulate_infinite_time_step_exits_3(tmp_path, capsys):
-    scenario = tmp_path / "inf.json"
-    scenario.write_text('{"time_step_ns": Infinity}')
-    code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", str(scenario))
-    assert code == 3
-    assert "finite" in err
-
-
-def test_simulate_bad_lengths_usage_error(capsys):
-    code, _, err = run_cli(capsys, "simulate", "rb", "--lengths", "1,two")
-    assert code == 2
-    assert "comma-separated" in err
-
-
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -908,7 +714,7 @@ def test_fit_t1_recovers_fixture(tmp_path, capsys):
     assert report["t1_eff"] == pytest.approx(39.801739957266, rel=1e-3)
 
 
-def test_fit_dephasing_requires_t1(tmp_path, capsys):
+def test_fit_dephasing_recovers_fixture(tmp_path, capsys):
     fixture = tmp_path / "env.csv"
     t = np.linspace(0.0, 400.0, 81)
     values = analysis.dephasing_model(t, 0.95, 0.03, 180.0, 1 / 90.0, 1 / 128.0)
@@ -916,9 +722,6 @@ def test_fit_dephasing_requires_t1(tmp_path, capsys):
         fixture, np.column_stack([t, values]), delimiter=",",
         header="t_us,p_env", comments="", fmt="%.17g",
     )
-    code, _, err = run_cli(capsys, "fit", "dephasing", str(fixture))
-    assert code == 2
-    assert "--t1-us" in err
     code, out, _ = run_cli(
         capsys, "fit", "dephasing", str(fixture), "--t1-us", "180"
     )
@@ -1003,32 +806,6 @@ def test_fit_reports_are_strict_json_with_null_for_non_finite_values(tmp_path, c
     assert report["flags"] == ["exponential-rate-vanished"]
 
 
-def test_fit_malformed_csv_reports_line(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t_us,p1\n0,1.0\n1,bad,extra\n")
-    code, _, err = run_cli(capsys, "fit", "t1", str(bad))
-    assert code == 3
-    assert "Line #3" in err
-
-
-def test_fit_missing_csv_exits_3(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "fit", "t1", str(tmp_path / "absent.csv"))
-    assert code == 3
-    assert err.count("\n") == 1
-    assert "absent.csv" in err
-
-
-def test_fit_non_finite_sample_exits_3(tmp_path, capsys):
-    fixture = tmp_path / "t1.csv"
-    _write_relaxation_fixture(fixture)
-    lines = fixture.read_text().splitlines()
-    lines[5] = lines[5].split(",")[0] + ",nan"
-    fixture.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "fit", "t1", str(fixture))
-    assert code == 3
-    assert "finite" in err
-
-
 # ---------------------------------------------------------------------------
 # devices
 # ---------------------------------------------------------------------------
@@ -1069,22 +846,20 @@ def test_device_registry_loads_and_validates():
 
 # ---------------------------------------------------------------------------
 # exit-code matrix: the cases of byte_matrix.CASES that carry an exit code,
-# each run in a working directory of byte_matrix's inputs; in every case
-# exactly one stderr line and no warning
+# read from the session's one fresh run of the table; in every case exactly
+# one stderr line and no warning
 # ---------------------------------------------------------------------------
 
 _EXPECTED = [case for case in byte_matrix.CASES if len(case) == 4]
 
 
 @pytest.mark.parametrize(
-    "argv, code, message",
-    [case[1:] for case in _EXPECTED],
+    "name, code, message",
+    [(name, code, message) for name, _, code, message in _EXPECTED],
     ids=[case[0] for case in _EXPECTED],
 )
-def test_exit_code_matrix(tmp_path, monkeypatch, argv, code, message):
-    byte_matrix.write_inputs(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    record = byte_matrix.run(argv)
+def test_exit_code_matrix(cli_records, name, code, message):
+    record = cli_records[name]
     assert record["warnings"] == []
     assert record["exit"] == code
     assert "Traceback" not in record["stderr"]
