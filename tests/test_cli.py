@@ -2,10 +2,11 @@
 
 Commands run in-process through cli.main so exit codes and output can be
 asserted without subprocess overhead; one test drives `python -m uniflux.cli`
-for real to cover the module entry point. This file holds no exit-code case:
-a refusal, or any command checked only by its exit code and the start of its
-output, is a row of ``byte_matrix.CASES``. The exit-code matrix asserts the
-rows that carry an exit code and message, on the session's one run of them.
+for real to cover the module entry point. A new refusal, or any command
+checked only by its exit code and the start of its output, is a row of
+``byte_matrix.CASES``; the few stand-alone refusal tests left here predate the
+table and keep their names. The exit-code matrix asserts the rows that carry
+an exit code and message, on the session's one run of them.
 """
 
 import hashlib
@@ -93,6 +94,18 @@ def test_version_alone(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert len(out.splitlines()) == 1
+
+
+def test_no_command_is_usage_error(capsys):
+    code, _, err = run_cli(capsys)
+    assert code == 2
+    assert "command is required" in err
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["frobnicate"])
+    assert excinfo.value.code == 2
 
 
 def test_module_entry_point():
@@ -333,6 +346,36 @@ def test_compile_report_memory(capsys):
     assert float(report["ratio"]) == pytest.approx(49.0 / 6.5)
 
 
+@pytest.mark.parametrize("line", ["vz nan", "carrier inf", "xy gate amp=nan"])
+def test_compile_non_finite_instruction_names_the_line(tmp_path, capsys, line):
+    program = tmp_path / "nan.pulse"
+    program.write_text(f"prim gate envelope 0.0 0.5 1.0 0.5\nvz 0.1\n{line}\n")
+    code, _, err = run_cli(capsys, "compile", str(program), "--rate", "2")
+    assert code == 3
+    assert "line 3" in err
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+def test_compile_bad_rate_is_usage_error(capsys, rate):
+    code, _, err = run_cli(capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", rate)
+    assert code == 2
+    assert err.splitlines() == [
+        f"uniflux: error: argument --rate: must be positive and finite, got {rate!r}"
+    ]
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_compile_bad_full_scale_is_usage_error(capsys, scale):
+    # the DAC full scale in volts belongs to the scenario's line, not to compile
+    code, out, err = run_cli(
+        capsys, "compile", str(EXAMPLE_PROGRAM), "--rate", "2", "--full-scale", scale
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"uniflux: error: unrecognized arguments: --full-scale {scale}"
+    ]
+
+
 def test_readme_pulse_assembly_example_compiles(tmp_path, capsys):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme[readme.index("## Pulse assembly"):]
@@ -368,6 +411,10 @@ def test_compile_with_designed_filters(tmp_path, capsys):
     assert EXAMPLE_SHA256 not in out
 
 
+# The traced peak of a compile may grow by at most this many bytes per added
+# output sample: the 2 bytes of its DAC code, plus the compiled schedule's
+# records. A compile that holds float timelines of the whole program grows
+# by about 37.
 COMPILE_BYTES_PER_SAMPLE = 10.0
 
 
@@ -687,6 +734,23 @@ def test_simulate_rb_interleaved_perfect_gate(capsys):
         assert float(line.split(",")[2]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_simulate_missing_scenario_exits_3(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "rb", "--scenario", str(tmp_path / "absent.json")
+    )
+    assert code == 3
+    assert err.count("\n") == 1
+    assert "absent.json" in err
+
+
+def test_simulate_infinite_time_step_exits_3(tmp_path, capsys):
+    scenario = tmp_path / "inf.json"
+    scenario.write_text('{"time_step_ns": Infinity}')
+    code, _, err = run_cli(capsys, "simulate", "rb", "--scenario", str(scenario))
+    assert code == 3
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -804,6 +868,32 @@ def test_fit_reports_are_strict_json_with_null_for_non_finite_values(tmp_path, c
     report = _strict_json(out)
     assert report["t_phi_exp"] is None
     assert report["flags"] == ["exponential-rate-vanished"]
+
+
+def test_fit_malformed_csv_reports_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t_us,p1\n0,1.0\n1,bad,extra\n")
+    code, _, err = run_cli(capsys, "fit", "t1", str(bad))
+    assert code == 3
+    assert "Line #3" in err
+
+
+def test_fit_missing_csv_exits_3(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "fit", "t1", str(tmp_path / "absent.csv"))
+    assert code == 3
+    assert err.count("\n") == 1
+    assert "absent.csv" in err
+
+
+def test_fit_non_finite_sample_exits_3(tmp_path, capsys):
+    fixture = tmp_path / "t1.csv"
+    _write_relaxation_fixture(fixture)
+    lines = fixture.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    fixture.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "fit", "t1", str(fixture))
+    assert code == 3
+    assert "finite" in err
 
 
 # ---------------------------------------------------------------------------
