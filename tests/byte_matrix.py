@@ -85,6 +85,22 @@ def _inputs() -> dict[str, str | bytes | None]:
         "vz-nan.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nvz 0.1\nvz nan\n",
         "carrier-inf.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nvz 0.1\ncarrier inf\n",
         "carrier-only.pulse": "carrier 0.2\n",
+        # refused by the compiler: an edge played as an envelope, a Z inside a
+        # hold, a body longer than its hold, a frame phase that overflows
+        "xy-edge.pulse": "prim edge edge 0.0 0.5 1.0\nxy edge\n",
+        "nested-z.pulse": ("prim edge edge 0.0 0.5 1.0\nz rise=edge hold=0.5,10.0 fall=edge {\n"
+                           "  z rise=edge hold=0.5,1.0 fall=edge\n}\n"),
+        "long-body.pulse": ("prim gate envelope 0.0 0.5 1.0 0.5 0.0\nprim edge edge 0.0 0.5 1.0\n"
+                            "z rise=edge hold=0.5,2.0 fall=edge {\n  xy gate\n}\n"),
+        "vz-overflow.pulse": "prim gate envelope 0.0 0.5 1.0 0.5\nvz 1e308\nvz 1e308\nxy gate\n",
+        # refused by the instruction the parser builds
+        "empty-file-primitive.pulse": "prim p file empty.csv\nxy p\n",
+        "sample-1.5.pulse": "prim p envelope 0.0 1.5\nxy p\n",
+        "phase-inf.pulse": "prim p envelope 0.0 0.5\nxy p phase=inf\n",
+        "hold-1.5.pulse": "prim edge edge 0.0 1.0\nz rise=edge hold=1.5,2.0 fall=edge\n",
+        "negative-hold.pulse": "prim edge edge 0.0 1.0\nz rise=edge hold=0.5,-2.0 fall=edge\n",
+        "negative-delay.pulse": "delay -2.0\n",
+        "repeat-0.pulse": "prim p envelope 0.0 0.5\nrepeat 0 {\n  xy p\n}\n",
         # 225 000 samples at 1 GS/s: plays, FIR tails, Z edges, holds and the
         # IIR state all cross the synthesizer's block boundaries
         "long.pulse": (_GATE9 + "carrier 0.2238\nrepeat 1500 {\n  xy gate amp=0.3 phase=0.4\n"
@@ -437,6 +453,33 @@ CASES = [
      f"sha256 {hashlib.sha256(b'').hexdigest()}\nsamples 0\n"),
     ("compile-garbled-primitive-file", ("compile", "file-primitive.pulse", "--rate", "2"), 3,
      "file-primitive.pulse: cannot read samples.txt: could not convert"),
+    ("compile-empty-primitive-file", ("compile", "empty-file-primitive.pulse", "--rate", "2"), 3,
+     "empty-file-primitive.pulse: primitive 'p' has no samples (line 1, column 13)"),
+    ("compile-sample-outside-full-scale", ("compile", "sample-1.5.pulse", "--rate", "2"), 3,
+     "sample-1.5.pulse: primitive 'p' has samples outside [-1, 1] (line 1, column 17)"),
+    ("compile-infinite-phase", ("compile", "phase-inf.pulse", "--rate", "2"), 3,
+     "phase-inf.pulse: phase offset must be finite, got inf (line 2, column 1)"),
+    ("compile-hold-amplitude-outside-full-scale", ("compile", "hold-1.5.pulse", "--rate", "2"),
+     3, "hold-1.5.pulse: hold amplitude 1.5 outside [-1, 1] (line 2, column 1)"),
+    ("compile-negative-hold", ("compile", "negative-hold.pulse", "--rate", "2"), 3,
+     "negative-hold.pulse: hold duration must be non-negative and finite (line 2, column 1)"),
+    ("compile-negative-delay", ("compile", "negative-delay.pulse", "--rate", "2"), 3,
+     "negative-delay.pulse: delay must be non-negative and finite (line 1, column 7)"),
+    ("compile-repeat-0", ("compile", "repeat-0.pulse", "--rate", "2"), 3,
+     "repeat-0.pulse: repeat count must be an integer >= 1, got 0 (line 2, column 8)"),
+    ("compile-xy-on-edge-primitive", ("compile", "xy-edge.pulse", "--rate", "2"), 3,
+     "primitive 'edge' has kind 'edge'; this instruction needs 'envelope'"),
+    ("compile-z-inside-z-hold", ("compile", "nested-z.pulse", "--rate", "2"), 3,
+     "nested Z emission inside a Z hold is not allowed"),
+    ("compile-hold-body-too-long", ("compile", "long-body.pulse", "--rate", "2"), 3,
+     "Z-hold body lasts 2.5 ns, longer than the 2.0 ns hold"),
+    ("compile-virtual-z-sum-overflows", ("compile", "vz-overflow.pulse", "--rate", "2"), 3,
+     "xy play 0 in program order: frame phase plus phase offset is not finite"),
+    # fir.json and iir.json are designed at 1 GS/s
+    ("compile-fir-at-another-rate", (*_PROGRAM, "--fir", "fir.json"), 3,
+     "xy_fir sample rate does not match the engine rate"),
+    ("compile-iir-at-another-rate", (*_PROGRAM, "--iir", "iir.json"), 3,
+     "z_iir sample rate does not match the engine rate"),
     ("compile-missing-fir", (*_PROGRAM, "--fir", "absent.json"), 3, "absent.json: "),
     ("compile-missing-iir", (*_PROGRAM, "--iir", "absent.json"), 3, "absent.json: No such file"),
     ("compile-directory-fir", (*_PROGRAM, "--fir", "dir"), 3, "dir: "),
