@@ -29,6 +29,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,15 +102,21 @@ def _validate_decay_input(t, values, min_points):
     return t, values, float(t.max()), tail, max(head - tail, 1e-3)
 
 
+@lru_cache
+def _gesdd_lwork(m: int, n: int) -> int:
+    """The dgesdd workspace scipy.linalg.svd queries for an (m, n) matrix."""
+    lapack = _scipy_extension("linalg", "_flapack")
+    return int(lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)[0].real)
+
+
 def _svd(a):
     """(U, s, Vt) of a real (m, n) matrix with full_matrices=False: the dgesdd
     call scipy.linalg.svd makes, with the workspace it queries, so the bits
     are its. A matrix that is not finite raises svd's ValueError."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    lapack = _scipy_extension("linalg", "_flapack")
-    lwork = int(lapack.dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0)[0].real)
-    u, s, vt, info = lapack.dgesdd(a, compute_uv=1, lwork=lwork, full_matrices=0)
+    u, s, vt, info = _scipy_extension("linalg", "_flapack").dgesdd(
+        a, compute_uv=1, lwork=_gesdd_lwork(*a.shape), full_matrices=0)
     if info:
         raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info={info})")
     return u, s, vt
@@ -189,12 +196,13 @@ def _in_bounds(x, lb, ub):
     return ((x >= lb) & (x <= ub)).all()
 
 
-def _coleman_li_scaling(x, g, lb, ub):
+def _coleman_li_scaling(x, g, lb, ub, finite_lb, finite_ub):
     """CL_scaling_vector: (v, dv), with v the distance to the bound the
     gradient points away from (1 where there is none) and dv its
-    derivative."""
-    to_upper = (g < 0) & np.isfinite(ub)
-    to_lower = (g > 0) & np.isfinite(lb)
+    derivative. ``finite_lb`` and ``finite_ub`` are ``np.isfinite`` of the
+    bounds."""
+    to_upper = (g < 0) & finite_ub
+    to_lower = (g > 0) & finite_lb
     v = np.where(to_lower, x - lb, np.where(to_upper, ub - x, 1.0))
     return v, to_lower - to_upper.astype(float)
 
@@ -377,16 +385,17 @@ def _trf(x0, lb, ub, max_nfev, tol):
     m, n = J.shape
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
-    v, _ = _coleman_li_scaling(x, g, lb, ub)
+    finite = np.isfinite(lb), np.isfinite(ub)
+    v, _ = _coleman_li_scaling(x, g, lb, ub, *finite)
     delta = _norm(x0 / v**0.5)
     if delta == 0:
         delta = 1.0
     f_augmented = np.zeros(m + n)
-    J_augmented = np.empty((m + n, n))
+    J_augmented = np.zeros((m + n, n))  # its bottom n rows: a diagonal
     alpha = 0.0
     status = None
     while True:
-        v, dv = _coleman_li_scaling(x, g, lb, ub)
+        v, dv = _coleman_li_scaling(x, g, lb, ub, *finite)
         g_norm = np.abs(g * v).max()
         if g_norm < tol:
             status = 1
@@ -398,7 +407,7 @@ def _trf(x0, lb, ub, max_nfev, tol):
         f_augmented[:m] = f
         J_augmented[:m] = J * d
         J_h = J_augmented[:m]
-        J_augmented[m:] = np.diag(diag_h**0.5)
+        np.fill_diagonal(J_augmented[m:], diag_h**0.5)
         U, s, V = _svd(J_augmented)
         V = V.T
         uf = U.T.dot(f_augmented)

@@ -3,13 +3,13 @@
 A program is a short list of instructions referencing a store of reusable
 sample primitives, so sequences of tens of microseconds compile from well
 under 100 ns of stored waveform data. A program compiles to a play schedule:
-records of where each primitive plays, with its scale, and of the frame
+typed records of where each primitive plays, with its scale, and of the frame
 (carrier switches, virtual-Z phases). The carrier is 0 GHz until a
 ``SetCarrier`` switches it from that sample on. A ``repeat`` body is
 expanded once and its records tiled; virtual-Z phases add up in program
-order. The compiled program keeps the XY plays (start sample, primitive,
-complex scale amplitude * exp(i(phase_offset + frame_phase))) and the Z
-schedule, its flux edges and holds; it holds records, not samples.
+order. The compiled program keeps the XY plays and the Z schedule, its flux
+edges and holds, with every start sample, primitive index and hold length
+an int64; it holds records, not samples.
 
 Synthesis plays the schedule as a stored-envelope generator does, one block
 of ``_BLOCK`` samples at a time: each primitive is modulated with the
@@ -210,18 +210,18 @@ class CompiledProgram:
     """XY play i puts ``xy_scales[i] * primitives[xy_primitives[i]]`` at
     sample ``xy_starts[i]``; plays are in program order and never overlap.
 
-    The Z schedule is two record tables in program order: edges, rows of
-    (start sample, primitive index, level), each putting level * primitive at
-    its start, and holds, rows of (start sample, samples, level). Z records
-    never overlap either; every other sample of the Z path is 0.
+    The Z schedule is two typed record tables in program order: edges (int64
+    ``start`` and ``primitive``, float ``level``), each putting level *
+    primitive at its start, and holds (int64 ``start`` and ``samples``, float
+    ``level``). Z records never overlap either; every other sample is 0.
     """
 
     xy_starts: np.ndarray  # int64
-    xy_primitives: np.ndarray  # index into ``primitives``
+    xy_primitives: np.ndarray  # int64 index into ``primitives``
     xy_scales: np.ndarray  # complex: amplitude * rotor
     primitives: tuple  # sample arrays, in store order
-    z_edges: np.ndarray  # (start, primitive index, level) rows
-    z_holds: np.ndarray  # (start, samples, level) rows
+    z_edges: np.ndarray  # _EDGES records
+    z_holds: np.ndarray  # _HOLDS records
     frame_segments: tuple
     sample_rate: float
     n_samples: int
@@ -246,15 +246,20 @@ def _sample_count(duration_ns: float, rate: float, what: str) -> int:
 
 
 _PLAY, _EDGE, _HOLD, _VZ, _CARRIER = range(5)  # record kinds
+_RECORD = np.dtype([("kind", np.int64), ("start", np.int64), ("index", np.int64),
+                    ("value", float), ("phase", float)])
+_EDGES = np.dtype([("start", np.int64), ("primitive", np.int64), ("level", float)])
+_HOLDS = np.dtype([("start", np.int64), ("samples", np.int64), ("level", float)])
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class _Schedule:
     """A program compiled to play records.
 
-    A record is (kind, start sample, primitive index or hold samples, value,
-    phase offset); the value is an amplitude, a Z level, a virtual-Z phase or
-    a carrier frequency. Records stay in program order: first as float
-    blocks, each a ``repeat`` tiled, then as the rows added since.
+    A record is a ``_RECORD`` row: int64 ``kind``, ``start`` and ``index`` (a
+    primitive, or a hold's samples), float ``value`` (an amplitude, Z level,
+    virtual-Z phase or carrier frequency) and ``phase`` offset. Records stay
+    in program order: typed blocks, each a ``repeat`` tiled, then new rows.
     """
 
     def __init__(self, program: PulseProgram, rate: float):
@@ -266,14 +271,14 @@ class _Schedule:
         self.in_hold = False
 
     def _flush(self) -> int:
-        if self.rows:
-            self.blocks.append(np.array(self.rows, dtype=float))
+        if self.rows and self.n <= _INT64_MAX:  # past it ``finish`` refuses the program
+            self.blocks.append(np.array(self.rows, _RECORD))
             self.rows = []
         return len(self.blocks)
 
     def _records(self, mark: int = 0) -> np.ndarray:
         self._flush()
-        return np.concatenate([np.zeros((0, 5)), *self.blocks[mark:]])
+        return np.concatenate([np.zeros(0, _RECORD), *self.blocks[mark:]])
 
     def _primitive(self, pid: str, want_kind: str) -> PulsePrimitive:
         prim = self.program.primitives[pid]
@@ -350,11 +355,12 @@ class _Schedule:
         """Compile the body once and tile its records, shifted by its length."""
         mark, n0 = self._flush(), self.n
         self.run(instr.body)
-        body = self._records(mark)
-        tiled = np.tile(body, (instr.count, 1))
-        tiled[:, 1] += np.repeat(np.arange(instr.count), len(body)) * (self.n - n0)
-        self.blocks[mark:] = [tiled]
-        self.n = n0 + int(instr.count) * (self.n - n0)
+        body, length = self._records(mark), self.n - n0
+        self.n = n0 + int(instr.count) * length
+        if self.n <= _INT64_MAX and len(body):
+            tiled = np.tile(body, instr.count)
+            tiled["start"] += np.repeat(np.arange(instr.count), len(body)) * length
+            self.blocks[mark:] = [tiled]
 
     def _scales(self, records: np.ndarray) -> np.ndarray:
         """amplitude * rotor of each play.
@@ -363,11 +369,10 @@ class _Schedule:
         order (``np.add.accumulate`` is sequential), as a running sum does.
         A play whose phase overflowed raises ``ScheduleError``.
         """
-        is_vz, is_play = records[:, 0] == _VZ, records[:, 0] == _PLAY
-        plays = records[is_play]
+        is_vz, is_play = records["kind"] == _VZ, records["kind"] == _PLAY
         with np.errstate(over="ignore", invalid="ignore"):
-            frame = np.add.accumulate(np.concatenate(([0.0], records[is_vz, 3])))
-            angle = plays[:, 4] + frame[np.cumsum(is_vz)[is_play]]
+            frame = np.add.accumulate(np.concatenate(([0.0], records["value"][is_vz])))
+            angle = records["phase"][is_play] + frame[np.cumsum(is_vz)[is_play]]
         finite = np.isfinite(angle)
         if not finite.all():
             raise ScheduleError(
@@ -383,24 +388,23 @@ class _Schedule:
         # numpy's own complex multiply may fuse a*sin + 0*cos into one FMA,
         # which keeps the -0.0 of an underflowed a*sin, so the parts are
         # rounded one operation at a time.
-        amplitude, scales = plays[:, 3], np.empty(n, complex)
+        amplitude, scales = records["value"][is_play], np.empty(n, complex)
         scales.real = amplitude * cos - 0.0 * sin
         scales.imag = amplitude * sin + 0.0 * cos
         return scales
 
     def finish(self) -> CompiledProgram:
-        if self.n > np.iinfo(np.int64).max:  # no int64 cast below could hold a start
+        if self.n > _INT64_MAX:  # no int64 record could hold a start
             raise OverflowError(
                 f"{self.n} samples at {self.rate} GS/s overflow an int64 sample index"
             )
         records = self._records()
-        kind = records[:, 0]
-        scales = self._scales(records)
-        plays = records[kind == _PLAY]
+        kind = records["kind"]
+        scales, is_play = self._scales(records), kind == _PLAY
 
         segments = [FrameSegment(0, 0.0, 0.0)]
-        for _, start, _, frequency, _ in records[kind == _CARRIER].tolist():
-            seg, start = segments[-1], int(start)
+        for start, frequency in records[kind == _CARRIER][["start", "value"]].tolist():
+            seg = segments[-1]
             phase_now = seg.carrier_phase_rad + (
                 2.0 * math.pi * seg.carrier_ghz * (start - seg.start_index) / self.rate
             )
@@ -408,12 +412,12 @@ class _Schedule:
                 segments.pop()
             segments.append(FrameSegment(start, frequency, phase_now))
         return CompiledProgram(
-            xy_starts=plays[:, 1].astype(np.int64),
-            xy_primitives=plays[:, 2].astype(np.int64),
+            xy_starts=records["start"][is_play],
+            xy_primitives=records["index"][is_play],
             xy_scales=scales,
             primitives=tuple(np.array(p.samples) for p in self.program.primitives.values()),
-            z_edges=records[kind == _EDGE, 1:4],
-            z_holds=records[kind == _HOLD, 1:4],
+            z_edges=records[kind == _EDGE][["start", "index", "value"]].astype(_EDGES),
+            z_holds=records[kind == _HOLD][["start", "index", "value"]].astype(_HOLDS),
             frame_segments=tuple(segments),
             sample_rate=self.rate,
             n_samples=self.n,
@@ -494,15 +498,10 @@ class _Player:
             raise ValueError("config sample rate does not match the compiled program")
         self.groups = _xy_groups(compiled, config.xy_fir)
         self.pad = max((len(g[3]) for g in self.groups), default=1) - 1
-        edges, holds = compiled.z_edges, compiled.z_holds
-        self.edges = [
-            (edges[mine, 0].astype(np.int64), edges[mine, 2], samples)
-            for index, samples in enumerate(compiled.primitives)
-            for mine in [edges[:, 1] == index] if mine.any()
-        ]
-        self.hold_starts = holds[:, 0].astype(np.int64)
-        self.hold_ends = self.hold_starts + holds[:, 1].astype(np.int64)
-        self.hold_levels = holds[:, 2]
+        edges, self.holds = compiled.z_edges, compiled.z_holds
+        self.edges = [(edges[edges["primitive"] == index], samples)
+                      for index, samples in enumerate(compiled.primitives)]
+        self.hold_ends = self.holds["start"] + self.holds["samples"]
         iir = config.z_iir
         self.iir = iir_blocks(iir) if iir is not None and iir.sections else None
         self.n = len(compiled)
@@ -531,19 +530,19 @@ class _Player:
     def _z(self, start: int, stop: int) -> np.ndarray:
         """The Z path over [start, stop): holds and gaps, the edges, the IIR."""
         first = np.searchsorted(self.hold_ends, start, side="right")
-        end = np.searchsorted(self.hold_starts, stop)
+        end = np.searchsorted(self.holds["start"], stop)
         bounds = np.empty(2 * (end - first) + 2, np.int64)
         bounds[0], bounds[-1] = 0, stop - start
-        bounds[1:-1:2] = np.maximum(self.hold_starts[first:end], start) - start
+        bounds[1:-1:2] = np.maximum(self.holds["start"][first:end], start) - start
         bounds[2:-1:2] = np.minimum(self.hold_ends[first:end], stop) - start
         levels = np.zeros(len(bounds) - 1)
-        levels[1::2] = self.hold_levels[first:end]
+        levels[1::2] = self.holds["level"][first:end]
         z = np.repeat(levels, np.diff(bounds))
-        for starts, level, samples in self.edges:
-            first, end = np.searchsorted(starts, (start - len(samples) + 1, stop))
-            at = starts[first:end, None] + np.arange(len(samples)) - start
+        for edges, samples in self.edges:
+            first, end = np.searchsorted(edges["start"], (start - len(samples) + 1, stop))
+            at = edges["start"][first:end, None] + np.arange(len(samples)) - start
             inside = (at >= 0) & (at < stop - start)
-            z[at[inside]] = (level[first:end, None] * samples)[inside]
+            z[at[inside]] = (edges["level"][first:end, None] * samples)[inside]
         return z if self.iir is None else self.iir(z)
 
     def blocks(self):

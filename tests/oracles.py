@@ -1081,16 +1081,16 @@ def z_timeline(compiled: CompiledProgram) -> Waveform:
     holds."""
     z = np.zeros(len(compiled))
     edges, holds = compiled.z_edges, compiled.z_holds
-    starts = edges[:, 0].astype(np.int64)
+    starts = edges["start"]
     for index, samples in enumerate(compiled.primitives):
-        mine = edges[:, 1] == index
+        mine = edges["primitive"] == index
         count, length = int(mine.sum()), len(samples)
         at = starts[mine, None] + np.arange(length)
-        z[at.ravel()] = np.repeat(edges[mine, 2], length) * np.tile(samples, count)
-    counts = holds[:, 1].astype(np.int64)
+        z[at.ravel()] = np.repeat(edges["level"][mine], length) * np.tile(samples, count)
+    counts = holds["samples"]
     first = np.cumsum(counts) - counts  # each hold's first place in the fill
-    fill = np.arange(counts.sum()) + np.repeat(holds[:, 0].astype(np.int64) - first, counts)
-    z[fill] = np.repeat(holds[:, 2], counts)
+    fill = np.arange(counts.sum()) + np.repeat(holds["start"] - first, counts)
+    z[fill] = np.repeat(holds["level"], counts)
     return Waveform(z, compiled.sample_rate)
 
 
@@ -1339,6 +1339,50 @@ def unrolled_compile(program, config):
     compiler = _Compiler(program, config.sample_rate)
     compiler.run(program.instructions)
     return compiler.finish()
+
+
+def unrolled_indices(program: PulseProgram, rate: float) -> dict:
+    """Reference sample indices of a schedule, in Python ints: walks every
+    unrolled instruction in program order and lists each XY play's start,
+    each carrier switch's start, each Z edge's start and each hold's (start,
+    samples), and the sample count ``n_samples``. No index is ever a float,
+    so ``pulsec.compile`` must give the same numbers at any rate. A Z nested
+    in a hold, or a Z-hold body longer than its hold, raises the compiler's
+    ``ScheduleError``."""
+    out = {"xy_starts": [], "carrier_starts": [], "edge_starts": [], "holds": [],
+           "n_samples": 0}
+    length = {pid: len(prim.samples) for pid, prim in program.primitives.items()}
+
+    def walk(instructions, in_hold=False):
+        for instr in instructions:
+            if isinstance(instr, PlayXY):
+                out["xy_starts"].append(out["n_samples"])
+                out["n_samples"] += length[instr.primitive_id]
+            elif isinstance(instr, SetCarrier):
+                out["carrier_starts"].append(out["n_samples"])
+            elif isinstance(instr, Delay):
+                out["n_samples"] += _sample_count(instr.duration, rate, "delay")
+            elif isinstance(instr, Repeat):
+                for _ in range(instr.count):
+                    walk(instr.body, in_hold)
+            elif isinstance(instr, PlayZ):
+                if in_hold:
+                    raise ScheduleError("nested Z emission inside a Z hold is not allowed")
+                out["edge_starts"].append(out["n_samples"])
+                start = out["n_samples"] = out["n_samples"] + length[instr.rise_primitive_id]
+                walk(instr.body, in_hold=True)
+                samples = _sample_count(instr.hold_duration, rate, "Z hold")
+                if out["n_samples"] - start > samples:
+                    raise ScheduleError(
+                        f"Z-hold body lasts {(out['n_samples'] - start) / rate} ns, longer "
+                        f"than the {instr.hold_duration} ns hold"
+                    )
+                out["holds"].append((start, samples))
+                out["edge_starts"].append(start + samples)
+                out["n_samples"] = start + samples + length[instr.fall_primitive_id]
+
+    walk(program.instructions)
+    return out
 
 
 # ---------------------------------------------------------------------------

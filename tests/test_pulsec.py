@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pathlib
 import re
 from unittest import mock
 
@@ -18,6 +19,7 @@ from oracles import (
     serialize_program,
     timeline_synthesize,
     unrolled_compile,
+    unrolled_indices,
     whole_array_payload,
     whole_array_synthesize,
     xy_timeline,
@@ -559,7 +561,8 @@ _durations = st.integers(min_value=0, max_value=12).map(float)
 
 
 @st.composite
-def _programs(draw):
+def _programs(draw, rates=st.just(RATE), phases=_phases):
+    rate = draw(rates)
     env_ids = [f"env{i}" for i in range(draw(st.integers(1, 2)))]
     edge_ids = [f"edge{i}" for i in range(draw(st.integers(1, 2)))]
     prims = {}
@@ -567,15 +570,15 @@ def _programs(draw):
         (p, "edge") for p in edge_ids
     ]:
         samples = tuple(draw(st.lists(_amps, min_size=1, max_size=4)))
-        prims[pid] = PulsePrimitive(pid, samples, RATE, kind)
+        prims[pid] = PulsePrimitive(pid, samples, rate, kind)
     leaf = st.one_of(
         st.builds(
             PlayXY,
             primitive_id=st.sampled_from(env_ids),
             amplitude=_amps,
-            phase_offset=_phases,
+            phase_offset=phases,
         ),
-        st.builds(VirtualZ, phase=_phases),
+        st.builds(VirtualZ, phase=phases),
         st.builds(SetCarrier, frequency=_freqs),
         st.builds(Delay, duration=_durations),
     )
@@ -678,6 +681,64 @@ def test_compile_matches_oracle_on_rb_sequence():
     gate = dynamics.RbGate(duration_ns=20.0, amplitude_dac=0.01)
     program = dynamics.build_rb_program(indices, gate, 2.0, 0.21)
     _assert_compiles_like_oracle(program, SynthesisConfig(sample_rate=2.0))
+
+
+def test_example_keeps_exact_sample_indices_past_2_to_the_53():
+    # at 1e16 GS/s the example's 24 ns of delays and holds take 2.4e17
+    # samples, past 2^53, where a float start would round
+    text = (pathlib.Path(__file__).parent / "data" / "example_program.pulse").read_text()
+    program = pulsec.parse_program(text, 1e16)
+    compiled = pulsec.compile(program, SynthesisConfig(sample_rate=1e16))
+    want = unrolled_indices(program, 1e16)
+    assert compiled.xy_starts.tolist() == want["xy_starts"] == [
+        0, 8, 120000000000000021, 240000000000000026, 240000000000000034, 240000000000000042]
+    assert compiled.n_samples == want["n_samples"] == 240000000000000050
+    assert compiled.z_edges["start"].tolist() == want["edge_starts"] == [
+        80000000000000016, 240000000000000021]
+    assert compiled.z_holds[["start", "samples"]].tolist() == want["holds"] == [
+        (80000000000000021, 160000000000000000)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs(st.sampled_from([1.0, 2.0, 7.3e15, 1e16]), st.floats(-4.0, 4.0)))
+def test_compile_keeps_integer_sample_indices_property(program):
+    rate = next(iter(program.primitives.values())).sample_rate
+    config = SynthesisConfig(sample_rate=rate)
+    try:
+        want = unrolled_indices(program, rate)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError, match=re.escape(str(exc))):
+            pulsec.compile(program, config)
+        return
+    if want["n_samples"] > np.iinfo(np.int64).max:
+        with pytest.raises(OverflowError, match="overflow an int64 sample index"):
+            pulsec.compile(program, config)
+        return
+    got = pulsec.compile(program, config)
+    assert got.xy_starts.tolist() == want["xy_starts"]
+    assert got.z_edges["start"].tolist() == want["edge_starts"]
+    assert got.z_holds[["start", "samples"]].tolist() == want["holds"]
+    assert [s.start_index for s in got.frame_segments] == sorted({0, *want["carrier_starts"]})
+    assert got.n_samples == want["n_samples"]
+    # XY plays start strictly later each and never overlap; Z edges and
+    # holds never overlap; every record ends by n_samples
+    length = [len(p) for p in got.primitives]
+    xy = [(s, s + length[i]) for s, i in zip(got.xy_starts.tolist(), got.xy_primitives.tolist())]
+    z = sorted([(s, s + length[i]) for s, i, _ in got.z_edges.tolist()]
+               + [(s, s + n) for s, n, _ in got.z_holds.tolist()])
+    assert all(a < b for (a, _), (b, _) in zip(xy, xy[1:]))
+    for records in xy, z:
+        assert all(end <= start for (_, end), (start, _) in zip(records, records[1:]))
+        assert all(end <= got.n_samples for _, end in records)
+
+
+def test_repeat_of_a_body_without_records_tiles_nothing():
+    # 10^12 repeats of a delay: no record to tile, so no per-repeat array
+    # (7.3 TiB of int64 shifts) is allocated
+    program = pulsec.parse_program("repeat 1000000000000 {\n  delay 1\n}\n", RATE)
+    compiled = pulsec.compile(program, CONFIG)
+    assert compiled.n_samples == 1_000_000_000_000
+    assert len(compiled.xy_starts) == len(compiled.z_edges) == len(compiled.z_holds) == 0
 
 
 def test_compile_raises_the_first_fault_in_program_order():
