@@ -29,7 +29,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,21 +101,15 @@ def _validate_decay_input(t, values, min_points):
     return t, values, float(t.max()), tail, max(head - tail, 1e-3)
 
 
-@lru_cache
-def _gesdd_lwork(m: int, n: int) -> int:
-    """The dgesdd workspace scipy.linalg.svd queries for an (m, n) matrix."""
-    lapack = _scipy_extension("linalg", "_flapack")
-    return int(lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)[0].real)
-
-
 def _svd(a):
     """(U, s, Vt) of a real (m, n) matrix with full_matrices=False: the dgesdd
     call scipy.linalg.svd makes, with the workspace it queries, so the bits
     are its. A matrix that is not finite raises svd's ValueError."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    u, s, vt, info = _scipy_extension("linalg", "_flapack").dgesdd(
-        a, compute_uv=1, lwork=_gesdd_lwork(*a.shape), full_matrices=0)
+    lapack = _scipy_extension("linalg", "_flapack")
+    lwork = int(lapack.dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0)[0].real)
+    u, s, vt, info = lapack.dgesdd(a, compute_uv=1, lwork=lwork, full_matrices=0)
     if info:
         raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info={info})")
     return u, s, vt
@@ -196,13 +189,12 @@ def _in_bounds(x, lb, ub):
     return ((x >= lb) & (x <= ub)).all()
 
 
-def _coleman_li_scaling(x, g, lb, ub, finite_lb, finite_ub):
+def _coleman_li_scaling(x, g, lb, ub):
     """CL_scaling_vector: (v, dv), with v the distance to the bound the
     gradient points away from (1 where there is none) and dv its
-    derivative. ``finite_lb`` and ``finite_ub`` are ``np.isfinite`` of the
-    bounds."""
-    to_upper = (g < 0) & finite_ub
-    to_lower = (g > 0) & finite_lb
+    derivative."""
+    to_upper = (g < 0) & np.isfinite(ub)
+    to_lower = (g > 0) & np.isfinite(lb)
     v = np.where(to_lower, x - lb, np.where(to_upper, ub - x, 1.0))
     return v, to_lower - to_upper.astype(float)
 
@@ -385,8 +377,7 @@ def _trf(x0, lb, ub, max_nfev, tol):
     m, n = J.shape
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
-    finite = np.isfinite(lb), np.isfinite(ub)
-    v, _ = _coleman_li_scaling(x, g, lb, ub, *finite)
+    v, _ = _coleman_li_scaling(x, g, lb, ub)
     delta = _norm(x0 / v**0.5)
     if delta == 0:
         delta = 1.0
@@ -395,7 +386,7 @@ def _trf(x0, lb, ub, max_nfev, tol):
     alpha = 0.0
     status = None
     while True:
-        v, dv = _coleman_li_scaling(x, g, lb, ub, *finite)
+        v, dv = _coleman_li_scaling(x, g, lb, ub)
         g_norm = np.abs(g * v).max()
         if g_norm < tol:
             status = 1

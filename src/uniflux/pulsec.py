@@ -246,10 +246,9 @@ def _sample_count(duration_ns: float, rate: float, what: str) -> int:
 
 
 _PLAY, _EDGE, _HOLD, _VZ, _CARRIER = range(5)  # record kinds
-_RECORD = np.dtype([("kind", np.int64), ("start", np.int64), ("index", np.int64),
-                    ("value", float), ("phase", float)])
-_EDGES = np.dtype([("start", np.int64), ("primitive", np.int64), ("level", float)])
-_HOLDS = np.dtype([("start", np.int64), ("samples", np.int64), ("level", float)])
+_RECORD = np.dtype([("kind", "i8"), ("start", "i8"), ("index", "i8"), ("value", "f8"), ("phase", "f8")])
+_EDGES = np.dtype([("start", "i8"), ("primitive", "i8"), ("level", "f8")])
+_HOLDS = np.dtype([("start", "i8"), ("samples", "i8"), ("level", "f8")])
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -299,8 +298,10 @@ class _Schedule:
             self.run(instructions)
         except Exception:
             # Played in order, a play before the fault whose phase overflowed
-            # to inf fails first (``_scales`` raises).
-            self._scales(self._records())
+            # to inf fails first (``_scales`` raises). Rows left unbuilt past
+            # int64 count too, at start 0: ``_scales`` reads no start.
+            pending = [(kind, 0, 0, value, phase) for kind, _, _, value, phase in self.rows]
+            self._scales(np.concatenate([self._records(), np.array(pending, _RECORD)]))
             raise
 
     def run(self, instructions):
@@ -499,9 +500,9 @@ class _Player:
         self.groups = _xy_groups(compiled, config.xy_fir)
         self.pad = max((len(g[3]) for g in self.groups), default=1) - 1
         edges, self.holds = compiled.z_edges, compiled.z_holds
-        self.edges = [(edges[edges["primitive"] == index], samples)
-                      for index, samples in enumerate(compiled.primitives)]
-        self.hold_ends = self.holds["start"] + self.holds["samples"]
+        self.edges = [(mine, samples) for index, samples in enumerate(compiled.primitives)
+                      for mine in [edges[edges["primitive"] == index]] if len(mine)]
+        self.hold_ends = self.holds["start"] + self.holds["samples"]  # fields are searched in place
         iir = config.z_iir
         self.iir = iir_blocks(iir) if iir is not None and iir.sections else None
         self.n = len(compiled)

@@ -754,6 +754,9 @@ def test_compile_raises_the_first_fault_in_program_order():
     )
     with pytest.raises(ScheduleError, match="nested"):
         pulsec.compile(_program((nested,) + overflow), CONFIG)
+    # past int64 samples too, where the records are never built
+    with pytest.raises(ScheduleError, match="xy play 0 in program order"):
+        pulsec.compile(_program((Delay(1e19),) + overflow + (nested,)), CONFIG)
 
 
 # synthesize against the sample-by-sample oracle: within the oracle's own
